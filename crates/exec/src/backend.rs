@@ -18,9 +18,12 @@ use std::rc::Rc;
 use quipper::Lifter;
 use quipper_circuit::count::{self, GateCount, Peak};
 use quipper_circuit::BCircuit;
+use std::sync::Arc;
+
+use quipper_sim::fuse::unfused_circuit;
 use quipper_sim::{
-    run_classical_flat, run_clifford_flat, run_flat_with, run_fused, SimError, SimLifter,
-    StateVecConfig,
+    evolve, evolve_clifford, run_classical_flat, run_clifford_flat, run_flat_with, run_fused,
+    Evolved, EvolvedClifford, Shots, SimError, SimLifter, StateVecConfig, Suffix,
 };
 
 use crate::error::ExecError;
@@ -41,12 +44,64 @@ pub struct Capabilities {
     pub dynamic_lifting: bool,
 }
 
+/// A job whose shot-invariant prefix has run: the state every shot starts
+/// from, shared read-only by the engine's workers.
+pub trait PreparedJob: Send + Sync {
+    /// Ops of the plan that ran once, ahead of every shot.
+    fn prefix_ops(&self) -> usize;
+
+    /// Whether a shot draws from the evolved state as it stands
+    /// ([`Suffix::Sampled`], microseconds to milliseconds) or copies it and
+    /// runs the remaining ops ([`Suffix::Branched`]).
+    fn suffix(&self) -> Suffix;
+
+    /// A shot runner for one worker thread, owning that worker's scratch
+    /// memory for the length of the job.
+    fn worker(&self) -> Box<dyn ShotWorker + '_>;
+}
+
+/// One worker's shot runner over a [`PreparedJob`].
+pub trait ShotWorker {
+    /// Finishes one shot under `seed`: the same bits, or the same error, as
+    /// [`Backend::run_shot`] under that seed.
+    fn run_shot(&mut self, seed: u64) -> Result<Vec<bool>, ExecError>;
+}
+
+/// The [`Backend::prepare`] of a backend with nothing to run ahead of its
+/// shots: every shot is a whole [`Backend::run_shot`].
+struct PerShot<'a, B: ?Sized> {
+    backend: &'a B,
+    plan: &'a Plan,
+    inputs: &'a [bool],
+}
+
+impl<B: Backend + ?Sized> PreparedJob for PerShot<'_, B> {
+    fn prefix_ops(&self) -> usize {
+        0
+    }
+
+    fn suffix(&self) -> Suffix {
+        Suffix::Branched
+    }
+
+    fn worker(&self) -> Box<dyn ShotWorker + '_> {
+        Box::new(self)
+    }
+}
+
+impl<B: Backend + ?Sized> ShotWorker for &PerShot<'_, B> {
+    fn run_shot(&mut self, seed: u64) -> Result<Vec<bool>, ExecError> {
+        self.backend.run_shot(self.plan, self.inputs, seed)
+    }
+}
+
 /// A run function behind a uniform interface: capability advertisement,
-/// admission check, and single-shot execution of a compiled [`Plan`].
+/// admission check, and execution of a compiled [`Plan`].
 ///
-/// Backends are stateless between shots — every per-shot state lives on the
-/// worker's stack — so one backend instance is shared (`Send + Sync`) across
-/// the engine's worker threads.
+/// Backends are stateless between jobs — per-job state lives in the
+/// [`PreparedJob`], per-shot state in each worker's [`ShotWorker`] — so one
+/// backend instance is shared (`Send + Sync`) across the engine's worker
+/// threads.
 pub trait Backend: Send + Sync {
     /// Stable short name, used in reports and for explicit backend selection.
     fn name(&self) -> &'static str;
@@ -62,6 +117,35 @@ pub trait Backend: Send + Sync {
     /// returning the circuit's output bits. `seed` drives any measurement
     /// randomness; equal seeds give equal outcomes.
     fn run_shot(&self, plan: &Plan, inputs: &[bool], seed: u64) -> Result<Vec<bool>, ExecError>;
+
+    /// Runs, once, the part of the plan that is the same for every shot —
+    /// the longest run of ops that draws nothing from the shot's RNG — and
+    /// returns the state shots are finished from. This is the engine's shot
+    /// path; [`run_shot`](Backend::run_shot) is the oracle it is tested
+    /// against, seed for seed.
+    ///
+    /// `should_stop` is polled while the prefix runs; once it returns
+    /// `true` the backend gives up with [`SimError::Stopped`].
+    ///
+    /// The default has no prefix: each shot is one
+    /// [`run_shot`](Backend::run_shot).
+    ///
+    /// # Errors
+    ///
+    /// Whatever the prefix raises, which [`run_shot`](Backend::run_shot)
+    /// would raise under every seed.
+    fn prepare<'a>(
+        &'a self,
+        plan: &'a Plan,
+        inputs: &'a [bool],
+        _should_stop: &dyn Fn() -> bool,
+    ) -> Result<Box<dyn PreparedJob + 'a>, ExecError> {
+        Ok(Box::new(PerShot {
+            backend: self,
+            plan,
+            inputs,
+        }))
+    }
 
     /// A dynamic-lifting executor seeded with `seed`, if this backend
     /// supports interleaving circuit generation with execution.
@@ -97,9 +181,11 @@ impl Default for StateVecBackend {
     }
 }
 
+const STATEVEC: &str = "statevec";
+
 impl Backend for StateVecBackend {
     fn name(&self) -> &'static str {
-        "statevec"
+        STATEVEC
     }
 
     fn capabilities(&self) -> Capabilities {
@@ -135,8 +221,45 @@ impl Backend for StateVecBackend {
         Ok(result.classical_outputs())
     }
 
+    fn prepare<'a>(
+        &'a self,
+        plan: &'a Plan,
+        inputs: &'a [bool],
+        should_stop: &dyn Fn() -> bool,
+    ) -> Result<Box<dyn PreparedJob + 'a>, ExecError> {
+        // The same stream `run_shot` replays: the plan's fused ops, or the
+        // raw gate list when fusion is disabled.
+        let fused = if self.config.fuse {
+            Arc::clone(&plan.fused)
+        } else {
+            Arc::new(unfused_circuit(&plan.flat))
+        };
+        let evolved = evolve(fused, inputs, self.config, should_stop).map_err(sim_err(STATEVEC))?;
+        Ok(Box::new(evolved))
+    }
+
     fn make_lifter(&self, seed: u64) -> Option<Rc<RefCell<dyn Lifter>>> {
         Some(Rc::new(RefCell::new(SimLifter::new(seed))))
+    }
+}
+
+impl PreparedJob for Evolved {
+    fn prefix_ops(&self) -> usize {
+        Evolved::prefix_ops(self)
+    }
+
+    fn suffix(&self) -> Suffix {
+        Evolved::suffix(self)
+    }
+
+    fn worker(&self) -> Box<dyn ShotWorker + '_> {
+        Box::new(self.shots())
+    }
+}
+
+impl ShotWorker for Shots<'_> {
+    fn run_shot(&mut self, seed: u64) -> Result<Vec<bool>, ExecError> {
+        self.shot(seed).map_err(sim_err(STATEVEC))
     }
 }
 
@@ -170,6 +293,46 @@ impl Backend for ClassicalBackend {
     fn run_shot(&self, plan: &Plan, inputs: &[bool], _seed: u64) -> Result<Vec<bool>, ExecError> {
         run_classical_flat(&plan.flat, inputs).map_err(sim_err(self.name()))
     }
+
+    /// Nothing here is random, so the whole circuit is the prefix: it is
+    /// evaluated once and every shot reports that evaluation.
+    fn prepare<'a>(
+        &'a self,
+        plan: &'a Plan,
+        inputs: &'a [bool],
+        _should_stop: &dyn Fn() -> bool,
+    ) -> Result<Box<dyn PreparedJob + 'a>, ExecError> {
+        Ok(Box::new(Evaluated {
+            ops: plan.flat.gates.len(),
+            outputs: self.run_shot(plan, inputs, 0)?,
+        }))
+    }
+}
+
+/// A classical circuit's one evaluation.
+struct Evaluated {
+    ops: usize,
+    outputs: Vec<bool>,
+}
+
+impl PreparedJob for Evaluated {
+    fn prefix_ops(&self) -> usize {
+        self.ops
+    }
+
+    fn suffix(&self) -> Suffix {
+        Suffix::Sampled
+    }
+
+    fn worker(&self) -> Box<dyn ShotWorker + '_> {
+        Box::new(self)
+    }
+}
+
+impl ShotWorker for &Evaluated {
+    fn run_shot(&mut self, _seed: u64) -> Result<Vec<bool>, ExecError> {
+        Ok(self.outputs.clone())
+    }
 }
 
 /// Adapter over the CHP tableau simulator (`run_clifford_generic`):
@@ -177,9 +340,11 @@ impl Backend for ClassicalBackend {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StabilizerBackend;
 
+const STABILIZER: &str = "stabilizer";
+
 impl Backend for StabilizerBackend {
     fn name(&self) -> &'static str {
-        "stabilizer"
+        STABILIZER
     }
 
     fn capabilities(&self) -> Capabilities {
@@ -200,6 +365,37 @@ impl Backend for StabilizerBackend {
 
     fn run_shot(&self, plan: &Plan, inputs: &[bool], seed: u64) -> Result<Vec<bool>, ExecError> {
         run_clifford_flat(&plan.flat, inputs, seed).map_err(sim_err(self.name()))
+    }
+
+    fn prepare<'a>(
+        &'a self,
+        plan: &'a Plan,
+        inputs: &'a [bool],
+        should_stop: &dyn Fn() -> bool,
+    ) -> Result<Box<dyn PreparedJob + 'a>, ExecError> {
+        let evolved: EvolvedClifford<'a> =
+            evolve_clifford(&plan.flat, inputs, should_stop).map_err(sim_err(STABILIZER))?;
+        Ok(Box::new(evolved))
+    }
+}
+
+impl PreparedJob for EvolvedClifford<'_> {
+    fn prefix_ops(&self) -> usize {
+        EvolvedClifford::prefix_ops(self)
+    }
+
+    fn suffix(&self) -> Suffix {
+        Suffix::Branched
+    }
+
+    fn worker(&self) -> Box<dyn ShotWorker + '_> {
+        Box::new(self)
+    }
+}
+
+impl ShotWorker for &EvolvedClifford<'_> {
+    fn run_shot(&mut self, seed: u64) -> Result<Vec<bool>, ExecError> {
+        self.shot(seed).map_err(sim_err(STABILIZER))
     }
 }
 

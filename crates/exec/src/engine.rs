@@ -6,13 +6,23 @@
 //! cheapest capable [`Backend`], fans the shots out over a worker pool, and
 //! returns an [`ExecResult`] whose [`ExecReport`] records what happened.
 //!
+//! # Evolve once, sample many
+//!
+//! Every shot of a job runs the same ops on the same inputs until the first
+//! op that draws from the shot's RNG. The engine therefore asks the backend
+//! to run that shot-invariant prefix once ([`Backend::prepare`]) and each
+//! worker finishes its shots from the prepared state
+//! ([`ShotWorker`](crate::ShotWorker)). [`Backend::run_shot`], one whole
+//! circuit per shot, is the oracle this is tested against.
+//!
 //! # Determinism
 //!
 //! Shot `i` always runs with seed `base_seed + i`, regardless of which worker
 //! executes it, and per-shot outcomes are merged into a histogram by
 //! commutative addition before a canonical sort (count descending, then
 //! pattern ascending). Parallel results are therefore bit-identical to
-//! sequential ones for the same base seed.
+//! sequential ones for the same base seed, and — the prefix drawing no
+//! randomness — to one [`Backend::run_shot`] per seed.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -23,14 +33,14 @@ use std::time::{Duration, Instant};
 use quipper::{Circ, QCData, Shape};
 use quipper_circuit::BCircuit;
 use quipper_opt::{OptLevel, OptSummary, PassStats};
-use quipper_sim::{FuseStats, StateVecConfig};
+use quipper_sim::{FuseStats, SimError, StateVecConfig, Suffix};
 use quipper_trace::{fmt_duration, names, Phase, ProfileSummary, TraceSummary, Tracer};
 
 use crate::backend::{
-    Backend, ClassicalBackend, CountingBackend, ResourceEstimate, StabilizerBackend,
+    Backend, ClassicalBackend, CountingBackend, PreparedJob, ResourceEstimate, StabilizerBackend,
     StateVecBackend,
 };
-use crate::cancel::CancelToken;
+use crate::cancel::{CancelReason, CancelToken};
 use crate::error::ExecError;
 use crate::plan::{LintGate, Plan, PlanCache};
 use crate::profile::CircuitProfile;
@@ -142,9 +152,9 @@ impl<'a> Job<'a> {
         self
     }
 
-    /// Attaches a cancellation token. The shot loop polls it between shots:
-    /// once it fires, remaining shots are abandoned and the job fails with
-    /// [`ExecError::Cancelled`].
+    /// Attaches a cancellation token. It is polled while the shot-invariant
+    /// prefix runs and then between shots: once it fires, the remaining work
+    /// is abandoned and the job fails with [`ExecError::Cancelled`].
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
@@ -157,6 +167,18 @@ impl<'a> Job<'a> {
         self.opt = Some(level);
         self
     }
+}
+
+/// The part of a job that ran once, ahead of its shots (see
+/// [`Backend::prepare`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct PrefixReport {
+    /// Ops of the plan that ran once instead of once per shot.
+    pub ops: usize,
+    /// Wall-clock time they took (part of [`ExecReport::execute`]).
+    pub time: Duration,
+    /// How each shot was finished from the evolved state.
+    pub suffix: Suffix,
 }
 
 /// What the engine did for one job, attached to every [`ExecResult`].
@@ -175,8 +197,11 @@ pub struct ExecReport {
     /// Wall-clock time spent compiling the plan (validation, inlining,
     /// profiling, fusion) in this call; (near) zero on a cache hit.
     pub compile: Duration,
-    /// Wall-clock time spent executing the shots.
+    /// Wall-clock time spent executing: the prefix once, then the shots.
     pub execute: Duration,
+    /// What ran once ahead of the shots. `None` for a job of zero shots
+    /// (nothing runs), or for reports built outside the engine.
+    pub prefix: Option<PrefixReport>,
     /// Fusion and kernel-classification counters of the executed plan
     /// (static per plan, independent of shot count).
     pub fuse: FuseStats,
@@ -226,6 +251,15 @@ impl fmt::Display for ExecReport {
             self.fuse.gates_in,
             self.route_reason,
         )?;
+        if let Some(prefix) = &self.prefix {
+            write!(
+                f,
+                " | prefix: {} ops once in {}, {} shots",
+                prefix.ops,
+                fmt_duration(prefix.time),
+                prefix.suffix.as_str(),
+            )?;
+        }
         if let Some(opt) = &self.opt {
             write!(f, " | opt: {opt}")?;
         }
@@ -568,33 +602,20 @@ impl Engine {
         }
 
         // A token that fired while the job was queued (or compiling) stops
-        // the job before any shot runs.
-        if let Some(token) = &job.cancel {
-            if let Err(reason) = token.check() {
-                if trace.enabled() {
-                    trace.metrics().add(names::EXEC_CANCELLED, 1);
-                }
-                return Err(ExecError::Cancelled { reason });
-            }
+        // the job before anything runs.
+        if let Some(reason) = job.cancel.as_ref().and_then(|t| t.check().err()) {
+            return Err(cancelled(trace, reason));
         }
 
         let workers = workers.clamp(1, job.shots.max(1) as usize);
-        let task = ShotTask {
-            backend,
-            plan: &plan,
-            inputs: &job.inputs,
-            base_seed: job.base_seed,
-            cancel: job.cancel.as_ref(),
-            trace,
-        };
         let start = Instant::now();
-        let histogram = {
-            let _span = trace.span(Phase::Execute, "shots");
-            if workers == 1 {
-                run_shots(&task, 0..job.shots).map_err(|(_, e)| e)?
-            } else {
-                run_shots_parallel(&task, job.shots, workers)?
-            }
+        // A job of zero shots runs nothing, not even the prefix (whose
+        // errors are shot errors).
+        let (histogram, prefix) = if job.shots == 0 {
+            (Histogram::new(), None)
+        } else {
+            let (histogram, prefix) = execute(trace, backend, &plan, job, workers)?;
+            (histogram, Some(prefix))
         };
         let execute = start.elapsed();
 
@@ -655,6 +676,7 @@ impl Engine {
                 fingerprint: plan.fingerprint,
                 compile,
                 execute,
+                prefix,
                 fuse,
                 route_reason,
                 lint: Some(plan.lint.summary()),
@@ -770,47 +792,111 @@ fn global_profile_counters() -> ProfileSummary {
     }
 }
 
+/// The error of a job whose token fired, counted in `exec.cancelled`.
+fn cancelled(trace: &Tracer, reason: CancelReason) -> ExecError {
+    if trace.enabled() {
+        trace.metrics().add(names::EXEC_CANCELLED, 1);
+    }
+    ExecError::Cancelled { reason }
+}
+
+/// Runs a job's shots: the shot-invariant prefix once
+/// ([`Backend::prepare`]), then every shot from the prepared state, fanned
+/// out over `workers`.
+fn execute(
+    trace: &Tracer,
+    backend: &dyn Backend,
+    plan: &Plan,
+    job: &Job,
+    workers: usize,
+) -> Result<(Histogram, PrefixReport), ExecError> {
+    let fired = || job.cancel.as_ref().and_then(|t| t.check().err());
+    let start = Instant::now();
+    let prepared = {
+        let _span = trace.span(Phase::Execute, "prefix");
+        backend.prepare(plan, &job.inputs, &|| fired().is_some())
+    };
+    let prepared = prepared.map_err(|e| match (&e, fired()) {
+        (
+            ExecError::Sim {
+                source: SimError::Stopped,
+                ..
+            },
+            Some(reason),
+        ) => cancelled(trace, reason),
+        _ => e,
+    })?;
+    let prefix = PrefixReport {
+        ops: prepared.prefix_ops(),
+        time: start.elapsed(),
+        suffix: prepared.suffix(),
+    };
+    if trace.enabled() {
+        let m = trace.metrics();
+        m.observe(names::PREFIX_US, prefix.time.as_micros() as u64);
+        m.add(names::PREFIX_OPS, prefix.ops as u64);
+        let finished = match prefix.suffix {
+            Suffix::Sampled => names::SUFFIX_SAMPLED,
+            Suffix::Branched => names::SUFFIX_BRANCHED,
+        };
+        m.add(finished, 1);
+    }
+
+    let task = ShotTask {
+        prepared: &*prepared,
+        base_seed: job.base_seed,
+        cancel: job.cancel.as_ref(),
+        trace,
+    };
+    let _span = trace.span(Phase::Execute, "shots");
+    let histogram = if workers == 1 {
+        run_shots(&task, 0..job.shots).map_err(|(_, e)| e)?
+    } else {
+        run_shots_parallel(&task, job.shots, workers)?
+    };
+    Ok((histogram, prefix))
+}
+
 /// Everything a shot worker needs, shared read-only across workers.
 struct ShotTask<'a> {
-    backend: &'a dyn Backend,
-    plan: &'a Plan,
-    inputs: &'a [bool],
+    prepared: &'a dyn PreparedJob,
     base_seed: u64,
     cancel: Option<&'a CancelToken>,
     trace: &'a Tracer,
 }
 
-/// How many shots run between cancellation polls. Each poll is a relaxed
-/// atomic load (plus one clock read when a deadline is set) — cheap, but a
-/// chunk keeps even that off the per-shot path for tokenless jobs' peers.
+/// How many *sampled* shots run between cancellation polls. A sampled shot
+/// can be sub-microsecond, where even a poll (a relaxed atomic load, plus a
+/// clock read when a deadline is set) would show; a branched shot copies
+/// the state and re-runs ops, so those poll before every shot.
 const CANCEL_POLL_CHUNK: u64 = 8;
 
-/// Runs a contiguous range of shots, accumulating a local histogram. On
-/// error, reports the failing shot's index so callers can pick the
-/// lowest-indexed error deterministically. The job's cancellation token is
-/// polled between chunks of [`CANCEL_POLL_CHUNK`] shots, so a fired token
-/// abandons in-progress work rather than only unstarted jobs.
+/// Runs a contiguous range of shots on one worker, accumulating a local
+/// histogram. On error, reports the failing shot's index so callers can
+/// pick the lowest-indexed error deterministically. The job's cancellation
+/// token is polled before every branched shot and every
+/// [`CANCEL_POLL_CHUNK`] sampled ones, so a fired token abandons
+/// in-progress work rather than only unstarted jobs.
 fn run_shots(task: &ShotTask, shots: std::ops::Range<u64>) -> Result<Histogram, (u64, ExecError)> {
     // Per-shot timing costs two clock reads; only pay them while tracing.
     let timed = task.trace.enabled();
     let first = shots.start;
+    let poll_every = match task.prepared.suffix() {
+        Suffix::Sampled => CANCEL_POLL_CHUNK,
+        Suffix::Branched => 1,
+    };
+    let mut worker = task.prepared.worker();
     let mut histogram = Histogram::new();
     for shot in shots {
         if let Some(token) = task.cancel {
-            if (shot - first).is_multiple_of(CANCEL_POLL_CHUNK) {
+            if (shot - first).is_multiple_of(poll_every) {
                 if let Err(reason) = token.check() {
-                    if timed {
-                        task.trace.metrics().add(names::EXEC_CANCELLED, 1);
-                    }
-                    return Err((shot, ExecError::Cancelled { reason }));
+                    return Err((shot, cancelled(task.trace, reason)));
                 }
             }
         }
         let shot_start = timed.then(Instant::now);
-        match task
-            .backend
-            .run_shot(task.plan, task.inputs, task.base_seed.wrapping_add(shot))
-        {
+        match worker.run_shot(task.base_seed.wrapping_add(shot)) {
             Ok(bits) => *histogram.entry(bits).or_insert(0) += 1,
             Err(e) => return Err((shot, e)),
         }
@@ -993,6 +1079,11 @@ mod tests {
             fingerprint: 0xdead_beef,
             compile: Duration::from_micros(1_500),
             execute: Duration::from_micros(250),
+            prefix: Some(PrefixReport {
+                ops: 190,
+                time: Duration::from_micros(120),
+                suffix: Suffix::Sampled,
+            }),
             fuse: FuseStats {
                 gates_in: 210,
                 gates_out: 198,
@@ -1021,8 +1112,16 @@ mod tests {
             sample_report().to_string(),
             "  1000 shots on statevec   | plan 0x00000000deadbeef miss | workers 4  | \
              compile    1.50ms | exec  250.00µs | fused 12/210 | \
-             route: universal gate set; peak 9 qubits within state-vector cap"
+             route: universal gate set; peak 9 qubits within state-vector cap | \
+             prefix: 190 ops once in 120.00µs, sampled shots"
         );
+        // A report without a prefix (zero shots, or built outside the
+        // engine) renders as it did before the prefix existed.
+        let bare = ExecReport {
+            prefix: None,
+            ..sample_report()
+        };
+        assert!(bare.to_string().ends_with("within state-vector cap"));
     }
 
     #[test]
@@ -1031,6 +1130,11 @@ mod tests {
             cache_hit: true,
             compile: Duration::from_nanos(480),
             execute: Duration::from_millis(2_500),
+            prefix: Some(PrefixReport {
+                ops: 12,
+                time: Duration::from_millis(40),
+                suffix: Suffix::Branched,
+            }),
             trace: Some(TraceSummary {
                 events: 42,
                 dropped: 0,
@@ -1042,7 +1146,8 @@ mod tests {
             report.to_string(),
             "  1000 shots on statevec   | plan 0x00000000deadbeef hit  | workers 4  | \
              compile     480ns | exec     2.50s | fused 12/210 | \
-             route: pinned to `statevec` by the job | trace: 42 events"
+             route: pinned to `statevec` by the job | \
+             prefix: 12 ops once in 40.00ms, branched shots | trace: 42 events"
         );
     }
 
@@ -1067,7 +1172,7 @@ mod tests {
             "  1000 shots on statevec   | plan 0x00000000deadbeef miss | workers 4  | \
              compile    1.50ms | exec  250.00µs | fused 12/210 | \
              route: universal gate set; peak 9 qubits within state-vector cap | \
-             lint: 0E/2W/1N (3 proved)"
+             prefix: 190 ops once in 120.00µs, sampled shots | lint: 0E/2W/1N (3 proved)"
         );
     }
 
@@ -1123,7 +1228,7 @@ mod tests {
             "  1000 shots on statevec   | plan 0x00000000deadbeef miss | workers 4  | \
              compile    1.50ms | exec  250.00µs | fused 12/210 | \
              route: universal gate set; peak 9 qubits within state-vector cap | \
-             opt: default 220->198"
+             prefix: 190 ops once in 120.00µs, sampled shots | opt: default 220->198"
         );
     }
 

@@ -21,6 +21,10 @@
 //! * [`LintGate`] — the `quipper-lint` static passes run on every plan
 //!   compilation; findings at or above the gate's severity reject the job
 //!   ([`ExecError::Lint`]) before anything is cached or executed.
+//! * [`Backend::prepare`] — a job's shot-invariant prefix (everything before
+//!   the first op that draws from the shot's RNG) runs once; workers finish
+//!   shots from that state through a [`ShotWorker`], bit-identical to one
+//!   [`Backend::run_shot`] per seed.
 //! * [`Job`] / [`JobQueue`] — multi-shot and batched-circuit scheduling over
 //!   a worker thread pool, with deterministic per-shot seed derivation
 //!   (`base_seed + shot_index`) so parallel results are bit-identical to
@@ -53,18 +57,20 @@ pub mod plan;
 pub mod profile;
 
 pub use backend::{
-    Backend, Capabilities, ClassicalBackend, CountingBackend, ResourceEstimate, StabilizerBackend,
-    StateVecBackend,
+    Backend, Capabilities, ClassicalBackend, CountingBackend, PreparedJob, ResourceEstimate,
+    ShotWorker, StabilizerBackend, StateVecBackend,
 };
 pub use cancel::{CancelReason, CancelToken};
 pub use engine::{
     Engine, EngineConfig, EngineStats, ExecReport, ExecResult, Job, JobQueue, JobResult,
+    PrefixReport,
 };
 pub use error::ExecError;
 pub use plan::{LintGate, Plan, PlanCache};
 pub use profile::{profile, CircuitProfile};
 pub use quipper_lint::{LintReport, LintSummary, Severity};
 pub use quipper_opt::{OptLevel, OptReport, OptSummary};
+pub use quipper_sim::Suffix;
 pub use quipper_trace::{ProfileSummary, TraceSummary, Tracer};
 
 // The engine is shared across scoped worker threads; keep that a compile-time

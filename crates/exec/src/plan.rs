@@ -79,8 +79,10 @@ pub struct Plan {
     pub flat: Circuit,
     /// The flat circuit with runs of single-qubit gates fused, for backends
     /// that replay the stream many times (state vector). Fused once here so
-    /// multi-shot jobs and cached resubmissions never re-fuse.
-    pub fused: FusedCircuit,
+    /// multi-shot jobs and cached resubmissions never re-fuse. Shared with
+    /// each job's evolved prefix state, which outlives no plan but is
+    /// simpler to hold without a borrow.
+    pub fused: Arc<FusedCircuit>,
     /// Backend-selection profile of the flat circuit.
     pub profile: CircuitProfile,
     /// Static-analysis findings for the hierarchical circuit. Always
@@ -144,7 +146,7 @@ impl Plan {
         };
         let fused = {
             let _span = quipper_trace::span(quipper_trace::Phase::Compile, "fuse");
-            fuse_circuit(&flat)
+            Arc::new(fuse_circuit(&flat))
         };
         Ok(Plan {
             fingerprint,

@@ -6,7 +6,13 @@ use quipper::classical::Dag;
 use quipper::{Circ, Qubit};
 use quipper_algorithms::grover::{grover_circuit, optimal_iterations};
 use quipper_circuit::BCircuit;
-use quipper_exec::{Engine, EngineConfig, ExecError, Job, JobQueue, LintGate};
+use std::time::Duration;
+
+use quipper_exec::{
+    CancelReason, CancelToken, Engine, EngineConfig, ExecError, Job, JobQueue, LintGate, OptLevel,
+    Tracer,
+};
+use quipper_trace::names;
 
 fn engine_with_workers(workers: usize) -> Engine {
     Engine::with_config(EngineConfig {
@@ -323,4 +329,64 @@ fn deny_warnings_engine_blocks_unprovable_assertions() {
         .opt
         .expect("default level reports the optimizer");
     assert!(opt.gates_before > opt.gates_after);
+}
+
+/// A deadline that fires while the shot-invariant prefix of a wide job is
+/// still running abandons the job there: `Cancelled`, no shot run, and the
+/// prefix never reported as finished. Before the prefix was polled, a fired
+/// deadline was seen only between chunks of whole shots.
+#[test]
+fn deadline_fires_mid_prefix_on_a_wide_job() {
+    const QUBITS: usize = 18;
+    // Hundreds of window sweeps over 2^18 amplitudes: seconds of prefix,
+    // against a deadline of tens of milliseconds.
+    let bc = Circ::build(&vec![false; QUBITS], |c, qs: Vec<Qubit>| {
+        for _ in 0..150 {
+            for &q in &qs {
+                c.hadamard(q);
+                c.gate_t(q);
+            }
+            for pair in qs.windows(2) {
+                c.cnot(pair[1], pair[0]);
+            }
+        }
+        c.measure(qs)
+    });
+    let trace = Tracer::leaked(1024);
+    trace.set_enabled(true);
+    let engine = Engine::with_config(EngineConfig {
+        opt: OptLevel::Off,
+        trace,
+        ..EngineConfig::default()
+    });
+    // Compile ahead, so that the deadline's clock covers only execution.
+    engine.plan(&bc).unwrap();
+
+    let token = CancelToken::with_timeout(Duration::from_millis(40));
+    let job = Job::new(&bc)
+        .inputs(vec![false; QUBITS])
+        .shots(4)
+        .cancel_token(token);
+    let err = engine.run(&job).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ExecError::Cancelled {
+                reason: CancelReason::DeadlineExceeded
+            }
+        ),
+        "expected a deadline cancellation, got {err}"
+    );
+    let metrics = trace.metrics();
+    assert_eq!(metrics.counter(names::SHOTS_RUN), 0);
+    assert_eq!(metrics.counter(names::EXEC_CANCELLED), 1);
+    assert_eq!(
+        metrics.counter(names::CACHE_HIT),
+        1,
+        "the job got as far as executing"
+    );
+    assert!(
+        metrics.histogram(names::PREFIX_US).is_none(),
+        "the prefix was abandoned, not finished"
+    );
 }

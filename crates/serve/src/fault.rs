@@ -13,7 +13,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use quipper_exec::{Backend, Capabilities, CircuitProfile, EngineConfig, ExecError};
+use quipper_exec::{
+    Backend, Capabilities, CircuitProfile, EngineConfig, ExecError, Plan, PreparedJob, ShotWorker,
+    Suffix,
+};
 use quipper_trace::names;
 
 use crate::unit_draw;
@@ -98,6 +101,63 @@ impl FaultInjector {
     pub fn injected(&self) -> u64 {
         self.injected.load(Ordering::Relaxed)
     }
+
+    /// One shot attempt's draws: fails it with a transient fault, or delays
+    /// it by a latency spike, with the configured probabilities.
+    fn inject(&self) -> Result<(), ExecError> {
+        let n = self.draws.fetch_add(1, Ordering::Relaxed);
+        let draw = unit_draw(self.config.seed ^ n.wrapping_mul(2));
+        if draw < self.config.fail_prob {
+            let k = self.injected.fetch_add(1, Ordering::Relaxed) + 1;
+            quipper_trace::count(names::SERVE_FAULTS_INJECTED, 1);
+            return Err(ExecError::Transient {
+                backend: self.inner.name(),
+                detail: format!("injected fault #{k}"),
+            });
+        }
+        if unit_draw(self.config.seed ^ n.wrapping_mul(2).wrapping_add(1)) < self.config.spike_prob
+        {
+            std::thread::sleep(self.config.spike);
+        }
+        Ok(())
+    }
+}
+
+/// The inner backend's prepared job, with every shot drawn from it still
+/// passing through the injector: evolving the prefix once must not make
+/// shots immune to faults.
+struct FaultedJob<'a> {
+    injector: &'a FaultInjector,
+    inner: Box<dyn PreparedJob + 'a>,
+}
+
+impl PreparedJob for FaultedJob<'_> {
+    fn prefix_ops(&self) -> usize {
+        self.inner.prefix_ops()
+    }
+
+    fn suffix(&self) -> Suffix {
+        self.inner.suffix()
+    }
+
+    fn worker(&self) -> Box<dyn ShotWorker + '_> {
+        Box::new(FaultedWorker {
+            injector: self.injector,
+            inner: self.inner.worker(),
+        })
+    }
+}
+
+struct FaultedWorker<'a> {
+    injector: &'a FaultInjector,
+    inner: Box<dyn ShotWorker + 'a>,
+}
+
+impl ShotWorker for FaultedWorker<'_> {
+    fn run_shot(&mut self, seed: u64) -> Result<Vec<bool>, ExecError> {
+        self.injector.inject()?;
+        self.inner.run_shot(seed)
+    }
 }
 
 impl Backend for FaultInjector {
@@ -113,27 +173,21 @@ impl Backend for FaultInjector {
         self.inner.admit(profile)
     }
 
-    fn run_shot(
-        &self,
-        plan: &quipper_exec::Plan,
-        inputs: &[bool],
-        seed: u64,
-    ) -> Result<Vec<bool>, ExecError> {
-        let n = self.draws.fetch_add(1, Ordering::Relaxed);
-        let draw = unit_draw(self.config.seed ^ n.wrapping_mul(2));
-        if draw < self.config.fail_prob {
-            let k = self.injected.fetch_add(1, Ordering::Relaxed) + 1;
-            quipper_trace::count(names::SERVE_FAULTS_INJECTED, 1);
-            return Err(ExecError::Transient {
-                backend: self.inner.name(),
-                detail: format!("injected fault #{k}"),
-            });
-        }
-        if unit_draw(self.config.seed ^ n.wrapping_mul(2).wrapping_add(1)) < self.config.spike_prob
-        {
-            std::thread::sleep(self.config.spike);
-        }
+    fn run_shot(&self, plan: &Plan, inputs: &[bool], seed: u64) -> Result<Vec<bool>, ExecError> {
+        self.inject()?;
         self.inner.run_shot(plan, inputs, seed)
+    }
+
+    fn prepare<'a>(
+        &'a self,
+        plan: &'a Plan,
+        inputs: &'a [bool],
+        should_stop: &dyn Fn() -> bool,
+    ) -> Result<Box<dyn PreparedJob + 'a>, ExecError> {
+        Ok(Box::new(FaultedJob {
+            injector: self,
+            inner: self.inner.prepare(plan, inputs, should_stop)?,
+        }))
     }
 
     fn make_lifter(
@@ -211,6 +265,48 @@ mod tests {
                 .collect::<Vec<bool>>()
         };
         assert_eq!(run(), run());
+    }
+
+    /// The engine prepares a job once and draws every shot from that state;
+    /// each of those shots still goes through the injector.
+    #[test]
+    fn shots_of_a_prepared_job_still_pass_through_the_injector() {
+        let config = EngineConfig::default();
+        let bc = parity();
+        let job = Job::new(&bc).inputs(vec![true, true, false]).shots(400);
+
+        let wrapped = |fault: FaultConfig| {
+            let backends: Vec<Arc<FaultInjector>> = Engine::default_backends(&config)
+                .into_iter()
+                .map(|inner| Arc::new(FaultInjector::new(inner, fault)))
+                .collect();
+            let engine = Engine::with_backends(
+                config,
+                backends
+                    .iter()
+                    .map(|b| Arc::clone(b) as Arc<dyn Backend>)
+                    .collect(),
+            );
+            (engine, backends)
+        };
+
+        // Certain failure: the first shot faults, whatever the prefix did.
+        let (engine, _) = wrapped(FaultConfig::failing(1.0, 7));
+        assert!(engine.run_sequential(&job).unwrap_err().is_transient());
+
+        // No failures, a spike on every shot: one draw per shot, none for
+        // the prefix.
+        let (engine, backends) = wrapped(FaultConfig {
+            spike_prob: 1.0,
+            spike: Duration::from_micros(1),
+            ..FaultConfig::default()
+        });
+        engine.run_sequential(&job).unwrap();
+        let draws: u64 = backends
+            .iter()
+            .map(|b| b.draws.load(Ordering::Relaxed))
+            .sum();
+        assert_eq!(draws, 400);
     }
 
     #[test]

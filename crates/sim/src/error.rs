@@ -35,6 +35,9 @@ pub enum SimError {
     Circuit(quipper_circuit::CircuitError),
     /// The wrong number of input values was supplied.
     InputArity { expected: usize, found: usize },
+    /// The caller's `should_stop` returned `true` while a shot-invariant
+    /// prefix was being evolved; the run was abandoned.
+    Stopped,
 }
 
 impl fmt::Display for SimError {
@@ -52,6 +55,7 @@ impl fmt::Display for SimError {
             SimError::InputArity { expected, found } => {
                 write!(f, "expected {expected} input values, found {found}")
             }
+            SimError::Stopped => write!(f, "stopped by the caller before the prefix finished"),
         }
     }
 }

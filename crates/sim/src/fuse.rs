@@ -160,6 +160,22 @@ pub fn segment_circuit(flat: &Circuit) -> FusedCircuit {
     )
 }
 
+/// Wraps a flattened circuit as a fused stream that executes exactly as the
+/// gate list does: every gate a pass-through op, no window segments.
+pub fn unfused_circuit(flat: &Circuit) -> FusedCircuit {
+    FusedCircuit {
+        inputs: flat.inputs.clone(),
+        outputs: flat.outputs.clone(),
+        ops: flat.gates.iter().cloned().map(FusedOp::Gate).collect(),
+        segments: Vec::new(),
+        stats: FuseStats {
+            gates_in: flat.gates.len(),
+            gates_out: flat.gates.len(),
+            ..FuseStats::default()
+        },
+    }
+}
+
 /// Fuses a flattened circuit with explicit pass selection.
 pub fn fuse_circuit_with(flat: &Circuit, opts: FuseOptions) -> FusedCircuit {
     let mut ops = if opts.merge_1q {
@@ -487,6 +503,8 @@ struct Run2 {
     mat: Mat4,
     ops: Vec<FusedOp>,
     count: u32,
+    /// Whether the run holds a two-wire op other than an uncontrolled swap.
+    couples: bool,
 }
 
 impl Run2 {
@@ -499,10 +517,13 @@ impl Run2 {
 /// pays (three or more ops always; two ops only when the product came out
 /// diagonal, where one sub-cube phase pass beats two kernel passes), as the
 /// untouched originals otherwise — so the pass is the identity on streams
-/// with nothing worth fusing.
+/// with nothing worth fusing. A run whose only two-wire ops are uncontrolled
+/// swaps never pays: the simulator relabels those swaps for free and runs
+/// the single-wire ops inside a window, where a 4×4 on the same pair costs a
+/// pass over the state of its own.
 fn flush_run2(r: Run2, out: &mut Vec<FusedOp>) {
-    let worth =
-        r.ops.len() >= 3 || (r.ops.len() == 2 && classify4(&r.mat) == KernelClass::Diagonal);
+    let worth = r.couples
+        && (r.ops.len() >= 3 || (r.ops.len() == 2 && classify4(&r.mat) == KernelClass::Diagonal));
     if worth {
         out.push(FusedOp::Unitary2q {
             a: r.a,
@@ -525,6 +546,16 @@ fn flush_touching2(runs: &mut Vec<Run2>, out: &mut Vec<FusedOp>, touched: &[Wire
             i += 1;
         }
     }
+}
+
+fn is_swap(op: &FusedOp) -> bool {
+    matches!(
+        op,
+        FusedOp::Gate(Gate::QGate {
+            name: GateName::Swap,
+            ..
+        })
+    )
 }
 
 /// Updates the quantum-wire set across a pass-through gate: allocation
@@ -573,9 +604,11 @@ fn fuse_pairs(input: Vec<FusedOp>, mut quantum: HashSet<Wire>) -> Vec<FusedOp> {
         }
         match pair_view(&op, &quantum) {
             PairView::Pair(a, b, m, k) => {
+                let couples = !is_swap(&op);
                 if let Some(r) = runs.iter_mut().find(|r| r.a == a && r.b == b) {
                     r.mat = matmul4(&m, &r.mat);
                     r.count += k;
+                    r.couples |= couples;
                     r.ops.push(op);
                 } else {
                     // Disjointness: any run sharing a wire with this pair
@@ -587,6 +620,7 @@ fn fuse_pairs(input: Vec<FusedOp>, mut quantum: HashSet<Wire>) -> Vec<FusedOp> {
                         mat: m,
                         ops: vec![op],
                         count: k,
+                        couples,
                     });
                 }
             }
@@ -769,6 +803,32 @@ mod tests {
         });
         let fused = fuse_circuit(&flat_of(&bc));
         assert_eq!(fused.stats.gates_out, 2, "different controls stay apart");
+    }
+
+    /// Swaps alone do not make a pair run worth a 4×4: the simulator
+    /// relabels them and the phases between them stay single-wire ops.
+    #[test]
+    fn a_pair_run_coupled_only_by_swaps_is_left_alone() {
+        let build = |coupled: bool| {
+            Circ::build(&(false, false), |c, (a, b): (Qubit, Qubit)| {
+                c.swap(a, b);
+                c.rot("R(%)", 0.25, a);
+                c.rot("R(%)", 0.5, b);
+                if coupled {
+                    c.rot_ctrl("R(%)", 0.125, a, &b);
+                }
+                c.swap(a, b);
+                (a, b)
+            })
+        };
+        let fused = fuse_circuit(&flat_of(&build(false)));
+        assert_eq!(fused.stats.fused_2q, 0);
+        assert_eq!(fused.stats.gates_out, 4);
+        assert!(is_swap(&fused.ops[0]) && is_swap(&fused.ops[3]));
+
+        let fused = fuse_circuit(&flat_of(&build(true)));
+        assert_eq!(fused.stats.fused_2q, 1);
+        assert_eq!(fused.stats.gates_out, 1);
     }
 
     #[test]

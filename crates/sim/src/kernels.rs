@@ -412,8 +412,15 @@ pub fn apply_phase(
         let Some((mask, want)) = localize(base, chunk.len(), mask, want) else {
             return;
         };
-        if mask == 0 {
-            simd::scale_slice(chunk, phase, simd);
+        // The satisfying indices come in contiguous runs as long as the
+        // lowest fixed bit (no fixed bit: one run, the chunk); runs worth a
+        // vector lane are scaled as slices.
+        let run = 1usize << mask.trailing_zeros().min(chunk.len().trailing_zeros());
+        if run >= 4 {
+            for_each_subcube(chunk.len(), mask | (run - 1), |i| {
+                let i = i | want;
+                simd::scale_slice(&mut chunk[i..i + run], phase, simd);
+            });
         } else {
             for_each_subcube(chunk.len(), mask, |i| {
                 let i = i | want;
@@ -1002,6 +1009,40 @@ mod tests {
         apply_phase(&mut b, Complex::cis(0.3), 0b11, 0b01, &threaded, &mut s);
         assert_same(&a, &b);
         assert!(s.threaded >= 1);
+    }
+
+    /// Every run length of the phase kernel — single amplitudes below a
+    /// vector lane, slices from it up, the whole chunk — against the scan.
+    #[test]
+    fn phase_kernel_matches_scan_for_every_lowest_fixed_bit() {
+        let n = 7;
+        let k = Complex::cis(0.7);
+        for simd in [false, simd::available()] {
+            let ctx = KernelCtx {
+                simd,
+                ..KernelCtx::sequential()
+            };
+            // Bit `n` is outside the state: it stands for "no such bit".
+            for low in 0..=n {
+                for high in low..=n {
+                    let mask = (1usize << low | 1 << high) % (1 << n);
+                    for want in [mask, 1 << high, 0] {
+                        let mut a = random_state(n, 31);
+                        let mut b = a.clone();
+                        scan::apply_phase(&mut a, k, mask, want & mask);
+                        apply_phase(
+                            &mut b,
+                            k,
+                            mask,
+                            want & mask,
+                            &ctx,
+                            &mut KernelStats::default(),
+                        );
+                        assert_same(&a, &b);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

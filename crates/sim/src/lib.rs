@@ -11,6 +11,10 @@
 //!   testing oracles.
 //! * [`stabilizer::run_clifford`] — polynomial-time CHP tableau simulation
 //!   of Clifford circuits (`run_clifford_generic`).
+//! * [`statevec::evolve`] / [`stabilizer::evolve_clifford`] — the same
+//!   simulators split for shot loops: the shot-invariant prefix runs once
+//!   and every shot is finished from that state, seed for seed identical to
+//!   the whole-circuit run functions above.
 //! * [`interactive::SimLifter`] — a simulated quantum device supporting
 //!   *dynamic lifting* (paper §4.3), for algorithms that interleave circuit
 //!   generation and execution such as Unique Shortest Vector.
@@ -33,10 +37,10 @@ pub use fuse::{
 };
 pub use interactive::SimLifter;
 pub use kernels::KernelStats;
-pub use stabilizer::{run_clifford, run_clifford_flat};
+pub use stabilizer::{evolve_clifford, run_clifford, run_clifford_flat, EvolvedClifford};
 pub use statevec::{
-    run, run_flat, run_flat_reference, run_flat_with, run_fused, ProfileStats, RunResult, StateVec,
-    StateVecConfig, PROFILE_SAMPLE_EVERY,
+    evolve, run, run_flat, run_flat_reference, run_flat_with, run_fused, Evolved, ProfileStats,
+    RunResult, Shots, StateVec, StateVecConfig, Suffix, PROFILE_SAMPLE_EVERY,
 };
 
 // Send/Sync audit: the `quipper-exec` engine shares flattened circuits
@@ -52,6 +56,8 @@ const _: () = {
     assert_send_sync::<quipper_circuit::Gate>();
     assert_send_sync::<quipper_circuit::BCircuit>();
     assert_send_sync::<FusedCircuit>();
+    assert_send_sync::<Evolved>();
+    assert_send_sync::<EvolvedClifford<'static>>();
     // Moved between workers as per-shot state and results:
     assert_send::<StateVec>();
     assert_send::<statevec::RunResult>();

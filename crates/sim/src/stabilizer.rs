@@ -57,6 +57,10 @@ pub trait Tableau {
         self.gate_cnot(b, a);
         self.gate_cnot(a, b);
     }
+    /// Whether a Z-basis measurement of slot `q` has a random outcome, i.e.
+    /// whether [`measure_slot`](Tableau::measure_slot) would draw from its
+    /// RNG: some stabilizer anticommutes with `Z_q`.
+    fn is_random(&self, q: usize) -> bool;
     /// Measures slot `q` in the Z basis; returns `(outcome, deterministic)`.
     /// Draws exactly one bool from `rng` iff the outcome is random.
     fn measure_slot(&mut self, q: usize, rng: &mut StdRng) -> (bool, bool);
@@ -231,6 +235,10 @@ impl Tableau for PackedTableau {
         // Swap is a column relabeling: no phase terms, O(1) per word pair.
         self.x.swap(a, b);
         self.z.swap(a, b);
+    }
+
+    fn is_random(&self, q: usize) -> bool {
+        self.stab_x_pivot(q).is_some()
     }
 
     fn measure_slot(&mut self, q: usize, rng: &mut StdRng) -> (bool, bool) {
@@ -483,6 +491,10 @@ impl Tableau for BoolTableau {
         self.gate_h(b);
     }
 
+    fn is_random(&self, q: usize) -> bool {
+        (self.n..2 * self.n).any(|i| self.x[i][q])
+    }
+
     fn measure_slot(&mut self, q: usize, rng: &mut StdRng) -> (bool, bool) {
         let n = self.n;
         let p = (n..2 * n).find(|&i| self.x[i][q]);
@@ -563,6 +575,21 @@ impl<T: Tableau> CliffordSim<T> {
         }
     }
 
+    /// A simulator holding `flat`'s input wires in the basis state `inputs`.
+    fn with_inputs(flat: &Circuit, inputs: &[bool], seed: u64) -> Result<Self, SimError> {
+        if inputs.len() != flat.inputs.len() {
+            return Err(SimError::InputArity {
+                expected: flat.inputs.len(),
+                found: inputs.len(),
+            });
+        }
+        let mut sim = CliffordSim::new(seed);
+        for (&(w, t), &v) in flat.inputs.iter().zip(inputs) {
+            sim.add_input(w, t, v);
+        }
+        Ok(sim)
+    }
+
     /// The value of a classical wire, if set.
     pub fn classical_value(&self, wire: Wire) -> Option<bool> {
         self.classical.get(&wire).copied()
@@ -591,6 +618,33 @@ impl<T: Tableau> CliffordSim<T> {
         let slot = self.slot_of(wire)?;
         let (v, _) = self.tab.measure_slot(slot, &mut self.rng);
         Ok(v)
+    }
+
+    /// The circuit's output bits: classical outputs are read, quantum
+    /// outputs measured.
+    fn read_outputs(&mut self, outputs: &[(Wire, WireType)]) -> Result<Vec<bool>, SimError> {
+        outputs
+            .iter()
+            .map(|&(w, t)| match t {
+                WireType::Classical => self
+                    .classical_value(w)
+                    .ok_or(SimError::UnknownWire { wire: w }),
+                WireType::Quantum => self.measure_wire(w),
+            })
+            .collect()
+    }
+
+    /// Whether executing `gate` now would draw from the RNG: it measures
+    /// (or discards, or asserts) a qubit whose outcome the tableau does not
+    /// fix.
+    fn draws_randomness(&self, gate: &Gate) -> bool {
+        match gate {
+            Gate::QMeas { wire } | Gate::QDiscard { wire } | Gate::QTerm { wire, .. } => self
+                .slots
+                .get(wire)
+                .is_some_and(|&slot| self.tab.is_random(slot)),
+            _ => false,
+        }
     }
 
     fn alloc(&mut self, value: bool) -> usize {
@@ -826,30 +880,73 @@ pub fn run_clifford_flat_tableau<T: Tableau>(
     inputs: &[bool],
     seed: u64,
 ) -> Result<Vec<bool>, SimError> {
-    if inputs.len() != flat.inputs.len() {
-        return Err(SimError::InputArity {
-            expected: flat.inputs.len(),
-            found: inputs.len(),
-        });
-    }
-    let mut st: CliffordSim<T> = CliffordSim::new(seed);
-    for (&(w, t), &v) in flat.inputs.iter().zip(inputs) {
-        st.add_input(w, t, v);
-    }
+    let mut st: CliffordSim<T> = CliffordSim::with_inputs(flat, inputs, seed)?;
     for gate in &flat.gates {
         st.apply(gate)?;
     }
-    let mut out = Vec::with_capacity(flat.outputs.len());
-    for &(w, t) in &flat.outputs {
-        match t {
-            WireType::Classical => out.push(
-                st.classical_value(w)
-                    .ok_or(SimError::UnknownWire { wire: w })?,
-            ),
-            WireType::Quantum => out.push(st.measure_wire(w)?),
+    st.read_outputs(&flat.outputs)
+}
+
+/// A flat Clifford circuit run up to its first random measurement: the
+/// shot-invariant prefix, since [`Tableau::measure_slot`] draws from the RNG
+/// only when the outcome is random. Shots clone the tableau and continue.
+#[derive(Clone, Debug)]
+pub struct EvolvedClifford<'a, T = PackedTableau> {
+    flat: &'a Circuit,
+    sim: CliffordSim<T>,
+    /// First gate of the suffix: `flat.gates[..split]` ran once.
+    split: usize,
+}
+
+/// Runs `flat` on basis-state `inputs` until a gate would draw from the RNG.
+/// `should_stop` is polled between gates; once it returns `true` the run is
+/// abandoned with [`SimError::Stopped`].
+///
+/// # Errors
+///
+/// As for [`run_clifford_flat`], for errors raised before the first random
+/// measurement — which every seed would raise identically.
+pub fn evolve_clifford<'a, T: Tableau>(
+    flat: &'a Circuit,
+    inputs: &[bool],
+    should_stop: &dyn Fn() -> bool,
+) -> Result<EvolvedClifford<'a, T>, SimError> {
+    // Nothing is drawn before the split, so the seed is immaterial.
+    let mut sim: CliffordSim<T> = CliffordSim::with_inputs(flat, inputs, 0)?;
+    let mut split = flat.gates.len();
+    for (i, gate) in flat.gates.iter().enumerate() {
+        if should_stop() {
+            return Err(SimError::Stopped);
         }
+        if sim.draws_randomness(gate) {
+            split = i;
+            break;
+        }
+        sim.apply(gate)?;
     }
-    Ok(out)
+    Ok(EvolvedClifford { flat, sim, split })
+}
+
+impl<T: Tableau + Clone> EvolvedClifford<'_, T> {
+    /// How many gates ran once, in the prefix.
+    pub fn prefix_ops(&self) -> usize {
+        self.split
+    }
+
+    /// Finishes one shot under `seed`: the same bits, and the same error, as
+    /// [`run_clifford_flat_tableau`] under that seed.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the suffix raises.
+    pub fn shot(&self, seed: u64) -> Result<Vec<bool>, SimError> {
+        let mut st = self.sim.clone();
+        st.rng = StdRng::seed_from_u64(seed);
+        for gate in &self.flat.gates[self.split..] {
+            st.apply(gate)?;
+        }
+        st.read_outputs(&self.flat.outputs)
+    }
 }
 
 #[cfg(test)]

@@ -14,8 +14,15 @@
 //! [`crate::fuse`]. Both are governed by [`StateVecConfig`]; the
 //! pre-kernel full-scan path survives as [`StateVec::reference`] /
 //! [`run_flat_reference`] for property tests and benchmarks.
+//!
+//! Shot loops go through [`evolve`]: the ops before the first measurement
+//! run once per job and every shot is drawn from the resulting [`Evolved`]
+//! state (see the `evolve` submodule).
+
+mod evolve;
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,6 +36,8 @@ use crate::fuse::{fuse_circuit_with, FuseOptions, FusedCircuit, FusedOp};
 use crate::kernels::{self, KernelClass, KernelCtx, KernelStats, Mat2};
 use crate::simd;
 use crate::window::{self, WinGate};
+
+pub use evolve::{evolve, Evolved, Shots, Suffix};
 
 /// Tolerance for assertion checking and renormalization.
 const EPS: f64 = 1e-9;
@@ -716,18 +725,61 @@ impl StateVec {
         }
     }
 
+    /// Executes `fused.ops[ops]` in order: planned window segments through
+    /// the blocked executor, everything between them per op. `should_stop`
+    /// is polled between ops and between windows; once it returns `true`
+    /// the run is abandoned with [`SimError::Stopped`].
+    ///
+    /// `ops` must start between segments. Both callers' ranges do: op 0,
+    /// or a measurement, which no segment contains.
+    fn run_ops(
+        &mut self,
+        fused: &FusedCircuit,
+        ops: std::ops::Range<usize>,
+        should_stop: &dyn Fn() -> bool,
+    ) -> Result<(), SimError> {
+        let mut next_seg = fused.segments.partition_point(|s| s.start < ops.start);
+        let mut i = ops.start;
+        while i < ops.end {
+            if should_stop() {
+                return Err(SimError::Stopped);
+            }
+            if self.config.window {
+                if let Some(seg) = fused.segments.get(next_seg).filter(|s| s.start == i) {
+                    debug_assert!(seg.end <= ops.end, "segment straddles the range end");
+                    self.exec_segment(&fused.ops[seg.start..seg.end], should_stop)?;
+                    i = seg.end;
+                    next_seg += 1;
+                    continue;
+                }
+            }
+            self.apply_fused(&fused.ops[i])?;
+            i += 1;
+        }
+        Ok(())
+    }
+
     /// Executes a window segment (a run of ops [`crate::fuse`] marked
     /// window-eligible) through the blocked executor: ops are resolved to
     /// slot space and buffered, and each full buffer is applied in one pass
     /// over the state. Two-slot gates reaching above the block boundary,
     /// and over-budget high demands, flush the buffer and fall back to the
     /// per-gate kernels.
-    fn exec_segment(&mut self, ops: &[FusedOp]) -> Result<(), SimError> {
+    fn exec_segment(
+        &mut self,
+        ops: &[FusedOp],
+        should_stop: &dyn Fn() -> bool,
+    ) -> Result<(), SimError> {
         let block = (1usize << self.config.window_block_bits.min(62)).min(self.amps.len());
         let max_high = self.config.window_max_high as usize;
         let mut win: Vec<WinGate> = Vec::new();
         let mut demanded = 0usize;
         for op in ops {
+            // Polled per op, so at the latest on the op after a window
+            // sweep; an abandoned run's state is never read again.
+            if should_stop() {
+                return Err(SimError::Stopped);
+            }
             match self.resolve_win(op, block)? {
                 Resolved::Skip => {}
                 Resolved::Relabel(wa, wb) => {
@@ -1077,13 +1129,11 @@ pub fn run(bc: &BCircuit, inputs: &[bool], seed: u64) -> Result<RunResult, SimEr
 /// Runs an already-flattened circuit (no subroutine calls) for one shot,
 /// with the default configuration.
 ///
-/// This is the reusable single-shot entry point: callers that execute the
-/// same circuit many times (shot loops, the `quipper-exec` engine) inline
-/// once and replay the flat gate list per shot, rather than paying
-/// flattening per run. The flat circuit is only read, so shots can run
-/// concurrently over one shared `&Circuit`. (Shot loops should prefer
-/// [`crate::fuse::fuse_circuit`] + [`run_fused`] so the fusion pass also
-/// runs once, not per shot.)
+/// This is the reusable single-shot entry point over an inlined circuit;
+/// the flat circuit is only read, so runs can proceed concurrently over
+/// one shared `&Circuit`. Shot loops should not call it per shot: fuse once
+/// ([`crate::fuse::fuse_circuit`]) and [`evolve`] the shot-invariant prefix
+/// once, then draw every shot from the [`Evolved`] state.
 ///
 /// # Errors
 ///
@@ -1164,8 +1214,9 @@ fn publish_kernel_metrics(sv: &StateVec) {
     }
 }
 
-/// Runs a pre-fused circuit for one shot. Shot loops fuse once (or take the
-/// fused circuit from a cached plan) and call this per shot.
+/// Runs a pre-fused circuit, whole, for one shot: the oracle that
+/// [`evolve`] + [`Shots::shot`] (prefix once, then each shot from the
+/// evolved state) is tested against, seed for seed.
 ///
 /// # Errors
 ///
@@ -1186,28 +1237,7 @@ pub fn run_fused(
     for (&(w, t), &v) in fused.inputs.iter().zip(inputs) {
         sv.add_input(w, t, v);
     }
-    if sv.config.window {
-        // Walk the op stream, executing planned window segments through the
-        // blocked executor and everything between them per-gate.
-        let mut i = 0;
-        let mut next_seg = 0;
-        while i < fused.ops.len() {
-            if let Some(seg) = fused.segments.get(next_seg) {
-                if seg.start == i {
-                    sv.exec_segment(&fused.ops[seg.start..seg.end])?;
-                    i = seg.end;
-                    next_seg += 1;
-                    continue;
-                }
-            }
-            sv.apply_fused(&fused.ops[i])?;
-            i += 1;
-        }
-    } else {
-        for op in &fused.ops {
-            sv.apply_fused(op)?;
-        }
-    }
+    sv.run_ops(fused, 0..fused.ops.len(), &|| false)?;
     publish_kernel_metrics(&sv);
     Ok(RunResult {
         state: sv,
@@ -1547,16 +1577,10 @@ pub fn sample_outputs(
     shots: u64,
     seed0: u64,
 ) -> Result<Vec<(Vec<bool>, u64)>, SimError> {
-    use std::collections::HashMap;
     let mut hist: HashMap<Vec<bool>, u64> = HashMap::new();
-    // Inline and fuse once; replay the fused op stream per shot.
+    // Inline, fuse and evolve the shot-invariant prefix once; every shot is
+    // then drawn from the evolved state.
     let flat = inline_all(&bc.db, &bc.main)?;
-    if inputs.len() != flat.inputs.len() {
-        return Err(SimError::InputArity {
-            expected: flat.inputs.len(),
-            found: inputs.len(),
-        });
-    }
     let config = StateVecConfig::default();
     let fused = fuse_circuit_with(
         &flat,
@@ -1565,23 +1589,10 @@ pub fn sample_outputs(
             merge_2q: config.fuse_2q,
         },
     );
+    let evolved = evolve(Arc::new(fused), inputs, config, &|| false)?;
+    let mut shots_from = evolved.shots();
     for shot in 0..shots {
-        let r = run_fused(&fused, inputs, seed0 + shot, config)?;
-        let mut key = Vec::with_capacity(r.outputs.len());
-        for &(w, t) in &r.outputs {
-            if t != WireType::Classical {
-                return Err(SimError::UnsupportedGate {
-                    gate: "quantum output in sample_outputs (measure it first)".into(),
-                    simulator: "state-vector",
-                });
-            }
-            key.push(
-                r.state
-                    .classical_value(w)
-                    .ok_or(SimError::UnknownWire { wire: w })?,
-            );
-        }
-        *hist.entry(key).or_insert(0) += 1;
+        *hist.entry(shots_from.shot(seed0 + shot)?).or_insert(0) += 1;
     }
     let mut out: Vec<(Vec<bool>, u64)> = hist.into_iter().collect();
     out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));

@@ -42,8 +42,20 @@ pub mod names {
     /// Shots actually executed (a cancelled job stops this short of the
     /// requested count — the observable proof that cancellation stops work).
     pub const SHOTS_RUN: &str = "exec.shots_run";
-    /// Shot loops abandoned by a fired cancellation token.
+    /// Jobs abandoned by a fired cancellation token, in the prefix or
+    /// between shots.
     pub const EXEC_CANCELLED: &str = "exec.cancelled";
+    /// Wall time of a job's shot-invariant prefix, run once ahead of its
+    /// shots, µs (histogram, one observation per job).
+    pub const PREFIX_US: &str = "exec.prefix_us";
+    /// Plan ops run once per job, in the prefix, instead of once per shot.
+    pub const PREFIX_OPS: &str = "exec.prefix.ops";
+    /// Jobs whose shots were drawn from the evolved state without copying
+    /// it (terminal measurements only).
+    pub const SUFFIX_SAMPLED: &str = "exec.suffix.sampled";
+    /// Jobs whose shots each copied the evolved state and ran the remaining
+    /// ops (mid-circuit measurement, classical control, tableau clone).
+    pub const SUFFIX_BRANCHED: &str = "exec.suffix.branched";
 
     /// Jobs admitted into the serve queue.
     pub const SERVE_ADMIT: &str = "serve.admit";
@@ -169,6 +181,10 @@ pub mod names {
         PEAK_QUBITS,
         SHOTS_RUN,
         EXEC_CANCELLED,
+        PREFIX_US,
+        PREFIX_OPS,
+        SUFFIX_SAMPLED,
+        SUFFIX_BRANCHED,
         SERVE_ADMIT,
         SERVE_REJECT_FULL,
         SERVE_REJECT_QUOTA,
