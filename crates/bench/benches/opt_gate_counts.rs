@@ -219,9 +219,10 @@ fn main() {
         "default pipeline should reduce at least 3 circuits, got {}",
         default_reduced.len()
     );
-    // Phase-polynomial smoke: the new pass must strictly reduce T-count on
-    // at least two circuits, and on the mixed workload it must beat the
-    // pre-phasepoly baseline pipeline without growing the total.
+    // Phase-polynomial smoke: the pass must strictly reduce T-count on at
+    // least two circuits, and on the mixed workload it must beat what the
+    // cancel/merge-only pipeline that preceded it last measured
+    // (EXPERIMENTS.md A8) without growing the total.
     let t_reduced: Vec<&OptMeasurement> = results
         .iter()
         .filter(|m| m.level == OptLevel::Default && m.t_after < m.t_before)
@@ -231,31 +232,27 @@ fn main() {
         "default pipeline should strictly reduce T-count on at least 2 circuits, got {}",
         t_reduced.len()
     );
-    let (baseline_out, _) = quipper_opt::PassManager::baseline_default().run(&workload);
-    let baseline_counts = baseline_out.gate_count();
+    let (baseline_t, baseline_total): (u128, u128) = if quick { (6, 190) } else { (12, 360) };
     let workload_default = results
         .iter()
         .find(|m| m.name == "mixed-20q" && m.level == OptLevel::Default)
         .unwrap();
     assert!(
-        workload_default.t_after < baseline_counts.t_count(),
-        "default pipeline T-count ({}) must beat the cancel/merge baseline ({})",
+        workload_default.t_after < baseline_t,
+        "default pipeline T-count ({}) must beat the cancel/merge baseline ({baseline_t})",
         workload_default.t_after,
-        baseline_counts.t_count()
     );
     assert!(
-        workload_default.gates_after <= baseline_counts.total(),
-        "default pipeline total ({}) must be no worse than the baseline ({})",
+        workload_default.gates_after <= baseline_total,
+        "default pipeline total ({}) must be no worse than the baseline ({baseline_total})",
         workload_default.gates_after,
-        baseline_counts.total()
     );
     println!(
         "smoke check passed ({} circuits reduced at default, {} with lower T-count, \
-         workload -{workload_delta} gates, T {} vs baseline {})",
+         workload -{workload_delta} gates, T {} vs recorded baseline {baseline_t})",
         default_reduced.len(),
         t_reduced.len(),
         workload_default.t_after,
-        baseline_counts.t_count()
     );
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_opt.json");

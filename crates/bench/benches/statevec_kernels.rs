@@ -1,12 +1,12 @@
-//! Before/after benchmark of the state-vector memory-bandwidth rewrite.
-//! Three executor generations run on each workload:
+//! The state-vector simulator against its oracle. Two sides run on each
+//! workload:
 //!
-//! * `reference` — the pre-kernel full-scan implementation
-//!   (`run_flat_reference`);
-//! * `pr2` — the first kernel path (pair-stride iteration, kernel classes,
-//!   1q fusion) with the bandwidth features disabled;
-//! * `kernels` — the current path: 2q fusion, cache-blocked gate windows,
-//!   SIMD complex arithmetic, swap relabeling.
+//! * `reference` — the full-scan oracle
+//!   (`quipper_sim::reference::run_flat_reference`);
+//! * `kernels` — the production path: 1q+2q fusion, cache-blocked gate
+//!   windows, SIMD complex arithmetic, swap relabeling. It is the only
+//!   path; the ablation of its parts against the PR 2 kernels is history,
+//!   recorded in EXPERIMENTS.md A5.
 //!
 //! Workloads:
 //!
@@ -23,10 +23,9 @@
 //! knobs:
 //!
 //! * `BENCH_QUICK=1` — small widths, fewer iterations, and hard asserts
-//!   that the kernel path beats the scan path *and* the blocked+SIMD path
-//!   beats the PR 2 kernel path on the mixed workload (the CI smoke);
-//! * `BENCH_ABLATION=1` — also time the mixed workload with blocking off,
-//!   SIMD off, and both off (the numbers quoted in EXPERIMENTS.md);
+//!   that the kernel path beats the scan path on the mixed workload, that
+//!   disabled tracing and the enabled window profiler each cost under 2 %,
+//!   and that a profiled run is amplitude-identical (the CI smoke);
 //! * `BENCH_STATEVEC_WRITE=1` — rewrite `BENCH_statevec.json` at the repo
 //!   root with the measured numbers.
 
@@ -40,7 +39,8 @@ use quipper_arith::{IntTF, QIntTF};
 use quipper_circuit::count::max_alive;
 use quipper_circuit::flatten::inline_all;
 use quipper_circuit::{BCircuit, Circuit};
-use quipper_sim::statevec::{run_flat_reference, run_flat_with, StateVecConfig};
+use quipper_sim::reference::run_flat_reference;
+use quipper_sim::statevec::{run_flat_with, StateVecConfig};
 use quipper_sim::KernelStats;
 
 /// The mixed-gate workload: per layer, an H·T run on every wire (fusible),
@@ -78,25 +78,12 @@ fn qft_add(width: usize) -> BCircuit {
     )
 }
 
-/// The PR 2 kernel configuration: pair-stride kernels and 1q fusion only —
-/// no 2q fusion, no windows, no SIMD, no swap relabeling.
-fn pr2_config() -> StateVecConfig {
-    StateVecConfig {
-        fuse_2q: false,
-        simd: false,
-        window: false,
-        swap_relabel: false,
-        ..StateVecConfig::default()
-    }
-}
-
 struct Measurement {
     name: &'static str,
     qubits: usize,
     gates: usize,
     /// Full-scan baseline; `None` on tiers too slow to scan (mixed24).
     reference: Option<Duration>,
-    pr2: Duration,
     kernels: Duration,
     stats: KernelStats,
 }
@@ -105,10 +92,6 @@ impl Measurement {
     fn speedup_vs_reference(&self) -> Option<f64> {
         self.reference
             .map(|r| r.as_secs_f64() / self.kernels.as_secs_f64())
-    }
-
-    fn speedup_vs_pr2(&self) -> f64 {
-        self.pr2.as_secs_f64() / self.kernels.as_secs_f64()
     }
 
     /// Gates executed per second on the kernel path.
@@ -154,9 +137,6 @@ fn measure(
             run_flat_reference(&flat, inputs, 1).unwrap();
         })
     });
-    let pr2 = time(iters, || {
-        run_flat_with(&flat, inputs, 1, pr2_config()).unwrap();
-    });
     let cfg = StateVecConfig::default();
     let kernels = time(iters, || {
         run_flat_with(&flat, inputs, 1, cfg).unwrap();
@@ -170,17 +150,9 @@ fn measure(
         qubits,
         gates,
         reference,
-        pr2,
         kernels,
         stats,
     }
-}
-
-/// Times the mixed workload under one ablated configuration.
-fn ablate(flat: &Circuit, inputs: &[bool], iters: usize, cfg: StateVecConfig) -> Duration {
-    time(iters, || {
-        run_flat_with(flat, inputs, 1, cfg).unwrap();
-    })
 }
 
 /// CI smoke for the observability layer: the *disabled* tracing path must be
@@ -372,106 +344,34 @@ fn main() {
     }
 
     println!(
-        "{:>8}  {:>6}  {:>6}  {:>12}  {:>12}  {:>12}  {:>9}  {:>12}",
-        "bench", "qubits", "gates", "reference", "pr2", "kernels", "vs pr2", "gates/s"
+        "{:>8}  {:>6}  {:>6}  {:>12}  {:>12}  {:>9}  {:>12}",
+        "bench", "qubits", "gates", "reference", "kernels", "vs scan", "gates/s"
     );
     for m in &results {
+        let vs_scan = m
+            .speedup_vs_reference()
+            .map_or("-".into(), |s| format!("{s:.2}x"));
         println!(
-            "{:>8}  {:>6}  {:>6}  {:>12}  {:>12.3?}  {:>12.3?}  {:>8.2}x  {:>12.0}",
+            "{:>8}  {:>6}  {:>6}  {:>12}  {:>12.3?}  {:>9}  {:>12.0}",
             m.name,
             m.qubits,
             m.gates,
             fmt_opt_ms(m.reference),
-            m.pr2,
             m.kernels,
-            m.speedup_vs_pr2(),
+            vs_scan,
             m.gate_rate()
         );
     }
 
-    // Ablation over the full-size mixed workload: which part of the rewrite
-    // buys what.
-    let mut ablation: Vec<(&'static str, Duration)> = Vec::new();
-    if env_on("BENCH_ABLATION") {
-        let bc = mixed(mixed_n, mixed_layers);
-        let flat = inline_all(&bc.db, &bc.main).unwrap();
-        let inputs = vec![false; mixed_n];
-        let full = StateVecConfig::default();
-        run_flat_with(&flat, &inputs, 1, full).unwrap(); // prime
-        ablation.push(("pr2", ablate(&flat, &inputs, iters, pr2_config())));
-        ablation.push(("full", ablate(&flat, &inputs, iters, full)));
-        ablation.push((
-            "no_window",
-            ablate(
-                &flat,
-                &inputs,
-                iters,
-                StateVecConfig {
-                    window: false,
-                    ..full
-                },
-            ),
-        ));
-        ablation.push((
-            "no_simd",
-            ablate(
-                &flat,
-                &inputs,
-                iters,
-                StateVecConfig {
-                    simd: false,
-                    ..full
-                },
-            ),
-        ));
-        ablation.push((
-            "no_window_no_simd",
-            ablate(
-                &flat,
-                &inputs,
-                iters,
-                StateVecConfig {
-                    window: false,
-                    simd: false,
-                    ..full
-                },
-            ),
-        ));
-        println!("\nablation (mixed, {mixed_n}q):");
-        for (name, d) in &ablation {
-            println!("  {:>18}  {:>12.3?}", name, d);
-        }
-    }
-
     if quick {
         // CI smoke: the kernel path must beat the scan path even on the
-        // small state (the margin widens with width), and the blocked+SIMD
-        // path must beat the PR 2 kernel path.
-        let mixed = &results[0];
-        let vs_scan = mixed.speedup_vs_reference().unwrap();
+        // small state (the margin widens with width).
+        let vs_scan = results[0].speedup_vs_reference().unwrap();
         assert!(
             vs_scan > 1.2,
             "kernel path regressed: {vs_scan:.2}x vs scan on the mixed workload"
         );
-        // With SIMD forced off (the scalar CI leg) the quick-mode state is
-        // small enough that windowing buys nothing, so only require the
-        // blocked path not to *regress* beyond noise there; the real gate
-        // runs on the SIMD path.
-        let vs_pr2_floor = if quipper_sim::simd::feature_name() == "scalar" {
-            0.85
-        } else {
-            1.0
-        };
-        assert!(
-            mixed.speedup_vs_pr2() > vs_pr2_floor,
-            "blocked+SIMD path regressed below the PR 2 kernel path: {:.2}x on mixed",
-            mixed.speedup_vs_pr2()
-        );
-        println!(
-            "quick-mode smoke check passed ({:.2}x vs scan, {:.2}x vs pr2 on mixed)",
-            vs_scan,
-            mixed.speedup_vs_pr2()
-        );
+        println!("quick-mode smoke check passed ({vs_scan:.2}x vs scan on mixed)");
         tracing_overhead_smoke();
         profiler_overhead_smoke();
     }
@@ -492,8 +392,7 @@ fn main() {
                 format!(
                     concat!(
                         "    {{\"name\": \"{}\", \"qubits\": {}, \"gates\": {}, ",
-                        "{}\"pr2_kernels_ms\": {:.3}, \"kernels_ms\": {:.3}, ",
-                        "\"speedup_vs_pr2\": {:.2}, \"kernel_gate_rate_per_s\": {:.0},\n",
+                        "{}\"kernels_ms\": {:.3}, \"kernel_gate_rate_per_s\": {:.0},\n",
                         "     \"class_dispatches\": {{\"diagonal\": {}, \"permutation\": {}, ",
                         "\"general\": {}, \"mat4\": {}, \"windows\": {}, \"windowed\": {}}},\n",
                         "     \"class_rates_per_s\": {{\"diagonal\": {:.0}, ",
@@ -503,9 +402,7 @@ fn main() {
                     m.qubits,
                     m.gates,
                     reference_fields,
-                    m.pr2.as_secs_f64() * 1e3,
                     m.kernels.as_secs_f64() * 1e3,
-                    m.speedup_vs_pr2(),
                     m.gate_rate(),
                     m.stats.diagonal,
                     m.stats.permutation,
@@ -520,33 +417,17 @@ fn main() {
                 )
             })
             .collect();
-        let ablation_json = if ablation.is_empty() {
-            String::new()
-        } else {
-            let rows: Vec<String> = ablation
-                .iter()
-                .map(|(name, d)| {
-                    format!(
-                        "    {{\"config\": \"{}\", \"ms\": {:.3}}}",
-                        name,
-                        d.as_secs_f64() * 1e3
-                    )
-                })
-                .collect();
-            format!(",\n  \"ablation_mixed\": [\n{}\n  ]", rows.join(",\n"))
-        };
         let cores = std::thread::available_parallelism().map_or(0, usize::from);
         let json = format!(
             concat!(
                 "{{\n  \"bench\": \"statevec_kernels\",\n  \"mode\": \"{}\",\n",
                 "  \"machine\": {{\"cores\": {}, \"simd\": \"{}\"}},\n",
-                "  \"benches\": [\n{}\n  ]{}\n}}\n"
+                "  \"benches\": [\n{}\n  ]\n}}\n"
             ),
             if quick { "quick" } else { "full" },
             cores,
             quipper_sim::simd::feature_name(),
-            entries.join(",\n"),
-            ablation_json
+            entries.join(",\n")
         );
         std::fs::write(path, json).unwrap();
         println!("wrote BENCH_statevec.json");

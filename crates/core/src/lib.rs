@@ -48,7 +48,6 @@
 
 pub mod classical;
 pub mod decompose;
-pub mod optimize;
 pub mod qdata;
 pub mod qft;
 pub mod shape;

@@ -20,10 +20,9 @@ use quipper_circuit::count::{self, GateCount, Peak};
 use quipper_circuit::BCircuit;
 use std::sync::Arc;
 
-use quipper_sim::fuse::unfused_circuit;
 use quipper_sim::{
-    evolve, evolve_clifford, run_classical_flat, run_clifford_flat, run_flat_with, run_fused,
-    Evolved, EvolvedClifford, Shots, SimError, SimLifter, StateVecConfig, Suffix,
+    evolve, evolve_clifford, run_classical_flat, run_clifford_flat, run_fused, Evolved,
+    EvolvedClifford, Shots, SimError, SimLifter, StateVecConfig, Suffix,
 };
 
 use crate::error::ExecError;
@@ -165,7 +164,10 @@ pub struct StateVecBackend {
     /// Reject circuits whose peak live-qubit count exceeds this; the state
     /// vector holds `2^peak` complex amplitudes.
     pub max_qubits: usize,
-    /// Hot-path tuning: gate fusion, kernel threading and its threshold.
+    /// What the kernels need to know about the host: threads per amplitude
+    /// update and from what state size, window block size, and whether the
+    /// window profiler samples. What runs fused is the plan's business
+    /// ([`Plan::fused`]), not the backend's.
     pub config: StateVecConfig,
 }
 
@@ -208,14 +210,9 @@ impl Backend for StateVecBackend {
     }
 
     fn run_shot(&self, plan: &Plan, inputs: &[bool], seed: u64) -> Result<Vec<bool>, ExecError> {
-        // Replay the plan's pre-fused op stream (fused once at compile time)
-        // unless fusion is disabled, in which case run the raw gate list.
-        let result = if self.config.fuse {
-            run_fused(&plan.fused, inputs, seed, self.config)
-        } else {
-            run_flat_with(&plan.flat, inputs, seed, self.config)
-        }
-        .map_err(sim_err(self.name()))?;
+        // Replay the plan's op stream, fused once at compile time.
+        let result =
+            run_fused(&plan.fused, inputs, seed, self.config).map_err(sim_err(self.name()))?;
         // The engine admits only all-classical-output circuits to sampling,
         // so this cannot hit `classical_outputs`' quantum-output panic.
         Ok(result.classical_outputs())
@@ -227,13 +224,8 @@ impl Backend for StateVecBackend {
         inputs: &'a [bool],
         should_stop: &dyn Fn() -> bool,
     ) -> Result<Box<dyn PreparedJob + 'a>, ExecError> {
-        // The same stream `run_shot` replays: the plan's fused ops, or the
-        // raw gate list when fusion is disabled.
-        let fused = if self.config.fuse {
-            Arc::clone(&plan.fused)
-        } else {
-            Arc::new(unfused_circuit(&plan.flat))
-        };
+        // The same stream `run_shot` replays.
+        let fused = Arc::clone(&plan.fused);
         let evolved = evolve(fused, inputs, self.config, should_stop).map_err(sim_err(STATEVEC))?;
         Ok(Box::new(evolved))
     }

@@ -54,7 +54,9 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Peak live-qubit cap for the state-vector backend.
     pub max_qubits: usize,
-    /// State-vector hot-path tuning (gate fusion, kernel threading).
+    /// Host settings of the state-vector kernels: threads and threading
+    /// threshold, window block size, window profiler. Plans are fused the
+    /// same way whatever is set here.
     pub statevec: StateVecConfig,
     /// Static-analysis gate applied when compiling plans: findings at or
     /// above the gate's severity make the job fail with [`ExecError::Lint`]

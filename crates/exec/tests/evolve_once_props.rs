@@ -17,7 +17,6 @@ use proptest::prelude::*;
 use quipper::{Bit, Circ, Qubit};
 use quipper_circuit::{BCircuit, GateName};
 use quipper_exec::{Engine, EngineConfig, Job, LintGate, OptLevel, Suffix};
-use quipper_sim::StateVecConfig;
 
 const CELLS: usize = 4;
 const SHOTS: u64 = 12;
@@ -229,12 +228,11 @@ fn program(
 /// The circuits run exactly as written: no optimizer (it would cancel the
 /// ancilla pairs this suite is about), no lint gate (it would reject the
 /// provably failing assertions at compile time).
-fn engine(statevec: StateVecConfig) -> Engine {
+fn engine() -> Engine {
     Engine::with_config(EngineConfig {
         workers: 3,
         opt: OptLevel::Off,
         lint: LintGate::Off,
-        statevec,
         ..EngineConfig::default()
     })
 }
@@ -284,16 +282,7 @@ fn oracle(
 /// Runs the program through the engine, with several workers and with one,
 /// and requires both to equal the oracle.
 fn check(family: Family, bc: &BCircuit, inputs: Vec<bool>, seed: u64) -> Verdict {
-    check_on(&engine(StateVecConfig::default()), family, bc, inputs, seed)
-}
-
-fn check_on(
-    engine: &Engine,
-    family: Family,
-    bc: &BCircuit,
-    inputs: Vec<bool>,
-    seed: u64,
-) -> Verdict {
+    let engine = &engine();
     let expected = oracle(engine, bc, family.backend(), &inputs, seed);
     let job = Job::new(bc)
         .inputs(inputs)
@@ -359,20 +348,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Terminal measurement only: the state-vector suffix is sampled from
-    /// the evolved state without copying it, discards included — over the
-    /// plan's fused stream, or the raw gate list when fusion is off.
+    /// the evolved state without copying it, discards included.
     #[test]
     fn statevec_terminal_measurement_is_sampled(
         ops in proptest::collection::vec(op(), 0..24),
-        fuse in any::<bool>(),
         inputs in 0..1usize << CELLS,
         spread_mask in 0..1usize << CELLS,
         discard_mask in 0..1usize << CELLS,
         seed in any::<u64>(),
     ) {
         let bc = program(Family::StateVec, &ops, false, spread_mask, discard_mask);
-        let engine = engine(StateVecConfig { fuse, ..StateVecConfig::default() });
-        let verdict = check_on(&engine, Family::StateVec, &bc, input_bits(inputs), seed);
+        let verdict = check(Family::StateVec, &bc, input_bits(inputs), seed);
         prop_assert_ne!(verdict, Verdict::Ran(Suffix::Branched));
     }
 

@@ -68,7 +68,6 @@ fn threaded_engine() -> Engine {
         workers: 4,
         statevec: StateVecConfig {
             threads: 4,
-            fuse: true,
             parallel_threshold: 0,
             ..StateVecConfig::default()
         },
@@ -98,7 +97,6 @@ proptest! {
         let flat = inline_all(&bc.db, &bc.main).unwrap();
         let threaded = StateVecConfig {
             threads: 4,
-            fuse: true,
             parallel_threshold: 0,
             ..StateVecConfig::default()
         };

@@ -1,4 +1,6 @@
-//! Single-qubit gate fusion over flattened gate streams.
+//! Gate fusion and window planning over flattened gate streams: the one
+//! place that decides what the state-vector simulator runs merged and what
+//! it runs windowed.
 //!
 //! Circuits generated by Quipper-style builders are full of runs of
 //! single-qubit gates on the same wire — basis changes (H … H), phase
@@ -6,21 +8,32 @@
 //! full pass over the 2^n-amplitude state, but a run of k of them is just
 //! one 2×2 matrix (the product), i.e. one pass instead of k.
 //!
-//! [`fuse_gates`] rewrites a flat gate stream into a stream of
-//! [`FusedOp`]s: pass-through gates, plus fused single-qubit unitaries.
-//! A run may fuse when the gates act on the same wire *under the same
-//! controls* (controlled-U then controlled-V with equal control sets is
-//! controlled-(V·U)). Open runs are tracked per wire; any gate touching a
-//! run's wire or one of its control wires flushes that run first, so the
-//! emitted stream is a legal reordering: operations that pass each other
-//! act on disjoint wire sets and therefore commute. Measurements, discards
-//! and assertive terminations flush *all* open runs — they are the points
-//! where amplitudes become observable (and where the RNG is consumed), so
-//! the state at each such point matches the unfused stream exactly (up to
-//! the rounding of fused matrix products).
+//! [`fuse_circuit`] rewrites a flat circuit in three steps:
 //!
-//! A run of length 1 re-emits the original gate unchanged, so fusion is
-//! the identity (bit-for-bit) on streams with nothing to fuse.
+//! 1. `fuse_gates` turns the gate stream into a stream of [`FusedOp`]s:
+//!    pass-through gates, plus fused single-qubit unitaries. A run may fuse
+//!    when the gates act on the same wire *under the same controls*
+//!    (controlled-U then controlled-V with equal control sets is
+//!    controlled-(V·U)). Open runs are tracked per wire; any gate touching a
+//!    run's wire or one of its control wires flushes that run first, so the
+//!    emitted stream is a legal reordering: operations that pass each other
+//!    act on disjoint wire sets and therefore commute. Measurements,
+//!    discards and assertive terminations flush *all* open runs — they are
+//!    the points where amplitudes become observable (and where the RNG is
+//!    consumed), so the state at each such point matches the unfused stream
+//!    exactly (up to the rounding of fused matrix products). A run of length
+//!    1 re-emits the original gate unchanged, so the pass is the identity
+//!    (bit-for-bit) on streams with nothing to fuse.
+//! 2. `fuse_pairs` collapses runs confined to one wire pair into 4×4
+//!    products where that pays (see `flush_run2`), by the same reordering
+//!    argument.
+//! 3. `plan_segments` marks the maximal runs of unitary ops as window
+//!    [`Segment`]s, which the simulator executes one cache-blocked sweep per
+//!    window instead of one pass per op.
+//!
+//! [`segment_circuit`] does step 3 alone. It exists for the tests that hold
+//! the executor to `==` against the scan oracle: an unmerged stream through
+//! the same executor, not a second executor.
 //!
 //! The pass runs once per compiled plan (the `quipper-exec` engine caches
 //! it), so multi-shot jobs pay the rewrite a single time.
@@ -121,77 +134,36 @@ pub struct FusedCircuit {
     pub stats: FuseStats,
 }
 
-/// Which fusion passes [`fuse_circuit_with`] runs before segmenting.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct FuseOptions {
-    /// Collapse same-wire single-qubit runs into 2×2 products.
-    pub merge_1q: bool,
-    /// Collapse pair-confined runs into 4×4 products.
-    pub merge_2q: bool,
-}
-
-impl Default for FuseOptions {
-    fn default() -> FuseOptions {
-        FuseOptions {
-            merge_1q: true,
-            merge_2q: true,
-        }
-    }
-}
-
-/// Fuses a flattened circuit (no subroutine calls) for repeated execution,
-/// with every fusion pass enabled.
+/// Fuses a flattened circuit (no subroutine calls) for repeated execution:
+/// same-wire single-qubit runs collapse into 2×2 products, pair-confined
+/// runs into 4×4 products, and the resulting stream is cut into window
+/// segments. This is the stream the simulator runs in production.
 pub fn fuse_circuit(flat: &Circuit) -> FusedCircuit {
-    fuse_circuit_with(flat, FuseOptions::default())
+    let quantum: HashSet<Wire> = flat
+        .inputs
+        .iter()
+        .filter(|(_, t)| *t == WireType::Quantum)
+        .map(|&(w, _)| w)
+        .collect();
+    let ops = fuse_pairs(fuse_gates(&flat.gates), quantum);
+    plan(flat, ops)
 }
 
-/// Wraps a flattened circuit as a fused stream *without* fusing: each gate
-/// becomes a pass-through op, but window segments are still planned. The
-/// blocked executor then performs gate-for-gate the same arithmetic as the
-/// per-gate kernels (and the scan oracle), which is what the bit-identical
-/// window property tests compare against.
+/// Wraps a flattened circuit as a fused stream *without* merging anything:
+/// each gate becomes a pass-through op, and window segments are planned as
+/// usual. The simulator then performs gate-for-gate the same arithmetic as
+/// the scan oracle, through the same resolver, windows and kernels as the
+/// production stream — which is what the bit-identical property tests
+/// compare.
 pub fn segment_circuit(flat: &Circuit) -> FusedCircuit {
-    fuse_circuit_with(
+    plan(
         flat,
-        FuseOptions {
-            merge_1q: false,
-            merge_2q: false,
-        },
+        flat.gates.iter().cloned().map(FusedOp::Gate).collect(),
     )
 }
 
-/// Wraps a flattened circuit as a fused stream that executes exactly as the
-/// gate list does: every gate a pass-through op, no window segments.
-pub fn unfused_circuit(flat: &Circuit) -> FusedCircuit {
-    FusedCircuit {
-        inputs: flat.inputs.clone(),
-        outputs: flat.outputs.clone(),
-        ops: flat.gates.iter().cloned().map(FusedOp::Gate).collect(),
-        segments: Vec::new(),
-        stats: FuseStats {
-            gates_in: flat.gates.len(),
-            gates_out: flat.gates.len(),
-            ..FuseStats::default()
-        },
-    }
-}
-
-/// Fuses a flattened circuit with explicit pass selection.
-pub fn fuse_circuit_with(flat: &Circuit, opts: FuseOptions) -> FusedCircuit {
-    let mut ops = if opts.merge_1q {
-        fuse_gates(&flat.gates).0
-    } else {
-        flat.gates.iter().cloned().map(FusedOp::Gate).collect()
-    };
-    if opts.merge_2q {
-        let quantum: HashSet<Wire> = flat
-            .inputs
-            .iter()
-            .filter(|(_, t)| *t == WireType::Quantum)
-            .map(|&(w, _)| w)
-            .collect();
-        ops = fuse_pairs(ops, quantum);
-    }
+/// Cuts a finished op stream into window segments and counts it.
+fn plan(flat: &Circuit, ops: Vec<FusedOp>) -> FusedCircuit {
     let (segments, windowable) = plan_segments(&ops);
     let mut stats = classify_ops(&ops);
     stats.gates_in = flat.gates.len();
@@ -313,8 +285,9 @@ fn flush_all(pending: &mut Vec<Pending>, ops: &mut Vec<FusedOp>) {
     }
 }
 
-/// Fuses a flat gate stream; see the module docs for the rewrite rules.
-pub fn fuse_gates(gates: &[Gate]) -> (Vec<FusedOp>, FuseStats) {
+/// The 1q fusion pass over a flat gate stream; see the module docs for the
+/// rewrite rules.
+fn fuse_gates(gates: &[Gate]) -> Vec<FusedOp> {
     let mut ops: Vec<FusedOp> = Vec::with_capacity(gates.len());
     let mut pending: Vec<Pending> = Vec::new();
     let mut touched: Vec<Wire> = Vec::new();
@@ -371,22 +344,7 @@ pub fn fuse_gates(gates: &[Gate]) -> (Vec<FusedOp>, FuseStats) {
         }
     }
     flush_all(&mut pending, &mut ops);
-
-    let mut stats = FuseStats {
-        gates_in: gates.len(),
-        gates_out: ops.len(),
-        fused_away: gates.len() - ops.len(),
-        ..FuseStats::default()
-    };
-    for op in &ops {
-        match op_class(op) {
-            Some(KernelClass::Diagonal) => stats.diagonal += 1,
-            Some(KernelClass::Permutation) => stats.permutation += 1,
-            Some(KernelClass::General) => stats.general += 1,
-            None => stats.other += 1,
-        }
-    }
-    (ops, stats)
+    ops
 }
 
 /// What the 2q pass can make of one op.

@@ -1,9 +1,18 @@
-//! Fast amplitude-update kernels for the state-vector simulator.
+//! Amplitude-update kernels for the state-vector simulator, and the one
+//! place a gate is mapped to a kernel.
 //!
-//! The naive way to apply a gate to a 2^n-amplitude state vector is to scan
-//! all 2^n indices and branch on `i & bit == 0` (and on the control mask) at
-//! every one — the pre-kernel implementation kept in [`scan`] as a reference.
-//! This module replaces that scan with three ideas:
+//! A gate reaches this module already resolved to slot space as a
+//! [`WinGate`]: wires are slot indices, controls one `(mask, want)` condition
+//! on the amplitude index. [`WinGate::from_mat2`] is the only classifier of
+//! 2×2 matrices (diagonal, folding to a phase when one entry is 1;
+//! anti-diagonal; dense), and a resolved gate has exactly two executors:
+//! [`apply`] here, one pass over the whole state for one gate, and
+//! [`crate::window::execute`], one pass for a run of gates.
+//!
+//! The naive update scans all 2^n indices and branches on `i & bit == 0` and
+//! on the control mask at every one; that implementation is kept as the test
+//! oracle in [`crate::reference`]. The kernels replace the scan with three
+//! ideas:
 //!
 //! 1. **Pair-stride iteration.** The 2^(n-1) target pairs `(i, i | bit)` are
 //!    enumerated directly: uncontrolled kernels walk the state in blocks of
@@ -13,11 +22,12 @@
 //!    control mask of popcount m the kernel touches `2^(n-1-m)` pairs,
 //!    reconstructing each global index by inserting the fixed bits
 //!    (`for_each_subcube`).
-//! 2. **Kernel specialization.** [`classify`] inspects the 2×2 matrix:
-//!    diagonal matrices (Z, S, T, R, phases) touch each amplitude once with a
-//!    single multiply and never load the partner; anti-diagonal matrices
-//!    (X, Y) are index swaps with at most a scale; only genuinely dense
-//!    matrices (H, V, fused products) pay the full 2×2 update.
+//! 2. **Kernel specialization.** Diagonal matrices (Z, S, T, R, phases)
+//!    touch each amplitude once with a single multiply and never load the
+//!    partner; anti-diagonal matrices (X, Y) are index swaps with at most a
+//!    scale; only genuinely dense matrices (H, V, fused products) pay the
+//!    full 2×2 update. Contiguous runs go through the vector bodies of
+//!    [`crate::simd`] when the host has them.
 //! 3. **Threaded updates.** Above a configurable state size the kernels
 //!    split the amplitude array into aligned power-of-two chunks and fan the
 //!    chunks out over `std::thread::scope` workers (the same scoped-thread
@@ -121,16 +131,18 @@ impl KernelStats {
 }
 
 /// Execution context resolved from
-/// [`StateVecConfig`](crate::statevec::StateVecConfig): how many threads a
-/// kernel may use and from what state size threading pays.
+/// [`StateVecConfig`](crate::statevec::StateVecConfig) and the host: how
+/// many threads a kernel may use, from what state size threading pays, and
+/// whether the vector bodies may run.
 #[derive(Clone, Copy, Debug)]
 pub struct KernelCtx {
     /// Maximum worker threads for one amplitude update.
     pub threads: usize,
     /// Minimum amplitude-vector length at which to thread.
     pub min_parallel_amps: usize,
-    /// Whether the vectorized bodies in [`crate::simd`] may run. Only set
-    /// when runtime detection succeeded.
+    /// Whether the vectorized bodies in [`crate::simd`] may run: the
+    /// simulator sets it to [`simd::available`], and nothing may set it
+    /// where that is false.
     pub simd: bool,
 }
 
@@ -142,6 +154,223 @@ impl KernelCtx {
             min_parallel_amps: usize::MAX,
             simd: false,
         }
+    }
+}
+
+/// One gate resolved to slot space: wires are slot indices and controls are
+/// a global `(mask, want)` condition on the amplitude index. What the
+/// simulator's resolver produces and what both executors ([`apply`],
+/// [`crate::window::execute`]) consume.
+#[derive(Clone, Debug)]
+pub(crate) enum WinGate {
+    /// Multiply every amplitude satisfying the condition by `k` (GPhase,
+    /// and the phase-folded diagonal 1q gates: T, S, R, CP, CRz).
+    Phase {
+        k: Complex,
+        mask: usize,
+        want: usize,
+    },
+    /// A diagonal 1q gate with both entries non-unit.
+    Diag {
+        slot: usize,
+        d0: Complex,
+        d1: Complex,
+        mask: usize,
+        want: usize,
+    },
+    /// An anti-diagonal 1q gate (X, Y and scaled variants).
+    Perm {
+        slot: usize,
+        m01: Complex,
+        m10: Complex,
+        mask: usize,
+        want: usize,
+    },
+    /// A dense 1q gate.
+    Dense {
+        slot: usize,
+        m: Mat2,
+        mask: usize,
+        want: usize,
+    },
+    /// A swap of two slots.
+    Swap2 {
+        a: usize,
+        b: usize,
+        mask: usize,
+        want: usize,
+    },
+    /// The W gate over two slots.
+    W2 {
+        a: usize,
+        b: usize,
+        mask: usize,
+        want: usize,
+    },
+    /// A fused 4×4 over two slots (boxed: the matrix would otherwise
+    /// dominate the enum size).
+    Mat4g {
+        a: usize,
+        b: usize,
+        m: Box<Mat4>,
+        mask: usize,
+        want: usize,
+    },
+}
+
+impl WinGate {
+    /// The gate of a 2×2 matrix on `slot`, by the cheapest kernel that can
+    /// execute it. A diagonal matrix with a unit entry on one side is a
+    /// (controlled) phase on the other, which touches only the amplitudes
+    /// that actually change: T, S, R and CP/CRz all land there, turning
+    /// e.g. a controlled-Z ladder into pure sub-cube phase flips.
+    pub(crate) fn from_mat2(slot: usize, m: &Mat2, mask: usize, want: usize) -> WinGate {
+        let bit = 1usize << slot;
+        match classify(m) {
+            KernelClass::Diagonal if m[0][0] == ONE => WinGate::Phase {
+                k: m[1][1],
+                mask: mask | bit,
+                want: want | bit,
+            },
+            KernelClass::Diagonal if m[1][1] == ONE => WinGate::Phase {
+                k: m[0][0],
+                mask: mask | bit,
+                want,
+            },
+            KernelClass::Diagonal => WinGate::Diag {
+                slot,
+                d0: m[0][0],
+                d1: m[1][1],
+                mask,
+                want,
+            },
+            KernelClass::Permutation => WinGate::Perm {
+                slot,
+                m01: m[0][1],
+                m10: m[1][0],
+                mask,
+                want,
+            },
+            KernelClass::General => WinGate::Dense {
+                slot,
+                m: *m,
+                mask,
+                want,
+            },
+        }
+    }
+
+    /// An uncontrolled X on `slot`: a pure pair swap. Slot allocation uses
+    /// it to flip a recycled ancilla into the requested basis state.
+    pub(crate) fn flip(slot: usize) -> WinGate {
+        WinGate::Perm {
+            slot,
+            m01: ONE,
+            m10: ONE,
+            mask: 0,
+            want: 0,
+        }
+    }
+
+    /// Whether a window of `block` amplitudes per strip can hold this gate.
+    /// A one-slot gate above the block pairs strips, which the window
+    /// arranges (see [`demand`](Self::demand)); a two-slot gate must lie
+    /// wholly inside a strip.
+    pub(crate) fn fits_window(&self, block: usize) -> bool {
+        match self {
+            WinGate::Swap2 { a, b, .. }
+            | WinGate::W2 { a, b, .. }
+            | WinGate::Mat4g { a, b, .. } => (1usize << a.max(b)) < block,
+            _ => true,
+        }
+    }
+
+    /// The high bit this gate demands of its window's tile, or 0. Only 1q
+    /// pair updates demand; diagonal/phase gates select per strip, and
+    /// two-slot gates that [fit](Self::fits_window) lie below the block.
+    pub(crate) fn demand(&self, block: usize) -> usize {
+        match self {
+            WinGate::Perm { slot, .. } | WinGate::Dense { slot, .. } => {
+                let bit = 1usize << slot;
+                if bit >= block {
+                    bit
+                } else {
+                    0
+                }
+            }
+            _ => 0,
+        }
+    }
+
+    /// The gate's control condition `(mask, want)`.
+    pub(crate) fn condition(&self) -> (usize, usize) {
+        match *self {
+            WinGate::Phase { mask, want, .. }
+            | WinGate::Diag { mask, want, .. }
+            | WinGate::Perm { mask, want, .. }
+            | WinGate::Dense { mask, want, .. }
+            | WinGate::Swap2 { mask, want, .. }
+            | WinGate::W2 { mask, want, .. }
+            | WinGate::Mat4g { mask, want, .. } => (mask, want),
+        }
+    }
+
+    /// Counts this gate into the dispatch statistics, as the kernel that
+    /// [`apply`] routes it to counts itself.
+    pub(crate) fn count(&self, stats: &mut KernelStats) {
+        if self.condition().0 != 0 {
+            stats.subcube += 1;
+        }
+        match self {
+            WinGate::Phase { .. } | WinGate::Diag { .. } => stats.diagonal += 1,
+            WinGate::Perm { .. } | WinGate::Swap2 { .. } => stats.permutation += 1,
+            WinGate::Dense { .. } | WinGate::W2 { .. } => stats.general += 1,
+            WinGate::Mat4g { m, .. } => {
+                stats.mat4 += 1;
+                if classify4(m) == KernelClass::Diagonal {
+                    stats.diagonal += 1;
+                } else {
+                    stats.general += 1;
+                }
+            }
+        }
+    }
+}
+
+/// Applies one resolved gate in a full-state pass of its own: the
+/// standalone executor. Counts the dispatch into `stats`.
+pub(crate) fn apply(
+    amps: &mut [Complex],
+    gate: &WinGate,
+    ctx: &KernelCtx,
+    stats: &mut KernelStats,
+) {
+    let (mask, want) = gate.condition();
+    apply_under(amps, gate, mask, want, ctx, stats);
+}
+
+/// [`apply`] with the gate's own condition replaced by `(mask, want)`: what
+/// the window executor calls per strip, with the condition localized to it.
+pub(crate) fn apply_under(
+    amps: &mut [Complex],
+    gate: &WinGate,
+    mask: usize,
+    want: usize,
+    ctx: &KernelCtx,
+    stats: &mut KernelStats,
+) {
+    match *gate {
+        WinGate::Phase { k, .. } => apply_phase(amps, k, mask, want, ctx, stats),
+        WinGate::Diag { slot, d0, d1, .. } => {
+            apply_diagonal(amps, slot, d0, d1, mask, want, ctx, stats);
+        }
+        WinGate::Perm { slot, m01, m10, .. } => {
+            apply_permutation(amps, slot, m01, m10, mask, want, ctx, stats);
+        }
+        WinGate::Dense { slot, ref m, .. } => apply_general(amps, slot, m, mask, want, ctx, stats),
+        WinGate::Swap2 { a, b, .. } => apply_swap(amps, a, b, mask, want, ctx, stats),
+        WinGate::W2 { a, b, .. } => apply_w(amps, a, b, mask, want, ctx, stats),
+        WinGate::Mat4g { a, b, ref m, .. } => apply_mat4(amps, a, b, m, mask, want, ctx, stats),
     }
 }
 
@@ -218,43 +447,9 @@ pub(crate) fn dispatch(
     true
 }
 
-/// Applies a classified 2×2 matrix to `slot` under the control condition
-/// `(i & mask) == want`, choosing the cheapest kernel.
-pub fn apply_mat2(
-    amps: &mut [Complex],
-    slot: usize,
-    m: &Mat2,
-    mask: usize,
-    want: usize,
-    ctx: &KernelCtx,
-    stats: &mut KernelStats,
-) {
-    match classify(m) {
-        KernelClass::Diagonal => {
-            // A unit entry on one side means the matrix is a (controlled)
-            // phase on the other: route it to the phase kernel, which
-            // touches only the amplitudes that actually change. T, S, R and
-            // CP/CRz all land here, turning e.g. a controlled-Z ladder into
-            // pure sub-cube phase flips.
-            let bit = 1usize << slot;
-            if m[0][0] == ONE {
-                apply_phase(amps, m[1][1], mask | bit, want | bit, ctx, stats);
-            } else if m[1][1] == ONE {
-                apply_phase(amps, m[0][0], mask | bit, want, ctx, stats);
-            } else {
-                apply_diagonal(amps, slot, m[0][0], m[1][1], mask, want, ctx, stats);
-            }
-        }
-        KernelClass::Permutation => {
-            apply_permutation(amps, slot, m[0][1], m[1][0], mask, want, ctx, stats);
-        }
-        KernelClass::General => apply_general(amps, slot, m, mask, want, ctx, stats),
-    }
-}
-
 /// The dense 2×2 kernel: pair-stride over `(i, i | bit)`.
 #[allow(clippy::too_many_arguments)]
-pub fn apply_general(
+pub(crate) fn apply_general(
     amps: &mut [Complex],
     slot: usize,
     m: &Mat2,
@@ -297,7 +492,7 @@ pub fn apply_general(
 /// The diagonal kernel: scales the two target halves in place; unit
 /// diagonal entries skip their half entirely.
 #[allow(clippy::too_many_arguments)]
-pub fn apply_diagonal(
+pub(crate) fn apply_diagonal(
     amps: &mut [Complex],
     slot: usize,
     d0: Complex,
@@ -344,7 +539,7 @@ pub fn apply_diagonal(
 /// The permutation kernel for anti-diagonal matrices: |0⟩ ↦ m10·|1⟩ and
 /// |1⟩ ↦ m01·|0⟩. X (both entries 1) degenerates to a pure swap.
 #[allow(clippy::too_many_arguments)]
-pub fn apply_permutation(
+pub(crate) fn apply_permutation(
     amps: &mut [Complex],
     slot: usize,
     m01: Complex,
@@ -395,7 +590,7 @@ pub fn apply_permutation(
 
 /// The phase kernel: multiplies every amplitude satisfying
 /// `(i & mask) == want` by `phase` (GPhase, possibly controlled).
-pub fn apply_phase(
+pub(crate) fn apply_phase(
     amps: &mut [Complex],
     phase: Complex,
     mask: usize,
@@ -436,7 +631,7 @@ pub fn apply_phase(
 /// The swap kernel: exchanges the `a=1, b=0` and `a=0, b=1` amplitudes of
 /// the satisfying sub-cube.
 #[allow(clippy::too_many_arguments)]
-pub fn apply_swap(
+pub(crate) fn apply_swap(
     amps: &mut [Complex],
     slot_a: usize,
     slot_b: usize,
@@ -467,11 +662,10 @@ pub fn apply_swap(
 /// The W kernel (Binary Welded Tree, paper Figure 1): mixes the |01⟩ and
 /// |10⟩ amplitudes of each pair, fixing |00⟩ and |11⟩.
 #[allow(clippy::too_many_arguments)]
-pub fn apply_w(
+pub(crate) fn apply_w(
     amps: &mut [Complex],
     slot_a: usize,
     slot_b: usize,
-    inverted: bool,
     mask: usize,
     want: usize,
     ctx: &KernelCtx,
@@ -489,8 +683,8 @@ pub fn apply_w(
         };
         for_each_subcube(chunk.len(), mask | ba | bb, |i| {
             // i01 has a=0, b=1; the partner has a=1, b=0. W and its inverse
-            // coincide on these pairs (the matrix is real symmetric).
-            let _ = inverted;
+            // coincide on these pairs (the matrix is real symmetric), so the
+            // gate's `inverted` flag never reaches here.
             let i01 = i | want | bb;
             let i10 = i01 ^ ba ^ bb;
             let (v01, v10) = (chunk[i01], chunk[i10]);
@@ -501,12 +695,6 @@ pub fn apply_w(
     if threaded {
         stats.threaded += 1;
     }
-}
-
-/// Applies an uncontrolled X to `slot`: a pure pair swap. Used by slot
-/// allocation to flip a recycled ancilla into the requested basis state.
-pub fn flip(amps: &mut [Complex], slot: usize, ctx: &KernelCtx, stats: &mut KernelStats) {
-    apply_permutation(amps, slot, ONE, ONE, 0, 0, ctx, stats);
 }
 
 /// Classifies a 4×4 matrix: diagonal (all off-diagonal entries exactly
@@ -528,7 +716,7 @@ pub fn classify4(m: &Mat4) -> KernelClass {
 /// condition `(i & mask) == want`. Diagonal matrices scale each quadrant in
 /// place; dense matrices do the full 4-amplitude update from a snapshot.
 #[allow(clippy::too_many_arguments)]
-pub fn apply_mat4(
+pub(crate) fn apply_mat4(
     amps: &mut [Complex],
     slot_a: usize,
     slot_b: usize,
@@ -734,83 +922,10 @@ pub fn identity() -> Mat2 {
     [[ONE, ZERO], [ZERO, ONE]]
 }
 
-pub mod scan {
-    //! The pre-kernel full-scan implementations, kept verbatim as the
-    //! correctness reference for the property tests and as the before-side
-    //! of the `statevec_kernels` benchmark: every update visits all 2^n
-    //! indices and branches on the target bit and control mask at each one.
-
-    use super::Mat2;
-    use crate::complex::Complex;
-
-    /// Full-scan single-qubit update.
-    pub fn apply_1q(amps: &mut [Complex], slot: usize, m: &Mat2, mask: usize, want: usize) {
-        let bit = 1usize << slot;
-        for i in 0..amps.len() {
-            if i & bit == 0 && (i & mask) == want {
-                let j = i | bit;
-                let a0 = amps[i];
-                let a1 = amps[j];
-                amps[i] = m[0][0] * a0 + m[0][1] * a1;
-                amps[j] = m[1][0] * a0 + m[1][1] * a1;
-            }
-        }
-    }
-
-    /// Full-scan controlled phase multiplication.
-    pub fn apply_phase(amps: &mut [Complex], phase: Complex, mask: usize, want: usize) {
-        for (i, a) in amps.iter_mut().enumerate() {
-            if (i & mask) == want {
-                *a = phase * *a;
-            }
-        }
-    }
-
-    /// Full-scan swap.
-    pub fn apply_swap(
-        amps: &mut [Complex],
-        slot_a: usize,
-        slot_b: usize,
-        mask: usize,
-        want: usize,
-    ) {
-        let (ba, bb) = (1usize << slot_a, 1usize << slot_b);
-        for i in 0..amps.len() {
-            if i & ba != 0 && i & bb == 0 && (i & mask) == want {
-                amps.swap(i, i ^ ba ^ bb);
-            }
-        }
-    }
-
-    /// Full-scan W gate.
-    pub fn apply_w(amps: &mut [Complex], slot_a: usize, slot_b: usize, mask: usize, want: usize) {
-        let (ba, bb) = (1usize << slot_a, 1usize << slot_b);
-        let s = std::f64::consts::FRAC_1_SQRT_2;
-        for i in 0..amps.len() {
-            if i & ba == 0 && i & bb != 0 && (i & mask) == want {
-                let j = i ^ ba ^ bb;
-                let v01 = amps[i];
-                let v10 = amps[j];
-                amps[i] = (v01 + v10).scale(s);
-                amps[j] = (v01 - v10).scale(s);
-            }
-        }
-    }
-
-    /// Full-scan X (used by slot recycling).
-    pub fn flip(amps: &mut [Complex], slot: usize) {
-        let bit = 1usize << slot;
-        for i in 0..amps.len() {
-            if i & bit == 0 {
-                amps.swap(i, i | bit);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::scan;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -888,15 +1003,8 @@ mod tests {
             let mut b = a.clone();
             scan::apply_1q(&mut a, slot, &m, 0b10 & !(1 << slot), 0);
             let mut stats = KernelStats::default();
-            apply_mat2(
-                &mut b,
-                slot,
-                &m,
-                0b10 & !(1 << slot),
-                0,
-                &KernelCtx::sequential(),
-                &mut stats,
-            );
+            let gate = WinGate::from_mat2(slot, &m, 0b10 & !(1 << slot), 0);
+            apply(&mut b, &gate, &KernelCtx::sequential(), &mut stats);
             assert_same(&a, &b);
             assert_eq!(stats.diagonal, 1);
         }
@@ -912,7 +1020,8 @@ mod tests {
                 let mut b = a.clone();
                 scan::apply_1q(&mut a, slot, &m, 0, 0);
                 let mut stats = KernelStats::default();
-                apply_mat2(&mut b, slot, &m, 0, 0, &KernelCtx::sequential(), &mut stats);
+                let gate = WinGate::from_mat2(slot, &m, 0, 0);
+                apply(&mut b, &gate, &KernelCtx::sequential(), &mut stats);
                 assert_same(&a, &b);
                 assert_eq!(stats.permutation, 1);
             }
@@ -946,7 +1055,6 @@ mod tests {
             &mut b,
             sa,
             sb,
-            false,
             mask,
             want,
             &KernelCtx::sequential(),
@@ -982,16 +1090,9 @@ mod tests {
                 );
                 apply_general(&mut b, slot, &h, mask, want, &threaded, &mut s2);
                 assert_same(&a, &b);
-                apply_mat2(
-                    &mut a,
-                    slot,
-                    &t,
-                    mask,
-                    want,
-                    &KernelCtx::sequential(),
-                    &mut s1,
-                );
-                apply_mat2(&mut b, slot, &t, mask, want, &threaded, &mut s2);
+                let gate = WinGate::from_mat2(slot, &t, mask, want);
+                apply(&mut a, &gate, &KernelCtx::sequential(), &mut s1);
+                apply(&mut b, &gate, &threaded, &mut s2);
                 assert_same(&a, &b);
             }
         }

@@ -18,6 +18,10 @@
 //! * [`interactive::SimLifter`] — a simulated quantum device supporting
 //!   *dynamic lifting* (paper §4.3), for algorithms that interleave circuit
 //!   generation and execution such as Unique Shortest Vector.
+//!
+//! Each simulator has one production path. The slow implementations the
+//! fast ones are proven against — the full-scan state vector, the bool
+//! tableau — live in [`reference`], which only tests and benchmarks name.
 
 pub mod classical;
 pub mod complex;
@@ -25,6 +29,7 @@ pub mod error;
 pub mod fuse;
 pub mod interactive;
 pub mod kernels;
+pub mod reference;
 pub mod simd;
 pub mod stabilizer;
 pub mod statevec;
@@ -32,15 +37,13 @@ mod window;
 
 pub use classical::{run_classical, run_classical_flat};
 pub use error::SimError;
-pub use fuse::{
-    fuse_circuit, fuse_circuit_with, segment_circuit, FuseOptions, FuseStats, FusedCircuit, FusedOp,
-};
+pub use fuse::{fuse_circuit, segment_circuit, FuseStats, FusedCircuit, FusedOp};
 pub use interactive::SimLifter;
 pub use kernels::KernelStats;
 pub use stabilizer::{evolve_clifford, run_clifford, run_clifford_flat, EvolvedClifford};
 pub use statevec::{
-    evolve, run, run_flat, run_flat_reference, run_flat_with, run_fused, Evolved, ProfileStats,
-    RunResult, Shots, StateVec, StateVecConfig, Suffix, PROFILE_SAMPLE_EVERY,
+    evolve, run, run_flat, run_flat_with, run_fused, Evolved, ProfileStats, RunResult, Shots,
+    StateVec, StateVecConfig, Suffix, PROFILE_SAMPLE_EVERY,
 };
 
 // Send/Sync audit: the `quipper-exec` engine shares flattened circuits

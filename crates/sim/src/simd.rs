@@ -13,13 +13,16 @@
 //! `x.re·k.re − x.im·k.im` via `_mm256_addsub_pd` and the odd lane
 //! `x.im·k.re + x.re·k.im`. IEEE-754 multiplication and addition commute
 //! bitwise, no FMA contraction is used, and no reassociation happens, so
-//! SIMD on/off produces `==`-equal states. The property tests assert this
-//! against the scan oracle.
+//! the vector and the scalar bodies produce `==`-equal states. The property
+//! tests hold whichever of the two the host selects to `==` against the scan
+//! oracle, and a unit test here compares the two directly.
 //!
-//! Dispatch is decided once per run: AVX2 is detected at runtime
-//! (`is_x86_feature_detected!`), can be vetoed by the
-//! [`FORCE_SCALAR_ENV`] environment variable (the CI scalar leg), and is
-//! switched per-`StateVecConfig` for ablation.
+//! Dispatch is decided once per process by [`available`]: AVX2 is detected
+//! at runtime (`is_x86_feature_detected!`) and can be vetoed by the
+//! [`FORCE_SCALAR_ENV`] environment variable — the CI scalar leg, and the
+//! only way to run the portable bodies on an AVX2 host. The simulator has no
+//! switch of its own: it passes `available()` down as the `simd` argument of
+//! the primitives below.
 
 use crate::complex::Complex;
 use crate::kernels::Mat2;

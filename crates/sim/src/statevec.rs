@@ -7,13 +7,19 @@
 //! so the cost tracks the circuit's *width* (live qubits), not the total
 //! number of wires — scoped ancillas (paper §4.2.1) pay only while in scope.
 //!
-//! Amplitude updates go through the kernel layer in [`crate::kernels`]
-//! (pair-stride iteration, diagonal/permutation specialization, controlled
-//! sub-cube enumeration, optional scoped-thread fan-out), and the run
-//! functions optionally pre-fuse runs of single-qubit gates via
-//! [`crate::fuse`]. Both are governed by [`StateVecConfig`]; the
-//! pre-kernel full-scan path survives as [`StateVec::reference`] /
-//! [`run_flat_reference`] for property tests and benchmarks.
+//! There is one execution path. A unitary op — a gate of the circuit or a
+//! fused product from [`crate::fuse`] — is *resolved* once, by
+//! `StateVec::resolve`, into a slot-space gate: controls become a bitmask
+//! test, wires become slots, the matrix is classified, an uncontrolled swap
+//! becomes a relabeling of two slots. The resolved gate then goes to one of
+//! two executors: [`crate::kernels`]`::apply`, a full-state pass for that
+//! gate alone ([`StateVec::apply`], [`StateVec::apply_fused`] and the
+//! dynamic lifter work this way), or, inside a segment that fusion planned,
+//! a window buffer that [`crate::window`] sweeps over the state once for
+//! all its gates. What is merged and what is windowed is decided in
+//! [`crate::fuse`] alone; [`StateVecConfig`] holds only what depends on the
+//! host. The full-scan oracle every part of this is tested against lives
+//! apart, in [`crate::reference`].
 //!
 //! Shot loops go through [`evolve`]: the ops before the first measurement
 //! run once per job and every shot is drawn from the resulting [`Evolved`]
@@ -32,47 +38,35 @@ use quipper_circuit::{BCircuit, Circuit, Control, Gate, GateName, Wire, WireType
 
 use crate::complex::{Complex, ONE, ZERO};
 use crate::error::SimError;
-use crate::fuse::{fuse_circuit_with, FuseOptions, FusedCircuit, FusedOp};
-use crate::kernels::{self, KernelClass, KernelCtx, KernelStats, Mat2};
+use crate::fuse::{fuse_circuit, unary_matrix, FusedCircuit, FusedOp};
+use crate::kernels::{self, KernelCtx, KernelStats, WinGate};
 use crate::simd;
-use crate::window::{self, WinGate};
+use crate::window;
 
 pub use evolve::{evolve, Evolved, Shots, Suffix};
 
 /// Tolerance for assertion checking and renormalization.
 const EPS: f64 = 1e-9;
 
-/// Tuning knobs for the state-vector hot path.
+/// How many distinct high (beyond-block) target bits one window may demand;
+/// each demanded bit doubles the tile working set. The tuning sweep in
+/// EXPERIMENTS.md picked it together with the default block size.
+const WINDOW_MAX_HIGH: u32 = 4;
+
+/// What the state-vector hot path needs to know about the host.
 #[derive(Clone, Copy, Debug)]
 pub struct StateVecConfig {
     /// Maximum worker threads per amplitude update (clamped to what the
     /// state size supports; 1 disables threading).
     pub threads: usize,
-    /// Whether the run functions pre-fuse runs of single-qubit gates.
-    pub fuse: bool,
     /// Live-qubit count from which amplitude updates fan out over threads:
     /// states smaller than `2^parallel_threshold` amplitudes stay
     /// single-threaded (spawn overhead would dominate).
     pub parallel_threshold: u32,
-    /// Whether the run functions additionally collapse pair-confined runs
-    /// into 4×4 products (only meaningful with `fuse`).
-    pub fuse_2q: bool,
-    /// Whether to use the vectorized kernel bodies in [`crate::simd`]
-    /// (subject to runtime feature detection; off = portable scalar).
-    pub simd: bool,
-    /// Whether to execute window segments through the blocked executor
-    /// (one pass over the state per window instead of per gate).
-    pub window: bool,
     /// log2 of the window block size in amplitudes. The default (10, i.e.
     /// 1024 amplitudes = 16 KiB) keeps a strip plus the paired strip of a
     /// high gate within L1d; the tuning sweep in EXPERIMENTS.md picked it.
     pub window_block_bits: u32,
-    /// Maximum number of distinct high (beyond-block) target bits one
-    /// window may demand; each demanded bit doubles the tile working set.
-    pub window_max_high: u32,
-    /// Whether uncontrolled swaps are absorbed into slot relabeling
-    /// (pure bookkeeping, no amplitude traffic).
-    pub swap_relabel: bool,
     /// Whether the blocked window executor samples wall time: every
     /// [`PROFILE_SAMPLE_EVERY`]th multi-gate window is timed and its
     /// elapsed time attributed to gate classes proportionally to the
@@ -92,34 +86,8 @@ impl Default for StateVecConfig {
             threads: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
-            fuse: true,
             parallel_threshold: 18,
-            fuse_2q: true,
-            simd: true,
-            window: true,
             window_block_bits: 10,
-            window_max_high: 4,
-            swap_relabel: true,
-            profile: false,
-        }
-    }
-}
-
-impl StateVecConfig {
-    /// A configuration that runs everything sequentially and unfused, with
-    /// every bandwidth optimization (SIMD, windows, relabeling) disabled —
-    /// the per-gate kernel baseline the optimized paths are compared to.
-    pub fn sequential() -> StateVecConfig {
-        StateVecConfig {
-            threads: 1,
-            fuse: false,
-            parallel_threshold: u32::MAX,
-            fuse_2q: false,
-            simd: false,
-            window: false,
-            window_block_bits: 10,
-            window_max_high: 4,
-            swap_relabel: false,
             profile: false,
         }
     }
@@ -189,9 +157,17 @@ pub struct StateVec {
     prof: ProfileStats,
     /// Windows flushed since the last profiler sample (profiling only).
     prof_tick: u64,
-    /// When set, unitary updates use the full-scan reference path instead
-    /// of the kernels.
-    reference: bool,
+}
+
+/// What a unitary op resolved to against the current slot map.
+enum Resolved {
+    /// No-op here (comment, or an unsatisfied classical control).
+    Skip,
+    /// An uncontrolled swap: exchanging the two wires' slots is the whole
+    /// gate, with no amplitude traffic.
+    Relabel(Wire, Wire),
+    /// A slot-space gate for one of the two executors.
+    Gate(WinGate),
 }
 
 impl StateVec {
@@ -214,17 +190,6 @@ impl StateVec {
             stats: KernelStats::default(),
             prof: ProfileStats::default(),
             prof_tick: 0,
-            reference: false,
-        }
-    }
-
-    /// Creates a simulator that uses the pre-kernel full-scan reference
-    /// implementation for every unitary update. The correctness baseline
-    /// the kernel path is property-tested against.
-    pub fn reference(seed: u64) -> StateVec {
-        StateVec {
-            reference: true,
-            ..StateVec::with_config(seed, StateVecConfig::sequential())
         }
     }
 
@@ -249,9 +214,8 @@ impl StateVec {
     ///
     /// The wire→slot assignment is execution-history dependent (allocation
     /// order, recycling, swap relabeling), so raw vectors from *different*
-    /// circuits or configurations are generally not comparable index by
-    /// index — use [`canonical_amplitudes`](Self::canonical_amplitudes)
-    /// for that.
+    /// circuits or executors are generally not comparable index by index —
+    /// use [`canonical_amplitudes`](Self::canonical_amplitudes) for that.
     pub fn amplitudes(&self) -> &[Complex] {
         &self.amps
     }
@@ -291,10 +255,7 @@ impl StateVec {
     /// Registers an externally supplied input wire in the given basis state.
     pub fn add_input(&mut self, wire: Wire, ty: WireType, value: bool) {
         match ty {
-            WireType::Quantum => {
-                let slot = self.alloc_slot(value);
-                self.slots.insert(wire, slot);
-            }
+            WireType::Quantum => self.init_qubit(wire, value),
             WireType::Classical => {
                 self.classical.insert(wire, value);
             }
@@ -350,7 +311,7 @@ impl StateVec {
             .ok_or(SimError::UnknownWire { wire })
     }
 
-    fn slot_of(&self, wire: Wire) -> Result<usize, SimError> {
+    pub(crate) fn slot_of(&self, wire: Wire) -> Result<usize, SimError> {
         self.slots
             .get(&wire)
             .copied()
@@ -363,7 +324,7 @@ impl StateVec {
             min_parallel_amps: 1usize
                 .checked_shl(self.config.parallel_threshold)
                 .unwrap_or(usize::MAX),
-            simd: self.config.simd && simd::available(),
+            simd: simd::available(),
         }
     }
 
@@ -404,18 +365,18 @@ impl StateVec {
         }
     }
 
-    fn alloc_slot(&mut self, value: bool) -> usize {
+    /// Hands out a slot, recycled or new, and the definite value it holds.
+    /// Slot bookkeeping only: flipping the slot to the value a caller wants
+    /// is the caller's amplitude update.
+    pub(crate) fn alloc_slot(&mut self) -> (usize, bool) {
         // Live qubits after this allocation: allocated slots minus free ones,
         // plus the slot being handed out (from the free list or by growing).
         quipper_trace::record_max(
             quipper_trace::names::LIVE_QUBITS_PEAK,
             (self.n_slots - self.free.len() + 1) as u64,
         );
-        if let Some((slot, cur)) = self.free.pop() {
-            if cur != value {
-                self.flip_slot(slot);
-            }
-            return slot;
+        if let Some(parked) = self.free.pop() {
+            return parked;
         }
         let slot = self.n_slots;
         self.n_slots += 1;
@@ -423,25 +384,34 @@ impl StateVec {
         // half zero), so growing with ZERO is the whole job.
         let len = self.amps.len();
         self.amps.resize(len * 2, ZERO);
-        if value {
-            self.flip_slot(slot);
-        }
-        slot
+        (slot, false)
     }
 
-    fn flip_slot(&mut self, slot: usize) {
-        if self.reference {
-            kernels::scan::flip(&mut self.amps, slot);
-        } else {
-            let ctx = self.kernel_ctx();
-            kernels::flip(&mut self.amps, slot, &ctx, &mut self.stats);
+    /// Gives `wire` the slot [`alloc_slot`](Self::alloc_slot) handed out.
+    pub(crate) fn bind_slot(&mut self, wire: Wire, slot: usize) {
+        self.slots.insert(wire, slot);
+    }
+
+    /// The amplitude vector, for the oracle's own updates.
+    pub(crate) fn amplitudes_mut(&mut self) -> &mut [Complex] {
+        &mut self.amps
+    }
+
+    fn init_qubit(&mut self, wire: Wire, value: bool) {
+        let (slot, parked) = self.alloc_slot();
+        if parked != value {
+            self.apply_standalone(&WinGate::flip(slot));
         }
+        self.bind_slot(wire, slot);
     }
 
     /// Splits the controls into a quantum bitmask test and a classical
     /// verdict. Returns `None` if a classical control is unsatisfied (gate
     /// is a no-op).
-    fn resolve_controls(&self, controls: &[Control]) -> Result<Option<(usize, usize)>, SimError> {
+    pub(crate) fn resolve_controls(
+        &self,
+        controls: &[Control],
+    ) -> Result<Option<(usize, usize)>, SimError> {
         // (mask, want): indices i fire iff i & mask == want.
         let mut mask = 0usize;
         let mut want = 0usize;
@@ -463,27 +433,12 @@ impl StateVec {
         Ok(Some((mask, want)))
     }
 
-    /// Applies a classified 2×2 matrix to `slot` under `(mask, want)`,
-    /// through the kernels or the scan reference per configuration.
-    fn apply_mat(&mut self, slot: usize, m: &Mat2, mask: usize, want: usize) {
-        if self.reference {
-            kernels::scan::apply_1q(&mut self.amps, slot, m, mask, want);
-        } else {
-            let ctx = self.kernel_ctx();
-            kernels::apply_mat2(&mut self.amps, slot, m, mask, want, &ctx, &mut self.stats);
-        }
-    }
-
-    /// Executes one op of a fused stream: pass-through gates go to
-    /// [`apply`](Self::apply), fused unitaries straight to the matrix
-    /// kernel.
-    ///
-    /// # Errors
-    ///
-    /// As for [`apply`](Self::apply).
-    pub fn apply_fused(&mut self, op: &FusedOp) -> Result<(), SimError> {
+    /// Resolves one unitary op of a fused stream to slot space: the single
+    /// place where controls become a mask, wires become slots and a matrix
+    /// is classified. Both executors take what it returns.
+    fn resolve(&self, op: &FusedOp) -> Result<Resolved, SimError> {
         match op {
-            FusedOp::Gate(g) => self.apply(g),
+            FusedOp::Gate(gate) => self.resolve_gate(gate),
             FusedOp::Unitary1q {
                 wire,
                 controls,
@@ -491,18 +446,110 @@ impl StateVec {
                 ..
             } => {
                 let Some((mask, want)) = self.resolve_controls(controls)? else {
-                    return Ok(());
+                    return Ok(Resolved::Skip);
                 };
                 let slot = self.slot_of(*wire)?;
-                self.apply_mat(slot, mat, mask, want);
+                Ok(Resolved::Gate(WinGate::from_mat2(slot, mat, mask, want)))
+            }
+            FusedOp::Unitary2q { a, b, mat, .. } => Ok(Resolved::Gate(WinGate::Mat4g {
+                a: self.slot_of(*a)?,
+                b: self.slot_of(*b)?,
+                m: Box::new(*mat),
+                mask: 0,
+                want: 0,
+            })),
+        }
+    }
+
+    /// [`resolve`](Self::resolve) for a gate of the circuit. A gate that is
+    /// not a unitary the simulator knows — an unknown name, or a known one
+    /// with the wrong number of targets — is an error, not a panic: gate
+    /// lists can be built by hand, unvalidated.
+    fn resolve_gate(&self, gate: &Gate) -> Result<Resolved, SimError> {
+        let unsupported = || SimError::UnsupportedGate {
+            gate: gate.describe(),
+            simulator: "state-vector",
+        };
+        let (targets, controls) = match gate {
+            Gate::Comment { .. } => return Ok(Resolved::Skip),
+            Gate::QGate {
+                targets, controls, ..
+            }
+            | Gate::QRot {
+                targets, controls, ..
+            } => (&targets[..], controls),
+            Gate::GPhase { controls, .. } => (&[][..], controls),
+            _ => return Err(unsupported()),
+        };
+        let Some((mask, want)) = self.resolve_controls(controls)? else {
+            return Ok(Resolved::Skip);
+        };
+        let resolved = match (gate, targets) {
+            (Gate::GPhase { angle, .. }, []) => WinGate::Phase {
+                k: Complex::cis(std::f64::consts::PI * angle),
+                mask,
+                want,
+            },
+            (
+                Gate::QGate {
+                    name: GateName::Swap,
+                    ..
+                },
+                &[wa, wb],
+            ) => {
+                if mask == 0 {
+                    return Ok(Resolved::Relabel(wa, wb));
+                }
+                let (a, b) = (self.slot_of(wa)?, self.slot_of(wb)?);
+                WinGate::Swap2 { a, b, mask, want }
+            }
+            (
+                Gate::QGate {
+                    name: GateName::W, ..
+                },
+                &[wa, wb],
+            ) => {
+                let (a, b) = (self.slot_of(wa)?, self.slot_of(wb)?);
+                WinGate::W2 { a, b, mask, want }
+            }
+            _ => {
+                let (wire, m, _) = unary_matrix(gate).ok_or_else(unsupported)?;
+                WinGate::from_mat2(self.slot_of(wire)?, &m, mask, want)
+            }
+        };
+        Ok(Resolved::Gate(resolved))
+    }
+
+    /// The standalone executor: one full-state pass for one resolved gate.
+    fn apply_standalone(&mut self, gate: &WinGate) {
+        let ctx = self.kernel_ctx();
+        kernels::apply(&mut self.amps, gate, &ctx, &mut self.stats);
+    }
+
+    /// Carries out a resolved op on its own, outside any window.
+    fn apply_resolved(&mut self, resolved: Resolved) -> Result<(), SimError> {
+        match resolved {
+            Resolved::Skip => Ok(()),
+            Resolved::Relabel(wa, wb) => self.relabel_swap(wa, wb),
+            Resolved::Gate(g) => {
+                self.apply_standalone(&g);
                 Ok(())
             }
-            FusedOp::Unitary2q { a, b, mat, .. } => {
-                let sa = self.slot_of(*a)?;
-                let sb = self.slot_of(*b)?;
-                let ctx = self.kernel_ctx();
-                kernels::apply_mat4(&mut self.amps, sa, sb, mat, 0, 0, &ctx, &mut self.stats);
-                Ok(())
+        }
+    }
+
+    /// Executes one op of a fused stream on its own: resolve, then the
+    /// standalone executor.
+    ///
+    /// # Errors
+    ///
+    /// As for [`apply`](Self::apply).
+    pub fn apply_fused(&mut self, op: &FusedOp) -> Result<(), SimError> {
+        match op {
+            FusedOp::Gate(g) => self.apply(g),
+            _ => {
+                let resolved = self.resolve(op)?;
+                self.apply_resolved(resolved)
             }
         }
     }
@@ -518,25 +565,24 @@ impl StateVec {
         Ok(())
     }
 
-    /// Whether an uncontrolled swap should relabel instead of moving
-    /// amplitudes.
-    fn relabels(&self, mask: usize) -> bool {
-        mask == 0 && self.config.swap_relabel && !self.reference
-    }
-
-    /// Executes a single gate. Subroutine calls must be inlined first (see
-    /// [`run`]).
+    /// Executes a single gate: allocation, measurement, termination and
+    /// classical gates here, unitaries by resolving them and handing the
+    /// result to the standalone executor. Subroutine calls must be inlined
+    /// first (see [`run`]).
     ///
     /// # Errors
     ///
-    /// Returns an error for unsupported gates, unknown wires or violated
-    /// termination assertions.
+    /// Returns an error for unsupported gates (including known gates with
+    /// the wrong number of targets), unknown wires or violated termination
+    /// assertions.
     pub fn apply(&mut self, gate: &Gate) -> Result<(), SimError> {
         match gate {
-            Gate::Comment { .. } => Ok(()),
+            Gate::Comment { .. } | Gate::QGate { .. } | Gate::QRot { .. } | Gate::GPhase { .. } => {
+                let resolved = self.resolve_gate(gate)?;
+                self.apply_resolved(resolved)
+            }
             Gate::QInit { value, wire } => {
-                let slot = self.alloc_slot(*value);
-                self.slots.insert(*wire, slot);
+                self.init_qubit(*wire, *value);
                 Ok(())
             }
             Gate::CInit { value, wire } => {
@@ -590,104 +636,6 @@ impl StateVec {
                 .remove(wire)
                 .map(|_| ())
                 .ok_or(SimError::UnknownWire { wire: *wire }),
-            Gate::QGate {
-                name,
-                inverted,
-                targets,
-                controls,
-            } => {
-                let Some((mask, want)) = self.resolve_controls(controls)? else {
-                    return Ok(());
-                };
-                match name {
-                    GateName::Swap => {
-                        if self.relabels(mask) {
-                            return self.relabel_swap(targets[0], targets[1]);
-                        }
-                        let a = self.slot_of(targets[0])?;
-                        let b = self.slot_of(targets[1])?;
-                        if self.reference {
-                            kernels::scan::apply_swap(&mut self.amps, a, b, mask, want);
-                        } else {
-                            let ctx = self.kernel_ctx();
-                            kernels::apply_swap(
-                                &mut self.amps,
-                                a,
-                                b,
-                                mask,
-                                want,
-                                &ctx,
-                                &mut self.stats,
-                            );
-                        }
-                        Ok(())
-                    }
-                    GateName::W => {
-                        let a = self.slot_of(targets[0])?;
-                        let b = self.slot_of(targets[1])?;
-                        if self.reference {
-                            kernels::scan::apply_w(&mut self.amps, a, b, mask, want);
-                        } else {
-                            let ctx = self.kernel_ctx();
-                            kernels::apply_w(
-                                &mut self.amps,
-                                a,
-                                b,
-                                *inverted,
-                                mask,
-                                want,
-                                &ctx,
-                                &mut self.stats,
-                            );
-                        }
-                        Ok(())
-                    }
-                    _ => {
-                        let m = kernels::single_qubit_matrix(name, *inverted).ok_or_else(|| {
-                            SimError::UnsupportedGate {
-                                gate: gate.describe(),
-                                simulator: "state-vector",
-                            }
-                        })?;
-                        let slot = self.slot_of(targets[0])?;
-                        self.apply_mat(slot, &m, mask, want);
-                        Ok(())
-                    }
-                }
-            }
-            Gate::QRot {
-                name,
-                inverted,
-                angle,
-                targets,
-                controls,
-            } => {
-                let Some((mask, want)) = self.resolve_controls(controls)? else {
-                    return Ok(());
-                };
-                let m = kernels::rotation_matrix(name, *angle, *inverted).ok_or_else(|| {
-                    SimError::UnsupportedGate {
-                        gate: gate.describe(),
-                        simulator: "state-vector",
-                    }
-                })?;
-                let slot = self.slot_of(targets[0])?;
-                self.apply_mat(slot, &m, mask, want);
-                Ok(())
-            }
-            Gate::GPhase { angle, controls } => {
-                let Some((mask, want)) = self.resolve_controls(controls)? else {
-                    return Ok(());
-                };
-                let phase = Complex::cis(std::f64::consts::PI * angle);
-                if self.reference {
-                    kernels::scan::apply_phase(&mut self.amps, phase, mask, want);
-                } else {
-                    let ctx = self.kernel_ctx();
-                    kernels::apply_phase(&mut self.amps, phase, mask, want, &ctx, &mut self.stats);
-                }
-                Ok(())
-            }
             Gate::CGate {
                 name,
                 inverted,
@@ -744,14 +692,12 @@ impl StateVec {
             if should_stop() {
                 return Err(SimError::Stopped);
             }
-            if self.config.window {
-                if let Some(seg) = fused.segments.get(next_seg).filter(|s| s.start == i) {
-                    debug_assert!(seg.end <= ops.end, "segment straddles the range end");
-                    self.exec_segment(&fused.ops[seg.start..seg.end], should_stop)?;
-                    i = seg.end;
-                    next_seg += 1;
-                    continue;
-                }
+            if let Some(seg) = fused.segments.get(next_seg).filter(|s| s.start == i) {
+                debug_assert!(seg.end <= ops.end, "segment straddles the range end");
+                self.exec_segment(&fused.ops[seg.start..seg.end], should_stop)?;
+                i = seg.end;
+                next_seg += 1;
+                continue;
             }
             self.apply_fused(&fused.ops[i])?;
             i += 1;
@@ -759,19 +705,19 @@ impl StateVec {
         Ok(())
     }
 
-    /// Executes a window segment (a run of ops [`crate::fuse`] marked
-    /// window-eligible) through the blocked executor: ops are resolved to
-    /// slot space and buffered, and each full buffer is applied in one pass
-    /// over the state. Two-slot gates reaching above the block boundary,
-    /// and over-budget high demands, flush the buffer and fall back to the
-    /// per-gate kernels.
+    /// Executes a window segment (a run of unitary ops [`crate::fuse`]
+    /// marked window-eligible) through the blocked executor: ops are
+    /// resolved to slot space and buffered, and each full buffer is applied
+    /// in one pass over the state. A two-slot gate reaching above the block
+    /// boundary flushes the buffer and runs standalone; a gate demanding
+    /// one high bit more than [`WINDOW_MAX_HIGH`] flushes and opens the
+    /// next window.
     fn exec_segment(
         &mut self,
         ops: &[FusedOp],
         should_stop: &dyn Fn() -> bool,
     ) -> Result<(), SimError> {
         let block = (1usize << self.config.window_block_bits.min(62)).min(self.amps.len());
-        let max_high = self.config.window_max_high as usize;
         let mut win: Vec<WinGate> = Vec::new();
         let mut demanded = 0usize;
         for op in ops {
@@ -780,26 +726,21 @@ impl StateVec {
             if should_stop() {
                 return Err(SimError::Stopped);
             }
-            match self.resolve_win(op, block)? {
+            match self.resolve(op)? {
                 Resolved::Skip => {}
                 Resolved::Relabel(wa, wb) => {
                     // Pure bookkeeping for *future* resolution; buffered
                     // gates hold already-resolved slots, so no flush.
                     self.relabel_swap(wa, wb)?;
                 }
-                Resolved::Fallback => {
+                Resolved::Gate(g) if !g.fits_window(block) => {
                     self.flush_window(&mut win, &mut demanded);
-                    self.apply_fused(op)?;
+                    self.apply_standalone(&g);
                 }
-                Resolved::Win(g) => {
+                Resolved::Gate(g) => {
                     let d = g.demand(block);
-                    if d != 0 && demanded & d == 0 && demanded.count_ones() as usize >= max_high {
+                    if d != 0 && demanded & d == 0 && demanded.count_ones() >= WINDOW_MAX_HIGH {
                         self.flush_window(&mut win, &mut demanded);
-                        if max_high == 0 {
-                            let ctx = self.kernel_ctx();
-                            self.apply_win_standalone(g, &ctx);
-                            continue;
-                        }
                     }
                     demanded |= d;
                     win.push(g);
@@ -810,17 +751,15 @@ impl StateVec {
         Ok(())
     }
 
-    /// Applies and clears the buffered window. A single-gate window skips
-    /// the executor — one gate gets no reuse out of a blocked sweep.
+    /// Applies and clears the buffered window. A single-gate window goes to
+    /// the standalone executor — one gate gets no reuse out of a blocked
+    /// sweep.
     fn flush_window(&mut self, win: &mut Vec<WinGate>, demanded: &mut usize) {
         *demanded = 0;
-        if win.is_empty() {
-            return;
-        }
-        let ctx = self.kernel_ctx();
-        if win.len() == 1 {
-            let g = win.pop().unwrap();
-            self.apply_win_standalone(g, &ctx);
+        if win.len() <= 1 {
+            if let Some(g) = win.pop() {
+                self.apply_standalone(&g);
+            }
             return;
         }
         // Sampling profiler: one window in PROFILE_SAMPLE_EVERY is timed.
@@ -837,6 +776,7 @@ impl StateVec {
         } else {
             None
         };
+        let ctx = self.kernel_ctx();
         window::execute(
             &mut self.amps,
             win,
@@ -848,227 +788,6 @@ impl StateVec {
             self.prof.attribute(win, t0.elapsed().as_nanos() as u64);
         }
         win.clear();
-    }
-
-    /// Applies one resolved gate through the ordinary full-state kernels.
-    fn apply_win_standalone(&mut self, g: WinGate, ctx: &KernelCtx) {
-        match g {
-            WinGate::Phase { k, mask, want } => {
-                kernels::apply_phase(&mut self.amps, k, mask, want, ctx, &mut self.stats);
-            }
-            WinGate::Diag {
-                slot,
-                d0,
-                d1,
-                mask,
-                want,
-            } => {
-                kernels::apply_diagonal(
-                    &mut self.amps,
-                    slot,
-                    d0,
-                    d1,
-                    mask,
-                    want,
-                    ctx,
-                    &mut self.stats,
-                );
-            }
-            WinGate::Perm {
-                slot,
-                m01,
-                m10,
-                mask,
-                want,
-            } => {
-                kernels::apply_permutation(
-                    &mut self.amps,
-                    slot,
-                    m01,
-                    m10,
-                    mask,
-                    want,
-                    ctx,
-                    &mut self.stats,
-                );
-            }
-            WinGate::Dense {
-                slot,
-                m,
-                mask,
-                want,
-            } => {
-                kernels::apply_general(&mut self.amps, slot, &m, mask, want, ctx, &mut self.stats);
-            }
-            WinGate::Swap2 { a, b, mask, want } => {
-                kernels::apply_swap(&mut self.amps, a, b, mask, want, ctx, &mut self.stats);
-            }
-            WinGate::W2 { a, b, mask, want } => {
-                kernels::apply_w(
-                    &mut self.amps,
-                    a,
-                    b,
-                    false,
-                    mask,
-                    want,
-                    ctx,
-                    &mut self.stats,
-                );
-            }
-            WinGate::Mat4g {
-                a,
-                b,
-                m,
-                mask,
-                want,
-            } => {
-                kernels::apply_mat4(&mut self.amps, a, b, &m, mask, want, ctx, &mut self.stats);
-            }
-        }
-    }
-
-    /// Resolves one window-eligible op to slot space.
-    fn resolve_win(&self, op: &FusedOp, block: usize) -> Result<Resolved, SimError> {
-        match op {
-            FusedOp::Unitary1q {
-                wire,
-                controls,
-                mat,
-                ..
-            } => {
-                let Some((mask, want)) = self.resolve_controls(controls)? else {
-                    return Ok(Resolved::Skip);
-                };
-                let slot = self.slot_of(*wire)?;
-                Ok(Resolved::Win(win_1q(slot, mat, mask, want)))
-            }
-            FusedOp::Unitary2q { a, b, mat, .. } => {
-                let sa = self.slot_of(*a)?;
-                let sb = self.slot_of(*b)?;
-                if (1usize << sa.max(sb)) >= block {
-                    return Ok(Resolved::Fallback);
-                }
-                Ok(Resolved::Win(WinGate::Mat4g {
-                    a: sa,
-                    b: sb,
-                    m: Box::new(*mat),
-                    mask: 0,
-                    want: 0,
-                }))
-            }
-            FusedOp::Gate(g) => match g {
-                Gate::Comment { .. } => Ok(Resolved::Skip),
-                Gate::GPhase { angle, controls } => {
-                    let Some((mask, want)) = self.resolve_controls(controls)? else {
-                        return Ok(Resolved::Skip);
-                    };
-                    let k = Complex::cis(std::f64::consts::PI * angle);
-                    Ok(Resolved::Win(WinGate::Phase { k, mask, want }))
-                }
-                Gate::QGate {
-                    name: GateName::Swap,
-                    targets,
-                    controls,
-                    ..
-                } => {
-                    let Some((mask, want)) = self.resolve_controls(controls)? else {
-                        return Ok(Resolved::Skip);
-                    };
-                    if self.relabels(mask) {
-                        return Ok(Resolved::Relabel(targets[0], targets[1]));
-                    }
-                    let a = self.slot_of(targets[0])?;
-                    let b = self.slot_of(targets[1])?;
-                    if (1usize << a.max(b)) >= block {
-                        return Ok(Resolved::Fallback);
-                    }
-                    Ok(Resolved::Win(WinGate::Swap2 { a, b, mask, want }))
-                }
-                Gate::QGate {
-                    name: GateName::W,
-                    targets,
-                    controls,
-                    ..
-                } => {
-                    let Some((mask, want)) = self.resolve_controls(controls)? else {
-                        return Ok(Resolved::Skip);
-                    };
-                    let a = self.slot_of(targets[0])?;
-                    let b = self.slot_of(targets[1])?;
-                    if (1usize << a.max(b)) >= block {
-                        return Ok(Resolved::Fallback);
-                    }
-                    Ok(Resolved::Win(WinGate::W2 { a, b, mask, want }))
-                }
-                _ => {
-                    let Some((wire, m, controls)) = crate::fuse::unary_matrix(g) else {
-                        return Ok(Resolved::Fallback);
-                    };
-                    let Some((mask, want)) = self.resolve_controls(controls)? else {
-                        return Ok(Resolved::Skip);
-                    };
-                    let slot = self.slot_of(wire)?;
-                    Ok(Resolved::Win(win_1q(slot, &m, mask, want)))
-                }
-            },
-        }
-    }
-}
-
-/// What a window-eligible op resolved to.
-enum Resolved {
-    /// No-op here (comment, or an unsatisfied classical control).
-    Skip,
-    /// An uncontrolled swap absorbed into slot bookkeeping.
-    Relabel(Wire, Wire),
-    /// Cannot join a window (two-slot gate above the block boundary);
-    /// apply through the ordinary per-gate path.
-    Fallback,
-    /// A resolved window gate.
-    Win(WinGate),
-}
-
-/// Builds the window gate for a 1q matrix on a resolved slot, with the
-/// same diagonal→phase folding as [`kernels::apply_mat2`].
-fn win_1q(slot: usize, m: &Mat2, mask: usize, want: usize) -> WinGate {
-    let bit = 1usize << slot;
-    match kernels::classify(m) {
-        KernelClass::Diagonal => {
-            if m[0][0] == ONE {
-                WinGate::Phase {
-                    k: m[1][1],
-                    mask: mask | bit,
-                    want: want | bit,
-                }
-            } else if m[1][1] == ONE {
-                WinGate::Phase {
-                    k: m[0][0],
-                    mask: mask | bit,
-                    want,
-                }
-            } else {
-                WinGate::Diag {
-                    slot,
-                    d0: m[0][0],
-                    d1: m[1][1],
-                    mask,
-                    want,
-                }
-            }
-        }
-        KernelClass::Permutation => WinGate::Perm {
-            slot,
-            m01: m[0][1],
-            m10: m[1][0],
-            mask,
-            want,
-        },
-        KernelClass::General => WinGate::Dense {
-            slot,
-            m: *m,
-            mask,
-            want,
-        },
     }
 }
 
@@ -1142,7 +861,8 @@ pub fn run_flat(flat: &Circuit, inputs: &[bool], seed: u64) -> Result<RunResult,
     run_flat_with(flat, inputs, seed, StateVecConfig::default())
 }
 
-/// Runs an already-flattened circuit with an explicit configuration.
+/// Runs an already-flattened circuit with an explicit configuration: fuses
+/// it ([`fuse_circuit`]) and runs the fused stream ([`run_fused`]).
 ///
 /// # Errors
 ///
@@ -1153,34 +873,7 @@ pub fn run_flat_with(
     seed: u64,
     config: StateVecConfig,
 ) -> Result<RunResult, SimError> {
-    if config.fuse {
-        let fused = fuse_circuit_with(
-            flat,
-            FuseOptions {
-                merge_1q: true,
-                merge_2q: config.fuse_2q,
-            },
-        );
-        return run_fused(&fused, inputs, seed, config);
-    }
-    if inputs.len() != flat.inputs.len() {
-        return Err(SimError::InputArity {
-            expected: flat.inputs.len(),
-            found: inputs.len(),
-        });
-    }
-    let mut sv = StateVec::with_config(seed, config);
-    for (&(w, t), &v) in flat.inputs.iter().zip(inputs) {
-        sv.add_input(w, t, v);
-    }
-    for gate in &flat.gates {
-        sv.apply(gate)?;
-    }
-    publish_kernel_metrics(&sv);
-    Ok(RunResult {
-        state: sv,
-        outputs: flat.outputs.clone(),
-    })
+    run_fused(&fuse_circuit(flat), inputs, seed, config)
 }
 
 /// Feeds one run's kernel-dispatch counters into the process-wide metrics
@@ -1218,6 +911,10 @@ fn publish_kernel_metrics(sv: &StateVec) {
 /// [`evolve`] + [`Shots::shot`] (prefix once, then each shot from the
 /// evolved state) is tested against, seed for seed.
 ///
+/// The stream decides what runs merged and what runs windowed; a stream
+/// from [`segment_circuit`](crate::fuse::segment_circuit) runs the
+/// circuit's own gates, unmerged, through the same windows.
+///
 /// # Errors
 ///
 /// As for [`run_flat`].
@@ -1242,37 +939,6 @@ pub fn run_fused(
     Ok(RunResult {
         state: sv,
         outputs: fused.outputs.clone(),
-    })
-}
-
-/// Runs a flat circuit on the full-scan reference path: no fusion, no
-/// kernels, no threads. The baseline that the optimized paths are verified
-/// against (and benchmarked over).
-///
-/// # Errors
-///
-/// As for [`run_flat`].
-pub fn run_flat_reference(
-    flat: &Circuit,
-    inputs: &[bool],
-    seed: u64,
-) -> Result<RunResult, SimError> {
-    if inputs.len() != flat.inputs.len() {
-        return Err(SimError::InputArity {
-            expected: flat.inputs.len(),
-            found: inputs.len(),
-        });
-    }
-    let mut sv = StateVec::reference(seed);
-    for (&(w, t), &v) in flat.inputs.iter().zip(inputs) {
-        sv.add_input(w, t, v);
-    }
-    for gate in &flat.gates {
-        sv.apply(gate)?;
-    }
-    Ok(RunResult {
-        state: sv,
-        outputs: flat.outputs.clone(),
     })
 }
 
@@ -1459,7 +1125,8 @@ mod tests {
         );
         let flat = inline_all(&bc.db, &bc.main).unwrap();
         for seed in 0..20 {
-            let r = run_flat_reference(&flat, &[false, true, false], seed).unwrap();
+            let r =
+                crate::reference::run_flat_reference(&flat, &[false, true, false], seed).unwrap();
             let k = run_flat_with(
                 &flat,
                 &[false, true, false],
@@ -1471,24 +1138,104 @@ mod tests {
         }
     }
 
+    /// The gate-at-a-time path (the lifter's): each gate is resolved and
+    /// dispatched to the kernel its matrix classifies to.
     #[test]
     fn kernel_stats_count_dispatches() {
         let bc = Circ::build(&(false, false), |c, (a, b): (Qubit, Qubit)| {
             c.gate_t(a); // diagonal
             c.qnot(a); // permutation
             c.hadamard(b); // general
+            c.swap(a, b); // relabeled
             (a, b)
         });
         let flat = inline_all(&bc.db, &bc.main).unwrap();
-        let cfg = StateVecConfig {
-            fuse: false,
-            ..StateVecConfig::sequential()
-        };
-        let r = run_flat_with(&flat, &[false, false], 1, cfg).unwrap();
-        let s = r.state.kernel_stats();
+        let mut sv = StateVec::new(1);
+        for &(w, t) in &flat.inputs {
+            sv.add_input(w, t, false);
+        }
+        for gate in &flat.gates {
+            sv.apply(gate).unwrap();
+        }
+        let s = sv.kernel_stats();
         assert_eq!(s.diagonal, 1);
         assert_eq!(s.permutation, 1);
         assert_eq!(s.general, 1);
+        assert_eq!(s.relabeled, 1);
+        assert_eq!(s.windows, 0);
+    }
+
+    /// A hand-built gate with the wrong number of targets is an
+    /// `UnsupportedGate` error from every unitary arm of the resolver,
+    /// gate-at-a-time and inside a window segment alike — never an
+    /// out-of-bounds index.
+    #[test]
+    fn wrong_target_arity_is_an_error_not_a_panic() {
+        use crate::fuse::segment_circuit;
+        let ws = [Wire(0), Wire(1), Wire(2)];
+        let qgate = |name: GateName, n: usize| Gate::QGate {
+            name,
+            inverted: false,
+            targets: ws[..n].to_vec(),
+            controls: Vec::new(),
+        };
+        let qrot = |n: usize| Gate::QRot {
+            name: "R(%)".into(),
+            inverted: false,
+            angle: 0.5,
+            targets: ws[..n].to_vec(),
+            controls: Vec::new(),
+        };
+        let bad = [
+            qgate(GateName::H, 0),
+            qgate(GateName::H, 2),
+            qgate(GateName::X, 0),
+            qgate(GateName::X, 3),
+            qrot(0),
+            qrot(2),
+            qgate(GateName::Swap, 0),
+            qgate(GateName::Swap, 1),
+            qgate(GateName::Swap, 3),
+            qgate(GateName::W, 0),
+            qgate(GateName::W, 1),
+            qgate(GateName::W, 3),
+        ];
+        let inputs: Vec<_> = ws.iter().map(|&w| (w, WireType::Quantum)).collect();
+        for gate in &bad {
+            let mut sv = StateVec::new(1);
+            for &(w, t) in &inputs {
+                sv.add_input(w, t, false);
+            }
+            let err = sv.apply(gate).unwrap_err();
+            assert!(
+                matches!(err, SimError::UnsupportedGate { .. }),
+                "{gate:?}: {err:?}"
+            );
+
+            // Next to a well-formed gate a bad Swap or W lands in a window
+            // segment (which takes them by name); the others run between
+            // segments.
+            let flat = Circuit {
+                inputs: inputs.clone(),
+                gates: vec![qgate(GateName::H, 1), gate.clone()],
+                outputs: inputs.clone(),
+                wire_bound: 3,
+            };
+            let fused = segment_circuit(&flat);
+            let two_slot = matches!(
+                gate,
+                Gate::QGate {
+                    name: GateName::Swap | GateName::W,
+                    ..
+                }
+            );
+            assert_eq!(fused.segments.len(), usize::from(two_slot), "{gate:?}");
+            let err = run_fused(&fused, &[false; 3], 1, StateVecConfig::default()).unwrap_err();
+            assert!(
+                matches!(err, SimError::UnsupportedGate { .. }),
+                "{gate:?} in a fused stream: {err:?}"
+            );
+        }
     }
 
     /// Long windowed workload driving the sampling profiler: amplitudes
@@ -1496,36 +1243,33 @@ mod tests {
     /// times exactly one window in [`PROFILE_SAMPLE_EVERY`].
     #[test]
     fn profiler_is_bit_identical_and_samples_windows() {
-        let bc = Circ::build(
-            &(false, false, false, false),
-            |c, (a, b, d, e): (Qubit, Qubit, Qubit, Qubit)| {
-                for _ in 0..120 {
-                    c.hadamard(a);
-                    c.gate_t(b);
-                    c.cnot(b, a);
-                    c.hadamard(d);
-                    c.gate_s(e);
-                    c.toffoli(e, a, d);
+        const N: usize = 6;
+        let bc = Circ::build(&vec![false; N], |c, qs: Vec<Qubit>| {
+            for l in 0..40 {
+                for &q in &qs {
+                    c.hadamard(q);
                 }
-                (a, b, d, e)
-            },
-        );
+                c.cnot(qs[l % N], qs[(l + 1) % N]);
+                c.toffoli(qs[(l + 2) % N], qs[(l + 3) % N], qs[(l + 4) % N]);
+                c.gate_t(qs[(l + 5) % N]);
+            }
+            qs
+        });
         let flat = inline_all(&bc.db, &bc.main).unwrap();
-        // A one-amplitude block with a one-bit high budget forces a flush
-        // every time a second distinct dense/permutation target shows up,
-        // so the workload sheds plenty of multi-gate windows.
+        // With a one-amplitude block every dense or permutation target is a
+        // high bit, and a layer touches six of them against a budget of
+        // four: the workload sheds at least one multi-gate window a layer.
         let base_cfg = StateVecConfig {
             threads: 1,
             window_block_bits: 0,
-            window_max_high: 1,
             ..StateVecConfig::default()
         };
         let prof_cfg = StateVecConfig {
             profile: true,
             ..base_cfg
         };
-        let base = run_flat_with(&flat, &[false; 4], 5, base_cfg).unwrap();
-        let prof = run_flat_with(&flat, &[false; 4], 5, prof_cfg).unwrap();
+        let base = run_flat_with(&flat, &[false; N], 5, base_cfg).unwrap();
+        let prof = run_flat_with(&flat, &[false; N], 5, prof_cfg).unwrap();
         assert_eq!(
             base.state.amplitudes(),
             prof.state.amplitudes(),
@@ -1581,15 +1325,8 @@ pub fn sample_outputs(
     // Inline, fuse and evolve the shot-invariant prefix once; every shot is
     // then drawn from the evolved state.
     let flat = inline_all(&bc.db, &bc.main)?;
-    let config = StateVecConfig::default();
-    let fused = fuse_circuit_with(
-        &flat,
-        FuseOptions {
-            merge_1q: true,
-            merge_2q: config.fuse_2q,
-        },
-    );
-    let evolved = evolve(Arc::new(fused), inputs, config, &|| false)?;
+    let fused = Arc::new(fuse_circuit(&flat));
+    let evolved = evolve(fused, inputs, StateVecConfig::default(), &|| false)?;
     let mut shots_from = evolved.shots();
     for shot in 0..shots {
         *hist.entry(shots_from.shot(seed0 + shot)?).or_insert(0) += 1;

@@ -4,10 +4,11 @@
 //! memory once per gate; for the large states the simulator is actually
 //! slow on, that traffic — not arithmetic — is the bound. The window
 //! executor regroups execution: a *window* is a short run of resolved gates
-//! (see [`WinGate`]), and the state is walked once in cache-sized *blocks*
-//! of `2^block_bits` contiguous amplitudes, applying every gate of the
-//! window to a block before moving on. Each amplitude is loaded from DRAM
-//! once per window instead of once per gate.
+//! ([`WinGate`], the same slot-space gates [`kernels::apply`] takes one at a
+//! time), and the state is walked once in cache-sized *blocks* of
+//! `2^block_bits` contiguous amplitudes, applying every gate of the window
+//! to a block before moving on. Each amplitude is loaded from DRAM once per
+//! window instead of once per gate.
 //!
 //! **Tiles and strips.** Gates whose target slot is below `block_bits`
 //! ("low" gates) pair amplitudes within one block, so they apply to each
@@ -24,127 +25,29 @@
 //!
 //! **Bit-identical contract.** Every per-amplitude update inside a strip
 //! performs the same products in the same order as the corresponding
-//! full-pass kernel (the strip bodies *are* the kernel bodies, applied to a
-//! sub-slice with the control mask pre-localized). Gates are applied in
-//! stream order within each tile and tiles are disjoint and independent,
-//! so the window result is `==`-equal to applying the gates one by one —
-//! the window property tests assert this against the scan oracle.
+//! full-pass kernel (the strip bodies *are* the kernel bodies: a gate inside
+//! the block goes through [`kernels::apply_under`] on the strip's sub-slice,
+//! with the control mask pre-localized). Gates are applied in stream order
+//! within each tile and tiles are disjoint and independent, so the window
+//! result is `==`-equal to applying the gates one by one — the window
+//! property tests assert this against the scan oracle
+//! ([`crate::reference`]).
+//!
+//! **Who builds windows.** The simulator (`StateVec::exec_segment`) buffers
+//! the gates of a planned segment into windows and flushes on two
+//! conditions only: a two-slot gate that does not
+//! [fit](WinGate::fits_window) below the block boundary, which runs
+//! standalone, and a gate that would demand a fifth distinct high bit. A
+//! window of one gate also runs standalone: one gate gets no reuse out of a
+//! blocked sweep.
 //!
 //! Threading reuses [`kernels::dispatch`]: chunks are constrained to whole
 //! tiles (`min_block` of twice the highest demanded bit), which keeps the
 //! threaded result bit-identical as well.
 
 use crate::complex::{Complex, ONE};
-use crate::kernels::{self, KernelClass, KernelCtx, KernelStats, Mat2, Mat4};
+use crate::kernels::{self, KernelCtx, KernelStats, WinGate};
 use crate::simd;
-
-/// One gate of a window, resolved to slot space: wires are slot indices and
-/// controls are a global `(mask, want)` condition.
-#[derive(Clone, Debug)]
-pub(crate) enum WinGate {
-    /// Multiply every amplitude satisfying the condition by `k` (GPhase,
-    /// and the phase-folded diagonal 1q gates: T, S, R, CP, CRz).
-    Phase {
-        k: Complex,
-        mask: usize,
-        want: usize,
-    },
-    /// A diagonal 1q gate with both entries non-unit.
-    Diag {
-        slot: usize,
-        d0: Complex,
-        d1: Complex,
-        mask: usize,
-        want: usize,
-    },
-    /// An anti-diagonal 1q gate (X, Y and scaled variants).
-    Perm {
-        slot: usize,
-        m01: Complex,
-        m10: Complex,
-        mask: usize,
-        want: usize,
-    },
-    /// A dense 1q gate.
-    Dense {
-        slot: usize,
-        m: Mat2,
-        mask: usize,
-        want: usize,
-    },
-    /// A swap of two low slots.
-    Swap2 {
-        a: usize,
-        b: usize,
-        mask: usize,
-        want: usize,
-    },
-    /// The W gate over two low slots.
-    W2 {
-        a: usize,
-        b: usize,
-        mask: usize,
-        want: usize,
-    },
-    /// A fused 4×4 over two low slots (boxed: the matrix would otherwise
-    /// dominate the enum size).
-    Mat4g {
-        a: usize,
-        b: usize,
-        m: Box<Mat4>,
-        mask: usize,
-        want: usize,
-    },
-}
-
-impl WinGate {
-    /// The high bit this gate demands of its tile, or 0. Only 1q pair
-    /// updates demand; diagonal/phase gates select per strip, and the
-    /// caller keeps two-slot gates below the block boundary.
-    pub(crate) fn demand(&self, block: usize) -> usize {
-        match self {
-            WinGate::Perm { slot, .. } | WinGate::Dense { slot, .. } => {
-                let bit = 1usize << slot;
-                if bit >= block {
-                    bit
-                } else {
-                    0
-                }
-            }
-            _ => 0,
-        }
-    }
-
-    /// Counts this gate into the dispatch statistics with the same
-    /// class/sub-cube semantics as the per-gate kernels.
-    fn count(&self, stats: &mut KernelStats) {
-        let mask = match self {
-            WinGate::Phase { mask, .. }
-            | WinGate::Diag { mask, .. }
-            | WinGate::Perm { mask, .. }
-            | WinGate::Dense { mask, .. }
-            | WinGate::Swap2 { mask, .. }
-            | WinGate::W2 { mask, .. }
-            | WinGate::Mat4g { mask, .. } => *mask,
-        };
-        if mask != 0 {
-            stats.subcube += 1;
-        }
-        match self {
-            WinGate::Phase { .. } | WinGate::Diag { .. } => stats.diagonal += 1,
-            WinGate::Perm { .. } | WinGate::Swap2 { .. } => stats.permutation += 1,
-            WinGate::Dense { .. } | WinGate::W2 { .. } => stats.general += 1,
-            WinGate::Mat4g { m, .. } => {
-                stats.mat4 += 1;
-                if kernels::classify4(m) == KernelClass::Diagonal {
-                    stats.diagonal += 1;
-                } else {
-                    stats.general += 1;
-                }
-            }
-        }
-    }
-}
 
 /// Enumerates the subsets of `mask` (including 0 and `mask` itself) in
 /// ascending order.
@@ -189,9 +92,8 @@ pub(crate) fn execute(
         1usize << (usize::BITS - high_mask.leading_zeros())
     };
     let strip_ctx = KernelCtx {
-        threads: 1,
-        min_parallel_amps: usize::MAX,
         simd: ctx.simd,
+        ..KernelCtx::sequential()
     };
     let threaded = kernels::dispatch(amps, ctx, min_block, move |base, chunk| {
         let tile_fixed = (block - 1) | high_mask;
@@ -207,9 +109,10 @@ pub(crate) fn execute(
 }
 
 /// Applies one gate to the tile with chunk-local base `t` (the chunk's
-/// global base being `chunk_base`). Low gates run per strip through the
-/// kernel bodies with the control mask pre-localized; high 1q gates pair
-/// strips across their demanded bit.
+/// global base being `chunk_base`). A gate inside the block runs per strip
+/// through the standalone executor's kernels, with the control condition
+/// localized to the strip; a 1q gate above the block selects a per-strip
+/// phase (diagonal) or pairs strips across its demanded bit.
 fn apply_in_tile(
     chunk: &mut [Complex],
     chunk_base: usize,
@@ -223,234 +126,83 @@ fn apply_in_tile(
     // counters were taken once per gate in `execute`.
     let mut scratch = KernelStats::default();
     let simd = strip_ctx.simd;
+    let (mask, want) = gate.condition();
     match gate {
-        WinGate::Phase { k, mask, want } => {
+        WinGate::Diag { slot, d0, d1, .. } if (1usize << slot) >= block => {
+            // The slot is constant within each strip: a per-strip scale by
+            // whichever diagonal entry the strip's base selects.
+            let bit = 1usize << slot;
             for_each_subset(high_mask, |a| {
                 let off = t | a;
-                let Some((m, w)) = kernels::localize(chunk_base + off, block, *mask, *want) else {
+                let g = chunk_base + off;
+                let k = if g & bit != 0 { *d1 } else { *d0 };
+                if k == ONE {
+                    return;
+                }
+                let Some((m, w)) = kernels::localize(g, block, mask, want) else {
                     return;
                 };
-                kernels::apply_phase(
-                    &mut chunk[off..off + block],
-                    *k,
-                    m,
-                    w,
-                    strip_ctx,
-                    &mut scratch,
-                );
+                let strip = &mut chunk[off..off + block];
+                kernels::apply_phase(strip, k, m, w, strip_ctx, &mut scratch);
             });
         }
-        WinGate::Diag {
-            slot,
-            d0,
-            d1,
-            mask,
-            want,
-        } => {
+        WinGate::Perm { slot, m01, m10, .. } if (1usize << slot) >= block => {
             let bit = 1usize << slot;
-            if bit >= block {
-                // The slot is constant within each strip: a per-strip scale
-                // by whichever diagonal entry the strip's base selects.
-                for_each_subset(high_mask, |a| {
-                    let off = t | a;
-                    let g = chunk_base + off;
-                    let k = if g & bit != 0 { *d1 } else { *d0 };
-                    if k == ONE {
-                        return;
+            let pure_swap = *m01 == ONE && *m10 == ONE;
+            for_each_subset(high_mask & !bit, |a| {
+                let off0 = t | a;
+                let Some((m, w)) = kernels::localize(chunk_base + off0, block, mask, want) else {
+                    return;
+                };
+                let (lo, hi) = strip_pair(chunk, off0, off0 | bit, block);
+                if m == 0 {
+                    if pure_swap {
+                        lo.swap_with_slice(hi);
+                    } else {
+                        simd::cross_scale(lo, hi, *m01, *m10, simd);
                     }
-                    let Some((m, w)) = kernels::localize(g, block, *mask, *want) else {
-                        return;
-                    };
-                    kernels::apply_phase(
-                        &mut chunk[off..off + block],
-                        k,
-                        m,
-                        w,
-                        strip_ctx,
-                        &mut scratch,
-                    );
-                });
-            } else {
-                for_each_subset(high_mask, |a| {
-                    let off = t | a;
-                    let Some((m, w)) = kernels::localize(chunk_base + off, block, *mask, *want)
-                    else {
-                        return;
-                    };
-                    kernels::apply_diagonal(
-                        &mut chunk[off..off + block],
-                        *slot,
-                        *d0,
-                        *d1,
-                        m,
-                        w,
-                        strip_ctx,
-                        &mut scratch,
-                    );
-                });
-            }
-        }
-        WinGate::Perm {
-            slot,
-            m01,
-            m10,
-            mask,
-            want,
-        } => {
-            let bit = 1usize << slot;
-            if bit >= block {
-                let pure_swap = *m01 == ONE && *m10 == ONE;
-                for_each_subset(high_mask & !bit, |a| {
-                    let off0 = t | a;
-                    let Some((m, w)) = kernels::localize(chunk_base + off0, block, *mask, *want)
-                    else {
-                        return;
-                    };
-                    let (lo, hi) = strip_pair(chunk, off0, off0 | bit, block);
-                    if m == 0 {
+                } else {
+                    kernels::for_each_subcube(block, m, |i| {
+                        let i = i | w;
                         if pure_swap {
-                            lo.swap_with_slice(hi);
+                            std::mem::swap(&mut lo[i], &mut hi[i]);
                         } else {
-                            simd::cross_scale(lo, hi, *m01, *m10, simd);
-                        }
-                    } else {
-                        kernels::for_each_subcube(block, m, |i| {
-                            let i = i | w;
-                            if pure_swap {
-                                std::mem::swap(&mut lo[i], &mut hi[i]);
-                            } else {
-                                let (x0, x1) = (lo[i], hi[i]);
-                                lo[i] = *m01 * x1;
-                                hi[i] = *m10 * x0;
-                            }
-                        });
-                    }
-                });
-            } else {
-                for_each_subset(high_mask, |a| {
-                    let off = t | a;
-                    let Some((m, w)) = kernels::localize(chunk_base + off, block, *mask, *want)
-                    else {
-                        return;
-                    };
-                    kernels::apply_permutation(
-                        &mut chunk[off..off + block],
-                        *slot,
-                        *m01,
-                        *m10,
-                        m,
-                        w,
-                        strip_ctx,
-                        &mut scratch,
-                    );
-                });
-            }
-        }
-        WinGate::Dense {
-            slot,
-            m,
-            mask,
-            want,
-        } => {
-            let bit = 1usize << slot;
-            if bit >= block {
-                for_each_subset(high_mask & !bit, |a| {
-                    let off0 = t | a;
-                    let Some((lm, lw)) = kernels::localize(chunk_base + off0, block, *mask, *want)
-                    else {
-                        return;
-                    };
-                    let (lo, hi) = strip_pair(chunk, off0, off0 | bit, block);
-                    if lm == 0 {
-                        simd::pair_update(lo, hi, m, simd);
-                    } else {
-                        kernels::for_each_subcube(block, lm, |i| {
-                            let i = i | lw;
                             let (x0, x1) = (lo[i], hi[i]);
-                            lo[i] = m[0][0] * x0 + m[0][1] * x1;
-                            hi[i] = m[1][0] * x0 + m[1][1] * x1;
-                        });
-                    }
-                });
-            } else {
-                for_each_subset(high_mask, |a| {
-                    let off = t | a;
-                    let Some((lm, lw)) = kernels::localize(chunk_base + off, block, *mask, *want)
-                    else {
-                        return;
-                    };
-                    kernels::apply_general(
-                        &mut chunk[off..off + block],
-                        *slot,
-                        m,
-                        lm,
-                        lw,
-                        strip_ctx,
-                        &mut scratch,
-                    );
-                });
-            }
-        }
-        WinGate::Swap2 { a, b, mask, want } => {
-            for_each_subset(high_mask, |s| {
-                let off = t | s;
-                let Some((m, w)) = kernels::localize(chunk_base + off, block, *mask, *want) else {
-                    return;
-                };
-                kernels::apply_swap(
-                    &mut chunk[off..off + block],
-                    *a,
-                    *b,
-                    m,
-                    w,
-                    strip_ctx,
-                    &mut scratch,
-                );
+                            lo[i] = *m01 * x1;
+                            hi[i] = *m10 * x0;
+                        }
+                    });
+                }
             });
         }
-        WinGate::W2 { a, b, mask, want } => {
-            for_each_subset(high_mask, |s| {
-                let off = t | s;
-                let Some((m, w)) = kernels::localize(chunk_base + off, block, *mask, *want) else {
+        WinGate::Dense { slot, m, .. } if (1usize << slot) >= block => {
+            let bit = 1usize << slot;
+            for_each_subset(high_mask & !bit, |a| {
+                let off0 = t | a;
+                let Some((lm, lw)) = kernels::localize(chunk_base + off0, block, mask, want) else {
                     return;
                 };
-                kernels::apply_w(
-                    &mut chunk[off..off + block],
-                    *a,
-                    *b,
-                    false,
-                    m,
-                    w,
-                    strip_ctx,
-                    &mut scratch,
-                );
+                let (lo, hi) = strip_pair(chunk, off0, off0 | bit, block);
+                if lm == 0 {
+                    simd::pair_update(lo, hi, m, simd);
+                } else {
+                    kernels::for_each_subcube(block, lm, |i| {
+                        let i = i | lw;
+                        let (x0, x1) = (lo[i], hi[i]);
+                        lo[i] = m[0][0] * x0 + m[0][1] * x1;
+                        hi[i] = m[1][0] * x0 + m[1][1] * x1;
+                    });
+                }
             });
         }
-        WinGate::Mat4g {
-            a,
-            b,
-            m,
-            mask,
-            want,
-        } => {
-            for_each_subset(high_mask, |s| {
-                let off = t | s;
-                let Some((lm, lw)) = kernels::localize(chunk_base + off, block, *mask, *want)
-                else {
-                    return;
-                };
-                kernels::apply_mat4(
-                    &mut chunk[off..off + block],
-                    *a,
-                    *b,
-                    m,
-                    lm,
-                    lw,
-                    strip_ctx,
-                    &mut scratch,
-                );
-            });
-        }
+        _ => for_each_subset(high_mask, |a| {
+            let off = t | a;
+            let Some((m, w)) = kernels::localize(chunk_base + off, block, mask, want) else {
+                return;
+            };
+            let strip = &mut chunk[off..off + block];
+            kernels::apply_under(strip, gate, m, w, strip_ctx, &mut scratch);
+        }),
     }
 }
 

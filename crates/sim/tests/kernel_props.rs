@@ -1,162 +1,53 @@
-//! Property tests of the state-vector kernel layer: the optimized execution
-//! paths must agree with the pre-kernel full-scan reference.
+//! Property tests of the standalone executor: every gate resolved and
+//! applied in a full-state pass of its own, which is how
+//! [`StateVec::apply`](quipper_sim::StateVec::apply), the dynamic lifter and
+//! every op outside a window segment run.
 //!
-//! Three paths, two contracts:
+//! The stream under test is the circuit's own gates with *no* window
+//! segments, so nothing is buffered. Two contracts:
 //!
-//! * **Kernels, sequential** (pair-stride + specialization + sub-cube, no
-//!   fusion) and **kernels, threaded** perform the same floating-point
-//!   operations per pair as the scan, so their final amplitudes must compare
-//!   *equal* (`==`, which treats −0.0 and +0.0 as equal — the one place the
-//!   paths legitimately differ).
-//! * **Fusion** replaces gate runs with matrix products, which rounds
-//!   differently, so the fused path is held to 1e-9 amplitude closeness and
-//!   exact histogram equality on measured circuits.
+//! * **Unmerged, sequential and threaded**: the kernels perform the same
+//!   floating-point operations per pair as the scan oracle, so canonical
+//!   amplitudes compare *equal* (`==`). The vector bodies run where the host
+//!   has AVX2 and the portable ones where it does not (or where CI's scalar
+//!   leg forces them); both are held to the same `==`.
+//! * **Merged**: the production stream replaces gate runs with matrix
+//!   products, which round differently, so on measured circuits it is held
+//!   to exact outputs, seed for seed (`window_props` holds its amplitudes
+//!   to 1e-9).
+
+mod common;
 
 use proptest::prelude::*;
-use quipper::{Circ, Qubit};
-use quipper_circuit::flatten::inline_all;
-use quipper_circuit::{BCircuit, Circuit};
-use quipper_sim::statevec::{run_flat_reference, run_flat_with, StateVecConfig};
+use quipper_sim::reference::run_flat_reference;
+use quipper_sim::statevec::run_fused;
+use quipper_sim::{fuse_circuit, segment_circuit, FusedCircuit};
 
-const QUBITS: usize = 5;
+use common::{assert_identical, circuit, config, exact, flat_of, op, Ending};
 
-/// One random instruction over a small register, spanning every kernel
-/// class: diagonal (S, T, Z, R), permutation (X, Y), general (H, V, Ry),
-/// two-qubit specials (Swap, W), controlled forms, a global phase, and a
-/// scoped ancilla (exercising slot recycling and sub-cube controls).
-#[derive(Clone, Copy, Debug)]
-enum Op {
-    H(usize),
-    X(usize),
-    Y(usize),
-    Z(usize),
-    S(usize),
-    T(usize),
-    V(usize),
-    R(usize, u8),
-    Ry(usize, u8),
-    Cnot(usize, usize),
-    Toffoli(usize, usize, usize),
-    ControlledT(usize, usize),
-    Swap(usize, usize),
-    CSwap(usize, usize, usize),
-    W(usize, usize),
-    GPhase(u8, usize),
-    Ancilla(usize),
-}
-
-fn op() -> impl Strategy<Value = Op> {
-    let q = 0..QUBITS;
-    prop_oneof![
-        q.clone().prop_map(Op::H),
-        q.clone().prop_map(Op::X),
-        q.clone().prop_map(Op::Y),
-        q.clone().prop_map(Op::Z),
-        q.clone().prop_map(Op::S),
-        q.clone().prop_map(Op::T),
-        q.clone().prop_map(Op::V),
-        (q.clone(), 1u8..5).prop_map(|(a, k)| Op::R(a, k)),
-        (q.clone(), 0u8..8).prop_map(|(a, k)| Op::Ry(a, k)),
-        (q.clone(), q.clone()).prop_map(|(a, b)| Op::Cnot(a, b)),
-        (q.clone(), q.clone(), q.clone()).prop_map(|(a, b, c)| Op::Toffoli(a, b, c)),
-        (q.clone(), q.clone()).prop_map(|(a, b)| Op::ControlledT(a, b)),
-        (q.clone(), q.clone()).prop_map(|(a, b)| Op::Swap(a, b)),
-        (q.clone(), q.clone(), q.clone()).prop_map(|(a, b, c)| Op::CSwap(a, b, c)),
-        (q.clone(), q.clone()).prop_map(|(a, b)| Op::W(a, b)),
-        (0u8..8, q.clone()).prop_map(|(k, a)| Op::GPhase(k, a)),
-        q.prop_map(Op::Ancilla),
-    ]
-}
-
-/// Builds the random circuit; ops whose wires coincide are skipped. When
-/// `measured`, every qubit is measured at the end (so the circuit can be
-/// sampled); otherwise the qubits stay quantum and the final amplitudes are
-/// compared directly.
-fn circuit(ops: &[Op], measured: bool) -> BCircuit {
-    let mut c = Circ::new();
-    let qs: Vec<Qubit> = (0..QUBITS).map(|_| c.qinit_bit(false)).collect();
-    for &op in ops {
-        match op {
-            Op::H(a) => c.hadamard(qs[a]),
-            Op::X(a) => c.qnot(qs[a]),
-            Op::Y(a) => c.gate_y(qs[a]),
-            Op::Z(a) => c.gate_z(qs[a]),
-            Op::S(a) => c.gate_s(qs[a]),
-            Op::T(a) => c.gate_t(qs[a]),
-            Op::V(a) => c.gate_v(qs[a]),
-            Op::R(a, k) => c.rgate(k.into(), qs[a]),
-            Op::Ry(a, k) => c.rot("Ry(%)", f64::from(k) * 0.37, qs[a]),
-            Op::Cnot(a, b) if a != b => c.cnot(qs[a], qs[b]),
-            Op::Toffoli(t, a, b) if t != a && t != b && a != b => {
-                c.toffoli(qs[t], qs[a], qs[b]);
-            }
-            Op::ControlledT(a, b) if a != b => {
-                let (qa, qb) = (qs[a], qs[b]);
-                c.with_controls(&qb, |c| c.gate_t(qa));
-            }
-            Op::Swap(a, b) if a != b => c.swap(qs[a], qs[b]),
-            Op::CSwap(s, a, b) if s != a && s != b && a != b => {
-                let (qa, qb, qsl) = (qs[a], qs[b], qs[s]);
-                c.with_controls(&qsl, |c| c.swap(qa, qb));
-            }
-            Op::W(a, b) if a != b => c.gate_w(qs[a], qs[b]),
-            Op::GPhase(k, a) => {
-                let q = qs[a];
-                c.with_controls(&q, |c| c.gphase(f64::from(k) / 4.0));
-            }
-            Op::Ancilla(a) => {
-                let q = qs[a];
-                c.with_ancilla(|c, anc| {
-                    c.cnot(anc, q);
-                    c.gate_t(anc);
-                    c.hadamard(anc);
-                    c.hadamard(anc);
-                    c.gate_inv(quipper_circuit::GateName::T, anc);
-                    c.cnot(anc, q);
-                });
-            }
-            _ => {}
-        }
-    }
-    if measured {
-        let ms: Vec<_> = qs.into_iter().map(|q| c.measure_bit(q)).collect();
-        c.finish(&ms)
-    } else {
-        c.finish(&qs)
-    }
-}
-
-fn flat_of(bc: &BCircuit) -> Circuit {
-    inline_all(&bc.db, &bc.main).unwrap()
-}
-
-fn assert_amps_equal(a: &quipper_sim::StateVec, b: &quipper_sim::StateVec, what: &str) {
-    let (xa, xb) = (a.amplitudes(), b.amplitudes());
-    assert_eq!(xa.len(), xb.len(), "{what}: state sizes differ");
-    for (i, (x, y)) in xa.iter().zip(xb).enumerate() {
-        // f64 == treats -0.0 and +0.0 as equal; everything else must be
-        // bit-for-bit the same.
-        assert!(
-            x.re == y.re && x.im == y.im,
-            "{what}: amplitude {i} differs: {x:?} vs {y:?}"
-        );
+/// The circuit's gates as a stream that never windows: every op goes to
+/// the standalone executor.
+fn unwindowed(flat: &quipper_circuit::Circuit) -> FusedCircuit {
+    FusedCircuit {
+        segments: Vec::new(),
+        ..segment_circuit(flat)
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Sequential kernels (no fusion) are bit-identical to the full-scan
-    /// reference: same pairs, same arithmetic, different iteration scheme.
+    /// Sequential kernels are bit-identical to the full-scan oracle: same
+    /// pairs, same arithmetic, different iteration scheme.
     #[test]
     fn sequential_kernels_are_bit_identical_to_scan(
         ops in proptest::collection::vec(op(), 1..40)
     ) {
-        let flat = flat_of(&circuit(&ops, false));
-        let reference = run_flat_reference(&flat, &[], 7).unwrap();
-        let cfg = StateVecConfig { fuse: false, ..StateVecConfig::sequential() };
-        let kernels = run_flat_with(&flat, &[], 7, cfg).unwrap();
-        assert_amps_equal(&reference.state, &kernels.state, "sequential kernels");
+        let flat = flat_of(&circuit(&exact(&ops), Ending::Quantum));
+        let oracle = run_flat_reference(&flat, &[], 7).unwrap();
+        let kernels = run_fused(&unwindowed(&flat), &[], 7, config(10, 1)).unwrap();
+        prop_assert_eq!(kernels.state.kernel_stats().windows, 0);
+        assert_identical(&oracle.state, &kernels.state, "sequential kernels");
     }
 
     /// Threaded kernels are bit-identical too: chunks are disjoint and the
@@ -165,59 +56,28 @@ proptest! {
     fn threaded_kernels_are_bit_identical_to_scan(
         ops in proptest::collection::vec(op(), 1..40)
     ) {
-        let flat = flat_of(&circuit(&ops, false));
-        let reference = run_flat_reference(&flat, &[], 11).unwrap();
-        let cfg = StateVecConfig {
-            threads: 4,
-            parallel_threshold: 0,
-            ..StateVecConfig::sequential()
-        };
-        let threaded = run_flat_with(&flat, &[], 11, cfg).unwrap();
-        assert_amps_equal(&reference.state, &threaded.state, "threaded kernels");
+        let flat = flat_of(&circuit(&exact(&ops), Ending::Quantum));
+        let oracle = run_flat_reference(&flat, &[], 11).unwrap();
+        let threaded = run_fused(&unwindowed(&flat), &[], 11, config(10, 4)).unwrap();
+        assert_identical(&oracle.state, &threaded.state, "threaded kernels");
     }
 
-    /// The fused path agrees with the reference up to matrix-product
-    /// rounding (1e-9 on every amplitude).
-    #[test]
-    fn fused_execution_matches_reference_amplitudes(
-        ops in proptest::collection::vec(op(), 1..40)
-    ) {
-        let flat = flat_of(&circuit(&ops, false));
-        let reference = run_flat_reference(&flat, &[], 13).unwrap();
-        let cfg = StateVecConfig {
-            fuse: true,
-            ..StateVecConfig::sequential()
-        };
-        let fused = run_flat_with(&flat, &[], 13, cfg).unwrap();
-        let (xa, xb) = (reference.state.amplitudes(), fused.state.amplitudes());
-        prop_assert_eq!(xa.len(), xb.len());
-        for (i, (x, y)) in xa.iter().zip(xb).enumerate() {
-            let d = ((x.re - y.re).powi(2) + (x.im - y.im).powi(2)).sqrt();
-            prop_assert!(d < 1e-9, "amplitude {} off by {}: {:?} vs {:?}", i, d, x, y);
-        }
-    }
-
-    /// On measured circuits the fused + threaded path reproduces the
-    /// reference histogram exactly, seed for seed: fusion flushes at every
+    /// On measured circuits the production stream, threaded, reproduces the
+    /// oracle's outputs exactly, seed for seed: fusion flushes at every
     /// measurement, so the sampled state (and RNG consumption order) is the
     /// same up to rounding far below the sampling resolution.
     #[test]
     fn fused_threaded_histograms_match_reference(
         ops in proptest::collection::vec(op(), 1..30)
     ) {
-        let flat = flat_of(&circuit(&ops, true));
-        let cfg = StateVecConfig {
-            threads: 4,
-            fuse: true,
-            parallel_threshold: 0,
-            ..StateVecConfig::default()
-        };
+        let flat = flat_of(&circuit(&ops, Ending::Measured));
+        let fused = fuse_circuit(&flat);
         for seed in 0..20u64 {
-            let reference = run_flat_reference(&flat, &[], seed).unwrap();
-            let fused = run_flat_with(&flat, &[], seed, cfg).unwrap();
+            let oracle = run_flat_reference(&flat, &[], seed).unwrap();
+            let got = run_fused(&fused, &[], seed, config(10, 4)).unwrap();
             prop_assert_eq!(
-                reference.classical_outputs(),
-                fused.classical_outputs(),
+                oracle.classical_outputs(),
+                got.classical_outputs(),
                 "outputs diverge at seed {}",
                 seed
             );

@@ -13,7 +13,8 @@ use proptest::prelude::*;
 use quipper::{Circ, Qubit};
 use quipper_circuit::flatten::inline_all;
 use quipper_circuit::{BCircuit, Circuit, GateName};
-use quipper_sim::stabilizer::{run_clifford_flat_tableau, BoolTableau, PackedTableau};
+use quipper_sim::reference::BoolTableau;
+use quipper_sim::stabilizer::{run_clifford_flat_tableau, PackedTableau};
 
 const QUBITS: usize = 8;
 

@@ -1,164 +1,49 @@
-//! Property tests of the blocked window executor and the SIMD kernel
-//! bodies: the bandwidth-optimized paths must agree with the full-scan
-//! reference.
+//! Property tests of the blocked window executor, which is how every
+//! planned segment of a fused stream runs.
 //!
 //! Two contracts, mirroring `kernel_props`:
 //!
-//! * **Unfused windows are bit-identical.** [`segment_circuit`] plans
-//!   window segments without merging any matrices, so the blocked executor
-//!   performs gate-for-gate the same arithmetic as the scan — sequential,
-//!   threaded, and SIMD results must compare `==` (the SIMD bodies are
-//!   constructed to reproduce scalar `Complex` products exactly: no FMA).
-//!   Block size and the high-bit budget are *part of the random input*, so
-//!   tiny blocks force the high-gate strip-pairing and flush paths.
-//! * **The full default path** (1q+2q fusion, windows, SIMD, swap
+//! * **Unmerged windows are bit-identical.** [`segment_circuit`] plans
+//!   window segments without merging any matrices, so the executor performs
+//!   gate-for-gate the same arithmetic as the scan oracle — sequential and
+//!   threaded results must compare `==` on canonical amplitudes (uncontrolled
+//!   swaps are relabeled, not executed). The vector bodies reproduce scalar
+//!   `Complex` products exactly (no FMA), so this holds on AVX2 hosts and on
+//!   CI's forced-scalar leg alike. The block size is *part of the random
+//!   input*: with six qubits, blocks of 1 to 16 amplitudes put more slots
+//!   above the block than the window's fixed budget of four high bits, so
+//!   strip pairing, per-strip phases, budget overflow, the standalone
+//!   fallback for two-slot gates above the block and single-gate windows
+//!   all fire — `the_generator_reaches_every_executor_path` counts them.
+//! * **The production stream** ([`fuse_circuit`]: 1q+2q merging, windows,
 //!   relabeling) rounds differently through matrix products, so it is held
-//!   to 1e-9 closeness on canonical amplitudes and exact histogram
-//!   equality on measured circuits.
+//!   to 1e-9 closeness on canonical amplitudes and exact outputs on
+//!   measured circuits.
+
+mod common;
 
 use proptest::prelude::*;
-use quipper::{Circ, Qubit};
-use quipper_circuit::flatten::inline_all;
-use quipper_circuit::{BCircuit, Circuit};
-use quipper_sim::segment_circuit;
-use quipper_sim::statevec::{run_flat_reference, run_flat_with, run_fused, StateVecConfig};
+use quipper_circuit::{Circuit, Gate, GateName};
+use quipper_sim::reference::run_flat_reference;
+use quipper_sim::statevec::run_fused;
+use quipper_sim::{fuse_circuit, segment_circuit, FusedCircuit, FusedOp, KernelStats};
 
-const QUBITS: usize = 6;
+use common::{assert_close, assert_identical, circuit, config, exact, flat_of, op, Ending, QUBITS};
 
-/// One random instruction spanning every window-gate shape: phase-folded
-/// diagonals (S, T, R, controlled T), dense 1q (H, V, Ry), permutations
-/// (X, Y, CNOT, Toffoli), the two-qubit specials (Swap, CSwap, W), global
-/// phases, and a scoped ancilla for slot recycling.
-#[derive(Clone, Copy, Debug)]
-enum Op {
-    H(usize),
-    X(usize),
-    Y(usize),
-    Z(usize),
-    S(usize),
-    T(usize),
-    V(usize),
-    R(usize, u8),
-    Ry(usize, u8),
-    Cnot(usize, usize),
-    Toffoli(usize, usize, usize),
-    ControlledT(usize, usize),
-    Swap(usize, usize),
-    CSwap(usize, usize, usize),
-    W(usize, usize),
-    GPhase(u8, usize),
-    Ancilla(usize),
+/// The oracle against the unmerged windowed stream, `==`.
+fn check_unmerged(flat: &Circuit, bits: u32, threads: usize, seed: u64) -> KernelStats {
+    let oracle = run_flat_reference(flat, &[], seed).unwrap();
+    let windowed = run_fused(&segment_circuit(flat), &[], seed, config(bits, threads)).unwrap();
+    assert_identical(&oracle.state, &windowed.state, "unmerged windows");
+    windowed.state.kernel_stats()
 }
 
-fn op() -> impl Strategy<Value = Op> {
-    let q = 0..QUBITS;
-    prop_oneof![
-        q.clone().prop_map(Op::H),
-        q.clone().prop_map(Op::X),
-        q.clone().prop_map(Op::Y),
-        q.clone().prop_map(Op::Z),
-        q.clone().prop_map(Op::S),
-        q.clone().prop_map(Op::T),
-        q.clone().prop_map(Op::V),
-        (q.clone(), 1u8..5).prop_map(|(a, k)| Op::R(a, k)),
-        (q.clone(), 0u8..8).prop_map(|(a, k)| Op::Ry(a, k)),
-        (q.clone(), q.clone()).prop_map(|(a, b)| Op::Cnot(a, b)),
-        (q.clone(), q.clone(), q.clone()).prop_map(|(a, b, c)| Op::Toffoli(a, b, c)),
-        (q.clone(), q.clone()).prop_map(|(a, b)| Op::ControlledT(a, b)),
-        (q.clone(), q.clone()).prop_map(|(a, b)| Op::Swap(a, b)),
-        (q.clone(), q.clone(), q.clone()).prop_map(|(a, b, c)| Op::CSwap(a, b, c)),
-        (q.clone(), q.clone()).prop_map(|(a, b)| Op::W(a, b)),
-        (0u8..8, q.clone()).prop_map(|(k, a)| Op::GPhase(k, a)),
-        q.prop_map(Op::Ancilla),
-    ]
-}
-
-/// Builds the random circuit; ops whose wires coincide are skipped.
-fn circuit(ops: &[Op], measured: bool) -> BCircuit {
-    let mut c = Circ::new();
-    let qs: Vec<Qubit> = (0..QUBITS).map(|_| c.qinit_bit(false)).collect();
-    for &op in ops {
-        match op {
-            Op::H(a) => c.hadamard(qs[a]),
-            Op::X(a) => c.qnot(qs[a]),
-            Op::Y(a) => c.gate_y(qs[a]),
-            Op::Z(a) => c.gate_z(qs[a]),
-            Op::S(a) => c.gate_s(qs[a]),
-            Op::T(a) => c.gate_t(qs[a]),
-            Op::V(a) => c.gate_v(qs[a]),
-            Op::R(a, k) => c.rgate(k.into(), qs[a]),
-            Op::Ry(a, k) => c.rot("Ry(%)", f64::from(k) * 0.37, qs[a]),
-            Op::Cnot(a, b) if a != b => c.cnot(qs[a], qs[b]),
-            Op::Toffoli(t, a, b) if t != a && t != b && a != b => {
-                c.toffoli(qs[t], qs[a], qs[b]);
-            }
-            Op::ControlledT(a, b) if a != b => {
-                let (qa, qb) = (qs[a], qs[b]);
-                c.with_controls(&qb, |c| c.gate_t(qa));
-            }
-            Op::Swap(a, b) if a != b => c.swap(qs[a], qs[b]),
-            Op::CSwap(s, a, b) if s != a && s != b && a != b => {
-                let (qa, qb, qsl) = (qs[a], qs[b], qs[s]);
-                c.with_controls(&qsl, |c| c.swap(qa, qb));
-            }
-            Op::W(a, b) if a != b => c.gate_w(qs[a], qs[b]),
-            Op::GPhase(k, a) => {
-                let q = qs[a];
-                c.with_controls(&q, |c| c.gphase(f64::from(k) / 4.0));
-            }
-            Op::Ancilla(a) => {
-                let q = qs[a];
-                c.with_ancilla(|c, anc| {
-                    c.cnot(anc, q);
-                    c.gate_t(anc);
-                    c.hadamard(anc);
-                    c.hadamard(anc);
-                    c.gate_inv(quipper_circuit::GateName::T, anc);
-                    c.cnot(anc, q);
-                });
-            }
-            _ => {}
-        }
-    }
-    if measured {
-        let ms: Vec<_> = qs.into_iter().map(|q| c.measure_bit(q)).collect();
-        c.finish(&ms)
-    } else {
-        c.finish(&qs)
-    }
-}
-
-fn flat_of(bc: &BCircuit) -> Circuit {
-    inline_all(&bc.db, &bc.main).unwrap()
-}
-
-/// A window configuration with merging left to the caller: `bits` and
-/// `high` are deliberately tiny so a 6-qubit state spans many blocks and
-/// the strip-pairing, per-strip-phase, flush, and standalone paths all
-/// fire.
-fn window_config(bits: u32, high: u32, simd: bool, threads: usize) -> StateVecConfig {
-    StateVecConfig {
-        threads,
-        parallel_threshold: if threads > 1 { 0 } else { u32::MAX },
-        simd,
-        window: true,
-        window_block_bits: bits,
-        window_max_high: high,
-        ..StateVecConfig::sequential()
-    }
-}
-
-fn assert_amps_equal(a: &quipper_sim::StateVec, b: &quipper_sim::StateVec, what: &str) {
-    let (xa, xb) = (a.amplitudes(), b.amplitudes());
-    assert_eq!(xa.len(), xb.len(), "{what}: state sizes differ");
-    for (i, (x, y)) in xa.iter().zip(xb).enumerate() {
-        // f64 == treats -0.0 and +0.0 as equal; everything else must be
-        // bit-for-bit the same.
-        assert!(
-            x.re == y.re && x.im == y.im,
-            "{what}: amplitude {i} differs: {x:?} vs {y:?}"
-        );
-    }
+/// The oracle against the production stream, to 1e-9.
+fn check_merged(flat: &Circuit, bits: u32, seed: u64) -> KernelStats {
+    let oracle = run_flat_reference(flat, &[], seed).unwrap();
+    let full = run_fused(&fuse_circuit(flat), &[], seed, config(bits, 1)).unwrap();
+    assert_close(&oracle.state, &full.state, "production stream");
+    full.state.kernel_stats()
 }
 
 proptest! {
@@ -170,32 +55,9 @@ proptest! {
     fn windowed_execution_is_bit_identical_to_scan(
         ops in proptest::collection::vec(op(), 1..40),
         bits in 0u32..5,
-        high in 0u32..3,
     ) {
-        let flat = flat_of(&circuit(&ops, false));
-        let reference = run_flat_reference(&flat, &[], 7).unwrap();
-        let fused = segment_circuit(&flat);
-        let cfg = window_config(bits, high, false, 1);
-        let windowed = run_fused(&fused, &[], 7, cfg).unwrap();
-        assert_amps_equal(&reference.state, &windowed.state, "windowed kernels");
-    }
-
-    /// The SIMD kernel bodies reproduce the scalar complex products exactly
-    /// (no FMA contraction), so the windowed SIMD path is bit-identical
-    /// too. On hosts without AVX2 this degrades to the scalar path and the
-    /// test still holds.
-    #[test]
-    fn simd_windowed_execution_is_bit_identical_to_scan(
-        ops in proptest::collection::vec(op(), 1..40),
-        bits in 0u32..5,
-        high in 0u32..3,
-    ) {
-        let flat = flat_of(&circuit(&ops, false));
-        let reference = run_flat_reference(&flat, &[], 11).unwrap();
-        let fused = segment_circuit(&flat);
-        let cfg = window_config(bits, high, true, 1);
-        let simd = run_fused(&fused, &[], 11, cfg).unwrap();
-        assert_amps_equal(&reference.state, &simd.state, "SIMD windowed kernels");
+        let flat = flat_of(&circuit(&exact(&ops), Ending::Quantum));
+        check_unmerged(&flat, bits, 1, 7);
     }
 
     /// Threading chunks on whole-tile boundaries, so the threaded windowed
@@ -204,67 +66,141 @@ proptest! {
     fn threaded_windowed_execution_is_bit_identical_to_scan(
         ops in proptest::collection::vec(op(), 1..40),
         bits in 0u32..5,
-        high in 0u32..3,
     ) {
-        let flat = flat_of(&circuit(&ops, false));
-        let reference = run_flat_reference(&flat, &[], 13).unwrap();
-        let fused = segment_circuit(&flat);
-        let cfg = window_config(bits, high, true, 4);
-        let threaded = run_fused(&fused, &[], 13, cfg).unwrap();
-        assert_amps_equal(&reference.state, &threaded.state, "threaded windowed kernels");
+        let flat = flat_of(&circuit(&exact(&ops), Ending::Quantum));
+        check_unmerged(&flat, bits, 4, 13);
     }
 
-    /// The full default path — 1q+2q fusion, windows, SIMD, swap
-    /// relabeling — agrees with the reference up to matrix-product rounding
-    /// on *canonical* amplitudes (relabeling permutes the raw storage
-    /// order, canonicalization undoes it).
+    /// The production stream agrees with the oracle up to matrix-product
+    /// rounding on canonical amplitudes.
     #[test]
     fn full_default_path_matches_reference_amplitudes(
         ops in proptest::collection::vec(op(), 1..40),
+        bits in 0u32..5,
     ) {
-        let flat = flat_of(&circuit(&ops, false));
-        let reference = run_flat_reference(&flat, &[], 17).unwrap();
-        let cfg = StateVecConfig {
-            threads: 1,
-            window_block_bits: 2,
-            window_max_high: 2,
-            ..StateVecConfig::default()
-        };
-        let full = run_flat_with(&flat, &[], 17, cfg).unwrap();
-        let (xa, xb) = (
-            reference.state.canonical_amplitudes(),
-            full.state.canonical_amplitudes(),
-        );
-        prop_assert_eq!(xa.len(), xb.len());
-        for (i, (x, y)) in xa.iter().zip(xb.iter()).enumerate() {
-            let d = ((x.re - y.re).powi(2) + (x.im - y.im).powi(2)).sqrt();
-            prop_assert!(d < 1e-9, "amplitude {} off by {}: {:?} vs {:?}", i, d, x, y);
-        }
+        let flat = flat_of(&circuit(&ops, Ending::Quantum));
+        check_merged(&flat, bits, 17);
     }
 
-    /// On measured circuits the full default path reproduces the reference
+    /// On measured circuits the production stream reproduces the oracle's
     /// outputs exactly, seed for seed: windows flush at measurements and
     /// the surviving rounding noise is far below sampling resolution.
     #[test]
     fn full_default_path_histograms_match_reference(
         ops in proptest::collection::vec(op(), 1..30),
+        bits in 0u32..5,
     ) {
-        let flat = flat_of(&circuit(&ops, true));
-        let cfg = StateVecConfig {
-            threads: 1,
-            window_block_bits: 2,
-            window_max_high: 2,
-            ..StateVecConfig::default()
-        };
+        let flat = flat_of(&circuit(&ops, Ending::Measured));
+        let fused = fuse_circuit(&flat);
         for seed in 0..20u64 {
-            let reference = run_flat_reference(&flat, &[], seed).unwrap();
-            let full = run_flat_with(&flat, &[], seed, cfg).unwrap();
+            let oracle = run_flat_reference(&flat, &[], seed).unwrap();
+            let full = run_fused(&fused, &[], seed, config(bits, 1)).unwrap();
             prop_assert_eq!(
-                reference.classical_outputs(),
+                oracle.classical_outputs(),
                 full.classical_outputs(),
                 "outputs diverge at seed {}",
                 seed
             );
         }
     }
+}
+
+/// Unitary ops of the stream that run outside every segment, one standalone
+/// pass each (the generator's controls are all quantum, so none is skipped;
+/// uncontrolled swaps relabel and dispatch nothing).
+fn unitaries_outside_segments(fused: &FusedCircuit) -> u64 {
+    let in_segment = |i: usize| fused.segments.iter().any(|s| (s.start..s.end).contains(&i));
+    let dispatches = |op: &FusedOp| match op {
+        FusedOp::Gate(Gate::QGate {
+            name: GateName::Swap,
+            controls,
+            ..
+        }) => !controls.is_empty(),
+        FusedOp::Gate(g) => matches!(
+            g,
+            Gate::QGate { .. } | Gate::QRot { .. } | Gate::GPhase { .. }
+        ),
+        _ => true,
+    };
+    let outside = fused.ops.iter().enumerate();
+    outside
+        .filter(|&(i, op)| !in_segment(i) && dispatches(op))
+        .count() as u64
+}
+
+/// The knobs that used to select executor paths are gone; this counts that
+/// the one executor's own decisions still all occur under the generator
+/// above, so a change that loses a path fails here instead of passing
+/// vacuously. Written as the loop `proptest!` expands to.
+///
+/// What a run took is read off [`KernelStats`] and the stream's shape. Every
+/// other case has its two-slot gates (CSwap, W) taken out, so that what is
+/// left to explain a count is one cause:
+///
+/// * a stream that ends up as more multi-gate windows than it has segments
+///   was flushed mid-segment — by **budget overflow** when it has no
+///   two-slot gate, by the **two-slot fallback** when the block leaves at
+///   most four slots above it (seven slots with an ancilla live, so
+///   `bits ≥ 3`) and overflow is impossible;
+/// * dispatches that were neither windowed nor outside every segment ran
+///   standalone from inside one: without two-slot gates, each is a
+///   **single-gate window**;
+/// * **relabels**, **mat4** and **threaded** dispatches are counted as such.
+#[test]
+fn the_generator_reaches_every_executor_path() {
+    let mut rng = proptest::test_runner::TestRng::deterministic("window_executor_paths");
+    let case = (proptest::collection::vec(op(), 1..40), 0u32..5);
+    let (mut overflow, mut fallback, mut single) = (0, 0, 0);
+    let mut total = KernelStats::default();
+    for i in 0..2048 {
+        let (ops, bits) = case.generate(&mut rng);
+        let mut ops = exact(&ops);
+        let two_slot = i % 2 == 1;
+        if !two_slot {
+            ops.retain(|op| !op.is_two_slot());
+        }
+        let flat = flat_of(&circuit(&ops, Ending::Quantum));
+        let stats = check_unmerged(&flat, bits, if i % 4 < 2 { 1 } else { 4 }, 23);
+        total.merge(&stats);
+        total.merge(&check_merged(&flat, bits, 23));
+
+        let fused = segment_circuit(&flat);
+        let split = stats.windows > fused.segments.len() as u64;
+        let standalone_in_segments = (stats.total() - stats.windowed)
+            .checked_sub(unitaries_outside_segments(&fused))
+            .expect("every unitary outside a segment dispatches once");
+        if !two_slot {
+            overflow += u32::from(split);
+            single += u32::from(standalone_in_segments > 0);
+        } else if QUBITS as u32 + 1 - bits <= 4 {
+            fallback += u32::from(split);
+        }
+    }
+    // Thresholds are about half of what the generator reaches today
+    // (86, 190, 23; 3917, 2304, 2169, 9026).
+    assert!(
+        overflow >= 40,
+        "streams flushed by budget overflow: {overflow}"
+    );
+    assert!(
+        fallback >= 90,
+        "streams flushed by a two-slot gate above the block: {fallback}"
+    );
+    assert!(single >= 10, "streams with a single-gate window: {single}");
+    assert!(
+        total.relabeled >= 2000,
+        "relabeled swaps: {}",
+        total.relabeled
+    );
+    assert!(total.mat4 >= 1000, "mat4 dispatches: {}", total.mat4);
+    assert!(
+        total.threaded >= 1000,
+        "threaded dispatches: {}",
+        total.threaded
+    );
+    assert!(
+        total.windows >= 4500,
+        "multi-gate windows: {}",
+        total.windows
+    );
 }

@@ -412,10 +412,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The peephole optimizer is semantics-preserving: random reversible
-    /// circuits (with deliberately redundant structure appended) compute
-    /// the same function before and after optimization, on every basis
-    /// input.
+    /// The optimizer (`quipper-opt`, default pipeline) is
+    /// semantics-preserving: random reversible circuits (with deliberately
+    /// redundant structure appended) compute the same function before and
+    /// after optimization, on every basis input.
     #[test]
     fn optimizer_preserves_classical_semantics(
         gates in prop::collection::vec(rgate_strategy(4), 0..30),
@@ -436,7 +436,7 @@ proptest! {
             })
         };
         let original = build();
-        let (optimized, _stats) = quipper::optimize::optimize(&original);
+        let (optimized, _report) = quipper_opt::optimize(&original, quipper_opt::OptLevel::Default);
         optimized.validate().unwrap();
         prop_assert!(optimized.gate_count().total() <= original.gate_count().total());
         for bits in 0..16u32 {
@@ -462,7 +462,7 @@ proptest! {
                 qs
             })
         });
-        let (opt, _) = quipper::optimize::optimize(&bc);
+        let (opt, _) = quipper_opt::optimize(&bc, quipper_opt::OptLevel::Default);
         opt.validate().unwrap();
         for bits in 0..8u32 {
             let input: Vec<bool> = (0..3).map(|i| bits >> i & 1 == 1).collect();
