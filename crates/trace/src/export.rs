@@ -1,46 +1,7 @@
-//! Trace exporters: JSON Lines and Chrome trace-event format.
+//! Trace exporter: Chrome trace-event format.
 
-use crate::json::escape_into;
+use crate::json::JsonWriter;
 use crate::{Event, EventKind, TraceLog};
-
-fn push_str_field(out: &mut String, key: &str, value: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":\"");
-    escape_into(out, value);
-    out.push('"');
-}
-
-/// One JSON object per line, one line per event, in sequence order.
-///
-/// Line shape:
-/// `{"seq":0,"t_ns":123,"tid":0,"depth":1,"kind":"B","phase":"Generate","name":"...","detail":"..."}`
-/// (`detail` is omitted when absent; `kind` is `B`/`E`/`i`).
-pub fn to_json_lines(log: &TraceLog) -> String {
-    let mut out = String::new();
-    for e in &log.events {
-        let kind = match e.kind {
-            EventKind::Begin => "B",
-            EventKind::End => "E",
-            EventKind::Instant => "i",
-        };
-        out.push_str(&format!(
-            "{{\"seq\":{},\"t_ns\":{},\"tid\":{},\"depth\":{},",
-            e.seq, e.t_ns, e.tid, e.depth
-        ));
-        push_str_field(&mut out, "kind", kind);
-        out.push(',');
-        push_str_field(&mut out, "phase", e.phase.tag());
-        out.push(',');
-        push_str_field(&mut out, "name", &e.name);
-        if let Some(detail) = &e.detail {
-            out.push(',');
-            push_str_field(&mut out, "detail", detail);
-        }
-        out.push_str("}\n");
-    }
-    out
-}
 
 /// Chrome trace-event JSON (the `{"traceEvents": [...]}` object form),
 /// loadable in `chrome://tracing` and Perfetto.
@@ -48,145 +9,57 @@ pub fn to_json_lines(log: &TraceLog) -> String {
 /// Spans become `B`/`E` duration events and instants become `i` events; the
 /// [`crate::Phase`] tag is the event category (`cat`), timestamps are
 /// microseconds with fractional nanosecond precision, and each ring-buffer
-/// lane becomes a named thread.
+/// lane becomes a named thread. One event per line.
 pub fn to_chrome_trace(log: &TraceLog) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let emit = |line: String, out: &mut String, first: &mut bool| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push('\n');
-        out.push_str(&line);
-    };
+    let mut w = JsonWriter::new();
+    w.begin_object().key("traceEvents").begin_array();
 
     // Metadata: name the process and each thread lane.
-    emit(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-         \"args\":{\"name\":\"quipper\"}}"
-            .to_string(),
-        &mut out,
-        &mut first,
-    );
+    metadata(&mut w, "process_name", 0, "quipper");
     let mut tids: Vec<u32> = log.events.iter().map(|e| e.tid).collect();
     tids.sort_unstable();
     tids.dedup();
-    for tid in &tids {
-        emit(
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                 \"args\":{{\"name\":\"lane-{tid}\"}}}}"
-            ),
-            &mut out,
-            &mut first,
-        );
+    for tid in tids {
+        metadata(&mut w, "thread_name", tid, &format!("lane-{tid}"));
     }
 
     for e in &log.events {
-        emit(event_line(e), &mut out, &mut first);
+        event(&mut w, e);
     }
-    out.push_str("\n]}\n");
-    out
+    w.newline().end_array().end_object().newline();
+    w.finish()
 }
 
-fn event_line(e: &Event) -> String {
+fn metadata(w: &mut JsonWriter, record: &str, tid: u32, name: &str) {
+    w.newline().begin_object();
+    w.key("name").string(record);
+    w.key("ph").string("M");
+    w.key("pid").int(1);
+    w.key("tid").int(tid);
+    w.key("args").begin_object().key("name").string(name);
+    w.end_object().end_object();
+}
+
+fn event(w: &mut JsonWriter, e: &Event) {
     let ph = match e.kind {
         EventKind::Begin => "B",
         EventKind::End => "E",
         EventKind::Instant => "i",
     };
-    let ts_us = e.t_ns as f64 / 1_000.0;
-    let mut line = String::from("{");
-    push_str_field(&mut line, "name", &e.name);
-    line.push(',');
-    push_str_field(&mut line, "cat", e.phase.tag());
-    line.push_str(&format!(
-        ",\"ph\":\"{ph}\",\"pid\":1,\"tid\":{},\"ts\":{ts_us:.3}",
-        e.tid
-    ));
+    w.newline().begin_object();
+    w.key("name").string(&e.name);
+    w.key("cat").string(e.phase.tag());
+    w.key("ph").string(ph);
+    w.key("pid").int(1);
+    w.key("tid").int(e.tid);
+    w.key("ts").float(e.t_ns as f64 / 1_000.0, Some(3));
     if e.kind == EventKind::Instant {
         // Thread-scoped instant marker.
-        line.push_str(",\"s\":\"t\"");
+        w.key("s").string("t");
     }
     if let Some(detail) = &e.detail {
-        line.push_str(",\"args\":{");
-        push_str_field(&mut line, "detail", detail);
-        line.push('}');
+        w.key("args").begin_object().key("detail").string(detail);
+        w.end_object();
     }
-    line.push('}');
-    line
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::{parse_json, Phase, Tracer};
-
-    fn sample_log() -> crate::TraceLog {
-        let t = Tracer::new();
-        t.set_enabled(true);
-        {
-            let _a = t.span(Phase::Generate, "build");
-            let _b = t.span(Phase::Compile, "flatten");
-            t.instant(Phase::Execute, "route", Some("statevec: \"why\"".into()));
-        }
-        t.drain()
-    }
-
-    #[test]
-    fn json_lines_shape() {
-        let log = sample_log();
-        let text = super::to_json_lines(&log);
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), log.events.len());
-        for (line, event) in lines.iter().zip(&log.events) {
-            let v = parse_json(line).expect("each line parses as JSON");
-            assert_eq!(v.get("name").unwrap().as_str(), Some(event.name.as_ref()));
-            assert_eq!(v.get("phase").unwrap().as_str(), Some(event.phase.tag()));
-            assert_eq!(v.get("seq").unwrap().as_num(), Some(event.seq as f64));
-            assert!(v.get("t_ns").unwrap().as_num().is_some());
-            assert!(v.get("kind").unwrap().as_str().is_some());
-        }
-        // The instant's detail payload survives escaping.
-        let routed = lines.iter().find(|l| l.contains("route")).unwrap();
-        let v = parse_json(routed).unwrap();
-        assert_eq!(v.get("detail").unwrap().as_str(), Some("statevec: \"why\""));
-    }
-
-    #[test]
-    fn chrome_trace_shape() {
-        let log = sample_log();
-        let text = super::to_chrome_trace(&log);
-        let v = parse_json(&text).expect("chrome trace parses as JSON");
-        let events = v.get("traceEvents").unwrap().as_arr().unwrap();
-        // 2 metadata (process + one lane) + 5 events (2 B, 2 E, 1 i).
-        assert_eq!(events.len(), 7);
-        let mut depth = 0i64;
-        let mut max_depth = 0i64;
-        let mut cats = std::collections::BTreeSet::new();
-        for e in events {
-            let ph = e.get("ph").unwrap().as_str().unwrap();
-            assert!(e.get("name").unwrap().as_str().is_some());
-            match ph {
-                "M" => continue,
-                "B" => {
-                    depth += 1;
-                    max_depth = max_depth.max(depth);
-                }
-                "E" => depth -= 1,
-                "i" => assert_eq!(e.get("s").unwrap().as_str(), Some("t")),
-                other => panic!("unexpected ph {other:?}"),
-            }
-            assert!(e.get("ts").unwrap().as_num().is_some());
-            assert!(e.get("tid").unwrap().as_num().is_some());
-            assert!(e.get("pid").unwrap().as_num().is_some());
-            cats.insert(e.get("cat").unwrap().as_str().unwrap().to_string());
-        }
-        assert_eq!(depth, 0, "begin/end must balance");
-        assert_eq!(max_depth, 2, "spans must nest");
-        assert_eq!(
-            cats.into_iter().collect::<Vec<_>>(),
-            vec!["Compile", "Execute", "Generate"]
-        );
-    }
+    w.end_object();
 }

@@ -1,14 +1,15 @@
 //! Metrics exposition: render a [`MetricsSnapshot`] as JSON Lines or as a
 //! Prometheus-style text format.
 //!
-//! Both encoders are dependency-free and deterministic (instruments are
-//! emitted in `BTreeMap` order), the same discipline as the in-repo JSON
-//! parser they round-trip through. The formats carry the full registry:
-//! counters, max-gauges (as Prometheus gauges), and power-of-two-bucket
-//! histograms with p50/p90/p99/p999 quantile estimates, including labeled
-//! series (`name{tenant="a",state="completed"}`).
+//! Both encoders are deterministic: each walks the snapshot's three maps
+//! once, so series come out in `BTreeMap` order of `(name, labels)` with a
+//! family's unlabeled series first. The JSON Lines go through the crate's
+//! [`JsonWriter`] and read back through its parser. The formats carry the
+//! full registry: counters, max-gauges (as Prometheus gauges), and
+//! power-of-two-bucket histograms with p50/p90/p99/p999 quantile estimates,
+//! including labeled series (`name{tenant="a",state="completed"}`).
 
-use crate::json::escape_into;
+use crate::json::{escape_into, JsonWriter};
 use crate::metrics::{HistogramSnapshot, LabelSet, MetricsSnapshot};
 use std::fmt::Write as _;
 
@@ -24,83 +25,50 @@ pub fn sanitize_metric_name(name: &str) -> String {
     out
 }
 
-fn json_labels(out: &mut String, labels: &LabelSet) {
-    if labels.is_empty() {
-        return;
-    }
-    out.push_str(",\"labels\":{");
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// Opens one series' line: `{"kind":…,"name":…` and, for a labeled series,
+/// `"labels":{…}`. The caller adds the values and closes the object.
+fn begin_series(w: &mut JsonWriter, kind: &str, name: &str, labels: &LabelSet) {
+    w.begin_object().key("kind").string(kind);
+    w.key("name").string(name);
+    if !labels.is_empty() {
+        w.key("labels").begin_object();
+        for (k, v) in labels {
+            w.key(k).string(v);
         }
-        out.push('"');
-        escape_into(out, k);
-        out.push_str("\":\"");
-        escape_into(out, v);
-        out.push('"');
+        w.end_object();
     }
-    out.push('}');
 }
 
-fn json_line(out: &mut String, kind: &str, name: &str, labels: &LabelSet, value: u64) {
-    out.push_str("{\"kind\":\"");
-    out.push_str(kind);
-    out.push_str("\",\"name\":\"");
-    escape_into(out, name);
-    out.push('"');
-    json_labels(out, labels);
-    let _ = write!(out, ",\"value\":{value}}}");
-    out.push('\n');
-}
-
-fn json_histogram(out: &mut String, name: &str, labels: &LabelSet, h: &HistogramSnapshot) {
-    out.push_str("{\"kind\":\"histogram\",\"name\":\"");
-    escape_into(out, name);
-    out.push('"');
-    json_labels(out, labels);
-    let _ = write!(
-        out,
-        ",\"count\":{},\"sum\":{},\"mean\":{:.3},\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{},\"buckets\":[",
-        h.count,
-        h.sum,
-        h.mean(),
-        h.p50(),
-        h.p90(),
-        h.p99(),
-        h.p999(),
-    );
-    for (i, (le, n)) in h.buckets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{le},{n}]");
-    }
-    out.push_str("]}\n");
-}
-
-/// Encode a snapshot as JSON Lines: one object per instrument (and per
-/// labeled series), with `kind` of `counter` / `max` / `histogram`.
-/// Histogram objects carry `count`, `sum`, `mean`, quantile estimates, and
-/// the raw `[upper_bound, count]` bucket pairs.
+/// Encode a snapshot as JSON Lines: one object per series, with `kind` of
+/// `counter` / `max` / `histogram`. Histogram objects carry `count`, `sum`,
+/// `mean`, quantile estimates, and the raw `[upper_bound, count]` bucket
+/// pairs.
 pub fn to_metrics_json_lines(snap: &MetricsSnapshot) -> String {
-    let empty: LabelSet = Vec::new();
-    let mut out = String::new();
-    for (name, v) in &snap.counters {
-        json_line(&mut out, "counter", name, &empty, *v);
-    }
-    for ((name, labels), v) in &snap.labeled_counters {
-        json_line(&mut out, "counter", name, labels, *v);
+    let mut w = JsonWriter::new();
+    for ((name, labels), v) in &snap.counters {
+        begin_series(&mut w, "counter", name, labels);
+        w.key("value").int(*v).end_object().newline();
     }
     for (name, v) in &snap.maxes {
-        json_line(&mut out, "max", name, &empty, *v);
+        begin_series(&mut w, "max", name, &LabelSet::new());
+        w.key("value").int(*v).end_object().newline();
     }
-    for (name, h) in &snap.histograms {
-        json_histogram(&mut out, name, &empty, h);
+    for ((name, labels), h) in &snap.histograms {
+        begin_series(&mut w, "histogram", name, labels);
+        w.key("count").int(h.count);
+        w.key("sum").int(h.sum);
+        w.key("mean").float(h.mean(), Some(3));
+        w.key("p50").int(h.p50());
+        w.key("p90").int(h.p90());
+        w.key("p99").int(h.p99());
+        w.key("p999").int(h.p999());
+        w.key("buckets").begin_array();
+        for (le, n) in &h.buckets {
+            w.begin_array().int(*le).int(*n).end_array();
+        }
+        w.end_array().end_object().newline();
     }
-    for ((name, labels), h) in &snap.labeled_histograms {
-        json_histogram(&mut out, name, labels, h);
-    }
-    out
+    w.finish()
 }
 
 /// Render a label set (plus an optional extra pair, e.g. `le` or
@@ -159,185 +127,45 @@ fn prom_histogram(out: &mut String, name: &str, labels: &LabelSet, h: &Histogram
     }
 }
 
+/// Sanitizes `name` and, when it differs from the previous series' family,
+/// opens the new family with its `# TYPE` line (a family's series are
+/// adjacent in the snapshot's key order).
+fn family(out: &mut String, last: &mut String, name: &str, kind: &str) -> String {
+    let name = sanitize_metric_name(name);
+    if name != *last {
+        let _ = writeln!(out, "# TYPE {name} {kind}");
+        last.clone_from(&name);
+    }
+    name
+}
+
 /// Encode a snapshot as Prometheus-style exposition text. Counters and
 /// max-gauges become `counter` / `gauge` families; histograms emit the
 /// standard cumulative `_bucket{le=...}` / `_sum` / `_count` series plus
 /// summary-style `{quantile="..."}` estimate samples. Dotted names are
 /// sanitized (`serve.slo.miss` → `serve_slo_miss`).
 pub fn to_prometheus_text(snap: &MetricsSnapshot) -> String {
-    use std::collections::BTreeMap;
-    let empty: LabelSet = Vec::new();
-
     let mut out = String::new();
-
-    // Counters: group unlabeled + labeled series under one TYPE line per
-    // family.
-    let mut counters: BTreeMap<String, Vec<(&LabelSet, u64)>> = BTreeMap::new();
-    for (name, v) in &snap.counters {
-        counters
-            .entry(sanitize_metric_name(name))
-            .or_default()
-            .push((&empty, *v));
+    let mut last = String::new();
+    for ((name, labels), v) in &snap.counters {
+        let name = family(&mut out, &mut last, name, "counter");
+        let _ = writeln!(out, "{name}{} {v}", prom_labels(labels, None));
     }
-    for ((name, labels), v) in &snap.labeled_counters {
-        counters
-            .entry(sanitize_metric_name(name))
-            .or_default()
-            .push((labels, *v));
-    }
-    for (name, series) in &counters {
-        let _ = writeln!(out, "# TYPE {name} counter");
-        for (labels, v) in series {
-            let _ = writeln!(out, "{name}{} {v}", prom_labels(labels, None));
-        }
-    }
-
     for (name, v) in &snap.maxes {
-        let name = sanitize_metric_name(name);
-        let _ = writeln!(out, "# TYPE {name} gauge");
+        let name = family(&mut out, &mut last, name, "gauge");
         let _ = writeln!(out, "{name} {v}");
     }
-
-    let mut hists: BTreeMap<String, Vec<(&LabelSet, &HistogramSnapshot)>> = BTreeMap::new();
-    for (name, h) in &snap.histograms {
-        hists
-            .entry(sanitize_metric_name(name))
-            .or_default()
-            .push((&empty, h));
+    for ((name, labels), h) in &snap.histograms {
+        let name = family(&mut out, &mut last, name, "histogram");
+        prom_histogram(&mut out, &name, labels, h);
     }
-    for ((name, labels), h) in &snap.labeled_histograms {
-        hists
-            .entry(sanitize_metric_name(name))
-            .or_default()
-            .push((labels, h));
-    }
-    for (name, series) in &hists {
-        let _ = writeln!(out, "# TYPE {name} histogram");
-        for (labels, h) in series {
-            prom_histogram(&mut out, name, labels, h);
-        }
-    }
-
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{parse, Json};
     use crate::metrics::{names, Metrics};
-
-    fn sample_registry() -> Metrics {
-        let m = Metrics::new();
-        m.add(names::CACHE_HIT, 3);
-        m.add(names::SERVE_COMPLETED, 7);
-        m.record_max(names::PEAK_QUBITS, 12);
-        for v in [5, 9, 900, 40_000] {
-            m.observe(names::SHOT_LATENCY_US, v);
-        }
-        m.add_labeled(names::SLO_MISS, &[("tenant", "alice")], 2);
-        for v in [100, 200, 90_000] {
-            m.observe_labeled(
-                names::SERVE_JOB_LATENCY_US,
-                &[("tenant", "alice"), ("state", "completed")],
-                v,
-            );
-        }
-        m
-    }
-
-    #[test]
-    fn json_lines_round_trip_through_parser() {
-        let snap = sample_registry().snapshot();
-        let text = to_metrics_json_lines(&snap);
-        let mut kinds = Vec::new();
-        for line in text.lines() {
-            let v = parse(line).expect("each exposition line parses as JSON");
-            let kind = v
-                .get("kind")
-                .and_then(Json::as_str)
-                .unwrap_or_else(|| panic!("missing kind: {line}"))
-                .to_string();
-            assert!(v.get("name").and_then(Json::as_str).is_some(), "{line}");
-            if kind == "histogram" {
-                let count = v
-                    .get("count")
-                    .and_then(Json::as_num)
-                    .unwrap_or_else(|| panic!("histogram without count: {line}"));
-                assert!(count > 0.0);
-                for q in ["p50", "p90", "p99", "p999"] {
-                    assert!(
-                        v.get(q).and_then(Json::as_num).is_some(),
-                        "missing {q}: {line}"
-                    );
-                }
-                assert!(v.get("buckets").and_then(Json::as_arr).is_some());
-            } else {
-                assert!(v.get("value").and_then(Json::as_num).is_some(), "{line}");
-            }
-            kinds.push(kind);
-        }
-        assert!(kinds.iter().any(|k| k == "counter"));
-        assert!(kinds.iter().any(|k| k == "max"));
-        assert!(kinds.iter().any(|k| k == "histogram"));
-        // The labeled series are present with their labels intact.
-        assert!(text.contains("\"labels\":{\"tenant\":\"alice\"}"));
-        assert!(text.contains("\"labels\":{\"state\":\"completed\",\"tenant\":\"alice\"}"));
-    }
-
-    /// Minimal Prometheus text-format parser for the round-trip test:
-    /// returns `(metric_with_labels, value)` samples and checks comment
-    /// lines are well-formed TYPE declarations.
-    fn parse_prometheus(text: &str) -> Vec<(String, f64)> {
-        let mut samples = Vec::new();
-        for line in text.lines() {
-            if let Some(rest) = line.strip_prefix("# TYPE ") {
-                let mut it = rest.split(' ');
-                let name = it.next().unwrap();
-                let kind = it.next().unwrap();
-                assert!(name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'));
-                assert!(matches!(kind, "counter" | "gauge" | "histogram"));
-                continue;
-            }
-            let (series, value) = line.rsplit_once(' ').expect("sample line");
-            let value: f64 = value.parse().expect("sample value parses");
-            samples.push((series.to_string(), value));
-        }
-        samples
-    }
-
-    #[test]
-    fn prometheus_text_round_trip() {
-        let snap = sample_registry().snapshot();
-        let text = to_prometheus_text(&snap);
-        let samples = parse_prometheus(&text);
-        let get = |s: &str| {
-            samples
-                .iter()
-                .find(|(n, _)| n == s)
-                .map(|(_, v)| *v)
-                .unwrap_or_else(|| panic!("missing sample {s} in:\n{text}"))
-        };
-        assert_eq!(get("exec_cache_hit"), 3.0);
-        assert_eq!(get("exec_peak_qubits"), 12.0);
-        assert_eq!(get("exec_shot_latency_us_count"), 4.0);
-        assert_eq!(get("exec_shot_latency_us_sum"), 40_914.0);
-        assert_eq!(get("exec_shot_latency_us_bucket{le=\"+Inf\"}"), 4.0);
-        assert_eq!(get("serve_slo_miss{tenant=\"alice\"}"), 2.0);
-        assert_eq!(
-            get("serve_job_latency_us_count{state=\"completed\",tenant=\"alice\"}"),
-            3.0
-        );
-        assert!(get("exec_shot_latency_us{quantile=\"0.99\"}") > 0.0);
-        // Cumulative buckets are monotone.
-        let mut last = 0.0;
-        for (name, v) in &samples {
-            if name.starts_with("exec_shot_latency_us_bucket") {
-                assert!(*v >= last, "non-monotone bucket {name}");
-                last = *v;
-            }
-        }
-    }
 
     #[test]
     fn every_canonical_name_appears_in_both_formats() {

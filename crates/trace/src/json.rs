@@ -1,11 +1,19 @@
-//! Minimal dependency-free JSON reader.
+//! The workspace's one JSON reader and one JSON writer, dependency-free.
 //!
-//! Just enough to validate exported Chrome traces (`trace_check`), test the
-//! exporters' output shape, and read benchmark baseline files. Numbers are
-//! parsed as `f64`; this is a reader for our own well-formed output, not a
-//! general-purpose JSON library.
+//! [`parse`] is the reader on the serving socket (`protocol::handle_line`
+//! feeds it request lines straight from clients), so it is a trust
+//! boundary: nesting is capped at `MAX_DEPTH` and every malformed input
+//! is an `Err`, never a panic or a stack overflow. It also validates
+//! exported Chrome traces (`trace_check`) and reads back everything the
+//! workspace emits. Numbers are parsed as `f64`.
+//!
+//! [`JsonWriter`] is the only place JSON is assembled: wire responses, the
+//! Chrome trace, metrics and lint JSON Lines and the CLI `--json` modes all
+//! stream through it, so every emitted string is escaped by the one
+//! `escape_into` and everything written round-trips through [`parse`].
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 use std::str::Chars;
 
 /// A parsed JSON value.
@@ -54,11 +62,19 @@ impl Json {
     }
 }
 
-/// Parse a complete JSON document, rejecting trailing garbage.
+/// Deepest array/object nesting [`parse`] accepts. The deepest document the
+/// workspace emits is the five-level `flight` response and the deepest
+/// request it reads is two levels, so this is ample; past it the parser
+/// returns an error instead of recursing until the stack runs out.
+const MAX_DEPTH: usize = 128;
+
+/// Parse a complete JSON document, rejecting trailing garbage and nesting
+/// deeper than `MAX_DEPTH`.
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
         chars: input.chars(),
         peeked: None,
+        depth: 0,
     };
     let value = p.value()?;
     p.skip_ws();
@@ -71,6 +87,8 @@ pub fn parse(input: &str) -> Result<Json, String> {
 struct Parser<'a> {
     chars: Chars<'a>,
     peeked: Option<char>,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -102,8 +120,8 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some('{') => self.object(),
-            Some('[') => self.array(),
+            Some('{') => self.nested(Self::object),
+            Some('[') => self.nested(Self::array),
             Some('"') => Ok(Json::Str(self.string()?)),
             Some('t') => self.keyword("true", Json::Bool(true)),
             Some('f') => self.keyword("false", Json::Bool(false)),
@@ -111,6 +129,16 @@ impl Parser<'_> {
             Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
             got => Err(format!("unexpected {got:?} at start of value")),
         }
+    }
+
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn keyword(&mut self, word: &str, value: Json) -> Result<Json, String> {
@@ -155,21 +183,53 @@ impl Parser<'_> {
                     Some('r') => out.push('\r'),
                     Some('t') => out.push('\t'),
                     Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let c = self.next_ch().ok_or("unterminated \\u escape")?;
-                            code = code * 16
-                                + c.to_digit(16).ok_or_else(|| format!("bad hex {c:?}"))?;
-                        }
-                        // Surrogate pairs are not produced by our exporters;
-                        // map lone surrogates to the replacement character.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        let code = self.hex4()?;
+                        // `ensure_ascii` encoders send astral characters as
+                        // an escaped UTF-16 pair; anything else in the
+                        // surrogate range has no scalar value.
+                        let scalar = match self.low_surrogate_after(code) {
+                            Some(low) => 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00),
+                            None => code,
+                        };
+                        out.push(char::from_u32(scalar).unwrap_or('\u{fffd}'));
                     }
                     got => return Err(format!("bad escape {got:?}")),
                 },
                 Some(c) => out.push(c),
             }
         }
+    }
+
+    fn hex4(&mut self) -> Result<u32, String> {
+        let mut code = 0u32;
+        for _ in 0..4 {
+            let c = self.next_ch().ok_or("unterminated \\u escape")?;
+            code = code * 16 + c.to_digit(16).ok_or_else(|| format!("bad hex {c:?}"))?;
+        }
+        Ok(code)
+    }
+
+    /// If `high` is a high surrogate and the input continues with an escaped
+    /// low surrogate, consumes that escape and returns its code unit.
+    fn low_surrogate_after(&mut self, high: u32) -> Option<u32> {
+        if !(0xD800..0xDC00).contains(&high) {
+            return None;
+        }
+        // `string` never peeks, so `chars` is exactly the unread input.
+        debug_assert!(self.peeked.is_none());
+        let mut ahead = self.chars.clone();
+        if ahead.next() != Some('\\') || ahead.next() != Some('u') {
+            return None;
+        }
+        let mut low = 0u32;
+        for _ in 0..4 {
+            low = low * 16 + ahead.next()?.to_digit(16)?;
+        }
+        if !(0xDC00..0xE000).contains(&low) {
+            return None;
+        }
+        self.chars = ahead;
+        Some(low)
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -216,11 +276,7 @@ impl Parser<'_> {
 }
 
 /// Escape a string for embedding in JSON output (without the quotes).
-///
-/// Exported so other crates emitting JSON Lines alongside trace output
-/// (e.g. `quipper-lint` reports) escape identically and round-trip through
-/// [`parse`].
-pub fn escape_into(out: &mut String, s: &str) {
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -233,6 +289,144 @@ pub fn escape_into(out: &mut String, s: &str) {
             }
             c => out.push(c),
         }
+    }
+}
+
+/// The integer types [`JsonWriter::int`] prints: exactly, by their own
+/// `Display`, never through `f64`. Sealed by living in a private module.
+pub trait Integer: fmt::Display {}
+macro_rules! integers {
+    ($($t:ty)*) => { $(impl Integer for $t {})* };
+}
+integers!(u8 u16 u32 u64 u128 usize i8 i16 i32 i64 i128 isize);
+
+/// A streaming JSON writer: tokens come out in call order, commas and
+/// colons are placed for the caller, strings and keys are escaped. There is
+/// no pretty-printing and nothing to configure; the caller is responsible
+/// for balancing `begin_*`/`end_*` and for writing a value after each key.
+///
+/// Several top-level values may be written one after another, separated by
+/// [`JsonWriter::newline`] — that is JSON Lines.
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    /// The enclosing array or object already holds a value.
+    need_comma: bool,
+    newline_owed: bool,
+    depth: usize,
+}
+
+impl JsonWriter {
+    pub fn new() -> Self {
+        JsonWriter::default()
+    }
+
+    /// The text written so far.
+    pub fn finish(mut self) -> String {
+        debug_assert_eq!(self.depth, 0, "unbalanced JSON document");
+        self.line_break();
+        self.out
+    }
+
+    fn line_break(&mut self) {
+        if std::mem::take(&mut self.newline_owed) {
+            self.out.push('\n');
+        }
+    }
+
+    fn before_value(&mut self) {
+        if self.need_comma && self.depth > 0 {
+            self.out.push(',');
+        }
+        self.line_break();
+        self.need_comma = true;
+    }
+
+    fn open(&mut self, bracket: char) -> &mut Self {
+        self.before_value();
+        self.out.push(bracket);
+        self.need_comma = false;
+        self.depth += 1;
+        self
+    }
+
+    fn close(&mut self, bracket: char) -> &mut Self {
+        self.line_break();
+        self.out.push(bracket);
+        self.need_comma = true;
+        self.depth -= 1;
+        self
+    }
+
+    pub fn begin_object(&mut self) -> &mut Self {
+        self.open('{')
+    }
+
+    pub fn end_object(&mut self) -> &mut Self {
+        self.close('}')
+    }
+
+    pub fn begin_array(&mut self) -> &mut Self {
+        self.open('[')
+    }
+
+    pub fn end_array(&mut self) -> &mut Self {
+        self.close(']')
+    }
+
+    /// An object member's name; the member's value must follow.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.string(key);
+        self.out.push(':');
+        self.need_comma = false;
+        self
+    }
+
+    pub fn string(&mut self, value: &str) -> &mut Self {
+        self.before_value();
+        self.out.push('"');
+        escape_into(&mut self.out, value);
+        self.out.push('"');
+        self
+    }
+
+    /// A value whose text needs no escaping.
+    fn token(&mut self, text: fmt::Arguments) -> &mut Self {
+        self.before_value();
+        let _ = self.out.write_fmt(text);
+        self
+    }
+
+    pub fn int(&mut self, value: impl Integer) -> &mut Self {
+        self.token(format_args!("{value}"))
+    }
+
+    /// A float, with `precision` digits after the point when given and the
+    /// shortest text that reads back to the same `f64` otherwise. JSON has
+    /// no NaN or infinity; those are written as `null`.
+    pub fn float(&mut self, value: f64, precision: Option<usize>) -> &mut Self {
+        match precision {
+            _ if !value.is_finite() => self.null(),
+            Some(digits) => self.token(format_args!("{value:.digits$}")),
+            None => self.token(format_args!("{value}")),
+        }
+    }
+
+    pub fn bool(&mut self, value: bool) -> &mut Self {
+        self.token(format_args!("{value}"))
+    }
+
+    pub fn null(&mut self) -> &mut Self {
+        self.token(format_args!("null"))
+    }
+
+    /// Starts the next token — value, key or closing bracket — on a new
+    /// line; a comma owed to the previous value stays on the old line. This
+    /// is how the Chrome trace puts one event per line and how JSON Lines
+    /// output separates its documents.
+    pub fn newline(&mut self) -> &mut Self {
+        self.newline_owed = true;
+        self
     }
 }
 
@@ -263,11 +457,168 @@ mod tests {
     }
 
     #[test]
-    fn escape_round_trips_through_parse() {
-        let nasty = "line\nquote\" back\\slash \tctrl\u{1}";
-        let mut doc = String::from("\"");
-        escape_into(&mut doc, nasty);
-        doc.push('"');
-        assert_eq!(parse(&doc).unwrap().as_str(), Some(nasty));
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let at_limit = format!("{}1{}", open.repeat(MAX_DEPTH), close.repeat(MAX_DEPTH));
+            assert!(parse(&at_limit).is_ok());
+            let past = format!(
+                "{}1{}",
+                open.repeat(MAX_DEPTH + 1),
+                close.repeat(MAX_DEPTH + 1)
+            );
+            assert!(parse(&past).unwrap_err().contains("nesting"));
+            // The hostile case: no closers at all, far past any stack.
+            assert!(parse(&open.repeat(100_000))
+                .unwrap_err()
+                .contains("nesting"));
+        }
+        // Siblings do not count as nesting.
+        assert!(parse(&format!("[{}1]", "[],".repeat(10 * MAX_DEPTH))).is_ok());
+    }
+
+    #[test]
+    fn escaped_surrogate_pairs_decode_to_one_scalar() {
+        let text = |doc: &str| parse(doc).unwrap().as_str().unwrap().to_string();
+        assert_eq!(text(r#""😀""#), "\u{1F600}");
+        assert_eq!(text(r#""a😀b""#), "a\u{1F600}b");
+        // Lone high, lone low, reversed pair, high then a non-surrogate
+        // escape: each unpaired unit is U+FFFD and nothing else is eaten.
+        assert_eq!(text(r#""\ud83d""#), "\u{fffd}");
+        assert_eq!(text(r#""\ud83dx""#), "\u{fffd}x");
+        assert_eq!(text(r#""\ude00""#), "\u{fffd}");
+        assert_eq!(text(r#""\ude00\ud83d""#), "\u{fffd}\u{fffd}");
+        assert_eq!(text(r#""\ud83dA""#), "\u{fffd}A");
+        assert_eq!(text(r#""\ud83d\n""#), "\u{fffd}\n");
+        assert!(parse(r#""\ud83d\ude0"#).is_err());
+    }
+
+    #[test]
+    fn writer_places_commas_colons_and_owed_newlines() {
+        let mut w = JsonWriter::new();
+        w.begin_object().key("a\"").begin_array();
+        w.newline().int(u128::MAX).newline().int(i128::MIN);
+        w.newline().end_array();
+        w.key("f").float(1.5, None).key("g").float(2.0, Some(3));
+        w.key("n").float(f64::NAN, None).key("e").begin_object();
+        w.end_object()
+            .key("t")
+            .bool(true)
+            .key("z")
+            .null()
+            .end_object();
+        w.newline().string("second\ndocument").newline();
+        assert_eq!(
+            w.finish(),
+            "{\"a\\\"\":[\n340282366920938463463374607431768211455,\n\
+             -170141183460469231731687303715884105728\n],\
+             \"f\":1.5,\"g\":2.000,\"n\":null,\"e\":{},\"t\":true,\"z\":null}\n\
+             \"second\\ndocument\"\n"
+        );
+    }
+
+    /// Quotes, backslashes, every control character, BMP and astral code
+    /// points, in random order.
+    fn nasty_string(draws: &mut impl Iterator<Item = u64>) -> String {
+        let len = draws.next().unwrap_or(0) % 12;
+        let pick = |d: u64| match d % 6 {
+            0 => '"',
+            1 => '\\',
+            2 => char::from_u32((d >> 8) as u32 % 0x21).unwrap(),
+            3 => char::from_u32((d >> 8) as u32 % 0x80).unwrap(),
+            4 => char::from_u32((d >> 8) as u32 % 0x1_0000).unwrap_or('\u{fffd}'),
+            _ => char::from_u32(0x1_0000 + (d >> 8) as u32 % 0x10_0000).unwrap(),
+        };
+        draws.take(len as usize).map(pick).collect()
+    }
+
+    /// Writes one random value of every kind the writer has — integers
+    /// through `int`, so they are printed exactly — and returns what the
+    /// parser should read back: structure and strings exactly, numbers to
+    /// `f64`.
+    fn emit(draws: &mut impl Iterator<Item = u64>, depth_left: usize, w: &mut JsonWriter) -> Json {
+        let d = draws.next().unwrap_or(0);
+        let payload = d >> 8;
+        match d % if depth_left == 0 { 7 } else { 10 } {
+            0 => {
+                w.null();
+                Json::Null
+            }
+            1 => {
+                w.bool(d & 256 != 0);
+                Json::Bool(d & 256 != 0)
+            }
+            2 | 3 => {
+                let n = [
+                    payload as u128,
+                    u64::MAX as u128,
+                    (1u128 << 64) + payload as u128,
+                    u128::MAX - payload as u128,
+                ][(payload % 4) as usize];
+                w.int(n);
+                Json::Num(n as f64)
+            }
+            4 => {
+                let n = -(payload as i128) << (payload % 70);
+                w.int(n);
+                Json::Num(n as f64)
+            }
+            5 => {
+                let x = f64::from_bits(d.rotate_left(17));
+                w.float(x, None);
+                if x.is_finite() {
+                    Json::Num(x)
+                } else {
+                    Json::Null
+                }
+            }
+            6 => {
+                let s = nasty_string(draws);
+                w.string(&s);
+                Json::Str(s)
+            }
+            7 | 8 => {
+                w.begin_array();
+                let items = (0..payload % 4).map(|_| emit(draws, depth_left - 1, w));
+                let items = items.collect();
+                w.end_array();
+                Json::Arr(items)
+            }
+            _ => {
+                w.begin_object();
+                let members = (0..payload % 4).map(|i| {
+                    // Distinct keys: the reader keeps one member per key.
+                    let key = format!("{i}{}", nasty_string(draws));
+                    w.key(&key);
+                    (key, emit(draws, depth_left - 1, w))
+                });
+                let members = members.collect();
+                w.end_object();
+                Json::Obj(members)
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn whatever_the_writer_writes_the_parser_reads_back(
+            draws in proptest::collection::vec(proptest::arbitrary::any::<u64>(), 1..300),
+            wrap in 0usize..MAX_DEPTH,
+        ) {
+            // A random tree of depth ≤ 8 inside `wrap` one-element arrays,
+            // so documents reach the depth limit exactly and never pass it.
+            let mut w = JsonWriter::new();
+            for _ in 0..wrap {
+                w.begin_array();
+            }
+            let mut want = emit(&mut draws.into_iter(), (MAX_DEPTH - wrap).min(8), &mut w);
+            for _ in 0..wrap {
+                w.end_array();
+                want = Json::Arr(vec![want]);
+            }
+            let text = w.finish();
+            assert_eq!(parse(&text).map_err(|e| format!("{e}: {text}")), Ok(want));
+        }
     }
 }

@@ -12,11 +12,16 @@
 //!   kernel path records without a global lock.
 //! - **Metrics** ([`Metrics`]) — named counters, max-gauges, and fixed
 //!   power-of-two-bucket histograms (gate dispatch per kernel class, fusion
-//!   savings, cache hit/miss, per-shot latency, ...).
-//! - **Exporters** ([`export`]) — JSON Lines event dumps and Chrome
-//!   trace-event JSON (loadable in `chrome://tracing` / Perfetto), plus the
-//!   per-subroutine [`report::ResourceReport`] in the style of
-//!   arXiv:1412.0625.
+//!   savings, cache hit/miss, per-shot latency, ...), one map per kind with
+//!   labeled and unlabeled series side by side, rendered as JSON Lines or
+//!   Prometheus text ([`to_metrics_json_lines`], [`to_prometheus_text`]).
+//! - **Exporter** ([`to_chrome_trace`]) — Chrome trace-event JSON (loadable
+//!   in `chrome://tracing` / Perfetto), plus the per-subroutine
+//!   [`report::ResourceReport`] in the style of arXiv:1412.0625.
+//! - **JSON** ([`parse_json`], [`JsonWriter`]) — the workspace's one reader
+//!   and one writer: every crate that emits JSON streams it through the
+//!   writer, so escaping lives in one place and everything emitted reads
+//!   back through the parser.
 //!
 //! When tracing is disabled (the default), every call site reduces to one
 //! relaxed atomic load — cheap enough to leave in the amplitude kernels.
@@ -27,9 +32,9 @@ mod json;
 mod metrics;
 pub mod report;
 
-pub use export::{to_chrome_trace, to_json_lines};
+pub use export::to_chrome_trace;
 pub use expose::{sanitize_metric_name, to_metrics_json_lines, to_prometheus_text};
-pub use json::{escape_into, parse as parse_json, Json};
+pub use json::{parse as parse_json, Json, JsonWriter};
 pub use metrics::{
     fmt_labels, names, Histogram, HistogramSnapshot, LabelSet, Metrics, MetricsSnapshot,
 };

@@ -1,6 +1,11 @@
 //! Named counters, max-gauges, and fixed-bucket histograms.
 //!
-//! Registration is lazy: the first `add`/`observe`/`record_max` under a name
+//! The registry is one map per instrument kind. Counters and histograms are
+//! keyed by `(name, labels)`: an unlabeled instrument is simply the series
+//! with the empty label set, so `add(name, n)` and `add_labeled(name, &[],
+//! n)` are the same series. Max-gauges are unlabeled.
+//!
+//! Registration is lazy: the first `add`/`observe`/`record_max` under a key
 //! creates the instrument. Handles are `Arc`ed atomics, so the hot path
 //! after the first touch is lock-free; the registry maps are only locked to
 //! look up or create an instrument and to snapshot.
@@ -353,14 +358,27 @@ fn label_set(labels: &[(&str, &str)]) -> LabelSet {
     set
 }
 
+/// One series of a counter or histogram: the instrument's name plus its
+/// label set (empty for an unlabeled instrument).
+type SeriesKey = (&'static str, LabelSet);
+
+/// Looks `name{labels}` up. The map's `&'static str` keys are read at the
+/// caller's shorter lifetime (a shared `BTreeMap` is covariant in its key),
+/// so a non-static `name` can be the probe.
+fn series<'a, V>(
+    map: &'a BTreeMap<(&'a str, LabelSet), V>,
+    name: &'a str,
+    labels: &[(&str, &str)],
+) -> Option<&'a V> {
+    map.get(&(name, label_set(labels)))
+}
+
 /// Lazily-registered named instruments.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    counters: Mutex<BTreeMap<&'static str, Arc<AtomicU64>>>,
+    counters: Mutex<BTreeMap<SeriesKey, Arc<AtomicU64>>>,
     maxes: Mutex<BTreeMap<&'static str, Arc<AtomicU64>>>,
-    histograms: Mutex<BTreeMap<&'static str, Arc<Histogram>>>,
-    labeled_counters: Mutex<BTreeMap<(&'static str, LabelSet), Arc<AtomicU64>>>,
-    labeled_histograms: Mutex<BTreeMap<(&'static str, LabelSet), Arc<Histogram>>>,
+    histograms: Mutex<BTreeMap<SeriesKey, Arc<Histogram>>>,
 }
 
 impl Metrics {
@@ -368,22 +386,14 @@ impl Metrics {
         Metrics::default()
     }
 
-    fn counter_handle(&self, name: &'static str) -> Arc<AtomicU64> {
-        Arc::clone(self.counters.lock().unwrap().entry(name).or_default())
-    }
-
     /// Add `n` to the counter `name`, creating it at zero first if needed.
     pub fn add(&self, name: &'static str, n: u64) {
-        self.counter_handle(name).fetch_add(n, Ordering::Relaxed);
+        self.add_labeled(name, &[], n);
     }
 
     /// Current value of counter `name` (0 if never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .lock()
-            .unwrap()
-            .get(name)
-            .map_or(0, |c| c.load(Ordering::Relaxed))
+        self.labeled_counter(name, &[])
     }
 
     /// Raise the max-gauge `name` to at least `value`.
@@ -407,70 +417,42 @@ impl Metrics {
 
     /// Record `value` into the histogram `name`.
     pub fn observe(&self, name: &'static str, value: u64) {
-        let h = Arc::clone(self.histograms.lock().unwrap().entry(name).or_default());
-        h.observe(value);
+        self.observe_labeled(name, &[], value);
     }
 
     /// Snapshot of histogram `name`, if it exists.
     pub fn histogram(&self, name: &str) -> Option<HistogramSnapshot> {
-        self.histograms
-            .lock()
-            .unwrap()
-            .get(name)
-            .map(|h| h.snapshot())
+        self.labeled_histogram(name, &[])
     }
 
-    /// Add `n` to the labeled counter series `name{labels}`. Label order
-    /// at the call site does not matter — sets are sorted by key.
+    /// Add `n` to the counter series `name{labels}`. Label order at the
+    /// call site does not matter — sets are sorted by key.
     pub fn add_labeled(&self, name: &'static str, labels: &[(&str, &str)], n: u64) {
         let key = (name, label_set(labels));
-        let handle = Arc::clone(
-            self.labeled_counters
-                .lock()
-                .unwrap()
-                .entry(key)
-                .or_default(),
-        );
+        let handle = Arc::clone(self.counters.lock().unwrap().entry(key).or_default());
         handle.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current value of the labeled counter series (0 if never touched).
+    /// Current value of the counter series (0 if never touched).
     pub fn labeled_counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        let set = label_set(labels);
-        self.labeled_counters
-            .lock()
-            .unwrap()
-            .iter()
-            .find(|((n, ls), _)| *n == name && *ls == set)
-            .map_or(0, |(_, c)| c.load(Ordering::Relaxed))
+        series(&self.counters.lock().unwrap(), name, labels)
+            .map_or(0, |c| c.load(Ordering::Relaxed))
     }
 
-    /// Record `value` into the labeled histogram series `name{labels}`.
+    /// Record `value` into the histogram series `name{labels}`.
     pub fn observe_labeled(&self, name: &'static str, labels: &[(&str, &str)], value: u64) {
         let key = (name, label_set(labels));
-        let handle = Arc::clone(
-            self.labeled_histograms
-                .lock()
-                .unwrap()
-                .entry(key)
-                .or_default(),
-        );
+        let handle = Arc::clone(self.histograms.lock().unwrap().entry(key).or_default());
         handle.observe(value);
     }
 
-    /// Snapshot of the labeled histogram series, if it exists.
+    /// Snapshot of the histogram series, if it exists.
     pub fn labeled_histogram(
         &self,
         name: &str,
         labels: &[(&str, &str)],
     ) -> Option<HistogramSnapshot> {
-        let set = label_set(labels);
-        self.labeled_histograms
-            .lock()
-            .unwrap()
-            .iter()
-            .find(|((n, ls), _)| *n == name && *ls == set)
-            .map(|(_, h)| h.snapshot())
+        series(&self.histograms.lock().unwrap(), name, labels).map(|h| h.snapshot())
     }
 
     /// Snapshot every instrument for reporting.
@@ -481,7 +463,7 @@ impl Metrics {
                 .lock()
                 .unwrap()
                 .iter()
-                .map(|(&k, v)| (k, v.load(Ordering::Relaxed)))
+                .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
                 .collect(),
             maxes: self
                 .maxes
@@ -495,34 +477,20 @@ impl Metrics {
                 .lock()
                 .unwrap()
                 .iter()
-                .map(|(&k, v)| (k, v.snapshot()))
-                .collect(),
-            labeled_counters: self
-                .labeled_counters
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-                .collect(),
-            labeled_histograms: self
-                .labeled_histograms
-                .lock()
-                .unwrap()
-                .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
         }
     }
 }
 
-/// Point-in-time copy of every instrument in a [`Metrics`] registry.
+/// Point-in-time copy of every instrument in a [`Metrics`] registry, in the
+/// registry's shape: counter and histogram series keyed by `(name,
+/// labels)`, the empty label set being the unlabeled instrument.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
-    pub counters: BTreeMap<&'static str, u64>,
+    pub counters: BTreeMap<(&'static str, LabelSet), u64>,
     pub maxes: BTreeMap<&'static str, u64>,
-    pub histograms: BTreeMap<&'static str, HistogramSnapshot>,
-    pub labeled_counters: BTreeMap<(&'static str, LabelSet), u64>,
-    pub labeled_histograms: BTreeMap<(&'static str, LabelSet), HistogramSnapshot>,
+    pub histograms: BTreeMap<(&'static str, LabelSet), HistogramSnapshot>,
 }
 
 /// Render a label set as `{k=v,k2=v2}`, or the empty string when empty.
@@ -545,37 +513,24 @@ pub fn fmt_labels(labels: &LabelSet) -> String {
 
 impl fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let width = self
-            .counters
-            .keys()
-            .chain(self.maxes.keys())
-            .chain(self.histograms.keys())
+        let series = |(name, labels): &(&str, LabelSet)| format!("{name}{}", fmt_labels(labels));
+        let width = (self.counters.keys().map(series))
+            .chain(self.maxes.keys().map(|name| name.to_string()))
+            .chain(self.histograms.keys().map(series))
             .map(|k| k.len())
             .max()
             .unwrap_or(0);
-        for (name, v) in &self.counters {
-            writeln!(f, "{name:<width$}  {v}")?;
+        for (key, v) in &self.counters {
+            writeln!(f, "{:<width$}  {v}", series(key))?;
         }
         for (name, v) in &self.maxes {
             writeln!(f, "{name:<width$}  max {v}")?;
         }
-        for (name, h) in &self.histograms {
+        for (key, h) in &self.histograms {
             writeln!(
                 f,
-                "{name:<width$}  n={} mean={:.1} max_bucket<={}",
-                h.count,
-                h.mean(),
-                h.buckets.last().map_or(0, |b| b.0),
-            )?;
-        }
-        for ((name, labels), v) in &self.labeled_counters {
-            writeln!(f, "{name}{}  {v}", fmt_labels(labels))?;
-        }
-        for ((name, labels), h) in &self.labeled_histograms {
-            writeln!(
-                f,
-                "{name}{}  n={} mean={:.1} p50<={} p99<={}",
-                fmt_labels(labels),
+                "{:<width$}  n={} mean={:.1} p50<={} p99<={}",
+                series(key),
                 h.count,
                 h.mean(),
                 h.p50(),
@@ -640,7 +595,7 @@ mod tests {
         assert_eq!(m.counter("missing"), 0);
         assert_eq!(m.max("p"), 4);
         let snap = m.snapshot();
-        assert_eq!(snap.counters.get("a"), Some(&5));
+        assert_eq!(snap.counters.get(&("a", Vec::new())), Some(&5));
         assert_eq!(snap.maxes.get("p"), Some(&4));
     }
 
@@ -760,7 +715,22 @@ mod tests {
             0
         );
         let snap = m.snapshot();
-        assert_eq!(snap.labeled_counters.len(), 2);
+        assert_eq!(snap.counters.len(), 2);
+    }
+
+    #[test]
+    fn an_unlabeled_instrument_is_the_series_with_no_labels() {
+        let m = Metrics::new();
+        m.add("jobs", 2);
+        m.add_labeled("jobs", &[], 3);
+        m.observe("lat", 7);
+        m.observe_labeled("lat", &[], 9);
+        assert_eq!(m.counter("jobs"), 5);
+        assert_eq!(m.labeled_counter("jobs", &[]), 5);
+        assert_eq!(m.histogram("lat").unwrap().count, 2);
+        let snap = m.snapshot();
+        assert_eq!(snap.counters.len(), 1, "{snap:?}");
+        assert_eq!(snap.histograms.len(), 1, "{snap:?}");
     }
 
     #[test]

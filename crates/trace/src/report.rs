@@ -7,7 +7,6 @@
 //! walker that computes a report from a circuit database lives in
 //! `quipper-circuit::resources`.
 
-use crate::json::escape_into;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -61,47 +60,6 @@ impl ResourceReport {
                 *out.entry((class.clone(), row.level)).or_insert(0) += *n;
             }
         }
-        out
-    }
-
-    /// Single-object JSON rendering (rows, totals, and the class × level
-    /// table). Counts are emitted as JSON numbers.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str("\"label\":\"");
-        escape_into(&mut out, &self.label);
-        out.push_str("\",\"total_gates\":");
-        out.push_str(&self.total_gates.to_string());
-        out.push_str(",\"peak_qubits\":");
-        out.push_str(&self.peak_qubits.to_string());
-        out.push_str(",\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":\"");
-            escape_into(&mut out, &row.name);
-            out.push_str(&format!(
-                "\",\"level\":{},\"calls\":{},\"own_gates\":{},\"total_gates\":{},\
-                 \"peak_qubits\":{},\"ancilla_high_water\":{},\"gates_by_class\":{{",
-                row.level,
-                row.calls,
-                row.own_gates,
-                row.total_gates,
-                row.peak_qubits,
-                row.ancilla_high_water
-            ));
-            for (j, (class, n)) in row.gates_by_class.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                escape_into(&mut out, class);
-                out.push_str(&format!("\":{n}"));
-            }
-            out.push_str("}}");
-        }
-        out.push_str("]}");
         out
     }
 }
@@ -160,7 +118,6 @@ impl fmt::Display for ResourceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_json;
 
     fn sample() -> ResourceReport {
         ResourceReport {
@@ -198,26 +155,6 @@ mod tests {
         assert_eq!(table.get(&("Hadamard".into(), 0)), Some(&3));
         assert_eq!(table.get(&("Hadamard".into(), 1)), Some(&4));
         assert_eq!(table.get(&("Not, controls 2".into(), 1)), Some(&16));
-    }
-
-    #[test]
-    fn json_rendering_parses_and_matches() {
-        let report = sample();
-        let v = parse_json(&report.to_json()).expect("report JSON parses");
-        assert_eq!(v.get("label").unwrap().as_str(), Some("grover"));
-        assert_eq!(v.get("total_gates").unwrap().as_num(), Some(24.0));
-        let rows = v.get("rows").unwrap().as_arr().unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[1].get("calls").unwrap().as_num(), Some(2.0));
-        assert_eq!(
-            rows[1]
-                .get("gates_by_class")
-                .unwrap()
-                .get("Not, controls 2")
-                .unwrap()
-                .as_num(),
-            Some(16.0)
-        );
     }
 
     #[test]

@@ -21,25 +21,21 @@ const COUNTER: &str = names::SERVE_ADMIT;
 const HIST: &str = names::SHOT_LATENCY_US;
 
 fn check_prefix(snap: &quipper_trace::MetricsSnapshot, fin: &quipper_trace::MetricsSnapshot) {
-    for (name, v) in &snap.counters {
-        let f = fin.counters.get(name).copied().unwrap_or(0);
-        assert!(*v <= f, "counter {name}: snapshot {v} > final {f}");
+    for (key, v) in &snap.counters {
+        let f = fin.counters.get(key).copied().unwrap_or(0);
+        assert!(*v <= f, "counter {key:?}: snapshot {v} > final {f}");
     }
-    for (key, v) in &snap.labeled_counters {
-        let f = fin.labeled_counters.get(key).copied().unwrap_or(0);
-        assert!(*v <= f, "labeled counter {key:?}: snapshot {v} > final {f}");
-    }
-    for (name, h) in &snap.histograms {
-        let f = &fin.histograms[name];
-        assert!(h.count <= f.count, "histogram {name} count");
-        assert!(h.sum <= f.sum, "histogram {name} sum");
+    for (key, h) in &snap.histograms {
+        let f = &fin.histograms[key];
+        assert!(h.count <= f.count, "histogram {key:?} count");
+        assert!(h.sum <= f.sum, "histogram {key:?} sum");
         for (le, n) in &h.buckets {
             let fb = f
                 .buckets
                 .iter()
                 .find(|(fle, _)| fle == le)
                 .map_or(0, |(_, n)| *n);
-            assert!(*n <= fb, "histogram {name} bucket le={le}");
+            assert!(*n <= fb, "histogram {key:?} bucket le={le}");
         }
     }
 }
@@ -106,12 +102,17 @@ proptest! {
         let fin = metrics.snapshot();
 
         // No lost updates: the final snapshot equals the schedule totals.
-        prop_assert_eq!(fin.counters[COUNTER], expected_adds);
-        let h = &fin.histograms[HIST];
+        prop_assert_eq!(fin.counters[&(COUNTER, Vec::new())], expected_adds);
+        let h = &fin.histograms[&(HIST, Vec::new())];
         prop_assert_eq!(h.count, expected_count);
         prop_assert_eq!(h.sum, expected_sum);
         prop_assert_eq!(h.buckets.iter().map(|(_, n)| n).sum::<u64>(), h.count);
-        let labeled_total: u64 = fin.labeled_counters.values().sum();
+        let labeled_total: u64 = fin
+            .counters
+            .iter()
+            .filter(|((_, labels), _)| !labels.is_empty())
+            .map(|(_, v)| v)
+            .sum();
         prop_assert_eq!(labeled_total, expected_adds);
 
         // Every mid-flight snapshot is a valid prefix of the final one.

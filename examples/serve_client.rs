@@ -236,9 +236,10 @@ fn main() {
         .unwrap()
         .to_string();
     assert!(canon_text.starts_with("OPENQASM 2.0;\n"), "{canon_text}");
-    let mut requoted = String::new();
-    quipper_trace::escape_into(&mut requoted, &canon_text);
-    let again = client.call_ok(&format!(r#"{{"op":"export","qasm":"{requoted}"}}"#));
+    let mut requoted = quipper_trace::JsonWriter::new();
+    requoted.string(&canon_text);
+    let requoted = requoted.finish();
+    let again = client.call_ok(&format!(r#"{{"op":"export","qasm":{requoted}}}"#));
     assert_eq!(
         again.get("qasm").and_then(Json::as_str),
         Some(canon_text.as_str()),

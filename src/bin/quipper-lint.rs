@@ -16,6 +16,7 @@ use std::process::ExitCode;
 
 use quipper_circuit::BCircuit;
 use quipper_lint::{lint, LintReport, Severity};
+use quipper_trace::JsonWriter;
 
 #[path = "../circuit_suite.rs"]
 mod circuit_suite;
@@ -90,6 +91,26 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
+/// Starts a circuit's `--json` output with its `{"kind":"circuit",…}` line;
+/// the circuit's records follow, one per line.
+fn json_header(name: &str) -> JsonWriter {
+    let mut w = JsonWriter::new();
+    w.begin_object().key("kind").string("circuit");
+    w.key("name").string(name).end_object().newline();
+    w
+}
+
+/// `--json` output for a file that did not parse: the header line, then one
+/// QP record per diagnostic.
+fn rejection_json(path: &str, diags: &quipper_qasm::Diagnostics) -> String {
+    let mut w = json_header(path);
+    for d in diags.iter() {
+        d.write_json(&mut w);
+        w.newline();
+    }
+    w.finish()
+}
+
 fn lint_one(name: &str, bc: &BCircuit, opts: &Options) -> (LintReport, bool) {
     let mut report = lint(bc);
     report
@@ -97,10 +118,7 @@ fn lint_one(name: &str, bc: &BCircuit, opts: &Options) -> (LintReport, bool) {
         .retain(|d| !opts.allow.iter().any(|code| code == d.code));
     let failed = report.fails_at(opts.deny);
     if opts.json {
-        print!(
-            "{{\"kind\":\"circuit\",\"name\":\"{name}\"}}\n{}",
-            report.to_json_lines()
-        );
+        print!("{}{}", json_header(name).finish(), report.to_json_lines());
     } else {
         let verdict = if failed {
             "FAIL"
@@ -172,17 +190,7 @@ fn main() -> ExitCode {
                 // Parse/lowering rejections always fail, whatever --deny
                 // says: there is no circuit to lint.
                 if opts.json {
-                    println!("{{\"kind\":\"circuit\",\"name\":\"{path}\"}}");
-                    for d in diags.iter() {
-                        println!(
-                            "{{\"code\":\"{}\",\"severity\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\"}}",
-                            d.code.as_str(),
-                            d.severity.label(),
-                            d.span.line,
-                            d.span.col,
-                            d.message.replace('\\', "\\\\").replace('"', "\\\""),
-                        );
-                    }
+                    print!("{}", rejection_json(path, &diags));
                 } else {
                     println!("{path}: does not parse — FAIL");
                     for d in diags.iter() {
@@ -208,5 +216,39 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use quipper_trace::{parse_json, Json};
+
+    #[test]
+    fn json_lines_escape_the_path_and_the_messages() {
+        let path = "a\"b\\c\n";
+        let diags = quipper_qasm::compile("OPENQASM 2.0;\ninclude \"no\\pe\";\n").unwrap_err();
+        let text = rejection_json(path, &diags);
+        let lines: Vec<Json> = text
+            .lines()
+            .map(|line| parse_json(line).unwrap_or_else(|e| panic!("{e}: {line}")))
+            .collect();
+        assert_eq!(lines.len(), 1 + diags.len());
+        assert_eq!(lines[0].get("kind").and_then(Json::as_str), Some("circuit"));
+        assert_eq!(lines[0].get("name").and_then(Json::as_str), Some(path));
+        for (line, d) in lines[1..].iter().zip(diags.iter()) {
+            assert_eq!(
+                line.get("code").and_then(Json::as_str),
+                Some(d.code.as_str())
+            );
+            assert_eq!(
+                line.get("message").and_then(Json::as_str),
+                Some(&*d.message)
+            );
+        }
+        // The fixture's message itself needs both escapes.
+        assert!(diags
+            .iter()
+            .any(|d| d.message.contains('"') && d.message.contains('\\')));
     }
 }

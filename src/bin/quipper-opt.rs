@@ -16,6 +16,7 @@ use std::process::ExitCode;
 
 use quipper_circuit::BCircuit;
 use quipper_opt::{optimize, OptLevel, OptReport};
+use quipper_trace::JsonWriter;
 
 #[path = "../circuit_suite.rs"]
 mod circuit_suite;
@@ -81,39 +82,35 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-fn report_json(name: &str, report: &OptReport) {
-    let passes: Vec<String> = report
-        .passes
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"pass\":\"{}\",\"gates_before\":{},\"gates_after\":{},\"rewrites\":{}}}",
-                p.name, p.gates_before, p.gates_after, p.rewrites
-            )
-        })
-        .collect();
-    println!(
-        "{{\"kind\":\"circuit\",\"name\":\"{name}\",\"level\":\"{}\",\
-         \"gates_before\":{},\"gates_after\":{},\"removed\":{},\"rewrites\":{},\
-         \"t_before\":{},\"t_after\":{},\"twoq_before\":{},\"twoq_after\":{},\
-         \"passes\":[{}]}}",
-        report.level,
-        report.gates_before(),
-        report.gates_after(),
-        report.removed(),
-        report.rewrites(),
-        report.before.t_count(),
-        report.after.t_count(),
-        report.before.two_qubit(),
-        report.after.two_qubit(),
-        passes.join(","),
-    );
+/// One circuit's `--json` line.
+fn report_json(name: &str, report: &OptReport) -> String {
+    let mut w = JsonWriter::new();
+    w.begin_object().key("kind").string("circuit");
+    w.key("name").string(name);
+    w.key("level").string(&report.level.to_string());
+    w.key("gates_before").int(report.gates_before());
+    w.key("gates_after").int(report.gates_after());
+    w.key("removed").int(report.removed());
+    w.key("rewrites").int(report.rewrites());
+    w.key("t_before").int(report.before.t_count());
+    w.key("t_after").int(report.after.t_count());
+    w.key("twoq_before").int(report.before.two_qubit());
+    w.key("twoq_after").int(report.after.two_qubit());
+    w.key("passes").begin_array();
+    for p in &report.passes {
+        w.begin_object().key("pass").string(p.name);
+        w.key("gates_before").int(p.gates_before);
+        w.key("gates_after").int(p.gates_after);
+        w.key("rewrites").int(p.rewrites).end_object();
+    }
+    w.end_array().end_object();
+    w.finish()
 }
 
 fn optimize_one(name: &str, bc: &BCircuit, opts: &Options) -> OptReport {
     let (_, report) = optimize(bc, opts.level);
     if opts.json {
-        report_json(name, &report);
+        println!("{}", report_json(name, &report));
     } else {
         let pct = if report.gates_before() > 0 {
             100.0 * report.removed() as f64 / report.gates_before() as f64
@@ -214,5 +211,28 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use quipper_trace::{parse_json, Json};
+
+    #[test]
+    fn json_line_escapes_the_circuit_name() {
+        let name = "a\"b\\c\n";
+        let (_, build) = &suite()[0];
+        let (_, report) = optimize(&build(), OptLevel::Default);
+        let line = report_json(name, &report);
+        assert!(!line.contains('\n'), "one record per line: {line:?}");
+        let json = parse_json(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        assert_eq!(json.get("name").and_then(Json::as_str), Some(name));
+        assert_eq!(
+            json.get("gates_before").and_then(Json::as_num),
+            Some(report.gates_before() as f64)
+        );
+        let passes = json.get("passes").and_then(Json::as_arr).unwrap();
+        assert_eq!(passes.len(), report.passes.len());
     }
 }
