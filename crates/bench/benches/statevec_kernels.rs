@@ -230,17 +230,12 @@ fn profiler_overhead_smoke() {
     let bc = mixed(12, 2);
     let flat = inline_all(&bc.db, &bc.main).unwrap();
     let inputs = vec![false; 12];
+    // The tracer's switch is the profiler's switch.
     let off = run_flat_with(&flat, &inputs, 1, StateVecConfig::default()).unwrap();
-    let on = run_flat_with(
-        &flat,
-        &inputs,
-        1,
-        StateVecConfig {
-            profile: true,
-            ..StateVecConfig::default()
-        },
-    )
-    .unwrap();
+    quipper_trace::tracer().set_enabled(true);
+    let on = run_flat_with(&flat, &inputs, 1, StateVecConfig::default());
+    quipper_trace::tracer().set_enabled(false);
+    let on = on.unwrap();
     assert_eq!(
         off.state.amplitudes(),
         on.state.amplitudes(),

@@ -2,22 +2,18 @@
 //!
 //! Quipper separates circuit *description* from the run functions that
 //! consume circuits (paper §4.4.5). A [`Backend`] packages one run function
-//! behind a uniform capability-checked interface so the engine can route each
-//! compiled plan to the cheapest simulator that can execute it:
+//! behind a uniform interface with an admission check, so the engine can
+//! route each compiled plan to the cheapest simulator that admits it:
 //!
 //! * [`ClassicalBackend`] — bit-per-wire permutation simulation, linear time.
 //! * [`StabilizerBackend`] — CHP tableau simulation, polynomial in width.
 //! * [`StateVecBackend`] — exact state vectors, exponential in width but
 //!   universal; the only backend supporting *dynamic lifting* (paper §4.3).
-//! * [`CountingBackend`] — no simulation at all: resource estimation over the
-//!   hierarchical circuit (gate counts, peak width, depth).
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use quipper::Lifter;
-use quipper_circuit::count::{self, GateCount, Peak};
-use quipper_circuit::BCircuit;
 use std::sync::Arc;
 
 use quipper_sim::{
@@ -28,20 +24,6 @@ use quipper_sim::{
 use crate::error::ExecError;
 use crate::plan::Plan;
 use crate::profile::CircuitProfile;
-
-/// What a backend can do, advertised statically for routing and reporting.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Capabilities {
-    /// Can execute gates that create superpositions (H, V, W, rotations).
-    pub superposition: bool,
-    /// Can execute non-Clifford gates (T, rotations, arbitrary named gates).
-    pub non_clifford: bool,
-    /// Hard upper bound on the peak number of live qubits, if any.
-    pub max_qubits: Option<usize>,
-    /// Supports dynamic lifting: measurement outcomes fed back into circuit
-    /// generation (paper §4.3).
-    pub dynamic_lifting: bool,
-}
 
 /// A job whose shot-invariant prefix has run: the state every shot starts
 /// from, shared read-only by the engine's workers.
@@ -66,36 +48,8 @@ pub trait ShotWorker {
     fn run_shot(&mut self, seed: u64) -> Result<Vec<bool>, ExecError>;
 }
 
-/// The [`Backend::prepare`] of a backend with nothing to run ahead of its
-/// shots: every shot is a whole [`Backend::run_shot`].
-struct PerShot<'a, B: ?Sized> {
-    backend: &'a B,
-    plan: &'a Plan,
-    inputs: &'a [bool],
-}
-
-impl<B: Backend + ?Sized> PreparedJob for PerShot<'_, B> {
-    fn prefix_ops(&self) -> usize {
-        0
-    }
-
-    fn suffix(&self) -> Suffix {
-        Suffix::Branched
-    }
-
-    fn worker(&self) -> Box<dyn ShotWorker + '_> {
-        Box::new(self)
-    }
-}
-
-impl<B: Backend + ?Sized> ShotWorker for &PerShot<'_, B> {
-    fn run_shot(&mut self, seed: u64) -> Result<Vec<bool>, ExecError> {
-        self.backend.run_shot(self.plan, self.inputs, seed)
-    }
-}
-
-/// A run function behind a uniform interface: capability advertisement,
-/// admission check, and execution of a compiled [`Plan`].
+/// A run function behind a uniform interface: an admission check and the
+/// execution of a compiled [`Plan`].
 ///
 /// Backends are stateless between jobs — per-job state lives in the
 /// [`PreparedJob`], per-shot state in each worker's [`ShotWorker`] — so one
@@ -104,9 +58,6 @@ impl<B: Backend + ?Sized> ShotWorker for &PerShot<'_, B> {
 pub trait Backend: Send + Sync {
     /// Stable short name, used in reports and for explicit backend selection.
     fn name(&self) -> &'static str;
-
-    /// Static capabilities of this backend.
-    fn capabilities(&self) -> Capabilities;
 
     /// Whether this backend can execute circuits with the given profile;
     /// `Err` carries a human-readable rejection reason.
@@ -126,9 +77,6 @@ pub trait Backend: Send + Sync {
     /// `should_stop` is polled while the prefix runs; once it returns
     /// `true` the backend gives up with [`SimError::Stopped`].
     ///
-    /// The default has no prefix: each shot is one
-    /// [`run_shot`](Backend::run_shot).
-    ///
     /// # Errors
     ///
     /// Whatever the prefix raises, which [`run_shot`](Backend::run_shot)
@@ -137,14 +85,8 @@ pub trait Backend: Send + Sync {
         &'a self,
         plan: &'a Plan,
         inputs: &'a [bool],
-        _should_stop: &dyn Fn() -> bool,
-    ) -> Result<Box<dyn PreparedJob + 'a>, ExecError> {
-        Ok(Box::new(PerShot {
-            backend: self,
-            plan,
-            inputs,
-        }))
-    }
+        should_stop: &dyn Fn() -> bool,
+    ) -> Result<Box<dyn PreparedJob + 'a>, ExecError>;
 
     /// A dynamic-lifting executor seeded with `seed`, if this backend
     /// supports interleaving circuit generation with execution.
@@ -165,38 +107,19 @@ pub struct StateVecBackend {
     /// vector holds `2^peak` complex amplitudes.
     pub max_qubits: usize,
     /// What the kernels need to know about the host: threads per amplitude
-    /// update and from what state size, window block size, and whether the
-    /// window profiler samples. What runs fused is the plan's business
-    /// ([`Plan::fused`]), not the backend's.
+    /// update and from what state size, and the window block size. What runs
+    /// fused is the plan's business ([`Plan::fused`]), not the backend's.
     pub config: StateVecConfig,
 }
 
 /// The default width cap: 2²⁴ amplitudes ≈ 256 MiB, a safe single-host bound.
 pub const DEFAULT_MAX_QUBITS: usize = 24;
 
-impl Default for StateVecBackend {
-    fn default() -> Self {
-        StateVecBackend {
-            max_qubits: DEFAULT_MAX_QUBITS,
-            config: StateVecConfig::default(),
-        }
-    }
-}
-
 const STATEVEC: &str = "statevec";
 
 impl Backend for StateVecBackend {
     fn name(&self) -> &'static str {
         STATEVEC
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            superposition: true,
-            non_clifford: true,
-            max_qubits: Some(self.max_qubits),
-            dynamic_lifting: true,
-        }
     }
 
     fn admit(&self, profile: &CircuitProfile) -> Result<(), String> {
@@ -266,15 +189,6 @@ impl Backend for ClassicalBackend {
         "classical"
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            superposition: false,
-            non_clifford: true, // Toffoli et al. are fine: still permutations.
-            max_qubits: None,
-            dynamic_lifting: false,
-        }
-    }
-
     fn admit(&self, profile: &CircuitProfile) -> Result<(), String> {
         if !profile.classical_only {
             return Err("circuit contains superposition-creating gates".to_string());
@@ -339,15 +253,6 @@ impl Backend for StabilizerBackend {
         STABILIZER
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            superposition: true,
-            non_clifford: false,
-            max_qubits: None,
-            dynamic_lifting: false,
-        }
-    }
-
     fn admit(&self, profile: &CircuitProfile) -> Result<(), String> {
         if !profile.clifford_only {
             return Err("circuit contains non-Clifford gates".to_string());
@@ -388,61 +293,5 @@ impl PreparedJob for EvolvedClifford<'_> {
 impl ShotWorker for &EvolvedClifford<'_> {
     fn run_shot(&mut self, seed: u64) -> Result<Vec<bool>, ExecError> {
         self.shot(seed).map_err(sim_err(STABILIZER))
-    }
-}
-
-/// Resource estimates produced by the [`CountingBackend`].
-#[derive(Clone, Debug)]
-pub struct ResourceEstimate {
-    /// Gate counts by class, as printed by the paper's `print_generic`
-    /// counting output.
-    pub gates: GateCount,
-    /// Peak simultaneously-alive wires.
-    pub peak: Peak,
-    /// Circuit depth (longest wire-dependency chain).
-    pub depth: u128,
-}
-
-/// A "backend" that never executes anything: it walks the *hierarchical*
-/// circuit, multiplying through subroutine repetitions, to produce resource
-/// estimates — the paper's third run function alongside printing and
-/// simulation (§4.4.5).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CountingBackend;
-
-impl CountingBackend {
-    /// Counts gates, peak width and depth without flattening the circuit.
-    pub fn estimate(&self, bc: &BCircuit) -> ResourceEstimate {
-        ResourceEstimate {
-            gates: count::count(&bc.db, &bc.main),
-            peak: count::max_alive(&bc.db, &bc.main),
-            depth: count::depth(&bc.db, &bc.main),
-        }
-    }
-}
-
-impl Backend for CountingBackend {
-    fn name(&self) -> &'static str {
-        "counting"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            superposition: false,
-            non_clifford: false,
-            max_qubits: None,
-            dynamic_lifting: false,
-        }
-    }
-
-    fn admit(&self, _profile: &CircuitProfile) -> Result<(), String> {
-        Err("counting backend estimates resources; it cannot run shots".to_string())
-    }
-
-    fn run_shot(&self, _plan: &Plan, _inputs: &[bool], _seed: u64) -> Result<Vec<bool>, ExecError> {
-        Err(ExecError::Unsupported {
-            backend: self.name(),
-            what: "shot execution",
-        })
     }
 }

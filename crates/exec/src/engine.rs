@@ -1,10 +1,14 @@
 //! The execution engine: jobs, backend routing, shot scheduling, reports.
 //!
 //! [`Engine`] fronts every run function behind one subsystem. A [`Job`]
-//! couples a circuit with inputs, a shot count and a base seed; the engine
-//! compiles the circuit through its [`PlanCache`], routes the plan to the
-//! cheapest capable [`Backend`], fans the shots out over a worker pool, and
-//! returns an [`ExecResult`] whose [`ExecReport`] records what happened.
+//! couples a circuit with inputs, a shot count and a base seed. Running one
+//! is two halves: [`Engine::resolve`] turns the job's circuit into a plan
+//! through the [`PlanCache`], and [`Engine::run_resolved`] routes that plan
+//! to the cheapest [`Backend`] that admits it, runs the shots, and returns
+//! an [`ExecResult`] whose [`ExecReport`] records what happened.
+//! [`Engine::run`] is the two in a row, shots fanned out over the worker
+//! pool; a caller that retries (the service) resolves once and re-runs
+//! only the second half.
 //!
 //! # Evolve once, sample many
 //!
@@ -31,18 +35,16 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use quipper::{Circ, QCData, Shape};
+use quipper_circuit::count::{self, GateCount, Peak};
 use quipper_circuit::BCircuit;
 use quipper_opt::{OptLevel, OptSummary, PassStats};
 use quipper_sim::{FuseStats, SimError, StateVecConfig, Suffix};
 use quipper_trace::{fmt_duration, names, Phase, ProfileSummary, TraceSummary, Tracer};
 
-use crate::backend::{
-    Backend, ClassicalBackend, CountingBackend, PreparedJob, ResourceEstimate, StabilizerBackend,
-    StateVecBackend,
-};
+use crate::backend::{Backend, ClassicalBackend, PreparedJob, StabilizerBackend, StateVecBackend};
 use crate::cancel::{CancelReason, CancelToken};
 use crate::error::ExecError;
-use crate::plan::{LintGate, Plan, PlanCache};
+use crate::plan::{LintGate, Plan, PlanCache, PlanSource};
 use crate::profile::CircuitProfile;
 
 use quipper_lint::LintSummary;
@@ -55,8 +57,8 @@ pub struct EngineConfig {
     /// Peak live-qubit cap for the state-vector backend.
     pub max_qubits: usize,
     /// Host settings of the state-vector kernels: threads and threading
-    /// threshold, window block size, window profiler. Plans are fused the
-    /// same way whatever is set here.
+    /// threshold, window block size. Plans are fused the same way whatever
+    /// is set here.
     pub statevec: StateVecConfig,
     /// Static-analysis gate applied when compiling plans: findings at or
     /// above the gate's severity make the job fail with [`ExecError::Lint`]
@@ -102,7 +104,6 @@ pub struct Job<'a> {
     shots: u64,
     base_seed: u64,
     backend: Option<String>,
-    label: String,
     cancel: Option<CancelToken>,
     opt: Option<OptLevel>,
 }
@@ -116,7 +117,6 @@ impl<'a> Job<'a> {
             shots: 1,
             base_seed: 0,
             backend: None,
-            label: String::new(),
             cancel: None,
             opt: None,
         }
@@ -143,14 +143,6 @@ impl<'a> Job<'a> {
     /// Pins the job to a named backend instead of auto-selection.
     pub fn on_backend(mut self, name: &str) -> Self {
         self.backend = Some(name.to_string());
-        self
-    }
-
-    /// Attaches a caller-chosen label, carried into [`JobQueue`] results so
-    /// batch outcomes can be correlated with submissions without positional
-    /// indexing.
-    pub fn label(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
         self
     }
 
@@ -192,12 +184,13 @@ pub struct ExecReport {
     pub shots: u64,
     /// Worker threads actually used.
     pub workers: usize,
-    /// Whether the compiled plan came from the cache.
+    /// Whether the plan came from the cache (or from another job's
+    /// concurrent compile) instead of being compiled by this job.
     pub cache_hit: bool,
     /// Structural fingerprint of the circuit (the cache key).
     pub fingerprint: u64,
-    /// Wall-clock time spent compiling the plan (validation, inlining,
-    /// profiling, fusion) in this call; (near) zero on a cache hit.
+    /// Wall-clock time this job spent compiling its plan (validation,
+    /// optimization, inlining, profiling, fusion); zero when it did not.
     pub compile: Duration,
     /// Wall-clock time spent executing: the prefix once, then the shots.
     pub execute: Duration,
@@ -220,21 +213,15 @@ pub struct ExecReport {
     /// (static per plan). `None` when the plan was compiled at
     /// [`OptLevel::Off`], or for reports built outside the engine.
     pub opt_passes: Option<Vec<PassStats>>,
-    /// Trace accounting for this job, when tracing was enabled during it.
+    /// Trace accounting for this job's routing and shots, when tracing was
+    /// enabled during them.
     pub trace: Option<TraceSummary>,
     /// Sampling-profiler attribution for this job's state-vector windows,
-    /// when the profiler ([`StateVecConfig::profile`]) and the process-wide
-    /// tracer were both enabled. Computed as a counter delta over the job,
-    /// so concurrent jobs in one process fold into each other's summaries
+    /// when the process-wide tracer was enabled (that is what turns the
+    /// window sampler on). Computed as a counter delta over the job, so
+    /// concurrent jobs in one process fold into each other's summaries
     /// (the same caveat as `trace`).
     pub profile: Option<ProfileSummary>,
-}
-
-impl ExecReport {
-    /// Total wall-clock time: compile + execute.
-    pub fn wall(&self) -> Duration {
-        self.compile + self.execute
-    }
 }
 
 impl fmt::Display for ExecReport {
@@ -307,6 +294,18 @@ impl ExecResult {
     }
 }
 
+/// What [`Engine::estimate`] counts, without running anything.
+#[derive(Clone, Debug)]
+pub struct ResourceEstimate {
+    /// Gate counts by class, as printed by the paper's `print_generic`
+    /// counting output.
+    pub gates: GateCount,
+    /// Peak simultaneously-alive wires.
+    pub peak: Peak,
+    /// Circuit depth (longest wire-dependency chain).
+    pub depth: u128,
+}
+
 /// Cumulative engine counters, snapshot via [`Engine::stats`].
 #[derive(Clone, Debug, Default)]
 pub struct EngineStats {
@@ -376,15 +375,11 @@ impl fmt::Display for EngineStats {
 /// cache, and the worker pool width. Shared freely across threads.
 pub struct Engine {
     backends: Vec<Arc<dyn Backend>>,
-    counting: CountingBackend,
     cache: PlanCache,
     workers: usize,
     lint: LintGate,
     opt: OptLevel,
     trace: &'static Tracer,
-    /// Whether the state-vector backend was configured with the sampling
-    /// window profiler; gates the per-job [`ProfileSummary`] delta.
-    profile: bool,
     jobs: AtomicU64,
     shots: AtomicU64,
     interactive_runs: AtomicU64,
@@ -439,13 +434,11 @@ impl Engine {
     pub fn with_backends(config: EngineConfig, backends: Vec<Arc<dyn Backend>>) -> Engine {
         Engine {
             backends,
-            counting: CountingBackend,
             cache: PlanCache::new(),
             workers: config.workers.max(1),
             lint: config.lint,
             opt: config.opt,
             trace: config.trace,
-            profile: config.statevec.profile,
             jobs: AtomicU64::new(0),
             shots: AtomicU64::new(0),
             interactive_runs: AtomicU64::new(0),
@@ -471,22 +464,7 @@ impl Engine {
     /// Returns [`ExecError::Circuit`] if validation or flattening fails, and
     /// [`ExecError::Lint`] if the circuit fails the engine's lint gate.
     pub fn plan(&self, circuit: &BCircuit) -> Result<Arc<Plan>, ExecError> {
-        self.plan_with(circuit, self.opt)
-    }
-
-    /// As [`Engine::plan`], but compiling at an explicit optimizer level
-    /// instead of the engine's configured one.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::plan`].
-    pub fn plan_with(&self, circuit: &BCircuit, level: OptLevel) -> Result<Arc<Plan>, ExecError> {
-        Ok(self.cache.get_or_compile_opt(circuit, self.lint, level)?.0)
-    }
-
-    /// The optimizer level plans compile at unless a job overrides it.
-    pub fn opt_level(&self) -> OptLevel {
-        self.opt
+        Ok(self.cache.get_or_compile(circuit, self.opt, self.lint)?.0)
     }
 
     /// The engine's plan cache, for hit/miss accounting and eviction.
@@ -500,10 +478,7 @@ impl Engine {
     ///
     /// As for [`Engine::run`], minus execution errors.
     pub fn select_backend(&self, circuit: &BCircuit) -> Result<&'static str, ExecError> {
-        let (plan, _) = self
-            .cache
-            .get_or_compile_opt(circuit, self.lint, self.opt)?;
-        Ok(self.route(&plan, None)?.name())
+        Ok(self.route(&*self.plan(circuit)?, None)?.name())
     }
 
     fn route(&self, plan: &Plan, pinned: Option<&str>) -> Result<&dyn Backend, ExecError> {
@@ -534,7 +509,8 @@ impl Engine {
         })
     }
 
-    /// Runs a job: compile/cache, route, execute all shots, merge.
+    /// Runs a job: [`resolve`](Engine::resolve) its plan, then route,
+    /// execute all shots over the worker pool, merge.
     ///
     /// # Errors
     ///
@@ -543,7 +519,8 @@ impl Engine {
     /// the whole job fails with the error of the *lowest-indexed* failing
     /// shot, so parallel and sequential schedules report identically.
     pub fn run(&self, job: &Job) -> Result<ExecResult, ExecError> {
-        self.run_with_workers(job, self.workers)
+        let (plan, source) = self.resolve(job)?;
+        self.run_plan(job, &plan, source, self.workers)
     }
 
     /// As [`Engine::run`], but forcing a sequential (single-worker) schedule.
@@ -552,31 +529,29 @@ impl Engine {
     ///
     /// As for [`Engine::run`].
     pub fn run_sequential(&self, job: &Job) -> Result<ExecResult, ExecError> {
-        self.run_with_workers(job, 1)
+        let (plan, source) = self.resolve(job)?;
+        self.run_resolved(job, &plan, source)
     }
 
-    fn run_with_workers(&self, job: &Job, workers: usize) -> Result<ExecResult, ExecError> {
+    /// The first half of a run: the job's plan, from the cache or compiled
+    /// into it, and which of the two (see [`PlanCache::get_or_compile`]; a
+    /// concurrent job with the same circuit and level may have compiled it
+    /// while this one waited). One fingerprint and one cache lookup; counted
+    /// in `exec.cache.hit`/`exec.cache.miss`.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::Circuit`] if validation or flattening fails, and
+    /// [`ExecError::Lint`] if the circuit fails the engine's lint gate.
+    pub fn resolve(&self, job: &Job) -> Result<(Arc<Plan>, PlanSource), ExecError> {
         let trace = self.trace;
-        let counts_before = trace.counts();
-        // The state-vector runners publish profiler counters to the
-        // process-wide tracer, so the per-job delta reads from there (not
-        // from `self.trace`, which may be a dedicated sink).
-        let prof_before = (self.profile && quipper_trace::enabled()).then(global_profile_counters);
-        let _job_span = trace.span(Phase::Execute, "engine.job");
-
-        let compile_start = Instant::now();
-        let opt_level = job.opt.unwrap_or(self.opt);
-        let (plan, cache_hit) = {
-            let _span = trace.span(Phase::Compile, "plan.get_or_compile");
-            self.cache
-                .get_or_compile_opt(job.circuit, self.lint, opt_level)?
-        };
-        let compile = compile_start.elapsed();
+        let _span = trace.span(Phase::Compile, "plan.get_or_compile");
+        let level = job.opt.unwrap_or(self.opt);
+        let (plan, source) = self.cache.get_or_compile(job.circuit, level, self.lint)?;
         if trace.enabled() {
-            let (metric, tag) = if cache_hit {
-                (names::CACHE_HIT, "hit")
-            } else {
-                (names::CACHE_MISS, "miss")
+            let (metric, tag) = match source {
+                PlanSource::Compiled => (names::CACHE_MISS, "miss"),
+                PlanSource::Hit | PlanSource::Waited => (names::CACHE_HIT, "hit"),
             };
             trace.metrics().add(metric, 1);
             trace.instant(
@@ -585,8 +560,42 @@ impl Engine {
                 Some(format!("{tag} plan {:#018x}", plan.fingerprint)),
             );
         }
+        Ok((plan, source))
+    }
 
-        let backend = self.route(&plan, job.backend.as_deref())?;
+    /// The second half of a run: routes a plan [`resolve`](Engine::resolve)d
+    /// for `job`, runs the shots sequentially on the calling thread, and
+    /// merges them. Compiles and looks up nothing, so a caller may retry it
+    /// on the same plan; `source` only feeds the report.
+    ///
+    /// # Errors
+    ///
+    /// Routing and per-shot simulation errors, as for [`Engine::run`].
+    pub fn run_resolved(
+        &self,
+        job: &Job,
+        plan: &Plan,
+        source: PlanSource,
+    ) -> Result<ExecResult, ExecError> {
+        self.run_plan(job, plan, source, 1)
+    }
+
+    fn run_plan(
+        &self,
+        job: &Job,
+        plan: &Plan,
+        source: PlanSource,
+        workers: usize,
+    ) -> Result<ExecResult, ExecError> {
+        let trace = self.trace;
+        let counts_before = trace.counts();
+        // The state-vector runners publish profiler counters to the
+        // process-wide tracer, so the per-job delta reads from there (not
+        // from `self.trace`, which may be a dedicated sink).
+        let prof_before = quipper_trace::enabled().then(global_profile_counters);
+        let _job_span = trace.span(Phase::Execute, "engine.job");
+
+        let backend = self.route(plan, job.backend.as_deref())?;
         let route_reason = route_reason(&plan.profile, backend.name(), job.backend.is_some());
         if trace.enabled() {
             trace.metrics().add(route_metric(backend.name()), 1);
@@ -616,7 +625,7 @@ impl Engine {
         let (histogram, prefix) = if job.shots == 0 {
             (Histogram::new(), None)
         } else {
-            let (histogram, prefix) = execute(trace, backend, &plan, job, workers)?;
+            let (histogram, prefix) = execute(trace, backend, plan, job, workers)?;
             (histogram, Some(prefix))
         };
         let execute = start.elapsed();
@@ -674,9 +683,12 @@ impl Engine {
                 backend: backend.name(),
                 shots: job.shots,
                 workers,
-                cache_hit,
+                cache_hit: source != PlanSource::Compiled,
                 fingerprint: plan.fingerprint,
-                compile,
+                compile: match source {
+                    PlanSource::Compiled => plan.compile_time,
+                    PlanSource::Hit | PlanSource::Waited => Duration::ZERO,
+                },
                 execute,
                 prefix,
                 fuse,
@@ -690,9 +702,16 @@ impl Engine {
         })
     }
 
-    /// Resource estimation without execution, via the counting backend.
+    /// Resource estimation without execution — the paper's third run
+    /// function beside printing and simulation (§4.4.5): walks the
+    /// *hierarchical* circuit, multiplying through subroutine repetitions,
+    /// without flattening it.
     pub fn estimate(&self, circuit: &BCircuit) -> ResourceEstimate {
-        self.counting.estimate(circuit)
+        ResourceEstimate {
+            gates: count::count(&circuit.db, &circuit.main),
+            peak: count::max_alive(&circuit.db, &circuit.main),
+            depth: count::depth(&circuit.db, &circuit.main),
+        }
     }
 
     /// Builds a circuit interactively under a dynamic-lifting executor
@@ -713,7 +732,6 @@ impl Engine {
         let lifter = self
             .backends
             .iter()
-            .filter(|b| b.capabilities().dynamic_lifting)
             .find_map(|b| b.make_lifter(seed))
             .ok_or_else(|| ExecError::NoBackend {
                 reason: "no registered backend supports dynamic lifting".to_string(),
@@ -977,94 +995,6 @@ fn run_shots_parallel(task: &ShotTask, shots: u64, workers: usize) -> Result<His
     match first_error {
         Some((_, e)) => Err(e),
         None => Ok(merged),
-    }
-}
-
-/// One job's outcome from [`JobQueue::run_all`], carrying the label the job
-/// was submitted with so callers correlate results with submissions without
-/// positional indexing.
-#[derive(Debug)]
-pub struct JobResult {
-    /// The label the job was built with ([`Job::label`]); empty if none.
-    pub label: String,
-    /// The job's execution outcome.
-    pub result: Result<ExecResult, ExecError>,
-}
-
-impl JobResult {
-    /// The result, discarding the label (convenience for positional use).
-    pub fn into_result(self) -> Result<ExecResult, ExecError> {
-        self.result
-    }
-}
-
-/// A batch of jobs executed through one engine, fanning out *across jobs*
-/// (each job runs its shots sequentially on its worker, so results remain
-/// independent of the schedule).
-#[derive(Default)]
-pub struct JobQueue<'a> {
-    jobs: Vec<Job<'a>>,
-}
-
-impl<'a> JobQueue<'a> {
-    /// An empty queue (equivalently, `JobQueue::default()`).
-    pub fn new() -> JobQueue<'a> {
-        JobQueue::default()
-    }
-
-    /// Appends a job; returns its index in the results of
-    /// [`JobQueue::run_all`].
-    pub fn push(&mut self, job: Job<'a>) -> usize {
-        self.jobs.push(job);
-        self.jobs.len() - 1
-    }
-
-    /// Number of queued jobs.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
-    /// Runs every queued job, returning per-job labelled results in push
-    /// order. Jobs are distributed over the engine's workers; each job's
-    /// outcome is deterministic, so the batch result does not depend on the
-    /// schedule.
-    pub fn run_all(self, engine: &Engine) -> Vec<JobResult> {
-        let labels: Vec<String> = self.jobs.iter().map(|j| j.label.clone()).collect();
-        let results: Vec<Result<ExecResult, ExecError>> =
-            if engine.workers <= 1 || self.jobs.len() <= 1 {
-                self.jobs.iter().map(|j| engine.run_sequential(j)).collect()
-            } else {
-                let workers = engine.workers.min(self.jobs.len());
-                let next_job = AtomicUsize::new(0);
-                let slots: Vec<Mutex<Option<Result<ExecResult, ExecError>>>> =
-                    self.jobs.iter().map(|_| Mutex::new(None)).collect();
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        let next_job = &next_job;
-                        let slots = &slots;
-                        let jobs = &self.jobs;
-                        scope.spawn(move || loop {
-                            let i = next_job.fetch_add(1, Ordering::Relaxed);
-                            let Some(job) = jobs.get(i) else { return };
-                            *slots[i].lock().unwrap() = Some(engine.run_sequential(job));
-                        });
-                    }
-                });
-                slots
-                    .into_iter()
-                    .map(|slot| slot.into_inner().unwrap().expect("every job slot filled"))
-                    .collect()
-            };
-        labels
-            .into_iter()
-            .zip(results)
-            .map(|(label, result)| JobResult { label, result })
-            .collect()
     }
 }
 

@@ -36,13 +36,6 @@ pub enum ExecError {
     /// A sampling job needs every circuit output to be classical (measure
     /// quantum outputs inside the circuit).
     QuantumOutputs,
-    /// The operation is not supported by the chosen backend.
-    Unsupported {
-        /// Which backend.
-        backend: &'static str,
-        /// What was attempted.
-        what: &'static str,
-    },
     /// The job's [`CancelToken`](crate::CancelToken) fired while shots were
     /// running; remaining shots were abandoned.
     Cancelled {
@@ -94,9 +87,6 @@ impl fmt::Display for ExecError {
                 f,
                 "sampling requires classical outputs only; measure quantum outputs in the circuit"
             ),
-            ExecError::Unsupported { backend, what } => {
-                write!(f, "backend `{backend}` does not support {what}")
-            }
             ExecError::Cancelled { reason } => write!(f, "job {reason} during execution"),
             ExecError::Transient { backend, detail } => {
                 write!(f, "transient fault on backend `{backend}`: {detail}")

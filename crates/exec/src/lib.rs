@@ -6,18 +6,28 @@
 //! (paper §4.4.5). The lower crates each expose one run function; this crate
 //! puts them all behind a single subsystem:
 //!
-//! * [`Backend`] — one run function with advertised [`Capabilities`] and an
-//!   admission check; adapters wrap the state-vector, classical and
-//!   stabilizer simulators, plus a [`CountingBackend`] for resource
-//!   estimation.
+//! * [`Backend`] — one run function with an admission check; adapters wrap
+//!   the state-vector, classical and stabilizer simulators.
+//!   [`Engine::estimate`] is the run function that simulates nothing: gate
+//!   counts, peak width and depth of the hierarchical circuit.
 //! * **Auto-selection** — each circuit is profiled once
-//!   ([`CircuitProfile`]) and routed to the cheapest capable backend:
-//!   classical-only circuits to the bit-per-wire simulator, Clifford-only
-//!   circuits to the CHP tableau, everything else to the state vector.
+//!   ([`CircuitProfile`]) and routed to the cheapest backend that admits
+//!   it: classical-only circuits to the bit-per-wire simulator,
+//!   Clifford-only circuits to the CHP tableau, everything else to the
+//!   state vector.
 //! * [`Plan`] / [`PlanCache`] — validation and flattening happen once per
 //!   structurally-distinct circuit, keyed by the stable circuit
 //!   [`fingerprint`](quipper_circuit::fingerprint); repeat submissions skip
-//!   straight to execution.
+//!   straight to execution. The cache has one entry point,
+//!   [`PlanCache::get_or_compile`]: it hashes the circuit once, answers a
+//!   hit without waiting, and single-flights concurrent misses on one
+//!   `(fingerprint, level)` — one caller compiles, the others wait and
+//!   share its plan — telling each caller which it was ([`PlanSource`]).
+//! * **One job path** — [`Engine::resolve`] (the job's plan, through the
+//!   cache) then [`Engine::run_resolved`] (route, prefix, shots, merge).
+//!   [`Engine::run`] is the two in a row; a scheduler that retries
+//!   transient faults (`quipper-serve`) resolves once per job and re-runs
+//!   only the second half.
 //! * [`LintGate`] — the `quipper-lint` static passes run on every plan
 //!   compilation; findings at or above the gate's severity reject the job
 //!   ([`ExecError::Lint`]) before anything is cached or executed.
@@ -25,10 +35,10 @@
 //!   the first op that draws from the shot's RNG) runs once; workers finish
 //!   shots from that state through a [`ShotWorker`], bit-identical to one
 //!   [`Backend::run_shot`] per seed.
-//! * [`Job`] / [`JobQueue`] — multi-shot and batched-circuit scheduling over
-//!   a worker thread pool, with deterministic per-shot seed derivation
-//!   (`base_seed + shot_index`) so parallel results are bit-identical to
-//!   sequential ones.
+//! * [`Job`] — multi-shot scheduling over a worker thread pool, with
+//!   deterministic per-shot seed derivation (`base_seed + shot_index`) so
+//!   parallel results are bit-identical to sequential ones. Scheduling
+//!   *across* jobs is `quipper_serve::Service`.
 //! * [`ExecReport`] / [`EngineStats`] — per-job and cumulative observability:
 //!   shots, wall time, cache hits, backend chosen.
 //!
@@ -57,16 +67,14 @@ pub mod plan;
 pub mod profile;
 
 pub use backend::{
-    Backend, Capabilities, ClassicalBackend, CountingBackend, PreparedJob, ResourceEstimate,
-    ShotWorker, StabilizerBackend, StateVecBackend,
+    Backend, ClassicalBackend, PreparedJob, ShotWorker, StabilizerBackend, StateVecBackend,
 };
 pub use cancel::{CancelReason, CancelToken};
 pub use engine::{
-    Engine, EngineConfig, EngineStats, ExecReport, ExecResult, Job, JobQueue, JobResult,
-    PrefixReport,
+    Engine, EngineConfig, EngineStats, ExecReport, ExecResult, Job, PrefixReport, ResourceEstimate,
 };
 pub use error::ExecError;
-pub use plan::{LintGate, Plan, PlanCache};
+pub use plan::{LintGate, Plan, PlanCache, PlanSource};
 pub use profile::{profile, CircuitProfile};
 pub use quipper_lint::{LintReport, LintSummary, Severity};
 pub use quipper_opt::{OptLevel, OptReport, OptSummary};

@@ -8,10 +8,16 @@
 //! [`PlanCache`] keys plans by the structural
 //! [`fingerprint`](quipper_circuit::fingerprint) of the hierarchical circuit,
 //! so a repeat submission skips validation and flattening entirely.
+//!
+//! This module is the one place that decides how a submission becomes a
+//! plan and who waits for whom while it does: [`PlanCache::get_or_compile`]
+//! hashes the circuit once, answers a hit at once, and single-flights
+//! concurrent misses on one key so that one caller compiles and the rest
+//! share its plan.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use quipper_circuit::flatten::inline_all;
@@ -119,12 +125,15 @@ impl Plan {
     ///
     /// As [`Plan::compile`].
     pub fn compile_with(bc: &BCircuit, level: OptLevel) -> Result<Plan, ExecError> {
+        Plan::compile_keyed(bc, level, bc.fingerprint())
+    }
+
+    /// [`Plan::compile_with`] for a caller that already hashed `bc`. The
+    /// plan is keyed by the fingerprint of the circuit *as submitted* —
+    /// rewriting must never change which cache slot a submission lands in.
+    fn compile_keyed(bc: &BCircuit, level: OptLevel, fingerprint: u64) -> Result<Plan, ExecError> {
         let _span = quipper_trace::span(quipper_trace::Phase::Compile, "plan.compile");
         let start = Instant::now();
-        // The plan is keyed by the fingerprint of the circuit *as
-        // submitted* — rewriting must never change which cache slot a
-        // submission lands in.
-        let fingerprint = bc.fingerprint();
         validate::validate(&bc.db, &bc.main)?;
         let (bc, opt) = match level {
             OptLevel::Off => (bc.clone(), None),
@@ -165,6 +174,27 @@ impl Plan {
     }
 }
 
+/// How a caller of [`PlanCache::get_or_compile`] came by its plan.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum PlanSource {
+    /// The plan was cached: nothing compiled, nothing waited.
+    Hit,
+    /// This caller compiled the plan (a cache miss) and cached it.
+    Compiled,
+    /// Another caller was compiling the same key; this one waited for it
+    /// and shares its plan.
+    Waited,
+}
+
+type Key = (u64, OptLevel);
+
+/// A cache slot: a finished plan, or the mark of the one caller compiling it.
+#[derive(Debug)]
+enum Slot {
+    Ready(Arc<Plan>),
+    Compiling,
+}
+
 /// A thread-safe cache of compiled plans keyed by circuit fingerprint and
 /// optimizer level, with hit/miss counters surfaced in execution reports.
 ///
@@ -174,7 +204,10 @@ impl Plan {
 /// compiled at `Off`.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    plans: Mutex<HashMap<(u64, OptLevel), Arc<Plan>>>,
+    slots: Mutex<HashMap<Key, Slot>>,
+    /// Signalled when a compile lands, on whatever key: waiters re-read
+    /// their own slot.
+    landed: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -185,66 +218,75 @@ impl PlanCache {
         PlanCache::default()
     }
 
-    /// Returns the cached plan for this circuit, compiling and inserting it
-    /// on first sight. The boolean is `true` on a cache hit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Plan::compile`] errors; failed compilations are not
-    /// cached.
-    pub fn get_or_compile(&self, bc: &BCircuit) -> Result<(Arc<Plan>, bool), ExecError> {
-        self.get_or_compile_opt(bc, LintGate::Off, OptLevel::Off)
+    /// The slot table. Every update under this lock is one insert or one
+    /// remove, so the map is valid even if a holder panicked; and
+    /// [`Landing`] takes it while a panicking compile unwinds.
+    fn slots(&self) -> MutexGuard<'_, HashMap<Key, Slot>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// As [`PlanCache::get_or_compile`], but refusing plans whose lint report
-    /// fails `gate`. The gate is applied on the cache-hit path too (the plan
-    /// may have been admitted under a laxer gate), and a rejected compilation
-    /// is **not** cached — the cache only ever holds plans that passed the
-    /// gate they were compiled under.
+    /// Returns the plan for this circuit at `level`, and how the caller got
+    /// it. The circuit is hashed once. A cached plan is returned at once
+    /// ([`PlanSource::Hit`]); on a miss, concurrent callers with the same
+    /// key single-flight: one compiles outside the lock and caches the plan
+    /// ([`PlanSource::Compiled`]), the others wait and share its `Arc`
+    /// ([`PlanSource::Waited`]). Callers with other keys are never held up.
+    ///
+    /// `gate` is applied to whatever plan the caller ends up with, a cached
+    /// one included (it may have been admitted under a laxer gate). A
+    /// compile that fails, or whose report fails the compiling caller's
+    /// gate, is **not** cached — the cache only ever holds plans that passed
+    /// the gate they were compiled under — and of its waiters one compiles
+    /// next while the rest go on waiting.
     ///
     /// # Errors
     ///
     /// [`ExecError::Lint`] when the report fails the gate, plus all
     /// [`Plan::compile`] errors.
-    pub fn get_or_compile_gated(
+    pub fn get_or_compile(
         &self,
         bc: &BCircuit,
-        gate: LintGate,
-    ) -> Result<(Arc<Plan>, bool), ExecError> {
-        self.get_or_compile_opt(bc, gate, OptLevel::Off)
-    }
-
-    /// As [`PlanCache::get_or_compile_gated`], but compiling at the given
-    /// optimizer level. Plans are cached per `(fingerprint, level)`, so
-    /// mixed-level workloads over the same circuit coexist in the cache.
-    ///
-    /// # Errors
-    ///
-    /// As [`PlanCache::get_or_compile_gated`].
-    pub fn get_or_compile_opt(
-        &self,
-        bc: &BCircuit,
-        gate: LintGate,
         level: OptLevel,
-    ) -> Result<(Arc<Plan>, bool), ExecError> {
+        gate: LintGate,
+    ) -> Result<(Arc<Plan>, PlanSource), ExecError> {
         let key = (bc.fingerprint(), level);
-        if let Some(plan) = self.plans.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            let plan = Arc::clone(plan);
-            gate.check(&plan.lint)?;
-            return Ok((plan, true));
-        }
-        // Compile outside the lock: plans can be large and compilation is the
-        // expensive path. Two threads racing on the same new circuit both
-        // compile; the entry is just overwritten with an identical plan.
-        let plan = Arc::new(Plan::compile_with(bc, level)?);
+        let mut source = PlanSource::Hit;
+        let mut slots = self.slots();
+        let plan = loop {
+            match slots.get(&key) {
+                Some(Slot::Ready(plan)) => break Arc::clone(plan),
+                Some(Slot::Compiling) => {
+                    source = PlanSource::Waited;
+                    slots = self
+                        .landed
+                        .wait(slots)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                None => {
+                    slots.insert(key, Slot::Compiling);
+                    drop(slots);
+                    // Compile outside the lock: plans can be large and
+                    // compilation is the expensive path.
+                    let mut landing = Landing {
+                        cache: self,
+                        key,
+                        plan: None,
+                    };
+                    let plan = Arc::new(Plan::compile_keyed(bc, level, key.0)?);
+                    gate.check(&plan.lint)?;
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    landing.plan = Some(Arc::clone(&plan));
+                    return Ok((plan, PlanSource::Compiled));
+                }
+            }
+        };
+        drop(slots);
+        self.hits.fetch_add(1, Ordering::Relaxed);
         gate.check(&plan.lint)?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.plans.lock().unwrap().insert(key, Arc::clone(&plan));
-        Ok((plan, false))
+        Ok((plan, source))
     }
 
-    /// Number of cache hits so far.
+    /// Number of lookups answered without compiling (hits and waits).
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
@@ -256,19 +298,37 @@ impl PlanCache {
 
     /// Number of distinct plans currently cached.
     pub fn len(&self) -> usize {
-        self.plans.lock().unwrap().len()
+        self.slots()
+            .values()
+            .filter(|slot| matches!(slot, Slot::Ready(_)))
+            .count()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
 
-    /// Drops all cached plans and resets the counters.
-    pub fn clear(&self) {
-        self.plans.lock().unwrap().clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
+/// Lands the compile its holder marked in the slot table, when dropped,
+/// however the compile ended — an error return or a panicking pass
+/// included — so waiters never hang: the slot becomes the plan or is
+/// vacated, then the waiters are woken.
+struct Landing<'a> {
+    cache: &'a PlanCache,
+    key: Key,
+    plan: Option<Arc<Plan>>,
+}
+
+impl Drop for Landing<'_> {
+    fn drop(&mut self) {
+        let mut slots = self.cache.slots();
+        match self.plan.take() {
+            Some(plan) => slots.insert(self.key, Slot::Ready(plan)),
+            None => slots.remove(&self.key),
+        };
+        drop(slots);
+        self.cache.landed.notify_all();
     }
 }
 
@@ -276,6 +336,14 @@ impl PlanCache {
 mod tests {
     use super::*;
     use quipper::{Circ, Qubit};
+    use std::sync::{mpsc, Barrier};
+
+    /// An ungated lookup at `OptLevel::Off`.
+    fn get(cache: &PlanCache, bc: &BCircuit) -> (Arc<Plan>, PlanSource) {
+        cache
+            .get_or_compile(bc, OptLevel::Off, LintGate::Off)
+            .unwrap()
+    }
 
     fn bell() -> BCircuit {
         Circ::build(&(false, false), |c, (a, b): (Qubit, Qubit)| {
@@ -289,10 +357,10 @@ mod tests {
     fn repeat_submission_hits_cache() {
         let cache = PlanCache::new();
         let bc = bell();
-        let (p1, hit1) = cache.get_or_compile(&bc).unwrap();
-        let (p2, hit2) = cache.get_or_compile(&bc).unwrap();
-        assert!(!hit1);
-        assert!(hit2);
+        let (p1, first) = get(&cache, &bc);
+        let (p2, second) = get(&cache, &bc);
+        assert_eq!(first, PlanSource::Compiled);
+        assert_eq!(second, PlanSource::Hit);
         assert!(Arc::ptr_eq(&p1, &p2));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
@@ -301,9 +369,9 @@ mod tests {
     fn structurally_equal_circuits_share_a_plan() {
         // Two independent builds of the same circuit fingerprint identically.
         let cache = PlanCache::new();
-        cache.get_or_compile(&bell()).unwrap();
-        let (_, hit) = cache.get_or_compile(&bell()).unwrap();
-        assert!(hit);
+        get(&cache, &bell());
+        let (_, source) = get(&cache, &bell());
+        assert_eq!(source, PlanSource::Hit);
         assert_eq!(cache.len(), 1);
     }
 
@@ -334,7 +402,7 @@ mod tests {
     fn gate_refuses_and_does_not_cache_a_flagged_plan() {
         let cache = PlanCache::new();
         let bc = provably_wrong_qterm();
-        let err = cache.get_or_compile_gated(&bc, LintGate::DenyErrors);
+        let err = cache.get_or_compile(&bc, OptLevel::Off, LintGate::DenyErrors);
         match err {
             Err(ExecError::Lint(report)) => {
                 assert!(report.fails_at(quipper_lint::Severity::Error));
@@ -352,12 +420,12 @@ mod tests {
         let bc = entangled_qterm();
         // Warning-level finding: passes the default gate…
         let (plan, _) = cache
-            .get_or_compile_gated(&bc, LintGate::DenyErrors)
+            .get_or_compile(&bc, OptLevel::Off, LintGate::DenyErrors)
             .unwrap();
         assert!(plan.lint.fails_at(quipper_lint::Severity::Warning));
         // …but the stricter gate rejects it even on the cache-hit path.
         assert!(matches!(
-            cache.get_or_compile_gated(&bc, LintGate::DenyWarnings),
+            cache.get_or_compile(&bc, OptLevel::Off, LintGate::DenyWarnings),
             Err(ExecError::Lint(_))
         ));
         assert_eq!(cache.len(), 1, "hit-path rejection keeps the cached plan");
@@ -366,10 +434,8 @@ mod tests {
     #[test]
     fn gate_off_compiles_and_caches_anything_lintable() {
         let cache = PlanCache::new();
-        let (plan, hit) = cache
-            .get_or_compile_gated(&provably_wrong_qterm(), LintGate::Off)
-            .unwrap();
-        assert!(!hit);
+        let (plan, source) = get(&cache, &provably_wrong_qterm());
+        assert_eq!(source, PlanSource::Compiled);
         assert_eq!(plan.lint.summary().errors, 1);
         assert_eq!(cache.len(), 1);
     }
@@ -414,34 +480,127 @@ mod tests {
     fn cache_keys_plans_per_opt_level() {
         let cache = PlanCache::new();
         let bc = cancelling_pair();
-        let (off_plan, hit0) = cache
-            .get_or_compile_opt(&bc, LintGate::Off, OptLevel::Off)
-            .unwrap();
-        let (opt_plan, hit1) = cache
-            .get_or_compile_opt(&bc, LintGate::Off, OptLevel::Default)
-            .unwrap();
+        let at = |level| cache.get_or_compile(&bc, level, LintGate::Off).unwrap();
+        let (off_plan, first) = at(OptLevel::Off);
+        let (opt_plan, second) = at(OptLevel::Default);
         // Same fingerprint, different level: a real compile, not a hit.
-        assert!(!hit0);
-        assert!(!hit1);
+        assert_eq!(first, PlanSource::Compiled);
+        assert_eq!(second, PlanSource::Compiled);
         assert_eq!(cache.len(), 2);
         assert!(opt_plan.flat.gates.len() < off_plan.flat.gates.len());
-        let (again, hit2) = cache
-            .get_or_compile_opt(&bc, LintGate::Off, OptLevel::Default)
-            .unwrap();
-        assert!(hit2);
+        let (again, third) = at(OptLevel::Default);
+        assert_eq!(third, PlanSource::Hit);
         assert!(Arc::ptr_eq(&opt_plan, &again));
     }
 
     #[test]
     fn different_circuits_do_not_collide() {
         let cache = PlanCache::new();
-        cache.get_or_compile(&bell()).unwrap();
+        get(&cache, &bell());
         let other = Circ::build(&false, |c, q: Qubit| {
             c.gate_t(q);
             q
         });
-        let (_, hit) = cache.get_or_compile(&other).unwrap();
-        assert!(!hit);
+        let (_, source) = get(&cache, &other);
+        assert_eq!(source, PlanSource::Compiled);
+        assert_eq!(cache.len(), 2);
+    }
+
+    /// Runs `lookup` on eight threads released together, and collects what
+    /// each returned; a thread that has not answered in ten seconds fails
+    /// the test instead of hanging it.
+    fn race<T: Send + 'static>(
+        cache: &Arc<PlanCache>,
+        lookup: impl Fn(&PlanCache) -> T + Send + Sync + 'static,
+    ) -> Vec<T> {
+        const THREADS: usize = 8;
+        let start = Arc::new(Barrier::new(THREADS));
+        let lookup = Arc::new(lookup);
+        let (tx, rx) = mpsc::channel();
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let (cache, start) = (Arc::clone(cache), Arc::clone(&start));
+                let (lookup, tx) = (Arc::clone(&lookup), tx.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    tx.send(lookup(&cache)).unwrap();
+                })
+            })
+            .collect();
+        let answers = (0..THREADS)
+            .map(|_| {
+                rx.recv_timeout(Duration::from_secs(10))
+                    .expect("a racing lookup hung")
+            })
+            .collect();
+        for handle in handles {
+            handle.join().unwrap();
+        }
+        answers
+    }
+
+    #[test]
+    fn racing_misses_on_one_key_compile_once_and_share_the_plan() {
+        let cache = Arc::new(PlanCache::new());
+        let bc = cancelling_pair();
+        let answers = race(&cache, move |cache| {
+            cache
+                .get_or_compile(&bc, OptLevel::Default, LintGate::DenyErrors)
+                .unwrap()
+        });
+        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.hits(), 7);
+        assert_eq!(cache.len(), 1);
+        let compiled = answers.iter().filter(|(_, s)| *s == PlanSource::Compiled);
+        assert_eq!(compiled.count(), 1, "exactly one caller compiles");
+        for (plan, _) in &answers {
+            assert!(Arc::ptr_eq(plan, &answers[0].0));
+        }
+    }
+
+    #[test]
+    fn racing_refused_compiles_all_fail_and_cache_nothing() {
+        let cache = Arc::new(PlanCache::new());
+        let bc = provably_wrong_qterm();
+        let answers = race(&cache, move |cache| {
+            cache.get_or_compile(&bc, OptLevel::Off, LintGate::DenyErrors)
+        });
+        for answer in answers {
+            assert!(matches!(answer, Err(ExecError::Lint(_))), "{answer:?}");
+        }
+        assert_eq!(cache.len(), 0);
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+        assert!(cache.slots().is_empty(), "no flight left behind");
+    }
+
+    /// A compile stuck in flight on one key holds up lookups of that key
+    /// and nothing else; landing it releases the waiter with the plan.
+    #[test]
+    fn a_compile_in_flight_holds_up_only_its_own_key() {
+        let cache = Arc::new(PlanCache::new());
+        let stuck = bell();
+        let key = (stuck.fingerprint(), OptLevel::Off);
+        cache.slots().insert(key, Slot::Compiling);
+
+        // Another key compiles, and then hits, while that one is in flight.
+        assert_eq!(get(&cache, &cancelling_pair()).1, PlanSource::Compiled);
+        assert_eq!(get(&cache, &cancelling_pair()).1, PlanSource::Hit);
+        assert_eq!(cache.len(), 1, "a compile in flight is not a cached plan");
+
+        let waiter = {
+            let (cache, stuck) = (Arc::clone(&cache), stuck.clone());
+            std::thread::spawn(move || get(&cache, &stuck))
+        };
+        let plan = Arc::new(Plan::compile(&stuck).unwrap());
+        drop(Landing {
+            cache: &cache,
+            key,
+            plan: Some(Arc::clone(&plan)),
+        });
+        // Waited if the waiter got there before the landing, Hit if after.
+        let (got, source) = waiter.join().unwrap();
+        assert!(Arc::ptr_eq(&got, &plan));
+        assert_ne!(source, PlanSource::Compiled);
         assert_eq!(cache.len(), 2);
     }
 }

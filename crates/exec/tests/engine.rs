@@ -1,6 +1,5 @@
 //! Integration tests of the execution engine: backend auto-selection,
-//! deterministic parallel scheduling, plan caching, batched queues and
-//! dynamic lifting.
+//! deterministic parallel scheduling, plan caching and dynamic lifting.
 
 use quipper::classical::Dag;
 use quipper::{Circ, Qubit};
@@ -9,8 +8,8 @@ use quipper_circuit::BCircuit;
 use std::time::Duration;
 
 use quipper_exec::{
-    CancelReason, CancelToken, Engine, EngineConfig, ExecError, Job, JobQueue, LintGate, OptLevel,
-    Tracer,
+    CancelReason, CancelToken, Engine, EngineConfig, ExecError, Job, LintGate, OptLevel,
+    PlanSource, Tracer,
 };
 use quipper_trace::names;
 
@@ -119,6 +118,24 @@ fn repeat_jobs_hit_the_plan_cache() {
     assert_eq!(stats.backend_jobs, vec![("stabilizer", 2)]);
 }
 
+/// The two halves of a run: a plan resolved once re-runs (as a retrying
+/// caller would) without another fingerprint, lookup or compile.
+#[test]
+fn a_resolved_plan_reruns_without_asking_the_cache_again() {
+    let engine = Engine::new();
+    let bc = bell();
+    let job = Job::new(&bc).inputs(vec![false, false]).shots(16).seed(3);
+    let (plan, source) = engine.resolve(&job).unwrap();
+    assert_eq!(source, PlanSource::Compiled);
+    let first = engine.run_resolved(&job, &plan, source).unwrap();
+    let again = engine.run_resolved(&job, &plan, source).unwrap();
+    assert_eq!(first.histogram, again.histogram);
+    assert_eq!(first.histogram, engine.run(&job).unwrap().histogram);
+    assert!(!again.report.cache_hit, "this job's plan was a miss");
+    let cache = engine.plan_cache();
+    assert_eq!((cache.misses(), cache.hits()), (1, 1), "resolve + run");
+}
+
 #[test]
 fn pinned_backend_overrides_auto_selection() {
     let engine = Engine::new();
@@ -151,43 +168,6 @@ fn quantum_outputs_are_rejected_for_sampling() {
     });
     let err = engine.run(&Job::new(&bc).inputs(vec![false])).unwrap_err();
     assert!(matches!(err, ExecError::QuantumOutputs));
-}
-
-#[test]
-fn job_queue_preserves_order_and_determinism() {
-    let bell_c = bell();
-    let parity_c = parity3();
-    let t_c = t_gate();
-
-    let run = |workers: usize| {
-        let engine = engine_with_workers(workers);
-        let mut queue = JobQueue::new();
-        queue.push(
-            Job::new(&bell_c)
-                .inputs(vec![false, false])
-                .shots(16)
-                .seed(1),
-        );
-        queue.push(
-            Job::new(&parity_c)
-                .inputs(vec![true, false, true, false])
-                .shots(8),
-        );
-        queue.push(Job::new(&t_c).inputs(vec![false]).shots(16).seed(9));
-        assert_eq!(queue.len(), 3);
-        queue.run_all(&engine)
-    };
-
-    let parallel: Vec<_> = run(4).into_iter().map(|r| r.result.unwrap()).collect();
-    let sequential: Vec<_> = run(1).into_iter().map(|r| r.result.unwrap()).collect();
-    assert_eq!(parallel.len(), 3);
-    for (p, s) in parallel.iter().zip(&sequential) {
-        assert_eq!(p.histogram, s.histogram);
-        assert_eq!(p.report.backend, s.report.backend);
-    }
-    // The parity job is deterministic: one pattern, inputs preserved, t = 1⊕0⊕1⊕0 ... xor-ed in.
-    assert_eq!(parallel[1].histogram.len(), 1);
-    assert_eq!(parallel[1].report.backend, "classical");
 }
 
 #[test]

@@ -14,8 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use quipper_exec::{
-    Backend, Capabilities, CircuitProfile, EngineConfig, ExecError, Plan, PreparedJob, ShotWorker,
-    Suffix,
+    Backend, CircuitProfile, EngineConfig, ExecError, Plan, PreparedJob, ShotWorker, Suffix,
 };
 use quipper_trace::names;
 
@@ -165,10 +164,6 @@ impl Backend for FaultInjector {
         self.inner.name()
     }
 
-    fn capabilities(&self) -> Capabilities {
-        self.inner.capabilities()
-    }
-
     fn admit(&self, profile: &CircuitProfile) -> Result<(), String> {
         self.inner.admit(profile)
     }
@@ -221,16 +216,7 @@ mod tests {
     fn injects_transient_faults_at_roughly_the_configured_rate() {
         let injector =
             FaultInjector::new(Arc::new(ClassicalBackend), FaultConfig::failing(0.25, 99));
-        let engine = Engine::with_backends(EngineConfig::default(), vec![]);
-        let plan = {
-            // Compile through a throwaway engine's cache to get a Plan.
-            let bc = parity();
-            let _ = &engine;
-            quipper_exec::PlanCache::new()
-                .get_or_compile(&bc)
-                .unwrap()
-                .0
-        };
+        let plan = Plan::compile(&parity()).unwrap();
         let mut faults = 0;
         for shot in 0..400 {
             match injector.run_shot(&plan, &[true, false, false], shot) {
@@ -252,10 +238,7 @@ mod tests {
         let run = || {
             let injector =
                 FaultInjector::new(Arc::new(ClassicalBackend), FaultConfig::failing(0.3, 1234));
-            let plan = quipper_exec::PlanCache::new()
-                .get_or_compile(&parity())
-                .unwrap()
-                .0;
+            let plan = Plan::compile(&parity()).unwrap();
             (0..64)
                 .map(|shot| {
                     injector

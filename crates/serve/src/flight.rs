@@ -1,9 +1,9 @@
 //! Flight recorder: always-on, bounded capture of per-job event timelines.
 //!
 //! Every admitted job carries a [`FlightLog`] that stamps each lifecycle
-//! phase (admit → queue → compile/coalesce → shots → terminal, plus one
-//! stamp per retry) against the job's admission instant. When the job
-//! reaches a terminal state the finished timeline is pushed into the
+//! phase (admit → queue → compile → shots → terminal, plus `coalesce` after
+//! a wait and one stamp per retry) against the job's admission instant. When
+//! the job reaches a terminal state the finished timeline is pushed into the
 //! service's [`FlightRecorder`] — a fixed-capacity ring, so the recorder's
 //! memory is bounded no matter how many jobs flow through. The dump turns
 //! "job 4132 was slow" into an answerable question: the timeline shows
@@ -22,9 +22,11 @@ pub mod phases {
     pub const ADMIT: &str = "admit";
     /// Waiting in the admission queue.
     pub const QUEUE: &str = "queue";
-    /// Leading a plan compile.
+    /// A worker picked the job up and asked the engine for its plan: a
+    /// cache hit, a compile, or a wait on another job's compile.
     pub const COMPILE: &str = "compile";
-    /// Coalesced onto a concurrent identical compile.
+    /// The plan came from a concurrent identical job's compile; stamped
+    /// when the wait for it ended.
     pub const COALESCE: &str = "coalesce";
     /// Executing shots (one stamp per attempt).
     pub const SHOTS: &str = "shots";

@@ -17,21 +17,30 @@
 //!   [`CancelToken`](quipper_exec::CancelToken) that the exec shot loop
 //!   polls between shot chunks, so a client cancel or a missed deadline
 //!   stops real simulation work mid-job, not just unstarted dequeues.
+//! * **One job path** — a worker asks the engine for the job's plan once
+//!   ([`Engine::resolve`](quipper_exec::Engine::resolve)), then runs the
+//!   shots on it
+//!   ([`Engine::run_resolved`](quipper_exec::Engine::run_resolved)). This
+//!   crate compiles nothing and hashes nothing: the engine's plan cache
+//!   decides who compiles, and of concurrent jobs that miss on one circuit
+//!   and optimizer level one compiles while the others wait and share its
+//!   plan (counted as `serve.coalesced`). A job whose plan is cached waits
+//!   for nobody.
 //! * **Retry** — transient backend faults
 //!   ([`ExecError::Transient`](quipper_exec::ExecError)) are retried with
-//!   exponential backoff and deterministic jitter; because per-shot seeds
-//!   depend only on the submission, a retried job is bit-identical to a
+//!   exponential backoff and deterministic jitter. A retry re-runs the
+//!   shots on the plan already resolved; because per-shot seeds depend
+//!   only on the submission, a retried job is bit-identical to a
 //!   fault-free run.
-//! * **Coalescing** — concurrent jobs with the same plan fingerprint share
-//!   one compile through the engine's plan cache (single-flight per
-//!   fingerprint).
 //! * [`FaultInjector`] — a backend wrapper with seeded failure probability
 //!   and latency spikes, proving graceful degradation under injected faults.
 //! * **Flight recorder** — every job stamps an always-on lifecycle timeline
-//!   (admit → queue → compile/coalesce → shots → terminal); finished
-//!   timelines land in a bounded [`FlightRecorder`] ring, failed and
-//!   deadline-missed wire results carry theirs inline, and the `flight` op
-//!   dumps them on demand.
+//!   (admit → queue → compile → shots → terminal): `compile` when a worker
+//!   picks the job up and asks for its plan, then `coalesce` if the plan
+//!   came from another job's concurrent compile, stamped when that wait
+//!   ended. Finished timelines land in a bounded [`FlightRecorder`] ring,
+//!   failed and deadline-missed wire results carry theirs inline, and the
+//!   `flight` op dumps them on demand.
 //! * [`protocol`] / [`Server`] — a newline-delimited JSON protocol
 //!   (submit/status/result/cancel/export/stats/metrics/flight) over
 //!   `std::net::TcpListener`, served by the `quipper-served` binary.

@@ -28,7 +28,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use quipper_circuit::BCircuit;
-use quipper_exec::{CancelReason, CancelToken, Engine, ExecError, ExecResult, Job, OptLevel};
+use quipper_exec::{
+    CancelReason, CancelToken, Engine, ExecError, ExecResult, Job, OptLevel, Plan, PlanSource,
+};
 use quipper_trace::{names, Tracer};
 
 use crate::flight::{phases, FlightLog, FlightRecorder, FlightTimeline};
@@ -381,51 +383,6 @@ struct Counters {
     coalesced_compiles: AtomicU64,
 }
 
-/// Single-flight table: at most one concurrent plan compile per circuit
-/// fingerprint; followers wait for the leader, then hit the plan cache.
-#[derive(Default)]
-struct Coalescer {
-    inflight: Mutex<HashMap<u64, Arc<Flight>>>,
-}
-
-#[derive(Default)]
-struct Flight {
-    done: Mutex<bool>,
-    cv: Condvar,
-}
-
-enum CompileRole {
-    Leader(Arc<Flight>),
-    Coalesced,
-}
-
-impl Coalescer {
-    fn begin(&self, key: u64) -> CompileRole {
-        let flight = {
-            let mut inflight = self.inflight.lock().unwrap();
-            match inflight.get(&key) {
-                Some(flight) => Arc::clone(flight),
-                None => {
-                    let flight = Arc::new(Flight::default());
-                    inflight.insert(key, Arc::clone(&flight));
-                    return CompileRole::Leader(flight);
-                }
-            }
-        };
-        let mut done = flight.done.lock().unwrap();
-        while !*done {
-            done = flight.cv.wait(done).unwrap();
-        }
-        CompileRole::Coalesced
-    }
-
-    fn finish(&self, key: u64, flight: &Flight) {
-        self.inflight.lock().unwrap().remove(&key);
-        *flight.done.lock().unwrap() = true;
-        flight.cv.notify_all();
-    }
-}
-
 struct Inner {
     engine: Engine,
     queue: AdmissionQueue,
@@ -438,7 +395,6 @@ struct Inner {
     next_id: AtomicU64,
     next_seq: AtomicU64,
     counters: Counters,
-    coalescer: Coalescer,
     /// Admitted-but-not-terminal job count + condvar for [`Service::drain`].
     active: Mutex<u64>,
     idle: Condvar,
@@ -466,7 +422,6 @@ impl Service {
             next_id: AtomicU64::new(1),
             next_seq: AtomicU64::new(0),
             counters: Counters::default(),
-            coalescer: Coalescer::default(),
             active: Mutex::new(0),
             idle: Condvar::new(),
         });
@@ -734,13 +689,9 @@ fn finalize(inner: &Inner, record: &JobRecord, state: JobState) {
         let metrics = inner.trace.metrics();
         metrics.add(metric, 1);
         let latency_us = latency.as_micros() as u64;
-        // Queue wait ends when a worker picks the job up (compile or
-        // coalesce stamp); jobs that die queued waited their whole life.
-        let queue_wait = record
-            .flight
-            .first_at(phases::COMPILE)
-            .or_else(|| record.flight.first_at(phases::COALESCE))
-            .unwrap_or(latency);
+        // Queue wait ends when a worker picks the job up (the compile
+        // stamp); jobs that die queued waited their whole life.
+        let queue_wait = record.flight.first_at(phases::COMPILE).unwrap_or(latency);
         let tenant = record.tenant.as_str();
         metrics.observe_labeled(
             names::SERVE_JOB_LATENCY_US,
@@ -813,35 +764,42 @@ fn worker_loop(inner: &Inner) {
             continue;
         }
 
-        // Coalesced compile: one concurrent compile per (fingerprint, opt
-        // level) — the plan cache keys plans that way too; the followers
-        // wait, then hit the plan cache.
-        let level = record.submission.opt.unwrap_or(inner.engine.opt_level());
-        let key = record.submission.circuit.fingerprint()
-            ^ (level as u64).wrapping_mul(0x9e3779b97f4a7c15);
-        match inner.coalescer.begin(key) {
-            CompileRole::Leader(flight) => {
-                record.flight.stamp(phases::COMPILE, None);
-                let compiled = inner.engine.plan_with(&record.submission.circuit, level);
-                inner.coalescer.finish(key, &flight);
-                if let Err(e) = compiled {
-                    finalize(inner, &record, JobState::Failed(e.to_string()));
-                    continue;
-                }
+        let sub = &record.submission;
+        let mut job = Job::new(&sub.circuit)
+            .inputs(sub.inputs.clone())
+            .shots(sub.shots)
+            .seed(sub.seed)
+            .cancel_token(record.token.clone());
+        if let Some(backend) = &sub.backend {
+            job = job.on_backend(backend);
+        }
+        if let Some(level) = sub.opt {
+            job = job.opt(level);
+        }
+
+        // The engine's plan cache decides who compiles: a cached plan comes
+        // straight back, and of concurrent jobs that miss on one circuit and
+        // level, one compiles while the others wait for its plan.
+        record.flight.stamp(phases::COMPILE, None);
+        let (plan, source) = match inner.engine.resolve(&job) {
+            Ok(resolved) => resolved,
+            Err(e) => {
+                finalize(inner, &record, JobState::Failed(e.to_string()));
+                continue;
             }
-            CompileRole::Coalesced => {
-                record.flight.stamp(phases::COALESCE, None);
-                inner
-                    .counters
-                    .coalesced_compiles
-                    .fetch_add(1, Ordering::Relaxed);
-                if inner.trace.enabled() {
-                    inner.trace.metrics().add(names::SERVE_COALESCED, 1);
-                }
+        };
+        if source == PlanSource::Waited {
+            record.flight.stamp(phases::COALESCE, None);
+            inner
+                .counters
+                .coalesced_compiles
+                .fetch_add(1, Ordering::Relaxed);
+            if inner.trace.enabled() {
+                inner.trace.metrics().add(names::SERVE_COALESCED, 1);
             }
         }
 
-        run_admitted(inner, &record);
+        run_admitted(inner, &record, &job, &plan, source);
     }
 }
 
@@ -852,29 +810,17 @@ fn state_of(reason: CancelReason) -> JobState {
     }
 }
 
-/// Execute one admitted job with retries; always finalizes it.
-fn run_admitted(inner: &Inner, record: &JobRecord) {
-    let sub = &record.submission;
+/// Run one admitted job's shots on its resolved plan, with retries; always
+/// finalizes it. A retry re-runs the shots and nothing before them.
+fn run_admitted(inner: &Inner, record: &JobRecord, job: &Job, plan: &Plan, source: PlanSource) {
     loop {
         let attempt = record.attempts.fetch_add(1, Ordering::Relaxed) + 1;
         record
             .flight
             .stamp(phases::SHOTS, Some(format!("attempt {attempt}")));
-        let mut job = Job::new(&sub.circuit)
-            .inputs(sub.inputs.clone())
-            .shots(sub.shots)
-            .seed(sub.seed)
-            .label(record.label.clone())
-            .cancel_token(record.token.clone());
-        if let Some(backend) = &sub.backend {
-            job = job.on_backend(backend);
-        }
-        if let Some(level) = sub.opt {
-            job = job.opt(level);
-        }
         // Shots run sequentially on this worker: the service parallelizes
         // across jobs, and per-shot seeds make the outcome schedule-free.
-        match inner.engine.run_sequential(&job) {
+        match inner.engine.run_resolved(job, plan, source) {
             Ok(result) => {
                 finalize(inner, record, JobState::Completed(Arc::new(result)));
                 return;
@@ -891,7 +837,7 @@ fn run_admitted(inner: &Inner, record: &JobRecord) {
                 }
                 let pause = inner
                     .retry
-                    .backoff(attempt, sub.seed ^ record.id.rotate_left(17));
+                    .backoff(attempt, record.submission.seed ^ record.id.rotate_left(17));
                 if let Err(reason) = backoff_sleep(&record.token, pause) {
                     finalize(inner, record, state_of(reason));
                     return;
@@ -902,35 +848,5 @@ fn run_admitted(inner: &Inner, record: &JobRecord) {
                 return;
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod coalescer_tests {
-    use super::*;
-
-    #[test]
-    fn followers_wait_for_the_leader_then_coalesce() {
-        let coalescer = Arc::new(Coalescer::default());
-        let flight = match coalescer.begin(42) {
-            CompileRole::Leader(flight) => flight,
-            CompileRole::Coalesced => panic!("first begin must lead"),
-        };
-        let followers: Vec<_> = (0..4)
-            .map(|_| {
-                let coalescer = Arc::clone(&coalescer);
-                std::thread::spawn(move || matches!(coalescer.begin(42), CompileRole::Coalesced))
-            })
-            .collect();
-        // Give the followers time to block on the in-flight compile.
-        std::thread::sleep(Duration::from_millis(30));
-        coalescer.finish(42, &flight);
-        for follower in followers {
-            assert!(follower.join().unwrap(), "follower should coalesce");
-        }
-        // The flight is gone: the next begin leads again.
-        assert!(matches!(coalescer.begin(42), CompileRole::Leader(_)));
-        // Other keys are independent flights.
-        assert!(matches!(coalescer.begin(7), CompileRole::Leader(_)));
     }
 }

@@ -360,12 +360,9 @@ fn quota_rejections_are_per_tenant_with_hints() {
     service.shutdown();
 }
 
-/// Concurrent identical submissions: everyone completes, results are
-/// bit-identical across all copies (same circuit, same seed), and the
-/// engine compiled the plan exactly once — followers either coalesced onto
-/// the in-flight compile or hit the plan cache.
-#[test]
-fn identical_concurrent_jobs_share_one_compile_and_agree() {
+/// A four-worker service over its own enabled tracer, and a submission to
+/// send it in identical copies (one circuit, one seed).
+fn service_and_a_job_to_copy() -> (&'static Tracer, Service, Submission) {
     let trace = leaked_enabled_tracer();
     let engine = Engine::with_config(EngineConfig {
         trace,
@@ -383,17 +380,24 @@ fn identical_concurrent_jobs_share_one_compile_and_agree() {
         },
     );
 
-    let circuit = Arc::new(rotated(4));
+    let copy = Submission::new("tenant", Arc::new(rotated(4)))
+        .inputs(vec![false; 4])
+        .shots(64)
+        .seed(99);
+    (trace, service, copy)
+}
+
+/// Concurrent identical submissions: everyone completes, results are
+/// bit-identical across all copies (same circuit, same seed), and the
+/// engine compiled the plan exactly once — one job compiled it, and the
+/// followers either waited on that compile or hit the plan cache.
+#[test]
+fn identical_concurrent_jobs_share_one_compile_and_agree() {
+    let (trace, service, copy) = service_and_a_job_to_copy();
     let ids: Vec<_> = (0..12)
         .map(|i| {
             service
-                .submit(
-                    Submission::new("tenant", Arc::clone(&circuit))
-                        .label(format!("copy-{i}"))
-                        .inputs(vec![false; 4])
-                        .shots(64)
-                        .seed(99),
-                )
+                .submit(copy.clone().label(format!("copy-{i}")))
                 .unwrap()
         })
         .collect();
@@ -412,10 +416,36 @@ fn identical_concurrent_jobs_share_one_compile_and_agree() {
         1,
         "twelve identical jobs, one compile"
     );
-    // And no shot run ever found the cache cold: the coalesced pre-plan in
-    // the worker always populated it first.
-    assert_eq!(trace.metrics().counter(names::CACHE_MISS), 0);
+    // Each job asked the cache once, and exactly one of them found it cold.
+    assert_eq!(trace.metrics().counter(names::CACHE_MISS), 1);
+    assert_eq!(trace.metrics().counter(names::CACHE_HIT), 11);
+    let missed = ids
+        .iter()
+        .filter(|&&id| !service.result(id).unwrap().report.cache_hit)
+        .count();
+    assert_eq!(missed, 1, "the job that compiled says so in its report");
     let stats = service.stats();
     assert_eq!(stats.completed, 12);
+    service.shutdown();
+}
+
+/// A warm batch: once one job has put the plan in the cache, concurrent
+/// copies hit it without waiting on each other.
+#[test]
+fn warm_concurrent_jobs_hit_the_cache_without_waiting() {
+    let (trace, service, copy) = service_and_a_job_to_copy();
+    service.submit(copy.clone()).unwrap();
+    service.drain();
+    for _ in 0..12 {
+        service.submit(copy.clone()).unwrap();
+    }
+    service.drain();
+
+    let stats = service.stats();
+    assert_eq!(stats.completed, 13);
+    assert_eq!(stats.coalesced_compiles, 0, "a hit waits for nobody");
+    assert_eq!(trace.metrics().counter(names::SERVE_COALESCED), 0);
+    assert_eq!(stats.engine_cache_misses, 1);
+    assert_eq!(stats.engine_cache_hits, 12);
     service.shutdown();
 }

@@ -67,17 +67,13 @@ pub struct StateVecConfig {
     /// 1024 amplitudes = 16 KiB) keeps a strip plus the paired strip of a
     /// high gate within L1d; the tuning sweep in EXPERIMENTS.md picked it.
     pub window_block_bits: u32,
-    /// Whether the blocked window executor samples wall time: every
-    /// [`PROFILE_SAMPLE_EVERY`]th multi-gate window is timed and its
-    /// elapsed time attributed to gate classes proportionally to the
-    /// window's per-class gate counts (see [`ProfileStats`]). Timing only —
-    /// amplitudes are bit-identical with the profiler on or off.
-    pub profile: bool,
 }
 
-/// Sampling interval of the window profiler: one in this many flushed
-/// multi-gate windows is wall-clock timed when
-/// [`StateVecConfig::profile`] is set.
+/// Sampling interval of the window profiler: while the process-wide tracer
+/// is enabled, one in this many flushed multi-gate windows is wall-clock
+/// timed and its elapsed time attributed to gate classes proportionally to
+/// the window's per-class gate counts (see [`ProfileStats`]). Timing only —
+/// amplitudes are bit-identical with the profiler on or off.
 pub const PROFILE_SAMPLE_EVERY: u64 = 8;
 
 impl Default for StateVecConfig {
@@ -88,13 +84,12 @@ impl Default for StateVecConfig {
                 .unwrap_or(1),
             parallel_threshold: 18,
             window_block_bits: 10,
-            profile: false,
         }
     }
 }
 
 /// Per-run accumulator of the sampling window profiler (see
-/// [`StateVecConfig::profile`]): how many windows were timed, total
+/// [`PROFILE_SAMPLE_EVERY`]): how many windows were timed, total
 /// sampled wall time, and that time attributed per gate class. Published
 /// into the global metrics registry as the `sim.profile.*` counters by the
 /// run functions.
@@ -154,6 +149,10 @@ pub struct StateVec {
     rng: StdRng,
     config: StateVecConfig,
     stats: KernelStats,
+    /// Whether the window profiler samples: the process-wide tracer's
+    /// state when this simulator was built, read once so that flushing a
+    /// window costs a field test and no atomic load.
+    profiling: bool,
     prof: ProfileStats,
     /// Windows flushed since the last profiler sample (profiling only).
     prof_tick: u64,
@@ -188,6 +187,7 @@ impl StateVec {
             rng: StdRng::seed_from_u64(seed),
             config,
             stats: KernelStats::default(),
+            profiling: quipper_trace::enabled(),
             prof: ProfileStats::default(),
             prof_tick: 0,
         }
@@ -203,8 +203,8 @@ impl StateVec {
         self.stats
     }
 
-    /// Sampling-profiler accumulators so far (all zero unless
-    /// [`StateVecConfig::profile`] is set and windows executed).
+    /// Sampling-profiler accumulators so far (all zero unless the tracer
+    /// was enabled when this simulator was built and windows executed).
     pub fn profile_stats(&self) -> ProfileStats {
         self.prof
     }
@@ -765,7 +765,7 @@ impl StateVec {
         // Sampling profiler: one window in PROFILE_SAMPLE_EVERY is timed.
         // Timing wraps the identical executor call, so amplitudes are
         // bit-identical with the profiler on or off.
-        let sample = if self.config.profile {
+        let sample = if self.profiling {
             self.prof_tick += 1;
             self.prof_tick.is_multiple_of(PROFILE_SAMPLE_EVERY)
         } else {
@@ -1259,17 +1259,17 @@ mod tests {
         // With a one-amplitude block every dense or permutation target is a
         // high bit, and a layer touches six of them against a budget of
         // four: the workload sheds at least one multi-gate window a layer.
-        let base_cfg = StateVecConfig {
+        let config = StateVecConfig {
             threads: 1,
             window_block_bits: 0,
             ..StateVecConfig::default()
         };
-        let prof_cfg = StateVecConfig {
-            profile: true,
-            ..base_cfg
-        };
-        let base = run_flat_with(&flat, &[false; N], 5, base_cfg).unwrap();
-        let prof = run_flat_with(&flat, &[false; N], 5, prof_cfg).unwrap();
+        // No other unit test of this crate touches the tracer's switch.
+        let base = run_flat_with(&flat, &[false; N], 5, config).unwrap();
+        quipper_trace::tracer().set_enabled(true);
+        let prof = run_flat_with(&flat, &[false; N], 5, config);
+        quipper_trace::tracer().set_enabled(false);
+        let prof = prof.unwrap();
         assert_eq!(
             base.state.amplitudes(),
             prof.state.amplitudes(),

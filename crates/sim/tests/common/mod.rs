@@ -165,7 +165,6 @@ pub fn config(bits: u32, threads: usize) -> StateVecConfig {
         threads,
         parallel_threshold: if threads > 1 { 0 } else { u32::MAX },
         window_block_bits: bits,
-        profile: false,
     }
 }
 

@@ -18,7 +18,7 @@ use quipper::classical::Dag;
 use quipper::{Circ, Qubit};
 use quipper_algorithms::grover::{grover_circuit, optimal_iterations};
 use quipper_circuit::resources::resource_report;
-use quipper_exec::{Engine, Job, JobQueue};
+use quipper_exec::{Engine, Job};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -99,32 +99,23 @@ fn main() {
     println!("  repeat: {}", again.report);
     assert!(again.report.cache_hit);
 
-    // Batched jobs fan out across the worker pool, deterministically; each
-    // labelled result correlates back to its submission by name, not index.
-    let mut queue = JobQueue::new();
-    for seed in 0..4 {
-        queue.push(
-            Job::new(&ghz)
-                .inputs(vec![false; 3])
-                .shots(50)
-                .seed(seed)
-                .label(format!("ghz-seed-{seed}")),
-        );
-    }
-    let batch = queue.run_all(&engine);
-    assert!(batch.iter().all(|r| r.label.starts_with("ghz-seed-")));
+    // A batch is a loop over `run`: each job fans its own shots out over
+    // the worker pool (scheduling *across* jobs is `quipper_serve::Service`).
+    let batch: Vec<_> = (0..4)
+        .map(|seed| {
+            let job = Job::new(&ghz).inputs(vec![false; 3]).shots(50).seed(seed);
+            engine.run(&job).unwrap()
+        })
+        .collect();
     println!("   batch: {} GHZ jobs, all correlated: {}", batch.len(), {
         batch.iter().all(|r| {
-            r.result
-                .as_ref()
-                .unwrap()
-                .histogram
+            r.histogram
                 .iter()
                 .all(|(bits, _)| bits.iter().all(|&b| b == bits[0]))
         })
     });
 
-    // Resource estimation — the counting backend never simulates.
+    // Resource estimation counts the hierarchical circuit; nothing simulates.
     let est = engine.estimate(&grover);
     println!(
         "estimate: Grover uses {} gates, peak {} qubits, depth {}",

@@ -3,17 +3,18 @@
 //!
 //! The suite mirrors the repository's example binaries — teleportation,
 //! synthesized oracles, Grover, QFT, the welded-tree walk — so both tools
-//! analyze exactly the shapes users see. Included into each binary via
-//! `#[path]` (the root package is examples/bins only, no library target).
+//! analyze exactly the shapes users see. The five circuits the served
+//! catalog also offers come from its builders, so the tools check what
+//! the service runs. Included into each binary via `#[path]` (the root
+//! package is examples/bins only, no library target).
 
-use quipper::classical::{synth, Dag};
-use quipper::qft::qft;
+use quipper::classical::synth;
 use quipper::{Circ, Qubit};
 use quipper_algorithms::bf::{hex_winner_dag, HexBoard};
 use quipper_algorithms::bwt::{bwt_circuit, Flavor, WeldedTree};
 use quipper_algorithms::cl::mod_const_dag;
-use quipper_algorithms::grover::{grover_circuit, optimal_iterations};
 use quipper_circuit::BCircuit;
+use quipper_serve::catalog::Catalog;
 
 /// A named circuit in the suite: display name plus builder.
 pub type SuiteEntry = (&'static str, fn() -> BCircuit);
@@ -21,65 +22,23 @@ pub type SuiteEntry = (&'static str, fn() -> BCircuit);
 /// The circuits the examples build and run.
 pub fn suite() -> Vec<SuiteEntry> {
     vec![
-        ("teleportation", teleportation),
-        ("ghz5", ghz5),
-        ("parity-oracle", parity_oracle),
+        ("teleportation", || catalog("teleportation")),
+        ("ghz5", || catalog("ghz5")),
+        ("parity-oracle", || catalog("parity4")),
         ("mod-oracle", mod_oracle),
         ("hex-oracle", hex_oracle),
-        ("grover3", grover3),
-        ("qft4", qft4),
+        ("grover3", || catalog("grover3")),
+        ("qft4", || catalog("qft4")),
         ("bwt-orthodox", bwt_orthodox),
         ("ghz-syndrome", ghz_syndrome),
         ("t-merge", t_merge),
     ]
 }
 
-/// The mixed classical/quantum teleportation circuit of
-/// `examples/teleportation.rs` (θ = 0.7).
-fn teleportation() -> BCircuit {
-    let mut c = Circ::new();
-    let psi = c.qinit_bit(false);
-    c.rot("Ry(%)", 0.7, psi);
-    let a = c.qinit_bit(false);
-    let b = c.qinit_bit(false);
-    c.hadamard(a);
-    c.cnot(b, a);
-    c.cnot(a, psi);
-    c.hadamard(psi);
-    let m1 = c.measure_bit(psi);
-    let m2 = c.measure_bit(a);
-    c.qnot_ctrl(b, &m2);
-    c.gate_ctrl(quipper::GateName::Z, b, &m1);
-    c.cdiscard(m1);
-    c.cdiscard(m2);
-    c.rot("Ry(%)", -0.7, b);
-    let check = c.measure_bit(b);
-    c.finish(&check)
-}
-
-/// Five-qubit GHZ preparation and measurement.
-fn ghz5() -> BCircuit {
-    Circ::build(&vec![false; 5], |c, qs: Vec<Qubit>| {
-        c.hadamard(qs[0]);
-        for w in qs.windows(2) {
-            c.cnot(w[1], w[0]);
-        }
-        qs.into_iter().map(|q| c.measure(q)).collect::<Vec<_>>()
-    })
-}
-
-/// The paper's §4.6.1 parity oracle via `classical_to_reversible`.
-fn parity_oracle() -> BCircuit {
-    let parity = Dag::build(4, |b, xs| {
-        vec![xs.iter().fold(b.constant(false), |acc, x| acc ^ x.clone())]
-    });
-    Circ::build(
-        &(vec![false; 4], false),
-        |c, (xs, t): (Vec<Qubit>, Qubit)| {
-            synth::classical_to_reversible(c, &parity, &xs, &[t]);
-            (xs, t)
-        },
-    )
+/// The served catalog's circuit of that name.
+fn catalog(name: &str) -> BCircuit {
+    let circuit = Catalog::new().get(name).expect("a catalog circuit");
+    BCircuit::clone(&circuit)
 }
 
 /// A modular-arithmetic oracle (Class Number), synthesized clean.
@@ -102,20 +61,6 @@ fn hex_oracle() -> BCircuit {
             (cells, out)
         },
     )
-}
-
-/// Grover search for one marked element among 2^3.
-fn grover3() -> BCircuit {
-    let dag = Dag::build(3, |_, xs| vec![&(&xs[0] & &!(&xs[1])) & &xs[2]]);
-    grover_circuit(&dag, optimal_iterations(3, 1))
-}
-
-/// QFT over four qubits, then measure.
-fn qft4() -> BCircuit {
-    Circ::build(&vec![false; 4], |c, qs: Vec<Qubit>| {
-        qft(c, &qs);
-        qs.into_iter().map(|q| c.measure(q)).collect::<Vec<_>>()
-    })
 }
 
 /// One timestep of the orthodox welded-tree walk on a depth-1 tree.

@@ -112,7 +112,11 @@ fn accepted_fixtures_plan_like_catalog_circuits() {
         bc.validate()
             .unwrap_or_else(|e| panic!("{}: invalid IR: {e}", path.display()));
         cache
-            .get_or_compile(&bc)
+            .get_or_compile(
+                &bc,
+                quipper_exec::OptLevel::Off,
+                quipper_exec::LintGate::Off,
+            )
             .unwrap_or_else(|e| panic!("{}: does not plan: {e}", path.display()));
     }
     assert!(accepted >= 7, "only {accepted} fixtures were accepted");
