@@ -1,9 +1,9 @@
-//! Optimizer effectiveness: gate, T and two-qubit counts before/after each
+//! Optimizer effectiveness: gate, T and two-qubit counts before/after the
 //! pipeline, and the compile-time cost of running it. What the removed
 //! gates buy at execution time is `BENCHMARK.json`'s business (and the
 //! answer for the mixed workload, none, is EXPERIMENTS.md A6).
 //!
-//! Not a criterion bench: each circuit is optimized once per level. Run
+//! Not a criterion bench: each circuit is optimized once. Run
 //! modes:
 //!
 //! * default — the full-size mixed workload;
@@ -26,6 +26,7 @@ use quipper_algorithms::cl::mod_const_dag;
 use quipper_circuit::BCircuit;
 use quipper_opt::{optimize, OptLevel, OptReport};
 use quipper_serve::catalog::Catalog;
+use quipper_trace::JsonWriter;
 
 /// A 20-qubit mixed workload with realistic redundancy: mergeable rotation
 /// runs, Hadamard pairs straddling diagonal gates, phase-polynomial T terms
@@ -68,7 +69,6 @@ fn mixed_workload(n: usize, layers: usize) -> BCircuit {
 
 struct OptMeasurement {
     name: String,
-    level: OptLevel,
     gates_before: u128,
     gates_after: u128,
     t_before: u128,
@@ -79,14 +79,13 @@ struct OptMeasurement {
     compile: Duration,
 }
 
-fn measure(name: &str, bc: &BCircuit, level: OptLevel) -> OptMeasurement {
+fn measure(name: &str, bc: &BCircuit) -> OptMeasurement {
     let start = Instant::now();
-    let (optimized, report): (BCircuit, OptReport) = optimize(bc, level);
+    let (optimized, report): (BCircuit, OptReport) = optimize(bc, OptLevel::Default);
     let compile = start.elapsed();
     optimized.validate().expect("optimized circuit validates");
     OptMeasurement {
         name: name.to_string(),
-        level,
         gates_before: report.gates_before(),
         gates_after: report.gates_after(),
         t_before: report.before.t_count(),
@@ -146,22 +145,19 @@ fn main() {
     ));
     circuits.push(("mixed-20q".to_string(), mixed_workload(20, workload_layers)));
 
-    let mut results: Vec<OptMeasurement> = Vec::new();
-    for (name, bc) in &circuits {
-        for level in [OptLevel::Default, OptLevel::Aggressive] {
-            results.push(measure(name, bc, level));
-        }
-    }
+    let results: Vec<OptMeasurement> = circuits
+        .iter()
+        .map(|(name, bc)| measure(name, bc))
+        .collect();
 
     println!(
-        "{:>16}  {:>10}  {:>10}  {:>10}  {:>11}  {:>11}  {:>8}  {:>10}",
-        "circuit", "level", "before", "after", "T", "2q", "rewrites", "compile"
+        "{:>16}  {:>10}  {:>10}  {:>11}  {:>11}  {:>8}  {:>10}",
+        "circuit", "before", "after", "T", "2q", "rewrites", "compile"
     );
     for m in &results {
         println!(
-            "{:>16}  {:>10}  {:>10}  {:>10}  {:>11}  {:>11}  {:>8}  {:>10.3?}",
+            "{:>16}  {:>10}  {:>10}  {:>11}  {:>11}  {:>8}  {:>10.3?}",
             m.name,
-            m.level,
             m.gates_before,
             m.gates_after,
             format!("{}->{}", m.t_before, m.t_after),
@@ -174,11 +170,11 @@ fn main() {
     // Smoke in both modes: the default pipeline must find real reductions.
     let default_reduced: Vec<&OptMeasurement> = results
         .iter()
-        .filter(|m| m.level == OptLevel::Default && m.gates_after < m.gates_before)
+        .filter(|m| m.gates_after < m.gates_before)
         .collect();
     let workload_delta = results
         .iter()
-        .find(|m| m.name == "mixed-20q" && m.level == OptLevel::Default)
+        .find(|m| m.name == "mixed-20q")
         .map(|m| m.gates_before - m.gates_after)
         .unwrap();
     assert!(
@@ -194,20 +190,15 @@ fn main() {
     // least two circuits, and on the mixed workload it must beat what the
     // cancel/merge-only pipeline that preceded it last measured
     // (EXPERIMENTS.md A8) without growing the total.
-    let t_reduced: Vec<&OptMeasurement> = results
-        .iter()
-        .filter(|m| m.level == OptLevel::Default && m.t_after < m.t_before)
-        .collect();
+    let t_reduced: Vec<&OptMeasurement> =
+        results.iter().filter(|m| m.t_after < m.t_before).collect();
     assert!(
         t_reduced.len() >= 2,
         "default pipeline should strictly reduce T-count on at least 2 circuits, got {}",
         t_reduced.len()
     );
     let (baseline_t, baseline_total): (u128, u128) = if quick { (6, 190) } else { (12, 360) };
-    let workload_default = results
-        .iter()
-        .find(|m| m.name == "mixed-20q" && m.level == OptLevel::Default)
-        .unwrap();
+    let workload_default = results.iter().find(|m| m.name == "mixed-20q").unwrap();
     assert!(
         workload_default.t_after < baseline_t,
         "default pipeline T-count ({}) must beat the cancel/merge baseline ({baseline_t})",
@@ -227,38 +218,31 @@ fn main() {
     );
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_opt.json");
-    let entries: Vec<String> = results
-        .iter()
-        .map(|m| {
-            format!(
-                concat!(
-                    "    {{\"name\": \"{}\", \"level\": \"{}\", ",
-                    "\"gates_before\": {}, \"gates_after\": {}, ",
-                    "\"t_before\": {}, \"t_after\": {}, ",
-                    "\"twoq_before\": {}, \"twoq_after\": {}, ",
-                    "\"rewrites\": {}, \"compile_ms\": {:.3}}}"
-                ),
-                m.name,
-                m.level,
-                m.gates_before,
-                m.gates_after,
-                m.t_before,
-                m.t_after,
-                m.twoq_before,
-                m.twoq_after,
-                m.rewrites,
-                m.compile.as_secs_f64() * 1e3,
-            )
-        })
-        .collect();
-    let json = format!(
-        concat!(
-            "{{\n  \"bench\": \"opt_gate_counts\",\n  \"mode\": \"{}\",\n",
-            "  \"benches\": [\n{}\n  ]\n}}\n"
-        ),
-        if quick { "quick" } else { "full" },
-        entries.join(",\n")
-    );
+    let mut w = JsonWriter::new();
+    w.begin_object()
+        .newline()
+        .key("bench")
+        .string("opt_gate_counts");
+    w.newline()
+        .key("mode")
+        .string(if quick { "quick" } else { "full" });
+    w.newline().key("benches").begin_array();
+    for m in &results {
+        w.newline().begin_object().key("name").string(&m.name);
+        w.key("level").string(OptLevel::Default.as_str());
+        w.key("gates_before").int(m.gates_before);
+        w.key("gates_after").int(m.gates_after);
+        w.key("t_before").int(m.t_before);
+        w.key("t_after").int(m.t_after);
+        w.key("twoq_before").int(m.twoq_before);
+        w.key("twoq_after").int(m.twoq_after);
+        w.key("rewrites").int(m.rewrites);
+        w.key("compile_ms")
+            .float(m.compile.as_secs_f64() * 1e3, Some(3));
+        w.end_object();
+    }
+    w.newline().end_array().newline().end_object().newline();
+    let json = w.finish();
     std::fs::write(path, json).unwrap();
     println!("wrote BENCH_opt.json");
 }

@@ -39,7 +39,7 @@ use quipper_circuit::count::{self, GateCount, Peak};
 use quipper_circuit::BCircuit;
 use quipper_opt::{OptLevel, OptSummary, PassStats};
 use quipper_sim::{FuseStats, SimError, StateVecConfig, Suffix};
-use quipper_trace::{fmt_duration, names, Phase, ProfileSummary, TraceSummary, Tracer};
+use quipper_trace::{fmt_duration, names, Phase, Tracer};
 
 use crate::backend::{Backend, ClassicalBackend, PreparedJob, StabilizerBackend, StateVecBackend};
 use crate::cancel::{CancelReason, CancelToken};
@@ -213,15 +213,6 @@ pub struct ExecReport {
     /// (static per plan). `None` when the plan was compiled at
     /// [`OptLevel::Off`], or for reports built outside the engine.
     pub opt_passes: Option<Vec<PassStats>>,
-    /// Trace accounting for this job's routing and shots, when tracing was
-    /// enabled during them.
-    pub trace: Option<TraceSummary>,
-    /// Sampling-profiler attribution for this job's state-vector windows,
-    /// when the process-wide tracer was enabled (that is what turns the
-    /// window sampler on). Computed as a counter delta over the job, so
-    /// concurrent jobs in one process fold into each other's summaries
-    /// (the same caveat as `trace`).
-    pub profile: Option<ProfileSummary>,
 }
 
 impl fmt::Display for ExecReport {
@@ -255,14 +246,6 @@ impl fmt::Display for ExecReport {
         if let Some(lint) = &self.lint {
             if !lint.is_empty() {
                 write!(f, " | lint: {lint}")?;
-            }
-        }
-        if let Some(trace) = &self.trace {
-            write!(f, " | trace: {trace}")?;
-        }
-        if let Some(profile) = &self.profile {
-            if !profile.is_empty() {
-                write!(f, " | profile: {profile}")?;
             }
         }
         Ok(())
@@ -588,11 +571,6 @@ impl Engine {
         workers: usize,
     ) -> Result<ExecResult, ExecError> {
         let trace = self.trace;
-        let counts_before = trace.counts();
-        // The state-vector runners publish profiler counters to the
-        // process-wide tracer, so the per-job delta reads from there (not
-        // from `self.trace`, which may be a dedicated sink).
-        let prof_before = quipper_trace::enabled().then(global_profile_counters);
         let _job_span = trace.span(Phase::Execute, "engine.job");
 
         let backend = self.route(plan, job.backend.as_deref())?;
@@ -658,25 +636,6 @@ impl Engine {
             .entry(backend.name())
             .or_insert(0) += 1;
 
-        let trace_summary = trace.enabled().then(|| {
-            let counts_after = trace.counts();
-            TraceSummary {
-                events: counts_after.0 - counts_before.0,
-                dropped: counts_after.1 - counts_before.1,
-            }
-        });
-        let profile_summary = prof_before.map(|before| {
-            let after = global_profile_counters();
-            ProfileSummary {
-                windows_sampled: after.windows_sampled - before.windows_sampled,
-                sampled_ns: after.sampled_ns - before.sampled_ns,
-                diagonal_ns: after.diagonal_ns - before.diagonal_ns,
-                permutation_ns: after.permutation_ns - before.permutation_ns,
-                general_ns: after.general_ns - before.general_ns,
-                mat4_ns: after.mat4_ns - before.mat4_ns,
-            }
-        });
-
         Ok(ExecResult {
             histogram,
             report: ExecReport {
@@ -696,8 +655,6 @@ impl Engine {
                 lint: Some(plan.lint.summary()),
                 opt: opt_summary,
                 opt_passes: plan.opt.as_ref().map(|r| r.passes.clone()),
-                trace: trace_summary,
-                profile: profile_summary,
             },
         })
     }
@@ -795,20 +752,6 @@ fn route_metric(backend: &'static str) -> &'static str {
         "stabilizer" => names::ROUTE_STABILIZER,
         "statevec" => names::ROUTE_STATEVEC,
         _ => names::ROUTE_OTHER,
-    }
-}
-
-/// Current process-wide `sim.profile.*` counter values as a summary; two
-/// readings bracket a job to produce its [`ProfileSummary`] delta.
-fn global_profile_counters() -> ProfileSummary {
-    let m = quipper_trace::tracer().metrics();
-    ProfileSummary {
-        windows_sampled: m.counter(names::PROF_WINDOWS_SAMPLED),
-        sampled_ns: m.counter(names::PROF_SAMPLED_NS),
-        diagonal_ns: m.counter(names::PROF_DIAGONAL_NS),
-        permutation_ns: m.counter(names::PROF_PERMUTATION_NS),
-        general_ns: m.counter(names::PROF_GENERAL_NS),
-        mat4_ns: m.counter(names::PROF_MAT4_NS),
     }
 }
 
@@ -1031,8 +974,6 @@ mod tests {
             lint: None,
             opt: None,
             opt_passes: None,
-            trace: None,
-            profile: None,
         }
     }
 
@@ -1057,7 +998,7 @@ mod tests {
     }
 
     #[test]
-    fn exec_report_display_with_cache_hit_and_trace() {
+    fn exec_report_display_with_cache_hit() {
         let report = ExecReport {
             cache_hit: true,
             compile: Duration::from_nanos(480),
@@ -1067,10 +1008,6 @@ mod tests {
                 time: Duration::from_millis(40),
                 suffix: Suffix::Branched,
             }),
-            trace: Some(TraceSummary {
-                events: 42,
-                dropped: 0,
-            }),
             route_reason: "pinned to `statevec` by the job".into(),
             ..sample_report()
         };
@@ -1079,7 +1016,7 @@ mod tests {
             "  1000 shots on statevec   | plan 0x00000000deadbeef hit  | workers 4  | \
              compile     480ns | exec     2.50s | fused 12/210 | \
              route: pinned to `statevec` by the job | \
-             prefix: 12 ops once in 40.00ms, branched shots | trace: 42 events"
+             prefix: 12 ops once in 40.00ms, branched shots"
         );
     }
 

@@ -79,7 +79,7 @@ pub use profile::{profile, CircuitProfile};
 pub use quipper_lint::{LintReport, LintSummary, Severity};
 pub use quipper_opt::{OptLevel, OptReport, OptSummary};
 pub use quipper_sim::Suffix;
-pub use quipper_trace::{ProfileSummary, TraceSummary, Tracer};
+pub use quipper_trace::Tracer;
 
 // The engine is shared across scoped worker threads; keep that a compile-time
 // guarantee rather than an emergent property of field types.

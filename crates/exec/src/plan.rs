@@ -200,7 +200,7 @@ enum Slot {
 ///
 /// The level is part of the key because the same circuit compiled at
 /// different levels yields genuinely different plans (different flat gate
-/// streams); a job asking for `Aggressive` must never receive a plan
+/// streams); a job asking for `Default` must never receive a plan
 /// compiled at `Off`.
 #[derive(Debug, Default)]
 pub struct PlanCache {

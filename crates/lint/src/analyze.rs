@@ -37,7 +37,6 @@ use quipper_circuit::{BCircuit, BoxId, Circuit, Control, Gate, GateName, Wire, W
 use crate::diag::Diagnostic;
 use crate::domain::{AbsVal, BExpr};
 use crate::facts::{FactScope, Facts, Redundancy};
-use crate::LintOptions;
 
 /// Rotation families that are diagonal in the computational basis and hence
 /// preserve basis states (up to phase).
@@ -110,10 +109,9 @@ pub(crate) struct Analyzer<'a> {
     bc: &'a BCircuit,
     summaries: HashMap<(BoxId, bool), Rc<BoxSummary>>,
     in_flight: HashSet<(BoxId, bool)>,
-    emit_termination: bool,
-    emit_redundancy: bool,
-    emit_ancilla: bool,
-    collect_facts: bool,
+    /// The facts product: record [`Facts`], and emit no termination or
+    /// ancilla diagnostics (nobody reads that run's report).
+    facts_only: bool,
     pub facts: Facts,
     pub findings: Vec<Diagnostic>,
     pub proved_terms: usize,
@@ -123,21 +121,13 @@ pub(crate) struct Analyzer<'a> {
 }
 
 /// Runs the dataflow passes over `bc`, appending findings and counters to
-/// `report`.
-pub(crate) fn run(
-    bc: &BCircuit,
-    opts: &LintOptions,
-    report: &mut crate::LintReport,
-    facts: Option<&mut Facts>,
-) {
+/// `report`; with `facts`, the facts-only walk (see [`crate::facts`]).
+pub(crate) fn run(bc: &BCircuit, report: &mut crate::LintReport, facts: Option<&mut Facts>) {
     let mut a = Analyzer {
         bc,
         summaries: HashMap::new(),
         in_flight: HashSet::new(),
-        emit_termination: opts.termination,
-        emit_redundancy: opts.redundancy,
-        emit_ancilla: opts.ancilla,
-        collect_facts: facts.is_some(),
+        facts_only: facts.is_some(),
         facts: Facts::default(),
         findings: Vec::new(),
         proved_terms: 0,
@@ -328,7 +318,7 @@ impl<'a> Analyzer<'a> {
                     let val = state.remove(wire).unwrap_or(AbsVal::Top);
                     clean &= is_const_bool(&val);
                     if emit
-                        && self.emit_ancilla
+                        && !self.facts_only
                         && matches!(gate, Gate::QDiscard { .. })
                         && init_origin.remove(wire)
                     {
@@ -371,7 +361,7 @@ impl<'a> Analyzer<'a> {
                         self.resolve_controls(scope, idx, gate, controls, &state, emit, fact_scope)
                     };
                     if emit
-                        && self.emit_termination
+                        && !self.facts_only
                         && !matches!(status, CtrlStatus::Fired)
                         && !summary.clean_under_block
                     {
@@ -421,7 +411,7 @@ impl<'a> Analyzer<'a> {
             .map(|&(w, _)| state.get(&w).cloned().unwrap_or(AbsVal::Top))
             .collect();
         if let Mode::Emit { is_box: true } = mode {
-            if self.emit_ancilla {
+            if !self.facts_only {
                 for (&(w, ty), val) in circuit.outputs.iter().zip(&outputs) {
                     if ty == WireType::Quantum && init_origin.contains(&w) && val.rank() >= 2 {
                         self.findings.push(Diagnostic::new(
@@ -445,8 +435,8 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Resolves a gate's controls, emitting the no-op-control findings
-    /// (QL031/QL032) when enabled and recording the matching [`Facts`] when
-    /// a stable scope is available.
+    /// (QL031/QL032) and, on the facts walk, recording the matching
+    /// [`Facts`] when a stable scope is available.
     #[allow(clippy::too_many_arguments)] // mirrors the walk's full context
     fn resolve_controls(
         &mut self,
@@ -495,7 +485,7 @@ impl<'a> Analyzer<'a> {
         } else {
             CtrlStatus::Fired
         });
-        if emit && self.emit_redundancy {
+        if emit {
             match &status {
                 CtrlStatus::Blocked { witness } => {
                     self.findings.push(Diagnostic::new(
@@ -524,7 +514,7 @@ impl<'a> Analyzer<'a> {
                 }
             }
         }
-        if emit && self.collect_facts {
+        if emit && self.facts_only {
             if let Some(fs) = fact_scope {
                 match &status {
                     CtrlStatus::Blocked { witness } => {
@@ -564,7 +554,7 @@ impl<'a> Analyzer<'a> {
                     return true;
                 }
                 Some(actual) => {
-                    if emit && self.emit_termination {
+                    if emit && !self.facts_only {
                         self.findings.push(Diagnostic::new(
                             "QL001",
                             scope,
@@ -581,7 +571,7 @@ impl<'a> Analyzer<'a> {
                     }
                 }
                 None => {
-                    if emit && self.emit_termination {
+                    if emit && !self.facts_only {
                         self.findings.push(Diagnostic::new(
                             "QL002",
                             scope,
@@ -598,7 +588,7 @@ impl<'a> Analyzer<'a> {
                 }
             },
             other => {
-                if emit && self.emit_termination {
+                if emit && !self.facts_only {
                     self.findings.push(Diagnostic::new(
                         "QL002",
                         scope,

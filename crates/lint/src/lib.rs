@@ -25,6 +25,14 @@
 //!   flatten time (`QL020`, `QL021`).
 //! * **Redundancy**: adjacent gate/adjoint pairs the fuse pass would
 //!   silently cancel (`QL030`) and no-op controls (`QL031`, `QL032`).
+//! * **Pauli flow**: deterministic measurements, Clifford-conjugated
+//!   pairs, phase-only boxes and identity phase terms (`QL040`–`QL043`).
+//!
+//! # Entry points
+//!
+//! One walk, two products, no options: [`lint`] returns the report of every
+//! pass, [`facts`] the redundancy findings as structured [`Facts`] for
+//! rewriters (and does only the work those need).
 //!
 //! Runtime circuit errors carry aligned `QL1xx` codes (see
 //! [`CircuitError::code`](quipper_circuit::CircuitError::code)), so static
@@ -65,88 +73,38 @@ pub use facts::{Fact, FactScope, Facts, Redundancy};
 
 use quipper_circuit::BCircuit;
 
-/// Which passes to run; all are on by default.
-#[derive(Clone, Debug)]
-#[non_exhaustive]
-pub struct LintOptions {
-    /// Assertive-termination soundness (`QL001`–`QL003`).
-    pub termination: bool,
-    /// Ancilla discipline (`QL010`, `QL011`).
-    pub ancilla: bool,
-    /// Controlled/reversed context violations (`QL020`, `QL021`).
-    pub control_context: bool,
-    /// Cancelling pairs and no-op controls (`QL030`–`QL032`).
-    pub redundancy: bool,
-    /// Pauli-flow analysis: deterministic measurements, Clifford-conjugated
-    /// pairs, phase-only boxes, identity phase terms (`QL040`–`QL043`).
-    pub pauli: bool,
-}
-
-impl Default for LintOptions {
-    fn default() -> Self {
-        LintOptions {
-            termination: true,
-            ancilla: true,
-            control_context: true,
-            redundancy: true,
-            pauli: true,
-        }
-    }
-}
-
-/// Runs every pass over `bc` with default options.
-pub fn lint(bc: &BCircuit) -> LintReport {
-    lint_with(bc, &LintOptions::default())
-}
-
-/// Runs the selected passes over `bc`.
+/// Runs every pass over `bc`.
 ///
 /// Findings are sorted by (scope, gate index, code) so reports are
 /// deterministic; the run is recorded as a `lint` span in the active
 /// [`quipper_trace`] session, if any.
-pub fn lint_with(bc: &BCircuit, opts: &LintOptions) -> LintReport {
-    run_passes(bc, opts, None)
+pub fn lint(bc: &BCircuit) -> LintReport {
+    walk(bc, None)
 }
 
-/// Like [`lint_with`], but additionally returns the redundancy findings
-/// (QL030–QL032) as structured [`Facts`] keyed by scope and gate index, for
-/// consumption by rewrite passes.
-pub fn lint_with_facts(bc: &BCircuit, opts: &LintOptions) -> (LintReport, Facts) {
-    let mut facts = Facts::default();
-    let report = run_passes(bc, opts, Some(&mut facts));
-    facts.sort();
-    (report, facts)
-}
-
-/// The redundancy [`Facts`] alone: runs only the passes that feed
-/// QL030–QL032 and discards the human-readable report. This is the entry
-/// point optimizers use.
+/// The redundancy findings (QL030–QL032, QL041) as structured [`Facts`]
+/// keyed by scope and gate index: runs only the passes that feed them and
+/// discards the human-readable report. This is the entry point optimizers
+/// use.
 pub fn facts(bc: &BCircuit) -> Facts {
-    let opts = LintOptions {
-        termination: false,
-        ancilla: false,
-        control_context: false,
-        redundancy: true,
-        pauli: true,
-    };
-    lint_with_facts(bc, &opts).1
+    let mut facts = Facts::default();
+    walk(bc, Some(&mut facts));
+    facts.sort();
+    facts
 }
 
-fn run_passes(bc: &BCircuit, opts: &LintOptions, mut facts: Option<&mut Facts>) -> LintReport {
+/// The one walk behind both products. With `facts` it records them and
+/// skips what only the report needs: the control-context pass and the
+/// termination and ancilla diagnostics.
+fn walk(bc: &BCircuit, mut facts: Option<&mut Facts>) -> LintReport {
     let _span = quipper_trace::span(quipper_trace::Phase::Compile, "lint");
     let mut report = LintReport::default();
-    if opts.termination || opts.redundancy || opts.ancilla {
-        analyze::run(bc, opts, &mut report, facts.as_deref_mut());
-    }
-    if opts.control_context {
+    analyze::run(bc, &mut report, facts.as_deref_mut());
+    if facts.is_none() {
         context::control_pass(bc, &mut report.findings);
     }
-    if opts.pauli {
-        pauli::pauli_pass(bc, &mut report.findings, facts.as_deref_mut());
-    }
-    if opts.redundancy {
-        structure::redundancy_pass(bc, &mut report.findings, facts);
-    }
+    pauli::pauli_pass(bc, &mut report.findings, facts.as_deref_mut());
+    structure::redundancy_pass(bc, &mut report.findings, facts);
     report
         .findings
         .sort_by(|a, b| (&a.scope, a.gate_index, a.code).cmp(&(&b.scope, b.gate_index, b.code)));
@@ -316,31 +274,18 @@ mod tests {
     }
 
     #[test]
-    fn options_gate_each_pass() {
+    fn a_cancelling_pair_does_not_justify_a_termination() {
         let bc = Circ::build(&(), |c, ()| {
             let anc = c.qinit_bit(false);
             c.hadamard(anc);
             c.hadamard(anc);
             c.qterm_bit(false, anc);
         });
-        let all = lint(&bc);
-        assert!(codes(&all).contains(&"QL030"));
+        let report = lint(&bc);
+        assert!(codes(&report).contains(&"QL030"));
         // H·H cancels but the walk does not exploit that: the termination
         // pass still sees a superposed wire.
-        assert!(codes(&all).contains(&"QL002"));
-        let only_redundancy = LintOptions {
-            termination: false,
-            ancilla: false,
-            control_context: false,
-            ..LintOptions::default()
-        };
-        let r = lint_with(&bc, &only_redundancy);
-        assert_eq!(
-            codes(&r).iter().filter(|c| !c.starts_with("QL03")).count(),
-            0,
-            "{r}"
-        );
-        assert!(codes(&r).contains(&"QL030"));
+        assert!(codes(&report).contains(&"QL002"));
     }
 
     #[test]
@@ -357,7 +302,7 @@ mod tests {
             c.qdiscard(off);
             c.qdiscard(t);
         });
-        let (report, facts) = lint_with_facts(&bc, &LintOptions::default());
+        let (report, facts) = (lint(&bc), super::facts(&bc));
         // Every fact mirrors a diagnostic with the same code at the same
         // gate index in main.
         for fact in &facts {
@@ -378,8 +323,6 @@ mod tests {
             panic!("{pair:?}");
         };
         assert_eq!(with + 1, pair.gate_index);
-        // The facts-only entry point agrees with the full run.
-        assert_eq!(super::facts(&bc), facts);
     }
 
     #[test]

@@ -678,7 +678,7 @@ fn identity_groups_scope(scope: &str, circuit: &Circuit, findings: &mut Vec<Diag
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{lint, lint_with_facts, LintOptions, Severity};
+    use crate::{facts, lint, Severity};
     use quipper::{Circ, Qubit};
     use quipper_circuit::{CircuitDb, WireType};
 
@@ -799,7 +799,7 @@ mod tests {
             c.qnot(q);
             q
         });
-        let (report, facts) = lint_with_facts(&bc, &LintOptions::default());
+        let (report, facts) = (lint(&bc), facts(&bc));
         let d = report.findings.iter().find(|d| d.code == "QL041").unwrap();
         assert_eq!(d.gate_index, Some(2), "{report}");
         let fact = facts.iter().find(|f| f.code() == "QL041").unwrap();
@@ -894,21 +894,6 @@ mod tests {
         let d = report.findings.iter().find(|d| d.code == "QL043").unwrap();
         assert_eq!(d.gate_index, Some(2), "{report}");
         assert_eq!(d.severity, Severity::Note);
-    }
-
-    #[test]
-    fn pauli_findings_are_gated_by_the_option() {
-        let bc = Circ::build(&(), |c, ()| {
-            let a = c.qinit_bit(false);
-            let m = c.measure_bit(a);
-            c.cdiscard(m);
-        });
-        assert!(codes(&lint(&bc)).contains(&"QL040"));
-        let opts = LintOptions {
-            pauli: false,
-            ..LintOptions::default()
-        };
-        assert!(!codes(&crate::lint_with(&bc, &opts)).contains(&"QL040"));
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Pass-manager circuit optimizer over the hierarchical circuit IR.
+//! Circuit optimizer over the hierarchical circuit IR.
 //!
 //! Quipper (PLDI 2013, §5.4) treats circuits as data to be *transformed*:
-//! the paper's `-f gatecount` pipelines run decomposition and rewriting
-//! passes over circuits far too large to expand. This crate reproduces that
-//! architecture as a [`PassManager`]: an ordered pipeline of scope-local
-//! rewrite passes over [`BCircuit`], each reporting its own gate delta.
+//! the paper's `-f gatecount` pipelines run rewriting passes over circuits
+//! far too large to expand. This crate is that idea as one fixed pipeline
+//! of scope-local rewrite passes over [`BCircuit`], each reporting its own
+//! gate delta. [`OptLevel`] only says whether the pipeline runs.
 //!
-//! The pipeline (selected by [`OptLevel`]):
+//! The pipeline, in order:
 //!
 //! 1. **Facts-seeded cleanup** — consumes the linter's structured
 //!    redundancy facts ([`quipper_lint::facts`], QL030–QL032) instead of
@@ -24,14 +24,16 @@
 //!    adjacency-based merging cannot.
 //! 5. **Clifford pushing** — deletes terminal diagonal gates absorbed by
 //!    measurements and discards (the measurement-frame absorption).
-//! 6. **Binary decomposition** (`Aggressive` only) — rewrites to a
-//!    constrained target set where every gate touches at most two wires
-//!    ([`quipper::decompose`]), then re-runs the cleanup passes over
-//!    the expansion.
+//! 6. A second facts round and a second cancellation, over what the
+//!    rewrites above exposed.
+//!
+//! Decomposition into a gate base is not a pass here. As in the paper
+//! (`decompose_generic`, §4.4.3) it is a whole-circuit transformer the user
+//! applies: `quipper::decompose::decompose(GateBase::Binary, ..)`.
 //!
 //! A whole-pipeline revert guard hands back the untouched input if the
 //! final circuit somehow ends up larger (recorded as an `opt.revert` pass),
-//! so no level ever reports more gates than it was given.
+//! so the optimizer never reports more gates than it was given.
 //!
 //! Passes preserve hierarchy: a rewrite inside a box body optimizes every
 //! call site at once, which is what makes optimizing trillion-gate
@@ -47,7 +49,7 @@ use quipper_circuit::{BCircuit, GateCount};
 use quipper_lint::FactScope;
 use quipper_trace::{names, span, Phase};
 
-/// How hard the optimizer works on a circuit before planning.
+/// Whether the optimizer rewrites a circuit before planning.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub enum OptLevel {
     /// No rewriting at all: plans are built from the circuit exactly as
@@ -58,14 +60,6 @@ pub enum OptLevel {
     /// increases the gate count.
     #[default]
     Default,
-    /// Everything in `Default`, then decomposition to the binary target
-    /// set (every gate on at most two wires) with a full cleanup round
-    /// (facts, cancellation, merging) over the expansion. If the
-    /// decomposed-and-cleaned circuit still has more gates than before
-    /// decomposition, the pipeline reverts to the pre-decompose circuit
-    /// (recorded as an `opt.revert` pass), so `Aggressive` never reports
-    /// more gates than `Default`.
-    Aggressive,
 }
 
 impl OptLevel {
@@ -74,7 +68,6 @@ impl OptLevel {
         match self {
             OptLevel::Off => "off",
             OptLevel::Default => "default",
-            OptLevel::Aggressive => "aggressive",
         }
     }
 
@@ -83,7 +76,6 @@ impl OptLevel {
         match s {
             "off" => Some(OptLevel::Off),
             "default" => Some(OptLevel::Default),
-            "aggressive" => Some(OptLevel::Aggressive),
             _ => None,
         }
     }
@@ -155,13 +147,6 @@ impl OptReport {
         self.passes.iter().map(|p| p.rewrites).sum()
     }
 
-    /// Whether the pipeline discarded the decomposition because it grew the
-    /// circuit. When true, the output may still contain gates wider than
-    /// the binary target set.
-    pub fn reverted(&self) -> bool {
-        self.passes.iter().any(|p| p.name == "opt.revert")
-    }
-
     /// The compact, copyable form carried on execution reports.
     pub fn summary(&self) -> OptSummary {
         OptSummary {
@@ -219,183 +204,76 @@ impl fmt::Display for OptSummary {
     }
 }
 
-/// The passes a pipeline can schedule.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-enum PassKind {
+/// The passes the pipeline schedules.
+#[derive(Copy, Clone)]
+enum Pass {
     FactsCleanup,
     Cancel,
     Merge,
     PhasePoly,
     CliffordPush,
-    DecomposeBinary,
 }
 
-impl PassKind {
+/// The one pipeline. Phase-polynomial re-synthesis runs after merging
+/// (merging normalizes adjacent runs first, phasepoly catches the
+/// non-adjacent same-parity remainder); Clifford pushing then strips what
+/// became terminal. The second facts round sees the dataflow those
+/// deletions exposed (a deleted H·H pair can turn a wire back into a known
+/// constant); the trailing cancel catches pairs exposed by merges and
+/// facts deletions.
+const PIPELINE: [Pass; 7] = [
+    Pass::FactsCleanup,
+    Pass::Cancel,
+    Pass::Merge,
+    Pass::PhasePoly,
+    Pass::CliffordPush,
+    Pass::FactsCleanup,
+    Pass::Cancel,
+];
+
+impl Pass {
     fn name(self) -> &'static str {
         match self {
-            PassKind::FactsCleanup => "opt.facts",
-            PassKind::Cancel => "opt.cancel",
-            PassKind::Merge => "opt.merge",
-            PassKind::PhasePoly => "opt.phasepoly",
-            PassKind::CliffordPush => "opt.clifford_push",
-            PassKind::DecomposeBinary => "opt.decompose",
+            Pass::FactsCleanup => "opt.facts",
+            Pass::Cancel => "opt.cancel",
+            Pass::Merge => "opt.merge",
+            Pass::PhasePoly => "opt.phasepoly",
+            Pass::CliffordPush => "opt.clifford_push",
         }
     }
-}
 
-/// An ordered pipeline of rewrite passes.
-pub struct PassManager {
-    pipeline: Vec<PassKind>,
-}
-
-impl PassManager {
-    /// The standard pipeline for a level. `Off` is the empty pipeline.
-    pub fn for_level(level: OptLevel) -> PassManager {
-        use PassKind::*;
-        let pipeline = match level {
-            OptLevel::Off => vec![],
-            // Phase-polynomial re-synthesis runs after merging (merging
-            // normalizes adjacent runs first, phasepoly catches the
-            // non-adjacent same-parity remainder); Clifford pushing then
-            // strips what became terminal. The second facts round sees the
-            // dataflow those deletions exposed (a deleted H·H pair can turn
-            // a wire back into a known constant); the trailing cancel
-            // catches pairs exposed by merges and facts deletions.
-            OptLevel::Default => vec![
-                FactsCleanup,
-                Cancel,
-                Merge,
-                PhasePoly,
-                CliffordPush,
-                FactsCleanup,
-                Cancel,
-            ],
-            // The prefix before `DecomposeBinary` is exactly the `Default`
-            // pipeline, so the revert-on-growth snapshot (taken just before
-            // decomposition) is never worse than the `Default` result. The
-            // expansion gets the same full cleanup treatment — including a
-            // facts round, which sees the constants that decomposition's
-            // ancilla plumbing exposes.
-            OptLevel::Aggressive => vec![
-                FactsCleanup,
-                Cancel,
-                Merge,
-                PhasePoly,
-                CliffordPush,
-                FactsCleanup,
-                Cancel,
-                DecomposeBinary,
-                FactsCleanup,
-                Cancel,
-                Merge,
-                PhasePoly,
-                CliffordPush,
-                FactsCleanup,
-                Cancel,
-            ],
-        };
-        PassManager { pipeline }
-    }
-
-    /// Whether the pipeline schedules no passes.
-    pub fn is_empty(&self) -> bool {
-        self.pipeline.is_empty()
-    }
-
-    /// The scheduled pass names, in order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.pipeline.iter().map(|p| p.name()).collect()
-    }
-
-    /// Runs the pipeline, returning the rewritten circuit and one
-    /// [`PassStats`] per executed pass.
-    pub fn run(&self, bc: &BCircuit) -> (BCircuit, Vec<PassStats>) {
-        let input_total = bc.gate_count().total();
-        let mut current = bc.clone();
-        let mut stats = Vec::with_capacity(self.pipeline.len());
-        // Pre-decompose snapshot: if decomposition plus its cleanup rounds
-        // end up *larger* than the circuit they started from, keep the
-        // smaller circuit instead.
-        let mut snapshot: Option<(BCircuit, u128)> = None;
-        for &kind in &self.pipeline {
-            if kind == PassKind::DecomposeBinary {
-                snapshot = Some((current.clone(), current.gate_count().total()));
-            }
-            let _span = span(Phase::Compile, kind.name());
-            let gates_before = current.gate_count().total();
-            let mut rewrites = 0u64;
-            current = match kind {
-                PassKind::FactsCleanup => passes::facts_cleanup(&current, &mut rewrites),
-                PassKind::Cancel => passes::map_scopes(&current, |_, c| {
-                    passes::cancel_pass(&c.gates, &mut rewrites)
-                }),
-                PassKind::Merge => passes::map_scopes(&current, |scope, c| {
-                    passes::merge_pass(&c.gates, scope == FactScope::Main, &mut rewrites)
-                }),
-                PassKind::PhasePoly => {
-                    let (mut merged, mut removed) = (0u64, 0u64);
-                    let out = passes::map_scopes(&current, |_, c| {
-                        passes::phasepoly_pass(c, &mut rewrites, &mut merged, &mut removed)
-                    });
-                    quipper_trace::count(names::OPT_PHASEPOLY_MERGED, merged);
-                    quipper_trace::count(names::OPT_PHASEPOLY_REMOVED, removed);
-                    out
-                }
-                PassKind::CliffordPush => {
-                    let mut absorbed = 0u64;
-                    let out = passes::map_scopes(&current, |scope, c| {
-                        passes::clifford_push_pass(
-                            &c.gates,
-                            scope == FactScope::Main,
-                            &mut rewrites,
-                            &mut absorbed,
-                        )
-                    });
-                    quipper_trace::count(names::OPT_CLIFFORD_ABSORBED, absorbed);
-                    out
-                }
-                PassKind::DecomposeBinary => {
-                    rewrites = passes::count_wide_gates(&current);
-                    quipper::decompose::decompose(quipper::decompose::GateBase::Binary, &current)
-                }
-            };
-            stats.push(PassStats {
-                name: kind.name(),
-                gates_before,
-                gates_after: current.gate_count().total(),
-                rewrites,
-            });
-        }
-        if let Some((snap, snap_total)) = snapshot {
-            let final_total = current.gate_count().total();
-            if final_total > snap_total {
-                let _span = span(Phase::Compile, "opt.revert");
-                stats.push(PassStats {
-                    name: "opt.revert",
-                    gates_before: final_total,
-                    gates_after: snap_total,
-                    rewrites: 1,
+    /// Rewrites every scope of `bc`, adding the rewrites applied to
+    /// `rewrites`.
+    fn apply(self, bc: &BCircuit, rewrites: &mut u64) -> BCircuit {
+        match self {
+            Pass::FactsCleanup => passes::facts_cleanup(bc, rewrites),
+            Pass::Cancel => passes::map_scopes(bc, |_, c| passes::cancel_pass(&c.gates, rewrites)),
+            Pass::Merge => passes::map_scopes(bc, |scope, c| {
+                passes::merge_pass(&c.gates, scope == FactScope::Main, rewrites)
+            }),
+            Pass::PhasePoly => {
+                let (mut merged, mut removed) = (0u64, 0u64);
+                let out = passes::map_scopes(bc, |_, c| {
+                    passes::phasepoly_pass(c, rewrites, &mut merged, &mut removed)
                 });
-                current = snap;
+                quipper_trace::count(names::OPT_PHASEPOLY_MERGED, merged);
+                quipper_trace::count(names::OPT_PHASEPOLY_REMOVED, removed);
+                out
+            }
+            Pass::CliffordPush => {
+                let mut absorbed = 0u64;
+                let out = passes::map_scopes(bc, |scope, c| {
+                    passes::clifford_push_pass(
+                        &c.gates,
+                        scope == FactScope::Main,
+                        rewrites,
+                        &mut absorbed,
+                    )
+                });
+                quipper_trace::count(names::OPT_CLIFFORD_ABSORBED, absorbed);
+                out
             }
         }
-        // Whole-pipeline guard: no run may hand back more gates than it was
-        // given. The non-decompose passes individually never grow, so this
-        // only fires on pathological inputs — but the invariant is cheap to
-        // enforce unconditionally.
-        let final_total = current.gate_count().total();
-        if final_total > input_total {
-            let _span = span(Phase::Compile, "opt.revert");
-            stats.push(PassStats {
-                name: "opt.revert",
-                gates_before: final_total,
-                gates_after: input_total,
-                rewrites: 1,
-            });
-            quipper_trace::count(names::OPT_REVERTED, 1);
-            current = bc.clone();
-        }
-        (current, stats)
     }
 }
 
@@ -408,21 +286,48 @@ impl PassManager {
 pub fn optimize(bc: &BCircuit, level: OptLevel) -> (BCircuit, OptReport) {
     let start = Instant::now();
     let _span = span(Phase::Compile, "opt");
+    let pipeline: &[Pass] = match level {
+        OptLevel::Off => &[],
+        OptLevel::Default => &PIPELINE,
+    };
     let before = bc.gate_count();
-    let pm = PassManager::for_level(level);
-    let (out, pass_stats) = if pm.is_empty() {
-        (bc.clone(), Vec::new())
-    } else {
-        pm.run(bc)
-    };
-    let after = if pass_stats.is_empty() {
-        before.clone()
-    } else {
-        out.gate_count()
-    };
+    let mut out = bc.clone();
+    // One hierarchical count per pass boundary: what leaves a pass is what
+    // enters the next.
+    let mut after = before.clone();
+    let mut passes = Vec::with_capacity(pipeline.len());
+    for pass in pipeline {
+        let _span = span(Phase::Compile, pass.name());
+        let mut rewrites = 0u64;
+        out = pass.apply(&out, &mut rewrites);
+        let count = out.gate_count();
+        passes.push(PassStats {
+            name: pass.name(),
+            gates_before: after.total(),
+            gates_after: count.total(),
+            rewrites,
+        });
+        after = count;
+    }
+    // Whole-pipeline guard: no run may hand back more gates than it was
+    // given. The passes individually never grow, so this only fires on
+    // pathological inputs — but the invariant is cheap to enforce
+    // unconditionally.
+    if after.total() > before.total() {
+        let _span = span(Phase::Compile, "opt.revert");
+        passes.push(PassStats {
+            name: "opt.revert",
+            gates_before: after.total(),
+            gates_after: before.total(),
+            rewrites: 1,
+        });
+        quipper_trace::count(names::OPT_REVERTED, 1);
+        out = bc.clone();
+        after = before.clone();
+    }
     let report = OptReport {
         level,
-        passes: pass_stats,
+        passes,
         before,
         after,
         elapsed: start.elapsed(),
@@ -693,68 +598,6 @@ mod tests {
     }
 
     #[test]
-    fn aggressive_decomposes_to_binary_gates_or_reverts() {
-        let bc = main_only(
-            vec![
-                Gate::toffoli(Wire(2), Wire(0), Wire(1)),
-                Gate::unary(GateName::H, Wire(0)),
-            ],
-            3,
-        );
-        let (out, report) = optimize(&bc, OptLevel::Aggressive);
-        out.validate().unwrap();
-        assert!(report
-            .passes
-            .iter()
-            .any(|p| p.name == "opt.decompose" && p.rewrites >= 1));
-        if report.reverted() {
-            // Decomposing one Toffoli grows the circuit, so the pipeline
-            // must hand back the pre-decompose circuit: no worse than
-            // Default on gate count.
-            let (_, default_report) = optimize(&bc, OptLevel::Default);
-            assert!(report.gates_after() <= default_report.gates_after());
-            assert_eq!(out.main.gates.len(), 2);
-        } else {
-            for (_, def) in out.db.iter() {
-                for g in &def.circuit.gates {
-                    let mut wires = 0;
-                    g.for_each_wire(&mut |_| wires += 1);
-                    assert!(wires <= 2, "wide gate survived: {g:?}");
-                }
-            }
-            for g in &out.main.gates {
-                let mut wires = 0;
-                g.for_each_wire(&mut |_| wires += 1);
-                assert!(wires <= 2, "wide gate survived in main: {g:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn aggressive_never_exceeds_default_gate_count() {
-        // A mixed circuit with a wide gate and some cancelable structure.
-        let bc = main_only(
-            vec![
-                Gate::unary(GateName::H, Wire(0)),
-                Gate::toffoli(Wire(2), Wire(0), Wire(1)),
-                Gate::unary(GateName::T, Wire(1)),
-                Gate::toffoli(Wire(2), Wire(0), Wire(1)),
-                Gate::unary(GateName::H, Wire(0)),
-            ],
-            3,
-        );
-        let (_, default_report) = optimize(&bc, OptLevel::Default);
-        let (out, aggressive_report) = optimize(&bc, OptLevel::Aggressive);
-        out.validate().unwrap();
-        assert!(
-            aggressive_report.gates_after() <= default_report.gates_after(),
-            "aggressive ({}) regressed past default ({})",
-            aggressive_report.gates_after(),
-            default_report.gates_after(),
-        );
-    }
-
-    #[test]
     fn phasepoly_merges_rotations_across_cnots() {
         // T(0) · CNOT(1←0) · T(0): the CNOT's control leaves wire 0's
         // parity unchanged, so the two T's share one phase-polynomial term
@@ -909,21 +752,21 @@ mod tests {
                 (a, b)
             },
         );
-        let (out, _) = optimize(&bc, OptLevel::Default);
+        let (out, report) = optimize(&bc, OptLevel::Default);
         let counts = out.gate_count();
         assert_eq!((counts.t_count(), counts.total()), (1, 4));
         assert!(counts.t_count() < BASELINE_T && counts.total() <= BASELINE_TOTAL);
-        let passes = PassManager::for_level(OptLevel::Default).pass_names();
+        let passes: Vec<&str> = report.passes.iter().map(|p| p.name).collect();
         assert!(passes.contains(&"opt.phasepoly"));
         assert!(passes.contains(&"opt.clifford_push"));
     }
 
     #[test]
     fn levels_parse_round_trip() {
-        for level in [OptLevel::Off, OptLevel::Default, OptLevel::Aggressive] {
+        for level in [OptLevel::Off, OptLevel::Default] {
             assert_eq!(OptLevel::parse(level.as_str()), Some(level));
         }
-        assert_eq!(OptLevel::parse("max"), None);
+        assert_eq!(OptLevel::parse("aggressive"), None);
         assert_eq!(OptLevel::default(), OptLevel::Default);
     }
 

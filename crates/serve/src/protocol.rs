@@ -9,8 +9,8 @@
 //! |           | source, size-capped; rejected with span-anchored `QP###`      |
 //! |           | `diagnostics`), plus `tenant`, `shots`, `seed`, `label`,      |
 //! |           | `priority`, `deadline_ms`, `inputs` (array of 0/1), `opt`     |
-//! |           | (`"off"`/`"default"`/`"aggressive"`, defaults to the engine's |
-//! |           | configured level) — all optional except circuit/qasm          |
+//! |           | (`"off"`/`"default"`, defaults to the engine's configured     |
+//! |           | level) — all optional except circuit/qasm                     |
 //! | `status`  | `id`                                                          |
 //! | `result`  | `id` — histogram + report once completed; failed and          |
 //! |           | deadline-missed jobs attach their flight timeline             |
@@ -358,11 +358,7 @@ fn handle_submit(service: &Service, catalog: &Catalog, req: &Json) -> Handled {
     if let Some(spec) = req.get("opt").and_then(Json::as_str) {
         match quipper_exec::OptLevel::parse(spec) {
             Some(level) => submission = submission.opt(level),
-            None => {
-                return err(&format!(
-                    "unknown opt level {spec:?} (off/default/aggressive)"
-                ))
-            }
+            None => return err(&format!("unknown opt level {spec:?} (off/default)")),
         }
     }
     match service.submit(submission) {

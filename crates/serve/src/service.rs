@@ -492,6 +492,10 @@ impl Service {
 
         inner.jobs.lock().unwrap().insert(id, Arc::clone(&record));
         *inner.active.lock().unwrap() += 1;
+        // Stamped before the push: an idle worker may pop the entry and
+        // stamp `compile` before `push` returns. A rejected push drops the
+        // record, stamp and all.
+        record.flight.stamp(phases::QUEUE, None);
         if let Err(retry_after) = inner.queue.push(entry) {
             // Not admitted after all: uncharge the tenant and forget the job.
             inner.jobs.lock().unwrap().remove(&id);
@@ -509,7 +513,6 @@ impl Service {
                 retry_after,
             });
         }
-        record.flight.stamp(phases::QUEUE, None);
         inner.counters.admitted.fetch_add(1, Ordering::Relaxed);
         if inner.trace.enabled() {
             inner.trace.metrics().add(names::SERVE_ADMIT, 1);

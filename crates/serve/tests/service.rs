@@ -6,7 +6,9 @@
 //!   in the exec trace metrics;
 //! * a full queue and an empty quota reject synchronously with honest
 //!   retry-after hints;
-//! * identical concurrent submissions share compiles and agree bit-exactly.
+//! * identical concurrent submissions share compiles and agree bit-exactly;
+//! * a job's flight timeline is in lifecycle order even when an idle worker
+//!   picks it up at once.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -14,6 +16,7 @@ use std::time::{Duration, Instant};
 use quipper::{Circ, Qubit};
 use quipper_circuit::BCircuit;
 use quipper_exec::{Engine, EngineConfig};
+use quipper_serve::flight::phases;
 use quipper_serve::{
     FaultConfig, FaultInjector, JobState, QuotaPolicy, RejectReason, RetryPolicy, Service,
     ServiceConfig, Submission,
@@ -447,5 +450,45 @@ fn warm_concurrent_jobs_hit_the_cache_without_waiting() {
     assert_eq!(trace.metrics().counter(names::SERVE_COALESCED), 0);
     assert_eq!(stats.engine_cache_misses, 1);
     assert_eq!(stats.engine_cache_hits, 12);
+    service.shutdown();
+}
+
+/// An idle worker can pop a job before `submit` returns; the `queue` stamp
+/// must already be on the timeline when that worker stamps `compile`.
+#[test]
+fn flight_stamps_queue_before_compile_under_an_idle_worker() {
+    let service = Service::start(
+        Engine::new(),
+        ServiceConfig {
+            workers: 1,
+            quota: QuotaPolicy::unlimited(),
+            ..ServiceConfig::default()
+        },
+    );
+    let circuit = Arc::new(ghz(2));
+    for _ in 0..200 {
+        // One job at a time, so the worker is idle at every submit.
+        let job = Submission::new("tenant", Arc::clone(&circuit)).inputs(vec![false; 2]);
+        let id = service.submit(job.shots(1)).unwrap();
+        service.drain();
+        let flight = service.flight(id).unwrap();
+        assert_eq!(flight.state, "completed");
+        let at = |phase| {
+            let stamped = flight.events.iter().position(|e| e.phase == phase);
+            stamped.unwrap_or_else(|| panic!("job {id}: no {phase} stamp"))
+        };
+        assert!(
+            at(phases::QUEUE) < at(phases::COMPILE),
+            "job {id}: {:?}",
+            flight.events
+        );
+        for pair in flight.spans().windows(2) {
+            assert_eq!(
+                pair[0].1 + pair[0].2,
+                pair[1].1,
+                "job {id}: a span runs backwards"
+            );
+        }
+    }
     service.shutdown();
 }

@@ -93,7 +93,7 @@ const SESSION: &str = r##"
 > {"op":"list"}
 < {"ok":true,"circuits":["teleportation","ghz3","ghz5","parity4","grover3","qft4"]}
 
-> {"op":"submit","circuit":"ghz3","tenant":"alice","shots":16,"seed":7,"opt":"aggressive","label":"a\"b\\c\nd\te\u0001é😀"}
+> {"op":"submit","circuit":"ghz3","tenant":"alice","shots":16,"seed":7,"opt":"default","label":"a\"b\\c\nd\te\u0001é😀"}
 < {"ok":true,"id":1}
 drain
 > {"op":"status","id":1}
@@ -138,7 +138,9 @@ drain
 > {"op":"submit","circuit":"nope"}
 < {"ok":false,"error":"unknown circuit \"nope\" (see op \"list\")"}
 > {"op":"submit","circuit":"ghz3","opt":"extreme"}
-< {"ok":false,"error":"unknown opt level \"extreme\" (off/default/aggressive)"}
+< {"ok":false,"error":"unknown opt level \"extreme\" (off/default)"}
+> {"op":"submit","circuit":"ghz3","opt":"aggressive"}
+< {"ok":false,"error":"unknown opt level \"aggressive\" (off/default)"}
 > {"op":"submit","circuit":"ghz3","qasm":"OPENQASM 2.0;"}
 < {"ok":false,"error":"submit takes \"circuit\" or \"qasm\", not both"}
 > {"op":"submit","circuit":"ghz3","inputs":3}

@@ -447,89 +447,6 @@ pub struct TraceLog {
     pub dropped: u64,
 }
 
-/// Compact per-job trace accounting, carried on `ExecReport`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TraceSummary {
-    /// Events recorded during the job.
-    pub events: u64,
-    /// Events lost to ring wraparound during the job.
-    pub dropped: u64,
-}
-
-impl fmt::Display for TraceSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.dropped > 0 {
-            write!(f, "{} events ({} dropped)", self.events, self.dropped)
-        } else {
-            write!(f, "{} events", self.events)
-        }
-    }
-}
-
-/// Per-job sampling-profiler accounting, carried on `ExecReport`. Wall
-/// time from sampled state-vector windows, attributed to gate classes
-/// proportionally to each window's per-class gate counts (see
-/// `names::PROF_*`). All figures are deltas over one job.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ProfileSummary {
-    /// Blocked windows whose execution was wall-clock sampled.
-    pub windows_sampled: u64,
-    /// Total sampled wall time, ns.
-    pub sampled_ns: u64,
-    /// Sampled time attributed to diagonal (phase-only) gates, ns.
-    pub diagonal_ns: u64,
-    /// Sampled time attributed to permutation gates, ns.
-    pub permutation_ns: u64,
-    /// Sampled time attributed to general dense 1q gates, ns.
-    pub general_ns: u64,
-    /// Sampled time attributed to fused two-qubit (4x4) kernels, ns.
-    pub mat4_ns: u64,
-}
-
-impl ProfileSummary {
-    /// Whether any window was sampled.
-    pub fn is_empty(&self) -> bool {
-        self.windows_sampled == 0
-    }
-
-    /// `(class name, attributed ns)` rows in descending time order.
-    pub fn by_class(&self) -> Vec<(&'static str, u64)> {
-        let mut rows = vec![
-            ("diagonal", self.diagonal_ns),
-            ("permutation", self.permutation_ns),
-            ("general", self.general_ns),
-            ("mat4", self.mat4_ns),
-        ];
-        rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-        rows
-    }
-}
-
-impl fmt::Display for ProfileSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} windows sampled, {}",
-            self.windows_sampled,
-            fmt_duration(Duration::from_nanos(self.sampled_ns))
-        )?;
-        let mut wrote_class = false;
-        for (class, ns) in self.by_class() {
-            if ns == 0 {
-                continue;
-            }
-            write!(
-                f,
-                "{} {class} {}",
-                if wrote_class { "," } else { ":" },
-                fmt_duration(Duration::from_nanos(ns))
-            )?;
-            wrote_class = true;
-        }
-        Ok(())
-    }
-}
-
 static GLOBAL: OnceLock<Tracer> = OnceLock::new();
 
 /// The process-wide tracer. Created disabled on first use.
@@ -727,23 +644,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_summary_and_duration_formatting() {
-        assert_eq!(
-            TraceSummary {
-                events: 5,
-                dropped: 0
-            }
-            .to_string(),
-            "5 events"
-        );
-        assert_eq!(
-            TraceSummary {
-                events: 7,
-                dropped: 2
-            }
-            .to_string(),
-            "7 events (2 dropped)"
-        );
+    fn duration_formatting() {
         assert_eq!(fmt_duration(Duration::from_nanos(640)), "640ns");
         assert_eq!(fmt_duration(Duration::from_nanos(1_500)), "1.50µs");
         assert_eq!(fmt_duration(Duration::from_micros(2_300)), "2.30ms");

@@ -1,12 +1,12 @@
-//! `quipper-opt`: run the pass-manager optimizer over the built-in circuit
-//! suite and report the gate deltas.
+//! `quipper-opt`: run the optimizer over the built-in circuit suite and
+//! report the gate deltas.
 //!
 //! The suite is the same one `quipper-lint` checks, so the delta table
 //! shows what the optimizer does to exactly the circuits the examples
 //! execute:
 //!
 //! ```text
-//! cargo run --release --bin quipper-opt -- --level aggressive
+//! cargo run --release --bin quipper-opt -- --level default
 //! ```
 //!
 //! Exit status is 0 unless arguments are malformed; the tool reports, it
@@ -23,7 +23,7 @@ mod circuit_suite;
 use circuit_suite::suite;
 
 const USAGE: &str = "\
-quipper-opt: pass-manager circuit optimizer over the built-in suite
+quipper-opt: circuit optimizer over the built-in suite
 
 USAGE: quipper-opt [OPTIONS]
 
@@ -32,7 +32,7 @@ OPTIONS:
   --only NAME        optimize only this circuit (repeatable)
   --qasm FILE        also optimize an OpenQASM file (repeatable); files
                      that do not parse report their QP codes and fail
-  --level LEVEL      pipeline to run: off | default | aggressive
+  --level LEVEL      whether the pipeline runs: off | default
                      (default: default)
   --json             emit JSON Lines instead of the pretty table
   -h, --help         this text";
@@ -61,7 +61,7 @@ fn parse_args() -> Result<Options, String> {
             "--level" => {
                 opts.level = match args.next().as_deref().and_then(OptLevel::parse) {
                     Some(level) => level,
-                    None => return Err("--level expects off|default|aggressive".into()),
+                    None => return Err("--level expects off|default".into()),
                 }
             }
             "--only" => match args.next() {
