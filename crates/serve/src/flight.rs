@@ -5,7 +5,8 @@
 //! a wait and one stamp per retry) against the job's admission instant. When
 //! the job reaches a terminal state the finished timeline is pushed into the
 //! service's [`FlightRecorder`] — a fixed-capacity ring, so the recorder's
-//! memory is bounded no matter how many jobs flow through. The dump turns
+//! memory is bounded no matter how many jobs flow through, and the service
+//! forgets a finished job when the ring forgets its timeline. The dump turns
 //! "job 4132 was slow" into an answerable question: the timeline shows
 //! where the time went, phase by phase.
 
@@ -145,13 +146,17 @@ impl FlightRecorder {
         }
     }
 
-    /// Append a finished timeline, evicting the oldest beyond capacity.
-    pub fn push(&self, timeline: FlightTimeline) {
+    /// Append a finished timeline; returns the id of the oldest one when
+    /// it had to go to make room, so the caller can forget that job too.
+    pub fn push(&self, timeline: FlightTimeline) -> Option<JobId> {
         let mut ring = self.ring.lock().unwrap();
-        if ring.len() == self.capacity {
-            ring.pop_front();
-        }
+        let evicted = if ring.len() == self.capacity {
+            ring.pop_front().map(|oldest| oldest.id)
+        } else {
+            None
+        };
         ring.push_back(Arc::new(timeline));
+        evicted
     }
 
     /// The most recent `n` timelines, newest last.
@@ -161,17 +166,6 @@ impl FlightRecorder {
             .skip(ring.len().saturating_sub(n))
             .cloned()
             .collect()
-    }
-
-    /// The most recent timeline for job `id`, if still in the ring.
-    pub fn find(&self, id: JobId) -> Option<Arc<FlightTimeline>> {
-        self.ring
-            .lock()
-            .unwrap()
-            .iter()
-            .rev()
-            .find(|t| t.id == id)
-            .cloned()
     }
 
     /// Timelines currently held.
@@ -202,14 +196,11 @@ mod tests {
     #[test]
     fn ring_is_bounded_and_evicts_oldest() {
         let rec = FlightRecorder::new(3);
-        for id in 1..=5 {
-            rec.push(timeline(id));
-        }
+        let evicted: Vec<_> = (1..=5).map(|id| rec.push(timeline(id))).collect();
+        assert_eq!(evicted, vec![None, None, None, Some(1), Some(2)]);
         assert_eq!(rec.len(), 3);
         let ids: Vec<_> = rec.recent(10).iter().map(|t| t.id).collect();
         assert_eq!(ids, vec![3, 4, 5]);
-        assert!(rec.find(1).is_none());
-        assert_eq!(rec.find(4).unwrap().id, 4);
         assert_eq!(rec.recent(2).len(), 2);
     }
 

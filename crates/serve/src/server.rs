@@ -1,14 +1,19 @@
 //! The TCP front door: newline-delimited JSON over `std::net`.
 //!
-//! One listener thread accepts connections (non-blocking accept with a
-//! short poll sleep, so shutdown is prompt); each connection gets a thread
+//! One listener thread blocks in `accept()`; each connection gets a thread
 //! reading request lines and writing response lines via
-//! [`crate::protocol::handle_line`]. The server is deliberately boring —
-//! all scheduling intelligence lives in the [`Service`]; this layer only
-//! moves lines.
+//! [`crate::protocol::handle_line`]. Nothing between a request line and its
+//! response line waits on a timer: a response and its newline leave in one
+//! write on a `TCP_NODELAY` socket, so neither Nagle's algorithm nor the
+//! peer's delayed ACK can hold the end of a line back (either alone would
+//! still stall a client that leaves Nagle on). Whoever raises the stop
+//! flag ([`Server::stop`], `Drop`, the connection thread that handled a
+//! `shutdown` op) wakes the listener with one connect to its own address.
+//! The server is deliberately boring — all scheduling intelligence lives in
+//! the [`Service`]; this layer only moves lines.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -21,8 +26,32 @@ use crate::service::Service;
 /// A running NDJSON server over a [`Service`].
 pub struct Server {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     accept_thread: Option<JoinHandle<()>>,
+}
+
+/// The stop flag, and the address whose connections reach the listener: the
+/// accept loop blocks in `accept()`, so raising the flag takes a connect.
+struct Stop {
+    flag: AtomicBool,
+    wake: SocketAddr,
+}
+
+impl Stop {
+    /// Raises the flag; the first raiser wakes the accept loop. `SeqCst`,
+    /// because the loop must see the flag once it sees the connection.
+    fn raise(&self) {
+        if !self.flag.swap(true, Ordering::SeqCst) {
+            // Refused when the loop has already gone; bounded, because a
+            // full backlog would otherwise hold the raiser (and then the
+            // loop has connections to wake it anyway).
+            let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
+        }
+    }
+
+    fn raised(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
 }
 
 impl Server {
@@ -34,9 +63,19 @@ impl Server {
         catalog: Arc<Catalog>,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
+        // A listener on the unspecified address is reached through loopback.
+        let mut wake = addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let stop = Arc::new(Stop {
+            flag: AtomicBool::new(false),
+            wake,
+        });
         let accept_stop = Arc::clone(&stop);
         let accept_thread = std::thread::Builder::new()
             .name("serve-accept".into())
@@ -57,7 +96,7 @@ impl Server {
     /// Whether a shutdown has been requested (by [`Server::stop`] or a
     /// client's `shutdown` op).
     pub fn stopped(&self) -> bool {
-        self.stop.load(Ordering::Relaxed)
+        self.stop.raised()
     }
 
     /// Blocks until the accept loop exits (a client sent `shutdown`, or
@@ -70,7 +109,7 @@ impl Server {
 
     /// Requests the accept loop to exit.
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.raise();
     }
 }
 
@@ -87,27 +126,25 @@ fn accept_loop(
     listener: TcpListener,
     service: Arc<Service>,
     catalog: Arc<Catalog>,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
 ) {
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let service = Arc::clone(&service);
-                let catalog = Arc::clone(&catalog);
-                let stop = Arc::clone(&stop);
-                connections.push(
-                    std::thread::Builder::new()
-                        .name("serve-conn".into())
-                        .spawn(move || serve_connection(stream, &service, &catalog, &stop))
-                        .expect("spawn connection thread"),
-                );
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
+    loop {
+        let accepted = listener.accept();
+        // Checked after the accept: the connection may be the raiser's.
+        if stop.raised() {
+            break;
         }
+        let Ok((stream, _)) = accepted else { break };
+        let service = Arc::clone(&service);
+        let catalog = Arc::clone(&catalog);
+        let stop = Arc::clone(&stop);
+        connections.push(
+            std::thread::Builder::new()
+                .name("serve-conn".into())
+                .spawn(move || serve_connection(stream, &service, &catalog, &stop))
+                .expect("spawn connection thread"),
+        );
         connections.retain(|handle| !handle.is_finished());
     }
     for handle in connections {
@@ -115,10 +152,10 @@ fn accept_loop(
     }
 }
 
-fn serve_connection(stream: TcpStream, service: &Service, catalog: &Catalog, stop: &AtomicBool) {
-    // Blocking per-connection reads with a timeout, so a silent client
-    // doesn't pin the thread past server shutdown.
-    let _ = stream.set_nonblocking(false);
+fn serve_connection(stream: TcpStream, service: &Service, catalog: &Catalog, stop: &Stop) {
+    let _ = stream.set_nodelay(true);
+    // Reads time out, so a silent client doesn't pin the thread past server
+    // shutdown.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let mut writer = match stream.try_clone() {
         Ok(writer) => writer,
@@ -127,7 +164,7 @@ fn serve_connection(stream: TcpStream, service: &Service, catalog: &Catalog, sto
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     loop {
-        if stop.load(Ordering::Relaxed) {
+        if stop.raised() {
             return;
         }
         line.clear();
@@ -137,22 +174,15 @@ fn serve_connection(stream: TcpStream, service: &Service, catalog: &Catalog, sto
                 if line.trim().is_empty() {
                     continue;
                 }
-                let handled = handle_line(service, catalog, &line);
+                let mut handled = handle_line(service, catalog, &line);
                 // Raise the stop flag before answering: a one-shot client
                 // may close right after sending `shutdown`, and a failed
                 // response write must not swallow the request.
                 if handled.shutdown {
-                    stop.store(true, Ordering::Relaxed);
+                    stop.raise();
                 }
-                if writer
-                    .write_all(handled.response.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
-                    return;
-                }
-                if handled.shutdown {
+                handled.response.push('\n');
+                if writer.write_all(handled.response.as_bytes()).is_err() || handled.shutdown {
                     return;
                 }
             }
@@ -173,21 +203,24 @@ mod tests {
     use crate::service::ServiceConfig;
     use quipper_exec::Engine;
     use quipper_trace::{parse_json, Json};
+    use std::time::Instant;
 
-    fn client_round_trip(addr: SocketAddr, lines: &[&str]) -> Vec<Json> {
+    /// One connection that leaves Nagle on: a request line out in one write,
+    /// a response line in.
+    fn client(addr: SocketAddr) -> impl FnMut(&str) -> Json {
         let stream = TcpStream::connect(addr).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
-        let mut responses = Vec::new();
-        for line in lines {
-            writer.write_all(line.as_bytes()).unwrap();
-            writer.write_all(b"\n").unwrap();
-            writer.flush().unwrap();
+        move |line| {
+            writer.write_all(format!("{line}\n").as_bytes()).unwrap();
             let mut response = String::new();
             reader.read_line(&mut response).unwrap();
-            responses.push(parse_json(response.trim()).unwrap());
+            parse_json(response.trim()).unwrap()
         }
-        responses
+    }
+
+    fn client_round_trip(addr: SocketAddr, lines: &[&str]) -> Vec<Json> {
+        lines.iter().copied().map(client(addr)).collect()
     }
 
     #[test]
@@ -249,6 +282,59 @@ mod tests {
             // closed peer.
         }
         server.join();
+        service.shutdown();
+    }
+
+    /// A stall detector, not a timing test. A response that leaves the
+    /// server in two segments waits for this client's delayed ACK, 40 ms a
+    /// response once the connection leaves quick-ACK mode (about 2 s for
+    /// this session). Without a stall the session is a few milliseconds.
+    #[test]
+    fn no_response_waits_for_a_delayed_ack() {
+        let service = Arc::new(Service::start(Engine::new(), ServiceConfig::default()));
+        let server = Server::start(
+            "127.0.0.1:0",
+            Arc::clone(&service),
+            Arc::new(Catalog::new()),
+        )
+        .unwrap();
+        let addr = server.local_addr();
+
+        let started = Instant::now();
+        let mut call = client(addr);
+        for _ in 0..50 {
+            let pong = call(r#"{"op":"ping"}"#);
+            assert_eq!(pong.get("pong"), Some(&Json::Bool(true)));
+        }
+        let submitted = call(r#"{"op":"submit","circuit":"ghz3","shots":16}"#);
+        let id = submitted.get("id").and_then(Json::as_num).unwrap() as u64;
+        let result = format!(r#"{{"op":"result","id":{id}}}"#);
+        while call(&result).get("histogram").is_none() {
+            let waited = started.elapsed();
+            assert!(waited < Duration::from_secs(10), "job never ended");
+        }
+        let session = started.elapsed();
+        assert!(
+            session < Duration::from_millis(500),
+            "52+ round trips took {session:?}: a response is waiting on a timer"
+        );
+        drop(call);
+        drop(server);
+        service.shutdown();
+    }
+
+    #[test]
+    fn stop_wakes_the_blocked_accept_loop() {
+        let service = Arc::new(Service::start(Engine::new(), ServiceConfig::default()));
+        let server =
+            Server::start("0.0.0.0:0", Arc::clone(&service), Arc::new(Catalog::new())).unwrap();
+        assert!(!server.stopped());
+        let started = Instant::now();
+        server.stop();
+        assert!(server.stopped());
+        server.join();
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(100), "join took {took:?}");
         service.shutdown();
     }
 }

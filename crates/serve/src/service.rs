@@ -18,7 +18,9 @@
 //! ```
 //!
 //! Nothing is ever lost: every admitted job reaches exactly one terminal
-//! state, and every refused submission is told when to retry.
+//! state, and every refused submission is told when to retry. A finished
+//! job is remembered until [`ServiceConfig::flight_capacity`] later jobs
+//! have finished, then forgotten together with its flight timeline.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -275,8 +277,14 @@ pub struct ServiceConfig {
     /// Per-tenant latency SLO thresholds; default has no thresholds, so
     /// nothing is checked or burned.
     pub slo: SloPolicy,
-    /// Flight-recorder capacity: how many finished job timelines the
-    /// bounded ring retains.
+    /// How many finished jobs the service remembers: the flight recorder's
+    /// ring holds this many timelines, and a job evicted from the ring is
+    /// dropped from the job table with it (status, result and flight then
+    /// answer "unknown job id"). Queued and running jobs are never evicted.
+    /// A memory budget, not a count to tune: a finished small job (3–8
+    /// qubits, 64 shots, submitted as QASM) keeps 3.9–6.6 KB resident, so
+    /// the default 4096 is about 20 MiB; a job keeps its submitted circuit
+    /// until it is evicted, so large programs cost in proportion.
     pub flight_capacity: usize,
     /// Tracing sink for service metrics; defaults to the process-wide
     /// tracer.
@@ -294,7 +302,7 @@ impl Default for ServiceConfig {
             quota: QuotaPolicy::default(),
             retry: RetryPolicy::default(),
             slo: SloPolicy::default(),
-            flight_capacity: 256,
+            flight_capacity: 4096,
             trace: quipper_trace::tracer(),
         }
     }
@@ -603,20 +611,18 @@ impl Service {
         self.inner.trace.metrics().snapshot()
     }
 
-    /// The job's flight timeline: live (current state) for known jobs,
-    /// else the recorder ring's copy. `None` for unknown/evicted ids.
+    /// The job's flight timeline as of now (its current state and the
+    /// events stamped so far). `None` for unknown/evicted ids.
     pub fn flight(&self, id: JobId) -> Option<FlightTimeline> {
-        if let Some(record) = self.inner.jobs.lock().unwrap().get(&id) {
-            let state = record.state.lock().unwrap().tag().to_string();
-            return Some(FlightTimeline {
-                id,
-                tenant: record.tenant.clone(),
-                label: record.label.clone(),
-                state,
-                events: record.flight.events(),
-            });
-        }
-        self.inner.flight.find(id).map(|t| (*t).clone())
+        let record = Arc::clone(self.inner.jobs.lock().unwrap().get(&id)?);
+        let state = record.state.lock().unwrap().tag().to_string();
+        Some(FlightTimeline {
+            id,
+            tenant: record.tenant.clone(),
+            label: record.label.clone(),
+            state,
+            events: record.flight.events(),
+        })
     }
 
     /// The most recent `n` finished timelines from the flight recorder,
@@ -668,8 +674,8 @@ fn finish_active(inner: &Inner) {
 }
 
 /// Finalize a job into a terminal state: set the state, bump counters and
-/// metrics (including per-tenant SLO accounting), and hand the finished
-/// timeline to the flight recorder.
+/// metrics (including per-tenant SLO accounting), hand the finished
+/// timeline to the flight recorder, and forget the job the recorder evicted.
 fn finalize(inner: &Inner, record: &JobRecord, state: JobState) {
     debug_assert!(state.is_terminal());
     let (counter, metric) = match &state {
@@ -719,13 +725,18 @@ fn finalize(inner: &Inner, record: &JobRecord, state: JobState) {
             }
         }
     }
-    inner.flight.push(FlightTimeline {
+    let evicted = inner.flight.push(FlightTimeline {
         id: record.id,
         tenant: record.tenant.clone(),
         label: record.label.clone(),
         state: tag.to_string(),
         events: record.flight.events(),
     });
+    // The one eviction point: only finished jobs are in the ring, so a
+    // queued or running job is never forgotten.
+    if let Some(evicted) = evicted {
+        inner.jobs.lock().unwrap().remove(&evicted);
+    }
     finish_active(inner);
 }
 
@@ -748,7 +759,9 @@ fn worker_loop(inner: &Inner) {
     while let Some(entry) = inner.queue.pop() {
         let record = match inner.jobs.lock().unwrap().get(&entry.id) {
             Some(record) => Arc::clone(record),
-            None => continue, // rejected after push raced; nothing to run
+            // Rejected after the push raced, or cancelled while queued and
+            // since evicted: nothing to run.
+            None => continue,
         };
 
         // Claim the job; a concurrent cancel of a queued job may already
@@ -851,5 +864,130 @@ fn run_admitted(inner: &Inner, record: &JobRecord, job: &Job, plan: &Plan, sourc
                 return;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::catalog::Catalog;
+    use crate::fault::{FaultConfig, FaultInjector};
+    use crate::protocol::handle_line;
+    use quipper_exec::EngineConfig;
+
+    fn small_ring(capacity: usize) -> ServiceConfig {
+        ServiceConfig {
+            workers: 1,
+            quota: QuotaPolicy::unlimited(),
+            flight_capacity: capacity,
+            ..ServiceConfig::default()
+        }
+    }
+
+    fn table_len(service: &Service) -> usize {
+        service.inner.jobs.lock().unwrap().len()
+    }
+
+    #[test]
+    fn the_job_table_forgets_what_the_flight_ring_forgets() {
+        const CAPACITY: usize = 8;
+        let service = Service::start(Engine::new(), small_ring(CAPACITY));
+        let catalog = Catalog::new();
+        let ghz3 = catalog.get("ghz3").unwrap();
+
+        // A client that collects each result as it lands loses nothing.
+        let mut ids = Vec::new();
+        for _ in 0..CAPACITY + 50 {
+            let id = service
+                .submit(Submission::new("t", Arc::clone(&ghz3)).inputs(vec![false; 3]))
+                .unwrap();
+            service.drain();
+            assert!(service.result(id).is_some());
+            ids.push(id);
+        }
+
+        let (evicted, kept) = ids.split_at(50);
+        for &id in evicted {
+            assert!(service.status(id).is_none());
+            assert!(service.result(id).is_none());
+            assert!(service.cancel(id).is_none());
+            assert!(service.flight(id).is_none());
+        }
+        for &id in kept {
+            assert!(service.result(id).is_some());
+            assert_eq!(service.flight(id).unwrap().state, "completed");
+        }
+        let ring: Vec<JobId> = service.flights(usize::MAX).iter().map(|t| t.id).collect();
+        assert_eq!(ring, kept);
+        assert_eq!(table_len(&service), CAPACITY);
+
+        // On the wire an evicted id is an unknown id.
+        let answer = |line: &str| handle_line(&service, &catalog, line).response;
+        let gone = evicted[0];
+        for op in ["status", "result", "cancel"] {
+            assert_eq!(
+                answer(&format!(r#"{{"op":"{op}","id":{gone}}}"#)),
+                format!(r#"{{"ok":false,"error":"unknown job id {gone}"}}"#)
+            );
+        }
+        assert_eq!(
+            answer(&format!(r#"{{"op":"flight","id":{gone}}}"#)),
+            format!(r#"{{"ok":false,"error":"no flight timeline for job id {gone}"}}"#)
+        );
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_queued_or_running_job_is_never_evicted() {
+        const CAPACITY: usize = 2;
+        // Every shot sleeps 1 ms, so the first job holds the only worker.
+        let engine_config = EngineConfig::default();
+        let slow = FaultConfig {
+            spike_prob: 1.0,
+            ..FaultConfig::default()
+        };
+        let backends = FaultInjector::wrap_default_backends(&engine_config, slow);
+        let service = Service::start(
+            Engine::with_backends(engine_config, backends),
+            small_ring(CAPACITY),
+        );
+        let ghz3 = Catalog::new().get("ghz3").unwrap();
+        let submit = |shots| {
+            let job = Submission::new("t", Arc::clone(&ghz3)).inputs(vec![false; 3]);
+            service.submit(job.shots(shots)).unwrap()
+        };
+
+        let state = |id| service.status(id).unwrap().state.tag();
+
+        let running = submit(1_000_000);
+        let started_by = Instant::now() + Duration::from_secs(10);
+        while state(running) != "running" {
+            assert!(Instant::now() < started_by, "job never started");
+            std::thread::yield_now();
+        }
+        let queued = submit(1);
+
+        // Cancelling a queued job finishes it at once: five jobs through a
+        // ring of two while the other two stay where they are.
+        let cancelled: Vec<JobId> = (0..CAPACITY + 3)
+            .map(|_| {
+                let id = submit(1);
+                assert_eq!(service.cancel(id).unwrap().state.tag(), "cancelled");
+                id
+            })
+            .collect();
+        let (evicted, kept) = cancelled.split_at(3);
+        assert!(evicted.iter().all(|&id| service.status(id).is_none()));
+        assert!(kept.iter().all(|&id| service.status(id).is_some()));
+        assert_eq!((state(running), state(queued)), ("running", "queued"));
+        assert_eq!(table_len(&service), CAPACITY + 2);
+
+        // The worker skips the evicted jobs' queue entries and runs the
+        // queued job to its end.
+        service.cancel(running);
+        service.drain();
+        assert!(service.result(queued).is_some());
+        assert_eq!(table_len(&service), CAPACITY);
+        service.shutdown();
     }
 }

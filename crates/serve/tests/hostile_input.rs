@@ -40,8 +40,7 @@ fn deep_nesting_is_a_bad_request_on_a_default_stack_thread() {
 }
 
 fn rpc(stream: &mut BufReader<TcpStream>, line: &[u8]) -> String {
-    stream.get_mut().write_all(line).unwrap();
-    stream.get_mut().write_all(b"\n").unwrap();
+    stream.get_mut().write_all(&[line, b"\n"].concat()).unwrap();
     let mut response = String::new();
     stream.read_line(&mut response).unwrap();
     response

@@ -40,9 +40,9 @@ impl Client {
     }
 
     fn rpc(&mut self, line: &str) -> Json {
-        self.writer.write_all(line.as_bytes()).unwrap();
-        self.writer.write_all(b"\n").unwrap();
-        self.writer.flush().unwrap();
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .unwrap();
         let mut response = String::new();
         self.reader.read_line(&mut response).unwrap();
         parse_json(response.trim()).unwrap_or_else(|e| panic!("bad response {response:?}: {e}"))

@@ -27,6 +27,7 @@ struct Client {
 impl Client {
     fn connect(addr: &str) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(Client {
             writer: stream.try_clone()?,
             reader: BufReader::new(stream),
@@ -35,9 +36,9 @@ impl Client {
 
     /// One request line out, one response line in, parsed.
     fn call(&mut self, request: &str) -> Json {
-        self.writer.write_all(request.as_bytes()).unwrap();
-        self.writer.write_all(b"\n").unwrap();
-        self.writer.flush().unwrap();
+        self.writer
+            .write_all(format!("{request}\n").as_bytes())
+            .unwrap();
         let mut line = String::new();
         self.reader.read_line(&mut line).unwrap();
         parse_json(line.trim()).unwrap_or_else(|e| panic!("bad response {line:?}: {e}"))
