@@ -23,9 +23,8 @@
 //! knobs:
 //!
 //! * `BENCH_QUICK=1` — small widths, fewer iterations, and hard asserts
-//!   that the kernel path beats the scan path on the mixed workload, that
-//!   disabled tracing and the enabled window profiler each cost under 2 %,
-//!   and that a profiled run is amplitude-identical (the CI smoke);
+//!   that the kernel path beats the scan path on the mixed workload and
+//!   that disabled tracing costs under 2 % (the CI smoke);
 //! * `BENCH_STATEVEC_WRITE=1` — rewrite `BENCH_statevec.json` at the repo
 //!   root with the measured numbers.
 
@@ -214,80 +213,6 @@ fn tracing_overhead_smoke() {
     );
 }
 
-/// CI smoke for the sampling window profiler (PR 8). Two checks:
-///
-/// * profiling is *observation only* — the profiled run's amplitudes are
-///   bit-identical to the unprofiled run's;
-/// * the enabled cost — a pair of monotonic clock reads plus per-gate class
-///   attribution on each sampled window — stays under 2% of the mixed
-///   kernel baseline even when charged to **every** window, though the real
-///   path samples only 1 in `PROFILE_SAMPLE_EVERY`. Like the tracing smoke,
-///   this is a per-call microbenchmark × a count bound, insensitive to host
-///   speed and run-to-run noise.
-fn profiler_overhead_smoke() {
-    use quipper_sim::statevec::PROFILE_SAMPLE_EVERY;
-
-    let bc = mixed(12, 2);
-    let flat = inline_all(&bc.db, &bc.main).unwrap();
-    let inputs = vec![false; 12];
-    // The tracer's switch is the profiler's switch.
-    let off = run_flat_with(&flat, &inputs, 1, StateVecConfig::default()).unwrap();
-    quipper_trace::tracer().set_enabled(true);
-    let on = run_flat_with(&flat, &inputs, 1, StateVecConfig::default());
-    quipper_trace::tracer().set_enabled(false);
-    let on = on.unwrap();
-    assert_eq!(
-        off.state.amplitudes(),
-        on.state.amplitudes(),
-        "profiling must not perturb amplitudes"
-    );
-
-    // Per-sampled-window cost: the clock-read pair dominates (attribution
-    // is a handful of integer ops over a short window).
-    let calls: u32 = 200_000;
-    let mut acc = Duration::ZERO;
-    let start = Instant::now();
-    for _ in 0..calls {
-        let t = Instant::now();
-        acc += t.elapsed();
-    }
-    let ns_per_sample = start.elapsed().as_secs_f64() * 1e9 / f64::from(calls);
-    std::hint::black_box(acc);
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_statevec.json");
-    let baseline = std::fs::read_to_string(path).expect("BENCH_statevec.json present");
-    let doc = quipper_trace::parse_json(&baseline).expect("baseline parses");
-    let mixed_baseline = doc
-        .get("benches")
-        .and_then(|b| b.as_arr())
-        .into_iter()
-        .flatten()
-        .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("mixed"))
-        .expect("mixed entry in baseline");
-    let baseline_ms = mixed_baseline
-        .get("kernels_ms")
-        .and_then(|v| v.as_num())
-        .expect("kernels_ms in baseline");
-    let windows = mixed_baseline
-        .get("class_dispatches")
-        .and_then(|c| c.get("windows"))
-        .and_then(|v| v.as_num())
-        .expect("windows in baseline");
-
-    let overhead_ms = windows * ns_per_sample / 1e6;
-    let pct = 100.0 * overhead_ms / baseline_ms;
-    assert!(
-        pct < 2.0,
-        "profiler overhead bound {pct:.4}% of the {baseline_ms}ms mixed baseline \
-         exceeds the 2% budget ({ns_per_sample:.1}ns per sampled window)"
-    );
-    println!(
-        "profiler-overhead smoke passed: {ns_per_sample:.1}ns per sampled window, \
-         bounded at {pct:.4}% of the mixed kernel baseline with every window \
-         charged (real sampling is 1 in {PROFILE_SAMPLE_EVERY})"
-    );
-}
-
 fn fmt_opt_ms(d: Option<Duration>) -> String {
     match d {
         Some(d) => format!("{:.3?}", d),
@@ -368,7 +293,6 @@ fn main() {
         );
         println!("quick-mode smoke check passed ({vs_scan:.2}x vs scan on mixed)");
         tracing_overhead_smoke();
-        profiler_overhead_smoke();
     }
 
     if env_on("BENCH_STATEVEC_WRITE") {

@@ -27,11 +27,19 @@
 //! pattern ascending). Parallel results are therefore bit-identical to
 //! sequential ones for the same base seed, and — the prefix drawing no
 //! randomness — to one [`Backend::run_shot`] per seed.
+//!
+//! # What is counted where
+//!
+//! Each job's [`ExecReport`] says what that job did; the metrics registry
+//! of the configured tracer sums it across jobs (`exec.route.*`,
+//! `exec.shots_run`, `exec.cache.*`); the [`PlanCache`] counts its own
+//! hits and misses, which [`Engine::stats`] reads. The engine keeps no
+//! counter of its own beside them.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use quipper::{Circ, QCData, Shape};
@@ -70,9 +78,14 @@ pub struct EngineConfig {
     /// facts-seeded cleanup, cancellation and rotation merging;
     /// [`OptLevel::Off`] reproduces pre-optimizer plans bit-identically.
     pub opt: OptLevel,
-    /// Tracing sink for spans, cache/routing events and latency metrics.
-    /// Defaults to the process-wide [`quipper_trace::tracer`] (disabled until
-    /// someone enables it); use [`Tracer::leaked`] for a dedicated sink.
+    /// Tracing sink for spans, cache/routing events and latency metrics,
+    /// and for the metrics of a `quipper_serve::Service` started over this
+    /// engine. Defaults to the process-wide [`quipper_trace::tracer`]
+    /// (disabled until someone enables it), which is all production uses.
+    /// It stays a field because tests assert exact counts and need a sink
+    /// no concurrent test touches: [`Tracer::leaked`] gives one
+    /// (`deadline_fires_mid_prefix_on_a_wide_job` counts shots, cancels and
+    /// cache hits of one job; the service tests count admissions).
     pub trace: &'static Tracer,
 }
 
@@ -289,68 +302,25 @@ pub struct ResourceEstimate {
     pub depth: u128,
 }
 
-/// Cumulative engine counters, snapshot via [`Engine::stats`].
-#[derive(Clone, Debug, Default)]
+/// The plan cache's counters, snapshot via [`Engine::stats`]; the engine
+/// keeps none of its own (see the module docs).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Jobs executed successfully.
-    pub jobs: u64,
-    /// Total shots executed.
-    pub shots: u64,
     /// Plan-cache hits.
     pub cache_hits: u64,
     /// Plan-cache misses (compilations).
     pub cache_misses: u64,
     /// Distinct plans currently cached.
     pub cached_plans: usize,
-    /// Jobs per backend, sorted by backend name.
-    pub backend_jobs: Vec<(&'static str, u64)>,
-    /// Interactive (dynamic-lifting) builds executed.
-    pub interactive_runs: u64,
-    /// Gates eliminated by single-qubit fusion, summed over executed jobs'
-    /// plans.
-    pub fused_gates: u64,
-    /// Plan ops dispatched to the diagonal kernel, summed over executed jobs.
-    pub diagonal_ops: u64,
-    /// Plan ops dispatched to the permutation kernel, summed over executed
-    /// jobs.
-    pub permutation_ops: u64,
-    /// Plan ops dispatched to the dense 2×2 kernel, summed over executed
-    /// jobs.
-    pub general_ops: u64,
-    /// Gates removed by the optimizer, summed over executed jobs' plans
-    /// (zero when every job ran at [`OptLevel::Off`]).
-    pub opt_gates_removed: u64,
 }
 
 impl fmt::Display for EngineStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{:<12}{} ({} shots)", "jobs", self.jobs, self.shots)?;
-        writeln!(
+        write!(
             f,
             "{:<12}{} hits / {} misses / {} cached",
             "plan cache", self.cache_hits, self.cache_misses, self.cached_plans
-        )?;
-        writeln!(f, "{:<12}{} gates fused away", "fusion", self.fused_gates)?;
-        if self.opt_gates_removed > 0 {
-            writeln!(
-                f,
-                "{:<12}{} gates removed",
-                "optimizer", self.opt_gates_removed
-            )?;
-        }
-        writeln!(
-            f,
-            "{:<12}diagonal {} | permutation {} | general {}",
-            "kernel ops", self.diagonal_ops, self.permutation_ops, self.general_ops
-        )?;
-        write!(f, "{:<12}", "backends")?;
-        for (i, (name, n)) in self.backend_jobs.iter().enumerate() {
-            write!(f, "{}{name}={n}", if i == 0 { "" } else { " " })?;
-        }
-        if self.interactive_runs > 0 {
-            write!(f, "\n{:<12}{}", "interactive", self.interactive_runs)?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -363,15 +333,6 @@ pub struct Engine {
     lint: LintGate,
     opt: OptLevel,
     trace: &'static Tracer,
-    jobs: AtomicU64,
-    shots: AtomicU64,
-    interactive_runs: AtomicU64,
-    fused_gates: AtomicU64,
-    diagonal_ops: AtomicU64,
-    permutation_ops: AtomicU64,
-    general_ops: AtomicU64,
-    opt_gates_removed: AtomicU64,
-    backend_jobs: Mutex<HashMap<&'static str, u64>>,
 }
 
 impl Default for Engine {
@@ -422,15 +383,6 @@ impl Engine {
             lint: config.lint,
             opt: config.opt,
             trace: config.trace,
-            jobs: AtomicU64::new(0),
-            shots: AtomicU64::new(0),
-            interactive_runs: AtomicU64::new(0),
-            fused_gates: AtomicU64::new(0),
-            diagonal_ops: AtomicU64::new(0),
-            permutation_ops: AtomicU64::new(0),
-            general_ops: AtomicU64::new(0),
-            opt_gates_removed: AtomicU64::new(0),
-            backend_jobs: Mutex::new(HashMap::new()),
         }
     }
 
@@ -453,6 +405,11 @@ impl Engine {
     /// The engine's plan cache, for hit/miss accounting and eviction.
     pub fn plan_cache(&self) -> &PlanCache {
         &self.cache
+    }
+
+    /// The tracing sink set by [`EngineConfig::trace`].
+    pub fn tracer(&self) -> &'static Tracer {
+        self.trace
     }
 
     /// Which backend auto-selection would route this circuit to.
@@ -611,31 +568,6 @@ impl Engine {
         let mut histogram: Vec<(Vec<bool>, u64)> = histogram.into_iter().collect();
         histogram.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
 
-        let fuse = plan.fuse_stats();
-        let opt_summary = plan.opt.as_ref().map(|r| r.summary());
-        if let Some(opt) = &opt_summary {
-            self.opt_gates_removed.fetch_add(
-                opt.gates_before.saturating_sub(opt.gates_after),
-                Ordering::Relaxed,
-            );
-        }
-        self.jobs.fetch_add(1, Ordering::Relaxed);
-        self.shots.fetch_add(job.shots, Ordering::Relaxed);
-        self.fused_gates
-            .fetch_add(fuse.fused_away as u64, Ordering::Relaxed);
-        self.diagonal_ops
-            .fetch_add(fuse.diagonal as u64, Ordering::Relaxed);
-        self.permutation_ops
-            .fetch_add(fuse.permutation as u64, Ordering::Relaxed);
-        self.general_ops
-            .fetch_add(fuse.general as u64, Ordering::Relaxed);
-        *self
-            .backend_jobs
-            .lock()
-            .unwrap()
-            .entry(backend.name())
-            .or_insert(0) += 1;
-
         Ok(ExecResult {
             histogram,
             report: ExecReport {
@@ -650,10 +582,10 @@ impl Engine {
                 },
                 execute,
                 prefix,
-                fuse,
+                fuse: plan.fuse_stats(),
                 route_reason,
                 lint: Some(plan.lint.summary()),
-                opt: opt_summary,
+                opt: plan.opt.as_ref().map(|r| r.summary()),
                 opt_passes: plan.opt.as_ref().map(|r| r.passes.clone()),
             },
         })
@@ -693,33 +625,16 @@ impl Engine {
             .ok_or_else(|| ExecError::NoBackend {
                 reason: "no registered backend supports dynamic lifting".to_string(),
             })?;
-        self.interactive_runs.fetch_add(1, Ordering::Relaxed);
         Ok(Circ::build_interactive(shape, lifter, f))
     }
 
-    /// A snapshot of the engine's cumulative counters.
+    /// A snapshot of the plan cache's counters (the same numbers as
+    /// [`PlanCache::hits`], [`PlanCache::misses`] and [`PlanCache::len`]).
     pub fn stats(&self) -> EngineStats {
-        let mut backend_jobs: Vec<(&'static str, u64)> = self
-            .backend_jobs
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(&k, &v)| (k, v))
-            .collect();
-        backend_jobs.sort_unstable();
         EngineStats {
-            jobs: self.jobs.load(Ordering::Relaxed),
-            shots: self.shots.load(Ordering::Relaxed),
             cache_hits: self.cache.hits(),
             cache_misses: self.cache.misses(),
             cached_plans: self.cache.len(),
-            backend_jobs,
-            interactive_runs: self.interactive_runs.load(Ordering::Relaxed),
-            fused_gates: self.fused_gates.load(Ordering::Relaxed),
-            diagonal_ops: self.diagonal_ops.load(Ordering::Relaxed),
-            permutation_ops: self.permutation_ops.load(Ordering::Relaxed),
-            general_ops: self.general_ops.load(Ordering::Relaxed),
-            opt_gates_removed: self.opt_gates_removed.load(Ordering::Relaxed),
         }
     }
 }
@@ -1048,37 +963,14 @@ mod tests {
     #[test]
     fn engine_stats_display_golden() {
         let stats = EngineStats {
-            jobs: 3,
-            shots: 600,
             cache_hits: 2,
             cache_misses: 1,
             cached_plans: 1,
-            backend_jobs: vec![("stabilizer", 1), ("statevec", 2)],
-            interactive_runs: 1,
-            fused_gates: 36,
-            diagonal_ops: 24,
-            permutation_ops: 30,
-            general_ops: 61,
-            opt_gates_removed: 0,
         };
         assert_eq!(
             stats.to_string(),
-            "jobs        3 (600 shots)\n\
-             plan cache  2 hits / 1 misses / 1 cached\n\
-             fusion      36 gates fused away\n\
-             kernel ops  diagonal 24 | permutation 30 | general 61\n\
-             backends    stabilizer=1 statevec=2\n\
-             interactive 1"
+            "plan cache  2 hits / 1 misses / 1 cached"
         );
-        // The optimizer line only appears once the optimizer removed
-        // something, so `Off`-only workloads render exactly as before.
-        let with_opt = EngineStats {
-            opt_gates_removed: 17,
-            ..stats
-        };
-        assert!(with_opt
-            .to_string()
-            .contains("optimizer   17 gates removed"));
     }
 
     #[test]

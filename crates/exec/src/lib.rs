@@ -39,8 +39,9 @@
 //!   deterministic per-shot seed derivation (`base_seed + shot_index`) so
 //!   parallel results are bit-identical to sequential ones. Scheduling
 //!   *across* jobs is `quipper_serve::Service`.
-//! * [`ExecReport`] / [`EngineStats`] — per-job and cumulative observability:
-//!   shots, wall time, cache hits, backend chosen.
+//! * [`ExecReport`] — per-job observability: shots, wall time, cache hit,
+//!   backend chosen. Cumulative numbers are the metrics registry's; the
+//!   engine's [`EngineStats`] is only its plan cache's hit/miss/size.
 //!
 //! ```
 //! use quipper::{Circ, Qubit};

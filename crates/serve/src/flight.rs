@@ -1,23 +1,24 @@
-//! Flight recorder: always-on, bounded capture of per-job event timelines.
+//! Flight log: always-on capture of per-job event timelines.
 //!
 //! Every admitted job carries a [`FlightLog`] that stamps each lifecycle
 //! phase (admit → queue → compile → shots → terminal, plus `coalesce` after
-//! a wait and one stamp per retry) against the job's admission instant. When
-//! the job reaches a terminal state the finished timeline is pushed into the
-//! service's [`FlightRecorder`] — a fixed-capacity ring, so the recorder's
-//! memory is bounded no matter how many jobs flow through, and the service
-//! forgets a finished job when the ring forgets its timeline. The dump turns
-//! "job 4132 was slow" into an answerable question: the timeline shows
-//! where the time went, phase by phase.
+//! a wait and one stamp per retry) against the job's admission instant. The
+//! log lives in the job's record in the service's job table and nowhere
+//! else: [`Service::flight`](crate::Service::flight) and
+//! [`Service::flights`](crate::Service::flights) read a [`FlightTimeline`]
+//! out of it on demand, and the log goes when the service forgets the job
+//! ([`ServiceConfig::flight_capacity`](crate::ServiceConfig::flight_capacity)
+//! bounds how many finished jobs it remembers). The dump turns "job 4132 was
+//! slow" into an answerable question: the timeline shows where the time
+//! went, phase by phase.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::service::JobId;
 
-/// Lifecycle phase tags used by the recorder. Kept as constants so tests
-/// and the wire protocol agree on spelling.
+/// Lifecycle phase tags stamped into a [`FlightLog`]. Kept as constants so
+/// tests and the wire protocol agree on spelling.
 pub mod phases {
     /// Admission decision made; the timeline's epoch.
     pub const ADMIT: &str = "admit";
@@ -36,7 +37,7 @@ pub mod phases {
 }
 
 /// One stamped event in a job's timeline.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlightEvent {
     /// Phase tag (see [`phases`]; terminal events use the job state's tag).
     pub phase: &'static str,
@@ -102,8 +103,8 @@ impl FlightLog {
     }
 }
 
-/// A finished (or in-flight) job timeline, as captured by the recorder.
-#[derive(Clone, Debug)]
+/// A finished (or in-flight) job's timeline, read from its [`FlightLog`].
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlightTimeline {
     pub id: JobId,
     pub tenant: String,
@@ -130,79 +131,9 @@ impl FlightTimeline {
     }
 }
 
-/// Fixed-capacity ring of recently finished job timelines.
-#[derive(Debug)]
-pub struct FlightRecorder {
-    capacity: usize,
-    ring: Mutex<VecDeque<Arc<FlightTimeline>>>,
-}
-
-impl FlightRecorder {
-    /// A recorder keeping at most `capacity` timelines (min 1).
-    pub fn new(capacity: usize) -> FlightRecorder {
-        FlightRecorder {
-            capacity: capacity.max(1),
-            ring: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    /// Append a finished timeline; returns the id of the oldest one when
-    /// it had to go to make room, so the caller can forget that job too.
-    pub fn push(&self, timeline: FlightTimeline) -> Option<JobId> {
-        let mut ring = self.ring.lock().unwrap();
-        let evicted = if ring.len() == self.capacity {
-            ring.pop_front().map(|oldest| oldest.id)
-        } else {
-            None
-        };
-        ring.push_back(Arc::new(timeline));
-        evicted
-    }
-
-    /// The most recent `n` timelines, newest last.
-    pub fn recent(&self, n: usize) -> Vec<Arc<FlightTimeline>> {
-        let ring = self.ring.lock().unwrap();
-        ring.iter()
-            .skip(ring.len().saturating_sub(n))
-            .cloned()
-            .collect()
-    }
-
-    /// Timelines currently held.
-    pub fn len(&self) -> usize {
-        self.ring.lock().unwrap().len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ring.lock().unwrap().is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn timeline(id: JobId) -> FlightTimeline {
-        FlightTimeline {
-            id,
-            tenant: "t".into(),
-            label: String::new(),
-            state: "completed".into(),
-            events: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn ring_is_bounded_and_evicts_oldest() {
-        let rec = FlightRecorder::new(3);
-        let evicted: Vec<_> = (1..=5).map(|id| rec.push(timeline(id))).collect();
-        assert_eq!(evicted, vec![None, None, None, Some(1), Some(2)]);
-        assert_eq!(rec.len(), 3);
-        let ids: Vec<_> = rec.recent(10).iter().map(|t| t.id).collect();
-        assert_eq!(ids, vec![3, 4, 5]);
-        assert_eq!(rec.recent(2).len(), 2);
-    }
 
     #[test]
     fn log_stamps_admit_and_derives_spans() {

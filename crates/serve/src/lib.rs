@@ -38,9 +38,9 @@
 //!   (admit → queue → compile → shots → terminal): `compile` when a worker
 //!   picks the job up and asks for its plan, then `coalesce` if the plan
 //!   came from another job's concurrent compile, stamped when that wait
-//!   ended. Finished timelines land in a bounded [`FlightRecorder`] ring,
-//!   failed and deadline-missed wire results carry theirs inline, and the
-//!   `flight` op dumps them on demand.
+//!   ended. The timeline lives in the job's record, for as long as the
+//!   service remembers the job; failed and deadline-missed wire results
+//!   carry theirs inline, and the `flight` op dumps them on demand.
 //! * [`protocol`] / [`Server`] — a newline-delimited JSON protocol
 //!   (submit/status/result/cancel/export/stats/metrics/flight) over
 //!   `std::net::TcpListener`, served by the `quipper-served` binary.
@@ -62,7 +62,7 @@ pub mod server;
 pub mod service;
 
 pub use fault::{FaultConfig, FaultInjector};
-pub use flight::{FlightEvent, FlightRecorder, FlightTimeline};
+pub use flight::{FlightEvent, FlightTimeline};
 pub use queue::{AdmissionQueue, QueueEntry};
 pub use quota::{QuotaPolicy, TenantQuotas};
 pub use retry::RetryPolicy;

@@ -18,11 +18,11 @@
 //! | `export`  | `circuit` (catalog name) *or* `qasm` (inline source, parsed   |
 //! |           | and re-emitted canonically) — OpenQASM 2.0 text               |
 //! | `list`    | — catalog names                                               |
-//! | `stats`   | — service + engine counters                                   |
+//! | `stats`   | — service counters + the engine's plan-cache counters         |
 //! | `metrics` | `format` (`"json"` lines or `"prometheus"` text, default      |
 //! |           | `"json"`) — full metrics-registry snapshot as `text`          |
 //! | `flight`  | `id` (one job's timeline) or `recent` (last N finished,       |
-//! |           | default 8) — flight-recorder dump                             |
+//! |           | default 8) — flight-timeline dump                             |
 //! | `ping`    | — liveness                                                    |
 //! | `shutdown`| — stop accepting, drain, exit                                 |
 //!
@@ -108,10 +108,7 @@ fn flight_json<'w>(w: &'w mut JsonWriter, timeline: &FlightTimeline) -> &'w mut 
 }
 
 /// The `flights` member of a `flight` response.
-fn flights_json<'w, 'a>(
-    w: &'w mut JsonWriter,
-    timelines: impl IntoIterator<Item = &'a FlightTimeline>,
-) -> &'w mut JsonWriter {
+fn flights_json<'w>(w: &'w mut JsonWriter, timelines: &[FlightTimeline]) -> &'w mut JsonWriter {
     w.key("flights").begin_array();
     for timeline in timelines {
         flight_json(w, timeline);
@@ -154,10 +151,7 @@ pub fn handle_line(service: &Service, catalog: &Catalog, line: &str) -> Handled 
                 w.key("coalesced").int(s.coalesced_compiles);
                 w.key("engine_cache_hits").int(s.engine_cache_hits);
                 w.key("engine_cache_misses").int(s.engine_cache_misses);
-                w.key("engine_cached_plans").int(s.engine_cached_plans);
-                w.key("engine_fused_gates").int(s.engine_fused_gates);
-                w.key("engine_opt_gates_removed")
-                    .int(s.engine_opt_gates_removed)
+                w.key("engine_cached_plans").int(s.engine_cached_plans)
             })
         }
         "metrics" => {
@@ -177,12 +171,11 @@ pub fn handle_line(service: &Service, catalog: &Catalog, line: &str) -> Handled 
         "flight" => match get_u64(&req, "id") {
             Some(id) => match service.flight(id) {
                 None => err(&format!("no flight timeline for job id {id}")),
-                Some(timeline) => ok(|w| flights_json(w, [&timeline])),
+                Some(timeline) => ok(|w| flights_json(w, &[timeline])),
             },
             None => {
                 let n = get_u64(&req, "recent").unwrap_or(8).min(1024) as usize;
-                let recent = service.flights(n);
-                ok(|w| flights_json(w, recent.iter().map(|t| &**t)))
+                ok(|w| flights_json(w, &service.flights(n)))
             }
         },
         "shutdown" => Handled {

@@ -11,8 +11,6 @@ use std::collections::BinaryHeap;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use quipper_trace::{names, Tracer};
-
 /// One admitted job, ordered for the scheduler.
 #[derive(Clone, Debug)]
 pub struct QueueEntry {
@@ -61,17 +59,16 @@ struct State {
     closed: bool,
 }
 
-/// A bounded blocking priority queue with a depth high-water metric.
+/// A bounded blocking priority queue.
 pub struct AdmissionQueue {
     capacity: usize,
     state: Mutex<State>,
     available: Condvar,
-    trace: &'static Tracer,
 }
 
 impl AdmissionQueue {
     /// An empty queue holding at most `capacity` entries.
-    pub fn new(capacity: usize, trace: &'static Tracer) -> AdmissionQueue {
+    pub fn new(capacity: usize) -> AdmissionQueue {
         AdmissionQueue {
             capacity: capacity.max(1),
             state: Mutex::new(State {
@@ -79,7 +76,6 @@ impl AdmissionQueue {
                 closed: false,
             }),
             available: Condvar::new(),
-            trace,
         }
     }
 
@@ -98,23 +94,19 @@ impl AdmissionQueue {
         self.capacity
     }
 
-    /// Admits an entry, or — when full — returns a retry-after hint scaled
-    /// to the backlog (one notional service interval per queued entry ahead
-    /// of the caller).
-    pub fn push(&self, entry: QueueEntry) -> Result<(), Duration> {
+    /// Admits an entry and returns the depth it brought the queue to, or —
+    /// when full — returns a retry-after hint scaled to the backlog (one
+    /// notional service interval per queued entry ahead of the caller).
+    pub fn push(&self, entry: QueueEntry) -> Result<usize, Duration> {
         let mut state = self.state.lock().unwrap();
         if state.heap.len() >= self.capacity {
             return Err(Duration::from_millis(10 * self.capacity as u64));
         }
         state.heap.push(entry);
-        if self.trace.enabled() {
-            self.trace
-                .metrics()
-                .record_max(names::SERVE_QUEUE_DEPTH, state.heap.len() as u64);
-        }
+        let depth = state.heap.len();
         drop(state);
         self.available.notify_one();
-        Ok(())
+        Ok(depth)
     }
 
     /// Blocks until an entry is available or the queue is closed *and*
@@ -143,7 +135,6 @@ impl AdmissionQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quipper_trace::Tracer;
 
     fn entry(id: u64, priority: u8, deadline_ms: Option<u64>, seq: u64) -> QueueEntry {
         let base = Instant::now();
@@ -156,7 +147,7 @@ mod tests {
     }
 
     fn queue(capacity: usize) -> AdmissionQueue {
-        AdmissionQueue::new(capacity, Tracer::leaked(64))
+        AdmissionQueue::new(capacity)
     }
 
     #[test]
@@ -177,7 +168,7 @@ mod tests {
     fn rejects_when_full_with_retry_hint() {
         let q = queue(2);
         q.push(entry(1, 0, None, 1)).unwrap();
-        q.push(entry(2, 0, None, 2)).unwrap();
+        assert_eq!(q.push(entry(2, 0, None, 2)), Ok(2));
         let hint = q.push(entry(3, 0, None, 3)).unwrap_err();
         assert!(hint > Duration::ZERO);
         assert_eq!(q.len(), 2);

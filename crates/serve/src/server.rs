@@ -162,30 +162,16 @@ fn serve_connection(stream: TcpStream, service: &Service, catalog: &Catalog, sto
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // The request line read so far. A read can time out mid-line, even
+    // mid-character: its bytes stay here until the whole line is handled.
+    let mut line = Vec::new();
     loop {
         if stop.raised() {
             return;
         }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // client hung up
-            Ok(_) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let mut handled = handle_line(service, catalog, &line);
-                // Raise the stop flag before answering: a one-shot client
-                // may close right after sending `shutdown`, and a failed
-                // response write must not swallow the request.
-                if handled.shutdown {
-                    stop.raise();
-                }
-                handled.response.push('\n');
-                if writer.write_all(handled.response.as_bytes()).is_err() || handled.shutdown {
-                    return;
-                }
-            }
+        match reader.read_until(b'\n', &mut line) {
+            Ok(0) if line.is_empty() => return, // client hung up
+            Ok(_) => {}
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -194,6 +180,23 @@ fn serve_connection(stream: TcpStream, service: &Service, catalog: &Catalog, sto
             }
             Err(_) => return,
         }
+        let Ok(request) = std::str::from_utf8(&line) else {
+            return;
+        };
+        if !request.trim().is_empty() {
+            let mut handled = handle_line(service, catalog, request);
+            // Raise the stop flag before answering: a one-shot client may
+            // close right after sending `shutdown`, and a failed response
+            // write must not swallow the request.
+            if handled.shutdown {
+                stop.raise();
+            }
+            handled.response.push('\n');
+            if writer.write_all(handled.response.as_bytes()).is_err() || handled.shutdown {
+                return;
+            }
+        }
+        line.clear();
     }
 }
 
@@ -319,6 +322,40 @@ mod tests {
             "52+ round trips took {session:?}: a response is waiting on a timer"
         );
         drop(call);
+        drop(server);
+        service.shutdown();
+    }
+
+    /// A request line that arrives in two writes, with a pause longer than
+    /// the server's 200 ms read timeout between them, is one request, also
+    /// when the pause falls inside a character.
+    #[test]
+    fn a_line_split_by_the_read_timeout_is_one_request() {
+        let service = Arc::new(Service::start(Engine::new(), ServiceConfig::default()));
+        let server = Server::start(
+            "127.0.0.1:0",
+            Arc::clone(&service),
+            Arc::new(Catalog::new()),
+        )
+        .unwrap();
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut send_in_two = |first: &[u8], rest: &[u8]| {
+            writer.write_all(first).unwrap();
+            std::thread::sleep(Duration::from_millis(500));
+            writer.write_all(rest).unwrap();
+            let mut response = String::new();
+            reader.read_line(&mut response).unwrap();
+            response
+        };
+
+        let pong = send_in_two(br#"{"op":"#, b"\"ping\"}\n");
+        assert_eq!(pong, "{\"ok\":true,\"pong\":true}\n");
+        // The tenant is "\u{e9}", bytes C3 A9: the pause splits them.
+        let submit = br#"{"op":"submit","circuit":"ghz3","tenant":""#;
+        let accepted = send_in_two(&[&submit[..], b"\xC3"].concat(), b"\xA9\"}\n");
+        assert_eq!(accepted, "{\"ok\":true,\"id\":1}\n");
         drop(server);
         service.shutdown();
     }

@@ -20,9 +20,14 @@
 //! Nothing is ever lost: every admitted job reaches exactly one terminal
 //! state, and every refused submission is told when to retry. A finished
 //! job is remembered until [`ServiceConfig::flight_capacity`] later jobs
-//! have finished, then forgotten together with its flight timeline.
+//! have finished, then forgotten together with its flight timeline: the
+//! job table is the only copy of either, and a second list holds only the
+//! finished ids, oldest first.
+//!
+//! Service metrics go to the engine's tracing sink
+//! ([`Engine::tracer`](quipper_exec::Engine::tracer)), so one stack has one.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -35,7 +40,7 @@ use quipper_exec::{
 };
 use quipper_trace::{names, Tracer};
 
-use crate::flight::{phases, FlightLog, FlightRecorder, FlightTimeline};
+use crate::flight::{phases, FlightLog, FlightTimeline};
 use crate::queue::{AdmissionQueue, QueueEntry};
 use crate::quota::{QuotaPolicy, TenantQuotas};
 use crate::retry::RetryPolicy;
@@ -215,13 +220,11 @@ pub struct JobStatus {
 
 struct JobRecord {
     id: JobId,
-    tenant: String,
-    label: String,
     submission: Submission,
     token: CancelToken,
     state: Mutex<JobState>,
     attempts: AtomicU32,
-    /// Lifecycle timeline for the flight recorder; epoch = admission.
+    /// Lifecycle timeline, the only copy of it; epoch = admission.
     flight: FlightLog,
 }
 
@@ -277,18 +280,16 @@ pub struct ServiceConfig {
     /// Per-tenant latency SLO thresholds; default has no thresholds, so
     /// nothing is checked or burned.
     pub slo: SloPolicy,
-    /// How many finished jobs the service remembers: the flight recorder's
-    /// ring holds this many timelines, and a job evicted from the ring is
-    /// dropped from the job table with it (status, result and flight then
-    /// answer "unknown job id"). Queued and running jobs are never evicted.
+    /// How many finished jobs the service remembers: once this many have
+    /// finished after it, a job is dropped from the job table, result and
+    /// flight timeline together (status, result and flight then answer
+    /// "unknown job id"). Queued and running jobs are never evicted.
     /// A memory budget, not a count to tune: a finished small job (3–8
-    /// qubits, 64 shots, submitted as QASM) keeps 3.9–6.6 KB resident, so
-    /// the default 4096 is about 20 MiB; a job keeps its submitted circuit
-    /// until it is evicted, so large programs cost in proportion.
+    /// qubits, 64 shots, submitted as QASM) keeps 4.1–8.2 KB resident
+    /// (EXPERIMENTS.md A13), so the default 4096 is 16–33 MiB; a job keeps
+    /// its submitted circuit until it is evicted, so large programs cost
+    /// in proportion.
     pub flight_capacity: usize,
-    /// Tracing sink for service metrics; defaults to the process-wide
-    /// tracer.
-    pub trace: &'static Tracer,
 }
 
 impl Default for ServiceConfig {
@@ -303,14 +304,13 @@ impl Default for ServiceConfig {
             retry: RetryPolicy::default(),
             slo: SloPolicy::default(),
             flight_capacity: 4096,
-            trace: quipper_trace::tracer(),
         }
     }
 }
 
 /// Cumulative service counters, snapshot via [`Service::stats`]. Includes
-/// the engine-level counters (plan cache, fusion, optimizer) so the wire
-/// `stats` op reports the whole stack, not just admission accounting.
+/// the engine's plan-cache counters so the wire `stats` op reports the
+/// whole stack, not just admission accounting.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     pub submitted: u64,
@@ -329,10 +329,6 @@ pub struct ServiceStats {
     pub engine_cache_misses: u64,
     /// Distinct plans currently cached by the engine.
     pub engine_cached_plans: u64,
-    /// Gates eliminated by single-qubit fusion across executed plans.
-    pub engine_fused_gates: u64,
-    /// Gates removed by the optimizer across executed plans.
-    pub engine_opt_gates_removed: u64,
 }
 
 impl ServiceStats {
@@ -366,13 +362,11 @@ impl fmt::Display for ServiceStats {
         )?;
         write!(
             f,
-            "{:<12}{} hits / {} misses / {} cached, {} fused, {} opt-removed",
+            "{:<12}{} hits / {} misses / {} cached",
             "plan cache",
             self.engine_cache_hits,
             self.engine_cache_misses,
             self.engine_cached_plans,
-            self.engine_fused_gates,
-            self.engine_opt_gates_removed,
         )
     }
 }
@@ -397,9 +391,13 @@ struct Inner {
     quotas: TenantQuotas,
     retry: RetryPolicy,
     slo: SloPolicy,
-    flight: FlightRecorder,
+    /// The engine's tracing sink.
     trace: &'static Tracer,
     jobs: Mutex<HashMap<JobId, Arc<JobRecord>>>,
+    /// Ids of the finished jobs in `jobs`, in finish order, at most
+    /// `flight_capacity` of them. Locked before `jobs` when both are held.
+    finished: Mutex<VecDeque<JobId>>,
+    flight_capacity: usize,
     next_id: AtomicU64,
     next_seq: AtomicU64,
     counters: Counters,
@@ -419,14 +417,15 @@ impl Service {
     /// bound, quotas and retry policy.
     pub fn start(engine: Engine, config: ServiceConfig) -> Service {
         let inner = Arc::new(Inner {
+            trace: engine.tracer(),
             engine,
-            queue: AdmissionQueue::new(config.queue_capacity, config.trace),
+            queue: AdmissionQueue::new(config.queue_capacity),
             quotas: TenantQuotas::new(config.quota),
             retry: config.retry,
             slo: config.slo,
-            flight: FlightRecorder::new(config.flight_capacity),
-            trace: config.trace,
             jobs: Mutex::new(HashMap::new()),
+            finished: Mutex::new(VecDeque::new()),
+            flight_capacity: config.flight_capacity.max(1),
             next_id: AtomicU64::new(1),
             next_seq: AtomicU64::new(0),
             counters: Counters::default(),
@@ -483,8 +482,6 @@ impl Service {
         };
         let record = Arc::new(JobRecord {
             id,
-            tenant: submission.tenant.clone(),
-            label: submission.label.clone(),
             token: token.clone(),
             state: Mutex::new(JobState::Queued),
             attempts: AtomicU32::new(0),
@@ -504,26 +501,31 @@ impl Service {
         // stamp `compile` before `push` returns. A rejected push drops the
         // record, stamp and all.
         record.flight.stamp(phases::QUEUE, None);
-        if let Err(retry_after) = inner.queue.push(entry) {
-            // Not admitted after all: uncharge the tenant and forget the job.
-            inner.jobs.lock().unwrap().remove(&id);
-            finish_active(inner);
-            inner.quotas.refund(&record.tenant, cost);
-            inner
-                .counters
-                .rejected_queue_full
-                .fetch_add(1, Ordering::Relaxed);
-            if inner.trace.enabled() {
-                inner.trace.metrics().add(names::SERVE_REJECT_FULL, 1);
+        let depth = match inner.queue.push(entry) {
+            Ok(depth) => depth,
+            Err(retry_after) => {
+                // Not admitted after all: uncharge the tenant and forget the job.
+                inner.jobs.lock().unwrap().remove(&id);
+                finish_active(inner);
+                inner.quotas.refund(&record.submission.tenant, cost);
+                inner
+                    .counters
+                    .rejected_queue_full
+                    .fetch_add(1, Ordering::Relaxed);
+                if inner.trace.enabled() {
+                    inner.trace.metrics().add(names::SERVE_REJECT_FULL, 1);
+                }
+                return Err(Rejection {
+                    reason: RejectReason::QueueFull,
+                    retry_after,
+                });
             }
-            return Err(Rejection {
-                reason: RejectReason::QueueFull,
-                retry_after,
-            });
-        }
+        };
         inner.counters.admitted.fetch_add(1, Ordering::Relaxed);
         if inner.trace.enabled() {
-            inner.trace.metrics().add(names::SERVE_ADMIT, 1);
+            let metrics = inner.trace.metrics();
+            metrics.add(names::SERVE_ADMIT, 1);
+            metrics.record_max(names::SERVE_QUEUE_DEPTH, depth as u64);
         }
         Ok(id)
     }
@@ -534,8 +536,8 @@ impl Service {
         let state = record.state.lock().unwrap().clone();
         Some(JobStatus {
             id,
-            tenant: record.tenant.clone(),
-            label: record.label.clone(),
+            tenant: record.submission.tenant.clone(),
+            label: record.submission.label.clone(),
             state,
             attempts: record.attempts.load(Ordering::Relaxed),
         })
@@ -599,14 +601,12 @@ impl Service {
             engine_cache_hits: engine.cache_hits,
             engine_cache_misses: engine.cache_misses,
             engine_cached_plans: engine.cached_plans as u64,
-            engine_fused_gates: engine.fused_gates,
-            engine_opt_gates_removed: engine.opt_gates_removed,
         }
     }
 
     /// A point-in-time snapshot of the service's metrics registry (the
-    /// tracing sink configured in [`ServiceConfig`]), for the exposition
-    /// encoders. Empty until tracing is enabled.
+    /// engine's tracing sink), for the exposition encoders. Empty until
+    /// tracing is enabled.
     pub fn metrics_snapshot(&self) -> quipper_trace::MetricsSnapshot {
         self.inner.trace.metrics().snapshot()
     }
@@ -615,20 +615,18 @@ impl Service {
     /// events stamped so far). `None` for unknown/evicted ids.
     pub fn flight(&self, id: JobId) -> Option<FlightTimeline> {
         let record = Arc::clone(self.inner.jobs.lock().unwrap().get(&id)?);
-        let state = record.state.lock().unwrap().tag().to_string();
-        Some(FlightTimeline {
-            id,
-            tenant: record.tenant.clone(),
-            label: record.label.clone(),
-            state,
-            events: record.flight.events(),
-        })
+        Some(timeline(&record))
     }
 
-    /// The most recent `n` finished timelines from the flight recorder,
-    /// newest last.
-    pub fn flights(&self, n: usize) -> Vec<Arc<FlightTimeline>> {
-        self.inner.flight.recent(n)
+    /// The timelines of the most recent `n` finished jobs, newest last.
+    pub fn flights(&self, n: usize) -> Vec<FlightTimeline> {
+        let records: Vec<Arc<JobRecord>> = {
+            let finished = self.inner.finished.lock().unwrap();
+            let jobs = self.inner.jobs.lock().unwrap();
+            let newest = finished.iter().skip(finished.len().saturating_sub(n));
+            newest.map(|id| Arc::clone(&jobs[id])).collect()
+        };
+        records.iter().map(|record| timeline(record)).collect()
     }
 
     /// Blocks until every admitted job has reached a terminal state.
@@ -673,9 +671,21 @@ fn finish_active(inner: &Inner) {
     }
 }
 
+/// A job's flight timeline as of now: its current state and the events
+/// stamped so far. The one place a [`FlightTimeline`] is built.
+fn timeline(record: &JobRecord) -> FlightTimeline {
+    FlightTimeline {
+        id: record.id,
+        tenant: record.submission.tenant.clone(),
+        label: record.submission.label.clone(),
+        state: record.state.lock().unwrap().tag().to_string(),
+        events: record.flight.events(),
+    }
+}
+
 /// Finalize a job into a terminal state: set the state, bump counters and
-/// metrics (including per-tenant SLO accounting), hand the finished
-/// timeline to the flight recorder, and forget the job the recorder evicted.
+/// metrics (including per-tenant SLO accounting), list the job as finished,
+/// and forget the oldest finished job if that makes one too many.
 fn finalize(inner: &Inner, record: &JobRecord, state: JobState) {
     debug_assert!(state.is_terminal());
     let (counter, metric) = match &state {
@@ -701,7 +711,7 @@ fn finalize(inner: &Inner, record: &JobRecord, state: JobState) {
         // Queue wait ends when a worker picks the job up (the compile
         // stamp); jobs that die queued waited their whole life.
         let queue_wait = record.flight.first_at(phases::COMPILE).unwrap_or(latency);
-        let tenant = record.tenant.as_str();
+        let tenant = record.submission.tenant.as_str();
         metrics.observe_labeled(
             names::SERVE_JOB_LATENCY_US,
             &[("tenant", tenant), ("state", tag)],
@@ -725,18 +735,16 @@ fn finalize(inner: &Inner, record: &JobRecord, state: JobState) {
             }
         }
     }
-    let evicted = inner.flight.push(FlightTimeline {
-        id: record.id,
-        tenant: record.tenant.clone(),
-        label: record.label.clone(),
-        state: tag.to_string(),
-        events: record.flight.events(),
-    });
-    // The one eviction point: only finished jobs are in the ring, so a
-    // queued or running job is never forgotten.
-    if let Some(evicted) = evicted {
-        inner.jobs.lock().unwrap().remove(&evicted);
+    // The one eviction point: only finished jobs are listed, so a queued or
+    // running job is never forgotten.
+    let mut finished = inner.finished.lock().unwrap();
+    if finished.len() == inner.flight_capacity {
+        if let Some(oldest) = finished.pop_front() {
+            inner.jobs.lock().unwrap().remove(&oldest);
+        }
     }
+    finished.push_back(record.id);
+    drop(finished);
     finish_active(inner);
 }
 
@@ -875,7 +883,7 @@ mod tests {
     use crate::protocol::handle_line;
     use quipper_exec::EngineConfig;
 
-    fn small_ring(capacity: usize) -> ServiceConfig {
+    fn remembering(capacity: usize) -> ServiceConfig {
         ServiceConfig {
             workers: 1,
             quota: QuotaPolicy::unlimited(),
@@ -891,7 +899,7 @@ mod tests {
     #[test]
     fn the_job_table_forgets_what_the_flight_ring_forgets() {
         const CAPACITY: usize = 8;
-        let service = Service::start(Engine::new(), small_ring(CAPACITY));
+        let service = Service::start(Engine::new(), remembering(CAPACITY));
         let catalog = Catalog::new();
         let ghz3 = catalog.get("ghz3").unwrap();
 
@@ -917,8 +925,15 @@ mod tests {
             assert!(service.result(id).is_some());
             assert_eq!(service.flight(id).unwrap().state, "completed");
         }
-        let ring: Vec<JobId> = service.flights(usize::MAX).iter().map(|t| t.id).collect();
-        assert_eq!(ring, kept);
+        // The recent list is the job table read in finish order: one
+        // timeline per remembered job, the same one `flight(id)` answers.
+        let recent = service.flights(usize::MAX);
+        let listed: Vec<JobId> = recent.iter().map(|t| t.id).collect();
+        assert_eq!(listed, kept);
+        for timeline in &recent {
+            assert_eq!(Some(timeline), service.flight(timeline.id).as_ref());
+        }
+        assert_eq!(service.flights(3), recent[CAPACITY - 3..]);
         assert_eq!(table_len(&service), CAPACITY);
 
         // On the wire an evicted id is an unknown id.
@@ -949,7 +964,7 @@ mod tests {
         let backends = FaultInjector::wrap_default_backends(&engine_config, slow);
         let service = Service::start(
             Engine::with_backends(engine_config, backends),
-            small_ring(CAPACITY),
+            remembering(CAPACITY),
         );
         let ghz3 = Catalog::new().get("ghz3").unwrap();
         let submit = |shots| {
@@ -968,7 +983,7 @@ mod tests {
         let queued = submit(1);
 
         // Cancelling a queued job finishes it at once: five jobs through a
-        // ring of two while the other two stay where they are.
+        // service remembering two while the other two stay where they are.
         let cancelled: Vec<JobId> = (0..CAPACITY + 3)
             .map(|_| {
                 let id = submit(1);

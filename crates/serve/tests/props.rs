@@ -95,7 +95,6 @@ proptest! {
                     base: Duration::from_micros(100),
                     cap: Duration::from_millis(1),
                 },
-                trace: quipper_trace::tracer(),
                 ..ServiceConfig::default()
             },
         );
@@ -137,7 +136,6 @@ proptest! {
                 queue_capacity: 8,
                 quota: QuotaPolicy::unlimited(),
                 retry: RetryPolicy::default(),
-                trace: quipper_trace::tracer(),
                 ..ServiceConfig::default()
             },
         );

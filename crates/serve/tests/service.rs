@@ -50,8 +50,8 @@ fn leaked_enabled_tracer() -> &'static Tracer {
     trace
 }
 
-/// Engine + service sharing one dedicated tracer, with seeded fault
-/// injection on every backend.
+/// A service over an engine with a dedicated tracer (the service's metrics
+/// land there too) and seeded fault injection on every backend.
 fn faulted_service(trace: &'static Tracer, fault: FaultConfig, config: ServiceConfig) -> Service {
     let engine_config = EngineConfig {
         trace,
@@ -84,7 +84,6 @@ fn hundred_job_faulted_mixed_tenant_load_loses_nothing() {
                 base: Duration::from_millis(1),
                 cap: Duration::from_millis(4),
             },
-            trace,
             ..ServiceConfig::default()
         },
     );
@@ -178,7 +177,6 @@ fn deadline_stops_shot_execution_mid_job() {
             queue_capacity: 8,
             quota: QuotaPolicy::unlimited(),
             retry: RetryPolicy::default(),
-            trace,
             ..ServiceConfig::default()
         },
     );
@@ -232,7 +230,6 @@ fn cancel_stops_a_running_job_mid_execution() {
             queue_capacity: 8,
             quota: QuotaPolicy::unlimited(),
             retry: RetryPolicy::default(),
-            trace,
             ..ServiceConfig::default()
         },
     );
@@ -282,7 +279,6 @@ fn full_queue_rejects_with_retry_hint() {
             queue_capacity: 1,
             quota: QuotaPolicy::unlimited(),
             retry: RetryPolicy::default(),
-            trace,
             ..ServiceConfig::default()
         },
     );
@@ -337,7 +333,6 @@ fn quota_rejections_are_per_tenant_with_hints() {
                 cost_per_kshot: 0.0,
             },
             retry: RetryPolicy::default(),
-            trace,
             ..ServiceConfig::default()
         },
     );
@@ -378,7 +373,6 @@ fn service_and_a_job_to_copy() -> (&'static Tracer, Service, Submission) {
             queue_capacity: 64,
             quota: QuotaPolicy::unlimited(),
             retry: RetryPolicy::default(),
-            trace,
             ..ServiceConfig::default()
         },
     );

@@ -73,7 +73,6 @@ fn always_faulting_stack() -> (Arc<Service>, Server) {
             slo: SloPolicy::with_default(Duration::from_millis(1))
                 .tenant("relaxed", Duration::from_secs(3600)),
             flight_capacity: 32,
-            trace,
             ..ServiceConfig::default()
         },
     ));

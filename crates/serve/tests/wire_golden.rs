@@ -20,9 +20,6 @@ fn quiet_config() -> ServiceConfig {
     ServiceConfig {
         workers: 1,
         quota: QuotaPolicy::unlimited(),
-        // A dedicated, disabled tracer: nothing the service or engine does
-        // lands in the registry, so the `metrics` exchanges control it.
-        trace: Tracer::leaked(64),
         ..ServiceConfig::default()
     }
 }
@@ -169,7 +166,7 @@ drain
 < {"ok":false,"error":"unknown metrics format \"xml\" (json/prometheus)"}
 
 > {"op":"stats"}
-~ {"ok":true,"submitted":0,"admitted":0,"rejected":0,"completed":0,"failed":0,"cancelled":0,"deadline_misses":0,"retries":0,"coalesced":0,"engine_cache_hits":0,"engine_cache_misses":0,"engine_cached_plans":0,"engine_fused_gates":0,"engine_opt_gates_removed":0}
+~ {"ok":true,"submitted":0,"admitted":0,"rejected":0,"completed":0,"failed":0,"cancelled":0,"deadline_misses":0,"retries":0,"coalesced":0,"engine_cache_hits":0,"engine_cache_misses":0,"engine_cached_plans":0}
 > {"op":"metrics"}
 < {"ok":true,"format":"json","text":"{\"kind\":\"counter\",\"name\":\"serve.admit\",\"value\":3}\n"}
 > {"op":"metrics","format":"prometheus"}
@@ -180,9 +177,15 @@ drain
 
 #[test]
 fn scripted_session_matches_golden_bytes() {
-    let config = quiet_config();
-    config.trace.metrics().add(names::SERVE_ADMIT, 3);
-    let service = Service::start(Engine::new(), config);
+    // A dedicated, disabled tracer: nothing the service or engine does
+    // lands in the registry, so the `metrics` exchanges control it.
+    let trace = Tracer::leaked(64);
+    trace.metrics().add(names::SERVE_ADMIT, 3);
+    let engine = Engine::with_config(EngineConfig {
+        trace,
+        ..EngineConfig::default()
+    });
+    let service = Service::start(engine, quiet_config());
     play(&service, SESSION);
     let handled = handle_line(&service, &Catalog::new(), r#"{"op":"shutdown"}"#);
     assert!(handled.shutdown);

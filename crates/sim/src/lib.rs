@@ -42,8 +42,8 @@ pub use interactive::SimLifter;
 pub use kernels::KernelStats;
 pub use stabilizer::{evolve_clifford, run_clifford, run_clifford_flat, EvolvedClifford};
 pub use statevec::{
-    evolve, run, run_flat, run_flat_with, run_fused, Evolved, ProfileStats, RunResult, Shots,
-    StateVec, StateVecConfig, Suffix, PROFILE_SAMPLE_EVERY,
+    evolve, run, run_flat, run_flat_with, run_fused, Evolved, RunResult, Shots, StateVec,
+    StateVecConfig, Suffix,
 };
 
 // Send/Sync audit: the `quipper-exec` engine shares flattened circuits

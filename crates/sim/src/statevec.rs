@@ -69,13 +69,6 @@ pub struct StateVecConfig {
     pub window_block_bits: u32,
 }
 
-/// Sampling interval of the window profiler: while the process-wide tracer
-/// is enabled, one in this many flushed multi-gate windows is wall-clock
-/// timed and its elapsed time attributed to gate classes proportionally to
-/// the window's per-class gate counts (see [`ProfileStats`]). Timing only —
-/// amplitudes are bit-identical with the profiler on or off.
-pub const PROFILE_SAMPLE_EVERY: u64 = 8;
-
 impl Default for StateVecConfig {
     fn default() -> StateVecConfig {
         StateVecConfig {
@@ -84,54 +77,6 @@ impl Default for StateVecConfig {
                 .unwrap_or(1),
             parallel_threshold: 18,
             window_block_bits: 10,
-        }
-    }
-}
-
-/// Per-run accumulator of the sampling window profiler (see
-/// [`PROFILE_SAMPLE_EVERY`]): how many windows were timed, total
-/// sampled wall time, and that time attributed per gate class. Published
-/// into the global metrics registry as the `sim.profile.*` counters by the
-/// run functions.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ProfileStats {
-    /// Multi-gate windows that were wall-clock timed.
-    pub windows_sampled: u64,
-    /// Total sampled wall time, ns.
-    pub sampled_ns: u64,
-    /// Sampled time attributed to `[diagonal, permutation, general, mat4]`
-    /// gates, in that order, proportionally to each sampled window's
-    /// per-class gate counts (integer division truncates, so the class sum
-    /// can undershoot `sampled_ns` by at most 3ns per window).
-    pub class_ns: [u64; 4],
-}
-
-/// Profiler attribution class of a buffered window gate. `Mat4g` is
-/// attributed to the fused-2q class wholesale (its diagonal specialization
-/// shares the mat4 sweep, so splitting it would misstate bandwidth).
-fn prof_class(g: &WinGate) -> usize {
-    match g {
-        WinGate::Phase { .. } | WinGate::Diag { .. } => 0,
-        WinGate::Perm { .. } | WinGate::Swap2 { .. } => 1,
-        WinGate::Dense { .. } | WinGate::W2 { .. } => 2,
-        WinGate::Mat4g { .. } => 3,
-    }
-}
-
-impl ProfileStats {
-    fn attribute(&mut self, win: &[WinGate], elapsed_ns: u64) {
-        self.windows_sampled += 1;
-        self.sampled_ns += elapsed_ns;
-        let mut counts = [0u64; 4];
-        for g in win {
-            counts[prof_class(g)] += 1;
-        }
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return;
-        }
-        for (slot, &c) in self.class_ns.iter_mut().zip(&counts) {
-            *slot += elapsed_ns * c / total;
         }
     }
 }
@@ -149,13 +94,6 @@ pub struct StateVec {
     rng: StdRng,
     config: StateVecConfig,
     stats: KernelStats,
-    /// Whether the window profiler samples: the process-wide tracer's
-    /// state when this simulator was built, read once so that flushing a
-    /// window costs a field test and no atomic load.
-    profiling: bool,
-    prof: ProfileStats,
-    /// Windows flushed since the last profiler sample (profiling only).
-    prof_tick: u64,
 }
 
 /// What a unitary op resolved to against the current slot map.
@@ -187,9 +125,6 @@ impl StateVec {
             rng: StdRng::seed_from_u64(seed),
             config,
             stats: KernelStats::default(),
-            profiling: quipper_trace::enabled(),
-            prof: ProfileStats::default(),
-            prof_tick: 0,
         }
     }
 
@@ -201,12 +136,6 @@ impl StateVec {
     /// Kernel dispatch counters accumulated so far.
     pub fn kernel_stats(&self) -> KernelStats {
         self.stats
-    }
-
-    /// Sampling-profiler accumulators so far (all zero unless the tracer
-    /// was enabled when this simulator was built and windows executed).
-    pub fn profile_stats(&self) -> ProfileStats {
-        self.prof
     }
 
     /// The raw amplitude vector (length `2^live_slots`), for tests and
@@ -762,20 +691,6 @@ impl StateVec {
             }
             return;
         }
-        // Sampling profiler: one window in PROFILE_SAMPLE_EVERY is timed.
-        // Timing wraps the identical executor call, so amplitudes are
-        // bit-identical with the profiler on or off.
-        let sample = if self.profiling {
-            self.prof_tick += 1;
-            self.prof_tick.is_multiple_of(PROFILE_SAMPLE_EVERY)
-        } else {
-            false
-        };
-        let started = if sample {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
         let ctx = self.kernel_ctx();
         window::execute(
             &mut self.amps,
@@ -784,9 +699,6 @@ impl StateVec {
             &ctx,
             &mut self.stats,
         );
-        if let Some(t0) = started {
-            self.prof.attribute(win, t0.elapsed().as_nanos() as u64);
-        }
         win.clear();
     }
 }
@@ -893,18 +805,6 @@ fn publish_kernel_metrics(sv: &StateVec) {
     m.add(quipper_trace::names::KERNEL_WINDOWS, stats.windows);
     m.add(quipper_trace::names::KERNEL_MAT4, stats.mat4);
     m.add(quipper_trace::names::KERNEL_RELABELED, stats.relabeled);
-    let prof = sv.profile_stats();
-    if prof.windows_sampled > 0 {
-        m.add(
-            quipper_trace::names::PROF_WINDOWS_SAMPLED,
-            prof.windows_sampled,
-        );
-        m.add(quipper_trace::names::PROF_SAMPLED_NS, prof.sampled_ns);
-        m.add(quipper_trace::names::PROF_DIAGONAL_NS, prof.class_ns[0]);
-        m.add(quipper_trace::names::PROF_PERMUTATION_NS, prof.class_ns[1]);
-        m.add(quipper_trace::names::PROF_GENERAL_NS, prof.class_ns[2]);
-        m.add(quipper_trace::names::PROF_MAT4_NS, prof.class_ns[3]);
-    }
 }
 
 /// Runs a pre-fused circuit, whole, for one shot: the oracle that
@@ -1236,54 +1136,6 @@ mod tests {
                 "{gate:?} in a fused stream: {err:?}"
             );
         }
-    }
-
-    /// Long windowed workload driving the sampling profiler: amplitudes
-    /// are bit-identical with the profiler on or off, and the sampler
-    /// times exactly one window in [`PROFILE_SAMPLE_EVERY`].
-    #[test]
-    fn profiler_is_bit_identical_and_samples_windows() {
-        const N: usize = 6;
-        let bc = Circ::build(&vec![false; N], |c, qs: Vec<Qubit>| {
-            for l in 0..40 {
-                for &q in &qs {
-                    c.hadamard(q);
-                }
-                c.cnot(qs[l % N], qs[(l + 1) % N]);
-                c.toffoli(qs[(l + 2) % N], qs[(l + 3) % N], qs[(l + 4) % N]);
-                c.gate_t(qs[(l + 5) % N]);
-            }
-            qs
-        });
-        let flat = inline_all(&bc.db, &bc.main).unwrap();
-        // With a one-amplitude block every dense or permutation target is a
-        // high bit, and a layer touches six of them against a budget of
-        // four: the workload sheds at least one multi-gate window a layer.
-        let config = StateVecConfig {
-            threads: 1,
-            window_block_bits: 0,
-            ..StateVecConfig::default()
-        };
-        // No other unit test of this crate touches the tracer's switch.
-        let base = run_flat_with(&flat, &[false; N], 5, config).unwrap();
-        quipper_trace::tracer().set_enabled(true);
-        let prof = run_flat_with(&flat, &[false; N], 5, config);
-        quipper_trace::tracer().set_enabled(false);
-        let prof = prof.unwrap();
-        assert_eq!(
-            base.state.amplitudes(),
-            prof.state.amplitudes(),
-            "profiler must not perturb amplitudes"
-        );
-
-        assert_eq!(base.state.profile_stats(), ProfileStats::default());
-        let stats = prof.state.kernel_stats();
-        let p = prof.state.profile_stats();
-        assert!(stats.windows >= PROFILE_SAMPLE_EVERY, "workload too small");
-        assert_eq!(p.windows_sampled, stats.windows / PROFILE_SAMPLE_EVERY);
-        assert!(p.windows_sampled > 0);
-        // Attribution never exceeds the sampled total (truncating division).
-        assert!(p.class_ns.iter().sum::<u64>() <= p.sampled_ns);
     }
 }
 

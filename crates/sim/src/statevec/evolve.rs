@@ -40,7 +40,7 @@ use rand::{Rng, SeedableRng};
 
 use quipper_circuit::{Gate, Wire, WireType};
 
-use super::{publish_kernel_metrics, ProfileStats, StateVec, StateVecConfig};
+use super::{publish_kernel_metrics, StateVec, StateVecConfig};
 use crate::complex::Complex;
 use crate::error::SimError;
 use crate::fuse::{FusedCircuit, FusedOp};
@@ -420,8 +420,6 @@ impl Shots<'_> {
         sv.classical.clone_from(&e.classical);
         sv.rng = StdRng::seed_from_u64(seed);
         sv.stats = KernelStats::default();
-        sv.prof = ProfileStats::default();
-        sv.prof_tick = 0;
         sv.run_ops(&e.fused, e.split..e.fused.ops.len(), &|| false)?;
         publish_kernel_metrics(sv);
         e.fused

@@ -146,17 +146,6 @@ pub mod names {
     /// Max-gauge: peak live qubits observed by the state-vector allocator.
     pub const LIVE_QUBITS_PEAK: &str = "sim.live_qubits_peak";
 
-    /// Sampling profiler: blocked windows whose execution was timed.
-    pub const PROF_WINDOWS_SAMPLED: &str = "sim.profile.windows_sampled";
-    /// Sampling profiler: total wall time across sampled windows, ns.
-    pub const PROF_SAMPLED_NS: &str = "sim.profile.sampled_ns";
-    /// Sampling profiler: sampled wall time attributed to each gate class
-    /// (proportional to the window's per-class gate counts), ns.
-    pub const PROF_DIAGONAL_NS: &str = "sim.profile.diagonal_ns";
-    pub const PROF_PERMUTATION_NS: &str = "sim.profile.permutation_ns";
-    pub const PROF_GENERAL_NS: &str = "sim.profile.general_ns";
-    pub const PROF_MAT4_NS: &str = "sim.profile.mat4_ns";
-
     /// OpenQASM ingestion: programs submitted to the parser.
     pub const QASM_PROGRAMS: &str = "qasm.parse.programs";
     /// OpenQASM ingestion: programs that lowered to a valid circuit.
@@ -227,12 +216,6 @@ pub mod names {
         KERNEL_MAT4,
         KERNEL_RELABELED,
         LIVE_QUBITS_PEAK,
-        PROF_WINDOWS_SAMPLED,
-        PROF_SAMPLED_NS,
-        PROF_DIAGONAL_NS,
-        PROF_PERMUTATION_NS,
-        PROF_GENERAL_NS,
-        PROF_MAT4_NS,
         QASM_PROGRAMS,
         QASM_ACCEPTED,
         QASM_DIAG_ERROR,

@@ -124,8 +124,8 @@ fn main() {
         est.depth
     );
 
-    // The engine's cumulative observability counters.
-    println!("\nengine stats:\n{}", engine.stats());
+    // The engine's plan cache, across every job above.
+    println!("\n{}", engine.stats());
 
     if let Some(path) = trace_out {
         let tracer = quipper_trace::tracer();

@@ -314,7 +314,7 @@ fn main() {
         }
     }
 
-    // The flight recorder keeps the recent job timelines; print the last
+    // The service keeps the recent jobs' timelines; print the last
     // few so "where did the time go" is answerable from the client.
     let flights = client.call_ok(r#"{"op":"flight","recent":3}"#);
     for timeline in flights.get("flights").and_then(Json::as_arr).unwrap() {
