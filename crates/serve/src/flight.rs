@@ -1,10 +1,11 @@
 //! Flight log: always-on capture of per-job event timelines.
 //!
-//! Every admitted job carries a [`FlightLog`] that stamps each lifecycle
-//! phase (admit → queue → compile → shots → terminal, plus `coalesce` after
-//! a wait and one stamp per retry) against the job's admission instant. The
-//! log lives in the job's record in the service's job table and nowhere
-//! else: [`Service::flight`](crate::Service::flight) and
+//! Every admitted job carries a timeline of [`FlightEvent`]s, one per
+//! lifecycle phase (admit → queue → compile → shots → terminal, plus
+//! `coalesce` after a wait and one stamp per retry), each an offset from the
+//! job's admission. The events live in the job's record in
+//! [`Core`](crate::state::Core) and nowhere else:
+//! [`Service::flight`](crate::Service::flight) and
 //! [`Service::flights`](crate::Service::flights) read a [`FlightTimeline`]
 //! out of it on demand, and the log goes when the service forgets the job
 //! ([`ServiceConfig::flight_capacity`](crate::ServiceConfig::flight_capacity)
@@ -12,12 +13,11 @@
 //! slow" into an answerable question: the timeline shows where the time
 //! went, phase by phase.
 
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::service::JobId;
 
-/// Lifecycle phase tags stamped into a [`FlightLog`]. Kept as constants so
+/// Lifecycle phase tags stamped into a job's flight log. Kept as constants so
 /// tests and the wire protocol agree on spelling.
 pub mod phases {
     /// Admission decision made; the timeline's epoch.
@@ -47,63 +47,7 @@ pub struct FlightEvent {
     pub detail: Option<String>,
 }
 
-/// A job's per-lifecycle event log, stamped as the job moves through the
-/// service. Thread-safe: admission, workers, and finalization stamp from
-/// different threads.
-#[derive(Debug)]
-pub struct FlightLog {
-    epoch: Instant,
-    events: Mutex<Vec<FlightEvent>>,
-}
-
-impl Default for FlightLog {
-    fn default() -> Self {
-        FlightLog::new()
-    }
-}
-
-impl FlightLog {
-    /// A fresh log whose epoch is now, pre-stamped with the `admit` phase.
-    pub fn new() -> FlightLog {
-        let log = FlightLog {
-            epoch: Instant::now(),
-            events: Mutex::new(Vec::new()),
-        };
-        log.stamp(phases::ADMIT, None);
-        log
-    }
-
-    /// Record `phase` at the current offset.
-    pub fn stamp(&self, phase: &'static str, detail: Option<String>) {
-        self.events.lock().unwrap().push(FlightEvent {
-            phase,
-            at: self.epoch.elapsed(),
-            detail,
-        });
-    }
-
-    /// Time since admission.
-    pub fn elapsed(&self) -> Duration {
-        self.epoch.elapsed()
-    }
-
-    /// Offset of the first stamp of `phase`, if it happened.
-    pub fn first_at(&self, phase: &str) -> Option<Duration> {
-        self.events
-            .lock()
-            .unwrap()
-            .iter()
-            .find(|e| e.phase == phase)
-            .map(|e| e.at)
-    }
-
-    /// Snapshot the events stamped so far (in stamp order).
-    pub fn events(&self) -> Vec<FlightEvent> {
-        self.events.lock().unwrap().clone()
-    }
-}
-
-/// A finished (or in-flight) job's timeline, read from its [`FlightLog`].
+/// A finished (or in-flight) job's timeline, read from its flight log.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlightTimeline {
     pub id: JobId,
@@ -136,14 +80,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn log_stamps_admit_and_derives_spans() {
-        let log = FlightLog::new();
-        log.stamp(phases::QUEUE, None);
-        log.stamp(phases::COMPILE, None);
-        log.stamp(phases::SHOTS, Some("attempt 1".into()));
-        log.stamp("completed", None);
-        let events = log.events();
-        assert_eq!(events[0].phase, phases::ADMIT);
+    fn spans_run_from_each_offset_to_the_next() {
+        let event = |phase, us, detail: Option<&str>| FlightEvent {
+            phase,
+            at: Duration::from_micros(us),
+            detail: detail.map(String::from),
+        };
+        let events = vec![
+            event(phases::ADMIT, 0, None),
+            event(phases::QUEUE, 3, None),
+            event(phases::COMPILE, 40, None),
+            event(phases::SHOTS, 45, Some("attempt 1")),
+            event("completed", 900, None),
+        ];
         let tl = FlightTimeline {
             id: 1,
             tenant: "t".into(),
@@ -153,11 +102,11 @@ mod tests {
         };
         let spans = tl.spans();
         assert_eq!(spans.len(), 5);
-        // Offsets are monotone and each span runs to the next offset.
+        // Each span runs to the next offset.
         for pair in spans.windows(2) {
-            assert!(pair[1].1 >= pair[0].1);
             assert_eq!(pair[0].1 + pair[0].2, pair[1].1);
         }
+        assert_eq!(spans[2].2, Duration::from_micros(5));
         assert_eq!(spans[3].3, Some("attempt 1"));
         assert_eq!(spans.last().unwrap().2, Duration::ZERO);
     }

@@ -13,6 +13,11 @@
 //!   executed in priority order, earliest deadline first. A full queue or an
 //!   exhausted quota rejects *synchronously* with a retry-after hint — load
 //!   sheds at the door instead of timing out inside.
+//! * **One state, one lock** — the service's state is one plain struct,
+//!   `Core` (`state.rs`), behind one `Mutex`.
+//! * **Panic boundary** — a panic inside the engine (a backend bug) becomes
+//!   that job's `failed: panicked: …`; the worker and every other job go
+//!   on.
 //! * **Deadlines and cancellation** — every job carries a
 //!   [`CancelToken`](quipper_exec::CancelToken) that the exec shot loop
 //!   polls between shot chunks, so a client cancel or a missed deadline
@@ -55,16 +60,16 @@ pub mod catalog;
 pub mod fault;
 pub mod flight;
 pub mod protocol;
-pub mod queue;
+mod queue;
 pub mod quota;
 pub mod retry;
 pub mod server;
 pub mod service;
+mod state;
 
 pub use fault::{FaultConfig, FaultInjector};
 pub use flight::{FlightEvent, FlightTimeline};
-pub use queue::{AdmissionQueue, QueueEntry};
-pub use quota::{QuotaPolicy, TenantQuotas};
+pub use quota::QuotaPolicy;
 pub use retry::RetryPolicy;
 pub use server::Server;
 pub use service::{
@@ -94,6 +99,4 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Service>();
     assert_send_sync::<FaultInjector>();
-    assert_send_sync::<AdmissionQueue>();
-    assert_send_sync::<TenantQuotas>();
 };

@@ -5,15 +5,14 @@
 //! per-shot amount, so a tenant can spend its budget on many small jobs or
 //! a few large ones. An empty bucket rejects with the exact time until the
 //! bucket will hold enough tokens — the retry-after hint the wire protocol
-//! hands back to clients.
+//! hands back to clients. The buckets live in [`Core`](crate::state::Core).
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Quota parameters shared by every tenant (buckets are per-tenant, the
 /// policy is global).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct QuotaPolicy {
     /// Bucket capacity in tokens; also the initial fill of a new tenant.
     pub capacity: f64,
@@ -53,6 +52,7 @@ impl QuotaPolicy {
     }
 }
 
+#[derive(Clone, Debug, PartialEq)]
 struct Bucket {
     tokens: f64,
     refilled_at: Instant,
@@ -60,9 +60,10 @@ struct Bucket {
 
 /// The tenant → bucket map. Buckets are created full on a tenant's first
 /// submission.
-pub struct TenantQuotas {
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct TenantQuotas {
     policy: QuotaPolicy,
-    buckets: Mutex<HashMap<String, Bucket>>,
+    buckets: HashMap<String, Bucket>,
 }
 
 impl TenantQuotas {
@@ -70,7 +71,7 @@ impl TenantQuotas {
     pub fn new(policy: QuotaPolicy) -> TenantQuotas {
         TenantQuotas {
             policy,
-            buckets: Mutex::new(HashMap::new()),
+            buckets: HashMap::new(),
         }
     }
 
@@ -79,16 +80,14 @@ impl TenantQuotas {
         &self.policy
     }
 
-    /// Try to spend `cost` tokens from `tenant`'s bucket. On refusal,
-    /// returns how long until the bucket will have refilled enough — the
-    /// retry-after hint.
-    pub fn try_acquire(&self, tenant: &str, cost: f64) -> Result<(), Duration> {
+    /// Try to spend `cost` tokens from `tenant`'s bucket, refilled to
+    /// `now`. On refusal, returns how long until the bucket will have
+    /// refilled enough — the retry-after hint.
+    pub fn try_acquire(&mut self, tenant: &str, cost: f64, now: Instant) -> Result<(), Duration> {
         if cost <= 0.0 || self.policy.capacity.is_infinite() {
             return Ok(());
         }
-        let now = Instant::now();
-        let mut buckets = self.buckets.lock().unwrap();
-        let bucket = buckets.entry(tenant.to_string()).or_insert(Bucket {
+        let bucket = self.buckets.entry(tenant.to_string()).or_insert(Bucket {
             tokens: self.policy.capacity,
             refilled_at: now,
         });
@@ -112,12 +111,11 @@ impl TenantQuotas {
 
     /// Return `cost` tokens to `tenant`'s bucket (a submission that was
     /// admitted by quota but then rejected by the queue is not charged).
-    pub fn refund(&self, tenant: &str, cost: f64) {
+    pub fn refund(&mut self, tenant: &str, cost: f64) {
         if cost <= 0.0 {
             return;
         }
-        let mut buckets = self.buckets.lock().unwrap();
-        if let Some(bucket) = buckets.get_mut(tenant) {
+        if let Some(bucket) = self.buckets.get_mut(tenant) {
             bucket.tokens = (bucket.tokens + cost).min(self.policy.capacity);
         }
     }
@@ -138,30 +136,34 @@ mod tests {
 
     #[test]
     fn fresh_tenants_start_full_and_deplete() {
-        let q = TenantQuotas::new(policy(2.0, 0.0));
-        assert!(q.try_acquire("a", 1.0).is_ok());
-        assert!(q.try_acquire("a", 1.0).is_ok());
-        let wait = q.try_acquire("a", 1.0).unwrap_err();
+        let now = Instant::now();
+        let mut q = TenantQuotas::new(policy(2.0, 0.0));
+        assert!(q.try_acquire("a", 1.0, now).is_ok());
+        assert!(q.try_acquire("a", 1.0, now).is_ok());
+        let wait = q.try_acquire("a", 1.0, now).unwrap_err();
         assert!(wait >= Duration::from_secs(3600));
         // Tenants are isolated: `b` still has a full bucket.
-        assert!(q.try_acquire("b", 2.0).is_ok());
+        assert!(q.try_acquire("b", 2.0, now).is_ok());
     }
 
     #[test]
     fn retry_after_reflects_refill_rate() {
-        let q = TenantQuotas::new(policy(1.0, 10.0));
-        assert!(q.try_acquire("a", 1.0).is_ok());
-        let wait = q.try_acquire("a", 1.0).unwrap_err();
-        // Missing ~1 token at 10/s → ~100ms.
-        assert!(wait <= Duration::from_millis(110), "{wait:?}");
+        let now = Instant::now();
+        let mut q = TenantQuotas::new(policy(1.0, 10.0));
+        assert!(q.try_acquire("a", 1.0, now).is_ok());
+        let wait = q.try_acquire("a", 1.0, now).unwrap_err();
+        // Missing 1 token at 10/s → 100ms, and refilled by then.
+        assert_eq!(wait, Duration::from_millis(100));
+        assert!(q.try_acquire("a", 1.0, now + wait).is_ok());
     }
 
     #[test]
     fn refunds_restore_tokens() {
-        let q = TenantQuotas::new(policy(1.0, 0.0));
-        assert!(q.try_acquire("a", 1.0).is_ok());
+        let now = Instant::now();
+        let mut q = TenantQuotas::new(policy(1.0, 0.0));
+        assert!(q.try_acquire("a", 1.0, now).is_ok());
         q.refund("a", 1.0);
-        assert!(q.try_acquire("a", 1.0).is_ok());
+        assert!(q.try_acquire("a", 1.0, now).is_ok());
     }
 
     #[test]

@@ -24,26 +24,26 @@
 //! job table is the only copy of either, and a second list holds only the
 //! finished ids, oldest first.
 //!
-//! Service metrics go to the engine's tracing sink
+//! The state is one plain struct, `Core` (`state.rs`); this module is its
+//! shell. Service metrics go to the engine's tracing sink
 //! ([`Engine::tracer`](quipper_exec::Engine::tracer)), so one stack has one.
 
-use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use quipper_circuit::BCircuit;
 use quipper_exec::{
-    CancelReason, CancelToken, Engine, ExecError, ExecResult, Job, OptLevel, Plan, PlanSource,
+    CancelReason, CancelToken, Engine, ExecError, ExecResult, Job, OptLevel, PlanSource,
 };
 use quipper_trace::{names, Tracer};
 
-use crate::flight::{phases, FlightLog, FlightTimeline};
-use crate::queue::{AdmissionQueue, QueueEntry};
-use crate::quota::{QuotaPolicy, TenantQuotas};
+use crate::flight::{phases, FlightTimeline};
+use crate::quota::QuotaPolicy;
 use crate::retry::RetryPolicy;
+use crate::state::{Core, Finished, Snapshot, Ticket};
 
 /// Service-wide job identifier, unique for the life of the service.
 pub type JobId = u64;
@@ -218,16 +218,6 @@ pub struct JobStatus {
     pub attempts: u32,
 }
 
-struct JobRecord {
-    id: JobId,
-    submission: Submission,
-    token: CancelToken,
-    state: Mutex<JobState>,
-    attempts: AtomicU32,
-    /// Lifecycle timeline, the only copy of it; epoch = admission.
-    flight: FlightLog,
-}
-
 /// Per-tenant end-to-end latency SLO thresholds. A job "burns" its
 /// tenant's SLO when admission-to-terminal latency exceeds the threshold;
 /// checks and burns land in the `serve.slo.*` labeled counters.
@@ -371,66 +361,101 @@ impl fmt::Display for ServiceStats {
     }
 }
 
-#[derive(Default)]
-struct Counters {
-    submitted: AtomicU64,
-    admitted: AtomicU64,
-    rejected_queue_full: AtomicU64,
-    rejected_quota: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    cancelled: AtomicU64,
-    deadline_misses: AtomicU64,
-    retries: AtomicU64,
-    coalesced_compiles: AtomicU64,
-}
+/// The lock on the service's state is poisoned only by a bug in `Core`:
+/// no engine call and no metric write runs under it.
+const POISONED: &str = "a transition of the service's state panicked";
 
 struct Inner {
     engine: Engine,
-    queue: AdmissionQueue,
-    quotas: TenantQuotas,
     retry: RetryPolicy,
     slo: SloPolicy,
     /// The engine's tracing sink.
     trace: &'static Tracer,
-    jobs: Mutex<HashMap<JobId, Arc<JobRecord>>>,
-    /// Ids of the finished jobs in `jobs`, in finish order, at most
-    /// `flight_capacity` of them. Locked before `jobs` when both are held.
-    finished: Mutex<VecDeque<JobId>>,
-    flight_capacity: usize,
-    next_id: AtomicU64,
-    next_seq: AtomicU64,
-    counters: Counters,
-    /// Admitted-but-not-terminal job count + condvar for [`Service::drain`].
-    active: Mutex<u64>,
-    idle: Condvar,
+    core: Mutex<Core>,
+    /// Signalled after every transition a waiter can act on: a job queued
+    /// (idle workers), settled or cancelled ([`Service::drain`], a retry
+    /// backoff), the service closed (all of them).
+    changed: Condvar,
+}
+
+impl Inner {
+    /// The service's state, locked.
+    fn core(&self) -> MutexGuard<'_, Core> {
+        self.core.lock().expect(POISONED)
+    }
+
+    /// Writes finished jobs' metrics, then settles them and wakes every
+    /// waiter: [`Service::drain`] returns only after a job's metrics are
+    /// written.
+    fn settle(&self, finished: impl IntoIterator<Item = Finished>) {
+        let mut settled = 0;
+        for finished in finished {
+            self.observe(&finished);
+            settled += 1;
+        }
+        self.core().settle(settled);
+        self.changed.notify_all();
+    }
+
+    /// Writes a finished job's metrics, including per-tenant SLO
+    /// accounting.
+    fn observe(&self, finished: &Finished) {
+        if !self.trace.enabled() {
+            return;
+        }
+        let metrics = self.trace.metrics();
+        metrics.add(
+            match finished.state {
+                JobState::Completed(_) => names::SERVE_COMPLETED,
+                JobState::Failed(_) => names::SERVE_FAILED,
+                JobState::Cancelled => names::SERVE_CANCELLED,
+                _ => names::SERVE_DEADLINE_MISS,
+            },
+            1,
+        );
+        let (tenant, tag) = (finished.submission.tenant.as_str(), finished.state.tag());
+        metrics.observe_labeled(
+            names::SERVE_JOB_LATENCY_US,
+            &[("tenant", tenant), ("state", tag)],
+            finished.latency.as_micros() as u64,
+        );
+        metrics.observe_labeled(
+            names::SERVE_QUEUE_WAIT_US,
+            &[("tenant", tenant)],
+            finished.queue_wait.as_micros() as u64,
+        );
+        metrics.observe_labeled(
+            names::SERVE_JOB_RETRIES,
+            &[("tenant", tenant), ("state", tag)],
+            u64::from(finished.attempts.saturating_sub(1)),
+        );
+        if let Some(threshold) = self.slo.threshold_for(tenant) {
+            metrics.add_labeled(names::SLO_CHECKED, &[("tenant", tenant)], 1);
+            if finished.latency > threshold {
+                metrics.add_labeled(names::SLO_MISS, &[("tenant", tenant)], 1);
+            }
+        }
+    }
 }
 
 /// The multi-tenant execution service. See the [module docs](self).
 pub struct Service {
     inner: Arc<Inner>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Service {
     /// Starts a service over `engine` with `config`'s worker pool, queue
     /// bound, quotas and retry policy.
     pub fn start(engine: Engine, config: ServiceConfig) -> Service {
+        let core = Core::new(config.queue_capacity, config.quota, config.flight_capacity);
         let inner = Arc::new(Inner {
             trace: engine.tracer(),
             engine,
-            queue: AdmissionQueue::new(config.queue_capacity),
-            quotas: TenantQuotas::new(config.quota),
             retry: config.retry,
             slo: config.slo,
-            jobs: Mutex::new(HashMap::new()),
-            finished: Mutex::new(VecDeque::new()),
-            flight_capacity: config.flight_capacity.max(1),
-            next_id: AtomicU64::new(1),
-            next_seq: AtomicU64::new(0),
-            counters: Counters::default(),
-            active: Mutex::new(0),
-            idle: Condvar::new(),
+            core: Mutex::new(core),
+            changed: Condvar::new(),
         });
         let workers = (0..config.workers.max(1))
             .map(|i| {
@@ -441,10 +466,7 @@ impl Service {
                     .expect("spawn service worker")
             })
             .collect();
-        Service {
-            inner,
-            workers: Mutex::new(workers),
-        }
+        Service { inner, workers }
     }
 
     /// The engine the service schedules onto (plan cache, stats).
@@ -454,104 +476,47 @@ impl Service {
 
     /// Submits a job. Admission is synchronous: the result is either the
     /// job's id or a [`Rejection`] with a retry-after hint. Admitted jobs
-    /// proceed through the lifecycle asynchronously.
+    /// proceed through the lifecycle asynchronously; after
+    /// [`Service::shutdown`] a submission is admitted already cancelled.
     pub fn submit(&self, submission: Submission) -> Result<JobId, Rejection> {
         let inner = &*self.inner;
-        inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
-
-        let cost = inner.quotas.policy().cost(submission.shots);
-        if let Err(retry_after) = inner.quotas.try_acquire(&submission.tenant, cost) {
-            inner
-                .counters
-                .rejected_quota
-                .fetch_add(1, Ordering::Relaxed);
-            if inner.trace.enabled() {
-                inner.trace.metrics().add(names::SERVE_REJECT_QUOTA, 1);
-            }
-            return Err(Rejection {
-                reason: RejectReason::QuotaExhausted,
-                retry_after,
-            });
-        }
-
-        let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let deadline = submission.deadline.map(|d| Instant::now() + d);
-        let token = match deadline {
-            Some(at) => CancelToken::with_deadline(at),
-            None => CancelToken::new(),
-        };
-        let record = Arc::new(JobRecord {
-            id,
-            token: token.clone(),
-            state: Mutex::new(JobState::Queued),
-            attempts: AtomicU32::new(0),
-            flight: FlightLog::new(),
-            submission,
-        });
-        let entry = QueueEntry {
-            id,
-            priority: record.submission.priority,
-            deadline,
-            seq: inner.next_seq.fetch_add(1, Ordering::Relaxed),
-        };
-
-        inner.jobs.lock().unwrap().insert(id, Arc::clone(&record));
-        *inner.active.lock().unwrap() += 1;
-        // Stamped before the push: an idle worker may pop the entry and
-        // stamp `compile` before `push` returns. A rejected push drops the
-        // record, stamp and all.
-        record.flight.stamp(phases::QUEUE, None);
-        let depth = match inner.queue.push(entry) {
-            Ok(depth) => depth,
-            Err(retry_after) => {
-                // Not admitted after all: uncharge the tenant and forget the job.
-                inner.jobs.lock().unwrap().remove(&id);
-                finish_active(inner);
-                inner.quotas.refund(&record.submission.tenant, cost);
-                inner
-                    .counters
-                    .rejected_queue_full
-                    .fetch_add(1, Ordering::Relaxed);
-                if inner.trace.enabled() {
-                    inner.trace.metrics().add(names::SERVE_REJECT_FULL, 1);
+        let admitted = inner.core().submit(submission, Instant::now());
+        let metrics = inner.trace.enabled().then(|| inner.trace.metrics());
+        match admitted {
+            Ok(admitted) => {
+                inner.changed.notify_all();
+                if let Some(metrics) = metrics {
+                    metrics.add(names::SERVE_ADMIT, 1);
+                    metrics.record_max(names::SERVE_QUEUE_DEPTH, admitted.depth as u64);
                 }
-                return Err(Rejection {
-                    reason: RejectReason::QueueFull,
-                    retry_after,
-                });
+                if let Some(cancelled) = admitted.cancelled {
+                    inner.settle([cancelled]);
+                }
+                Ok(admitted.id)
             }
-        };
-        inner.counters.admitted.fetch_add(1, Ordering::Relaxed);
-        if inner.trace.enabled() {
-            let metrics = inner.trace.metrics();
-            metrics.add(names::SERVE_ADMIT, 1);
-            metrics.record_max(names::SERVE_QUEUE_DEPTH, depth as u64);
+            Err(rejection) => {
+                if let Some(metrics) = metrics {
+                    let name = match rejection.reason {
+                        RejectReason::QueueFull => names::SERVE_REJECT_FULL,
+                        RejectReason::QuotaExhausted => names::SERVE_REJECT_QUOTA,
+                    };
+                    metrics.add(name, 1);
+                }
+                Err(rejection)
+            }
         }
-        Ok(id)
     }
 
     /// A status snapshot for `id`, or `None` for unknown ids.
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
-        let record = Arc::clone(self.inner.jobs.lock().unwrap().get(&id)?);
-        let state = record.state.lock().unwrap().clone();
-        Some(JobStatus {
-            id,
-            tenant: record.submission.tenant.clone(),
-            label: record.submission.label.clone(),
-            state,
-            attempts: record.attempts.load(Ordering::Relaxed),
-        })
+        self.inner.core().status(id)
     }
 
     /// The result of a completed job (`None` until the job completes; check
     /// [`Service::status`] to distinguish pending from failed).
     pub fn result(&self, id: JobId) -> Option<Arc<ExecResult>> {
-        match &*Arc::clone(self.inner.jobs.lock().unwrap().get(&id)?)
-            .state
-            .lock()
-            .unwrap()
-        {
-            JobState::Completed(result) => Some(Arc::clone(result)),
+        match self.status(id)?.state {
+            JobState::Completed(result) => Some(result),
             _ => None,
         }
     }
@@ -560,47 +525,20 @@ impl Service {
     /// at the shot loop's next token poll. Returns the resulting status, or
     /// `None` for unknown ids. Cancelling a terminal job is a no-op.
     pub fn cancel(&self, id: JobId) -> Option<JobStatus> {
-        let inner = &*self.inner;
-        let record = Arc::clone(inner.jobs.lock().unwrap().get(&id)?);
-        {
-            let mut state = record.state.lock().unwrap();
-            match &*state {
-                JobState::Queued => {
-                    record.token.cancel();
-                    // Claim the job under the lock so the worker that pops
-                    // its entry skips it, then finalize outside the lock.
-                    *state = JobState::Cancelled;
-                    drop(state);
-                    finalize(inner, &record, JobState::Cancelled);
-                }
-                JobState::Running => {
-                    // The worker observes the fired token and finalizes.
-                    record.token.cancel();
-                }
-                _ => {}
-            }
-        }
-        self.status(id)
+        let (status, cancelled) = self.inner.core().cancel(id, Instant::now())?;
+        // Settling wakes a running job's retry backoff too.
+        self.inner.settle(cancelled);
+        Some(status)
     }
 
     /// Cumulative counters, service-level merged with the engine's.
     pub fn stats(&self) -> ServiceStats {
-        let c = &self.inner.counters;
         let engine = self.inner.engine.stats();
         ServiceStats {
-            submitted: c.submitted.load(Ordering::Relaxed),
-            admitted: c.admitted.load(Ordering::Relaxed),
-            rejected_queue_full: c.rejected_queue_full.load(Ordering::Relaxed),
-            rejected_quota: c.rejected_quota.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
-            failed: c.failed.load(Ordering::Relaxed),
-            cancelled: c.cancelled.load(Ordering::Relaxed),
-            deadline_misses: c.deadline_misses.load(Ordering::Relaxed),
-            retries: c.retries.load(Ordering::Relaxed),
-            coalesced_compiles: c.coalesced_compiles.load(Ordering::Relaxed),
             engine_cache_hits: engine.cache_hits,
             engine_cache_misses: engine.cache_misses,
             engine_cached_plans: engine.cached_plans as u64,
+            ..self.inner.core().stats().clone()
         }
     }
 
@@ -614,216 +552,71 @@ impl Service {
     /// The job's flight timeline as of now (its current state and the
     /// events stamped so far). `None` for unknown/evicted ids.
     pub fn flight(&self, id: JobId) -> Option<FlightTimeline> {
-        let record = Arc::clone(self.inner.jobs.lock().unwrap().get(&id)?);
-        Some(timeline(&record))
+        let snapshot = self.inner.core().flight(id)?;
+        Some(snapshot.timeline())
     }
 
     /// The timelines of the most recent `n` finished jobs, newest last.
     pub fn flights(&self, n: usize) -> Vec<FlightTimeline> {
-        let records: Vec<Arc<JobRecord>> = {
-            let finished = self.inner.finished.lock().unwrap();
-            let jobs = self.inner.jobs.lock().unwrap();
-            let newest = finished.iter().skip(finished.len().saturating_sub(n));
-            newest.map(|id| Arc::clone(&jobs[id])).collect()
-        };
-        records.iter().map(|record| timeline(record)).collect()
+        let snapshots = self.inner.core().flights(n);
+        snapshots.into_iter().map(Snapshot::timeline).collect()
     }
 
-    /// Blocks until every admitted job has reached a terminal state.
+    /// Blocks until every admitted job has reached a terminal state and
+    /// its metrics are written.
     pub fn drain(&self) {
-        let mut active = self.inner.active.lock().unwrap();
-        while *active > 0 {
-            active = self.inner.idle.wait(active).unwrap();
-        }
+        let inner = &*self.inner;
+        let idle = inner
+            .changed
+            .wait_while(inner.core(), |core| core.unsettled() > 0);
+        drop(idle.expect(POISONED));
     }
 
-    /// Stops the service: no new submissions are admitted, queued jobs are
-    /// finalized as cancelled, in-flight jobs are cancelled at their next
-    /// token poll, and the worker pool is joined. Idempotent.
+    /// Stops the service. In one step under the lock, every live job's
+    /// token fires, queued jobs are finalized as cancelled, and the queue
+    /// closes: a later submission is admitted already cancelled, without
+    /// charging its tenant. Then waits until the running jobs have stopped
+    /// at their next token poll and the workers are on their way out
+    /// (dropping the service joins them). Idempotent.
     pub fn shutdown(&self) {
-        // Fire every non-terminal token so queued entries finalize fast and
-        // running shot loops stop at the next poll.
-        for record in self.inner.jobs.lock().unwrap().values() {
-            if !record.state.lock().unwrap().is_terminal() {
-                record.token.cancel();
-            }
-        }
-        self.inner.queue.close();
-        let mut workers = self.workers.lock().unwrap();
-        for handle in workers.drain(..) {
-            handle.join().expect("service worker panicked");
-        }
+        let cancelled = self.inner.core().close(Instant::now());
+        self.inner.settle(cancelled);
+        self.drain();
     }
 }
 
 impl Drop for Service {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Decrement the active-job count and wake [`Service::drain`]ers.
-fn finish_active(inner: &Inner) {
-    let mut active = inner.active.lock().unwrap();
-    *active = active.saturating_sub(1);
-    if *active == 0 {
-        inner.idle.notify_all();
-    }
-}
-
-/// A job's flight timeline as of now: its current state and the events
-/// stamped so far. The one place a [`FlightTimeline`] is built.
-fn timeline(record: &JobRecord) -> FlightTimeline {
-    FlightTimeline {
-        id: record.id,
-        tenant: record.submission.tenant.clone(),
-        label: record.submission.label.clone(),
-        state: record.state.lock().unwrap().tag().to_string(),
-        events: record.flight.events(),
-    }
-}
-
-/// Finalize a job into a terminal state: set the state, bump counters and
-/// metrics (including per-tenant SLO accounting), list the job as finished,
-/// and forget the oldest finished job if that makes one too many.
-fn finalize(inner: &Inner, record: &JobRecord, state: JobState) {
-    debug_assert!(state.is_terminal());
-    let (counter, metric) = match &state {
-        JobState::Completed(_) => (&inner.counters.completed, names::SERVE_COMPLETED),
-        JobState::Failed(_) => (&inner.counters.failed, names::SERVE_FAILED),
-        JobState::Cancelled => (&inner.counters.cancelled, names::SERVE_CANCELLED),
-        JobState::DeadlineExceeded => (&inner.counters.deadline_misses, names::SERVE_DEADLINE_MISS),
-        _ => unreachable!(),
-    };
-    let tag = state.tag();
-    let detail = match &state {
-        JobState::Failed(err) => Some(err.clone()),
-        _ => None,
-    };
-    record.flight.stamp(tag, detail);
-    let latency = record.flight.elapsed();
-    *record.state.lock().unwrap() = state;
-    counter.fetch_add(1, Ordering::Relaxed);
-    if inner.trace.enabled() {
-        let metrics = inner.trace.metrics();
-        metrics.add(metric, 1);
-        let latency_us = latency.as_micros() as u64;
-        // Queue wait ends when a worker picks the job up (the compile
-        // stamp); jobs that die queued waited their whole life.
-        let queue_wait = record.flight.first_at(phases::COMPILE).unwrap_or(latency);
-        let tenant = record.submission.tenant.as_str();
-        metrics.observe_labeled(
-            names::SERVE_JOB_LATENCY_US,
-            &[("tenant", tenant), ("state", tag)],
-            latency_us,
-        );
-        metrics.observe_labeled(
-            names::SERVE_QUEUE_WAIT_US,
-            &[("tenant", tenant)],
-            queue_wait.as_micros() as u64,
-        );
-        let attempts = record.attempts.load(Ordering::Relaxed) as u64;
-        metrics.observe_labeled(
-            names::SERVE_JOB_RETRIES,
-            &[("tenant", tenant), ("state", tag)],
-            attempts.saturating_sub(1),
-        );
-        if let Some(threshold) = inner.slo.threshold_for(tenant) {
-            metrics.add_labeled(names::SLO_CHECKED, &[("tenant", tenant)], 1);
-            if latency > threshold {
-                metrics.add_labeled(names::SLO_MISS, &[("tenant", tenant)], 1);
-            }
+        for handle in self.workers.drain(..) {
+            // A worker contains its jobs' panics; one that died anyway died
+            // in `Core`, poisoning the lock, and every caller has seen it.
+            let _ = handle.join();
         }
-    }
-    // The one eviction point: only finished jobs are listed, so a queued or
-    // running job is never forgotten.
-    let mut finished = inner.finished.lock().unwrap();
-    if finished.len() == inner.flight_capacity {
-        if let Some(oldest) = finished.pop_front() {
-            inner.jobs.lock().unwrap().remove(&oldest);
-        }
-    }
-    finished.push_back(record.id);
-    drop(finished);
-    finish_active(inner);
-}
-
-/// Sleep out a retry backoff in small slices, polling the token so client
-/// cancels and deadline expiry interrupt the wait.
-fn backoff_sleep(token: &CancelToken, total: Duration) -> Result<(), CancelReason> {
-    let slice = Duration::from_millis(2);
-    let until = Instant::now() + total;
-    loop {
-        token.check()?;
-        let now = Instant::now();
-        if now >= until {
-            return Ok(());
-        }
-        std::thread::sleep(slice.min(until - now));
     }
 }
 
 fn worker_loop(inner: &Inner) {
-    while let Some(entry) = inner.queue.pop() {
-        let record = match inner.jobs.lock().unwrap().get(&entry.id) {
-            Some(record) => Arc::clone(record),
-            // Rejected after the push raced, or cancelled while queued and
-            // since evicted: nothing to run.
-            None => continue,
-        };
-
-        // Claim the job; a concurrent cancel of a queued job may already
-        // have finalized it.
-        {
-            let mut state = record.state.lock().unwrap();
-            match &*state {
-                JobState::Queued => *state = JobState::Running,
-                _ => continue,
-            }
-        }
-
-        // A token that fired while queued stops the job before any work.
-        if let Err(reason) = record.token.check() {
-            finalize(inner, &record, state_of(reason));
-            continue;
-        }
-
-        let sub = &record.submission;
-        let mut job = Job::new(&sub.circuit)
-            .inputs(sub.inputs.clone())
-            .shots(sub.shots)
-            .seed(sub.seed)
-            .cancel_token(record.token.clone());
-        if let Some(backend) = &sub.backend {
-            job = job.on_backend(backend);
-        }
-        if let Some(level) = sub.opt {
-            job = job.opt(level);
-        }
-
-        // The engine's plan cache decides who compiles: a cached plan comes
-        // straight back, and of concurrent jobs that miss on one circuit and
-        // level, one compiles while the others wait for its plan.
-        record.flight.stamp(phases::COMPILE, None);
-        let (plan, source) = match inner.engine.resolve(&job) {
-            Ok(resolved) => resolved,
-            Err(e) => {
-                finalize(inner, &record, JobState::Failed(e.to_string()));
-                continue;
+    loop {
+        let picked = {
+            let mut core = inner.core();
+            loop {
+                match core.pick_up(Instant::now()) {
+                    Some(picked) => break picked,
+                    None if core.is_closed() => return,
+                    None => core = inner.changed.wait(core).expect(POISONED),
+                }
             }
         };
-        if source == PlanSource::Waited {
-            record.flight.stamp(phases::COALESCE, None);
-            inner
-                .counters
-                .coalesced_compiles
-                .fetch_add(1, Ordering::Relaxed);
-            if inner.trace.enabled() {
-                inner.trace.metrics().add(names::SERVE_COALESCED, 1);
+        let finished = match picked {
+            Ok(ticket) => {
+                let state = run(inner, &ticket);
+                inner.core().finish(ticket.id, state, Instant::now())
             }
-        }
-
-        run_admitted(inner, &record, &job, &plan, source);
+            // Its deadline passed while it was queued.
+            Err(expired) => expired,
+        };
+        inner.settle([finished]);
     }
 }
 
@@ -834,44 +627,91 @@ fn state_of(reason: CancelReason) -> JobState {
     }
 }
 
-/// Run one admitted job's shots on its resolved plan, with retries; always
-/// finalizes it. A retry re-runs the shots and nothing before them.
-fn run_admitted(inner: &Inner, record: &JobRecord, job: &Job, plan: &Plan, source: PlanSource) {
+/// Resolves and runs one picked-up job, retrying transient faults, and
+/// returns its terminal state. A retry re-runs the shots and nothing before
+/// them.
+fn run(inner: &Inner, ticket: &Ticket) -> JobState {
+    let (id, sub) = (ticket.id, &*ticket.submission);
+    let mut job = Job::new(&sub.circuit)
+        .inputs(sub.inputs.clone())
+        .shots(sub.shots)
+        .seed(sub.seed)
+        .cancel_token(ticket.token.clone());
+    if let Some(backend) = &sub.backend {
+        job = job.on_backend(backend);
+    }
+    if let Some(level) = sub.opt {
+        job = job.opt(level);
+    }
+
+    // The engine's plan cache decides who compiles: a cached plan comes
+    // straight back, and of concurrent jobs that miss on one circuit and
+    // level, one compiles while the others wait for its plan.
+    let (plan, source) = match contained(|| inner.engine.resolve(&job)) {
+        Ok(Ok(resolved)) => resolved,
+        Ok(Err(e)) => return JobState::Failed(e.to_string()),
+        Err(panicked) => return panicked,
+    };
+    if source == PlanSource::Waited {
+        inner
+            .core()
+            .stamp(id, phases::COALESCE, None, Instant::now());
+        if inner.trace.enabled() {
+            inner.trace.metrics().add(names::SERVE_COALESCED, 1);
+        }
+    }
+
     loop {
-        let attempt = record.attempts.fetch_add(1, Ordering::Relaxed) + 1;
-        record
-            .flight
-            .stamp(phases::SHOTS, Some(format!("attempt {attempt}")));
+        let attempt = inner.core().begin_attempt(id, Instant::now());
         // Shots run sequentially on this worker: the service parallelizes
         // across jobs, and per-shot seeds make the outcome schedule-free.
-        match inner.engine.run_resolved(job, plan, source) {
-            Ok(result) => {
-                finalize(inner, record, JobState::Completed(Arc::new(result)));
-                return;
-            }
-            Err(ExecError::Cancelled { reason }) => {
-                finalize(inner, record, state_of(reason));
-                return;
-            }
-            Err(e) if e.is_transient() && inner.retry.should_retry(attempt) => {
-                record.flight.stamp(phases::RETRY, Some(e.to_string()));
-                inner.counters.retries.fetch_add(1, Ordering::Relaxed);
+        match contained(|| inner.engine.run_resolved(&job, &plan, source)) {
+            Ok(Ok(result)) => return JobState::Completed(Arc::new(result)),
+            Ok(Err(ExecError::Cancelled { reason })) => return state_of(reason),
+            Ok(Err(e)) if e.is_transient() && inner.retry.should_retry(attempt) => {
+                let detail = Some(e.to_string());
+                inner
+                    .core()
+                    .stamp(id, phases::RETRY, detail, Instant::now());
                 if inner.trace.enabled() {
                     inner.trace.metrics().add(names::SERVE_RETRY, 1);
                 }
-                let pause = inner
-                    .retry
-                    .backoff(attempt, record.submission.seed ^ record.id.rotate_left(17));
-                if let Err(reason) = backoff_sleep(&record.token, pause) {
-                    finalize(inner, record, state_of(reason));
-                    return;
+                let pause = inner.retry.backoff(attempt, sub.seed ^ id.rotate_left(17));
+                if let Err(reason) = backoff(inner, &ticket.token, pause) {
+                    return state_of(reason);
                 }
             }
-            Err(e) => {
-                finalize(inner, record, JobState::Failed(e.to_string()));
-                return;
-            }
+            Ok(Err(e)) => return JobState::Failed(e.to_string()),
+            Err(panicked) => return panicked,
         }
+    }
+}
+
+/// Runs one engine call. The panic boundary: a panic inside the call
+/// becomes the job's failure, and the worker lives on.
+fn contained<T>(call: impl FnOnce() -> T) -> Result<T, JobState> {
+    panic::catch_unwind(AssertUnwindSafe(call)).map_err(|payload| {
+        let message = (payload.downcast_ref::<&str>().copied())
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("a non-string payload");
+        JobState::Failed(format!("panicked: {message}"))
+    })
+}
+
+/// Sleeps out a retry backoff on the service's condvar, until the earlier
+/// of its end and the token's deadline. A cancel or a shutdown fires the
+/// token under the lock and wakes the wait.
+fn backoff(inner: &Inner, token: &CancelToken, pause: Duration) -> Result<(), CancelReason> {
+    let end = Instant::now() + pause;
+    let wake = token.deadline().map_or(end, |deadline| deadline.min(end));
+    let mut core = inner.core();
+    loop {
+        token.check()?;
+        if Instant::now() >= end {
+            return Ok(());
+        }
+        let timeout = wake.saturating_duration_since(Instant::now());
+        core = inner.changed.wait_timeout(core, timeout).expect(POISONED).0;
     }
 }
 
@@ -893,7 +733,7 @@ mod tests {
     }
 
     fn table_len(service: &Service) -> usize {
-        service.inner.jobs.lock().unwrap().len()
+        service.inner.core().table_len()
     }
 
     #[test]
@@ -997,8 +837,8 @@ mod tests {
         assert_eq!((state(running), state(queued)), ("running", "queued"));
         assert_eq!(table_len(&service), CAPACITY + 2);
 
-        // The worker skips the evicted jobs' queue entries and runs the
-        // queued job to its end.
+        // The cancelled jobs left the queue; the worker runs the queued job
+        // to its end.
         service.cancel(running);
         service.drain();
         assert!(service.result(queued).is_some());
