@@ -3,7 +3,7 @@
 //!
 //! * `reference` — the full-scan oracle
 //!   (`quipper_sim::reference::run_flat_reference`);
-//! * `kernels` — the production path: 1q+2q fusion, cache-blocked gate
+//! * `kernels` — the production path: 1q fusion, cache-blocked gate
 //!   windows, SIMD complex arithmetic, swap relabeling. It is the only
 //!   path; the ablation of its parts against the PR 2 kernels is history,
 //!   recorded in EXPERIMENTS.md A5.
@@ -26,7 +26,8 @@
 //!   that the kernel path beats the scan path on the mixed workload and
 //!   that disabled tracing costs under 2 % (the CI smoke);
 //! * `BENCH_STATEVEC_WRITE=1` — rewrite `BENCH_statevec.json` at the repo
-//!   root with the measured numbers.
+//!   root with the measured numbers, the host's cores and the kernel thread
+//!   count (`StateVecConfig::default().threads`) they were taken with.
 
 use std::time::{Duration, Instant};
 
@@ -41,6 +42,7 @@ use quipper_circuit::{BCircuit, Circuit};
 use quipper_sim::reference::run_flat_reference;
 use quipper_sim::statevec::{run_flat_with, StateVecConfig};
 use quipper_sim::KernelStats;
+use quipper_trace::JsonWriter;
 
 /// The mixed-gate workload: per layer, an H·T run on every wire (fusible),
 /// a CNOT ring, a Toffoli ladder, and R(2π/2ᵏ) rotations.
@@ -297,58 +299,51 @@ fn main() {
 
     if env_on("BENCH_STATEVEC_WRITE") {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_statevec.json");
-        let entries: Vec<String> = results
-            .iter()
-            .map(|m| {
-                let reference_fields = match (m.reference, m.speedup_vs_reference()) {
-                    (Some(r), Some(s)) => format!(
-                        "\"reference_ms\": {:.3}, \"speedup\": {:.2}, ",
-                        r.as_secs_f64() * 1e3,
-                        s
-                    ),
-                    _ => String::new(),
-                };
-                format!(
-                    concat!(
-                        "    {{\"name\": \"{}\", \"qubits\": {}, \"gates\": {}, ",
-                        "{}\"kernels_ms\": {:.3}, \"kernel_gate_rate_per_s\": {:.0},\n",
-                        "     \"class_dispatches\": {{\"diagonal\": {}, \"permutation\": {}, ",
-                        "\"general\": {}, \"mat4\": {}, \"windows\": {}, \"windowed\": {}}},\n",
-                        "     \"class_rates_per_s\": {{\"diagonal\": {:.0}, ",
-                        "\"permutation\": {:.0}, \"general\": {:.0}, \"mat4\": {:.0}}}}}"
-                    ),
-                    m.name,
-                    m.qubits,
-                    m.gates,
-                    reference_fields,
-                    m.kernels.as_secs_f64() * 1e3,
-                    m.gate_rate(),
-                    m.stats.diagonal,
-                    m.stats.permutation,
-                    m.stats.general,
-                    m.stats.mat4,
-                    m.stats.windows,
-                    m.stats.windowed,
-                    m.class_rate(m.stats.diagonal),
-                    m.class_rate(m.stats.permutation),
-                    m.class_rate(m.stats.general),
-                    m.class_rate(m.stats.mat4),
-                )
-            })
-            .collect();
-        let cores = std::thread::available_parallelism().map_or(0, usize::from);
-        let json = format!(
-            concat!(
-                "{{\n  \"bench\": \"statevec_kernels\",\n  \"mode\": \"{}\",\n",
-                "  \"machine\": {{\"cores\": {}, \"simd\": \"{}\"}},\n",
-                "  \"benches\": [\n{}\n  ]\n}}\n"
-            ),
-            if quick { "quick" } else { "full" },
-            cores,
-            quipper_sim::simd::feature_name(),
-            entries.join(",\n")
-        );
-        std::fs::write(path, json).unwrap();
+        let mut w = JsonWriter::new();
+        w.begin_object()
+            .newline()
+            .key("bench")
+            .string("statevec_kernels");
+        w.newline()
+            .key("mode")
+            .string(if quick { "quick" } else { "full" });
+        w.newline().key("machine").begin_object();
+        w.key("cores")
+            .int(std::thread::available_parallelism().map_or(0, usize::from));
+        w.key("threads").int(StateVecConfig::default().threads);
+        w.key("simd").string(quipper_sim::simd::feature_name());
+        w.end_object();
+        w.newline().key("benches").begin_array();
+        for m in &results {
+            w.newline().begin_object().key("name").string(m.name);
+            w.key("qubits").int(m.qubits);
+            w.key("gates").int(m.gates);
+            if let (Some(r), Some(s)) = (m.reference, m.speedup_vs_reference()) {
+                w.key("reference_ms").float(r.as_secs_f64() * 1e3, Some(3));
+                w.key("speedup").float(s, Some(2));
+            }
+            w.key("kernels_ms")
+                .float(m.kernels.as_secs_f64() * 1e3, Some(3));
+            w.key("kernel_gate_rate_per_s")
+                .float(m.gate_rate(), Some(0));
+            w.newline().key("class_dispatches").begin_object();
+            w.key("diagonal").int(m.stats.diagonal);
+            w.key("permutation").int(m.stats.permutation);
+            w.key("general").int(m.stats.general);
+            w.key("windows").int(m.stats.windows);
+            w.key("windowed").int(m.stats.windowed);
+            w.end_object();
+            w.newline().key("class_rates_per_s").begin_object();
+            w.key("diagonal")
+                .float(m.class_rate(m.stats.diagonal), Some(0));
+            w.key("permutation")
+                .float(m.class_rate(m.stats.permutation), Some(0));
+            w.key("general")
+                .float(m.class_rate(m.stats.general), Some(0));
+            w.end_object().end_object();
+        }
+        w.newline().end_array().newline().end_object().newline();
+        std::fs::write(path, w.finish()).unwrap();
         println!("wrote BENCH_statevec.json");
     }
 }

@@ -412,15 +412,6 @@ impl Engine {
         self.trace
     }
 
-    /// Which backend auto-selection would route this circuit to.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Engine::run`], minus execution errors.
-    pub fn select_backend(&self, circuit: &BCircuit) -> Result<&'static str, ExecError> {
-        Ok(self.route(&*self.plan(circuit)?, None)?.name())
-    }
-
     fn route(&self, plan: &Plan, pinned: Option<&str>) -> Result<&dyn Backend, ExecError> {
         if let Some(name) = pinned {
             let backend = self
@@ -878,12 +869,6 @@ mod tests {
                 gates_in: 210,
                 gates_out: 198,
                 fused_away: 12,
-                fused_2q: 4,
-                windowable: 150,
-                diagonal: 20,
-                permutation: 30,
-                general: 100,
-                other: 48,
             },
             route_reason: "universal gate set; peak 9 qubits within state-vector cap".into(),
             lint: None,

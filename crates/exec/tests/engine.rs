@@ -53,9 +53,13 @@ fn t_gate() -> BCircuit {
 #[test]
 fn auto_selection_routes_to_cheapest_backend() {
     let engine = Engine::new();
-    assert_eq!(engine.select_backend(&parity3()).unwrap(), "classical");
-    assert_eq!(engine.select_backend(&bell()).unwrap(), "stabilizer");
-    assert_eq!(engine.select_backend(&t_gate()).unwrap(), "statevec");
+    let routed = |bc: &BCircuit, inputs: usize| {
+        let job = Job::new(bc).inputs(vec![false; inputs]);
+        engine.run(&job).unwrap().report.backend
+    };
+    assert_eq!(routed(&parity3(), 4), "classical");
+    assert_eq!(routed(&bell(), 2), "stabilizer");
+    assert_eq!(routed(&t_gate(), 1), "statevec");
 }
 
 /// The headline determinism guarantee: an N-shot Grover job with a fixed

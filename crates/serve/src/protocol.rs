@@ -267,6 +267,20 @@ pub fn handle_line(service: &Service, catalog: &Catalog, line: &str) -> Handled 
 /// line, well under the library's own ingestion cap.
 pub const MAX_QASM_BYTES: usize = 256 * 1024;
 
+/// Wire-level cap on one request line, newline excluded: a submit carrying
+/// a [`MAX_QASM_BYTES`] program at JSON's worst-case escaping (six bytes,
+/// `\u00XX`, per source byte), plus 64 KiB for the other members. The
+/// server drops a longer line's bytes as they arrive and answers it with
+/// `bad request: line longer than N bytes`.
+pub const MAX_LINE_BYTES: usize = 6 * MAX_QASM_BYTES + 64 * 1024;
+
+/// The answer to a request line longer than [`MAX_LINE_BYTES`].
+pub(crate) fn line_too_long() -> Handled {
+    err(&format!(
+        "bad request: line longer than {MAX_LINE_BYTES} bytes"
+    ))
+}
+
 /// Rejects an inline-QASM request with the full diagnostics list, so
 /// clients can render span-anchored errors without another round trip.
 fn err_with_diagnostics(message: &str, diags: &quipper_qasm::Diagnostics) -> Handled {

@@ -9,10 +9,12 @@
 //! still stall a client that leaves Nagle on). Whoever raises the stop
 //! flag ([`Server::stop`], `Drop`, the connection thread that handled a
 //! `shutdown` op) wakes the listener with one connect to its own address.
-//! The server is deliberately boring — all scheduling intelligence lives in
-//! the [`Service`]; this layer only moves lines.
+//! A connection holds at most [`MAX_LINE_BYTES`] of a request line: the
+//! rest of a longer line is dropped as it arrives, and the line is answered
+//! with one error. The server is deliberately boring — all scheduling
+//! intelligence lives in the [`Service`]; this layer only moves lines.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -20,7 +22,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::catalog::Catalog;
-use crate::protocol::handle_line;
+use crate::protocol::{handle_line, line_too_long, MAX_LINE_BYTES};
 use crate::service::Service;
 
 /// A running NDJSON server over a [`Service`].
@@ -165,11 +167,16 @@ fn serve_connection(stream: TcpStream, service: &Service, catalog: &Catalog, sto
     // The request line read so far. A read can time out mid-line, even
     // mid-character: its bytes stay here until the whole line is handled.
     let mut line = Vec::new();
+    // Whether the line being read is longer than `MAX_LINE_BYTES`: its
+    // bytes are dropped as they arrive, and its newline gets an error.
+    let mut overlong = false;
     loop {
         if stop.raised() {
             return;
         }
-        match reader.read_until(b'\n', &mut line) {
+        // One byte past the cap at most: a line that reaches it is overlong.
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', &mut line) {
             Ok(0) if line.is_empty() => return, // client hung up
             Ok(_) => {}
             Err(e)
@@ -180,11 +187,21 @@ fn serve_connection(stream: TcpStream, service: &Service, catalog: &Catalog, sto
             }
             Err(_) => return,
         }
-        let Ok(request) = std::str::from_utf8(&line) else {
-            return;
+        if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') {
+            overlong = true;
+            line.clear();
+            continue;
+        }
+        let handled = if std::mem::take(&mut overlong) {
+            Some(line_too_long())
+        } else {
+            let Ok(request) = std::str::from_utf8(&line) else {
+                return;
+            };
+            let blank = request.trim().is_empty();
+            (!blank).then(|| handle_line(service, catalog, request))
         };
-        if !request.trim().is_empty() {
-            let mut handled = handle_line(service, catalog, request);
+        if let Some(mut handled) = handled {
             // Raise the stop flag before answering: a one-shot client may
             // close right after sending `shutdown`, and a failed response
             // write must not swallow the request.

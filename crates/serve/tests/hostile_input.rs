@@ -1,6 +1,6 @@
 //! Hostile request lines cost one request: a line nested far past any
-//! stack is answered with `ok:false`, and the process, the connection and
-//! the other connections keep serving.
+//! stack, or longer than the wire's line cap, is answered with `ok:false`,
+//! and the process, the connection and the other connections keep serving.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use quipper_exec::Engine;
 use quipper_serve::catalog::Catalog;
-use quipper_serve::protocol::handle_line;
+use quipper_serve::protocol::{handle_line, MAX_LINE_BYTES};
 use quipper_serve::{Server, Service, ServiceConfig};
 
 fn service() -> Service {
@@ -57,6 +57,24 @@ fn a_megabyte_of_open_brackets_costs_the_server_one_request() {
     assert!(response.starts_with(BAD_REQUEST), "{response}");
 
     // The same connection and a new one are both still served.
+    let pong = "{\"ok\":true,\"pong\":true}\n";
+    assert_eq!(rpc(&mut hostile, br#"{"op":"ping"}"#), pong);
+    assert_eq!(rpc(&mut connect(), br#"{"op":"ping"}"#), pong);
+}
+
+#[test]
+fn an_eight_megabyte_line_is_dropped_as_it_arrives_and_answered() {
+    let server = Server::start("127.0.0.1:0", Arc::new(service()), Arc::new(Catalog::new()))
+        .expect("bind loopback");
+    let connect = || BufReader::new(TcpStream::connect(server.local_addr()).unwrap());
+
+    let mut hostile = connect();
+    let response = rpc(&mut hostile, &vec![b'x'; 8 << 20]);
+    assert_eq!(
+        response,
+        format!("{BAD_REQUEST}line longer than {MAX_LINE_BYTES} bytes\"}}\n")
+    );
+
     let pong = "{\"ok\":true,\"pong\":true}\n";
     assert_eq!(rpc(&mut hostile, br#"{"op":"ping"}"#), pong);
     assert_eq!(rpc(&mut connect(), br#"{"op":"ping"}"#), pong);

@@ -5,8 +5,9 @@
 //! [`WinGate`]: wires are slot indices, controls one `(mask, want)` condition
 //! on the amplitude index. [`WinGate::from_mat2`] is the only classifier of
 //! 2×2 matrices (diagonal, folding to a phase when one entry is 1;
-//! anti-diagonal; dense), and a resolved gate has exactly two executors:
-//! [`apply`] here, one pass over the whole state for one gate, and
+//! anti-diagonal; dense). The only two-slot gates are swap and W, each with
+//! a kernel of its own. A resolved gate has exactly two executors: [`apply`]
+//! here, one pass over the whole state for one gate, and
 //! [`crate::window::execute`], one pass for a run of gates.
 //!
 //! The naive update scans all 2^n indices and branches on `i & bit == 0` and
@@ -48,10 +49,6 @@ use crate::simd;
 
 /// A 2×2 complex matrix, row-major: `m[row][col]`.
 pub type Mat2 = [[Complex; 2]; 2];
-
-/// A 4×4 complex matrix over two qubit slots, row-major. The basis index is
-/// `(b << 1) | a` where `a` is the *first* slot's bit and `b` the second's.
-pub type Mat4 = [[Complex; 4]; 4];
 
 /// How a 2×2 matrix is executed; see [`classify`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -103,8 +100,6 @@ pub struct KernelStats {
     /// Windows executed (each window is one sweep of the state applying
     /// `windowed / windows` gates on average).
     pub windows: u64,
-    /// Dedicated two-qubit 4×4 dispatches (fused 2q runs).
-    pub mat4: u64,
     /// Swap gates absorbed into slot relabeling (no amplitude traffic).
     pub relabeled: u64,
 }
@@ -125,7 +120,6 @@ impl KernelStats {
         self.threaded += other.threaded;
         self.windowed += other.windowed;
         self.windows += other.windows;
-        self.mat4 += other.mat4;
         self.relabeled += other.relabeled;
     }
 }
@@ -207,15 +201,6 @@ pub(crate) enum WinGate {
         mask: usize,
         want: usize,
     },
-    /// A fused 4×4 over two slots (boxed: the matrix would otherwise
-    /// dominate the enum size).
-    Mat4g {
-        a: usize,
-        b: usize,
-        m: Box<Mat4>,
-        mask: usize,
-        want: usize,
-    },
 }
 
 impl WinGate {
@@ -278,9 +263,7 @@ impl WinGate {
     /// wholly inside a strip.
     pub(crate) fn fits_window(&self, block: usize) -> bool {
         match self {
-            WinGate::Swap2 { a, b, .. }
-            | WinGate::W2 { a, b, .. }
-            | WinGate::Mat4g { a, b, .. } => (1usize << a.max(b)) < block,
+            WinGate::Swap2 { a, b, .. } | WinGate::W2 { a, b, .. } => (1usize << a.max(b)) < block,
             _ => true,
         }
     }
@@ -310,8 +293,7 @@ impl WinGate {
             | WinGate::Perm { mask, want, .. }
             | WinGate::Dense { mask, want, .. }
             | WinGate::Swap2 { mask, want, .. }
-            | WinGate::W2 { mask, want, .. }
-            | WinGate::Mat4g { mask, want, .. } => (mask, want),
+            | WinGate::W2 { mask, want, .. } => (mask, want),
         }
     }
 
@@ -325,14 +307,6 @@ impl WinGate {
             WinGate::Phase { .. } | WinGate::Diag { .. } => stats.diagonal += 1,
             WinGate::Perm { .. } | WinGate::Swap2 { .. } => stats.permutation += 1,
             WinGate::Dense { .. } | WinGate::W2 { .. } => stats.general += 1,
-            WinGate::Mat4g { m, .. } => {
-                stats.mat4 += 1;
-                if classify4(m) == KernelClass::Diagonal {
-                    stats.diagonal += 1;
-                } else {
-                    stats.general += 1;
-                }
-            }
         }
     }
 }
@@ -370,7 +344,6 @@ pub(crate) fn apply_under(
         WinGate::Dense { slot, ref m, .. } => apply_general(amps, slot, m, mask, want, ctx, stats),
         WinGate::Swap2 { a, b, .. } => apply_swap(amps, a, b, mask, want, ctx, stats),
         WinGate::W2 { a, b, .. } => apply_w(amps, a, b, mask, want, ctx, stats),
-        WinGate::Mat4g { a, b, ref m, .. } => apply_mat4(amps, a, b, m, mask, want, ctx, stats),
     }
 }
 
@@ -695,155 +668,6 @@ pub(crate) fn apply_w(
     if threaded {
         stats.threaded += 1;
     }
-}
-
-/// Classifies a 4×4 matrix: diagonal (all off-diagonal entries exactly
-/// zero) or dense. As with [`classify`], the test is exact so a near-zero
-/// fused product never silently changes results.
-pub fn classify4(m: &Mat4) -> KernelClass {
-    for (r, row) in m.iter().enumerate() {
-        for (c, e) in row.iter().enumerate() {
-            if r != c && !(e.re == 0.0 && e.im == 0.0) {
-                return KernelClass::General;
-            }
-        }
-    }
-    KernelClass::Diagonal
-}
-
-/// The dedicated two-qubit kernel: applies a 4×4 matrix over
-/// `(slot_a, slot_b)` (basis index `(b << 1) | a`) under the control
-/// condition `(i & mask) == want`. Diagonal matrices scale each quadrant in
-/// place; dense matrices do the full 4-amplitude update from a snapshot.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_mat4(
-    amps: &mut [Complex],
-    slot_a: usize,
-    slot_b: usize,
-    m: &Mat4,
-    mask: usize,
-    want: usize,
-    ctx: &KernelCtx,
-    stats: &mut KernelStats,
-) {
-    let (ba, bb) = (1usize << slot_a, 1usize << slot_b);
-    let m = *m;
-    let diagonal = classify4(&m) == KernelClass::Diagonal;
-    stats.mat4 += 1;
-    if diagonal {
-        stats.diagonal += 1;
-    } else {
-        stats.general += 1;
-    }
-    if mask != 0 {
-        stats.subcube += 1;
-    }
-    let threaded = dispatch(amps, ctx, 2 * ba.max(bb), move |base, chunk| {
-        let Some((mask, want)) = localize(base, chunk.len(), mask, want) else {
-            return;
-        };
-        if diagonal {
-            let d = [m[0][0], m[1][1], m[2][2], m[3][3]];
-            for_each_subcube(chunk.len(), mask | ba | bb, |i| {
-                let i00 = i | want;
-                for (k, dk) in d.iter().enumerate() {
-                    if *dk != ONE {
-                        let idx =
-                            i00 | if k & 1 != 0 { ba } else { 0 } | if k & 2 != 0 { bb } else { 0 };
-                        chunk[idx] = *dk * chunk[idx];
-                    }
-                }
-            });
-        } else {
-            for_each_subcube(chunk.len(), mask | ba | bb, |i| {
-                let i00 = i | want;
-                let idx = [i00, i00 | ba, i00 | bb, i00 | ba | bb];
-                let x = [chunk[idx[0]], chunk[idx[1]], chunk[idx[2]], chunk[idx[3]]];
-                for (r, row) in m.iter().enumerate() {
-                    chunk[idx[r]] =
-                        ((row[0] * x[0] + row[1] * x[1]) + row[2] * x[2]) + row[3] * x[3];
-                }
-            });
-        }
-    });
-    if threaded {
-        stats.threaded += 1;
-    }
-}
-
-/// The 4×4 identity matrix.
-pub fn identity4() -> Mat4 {
-    let mut m = [[ZERO; 4]; 4];
-    for (i, row) in m.iter_mut().enumerate() {
-        row[i] = ONE;
-    }
-    m
-}
-
-/// Matrix product `a · b` over two qubits (`b` applies first).
-pub fn matmul4(a: &Mat4, b: &Mat4) -> Mat4 {
-    let mut out = [[ZERO; 4]; 4];
-    for r in 0..4 {
-        for c in 0..4 {
-            let mut acc = ZERO;
-            for (k, bk) in b.iter().enumerate() {
-                acc += a[r][k] * bk[c];
-            }
-            out[r][c] = acc;
-        }
-    }
-    out
-}
-
-/// Embeds a 1q matrix into a 4×4 over the pair: it acts on the second slot
-/// when `high`, optionally controlled on the *other* slot being `ctrl`.
-pub fn embed1q(m: &Mat2, high: bool, ctrl: Option<bool>) -> Mat4 {
-    let mut out = [[ZERO; 4]; 4];
-    for other in 0..2usize {
-        let active = ctrl.is_none_or(|v| other == usize::from(v));
-        for (r, mrow) in m.iter().enumerate() {
-            for (c, &mval) in mrow.iter().enumerate() {
-                let (row, col) = if high {
-                    (r * 2 + other, c * 2 + other)
-                } else {
-                    (other * 2 + r, other * 2 + c)
-                };
-                out[row][col] = if active {
-                    mval
-                } else if r == c {
-                    ONE
-                } else {
-                    ZERO
-                };
-            }
-        }
-    }
-    out
-}
-
-/// The 4×4 W matrix (paper Figure 1), oriented so the *first* slot is basis
-/// bit 0: it fixes |00⟩ and |11⟩ and Hadamard-mixes the a=0,b=1 amplitude
-/// (index 2) with the a=1,b=0 amplitude (index 1), matching [`apply_w`].
-pub fn w4() -> Mat4 {
-    let s = Complex::new(std::f64::consts::FRAC_1_SQRT_2, 0.0);
-    let mut m = [[ZERO; 4]; 4];
-    m[0][0] = ONE;
-    m[3][3] = ONE;
-    m[2][2] = s;
-    m[2][1] = s;
-    m[1][2] = s;
-    m[1][1] = -s;
-    m
-}
-
-/// The 4×4 swap matrix (exchanges basis indices 1 and 2).
-pub fn swap4() -> Mat4 {
-    let mut m = [[ZERO; 4]; 4];
-    m[0][0] = ONE;
-    m[1][2] = ONE;
-    m[2][1] = ONE;
-    m[3][3] = ONE;
-    m
 }
 
 /// The matrix of a named single-qubit gate, if it has one.

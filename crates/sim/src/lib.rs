@@ -19,6 +19,11 @@
 //!   *dynamic lifting* (paper §4.3), for algorithms that interleave circuit
 //!   generation and execution such as Unique Shortest Vector.
 //!
+//! The state-vector simulator runs the stream [`fuse::fuse_circuit`] makes
+//! once per plan (same-wire single-qubit runs merged into 2×2 products,
+//! unitary runs cut into window segments) through [`kernels`] and the
+//! blocked window executor.
+//!
 //! Each simulator has one production path. The slow implementations the
 //! fast ones are proven against — the full-scan state vector, the bool
 //! tableau — live in [`reference`], which only tests and benchmarks name.

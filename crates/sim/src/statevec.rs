@@ -8,7 +8,7 @@
 //! number of wires — scoped ancillas (paper §4.2.1) pay only while in scope.
 //!
 //! There is one execution path. A unitary op — a gate of the circuit or a
-//! fused product from [`crate::fuse`] — is *resolved* once, by
+//! fused single-qubit product from [`crate::fuse`] — is *resolved* once, by
 //! `StateVec::resolve`, into a slot-space gate: controls become a bitmask
 //! test, wires become slots, the matrix is classified, an uncontrolled swap
 //! becomes a relabeling of two slots. The resolved gate then goes to one of
@@ -28,7 +28,6 @@
 mod evolve;
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -380,13 +379,6 @@ impl StateVec {
                 let slot = self.slot_of(*wire)?;
                 Ok(Resolved::Gate(WinGate::from_mat2(slot, mat, mask, want)))
             }
-            FusedOp::Unitary2q { a, b, mat, .. } => Ok(Resolved::Gate(WinGate::Mat4g {
-                a: self.slot_of(*a)?,
-                b: self.slot_of(*b)?,
-                m: Box::new(*mat),
-                mask: 0,
-                want: 0,
-            })),
         }
     }
 
@@ -803,7 +795,6 @@ fn publish_kernel_metrics(sv: &StateVec) {
     m.add(quipper_trace::names::KERNEL_THREADED, stats.threaded);
     m.add(quipper_trace::names::KERNEL_WINDOWED, stats.windowed);
     m.add(quipper_trace::names::KERNEL_WINDOWS, stats.windows);
-    m.add(quipper_trace::names::KERNEL_MAT4, stats.mat4);
     m.add(quipper_trace::names::KERNEL_RELABELED, stats.relabeled);
 }
 
@@ -1136,73 +1127,5 @@ mod tests {
                 "{gate:?} in a fused stream: {err:?}"
             );
         }
-    }
-}
-
-/// Runs a circuit `shots` times (seeds `seed0..seed0+shots`) and returns a
-/// histogram over the classical outputs, most frequent first.
-///
-/// All declared outputs must be classical (measure them in the circuit).
-///
-/// # Errors
-///
-/// As for [`run`].
-///
-/// # Examples
-///
-/// ```
-/// use quipper::{Circ, Qubit};
-///
-/// let bell = Circ::build(&(false, false), |c, (a, b): (Qubit, Qubit)| {
-///     c.hadamard(a);
-///     c.cnot(b, a);
-///     c.measure((a, b))
-/// });
-/// let hist = quipper_sim::statevec::sample_outputs(&bell, &[false, false], 200, 1)?;
-/// // Only the correlated outcomes 00 and 11 appear.
-/// assert_eq!(hist.len(), 2);
-/// for (pattern, n) in &hist {
-///     assert_eq!(pattern[0], pattern[1]);
-///     assert!(*n > 50);
-/// }
-/// # Ok::<(), quipper_sim::SimError>(())
-/// ```
-pub fn sample_outputs(
-    bc: &BCircuit,
-    inputs: &[bool],
-    shots: u64,
-    seed0: u64,
-) -> Result<Vec<(Vec<bool>, u64)>, SimError> {
-    let mut hist: HashMap<Vec<bool>, u64> = HashMap::new();
-    // Inline, fuse and evolve the shot-invariant prefix once; every shot is
-    // then drawn from the evolved state.
-    let flat = inline_all(&bc.db, &bc.main)?;
-    let fused = Arc::new(fuse_circuit(&flat));
-    let evolved = evolve(fused, inputs, StateVecConfig::default(), &|| false)?;
-    let mut shots_from = evolved.shots();
-    for shot in 0..shots {
-        *hist.entry(shots_from.shot(seed0 + shot)?).or_insert(0) += 1;
-    }
-    let mut out: Vec<(Vec<bool>, u64)> = hist.into_iter().collect();
-    out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    Ok(out)
-}
-
-#[cfg(test)]
-mod sample_tests {
-    use quipper::{Circ, Qubit};
-
-    #[test]
-    fn histogram_is_deterministic_given_seeds_and_sums_to_shots() {
-        let bc = Circ::build(&false, |c, q: Qubit| {
-            c.hadamard(q);
-            c.measure_bit(q)
-        });
-        let h1 = super::sample_outputs(&bc, &[false], 100, 5).unwrap();
-        let h2 = super::sample_outputs(&bc, &[false], 100, 5).unwrap();
-        assert_eq!(h1, h2, "same seeds, same histogram");
-        let total: u64 = h1.iter().map(|(_, n)| n).sum();
-        assert_eq!(total, 100);
-        assert_eq!(h1.len(), 2, "both outcomes occur in 100 shots");
     }
 }

@@ -138,8 +138,6 @@ pub mod names {
     pub const KERNEL_WINDOWED: &str = "sim.kernel.windowed";
     /// Blocked windows flushed.
     pub const KERNEL_WINDOWS: &str = "sim.kernel.windows";
-    /// Fused two-qubit (4x4) kernel dispatches.
-    pub const KERNEL_MAT4: &str = "sim.kernel.mat4";
     /// Swap gates absorbed into wire-slot relabeling.
     pub const KERNEL_RELABELED: &str = "sim.kernel.relabeled";
 
@@ -213,7 +211,6 @@ pub mod names {
         KERNEL_THREADED,
         KERNEL_WINDOWED,
         KERNEL_WINDOWS,
-        KERNEL_MAT4,
         KERNEL_RELABELED,
         LIVE_QUBITS_PEAK,
         QASM_PROGRAMS,
