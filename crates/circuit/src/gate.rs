@@ -422,6 +422,40 @@ impl Gate {
         }
     }
 
+    /// Whether this gate undoes `prev`: it equals
+    /// [`prev.inverse()`](Gate::inverse) up to the order of the controls
+    /// and the inversion flag of self-inverse gates (`X⁻¹` *is* `X`). Gates
+    /// without an inverse undo nothing. Which gates may cancel at all
+    /// (unitaries, calls, not init/term pairs) is the caller's filter.
+    pub fn undoes(&self, prev: &Gate) -> bool {
+        prev.inverse()
+            .is_ok_and(|inv| inv.canonical() == self.canonical())
+    }
+
+    /// The form [`Gate::undoes`] compares: controls sorted, and the
+    /// inversion flag cleared on self-inverse named gates.
+    fn canonical(&self) -> Gate {
+        let mut g = self.clone();
+        match &mut g {
+            Gate::QGate {
+                name,
+                inverted,
+                controls,
+                ..
+            } => {
+                if name.is_self_inverse() {
+                    *inverted = false;
+                }
+                controls.sort_unstable();
+            }
+            Gate::QRot { controls, .. }
+            | Gate::GPhase { controls, .. }
+            | Gate::Subroutine { controls, .. } => controls.sort_unstable(),
+            _ => {}
+        }
+        g
+    }
+
     /// Calls `f` on every wire the gate touches (targets, controls,
     /// initialized and terminated wires, labels).
     pub fn for_each_wire(&self, f: &mut impl FnMut(Wire)) {
@@ -753,6 +787,26 @@ mod tests {
         assert!(GateName::H.is_self_inverse());
         assert!(!GateName::T.is_self_inverse());
         assert!(!GateName::W.is_self_inverse());
+    }
+
+    #[test]
+    fn undoes_ignores_control_order_and_self_inverse_flags() {
+        let x = Gate::toffoli(Wire(0), Wire(1), Wire(2));
+        let flagged_swapped = Gate::QGate {
+            name: GateName::X,
+            inverted: true,
+            targets: vec![Wire(0)],
+            controls: vec![Control::positive(Wire(2)), Control::positive(Wire(1))],
+        };
+        assert!(flagged_swapped.undoes(&x));
+        assert!(x.undoes(&flagged_swapped));
+        // T is not self-inverse: only T† undoes it.
+        let t = Gate::unary(GateName::T, Wire(0));
+        assert!(!t.undoes(&t));
+        assert!(t.inverse().unwrap().undoes(&t));
+        // A measurement has no inverse, so nothing undoes it.
+        let m = Gate::QMeas { wire: Wire(0) };
+        assert!(!m.undoes(&m));
     }
 
     #[test]

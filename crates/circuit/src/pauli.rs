@@ -9,8 +9,8 @@
 //!   `G P G†`? Exact for the Clifford gates {X, Y, Z, H, S, S†, CNOT
 //!   (positive or negative control), CZ, Swap}, for any gate that does not
 //!   touch `P`'s support, and for Z-diagonal gates against Z/I strings.
-//!   Everything else returns `None` — sound, not complete, the same trade
-//!   `commute.rs` makes.
+//!   `P` is rewritten in place; everything else is refused (`false`, `P`
+//!   unchanged) — sound, not complete, the same trade `commute.rs` makes.
 //! * **Commutation**: two Pauli strings commute iff they anticommute on an
 //!   even number of wires (the symplectic form over GF(2)).
 //! * **Phase polynomials**: over a region built from {X, CNOT, Swap,
@@ -165,8 +165,10 @@ impl PauliString {
         }
     }
 
-    /// The conjugate `G · self · G†`, or `None` when the gate is outside the
-    /// supported Clifford fragment (relative to this string).
+    /// Conjugates the string in place, `self ← G · self · G†`. Returns
+    /// `false` when the gate is outside the supported Clifford fragment
+    /// (relative to this string): the string is then left unchanged, and
+    /// the caller drops it.
     ///
     /// Three tiers are handled exactly:
     /// 1. gates disjoint from the string's support leave it unchanged;
@@ -174,11 +176,11 @@ impl PauliString {
     ///    conjugation tables (negative controls conjugate by X first);
     /// 3. any all-Z-diagonal gate (T, controlled phases, Z rotations,
     ///    GPhase) fixes a string that is Z or I on every wire it touches.
-    pub fn conjugate(&self, gate: &Gate) -> Option<PauliString> {
+    pub fn conjugate(&mut self, gate: &Gate) -> bool {
         let mut touches = false;
         gate.for_each_wire(&mut |w| touches |= self.ops.contains_key(&w));
         if !touches {
-            return Some(self.clone());
+            return true;
         }
         match gate {
             Gate::QGate {
@@ -188,70 +190,66 @@ impl PauliString {
                 controls,
             } => match (name, controls.len()) {
                 (GateName::X | GateName::Y | GateName::Z | GateName::H | GateName::S, 0) => {
-                    let mut out = self.clone();
                     for &t in targets {
-                        conj_1q(&mut out, t, name, *inverted);
+                        conj_1q(self, t, name, *inverted);
                     }
-                    Some(out)
+                    true
                 }
                 (GateName::Swap, 0) => {
-                    let [a, b] = targets[..] else { return None };
-                    let mut out = self.clone();
-                    let (pa, pb) = (out.get(a), out.get(b));
-                    out.set(a, pb);
-                    out.set(b, pa);
-                    Some(out)
+                    let [a, b] = targets[..] else { return false };
+                    let (pa, pb) = (self.get(a), self.get(b));
+                    self.set(a, pb);
+                    self.set(b, pa);
+                    true
                 }
                 (GateName::X, 1) => {
                     let c = controls[0];
                     if targets.contains(&c.wire) {
-                        return None; // malformed self-control; stay conservative
+                        return false; // malformed self-control; stay conservative
                     }
-                    let mut out = self.clone();
                     if !c.positive {
-                        out.conj_by_pauli(c.wire, Pauli::X);
+                        self.conj_by_pauli(c.wire, Pauli::X);
                     }
                     for &t in targets {
-                        conj_cnot(&mut out, c.wire, t);
+                        conj_cnot(self, c.wire, t);
                     }
                     if !c.positive {
-                        out.conj_by_pauli(c.wire, Pauli::X);
+                        self.conj_by_pauli(c.wire, Pauli::X);
                     }
-                    Some(out)
+                    true
                 }
                 (GateName::Z, 1) => {
                     let c = controls[0];
                     if targets.contains(&c.wire) {
-                        return None;
+                        return false;
                     }
-                    let mut out = self.clone();
                     if !c.positive {
-                        out.conj_by_pauli(c.wire, Pauli::X);
+                        self.conj_by_pauli(c.wire, Pauli::X);
                     }
                     for &t in targets {
-                        conj_cz(&mut out, c.wire, t);
+                        conj_cz(self, c.wire, t);
                     }
                     if !c.positive {
-                        out.conj_by_pauli(c.wire, Pauli::X);
+                        self.conj_by_pauli(c.wire, Pauli::X);
                     }
-                    Some(out)
+                    true
                 }
-                _ => self.conjugate_diagonal(gate),
+                _ => self.fixed_by_diagonal(gate),
             },
-            Gate::QRot { .. } | Gate::GPhase { .. } => self.conjugate_diagonal(gate),
-            _ => None,
+            Gate::QRot { .. } | Gate::GPhase { .. } => self.fixed_by_diagonal(gate),
+            _ => false,
         }
     }
 
     /// Tier 3: a gate diagonal in the computational basis on every wire it
     /// touches fixes any string that is Z/I on those wires.
-    fn conjugate_diagonal(&self, gate: &Gate) -> Option<PauliString> {
+    fn fixed_by_diagonal(&self, gate: &Gate) -> bool {
         let actions = wire_actions(gate);
         let diagonal = actions.values().all(|&a| a == WireAction::ZDiagonal);
         let z_only = actions
             .keys()
             .all(|w| matches!(self.get(*w), Pauli::I | Pauli::Z));
-        (diagonal && z_only).then(|| self.clone())
+        diagonal && z_only
     }
 }
 
@@ -847,7 +845,8 @@ mod tests {
                     targets: vec![Wire(0)],
                     controls: vec![],
                 };
-                let conj = s.conjugate(&gate).expect("Clifford");
+                let mut conj = s.clone();
+                assert!(conj.conjugate(&gate), "Clifford");
                 let lhs = matmul(&matmul(&g, &string_mat(&s, &[Wire(0)])), &dagger(&g));
                 let rhs = string_mat(&conj, &[Wire(0)]);
                 assert!(
@@ -887,7 +886,8 @@ mod tests {
         ];
         for (gate, g) in &cases {
             for s in all_strings_2q() {
-                let conj = s.conjugate(gate).expect("Clifford");
+                let mut conj = s.clone();
+                assert!(conj.conjugate(gate), "Clifford");
                 let lhs = matmul(&matmul(g, &string_mat(&s, &[Wire(0), Wire(1)])), &dagger(g));
                 let rhs = string_mat(&conj, &[Wire(0), Wire(1)]);
                 assert!(
@@ -903,17 +903,24 @@ mod tests {
     fn diagonal_gates_fix_z_strings() {
         let t = Gate::unary(GateName::T, Wire(0));
         let z = PauliString::single(Wire(0), Pauli::Z);
-        assert_eq!(z.conjugate(&t), Some(z.clone()));
+        let mut conj = z.clone();
+        assert!(conj.conjugate(&t));
+        assert_eq!(conj, z);
         // …and the matrices agree.
         let g = gate_1q_mat(&GateName::T, false);
         let lhs = matmul(&matmul(&g, &string_mat(&z, &[Wire(0)])), &dagger(&g));
         assert!(approx_eq(&lhs, &string_mat(&z, &[Wire(0)])));
-        // X does not survive a T conjugation in this fragment.
+        // X does not survive a T conjugation in this fragment, and a
+        // refused conjugation leaves the string as it was.
         let x = PauliString::single(Wire(0), Pauli::X);
-        assert_eq!(x.conjugate(&t), None);
+        let mut conj = x.clone();
+        assert!(!conj.conjugate(&t));
+        assert_eq!(conj, x);
         // Disjoint support is always fine.
         let far = PauliString::single(Wire(7), Pauli::X);
-        assert_eq!(far.conjugate(&t), Some(far.clone()));
+        let mut conj = far.clone();
+        assert!(conj.conjugate(&t));
+        assert_eq!(conj, far);
     }
 
     // ---- phase-polynomial regions ----

@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 use quipper::{Circ, QCData, Shape};
 use quipper_circuit::count::{self, GateCount, Peak};
 use quipper_circuit::BCircuit;
-use quipper_opt::{OptLevel, OptSummary, PassStats};
+use quipper_opt::{OptLevel, OptSummary};
 use quipper_sim::{FuseStats, SimError, StateVecConfig, Suffix};
 use quipper_trace::{fmt_duration, names, Phase, Tracer};
 
@@ -222,10 +222,6 @@ pub struct ExecReport {
     /// What the optimizer did to the executed plan (static per plan).
     /// `None` when the plan was compiled at [`OptLevel::Off`].
     pub opt: Option<OptSummary>,
-    /// Per-pass optimizer deltas for the executed plan, in pipeline order
-    /// (static per plan). `None` when the plan was compiled at
-    /// [`OptLevel::Off`], or for reports built outside the engine.
-    pub opt_passes: Option<Vec<PassStats>>,
 }
 
 impl fmt::Display for ExecReport {
@@ -276,11 +272,6 @@ pub struct ExecResult {
 }
 
 impl ExecResult {
-    /// The most frequent output pattern, if any shots ran.
-    pub fn most_frequent(&self) -> Option<&[bool]> {
-        self.histogram.first().map(|(p, _)| p.as_slice())
-    }
-
     /// How many shots produced exactly this pattern.
     pub fn count_of(&self, pattern: &[bool]) -> u64 {
         self.histogram
@@ -577,7 +568,6 @@ impl Engine {
                 route_reason,
                 lint: Some(plan.lint.summary()),
                 opt: plan.opt.as_ref().map(|r| r.summary()),
-                opt_passes: plan.opt.as_ref().map(|r| r.passes.clone()),
             },
         })
     }
@@ -873,7 +863,6 @@ mod tests {
             route_reason: "universal gate set; peak 9 qubits within state-vector cap".into(),
             lint: None,
             opt: None,
-            opt_passes: None,
         }
     }
 

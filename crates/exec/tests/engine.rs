@@ -87,7 +87,7 @@ fn grover_parallel_histogram_is_bit_identical_to_sequential() {
     // Grover uses GPhase + Toffoli-style oracles: only statevec can run it.
     assert_eq!(par.report.backend, "statevec");
     // With the optimal iteration count, |101⟩ = index 5 dominates.
-    let top = par.most_frequent().unwrap();
+    let (top, _) = par.histogram.first().unwrap();
     assert_eq!(top, &[true, false, true], "amplified state wins");
     assert!(par.count_of(top) > shots / 2);
 }

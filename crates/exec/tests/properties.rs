@@ -156,6 +156,9 @@ proptest! {
         prop_assert_eq!(auto.report.backend, "classical");
         prop_assert_eq!(auto.histogram.len(), 1, "basis permutations are deterministic");
         let exact = engine.run(&Job::new(&bc).on_backend("statevec")).unwrap();
-        prop_assert_eq!(auto.most_frequent(), exact.most_frequent());
+        prop_assert_eq!(
+            auto.histogram.first().map(|(p, _)| p),
+            exact.histogram.first().map(|(p, _)| p)
+        );
     }
 }

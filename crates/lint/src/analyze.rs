@@ -27,6 +27,16 @@
 //! (paper §4.2: ancilla scoping inside `with_controls`). A box whose
 //! assertions rely on gates that a control would suppress is flagged at its
 //! controlled call sites (QL003).
+//!
+//! # One walk, both products
+//!
+//! The same walk resolves every control, so it is also where the optimizer's
+//! no-op-control facts come from: a statically violated control is QL032 and
+//! [`Redundancy::NeverFires`], an always-satisfied one QL031 and
+//! [`Redundancy::ConstControl`], recorded together. [`crate::facts`] runs it
+//! as [`crate::lint`] does and drops the report; the termination and
+//! ancilla diagnostics it formats along the way are that walk's only
+//! surplus.
 
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
@@ -109,10 +119,8 @@ pub(crate) struct Analyzer<'a> {
     bc: &'a BCircuit,
     summaries: HashMap<(BoxId, bool), Rc<BoxSummary>>,
     in_flight: HashSet<(BoxId, bool)>,
-    /// The facts product: record [`Facts`], and emit no termination or
-    /// ancilla diagnostics (nobody reads that run's report).
-    facts_only: bool,
-    pub facts: Facts,
+    /// The QL031/QL032 facts, recorded beside their diagnostics.
+    facts: &'a mut Facts,
     pub findings: Vec<Diagnostic>,
     pub proved_terms: usize,
     pub boxes_clean: usize,
@@ -121,14 +129,13 @@ pub(crate) struct Analyzer<'a> {
 }
 
 /// Runs the dataflow passes over `bc`, appending findings and counters to
-/// `report`; with `facts`, the facts-only walk (see [`crate::facts`]).
-pub(crate) fn run(bc: &BCircuit, report: &mut crate::LintReport, facts: Option<&mut Facts>) {
+/// `report` and the no-op-control facts to `facts`.
+pub(crate) fn run(bc: &BCircuit, report: &mut crate::LintReport, facts: &mut Facts) {
     let mut a = Analyzer {
         bc,
         summaries: HashMap::new(),
         in_flight: HashSet::new(),
-        facts_only: facts.is_some(),
-        facts: Facts::default(),
+        facts,
         findings: Vec::new(),
         proved_terms: 0,
         boxes_clean: 0,
@@ -151,9 +158,6 @@ pub(crate) fn run(bc: &BCircuit, report: &mut crate::LintReport, facts: Option<&
     let ids: Vec<BoxId> = bc.db.iter().map(|(id, _)| id).collect();
     for id in ids {
         a.summary(id, false);
-    }
-    if let Some(facts) = facts {
-        *facts = a.facts;
     }
     report.findings.append(&mut a.findings);
     report.proved_terms += a.proved_terms;
@@ -317,11 +321,7 @@ impl<'a> Analyzer<'a> {
                 Gate::QDiscard { wire } | Gate::CDiscard { wire } => {
                     let val = state.remove(wire).unwrap_or(AbsVal::Top);
                     clean &= is_const_bool(&val);
-                    if emit
-                        && !self.facts_only
-                        && matches!(gate, Gate::QDiscard { .. })
-                        && init_origin.remove(wire)
-                    {
+                    if emit && matches!(gate, Gate::QDiscard { .. }) && init_origin.remove(wire) {
                         self.findings.push(Diagnostic::new(
                             "QL011",
                             scope,
@@ -360,11 +360,7 @@ impl<'a> Analyzer<'a> {
                     } else {
                         self.resolve_controls(scope, idx, gate, controls, &state, emit, fact_scope)
                     };
-                    if emit
-                        && !self.facts_only
-                        && !matches!(status, CtrlStatus::Fired)
-                        && !summary.clean_under_block
-                    {
+                    if emit && !matches!(status, CtrlStatus::Fired) && !summary.clean_under_block {
                         self.findings.push(Diagnostic::new(
                             "QL003",
                             scope,
@@ -411,23 +407,21 @@ impl<'a> Analyzer<'a> {
             .map(|&(w, _)| state.get(&w).cloned().unwrap_or(AbsVal::Top))
             .collect();
         if let Mode::Emit { is_box: true } = mode {
-            if !self.facts_only {
-                for (&(w, ty), val) in circuit.outputs.iter().zip(&outputs) {
-                    if ty == WireType::Quantum && init_origin.contains(&w) && val.rank() >= 2 {
-                        self.findings.push(Diagnostic::new(
-                            "QL010",
-                            scope,
-                            None,
-                            "output".into(),
-                            Some(w),
-                            format!(
-                                "ancilla initialized inside this subroutine escapes through \
-                                 its outputs while {}; the caller cannot safely assert or \
-                                 discard it",
-                                val.describe()
-                            ),
-                        ));
-                    }
+            for (&(w, ty), val) in circuit.outputs.iter().zip(&outputs) {
+                if ty == WireType::Quantum && init_origin.contains(&w) && val.rank() >= 2 {
+                    self.findings.push(Diagnostic::new(
+                        "QL010",
+                        scope,
+                        None,
+                        "output".into(),
+                        Some(w),
+                        format!(
+                            "ancilla initialized inside this subroutine escapes through \
+                             its outputs while {}; the caller cannot safely assert or \
+                             discard it",
+                            val.describe()
+                        ),
+                    ));
                 }
             }
         }
@@ -435,8 +429,8 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Resolves a gate's controls, emitting the no-op-control findings
-    /// (QL031/QL032) and, on the facts walk, recording the matching
-    /// [`Facts`] when a stable scope is available.
+    /// (QL031/QL032) and recording the matching [`Facts`] when a stable
+    /// scope is available.
     #[allow(clippy::too_many_arguments)] // mirrors the walk's full context
     fn resolve_controls(
         &mut self,
@@ -496,33 +490,25 @@ impl<'a> Analyzer<'a> {
                         Some(*witness),
                         "this control is statically violated, so the gate never fires".into(),
                     ));
+                    if let Some(fs) = fact_scope {
+                        self.facts
+                            .push(fs, idx, Redundancy::NeverFires { witness: *witness });
+                    }
                 }
                 _ => {
-                    if let Some((w, positive)) = const_true {
+                    if let Some((wire, positive)) = const_true {
                         self.findings.push(Diagnostic::new(
                             "QL031",
                             scope,
                             Some(idx),
                             gate.describe(),
-                            Some(w),
+                            Some(wire),
                             format!(
                                 "this {} control is always satisfied and can be dropped",
                                 if positive { "positive" } else { "negative" }
                             ),
                         ));
-                    }
-                }
-            }
-        }
-        if emit && self.facts_only {
-            if let Some(fs) = fact_scope {
-                match &status {
-                    CtrlStatus::Blocked { witness } => {
-                        self.facts
-                            .push(fs, idx, Redundancy::NeverFires { witness: *witness });
-                    }
-                    _ => {
-                        if let Some((wire, positive)) = const_true {
+                        if let Some(fs) = fact_scope {
                             self.facts
                                 .push(fs, idx, Redundancy::ConstControl { wire, positive });
                         }
@@ -554,7 +540,7 @@ impl<'a> Analyzer<'a> {
                     return true;
                 }
                 Some(actual) => {
-                    if emit && !self.facts_only {
+                    if emit {
                         self.findings.push(Diagnostic::new(
                             "QL001",
                             scope,
@@ -571,7 +557,7 @@ impl<'a> Analyzer<'a> {
                     }
                 }
                 None => {
-                    if emit && !self.facts_only {
+                    if emit {
                         self.findings.push(Diagnostic::new(
                             "QL002",
                             scope,
@@ -588,7 +574,7 @@ impl<'a> Analyzer<'a> {
                 }
             },
             other => {
-                if emit && !self.facts_only {
+                if emit {
                     self.findings.push(Diagnostic::new(
                         "QL002",
                         scope,

@@ -30,9 +30,13 @@
 //!
 //! # Entry points
 //!
-//! One walk, two products, no options: [`lint`] returns the report of every
-//! pass, [`facts`] the redundancy findings as structured [`Facts`] for
-//! rewriters (and does only the work those need).
+//! Two products, no options. Each pass is needed by both or by the report
+//! alone. [`facts`] runs the passes whose findings are also facts — the
+//! analyzer, the adjacent pairs and the conjugated pairs — and returns the
+//! redundancy findings as structured [`Facts`] for rewriters, doing only
+//! the work those need. [`lint`] runs them too, adds the control-context
+//! pass and the Pauli-flow notes (QL040, QL042, QL043), and returns the
+//! report of every pass.
 //!
 //! Runtime circuit errors carry aligned `QL1xx` codes (see
 //! [`CircuitError::code`](quipper_circuit::CircuitError::code)), so static
@@ -79,36 +83,49 @@ use quipper_circuit::BCircuit;
 /// deterministic; the run is recorded as a `lint` span in the active
 /// [`quipper_trace`] session, if any.
 pub fn lint(bc: &BCircuit) -> LintReport {
-    walk(bc, None)
-}
-
-/// The redundancy findings (QL030–QL032, QL041) as structured [`Facts`]
-/// keyed by scope and gate index: runs only the passes that feed them and
-/// discards the human-readable report. This is the entry point optimizers
-/// use.
-pub fn facts(bc: &BCircuit) -> Facts {
-    let mut facts = Facts::default();
-    walk(bc, Some(&mut facts));
-    facts.sort();
-    facts
-}
-
-/// The one walk behind both products. With `facts` it records them and
-/// skips what only the report needs: the control-context pass and the
-/// termination and ancilla diagnostics.
-fn walk(bc: &BCircuit, mut facts: Option<&mut Facts>) -> LintReport {
     let _span = quipper_trace::span(quipper_trace::Phase::Compile, "lint");
     let mut report = LintReport::default();
-    analyze::run(bc, &mut report, facts.as_deref_mut());
-    if facts.is_none() {
-        context::control_pass(bc, &mut report.findings);
-    }
-    pauli::pauli_pass(bc, &mut report.findings, facts.as_deref_mut());
-    structure::redundancy_pass(bc, &mut report.findings, facts);
+    fact_passes(bc, &mut report, &mut Facts::default());
+    context::control_pass(bc, &mut report.findings);
+    pauli::notes(bc, &mut report.findings);
     report
         .findings
         .sort_by(|a, b| (&a.scope, a.gate_index, a.code).cmp(&(&b.scope, b.gate_index, b.code)));
     report
+}
+
+/// The redundancy findings (QL030–QL032, QL041) as structured [`Facts`]
+/// keyed by scope and gate index: runs only the passes that make them and
+/// discards their human-readable findings. This is the entry point
+/// optimizers use.
+pub fn facts(bc: &BCircuit) -> Facts {
+    let _span = quipper_trace::span(quipper_trace::Phase::Compile, "lint");
+    let mut facts = Facts::default();
+    fact_passes(bc, &mut LintReport::default(), &mut facts);
+    facts.sort();
+    facts
+}
+
+/// The passes both products need. Each records its findings and its facts
+/// together: the analyzer (QL001–QL003, QL010–QL011, QL031–QL032, with the
+/// `NeverFires` and `ConstControl` facts), then per scope the adjacent
+/// pairs (QL030, `CancelsPair`) and the conjugated pairs that must not
+/// overlap them (QL041, `ConjugatePair`).
+fn fact_passes(bc: &BCircuit, report: &mut LintReport, facts: &mut Facts) {
+    analyze::run(bc, report, facts);
+    let findings = &mut report.findings;
+    let boxes = bc
+        .db
+        .iter()
+        .map(|(id, def)| (FactScope::Box(id), def.name.as_str(), &def.circuit));
+    for (fact_scope, scope, circuit) in [(FactScope::Main, "main", &bc.main)]
+        .into_iter()
+        .chain(boxes)
+    {
+        let pairs = structure::cancelling_pairs(circuit);
+        structure::report_pairs(fact_scope, scope, circuit, &pairs, findings, facts);
+        pauli::conjugated_pairs(fact_scope, scope, circuit, &pairs, findings, facts);
+    }
 }
 
 #[cfg(test)]
@@ -250,6 +267,32 @@ mod tests {
             a
         });
         assert!(lint(&bc).is_clean());
+    }
+
+    #[test]
+    fn a_flagged_self_inverse_gate_still_cancels_its_twin() {
+        // X⁻¹ is X: the inversion flag of a self-inverse gate changes
+        // nothing, so X then X-with-`inverted` is a pair (the optimizer's
+        // cancel pass deletes it too), with its CancelsPair fact.
+        use quipper_circuit::{Circuit, CircuitDb, Gate, GateName, Wire, WireType};
+        let mut c = Circuit::with_inputs(vec![(Wire(0), WireType::Quantum)]);
+        c.gates = vec![
+            Gate::unary(GateName::X, Wire(0)),
+            Gate::QGate {
+                name: GateName::X,
+                inverted: true,
+                targets: vec![Wire(0)],
+                controls: vec![],
+            },
+        ];
+        c.outputs = c.inputs.clone();
+        c.recompute_wire_bound();
+        let bc = BCircuit::new(CircuitDb::new(), c);
+        assert_eq!(codes(&lint(&bc)), ["QL030"]);
+        let facts = super::facts(&bc);
+        let pair = facts.iter().next().expect("one fact");
+        assert_eq!(pair.reason, Redundancy::CancelsPair { with: 0 });
+        assert_eq!(pair.gate_index, 1);
     }
 
     #[test]

@@ -40,6 +40,11 @@
 //! cannot transport exactly (controlled entry into the box, non-Clifford
 //! bodies, unbounded repetition without a short cycle) drop the affected
 //! generators — the analysis degrades, never lies.
+//!
+//! Only QL041 feeds the optimizer, so the module has two entry points:
+//! [`conjugated_pairs`] runs per scope in both [`lint`](crate::lint) and
+//! [`facts`](crate::facts), beside the QL030 pairs it must not overlap;
+//! [`notes`] (QL040, QL042, QL043) runs in `lint` alone.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
@@ -51,7 +56,6 @@ use quipper_trace::names;
 
 use crate::diag::Diagnostic;
 use crate::facts::{FactScope, Facts, Redundancy};
-use crate::structure::cancelling_pairs;
 
 /// Cap on tracked generators per scope (one per live initialized wire in
 /// well-formed circuits; the cap only guards pathological inputs).
@@ -63,11 +67,10 @@ const LOOKAHEAD: usize = 32;
 /// Iteration budget for repeated calls before requiring a cycle.
 const MAX_REPS: u64 = 64;
 
-pub(crate) fn pauli_pass(
-    bc: &BCircuit,
-    findings: &mut Vec<Diagnostic>,
-    mut facts: Option<&mut Facts>,
-) {
+/// The notes only the report needs (QL040, QL042, QL043), and the
+/// `lint.pauli.*` counters. `findings` already holds the QL041 pairs of
+/// [`conjugated_pairs`], which runs in both products.
+pub(crate) fn notes(bc: &BCircuit, findings: &mut Vec<Diagnostic>) {
     let mut flow = PauliFlow {
         bc,
         summaries: HashMap::new(),
@@ -80,26 +83,6 @@ pub(crate) fn pauli_pass(
         flow.stabilizer_scope(&def.name, &def.circuit, findings);
     }
 
-    let mut conjugate_pairs = 0u64;
-    conjugated_scope(
-        FactScope::Main,
-        "main",
-        &bc.main,
-        findings,
-        facts.as_deref_mut(),
-        &mut conjugate_pairs,
-    );
-    for (id, def) in bc.db.iter() {
-        conjugated_scope(
-            FactScope::Box(id),
-            &def.name,
-            &def.circuit,
-            findings,
-            facts.as_deref_mut(),
-            &mut conjugate_pairs,
-        );
-    }
-
     phase_only_boxes(bc, findings);
 
     identity_groups_scope("main", &bc.main, findings);
@@ -107,9 +90,10 @@ pub(crate) fn pauli_pass(
         identity_groups_scope(&def.name, &def.circuit, findings);
     }
 
+    let conjugate_pairs = findings.iter().filter(|d| d.code == "QL041").count();
     quipper_trace::count(names::LINT_PAULI_GENERATORS, flow.generators_seeded);
     quipper_trace::count(names::LINT_PAULI_DET_MEAS, flow.deterministic_meas);
-    quipper_trace::count(names::LINT_PAULI_CONJ_PAIRS, conjugate_pairs);
+    quipper_trace::count(names::LINT_PAULI_CONJ_PAIRS, conjugate_pairs as u64);
 }
 
 // ---------------------------------------------------------------------
@@ -187,32 +171,10 @@ impl PauliFlow<'_> {
                     outputs,
                     controls,
                     repetitions,
-                } => {
-                    let mut kept = Vec::with_capacity(gens.len());
-                    for g in gens.drain(..) {
-                        if let Some(n) = self.apply_call(
-                            &g,
-                            *id,
-                            *inverted,
-                            inputs,
-                            outputs,
-                            controls,
-                            *repetitions,
-                        ) {
-                            kept.push(n);
-                        }
-                    }
-                    gens = kept;
-                }
-                _ => {
-                    let mut kept = Vec::with_capacity(gens.len());
-                    for g in gens.drain(..) {
-                        if let Some(n) = g.conjugate(gate) {
-                            kept.push(n);
-                        }
-                    }
-                    gens = kept;
-                }
+                } => gens.retain_mut(|g| {
+                    self.apply_call(g, *id, *inverted, inputs, outputs, controls, *repetitions)
+                }),
+                _ => gens.retain_mut(|g| g.conjugate(gate)),
             }
         }
     }
@@ -255,7 +217,9 @@ impl PauliFlow<'_> {
             let push = |flow: &mut Self, p: Pauli| -> Option<PauliString> {
                 let mut s = PauliString::single(w, p);
                 for gate in &body.gates {
-                    s = flow.transport_unitary(&s, gate)?;
+                    if !flow.transport_unitary(&mut s, gate) {
+                        return None;
+                    }
                 }
                 rekey(&s, &out_pos)
             };
@@ -269,9 +233,10 @@ impl PauliFlow<'_> {
     /// One gate of exact transport inside a summarized body: conjugation for
     /// unitaries, intertwining for init/term (handled by `conjugate`'s
     /// disjoint-support tier), recursive summaries for nested calls.
-    fn transport_unitary(&mut self, s: &PauliString, gate: &Gate) -> Option<PauliString> {
+    /// Returns `false`, leaving `s` unchanged, when it must be dropped.
+    fn transport_unitary(&mut self, s: &mut PauliString, gate: &Gate) -> bool {
         match gate {
-            Gate::Comment { .. } => Some(s.clone()),
+            Gate::Comment { .. } => true,
             Gate::Subroutine {
                 id,
                 inverted,
@@ -284,25 +249,26 @@ impl PauliFlow<'_> {
         }
     }
 
-    /// Transports a Pauli string through a subroutine call, using the box's
-    /// Clifford summary. Returns `None` when the string must be dropped.
+    /// Transports a Pauli string in place through a subroutine call, using
+    /// the box's Clifford summary. Returns `false`, leaving `s` unchanged,
+    /// when the string must be dropped.
     #[allow(clippy::too_many_arguments)]
     fn apply_call(
         &mut self,
-        s: &PauliString,
+        s: &mut PauliString,
         id: BoxId,
         inverted: bool,
         inputs: &[Wire],
         outputs: &[Wire],
         controls: &[Control],
         repetitions: u64,
-    ) -> Option<PauliString> {
+    ) -> bool {
         // X/Y on a control wire anticommutes with the control projector.
         if controls
             .iter()
             .any(|c| !matches!(s.get(c.wire), Pauli::I | Pauli::Z))
         {
-            return None;
+            return false;
         }
         let touches_inputs = inputs.iter().any(|w| s.ops.contains_key(w));
         // Support on an output-only wire would reference a wire that does
@@ -311,18 +277,18 @@ impl PauliFlow<'_> {
             .iter()
             .any(|w| !inputs.contains(w) && s.ops.contains_key(w))
         {
-            return None;
+            return false;
         }
         if !touches_inputs {
-            return Some(s.clone());
+            return true;
         }
         // The string enters the box. A controlled call is not the body's
         // unitary, so the summary does not apply.
         if !controls.is_empty() {
-            return None;
+            return false;
         }
         if repetitions == 0 {
-            return Some(s.clone());
+            return true;
         }
         if repetitions > 1 {
             // Iteration reuses the same interface wires each round.
@@ -331,27 +297,34 @@ impl PauliFlow<'_> {
             ins.sort_unstable();
             outs.sort_unstable();
             if ins != outs {
-                return None;
+                return false;
             }
         }
-        let summary = self.summary(id, inverted)?;
+        let Some(summary) = self.summary(id, inverted) else {
+            return false;
+        };
         let mut cur = s.clone();
         // seen[i] is the string after i applications; detect short cycles so
         // million-fold repetitions reduce to modular arithmetic.
         let mut seen: Vec<PauliString> = vec![cur.clone()];
         for step in 0..repetitions.min(MAX_REPS) {
-            cur = apply_once(&summary, &cur, inputs, outputs)?;
+            let Some(next) = apply_once(&summary, &cur, inputs, outputs) else {
+                return false;
+            };
+            cur = next;
             if step + 1 == repetitions {
-                return Some(cur);
+                *s = cur;
+                return true;
             }
             if let Some(k) = seen.iter().position(|p| *p == cur) {
                 let period = seen.len() as u64 - k as u64;
                 let idx = k as u64 + (repetitions - k as u64) % period;
-                return Some(seen[idx as usize].clone());
+                *s = seen.swap_remove(idx as usize);
+                return true;
             }
             seen.push(cur.clone());
         }
-        None
+        false
     }
 }
 
@@ -504,15 +477,17 @@ fn interleaves(a: (usize, usize), b: (usize, usize)) -> bool {
     (a.0 < b.0 && b.0 < a.1 && a.1 < b.1) || (b.0 < a.0 && a.0 < b.1 && b.1 < a.1)
 }
 
-fn conjugated_scope(
+/// The QL041 search over one scope, reported as findings and
+/// [`Redundancy::ConjugatePair`] facts. `structural` holds the scope's
+/// QL030 pairs ([`cancelling_pairs`](crate::structure::cancelling_pairs)).
+pub(crate) fn conjugated_pairs(
     fact_scope: FactScope,
     scope: &str,
     circuit: &Circuit,
+    structural: &[(usize, usize)],
     findings: &mut Vec<Diagnostic>,
-    mut facts: Option<&mut Facts>,
-    counter: &mut u64,
+    facts: &mut Facts,
 ) {
-    let structural = cancelling_pairs(circuit);
     // Gates already consumed by a structural QL030 pair are not eligible
     // again; the facts consumer deletes each pair at most once.
     let mut taken: HashSet<usize> = structural.iter().flat_map(|&(a, b)| [a, b]).collect();
@@ -553,14 +528,12 @@ fn conjugated_scope(
                     }
                 }
             }
-            match s.conjugate(gj) {
-                Some(n) => s = n,
-                None => continue 'starter,
+            if !s.conjugate(gj) {
+                continue 'starter;
             }
         }
     }
     for &(i, j) in &accepted {
-        *counter += 1;
         let wire = single_pauli(&gates[j]).and_then(|p| p.ops.keys().next().copied());
         findings.push(Diagnostic::new(
             "QL041",
@@ -575,9 +548,7 @@ fn conjugated_scope(
                 gates[i].describe()
             ),
         ));
-        if let Some(f) = facts.as_deref_mut() {
-            f.push(fact_scope, j, Redundancy::ConjugatePair { with: i });
-        }
+        facts.push(fact_scope, j, Redundancy::ConjugatePair { with: i });
     }
 }
 

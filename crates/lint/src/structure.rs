@@ -13,36 +13,13 @@
 
 use std::collections::HashMap;
 
-use quipper_circuit::{BCircuit, Circuit, Control, Gate, Wire};
+use quipper_circuit::{Circuit, Gate, Wire};
 
 use crate::diag::Diagnostic;
 use crate::facts::{FactScope, Facts, Redundancy};
 
 /// Sentinel for "this gate already cancelled into an earlier pair".
 const CONSUMED: usize = usize::MAX;
-
-pub(crate) fn redundancy_pass(
-    bc: &BCircuit,
-    findings: &mut Vec<Diagnostic>,
-    mut facts: Option<&mut Facts>,
-) {
-    scan(
-        FactScope::Main,
-        "main",
-        &bc.main,
-        findings,
-        facts.as_deref_mut(),
-    );
-    for (id, def) in bc.db.iter() {
-        scan(
-            FactScope::Box(id),
-            &def.name,
-            &def.circuit,
-            findings,
-            facts.as_deref_mut(),
-        );
-    }
-}
 
 /// The adjacent gate/adjoint pairs fusion would remove, as `(earlier, later)`
 /// index pairs. Each gate participates in at most one pair.
@@ -54,10 +31,7 @@ pub(crate) fn cancelling_pairs(circuit: &Circuit) -> Vec<(usize, usize)> {
         if matches!(gate, Gate::Comment { .. }) {
             continue;
         }
-        let mut wires = Vec::new();
-        gate.for_each_wire(&mut |w| wires.push(w));
-        wires.sort_unstable();
-        wires.dedup();
+        let wires = sorted_wires(gate);
 
         let mut consumed = false;
         if candidate(gate) {
@@ -70,11 +44,7 @@ pub(crate) fn cancelling_pairs(circuit: &Circuit) -> Vec<(usize, usize)> {
                 .filter(|&p| p != CONSUMED && wires.iter().all(|w| last.get(w) == Some(&p)));
             if let Some(p) = prev {
                 let prev_gate = &circuit.gates[p];
-                let mut prev_wires = Vec::new();
-                prev_gate.for_each_wire(&mut |w| prev_wires.push(w));
-                prev_wires.sort_unstable();
-                prev_wires.dedup();
-                if prev_wires == wires && inverse_pair(prev_gate, gate) {
+                if sorted_wires(prev_gate) == wires && gate.undoes(prev_gate) {
                     pairs.push((p, idx));
                     consumed = true;
                 }
@@ -88,21 +58,19 @@ pub(crate) fn cancelling_pairs(circuit: &Circuit) -> Vec<(usize, usize)> {
     pairs
 }
 
-fn scan(
+/// Reports the `pairs` of one scope as QL030 findings and
+/// [`Redundancy::CancelsPair`] facts.
+pub(crate) fn report_pairs(
     fact_scope: FactScope,
     scope: &str,
     circuit: &Circuit,
+    pairs: &[(usize, usize)],
     findings: &mut Vec<Diagnostic>,
-    facts: Option<&mut Facts>,
+    facts: &mut Facts,
 ) {
-    let pairs = cancelling_pairs(circuit);
-    for &(p, idx) in &pairs {
+    for &(p, idx) in pairs {
         let gate = &circuit.gates[idx];
-        let prev_gate = &circuit.gates[p];
-        let mut wires = Vec::new();
-        gate.for_each_wire(&mut |w| wires.push(w));
-        wires.sort_unstable();
-        wires.dedup();
+        let wires = sorted_wires(gate);
         findings.push(Diagnostic::new(
             "QL030",
             scope,
@@ -112,15 +80,20 @@ fn scan(
             format!(
                 "cancels with the adjacent {} at #{p}; the pair is the identity \
                  and the fuse pass would silently remove it",
-                prev_gate.describe()
+                circuit.gates[p].describe()
             ),
         ));
+        facts.push(fact_scope, idx, Redundancy::CancelsPair { with: p });
     }
-    if let Some(facts) = facts {
-        for (p, idx) in pairs {
-            facts.push(fact_scope, idx, Redundancy::CancelsPair { with: p });
-        }
-    }
+}
+
+/// Every wire `gate` touches, sorted, without repeats.
+fn sorted_wires(gate: &Gate) -> Vec<Wire> {
+    let mut wires = Vec::new();
+    gate.for_each_wire(&mut |w| wires.push(w));
+    wires.sort_unstable();
+    wires.dedup();
+    wires
 }
 
 /// Gates eligible for pair cancellation: unitaries and whole calls.
@@ -129,28 +102,4 @@ fn candidate(gate: &Gate) -> bool {
         gate,
         Gate::QGate { .. } | Gate::QRot { .. } | Gate::GPhase { .. } | Gate::Subroutine { .. }
     )
-}
-
-/// Whether `b` is exactly the inverse of `a`, ignoring control order.
-fn inverse_pair(a: &Gate, b: &Gate) -> bool {
-    let Ok(inv) = a.inverse() else {
-        return false;
-    };
-    canon(&inv) == canon(b)
-}
-
-/// Canonical form for comparison: controls sorted.
-fn canon(gate: &Gate) -> Gate {
-    let mut g = gate.clone();
-    let cs: Option<&mut Vec<Control>> = match &mut g {
-        Gate::QGate { controls, .. }
-        | Gate::QRot { controls, .. }
-        | Gate::GPhase { controls, .. }
-        | Gate::Subroutine { controls, .. } => Some(controls),
-        _ => None,
-    };
-    if let Some(cs) = cs {
-        cs.sort_unstable();
-    }
-    g
 }

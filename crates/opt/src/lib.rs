@@ -9,9 +9,10 @@
 //! The pipeline, in order:
 //!
 //! 1. **Facts-seeded cleanup** — consumes the linter's structured
-//!    redundancy facts ([`quipper_lint::facts`], QL030–QL032) instead of
-//!    re-deriving them: deletes statically blocked gates and cancelling
-//!    pairs, drops provably-constant controls.
+//!    redundancy facts ([`quipper_lint::facts`], QL030–QL032 and QL041)
+//!    instead of re-deriving them: deletes statically blocked gates and
+//!    cancelling pairs, drops provably-constant controls. A facts call runs
+//!    only the lint passes that make facts.
 //! 2. **Commutation-aware cancellation** — deletes inverse pairs that
 //!    become adjacent after commuting past neighbours
 //!    ([`quipper_circuit::commute`]).

@@ -170,37 +170,10 @@ pub(crate) fn facts_cleanup(bc: &BCircuit, rewrites: &mut u64) -> BCircuit {
 // Commutation-aware cancellation
 // ---------------------------------------------------------------------
 
-/// Canonical form for inverse matching: controls sorted, and the inversion
-/// flag cleared on self-inverse named gates (`X⁻¹` *is* `X`).
-fn canon(gate: &Gate) -> Gate {
-    let mut g = gate.clone();
-    match &mut g {
-        Gate::QGate {
-            name,
-            inverted,
-            controls,
-            ..
-        } => {
-            if name.is_self_inverse() {
-                *inverted = false;
-            }
-            controls.sort_unstable();
-        }
-        Gate::QRot { controls, .. } | Gate::GPhase { controls, .. } => controls.sort_unstable(),
-        _ => {}
-    }
-    g
-}
-
-/// Whether `prev · g = I`: `prev`'s inverse equals `g` up to control order.
+/// Whether `prev · g = I` and both may go: the linter's QL030 rule
+/// ([`Gate::undoes`]) under this pass's [`deletable`] filter.
 fn cancels(prev: &Gate, g: &Gate) -> bool {
-    if !deletable(prev) {
-        return false;
-    }
-    match prev.inverse() {
-        Ok(inv) => canon(&inv) == canon(g),
-        Err(_) => false,
-    }
+    deletable(prev) && g.undoes(prev)
 }
 
 /// Deletes inverse pairs that become adjacent after commuting one gate of

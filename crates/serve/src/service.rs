@@ -70,8 +70,6 @@ pub struct Submission {
     /// Deadline measured from admission; the job is abandoned (even
     /// mid-shot-loop) once it passes.
     pub deadline: Option<Duration>,
-    /// Pin to a named backend instead of auto-routing.
-    pub backend: Option<String>,
     /// Optimizer level for this job; `None` uses the engine's configured
     /// level.
     pub opt: Option<OptLevel>,
@@ -89,7 +87,6 @@ impl Submission {
             seed: 0,
             priority: 0,
             deadline: None,
-            backend: None,
             opt: None,
         }
     }
@@ -637,9 +634,6 @@ fn run(inner: &Inner, ticket: &Ticket) -> JobState {
         .shots(sub.shots)
         .seed(sub.seed)
         .cancel_token(ticket.token.clone());
-    if let Some(backend) = &sub.backend {
-        job = job.on_backend(backend);
-    }
     if let Some(level) = sub.opt {
         job = job.opt(level);
     }

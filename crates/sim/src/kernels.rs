@@ -741,11 +741,6 @@ pub fn matmul(a: &Mat2, b: &Mat2) -> Mat2 {
     ]
 }
 
-/// The 2×2 identity matrix.
-pub fn identity() -> Mat2 {
-    [[ONE, ZERO], [ZERO, ONE]]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -122,10 +122,15 @@ pub mod names {
     pub const OPT_REVERTED: &str = "opt.reverted";
 
     /// Pauli-flow lint: stabilizer generators seeded from initializations.
+    /// Like the other `lint.pauli.*` counters, bumped once per
+    /// `quipper_lint::lint` call and never by `quipper_lint::facts`, so a
+    /// plan compile counts its circuit once, not once per optimizer round.
     pub const LINT_PAULI_GENERATORS: &str = "lint.pauli.generators";
-    /// Pauli-flow lint: measurements proved deterministic (QL040).
+    /// Pauli-flow lint: measurements proved deterministic (QL040), per
+    /// `lint` call.
     pub const LINT_PAULI_DET_MEAS: &str = "lint.pauli.det_meas";
-    /// Pauli-flow lint: Clifford-conjugated cancelling pairs found (QL041).
+    /// Pauli-flow lint: Clifford-conjugated cancelling pairs reported
+    /// (QL041), per `lint` call.
     pub const LINT_PAULI_CONJ_PAIRS: &str = "lint.pauli.conj_pairs";
 
     /// State-vector kernel dispatches by class.
