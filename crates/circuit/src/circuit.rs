@@ -147,7 +147,7 @@ impl Circuit {
     /// # Errors
     ///
     /// See [`validate::validate`].
-    pub fn validate(&self, db: &CircuitDb) -> Result<validate::Report, CircuitError> {
+    pub fn validate(&self, db: &CircuitDb) -> Result<(), CircuitError> {
         validate::validate(db, self)
     }
 
@@ -156,7 +156,7 @@ impl Circuit {
     /// # Errors
     ///
     /// See [`validate::validate`].
-    pub fn validate_standalone(&self) -> Result<validate::Report, CircuitError> {
+    pub fn validate_standalone(&self) -> Result<(), CircuitError> {
         validate::validate(&CircuitDb::new(), self)
     }
 
@@ -195,7 +195,7 @@ impl BCircuit {
     /// # Errors
     ///
     /// Returns the first validation error found.
-    pub fn validate(&self) -> Result<validate::Report, CircuitError> {
+    pub fn validate(&self) -> Result<(), CircuitError> {
         for (_, def) in self.db.iter() {
             def.circuit.validate(&self.db)?;
         }

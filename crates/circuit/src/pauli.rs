@@ -11,6 +11,8 @@
 //!   touch `P`'s support, and for Z-diagonal gates against Z/I strings.
 //!   `P` is rewritten in place; everything else is refused (`false`, `P`
 //!   unchanged) — sound, not complete, the same trade `commute.rs` makes.
+//!   The Clifford images come from [`clifford`], the symplectic-bit rules
+//!   the stabilizer simulator's packed tableau runs too, 64 rows at a time.
 //! * **Commutation**: two Pauli strings commute iff they anticommute on an
 //!   even number of wires (the symplectic form over GF(2)).
 //! * **Phase polynomials**: over a region built from {X, CNOT, Swap,
@@ -22,7 +24,8 @@
 //!   (QL043). [`phase_groups`] performs that bucketing.
 //!
 //! Phases are tracked as powers of `i` (mod 4), so the product of any two
-//! Pauli strings — and the conjugate of a Hermitian string — stays exact.
+//! Pauli strings — and the conjugate of a Hermitian string — stays exact;
+//! the `i` a product of two factors picks up is [`clifford::product_phase`].
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -32,6 +35,8 @@ use crate::circuit::Circuit;
 use crate::commute::{wire_actions, WireAction};
 use crate::gate::{Gate, GateName};
 use crate::wire::Wire;
+
+pub mod clifford;
 
 /// A single-wire Pauli operator.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -47,19 +52,22 @@ pub enum Pauli {
 }
 
 impl Pauli {
-    /// Product of two single-wire Paulis as `(result, i-exponent)`:
-    /// `a·b = i^k · result`.
-    pub fn prod(self, other: Pauli) -> (Pauli, u8) {
-        use Pauli::*;
-        match (self, other) {
-            (I, p) | (p, I) => (p, 0),
-            (X, X) | (Y, Y) | (Z, Z) => (I, 0),
-            (X, Y) => (Z, 1),
-            (Y, X) => (Z, 3),
-            (Y, Z) => (X, 1),
-            (Z, Y) => (X, 3),
-            (Z, X) => (Y, 1),
-            (X, Z) => (Y, 3),
+    /// The symplectic bits `(x, z)` of the factor: `X = (1, 0)`,
+    /// `Z = (0, 1)`, `Y = (1, 1)`.
+    fn bits(self) -> (bool, bool) {
+        (
+            matches!(self, Pauli::X | Pauli::Y),
+            matches!(self, Pauli::Z | Pauli::Y),
+        )
+    }
+
+    /// The factor with symplectic bits `(x, z)`.
+    fn from_bits(x: bool, z: bool) -> Pauli {
+        match (x, z) {
+            (false, false) => Pauli::I,
+            (true, false) => Pauli::X,
+            (false, true) => Pauli::Z,
+            (true, true) => Pauli::Y,
         }
     }
 
@@ -84,14 +92,6 @@ pub struct PauliString {
 }
 
 impl PauliString {
-    /// The identity string `+1`.
-    pub fn identity() -> PauliString {
-        PauliString {
-            phase: 0,
-            ops: BTreeMap::new(),
-        }
-    }
-
     /// A single-wire Pauli with sign `+1`.
     pub fn single(wire: Wire, p: Pauli) -> PauliString {
         let mut ops = BTreeMap::new();
@@ -111,11 +111,6 @@ impl PauliString {
         self.ops.is_empty()
     }
 
-    /// Whether the string is exactly `+1`.
-    pub fn is_positive_identity(&self) -> bool {
-        self.ops.is_empty() && self.phase == 0
-    }
-
     /// Negates the string.
     pub fn negate(&mut self) {
         self.phase = (self.phase + 2) % 4;
@@ -126,13 +121,10 @@ impl PauliString {
         let mut out = self.clone();
         out.phase = (out.phase + rhs.phase) % 4;
         for (&w, &p) in &rhs.ops {
-            let (r, k) = out.get(w).prod(p);
-            out.phase = (out.phase + k) % 4;
-            if r == Pauli::I {
-                out.ops.remove(&w);
-            } else {
-                out.ops.insert(w, r);
-            }
+            let ((x1, z1), (x2, z2)) = (out.get(w).bits(), p.bits());
+            let (plus, minus) = clifford::product_phase(x1, z1, x2, z2);
+            out.phase = (out.phase + u8::from(plus) + 3 * u8::from(minus)) % 4;
+            out.set(w, Pauli::from_bits(x1 ^ x2, z1 ^ z2));
         }
         out
     }
@@ -157,10 +149,24 @@ impl PauliString {
         }
     }
 
-    /// Conjugates in place by a single-wire Pauli `q` on `wire`
-    /// (`P ← q P q`): flips the sign when the factors anticommute.
-    fn conj_by_pauli(&mut self, wire: Wire, q: Pauli) {
-        if !self.get(wire).commutes(q) {
+    /// Runs a one-qubit rule of [`clifford`] on the factor on `wire`.
+    fn rule_1q(&mut self, wire: Wire, rule: clifford::Rule1q<bool>) {
+        let ((mut x, mut z), mut r) = (self.get(wire).bits(), false);
+        rule(&mut x, &mut z, &mut r);
+        self.set(wire, Pauli::from_bits(x, z));
+        if r {
+            self.negate();
+        }
+    }
+
+    /// Runs a two-qubit rule of [`clifford`] on the factors on `a` and `b`.
+    fn rule_2q(&mut self, a: Wire, b: Wire, rule: clifford::Rule2q<bool>) {
+        let ((mut xa, mut za), (mut xb, mut zb)) = (self.get(a).bits(), self.get(b).bits());
+        let mut r = false;
+        rule(&mut xa, &mut za, &mut xb, &mut zb, &mut r);
+        self.set(a, Pauli::from_bits(xa, za));
+        self.set(b, Pauli::from_bits(xb, zb));
+        if r {
             self.negate();
         }
     }
@@ -172,8 +178,9 @@ impl PauliString {
     ///
     /// Three tiers are handled exactly:
     /// 1. gates disjoint from the string's support leave it unchanged;
-    /// 2. the Clifford gates X/Y/Z/H/S/S†/Swap/CNOT/CZ use their
-    ///    conjugation tables (negative controls conjugate by X first);
+    /// 2. the Clifford gates X/Y/Z/H/S/S†/CNOT/CZ run their [`clifford`]
+    ///    rule (a negative control is an X rule on each side), and Swap
+    ///    exchanges two factors;
     /// 3. any all-Z-diagonal gate (T, controlled phases, Z rotations,
     ///    GPhase) fixes a string that is Z or I on every wire it touches.
     pub fn conjugate(&mut self, gate: &Gate) -> bool {
@@ -190,8 +197,16 @@ impl PauliString {
                 controls,
             } => match (name, controls.len()) {
                 (GateName::X | GateName::Y | GateName::Z | GateName::H | GateName::S, 0) => {
+                    let rule: clifford::Rule1q<bool> = match (name, inverted) {
+                        (GateName::H, _) => clifford::h,
+                        (GateName::S, false) => clifford::s,
+                        (GateName::S, true) => clifford::s_dag,
+                        (GateName::X, _) => clifford::x,
+                        (GateName::Y, _) => clifford::y,
+                        _ => clifford::z,
+                    };
                     for &t in targets {
-                        conj_1q(self, t, name, *inverted);
+                        self.rule_1q(t, rule);
                     }
                     true
                 }
@@ -202,35 +217,25 @@ impl PauliString {
                     self.set(b, pa);
                     true
                 }
-                (GateName::X, 1) => {
+                (GateName::X | GateName::Z, 1) => {
                     let c = controls[0];
                     if targets.contains(&c.wire) {
                         return false; // malformed self-control; stay conservative
                     }
+                    let rule: clifford::Rule2q<bool> = if *name == GateName::X {
+                        clifford::cnot
+                    } else {
+                        clifford::cz
+                    };
+                    // A negative control is the positive one between two Xs.
                     if !c.positive {
-                        self.conj_by_pauli(c.wire, Pauli::X);
+                        self.rule_1q(c.wire, clifford::x);
                     }
                     for &t in targets {
-                        conj_cnot(self, c.wire, t);
+                        self.rule_2q(c.wire, t, rule);
                     }
                     if !c.positive {
-                        self.conj_by_pauli(c.wire, Pauli::X);
-                    }
-                    true
-                }
-                (GateName::Z, 1) => {
-                    let c = controls[0];
-                    if targets.contains(&c.wire) {
-                        return false;
-                    }
-                    if !c.positive {
-                        self.conj_by_pauli(c.wire, Pauli::X);
-                    }
-                    for &t in targets {
-                        conj_cz(self, c.wire, t);
-                    }
-                    if !c.positive {
-                        self.conj_by_pauli(c.wire, Pauli::X);
+                        self.rule_1q(c.wire, clifford::x);
                     }
                     true
                 }
@@ -251,111 +256,6 @@ impl PauliString {
             .all(|w| matches!(self.get(*w), Pauli::I | Pauli::Z));
         diagonal && z_only
     }
-}
-
-/// 1-qubit Clifford conjugation tables: `G P G†` on one wire.
-fn conj_1q(s: &mut PauliString, wire: Wire, name: &GateName, inverted: bool) {
-    let p = s.get(wire);
-    if p == Pauli::I {
-        return;
-    }
-    let (q, negate) = match name {
-        // H: X↔Z, Y→−Y.
-        GateName::H => match p {
-            Pauli::X => (Pauli::Z, false),
-            Pauli::Z => (Pauli::X, false),
-            Pauli::Y => (Pauli::Y, true),
-            Pauli::I => unreachable!(),
-        },
-        // S: X→Y, Y→−X, Z→Z; S† is the inverse permutation.
-        GateName::S => match (p, inverted) {
-            (Pauli::X, false) => (Pauli::Y, false),
-            (Pauli::Y, false) => (Pauli::X, true),
-            (Pauli::X, true) => (Pauli::Y, true),
-            (Pauli::Y, true) => (Pauli::X, false),
-            (Pauli::Z, _) => (Pauli::Z, false),
-            (Pauli::I, _) => unreachable!(),
-        },
-        // Conjugation by a Pauli flips the sign of anticommuting factors.
-        GateName::X => (p, !p.commutes(Pauli::X)),
-        GateName::Y => (p, !p.commutes(Pauli::Y)),
-        GateName::Z => (p, !p.commutes(Pauli::Z)),
-        _ => unreachable!("conj_1q called on unsupported gate"),
-    };
-    s.set(wire, q);
-    if negate {
-        s.negate();
-    }
-}
-
-/// CNOT conjugation: `Xc→XcXt`, `Zt→ZcZt`, `Zc→Zc`, `Xt→Xt` (and the Y
-/// images those imply, via `Y = iXZ`).
-fn conj_cnot(s: &mut PauliString, c: Wire, t: Wire) {
-    // Decompose P = i^k · (c-factor) · (t-factor) · rest and map each factor
-    // through the table by multiplying images: conjugation is a homomorphism
-    // and Y = iXZ composes from the X and Z images.
-    let two = |wa: Wire, pa: Pauli, wb: Wire, pb: Pauli| {
-        PauliString::single(wa, pa).mul(&PauliString::single(wb, pb))
-    };
-    let x_img = |wire: Wire| {
-        if wire == c {
-            two(c, Pauli::X, t, Pauli::X)
-        } else {
-            PauliString::single(t, Pauli::X)
-        }
-    };
-    let z_img = |wire: Wire| {
-        if wire == c {
-            PauliString::single(c, Pauli::Z)
-        } else {
-            two(c, Pauli::Z, t, Pauli::Z)
-        }
-    };
-    conj_two_wire(s, c, t, x_img, z_img);
-}
-
-/// CZ conjugation: `Xa→XaZb`, `Xb→ZaXb`, `Z→Z`.
-fn conj_cz(s: &mut PauliString, a: Wire, b: Wire) {
-    let x_img = |wire: Wire| {
-        let other = if wire == a { b } else { a };
-        PauliString::single(wire, Pauli::X).mul(&PauliString::single(other, Pauli::Z))
-    };
-    let z_img = |wire: Wire| PauliString::single(wire, Pauli::Z);
-    conj_two_wire(s, a, b, x_img, z_img);
-}
-
-/// Rebuilds `s` by replacing its factors on wires `a` and `b` with their
-/// images under a two-qubit Clifford, given the images of X and Z per wire.
-fn conj_two_wire(
-    s: &mut PauliString,
-    a: Wire,
-    b: Wire,
-    x_img: impl Fn(Wire) -> PauliString,
-    z_img: impl Fn(Wire) -> PauliString,
-) {
-    let (pa, pb) = (s.get(a), s.get(b));
-    let mut image = PauliString {
-        phase: s.phase,
-        ops: s
-            .ops
-            .iter()
-            .filter(|(w, _)| **w != a && **w != b)
-            .map(|(w, p)| (*w, *p))
-            .collect(),
-    };
-    for (p, wire) in [(pa, a), (pb, b)] {
-        match p {
-            Pauli::I => {}
-            Pauli::X => image = image.mul(&x_img(wire)),
-            Pauli::Z => image = image.mul(&z_img(wire)),
-            Pauli::Y => {
-                image.phase = (image.phase + 1) % 4;
-                image = image.mul(&x_img(wire));
-                image = image.mul(&z_img(wire));
-            }
-        }
-    }
-    *s = image;
 }
 
 // ---------------------------------------------------------------------
@@ -804,7 +704,24 @@ mod tests {
         assert_eq!(xz.phase, 3);
         // (X·Z)·(Z·X) = X·X = I (phases cancel: −i · i = 1).
         let zx = z.mul(&x);
-        assert!(xz.mul(&zx).is_positive_identity());
+        let one = xz.mul(&zx);
+        assert!(one.is_identity() && one.phase == 0);
+    }
+
+    #[test]
+    fn products_match_matrices() {
+        let ps = [Pauli::I, Pauli::X, Pauli::Y, Pauli::Z];
+        for a in ps {
+            for b in ps {
+                let (sa, sb) = (
+                    PauliString::single(Wire(0), a),
+                    PauliString::single(Wire(0), b),
+                );
+                let lhs = matmul(&string_mat(&sa, &[Wire(0)]), &string_mat(&sb, &[Wire(0)]));
+                let rhs = string_mat(&sa.mul(&sb), &[Wire(0)]);
+                assert!(approx_eq(&lhs, &rhs), "{a:?}·{b:?}: product disagrees");
+            }
+        }
     }
 
     #[test]

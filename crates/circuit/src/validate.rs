@@ -14,19 +14,6 @@ use crate::error::CircuitError;
 use crate::gate::Gate;
 use crate::wire::{Wire, WireType};
 
-/// Statistics produced by a successful validation.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Report {
-    /// Number of gates in the (unexpanded) gate list, excluding comments.
-    pub gates: usize,
-    /// Maximum number of wires simultaneously alive, descending into boxed
-    /// subcircuits (the circuit's *height*, "Qubits in circuit" in the
-    /// paper's gate counts).
-    pub max_alive: u64,
-    /// Maximum number of *quantum* wires simultaneously alive.
-    pub max_quantum: u64,
-}
-
 /// Validates `circuit` against subroutine database `db`.
 ///
 /// # Errors
@@ -36,7 +23,7 @@ pub struct Report {
 /// re-initialization of a live wire, a subroutine arity mismatch, iteration
 /// of a non-repeatable subroutine, or a mismatch between declared outputs and
 /// live wires.
-pub fn validate(db: &CircuitDb, circuit: &Circuit) -> Result<Report, CircuitError> {
+pub fn validate(db: &CircuitDb, circuit: &Circuit) -> Result<(), CircuitError> {
     let _span = quipper_trace::span(quipper_trace::Phase::Compile, "validate");
     let mut alive: HashMap<Wire, WireType> = HashMap::new();
     for &(w, t) in &circuit.inputs {
@@ -48,11 +35,7 @@ pub fn validate(db: &CircuitDb, circuit: &Circuit) -> Result<Report, CircuitErro
         }
     }
 
-    let mut gates = 0usize;
     for gate in &circuit.gates {
-        if !matches!(gate, Gate::Comment { .. }) {
-            gates += 1;
-        }
         apply_gate(db, gate, &mut alive)?;
     }
 
@@ -82,13 +65,7 @@ pub fn validate(db: &CircuitDb, circuit: &Circuit) -> Result<Report, CircuitErro
             detail: format!("wire {w} is still alive but not listed as an output"),
         });
     }
-
-    let peak = crate::count::max_alive(db, circuit);
-    Ok(Report {
-        gates,
-        max_alive: peak.total,
-        max_quantum: peak.quantum,
-    })
+    Ok(())
 }
 
 /// Applies the aliveness/type transition of one gate to `alive`.
@@ -353,8 +330,8 @@ mod tests {
             wire: Wire(1),
         });
         c.recompute_wire_bound();
-        let report = c.validate_standalone().unwrap();
-        assert_eq!(report.max_alive, 2);
+        c.validate_standalone().unwrap();
+        assert_eq!(crate::count::max_alive(&CircuitDb::new(), &c).total, 2);
 
         // Using the ancilla after termination is invalid.
         let mut c2 = c.clone();

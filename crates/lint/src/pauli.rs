@@ -2,7 +2,7 @@
 //!
 //! This pass propagates *stabilizer generators* — signed Pauli strings that
 //! provably stabilize the current state — forward through each scope, using
-//! the exact Clifford conjugation tables in [`quipper_circuit::pauli`]. The
+//! the exact Clifford rules of [`quipper_circuit::pauli::clifford`]. The
 //! domain sees through Hadamards, which the basis-state domain in
 //! `analyze.rs` cannot: `H` maps the generator `Z` to `X` instead of going
 //! to ⊤.
@@ -12,14 +12,15 @@
 //! * **QL040 — provably deterministic measurement**: at a `QMeas` on wire
 //!   `w`, if `±Z_w` lies in the group generated by the tracked stabilizers
 //!   (decided by GF(2) Gaussian elimination over the symplectic
-//!   representation, with exact `i`-phase bookkeeping), the outcome is a
-//!   constant. Soundness: every tracked generator `P` was seeded by a
-//!   `QInit` (which its state provably satisfies) and transported only
-//!   through *exact* steps — Clifford conjugation `P ↦ GPG†`, isometry
-//!   intertwining for init/term, commuting-projector preservation at
-//!   measurements — so the pre-measurement state is a `+1` eigenstate of
-//!   every generator, hence of any product. If `(−1)^b·Z_w` is such a
-//!   product, the measurement returns `b` with probability 1.
+//!   representation, with exact `i`-phase bookkeeping, unless one pass over
+//!   the generators already rules it out), the outcome is a constant.
+//!   Soundness: every tracked generator `P` was seeded by a `QInit` (which
+//!   its state provably satisfies) and transported only through *exact*
+//!   steps — Clifford conjugation `P ↦ GPG†`, isometry intertwining for
+//!   init/term, commuting-projector preservation at measurements — so the
+//!   pre-measurement state is a `+1` eigenstate of every generator, hence
+//!   of any product. If `(−1)^b·Z_w` is such a product, the measurement
+//!   returns `b` with probability 1.
 //! * **QL041 — Clifford-conjugated cancelling pair**: a Pauli gate whose
 //!   string, conjugated through the intervening gates, lands exactly (sign
 //!   `+1`) on a later Pauli gate: `g·C·g' = C` since `g' = C†gC`, so both
@@ -394,15 +395,35 @@ fn rekey(s: &PauliString, out_pos: &HashMap<Wire, usize>) -> Option<PauliString>
 
 /// Whether measuring `Z` on `wire` has a provably constant outcome given
 /// the stabilizer generators: `Some(b)` iff `(−1)^b·Z_wire` is a product of
-/// generators. Decided by GF(2) Gaussian elimination over the symplectic
-/// (X-part, Z-part) bit planes — [`PauliString::mul`] *is* bitwise XOR on
-/// those planes with exact `i`-phase tracking, so reducing `Z_wire` against
-/// a row-echelon basis leaves `i^0` (outcome 0), `i^2` (outcome 1), or a
-/// non-identity residue (not in the group).
+/// generators.
+///
+/// One pass over the generators answers "no" in the common cases, before
+/// any elimination: when no generator acts on `wire` (every product is the
+/// identity there), and when one has `X` or `Y` there (`±Z_wire` would
+/// anticommute with a member of an abelian group). Otherwise [`eliminate`]
+/// decides.
 fn deterministic_outcome(gens: &[PauliString], wire: Wire) -> Option<bool> {
-    if gens.is_empty() {
+    let mut acts = false;
+    for g in gens {
+        match g.get(wire) {
+            Pauli::I => {}
+            Pauli::Z => acts = true,
+            Pauli::X | Pauli::Y => return None,
+        }
+    }
+    if !acts {
         return None;
     }
+    eliminate(gens, wire)
+}
+
+/// The membership test behind [`deterministic_outcome`], by GF(2) Gaussian
+/// elimination over the symplectic (X-part, Z-part) bit planes —
+/// [`PauliString::mul`] *is* bitwise XOR on those planes with exact
+/// `i`-phase tracking, so reducing `Z_wire` against a row-echelon basis
+/// leaves `i^0` (outcome 0), `i^2` (outcome 1), or a non-identity residue
+/// (not in the group).
+fn eliminate(gens: &[PauliString], wire: Wire) -> Option<bool> {
     let mut rows: Vec<PauliString> = gens.to_vec();
     let mut acc = PauliString::single(wire, Pauli::Z);
     let mut wires: BTreeSet<Wire> = rows.iter().flat_map(|r| r.ops.keys().copied()).collect();
@@ -650,6 +671,7 @@ fn identity_groups_scope(scope: &str, circuit: &Circuit, findings: &mut Vec<Diag
 mod tests {
     use super::*;
     use crate::{facts, lint, Severity};
+    use proptest::prelude::*;
     use quipper::{Circ, Qubit};
     use quipper_circuit::{CircuitDb, WireType};
 
@@ -886,5 +908,82 @@ mod tests {
         });
         let report = lint(&bc);
         assert!(codes(&report).contains(&"QL040"), "{report}");
+    }
+
+    const WIRES: u32 = 5;
+
+    /// A Clifford gate the Pauli strings transport exactly: `kind` picks
+    /// H, S, S†, X, Y, Z, CNOT, negatively controlled CNOT or CZ.
+    fn clifford_gate(kind: u8, a: u32, b: u32) -> Gate {
+        let (a, b) = (Wire(a), Wire(b));
+        let one = |name, inverted| Gate::QGate {
+            name,
+            inverted,
+            targets: vec![a],
+            controls: vec![],
+        };
+        let two = |name, control| Gate::QGate {
+            name,
+            inverted: false,
+            targets: vec![a],
+            controls: vec![control],
+        };
+        match kind {
+            0 => one(GateName::H, false),
+            1 => one(GateName::S, false),
+            2 => one(GateName::S, true),
+            3 => one(GateName::X, false),
+            4 => one(GateName::Y, false),
+            5 => one(GateName::Z, false),
+            _ if a == b => one(GateName::H, false),
+            6 => two(GateName::X, Control::positive(b)),
+            7 => two(GateName::X, Control::negative(b)),
+            _ => two(GateName::Z, Control::positive(b)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The one-pass exits only skip eliminations that would answer
+        /// "no": on generator sets reached from seeded `±Z_w` by Clifford
+        /// gates, some of them then dropped, `deterministic_outcome`
+        /// answers as `eliminate` does on every wire.
+        #[test]
+        fn one_pass_exits_agree_with_elimination(
+            signs in proptest::collection::vec(any::<bool>(), WIRES as usize),
+            gates in proptest::collection::vec((0u8..9, 0..WIRES, 0..WIRES), 0..12),
+            keep in proptest::collection::vec(any::<bool>(), WIRES as usize),
+        ) {
+            let mut gens: Vec<PauliString> = (0..WIRES)
+                .zip(&signs)
+                .map(|(w, &negative)| {
+                    let mut z = PauliString::single(Wire(w), Pauli::Z);
+                    if negative {
+                        z.negate();
+                    }
+                    z
+                })
+                .collect();
+            for &(kind, a, b) in &gates {
+                let gate = clifford_gate(kind, a, b);
+                for g in &mut gens {
+                    prop_assert!(g.conjugate(&gate), "{}", gate.describe());
+                }
+            }
+            let kept: Vec<PauliString> = gens
+                .into_iter()
+                .zip(&keep)
+                .filter_map(|(g, &k)| k.then_some(g))
+                .collect();
+            // One wire past the seeded ones, which no generator acts on.
+            for w in 0..=WIRES {
+                prop_assert_eq!(
+                    deterministic_outcome(&kept, Wire(w)),
+                    eliminate(&kept, Wire(w)),
+                    "wire {} of {:?}", w, kept
+                );
+            }
+        }
     }
 }

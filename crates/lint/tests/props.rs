@@ -1,6 +1,6 @@
 //! Property tests of the lint passes.
 //!
-//! Two invariants:
+//! Three invariants:
 //!
 //! 1. **Soundness of the termination pass**: a generated circuit whose
 //!    assertions are satisfied on every run (guaranteed by construction and
@@ -9,12 +9,16 @@
 //!    must never claim a satisfied assertion is provably violated.
 //! 2. **Reversal is an involution for the analysis**: `reverse(reverse(c))`
 //!    produces the identical lint report as `c`.
+//! 3. **QL040 agrees with the stabilizer simulator**: a measurement the lint
+//!    proves deterministic with outcome `b` returns `b` under every seed.
 
 use proptest::prelude::*;
-use quipper::{Circ, Qubit};
+use proptest::test_runner::TestRng;
+use quipper::{Bit, Circ, Qubit};
 use quipper_circuit::reverse::reverse_circuit;
-use quipper_circuit::BCircuit;
+use quipper_circuit::{BCircuit, GateName};
 use quipper_lint::lint;
+use quipper_sim::run_clifford;
 
 const QUBITS: usize = 4;
 
@@ -156,4 +160,158 @@ proptest! {
         };
         prop_assert_eq!(lint(&bc), lint(&twice));
     }
+}
+
+/// One step of a QL040 check program: a Clifford gate, a call of the boxed
+/// body (forward or inverted) on two qubits, or a mid-circuit measurement
+/// whose qubit is replaced by a fresh one initialized to the given value.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    H(usize),
+    S(usize),
+    SDag(usize),
+    X(usize),
+    Z(usize),
+    Cnot(usize, usize),
+    Cz(usize, usize),
+    Call(usize, usize),
+    CallInverse(usize, usize),
+    Measure(usize, bool),
+}
+
+fn clifford_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (0..QUBITS).prop_map(Step::H),
+        (0..QUBITS).prop_map(Step::S),
+        (0..QUBITS).prop_map(Step::SDag),
+        (0..QUBITS).prop_map(Step::X),
+        (0..QUBITS).prop_map(Step::Z),
+        (0..QUBITS, 0..QUBITS).prop_map(|(a, b)| Step::Cnot(a, b)),
+        (0..QUBITS, 0..QUBITS).prop_map(|(a, b)| Step::Cz(a, b)),
+    ]
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        clifford_step(),
+        clifford_step(),
+        (0..QUBITS, 0..QUBITS).prop_map(|(a, b)| Step::Call(a, b)),
+        (0..QUBITS, 0..QUBITS).prop_map(|(a, b)| Step::CallInverse(a, b)),
+        (0..QUBITS, any::<bool>()).prop_map(|(a, v)| Step::Measure(a, v)),
+    ]
+}
+
+/// Applies a gate step; a two-qubit step on one qubit is skipped.
+fn apply_gate(c: &mut Circ, qs: &[Qubit], step: Step) {
+    match step {
+        Step::H(a) => c.hadamard(qs[a]),
+        Step::S(a) => c.gate_s(qs[a]),
+        Step::SDag(a) => c.gate_inv(GateName::S, qs[a]),
+        Step::X(a) => c.qnot(qs[a]),
+        Step::Z(a) => c.gate_z(qs[a]),
+        Step::Cnot(a, b) if a != b => c.cnot(qs[a], qs[b]),
+        Step::Cz(a, b) if a != b => c.gate_ctrl(GateName::Z, qs[a], &qs[b]),
+        _ => {}
+    }
+}
+
+/// Builds the program: `QUBITS` initialized qubits, `steps` over them, the
+/// boxed `body` called forward and inverted, every measured bit an output.
+fn measured_program(inits: &[bool], body: &[Step], steps: &[Step]) -> BCircuit {
+    let body = |c: &mut Circ, (a, b): (Qubit, Qubit)| {
+        let pair = [a, b];
+        for &step in body {
+            apply_gate(c, &pair, step);
+        }
+        (a, b)
+    };
+    let mut c = Circ::new();
+    let mut qs: Vec<Qubit> = inits.iter().map(|&v| c.qinit_bit(v)).collect();
+    let mut bits: Vec<Bit> = Vec::new();
+    for &step in steps {
+        match step {
+            Step::Call(a, b) | Step::CallInverse(a, b) if a != b => {
+                let pair = (qs[a], qs[b]);
+                (qs[a], qs[b]) = if matches!(step, Step::Call(..)) {
+                    c.box_circ("body", pair, body)
+                } else {
+                    c.box_circ_inverse("body", "", &pair, body, pair)
+                };
+            }
+            Step::Measure(a, v) => {
+                bits.push(c.measure_bit(qs[a]));
+                qs[a] = c.qinit_bit(v);
+            }
+            _ => apply_gate(&mut c, &qs, step),
+        }
+    }
+    for q in qs {
+        c.qdiscard(q);
+    }
+    c.finish(&bits)
+}
+
+/// Every QL040 the lint reports on random Clifford programs with boxed
+/// calls and mid-circuit measurements is the outcome the stabilizer
+/// simulator returns for that bit, under each of `SEEDS` seeds. The run
+/// must see enough QL040 notes and enough measurements whose outcome does
+/// vary with the seed to say something about both.
+#[test]
+fn ql040_outcomes_match_the_stabilizer_simulator() {
+    const PROGRAMS: usize = 128;
+    const SEEDS: u64 = 32;
+    let mut rng = TestRng::deterministic("ql040_outcomes_match_the_stabilizer_simulator");
+    let (mut notes, mut random) = (0usize, 0usize);
+    for _ in 0..PROGRAMS {
+        let inits = proptest::collection::vec(any::<bool>(), QUBITS).generate(&mut rng);
+        let body = proptest::collection::vec(clifford_step(), 1..6).generate(&mut rng);
+        let steps = proptest::collection::vec(step(), 4..28).generate(&mut rng);
+        // The body acts on two qubits.
+        let body: Vec<Step> = body
+            .into_iter()
+            .map(|step| match step {
+                Step::H(a) => Step::H(a % 2),
+                Step::S(a) => Step::S(a % 2),
+                Step::SDag(a) => Step::SDag(a % 2),
+                Step::X(a) => Step::X(a % 2),
+                Step::Z(a) => Step::Z(a % 2),
+                Step::Cnot(a, b) => Step::Cnot(a % 2, b % 2),
+                Step::Cz(a, b) => Step::Cz(a % 2, b % 2),
+                other => other,
+            })
+            .collect();
+        let bc = measured_program(&inits, &body, &steps);
+        let report = lint(&bc);
+        let claims: Vec<(usize, bool)> = report
+            .findings
+            .iter()
+            .filter(|d| d.code == "QL040")
+            .map(|d| {
+                let at = bc.main.outputs.iter().position(|&(w, _)| Some(w) == d.wire);
+                (
+                    at.expect("a measured bit is an output"),
+                    d.message.contains("|1⟩"),
+                )
+            })
+            .collect();
+        let runs: Vec<Vec<bool>> = (0..SEEDS)
+            .map(|seed| run_clifford(&bc, &[], seed).expect("a Clifford program runs"))
+            .collect();
+        for &(at, outcome) in &claims {
+            for (seed, run) in runs.iter().enumerate() {
+                assert_eq!(
+                    run[at], outcome,
+                    "QL040 claims bit {at} is {outcome} but seed {seed} measured {}; \
+                     steps {steps:?}, body {body:?}",
+                    run[at]
+                );
+            }
+        }
+        notes += claims.len();
+        random += (0..bc.main.outputs.len())
+            .filter(|&i| runs.iter().any(|r| r[i]) && runs.iter().any(|r| !r[i]))
+            .count();
+    }
+    assert!(notes >= 200, "only {notes} QL040 notes");
+    assert!(random >= 50, "only {random} random measurements");
 }

@@ -10,14 +10,18 @@
 //! updates 64 rows per instruction, and the row-sum broadcast of a random
 //! measurement XORs the pivot row into all affected rows one *word of rows*
 //! at a time. Phase (mod-4) arithmetic runs on two bit-planes instead of
-//! per-row integers.
+//! per-row integers. The gate updates and the row-product phase are the
+//! Aaronson–Gottesman rules of [`quipper_circuit::pauli::clifford`], the
+//! ones the lint's Pauli strings run one factor at a time; here each rule
+//! runs on a `u64` word of rows.
 //!
 //! The simulator is generic over the [`Tableau`] trait so that the oracle —
 //! the one-`bool`-per-cell
 //! [`BoolTableau`](crate::reference::BoolTableau) — plugs into the same
 //! gate loop ([`run_clifford_flat_tableau`]). Both consume randomness in the
 //! same order, so a run is reproducible bit-for-bit across the two under the
-//! same seed.
+//! same seed. The oracle writes its rules out per cell and does not share
+//! them, so the comparison checks the shared rules too.
 
 use std::collections::HashMap;
 
@@ -25,6 +29,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use quipper_circuit::flatten::inline_all;
+use quipper_circuit::pauli::clifford;
 use quipper_circuit::{BCircuit, Circuit, Gate, GateName, Wire, WireType};
 
 use crate::error::SimError;
@@ -133,6 +138,31 @@ impl PackedTableau {
         None
     }
 
+    /// Runs a one-qubit rule of [`clifford`] on column `q`, a word of rows
+    /// at a time. Inlined into each `gate_*`, so the rule is a direct call
+    /// the compiler inlines in turn.
+    #[inline(always)]
+    fn rule_1q(&mut self, q: usize, rule: clifford::Rule1q<u64>) {
+        let words = self.x[q].iter_mut().zip(self.z[q].iter_mut());
+        for ((x, z), r) in words.zip(self.r.iter_mut()) {
+            rule(x, z, r);
+        }
+    }
+
+    /// Runs a two-qubit rule of [`clifford`] on columns `a` and `b`, a word
+    /// of rows at a time. Inlined like [`rule_1q`](Self::rule_1q).
+    #[inline(always)]
+    fn rule_2q(&mut self, a: usize, b: usize, rule: clifford::Rule2q<u64>) {
+        debug_assert_ne!(a, b);
+        for w in 0..self.words {
+            let (mut xa, mut za) = (self.x[a][w], self.z[a][w]);
+            let (mut xb, mut zb) = (self.x[b][w], self.z[b][w]);
+            rule(&mut xa, &mut za, &mut xb, &mut zb, &mut self.r[w]);
+            (self.x[a][w], self.z[a][w]) = (xa, za);
+            (self.x[b][w], self.z[b][w]) = (xb, zb);
+        }
+    }
+
     /// Gathers stabilizer row `s` into row-major (over columns) bitsets.
     fn gather_stab_row(&self, s: usize, xr: &mut [u64], zr: &mut [u64]) {
         let bit = self.cap + s;
@@ -181,54 +211,27 @@ impl Tableau for PackedTableau {
     }
 
     fn gate_h(&mut self, q: usize) {
-        let (x, z) = (&mut self.x[q], &mut self.z[q]);
-        for w in 0..self.words {
-            self.r[w] ^= x[w] & z[w];
-            std::mem::swap(&mut x[w], &mut z[w]);
-        }
+        self.rule_1q(q, clifford::h);
     }
 
     fn gate_s(&mut self, q: usize) {
-        let (x, z) = (&mut self.x[q], &mut self.z[q]);
-        for w in 0..self.words {
-            self.r[w] ^= x[w] & z[w];
-            z[w] ^= x[w];
-        }
+        self.rule_1q(q, clifford::s);
     }
 
     fn gate_x(&mut self, q: usize) {
-        for w in 0..self.words {
-            self.r[w] ^= self.z[q][w];
-        }
+        self.rule_1q(q, clifford::x);
     }
 
     fn gate_z(&mut self, q: usize) {
-        for w in 0..self.words {
-            self.r[w] ^= self.x[q][w];
-        }
+        self.rule_1q(q, clifford::z);
     }
 
     fn gate_cnot(&mut self, ctl: usize, tgt: usize) {
-        debug_assert_ne!(ctl, tgt);
-        // Split borrows: index one column mutably at a time.
-        for w in 0..self.words {
-            let (xa, za) = (self.x[ctl][w], self.z[ctl][w]);
-            let (xb, zb) = (self.x[tgt][w], self.z[tgt][w]);
-            self.r[w] ^= xa & zb & !(xb ^ za);
-            self.x[tgt][w] = xb ^ xa;
-            self.z[ctl][w] = za ^ zb;
-        }
+        self.rule_2q(ctl, tgt, clifford::cnot);
     }
 
     fn gate_cz(&mut self, a: usize, b: usize) {
-        debug_assert_ne!(a, b);
-        for w in 0..self.words {
-            let (xa, za) = (self.x[a][w], self.z[a][w]);
-            let (xb, zb) = (self.x[b][w], self.z[b][w]);
-            self.r[w] ^= xa & xb & (za ^ zb);
-            self.z[a][w] = za ^ xb;
-            self.z[b][w] = zb ^ xa;
-        }
+        self.rule_2q(a, b, clifford::cz);
     }
 
     fn gate_swap(&mut self, a: usize, b: usize) {
@@ -265,20 +268,17 @@ impl Tableau for PackedTableau {
                     if !x1 && !z1 {
                         continue;
                     }
+                    // The pivot's factor in column k, in every row lane.
+                    let (x1, z1) = (u64::from(x1).wrapping_neg(), u64::from(z1).wrapping_neg());
                     for w in 0..self.words {
                         let mw = m[w];
                         if mw == 0 {
                             continue;
                         }
-                        let (x2, z2) = (self.x[k][w], self.z[k][w]);
                         // Rows whose g-contribution is +1 / −1 for this
-                        // column, given the pivot's (x1, z1).
-                        let (plus, minus) = match (x1, z1) {
-                            (true, true) => (z2 & !x2, x2 & !z2),
-                            (true, false) => (z2 & x2, z2 & !x2),
-                            (false, true) => (x2 & !z2, x2 & z2),
-                            (false, false) => unreachable!(),
-                        };
+                        // column.
+                        let (plus, minus) =
+                            clifford::product_phase(x1, z1, self.x[k][w], self.z[k][w]);
                         let (plus, minus) = (plus & mw, minus & mw);
                         // counter += 1 on `plus` rows, += 3 on `minus` rows.
                         s1[w] ^= s0[w] & plus;
@@ -342,17 +342,9 @@ impl Tableau for PackedTableau {
                     self.gather_stab_row(i, &mut xr, &mut zr);
                     let (mut plus, mut minus) = (0i64, 0i64);
                     for w in 0..cw {
-                        let (x1, z1) = (xr[w], zr[w]);
-                        let (x2, z2) = (sx[w], sz[w]);
-                        let c11 = x1 & z1;
-                        let c10 = x1 & !z1;
-                        let c01 = !x1 & z1;
-                        plus += i64::from((c11 & z2 & !x2).count_ones())
-                            + i64::from((c10 & z2 & x2).count_ones())
-                            + i64::from((c01 & x2 & !z2).count_ones());
-                        minus += i64::from((c11 & x2 & !z2).count_ones())
-                            + i64::from((c10 & z2 & !x2).count_ones())
-                            + i64::from((c01 & x2 & z2).count_ones());
+                        let (pw, mw) = clifford::product_phase(xr[w], zr[w], sx[w], sz[w]);
+                        plus += i64::from(pw.count_ones());
+                        minus += i64::from(mw.count_ones());
                     }
                     let phase =
                         2 * i64::from(sr) + 2 * i64::from(bit_get(&self.r, self.cap + i)) + plus
@@ -417,11 +409,6 @@ impl<T: Tableau> CliffordSim<T> {
     /// The value of a classical wire, if set.
     pub fn classical_value(&self, wire: Wire) -> Option<bool> {
         self.classical.get(&wire).copied()
-    }
-
-    /// Number of allocated tableau slots.
-    pub fn slots_allocated(&self) -> usize {
-        self.tab.n()
     }
 
     /// Binds a circuit input wire to a fresh value.

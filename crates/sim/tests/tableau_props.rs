@@ -82,7 +82,9 @@ fn flat_of(bc: &BCircuit) -> Circuit {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    // Most deep draws measure every qubit at random, where no sign shows;
+    // at 48 cases a broken row-product phase went unseen.
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The packed tableau matches the bool-matrix reference on every
     /// output bit, for every seed.
