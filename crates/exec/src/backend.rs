@@ -2,8 +2,8 @@
 //!
 //! Quipper separates circuit *description* from the run functions that
 //! consume circuits (paper §4.4.5). A [`Backend`] packages one run function
-//! behind a uniform interface with an admission check, so the engine can
-//! route each compiled plan to the cheapest simulator that admits it:
+//! behind a uniform interface; the engine runs each compiled plan on the
+//! backend its [`Route`](crate::Route) names:
 //!
 //! * [`ClassicalBackend`] — bit-per-wire permutation simulation, linear time.
 //! * [`StabilizerBackend`] — CHP tableau simulation, polynomial in width.
@@ -14,16 +14,17 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use quipper::Lifter;
+use quipper_circuit::Circuit;
 use std::sync::Arc;
 
 use quipper_sim::{
     evolve, evolve_clifford, run_classical_flat, run_clifford_flat, run_fused, Evolved,
-    EvolvedClifford, Shots, SimError, SimLifter, StateVecConfig, Suffix,
+    EvolvedClifford, FusedCircuit, Shots, SimError, SimLifter, StateVecConfig, Suffix,
 };
 
 use crate::error::ExecError;
-use crate::plan::Plan;
-use crate::profile::CircuitProfile;
+use crate::plan::{Body, Plan};
+use crate::profile::Route;
 
 /// A job whose shot-invariant prefix has run: the state every shot starts
 /// from, shared read-only by the engine's workers.
@@ -48,20 +49,17 @@ pub trait ShotWorker {
     fn run_shot(&mut self, seed: u64) -> Result<Vec<bool>, ExecError>;
 }
 
-/// A run function behind a uniform interface: an admission check and the
-/// execution of a compiled [`Plan`].
+/// A run function behind a uniform interface: the execution of a compiled
+/// [`Plan`] routed to it.
 ///
 /// Backends are stateless between jobs — per-job state lives in the
 /// [`PreparedJob`], per-shot state in each worker's [`ShotWorker`] — so one
 /// backend instance is shared (`Send + Sync`) across the engine's worker
 /// threads.
 pub trait Backend: Send + Sync {
-    /// Stable short name, used in reports and for explicit backend selection.
+    /// Stable short name, used in reports; the engine runs a plan on the
+    /// backend whose name is its route's ([`Route::name`](crate::Route::name)).
     fn name(&self) -> &'static str;
-
-    /// Whether this backend can execute circuits with the given profile;
-    /// `Err` carries a human-readable rejection reason.
-    fn admit(&self, profile: &CircuitProfile) -> Result<(), String>;
 
     /// Executes one shot of a compiled plan on basis-state `inputs`,
     /// returning the circuit's output bits. `seed` drives any measurement
@@ -95,47 +93,52 @@ pub trait Backend: Send + Sync {
     }
 }
 
-fn sim_err(backend: &'static str) -> impl Fn(SimError) -> ExecError {
+fn sim_err(route: Route) -> impl Fn(SimError) -> ExecError {
+    let backend = route.name();
     move |source| ExecError::Sim { backend, source }
+}
+
+/// The refusal of a plan routed to another backend.
+fn misrouted(plan: &Plan) -> ExecError {
+    let reason = format!("plan is routed to `{}`", plan.route.name());
+    ExecError::NoBackend { reason }
+}
+
+/// The flat circuit of a plan on a flat route.
+fn flat(plan: &Plan) -> Result<&Circuit, ExecError> {
+    match &plan.body {
+        Body::Flat(flat) => Ok(flat),
+        Body::Fused(_) => Err(misrouted(plan)),
+    }
+}
+
+/// The fused stream of a plan on the state-vector route.
+fn fused(plan: &Plan) -> Result<&Arc<FusedCircuit>, ExecError> {
+    match &plan.body {
+        Body::Fused(fused) => Ok(fused),
+        Body::Flat(_) => Err(misrouted(plan)),
+    }
 }
 
 /// Adapter over the exact state-vector simulator (`run_generic`): universal
 /// but exponential in circuit width.
 #[derive(Clone, Copy, Debug)]
 pub struct StateVecBackend {
-    /// Reject circuits whose peak live-qubit count exceeds this; the state
-    /// vector holds `2^peak` complex amplitudes.
-    pub max_qubits: usize,
     /// What the kernels need to know about the host: threads per amplitude
     /// update and from what state size, and the window block size. What runs
-    /// fused is the plan's business ([`Plan::fused`]), not the backend's.
+    /// fused is the plan's business ([`Body::Fused`]), not the backend's.
     pub config: StateVecConfig,
 }
 
-/// The default width cap: 2²⁴ amplitudes ≈ 256 MiB, a safe single-host bound.
-pub const DEFAULT_MAX_QUBITS: usize = 24;
-
-const STATEVEC: &str = "statevec";
-
 impl Backend for StateVecBackend {
     fn name(&self) -> &'static str {
-        STATEVEC
-    }
-
-    fn admit(&self, profile: &CircuitProfile) -> Result<(), String> {
-        if profile.peak_qubits > self.max_qubits {
-            return Err(format!(
-                "peak width {} qubits exceeds the state-vector cap of {}",
-                profile.peak_qubits, self.max_qubits
-            ));
-        }
-        Ok(())
+        Route::StateVec.name()
     }
 
     fn run_shot(&self, plan: &Plan, inputs: &[bool], seed: u64) -> Result<Vec<bool>, ExecError> {
         // Replay the plan's op stream, fused once at compile time.
         let result =
-            run_fused(&plan.fused, inputs, seed, self.config).map_err(sim_err(self.name()))?;
+            run_fused(fused(plan)?, inputs, seed, self.config).map_err(sim_err(Route::StateVec))?;
         // The engine admits only all-classical-output circuits to sampling,
         // so this cannot hit `classical_outputs`' quantum-output panic.
         Ok(result.classical_outputs())
@@ -148,8 +151,9 @@ impl Backend for StateVecBackend {
         should_stop: &dyn Fn() -> bool,
     ) -> Result<Box<dyn PreparedJob + 'a>, ExecError> {
         // The same stream `run_shot` replays.
-        let fused = Arc::clone(&plan.fused);
-        let evolved = evolve(fused, inputs, self.config, should_stop).map_err(sim_err(STATEVEC))?;
+        let fused = Arc::clone(fused(plan)?);
+        let evolved =
+            evolve(fused, inputs, self.config, should_stop).map_err(sim_err(Route::StateVec))?;
         Ok(Box::new(evolved))
     }
 
@@ -174,7 +178,7 @@ impl PreparedJob for Evolved {
 
 impl ShotWorker for Shots<'_> {
     fn run_shot(&mut self, seed: u64) -> Result<Vec<bool>, ExecError> {
-        self.shot(seed).map_err(sim_err(STATEVEC))
+        self.shot(seed).map_err(sim_err(Route::StateVec))
     }
 }
 
@@ -186,18 +190,11 @@ pub struct ClassicalBackend;
 
 impl Backend for ClassicalBackend {
     fn name(&self) -> &'static str {
-        "classical"
-    }
-
-    fn admit(&self, profile: &CircuitProfile) -> Result<(), String> {
-        if !profile.classical_only {
-            return Err("circuit contains superposition-creating gates".to_string());
-        }
-        Ok(())
+        Route::Classical.name()
     }
 
     fn run_shot(&self, plan: &Plan, inputs: &[bool], _seed: u64) -> Result<Vec<bool>, ExecError> {
-        run_classical_flat(&plan.flat, inputs).map_err(sim_err(self.name()))
+        run_classical_flat(flat(plan)?, inputs).map_err(sim_err(Route::Classical))
     }
 
     /// Nothing here is random, so the whole circuit is the prefix: it is
@@ -209,7 +206,7 @@ impl Backend for ClassicalBackend {
         _should_stop: &dyn Fn() -> bool,
     ) -> Result<Box<dyn PreparedJob + 'a>, ExecError> {
         Ok(Box::new(Evaluated {
-            ops: plan.flat.gates.len(),
+            ops: plan.profile.num_gates,
             outputs: self.run_shot(plan, inputs, 0)?,
         }))
     }
@@ -246,22 +243,13 @@ impl ShotWorker for &Evaluated {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StabilizerBackend;
 
-const STABILIZER: &str = "stabilizer";
-
 impl Backend for StabilizerBackend {
     fn name(&self) -> &'static str {
-        STABILIZER
-    }
-
-    fn admit(&self, profile: &CircuitProfile) -> Result<(), String> {
-        if !profile.clifford_only {
-            return Err("circuit contains non-Clifford gates".to_string());
-        }
-        Ok(())
+        Route::Stabilizer.name()
     }
 
     fn run_shot(&self, plan: &Plan, inputs: &[bool], seed: u64) -> Result<Vec<bool>, ExecError> {
-        run_clifford_flat(&plan.flat, inputs, seed).map_err(sim_err(self.name()))
+        run_clifford_flat(flat(plan)?, inputs, seed).map_err(sim_err(Route::Stabilizer))
     }
 
     fn prepare<'a>(
@@ -270,8 +258,8 @@ impl Backend for StabilizerBackend {
         inputs: &'a [bool],
         should_stop: &dyn Fn() -> bool,
     ) -> Result<Box<dyn PreparedJob + 'a>, ExecError> {
-        let evolved: EvolvedClifford<'a> =
-            evolve_clifford(&plan.flat, inputs, should_stop).map_err(sim_err(STABILIZER))?;
+        let evolved: EvolvedClifford<'a> = evolve_clifford(flat(plan)?, inputs, should_stop)
+            .map_err(sim_err(Route::Stabilizer))?;
         Ok(Box::new(evolved))
     }
 }
@@ -292,6 +280,6 @@ impl PreparedJob for EvolvedClifford<'_> {
 
 impl ShotWorker for &EvolvedClifford<'_> {
     fn run_shot(&mut self, seed: u64) -> Result<Vec<bool>, ExecError> {
-        self.shot(seed).map_err(sim_err(STABILIZER))
+        self.shot(seed).map_err(sim_err(Route::Stabilizer))
     }
 }

@@ -3,8 +3,8 @@
 //! [`Engine`] fronts every run function behind one subsystem. A [`Job`]
 //! couples a circuit with inputs, a shot count and a base seed. Running one
 //! is two halves: [`Engine::resolve`] turns the job's circuit into a plan
-//! through the [`PlanCache`], and [`Engine::run_resolved`] routes that plan
-//! to the cheapest [`Backend`] that admits it, runs the shots, and returns
+//! through the [`PlanCache`], and [`Engine::run_resolved`] runs the shots
+//! on the [`Backend`] the plan was routed to when it compiled, and returns
 //! an [`ExecResult`] whose [`ExecReport`] records what happened.
 //! [`Engine::run`] is the two in a row, shots fanned out over the worker
 //! pool; a caller that retries (the service) resolves once and re-runs
@@ -52,8 +52,8 @@ use quipper_trace::{fmt_duration, names, Phase, Tracer};
 use crate::backend::{Backend, ClassicalBackend, PreparedJob, StabilizerBackend, StateVecBackend};
 use crate::cancel::{CancelReason, CancelToken};
 use crate::error::ExecError;
-use crate::plan::{LintGate, Plan, PlanCache, PlanSource};
-use crate::profile::CircuitProfile;
+use crate::plan::{Body, LintGate, Plan, PlanCache, PlanSource};
+use crate::profile::Route;
 
 use quipper_lint::LintSummary;
 
@@ -62,8 +62,6 @@ use quipper_lint::LintSummary;
 pub struct EngineConfig {
     /// Worker threads for multi-shot fan-out; `1` runs everything inline.
     pub workers: usize,
-    /// Peak live-qubit cap for the state-vector backend.
-    pub max_qubits: usize,
     /// Host settings of the state-vector kernels: threads and threading
     /// threshold, window block size. Plans are fused the same way whatever
     /// is set here.
@@ -95,7 +93,6 @@ impl Default for EngineConfig {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            max_qubits: crate::backend::DEFAULT_MAX_QUBITS,
             statevec: StateVecConfig::default(),
             lint: LintGate::default(),
             opt: OptLevel::default(),
@@ -116,7 +113,6 @@ pub struct Job<'a> {
     inputs: Vec<bool>,
     shots: u64,
     base_seed: u64,
-    backend: Option<String>,
     cancel: Option<CancelToken>,
     opt: Option<OptLevel>,
 }
@@ -129,7 +125,6 @@ impl<'a> Job<'a> {
             inputs: Vec::new(),
             shots: 1,
             base_seed: 0,
-            backend: None,
             cancel: None,
             opt: None,
         }
@@ -150,12 +145,6 @@ impl<'a> Job<'a> {
     /// Sets the base seed; shot `i` runs with seed `base_seed + i`.
     pub fn seed(mut self, base_seed: u64) -> Self {
         self.base_seed = base_seed;
-        self
-    }
-
-    /// Pins the job to a named backend instead of auto-selection.
-    pub fn on_backend(mut self, name: &str) -> Self {
-        self.backend = Some(name.to_string());
         self
     }
 
@@ -210,11 +199,11 @@ pub struct ExecReport {
     /// What ran once ahead of the shots. `None` for a job of zero shots
     /// (nothing runs), or for reports built outside the engine.
     pub prefix: Option<PrefixReport>,
-    /// Fusion and kernel-classification counters of the executed plan
-    /// (static per plan, independent of shot count).
-    pub fuse: FuseStats,
+    /// Fusion counters of the executed plan (static per plan, independent
+    /// of shot count). `None` on the routes that never fuse.
+    pub fuse: Option<FuseStats>,
     /// Why the job ran on `backend`: the routing decision derived from the
-    /// plan's [`CircuitProfile`] (or the pin requested by the job).
+    /// plan's [`CircuitProfile`](crate::CircuitProfile) when it compiled.
     pub route_reason: String,
     /// Static-analysis summary of the executed plan (static per plan).
     /// `None` only for reports built outside the engine.
@@ -228,7 +217,7 @@ impl fmt::Display for ExecReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{:>6} shots on {:<10} | plan {:#018x} {} | workers {:<2} | compile {:>9} | exec {:>9} | fused {}/{} | route: {}",
+            "{:>6} shots on {:<10} | plan {:#018x} {} | workers {:<2} | compile {:>9} | exec {:>9} | ",
             self.shots,
             self.backend,
             self.fingerprint,
@@ -236,10 +225,11 @@ impl fmt::Display for ExecReport {
             self.workers,
             fmt_duration(self.compile),
             fmt_duration(self.execute),
-            self.fuse.fused_away,
-            self.fuse.gates_in,
-            self.route_reason,
         )?;
+        if let Some(fuse) = &self.fuse {
+            write!(f, "fused {}/{} | ", fuse.fused_away, fuse.gates_in)?;
+        }
+        write!(f, "route: {}", self.route_reason)?;
         if let Some(prefix) = &self.prefix {
             write!(
                 f,
@@ -315,8 +305,8 @@ impl fmt::Display for EngineStats {
     }
 }
 
-/// The execution engine: registered backends in routing order, the plan
-/// cache, and the worker pool width. Shared freely across threads.
+/// The execution engine: registered backends, the plan cache, and the
+/// worker pool width. Shared freely across threads.
 pub struct Engine {
     backends: Vec<Arc<dyn Backend>>,
     cache: PlanCache,
@@ -339,33 +329,29 @@ impl Engine {
         Engine::with_config(EngineConfig::default())
     }
 
-    /// An engine with explicit worker count and state-vector width cap.
-    ///
-    /// Backends are registered cheapest-first; auto-selection takes the first
-    /// one that admits the circuit: classical (linear) over stabilizer
-    /// (polynomial) over state-vector (exponential).
+    /// An engine with an explicit configuration and the built-in backends.
     pub fn with_config(config: EngineConfig) -> Engine {
         let backends = Engine::default_backends(&config);
         Engine::with_backends(config, backends)
     }
 
-    /// The built-in backend set for a configuration, in routing order.
-    /// Useful as the starting point for [`Engine::with_backends`] when
-    /// wrapping backends (fault injection, instrumentation).
+    /// The built-in backends, one per [`Route`](crate::Route): the starting
+    /// point for [`Engine::with_backends`] when wrapping them (fault
+    /// injection, instrumentation).
     pub fn default_backends(config: &EngineConfig) -> Vec<Arc<dyn Backend>> {
         vec![
             Arc::new(ClassicalBackend),
             Arc::new(StabilizerBackend),
             Arc::new(StateVecBackend {
-                max_qubits: config.max_qubits,
                 config: config.statevec,
             }),
         ]
     }
 
-    /// An engine routing over an explicit backend list (tried in order).
-    /// This is how wrappers like a fault injector are installed: wrap the
-    /// [`Engine::default_backends`] and hand them back here.
+    /// An engine over an explicit backend list: each job runs on the one
+    /// whose name is its plan's route. This is how wrappers like a fault
+    /// injector are installed: wrap the [`Engine::default_backends`] and hand
+    /// them back here.
     pub fn with_backends(config: EngineConfig, backends: Vec<Arc<dyn Backend>>) -> Engine {
         Engine {
             backends,
@@ -377,17 +363,18 @@ impl Engine {
         }
     }
 
-    /// The registered backends, in routing order.
+    /// The registered backends.
     pub fn backends(&self) -> impl Iterator<Item = &dyn Backend> {
         self.backends.iter().map(|b| &**b)
     }
 
     /// Compiles (or fetches from cache) the plan for a circuit. Useful for
-    /// inspecting the profile the router will see.
+    /// inspecting its profile and the route picked from it.
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError::Circuit`] if validation or flattening fails, and
+    /// Returns [`ExecError::Circuit`] if validation or flattening fails,
+    /// [`ExecError::NoBackend`] if no route admits the circuit, and
     /// [`ExecError::Lint`] if the circuit fails the engine's lint gate.
     pub fn plan(&self, circuit: &BCircuit) -> Result<Arc<Plan>, ExecError> {
         Ok(self.cache.get_or_compile(circuit, self.opt, self.lint)?.0)
@@ -403,41 +390,13 @@ impl Engine {
         self.trace
     }
 
-    fn route(&self, plan: &Plan, pinned: Option<&str>) -> Result<&dyn Backend, ExecError> {
-        if let Some(name) = pinned {
-            let backend = self
-                .backends
-                .iter()
-                .find(|b| b.name() == name)
-                .ok_or_else(|| ExecError::UnknownBackend {
-                    name: name.to_string(),
-                })?;
-            return match backend.admit(&plan.profile) {
-                Ok(()) => Ok(&**backend),
-                Err(reason) => Err(ExecError::NoBackend {
-                    reason: format!("{name}: {reason}"),
-                }),
-            };
-        }
-        let mut reasons = Vec::new();
-        for backend in &self.backends {
-            match backend.admit(&plan.profile) {
-                Ok(()) => return Ok(&**backend),
-                Err(reason) => reasons.push(format!("{}: {}", backend.name(), reason)),
-            }
-        }
-        Err(ExecError::NoBackend {
-            reason: reasons.join("; "),
-        })
-    }
-
-    /// Runs a job: [`resolve`](Engine::resolve) its plan, then route,
-    /// execute all shots over the worker pool, merge.
+    /// Runs a job: [`resolve`](Engine::resolve) its plan, then execute all
+    /// shots over the worker pool on the plan's backend, merge.
     ///
     /// # Errors
     ///
-    /// Compilation, lint-gate, routing and per-shot simulation errors. On a
-    /// shot error
+    /// Compilation (routing included), lint-gate and per-shot simulation
+    /// errors. On a shot error
     /// the whole job fails with the error of the *lowest-indexed* failing
     /// shot, so parallel and sequential schedules report identically.
     pub fn run(&self, job: &Job) -> Result<ExecResult, ExecError> {
@@ -463,8 +422,7 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`ExecError::Circuit`] if validation or flattening fails, and
-    /// [`ExecError::Lint`] if the circuit fails the engine's lint gate.
+    /// As [`Engine::plan`].
     pub fn resolve(&self, job: &Job) -> Result<(Arc<Plan>, PlanSource), ExecError> {
         let trace = self.trace;
         let _span = trace.span(Phase::Compile, "plan.get_or_compile");
@@ -485,14 +443,16 @@ impl Engine {
         Ok((plan, source))
     }
 
-    /// The second half of a run: routes a plan [`resolve`](Engine::resolve)d
-    /// for `job`, runs the shots sequentially on the calling thread, and
-    /// merges them. Compiles and looks up nothing, so a caller may retry it
-    /// on the same plan; `source` only feeds the report.
+    /// The second half of a run: runs the shots of a plan
+    /// [`resolve`](Engine::resolve)d for `job` sequentially on the calling
+    /// thread, on the backend of the plan's route, and merges them. Compiles
+    /// and looks up nothing, so a caller may retry it on the same plan;
+    /// `source` only feeds the report.
     ///
     /// # Errors
     ///
-    /// Routing and per-shot simulation errors, as for [`Engine::run`].
+    /// [`ExecError::NoBackend`] if no registered backend is named for the
+    /// plan's route, and per-shot simulation errors, as for [`Engine::run`].
     pub fn run_resolved(
         &self,
         job: &Job,
@@ -512,17 +472,20 @@ impl Engine {
         let trace = self.trace;
         let _job_span = trace.span(Phase::Execute, "engine.job");
 
-        let backend = self.route(plan, job.backend.as_deref())?;
-        let route_reason = route_reason(&plan.profile, backend.name(), job.backend.is_some());
+        let name = plan.route.name();
+        let Some(backend) = self.backends().find(|b| b.name() == name) else {
+            let reason = format!("no registered backend is named `{name}`");
+            return Err(ExecError::NoBackend { reason });
+        };
         if trace.enabled() {
-            trace.metrics().add(route_metric(backend.name()), 1);
+            trace.metrics().add(route_metric(plan.route), 1);
             trace
                 .metrics()
                 .record_max(names::PEAK_QUBITS, plan.profile.peak_qubits as u64);
             trace.instant(
                 Phase::Execute,
                 "route",
-                Some(format!("{}: {route_reason}", backend.name())),
+                Some(format!("{name}: {}", plan.route_reason)),
             );
         }
         if !plan.profile.outputs_classical {
@@ -564,8 +527,11 @@ impl Engine {
                 },
                 execute,
                 prefix,
-                fuse: plan.fuse_stats(),
-                route_reason,
+                fuse: match &plan.body {
+                    Body::Fused(fused) => Some(fused.stats),
+                    Body::Flat(_) => None,
+                },
+                route_reason: plan.route_reason.clone(),
                 lint: Some(plan.lint.summary()),
                 opt: plan.opt.as_ref().map(|r| r.summary()),
             },
@@ -622,32 +588,12 @@ impl Engine {
 
 type Histogram = HashMap<Vec<bool>, u64>;
 
-/// Why the router picked `backend`, phrased from the circuit profile. The
-/// registration order is cheapest-first, so each backend's reason states the
-/// profile property that admitted it.
-fn route_reason(profile: &CircuitProfile, backend: &'static str, pinned: bool) -> String {
-    if pinned {
-        return format!("pinned to `{backend}` by the job");
-    }
-    match backend {
-        "classical" => "classical-only circuit; boolean evaluation suffices".to_string(),
-        "stabilizer" => "Clifford-only circuit; polynomial stabilizer simulation".to_string(),
-        "statevec" => format!(
-            "universal gate set; peak {} qubit{} within state-vector cap",
-            profile.peak_qubits,
-            if profile.peak_qubits == 1 { "" } else { "s" },
-        ),
-        other => format!("first capable backend `{other}`"),
-    }
-}
-
-/// The routing-decision counter for a backend name.
-fn route_metric(backend: &'static str) -> &'static str {
-    match backend {
-        "classical" => names::ROUTE_CLASSICAL,
-        "stabilizer" => names::ROUTE_STABILIZER,
-        "statevec" => names::ROUTE_STATEVEC,
-        _ => names::ROUTE_OTHER,
+/// The routing-decision counter for a route.
+fn route_metric(route: Route) -> &'static str {
+    match route {
+        Route::Classical => names::ROUTE_CLASSICAL,
+        Route::Stabilizer => names::ROUTE_STABILIZER,
+        Route::StateVec => names::ROUTE_STATEVEC,
     }
 }
 
@@ -855,11 +801,11 @@ mod tests {
                 time: Duration::from_micros(120),
                 suffix: Suffix::Sampled,
             }),
-            fuse: FuseStats {
+            fuse: Some(FuseStats {
                 gates_in: 210,
                 gates_out: 198,
                 fused_away: 12,
-            },
+            }),
             route_reason: "universal gate set; peak 9 qubits within state-vector cap".into(),
             lint: None,
             opt: None,
@@ -897,15 +843,33 @@ mod tests {
                 time: Duration::from_millis(40),
                 suffix: Suffix::Branched,
             }),
-            route_reason: "pinned to `statevec` by the job".into(),
             ..sample_report()
         };
         assert_eq!(
             report.to_string(),
             "  1000 shots on statevec   | plan 0x00000000deadbeef hit  | workers 4  | \
              compile     480ns | exec     2.50s | fused 12/210 | \
-             route: pinned to `statevec` by the job | \
+             route: universal gate set; peak 9 qubits within state-vector cap | \
              prefix: 12 ops once in 40.00ms, branched shots"
+        );
+    }
+
+    /// A plan on a flat route never fused, so its report has no `fused`
+    /// segment.
+    #[test]
+    fn exec_report_display_leaves_out_fusion_on_flat_routes() {
+        let report = ExecReport {
+            backend: "stabilizer",
+            fuse: None,
+            route_reason: "Clifford-only circuit; polynomial stabilizer simulation".into(),
+            prefix: None,
+            ..sample_report()
+        };
+        assert_eq!(
+            report.to_string(),
+            "  1000 shots on stabilizer | plan 0x00000000deadbeef miss | workers 4  | \
+             compile    1.50ms | exec  250.00µs | \
+             route: Clifford-only circuit; polynomial stabilizer simulation"
         );
     }
 
@@ -965,29 +929,5 @@ mod tests {
              route: universal gate set; peak 9 qubits within state-vector cap | \
              prefix: 190 ops once in 120.00µs, sampled shots | opt: default 220->198"
         );
-    }
-
-    #[test]
-    fn route_reasons_name_the_deciding_profile_property() {
-        let profile = CircuitProfile {
-            classical_only: false,
-            clifford_only: false,
-            peak_qubits: 9,
-            num_inputs: 3,
-            num_gates: 210,
-            outputs_classical: true,
-        };
-        assert_eq!(
-            route_reason(&profile, "statevec", false),
-            "universal gate set; peak 9 qubits within state-vector cap"
-        );
-        assert!(route_reason(&profile, "classical", false).contains("classical-only"));
-        assert!(route_reason(&profile, "stabilizer", false).contains("Clifford-only"));
-        assert_eq!(
-            route_reason(&profile, "statevec", true),
-            "pinned to `statevec` by the job"
-        );
-        assert_eq!(route_metric("statevec"), names::ROUTE_STATEVEC);
-        assert_eq!(route_metric("mystery"), names::ROUTE_OTHER);
     }
 }

@@ -23,15 +23,10 @@ pub enum ExecError {
         /// The underlying simulator error.
         source: SimError,
     },
-    /// No registered backend can execute the circuit.
+    /// No route admits the circuit (at compile), or no backend runs the route.
     NoBackend {
         /// Why each candidate was rejected.
         reason: String,
-    },
-    /// A backend was requested by name but is not registered.
-    UnknownBackend {
-        /// The requested name.
-        name: String,
     },
     /// A sampling job needs every circuit output to be classical (measure
     /// quantum outputs inside the circuit).
@@ -79,9 +74,6 @@ impl fmt::Display for ExecError {
             }
             ExecError::NoBackend { reason } => {
                 write!(f, "no backend can execute this circuit: {reason}")
-            }
-            ExecError::UnknownBackend { name } => {
-                write!(f, "no backend named `{name}` is registered")
             }
             ExecError::QuantumOutputs => write!(
                 f,

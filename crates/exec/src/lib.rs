@@ -6,15 +6,16 @@
 //! (paper §4.4.5). The lower crates each expose one run function; this crate
 //! puts them all behind a single subsystem:
 //!
-//! * [`Backend`] — one run function with an admission check; adapters wrap
-//!   the state-vector, classical and stabilizer simulators.
-//!   [`Engine::estimate`] is the run function that simulates nothing: gate
-//!   counts, peak width and depth of the hierarchical circuit.
-//! * **Auto-selection** — each circuit is profiled once
-//!   ([`CircuitProfile`]) and routed to the cheapest backend that admits
-//!   it: classical-only circuits to the bit-per-wire simulator,
-//!   Clifford-only circuits to the CHP tableau, everything else to the
-//!   state vector.
+//! * [`Backend`] — one run function; adapters wrap the state-vector,
+//!   classical and stabilizer simulators. [`Engine::estimate`] is the run
+//!   function that simulates nothing: gate counts, peak width and depth of
+//!   the hierarchical circuit.
+//! * **Routing at compile** — each circuit is profiled once
+//!   ([`CircuitProfile`]); its plan's [`Route`] is the cheapest backend that
+//!   runs it (classical, else the CHP tableau, else the state vector up to
+//!   [`DEFAULT_MAX_QUBITS`]; else [`ExecError::NoBackend`]), and the plan
+//!   keeps only the gate stream that backend reads ([`Body`]). A job runs
+//!   on the registered backend its plan's route names.
 //! * [`Plan`] / [`PlanCache`] — validation and flattening happen once per
 //!   structurally-distinct circuit, keyed by the stable circuit
 //!   [`fingerprint`](quipper_circuit::fingerprint); repeat submissions skip
@@ -24,7 +25,7 @@
 //!   `(fingerprint, level)` — one caller compiles, the others wait and
 //!   share its plan — telling each caller which it was ([`PlanSource`]).
 //! * **One job path** — [`Engine::resolve`] (the job's plan, through the
-//!   cache) then [`Engine::run_resolved`] (route, prefix, shots, merge).
+//!   cache) then [`Engine::run_resolved`] (prefix, shots, merge).
 //!   [`Engine::run`] is the two in a row; a scheduler that retries
 //!   transient faults (`quipper-serve`) resolves once per job and re-runs
 //!   only the second half.
@@ -40,8 +41,9 @@
 //!   parallel results are bit-identical to sequential ones. Scheduling
 //!   *across* jobs is `quipper_serve::Service`.
 //! * [`ExecReport`] — per-job observability: shots, wall time, cache hit,
-//!   backend chosen. Cumulative numbers are the metrics registry's; the
-//!   engine's [`EngineStats`] is only its plan cache's hit/miss/size.
+//!   the plan's backend and why. Cumulative numbers are the metrics
+//!   registry's; the engine's [`EngineStats`] is only its plan cache's
+//!   hit/miss/size.
 //!
 //! ```
 //! use quipper::{Circ, Qubit};
@@ -75,8 +77,8 @@ pub use engine::{
     Engine, EngineConfig, EngineStats, ExecReport, ExecResult, Job, PrefixReport, ResourceEstimate,
 };
 pub use error::ExecError;
-pub use plan::{LintGate, Plan, PlanCache, PlanSource};
-pub use profile::{profile, CircuitProfile};
+pub use plan::{Body, LintGate, Plan, PlanCache, PlanSource};
+pub use profile::{profile, CircuitProfile, Route, DEFAULT_MAX_QUBITS};
 pub use quipper_lint::{LintReport, LintSummary, Severity};
 pub use quipper_opt::{OptLevel, OptReport, OptSummary};
 pub use quipper_sim::Suffix;

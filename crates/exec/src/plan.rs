@@ -4,8 +4,10 @@
 //! subroutine (paper §4.4.4), and profiling for backend selection — costs as
 //! much as a simulation shot for classical circuits, and repeated jobs over
 //! the same circuit family (multi-shot sampling, benchmark sweeps) would pay
-//! it every time. A [`Plan`] captures the prepared form once; the
-//! [`PlanCache`] keys plans by the structural
+//! it every time. A [`Plan`] captures the prepared form once: the circuit is
+//! described once and handed to one run function (paper §4.4.5), so the plan
+//! is its [`Route`] and the one gate stream that route's backend reads
+//! ([`Body`]). The [`PlanCache`] keys plans by the structural
 //! [`fingerprint`](quipper_circuit::fingerprint) of the hierarchical circuit,
 //! so a repeat submission skips validation and flattening entirely.
 //!
@@ -24,10 +26,10 @@ use quipper_circuit::flatten::inline_all;
 use quipper_circuit::{validate, BCircuit, Circuit};
 use quipper_lint::{LintReport, Severity};
 use quipper_opt::{optimize, OptLevel, OptReport};
-use quipper_sim::{fuse_circuit, FuseStats, FusedCircuit};
+use quipper_sim::{fuse_circuit, FusedCircuit};
 
 use crate::error::ExecError;
-use crate::profile::{profile, CircuitProfile};
+use crate::profile::{profile, CircuitProfile, Route};
 
 /// How strictly the engine's static-analysis gate treats lint findings when
 /// compiling a plan.
@@ -73,22 +75,32 @@ impl LintGate {
     }
 }
 
+/// The one gate stream a plan keeps: the one its route's backend reads.
+#[derive(Debug)]
+pub enum Body {
+    /// The flattened circuit, every subroutine call inlined: what the
+    /// classical and stabilizer backends run.
+    Flat(Circuit),
+    /// The flattened circuit with runs of single-qubit gates fused, once,
+    /// for the state vector to replay every shot. Shared with each job's
+    /// evolved prefix state, which is simpler to hold without a borrow.
+    Fused(Arc<FusedCircuit>),
+}
+
 /// A circuit prepared for repeated execution: validated, flattened, profiled
-/// and gate-fused. Plans are immutable and shared (`Arc`) between the cache,
-/// jobs in flight, and worker threads.
+/// and routed, fused if its route is the state vector. Plans are immutable
+/// and shared (`Arc`) between the cache, jobs in flight, and worker threads.
 #[derive(Debug)]
 pub struct Plan {
     /// Structural fingerprint of the *hierarchical* circuit this plan was
     /// compiled from (the cache key).
     pub fingerprint: u64,
-    /// The flattened circuit: every subroutine call inlined.
-    pub flat: Circuit,
-    /// The flat circuit with runs of single-qubit gates fused, for backends
-    /// that replay the stream many times (state vector). Fused once here so
-    /// multi-shot jobs and cached resubmissions never re-fuse. Shared with
-    /// each job's evolved prefix state, which outlives no plan but is
-    /// simpler to hold without a borrow.
-    pub fused: Arc<FusedCircuit>,
+    /// The backend this plan runs on, picked from its profile at compile.
+    pub route: Route,
+    /// Why: the profile property that decided the route.
+    pub route_reason: String,
+    /// The gate stream the route's backend reads.
+    pub body: Body,
     /// Backend-selection profile of the flat circuit.
     pub profile: CircuitProfile,
     /// Static-analysis findings for the hierarchical circuit. Always
@@ -101,16 +113,18 @@ pub struct Plan {
     /// [`OptLevel::Off`] was active at compile time.
     pub opt: Option<OptReport>,
     /// How long validation + optimization + inlining + profiling + fusion
-    /// took.
+    /// (state-vector routes only) took.
     pub compile_time: Duration,
 }
 
 impl Plan {
-    /// Validates, flattens, profiles and fuses a hierarchical circuit.
+    /// Validates, flattens, profiles and routes a hierarchical circuit, and
+    /// fuses it if the route is the state vector.
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError::Circuit`] if validation or inlining fails.
+    /// Returns [`ExecError::Circuit`] if validation or inlining fails, and
+    /// [`ExecError::NoBackend`] if no backend runs the circuit's profile.
     pub fn compile(bc: &BCircuit) -> Result<Plan, ExecError> {
         Plan::compile_with(bc, OptLevel::Off)
     }
@@ -153,24 +167,24 @@ impl Plan {
             let _span = quipper_trace::span(quipper_trace::Phase::Compile, "profile");
             profile(&flat)
         };
-        let fused = {
-            let _span = quipper_trace::span(quipper_trace::Phase::Compile, "fuse");
-            Arc::new(fuse_circuit(&flat))
+        let route = Route::pick(&profile).map_err(|reason| ExecError::NoBackend { reason })?;
+        let body = match route {
+            Route::Classical | Route::Stabilizer => Body::Flat(flat),
+            Route::StateVec => {
+                let _span = quipper_trace::span(quipper_trace::Phase::Compile, "fuse");
+                Body::Fused(Arc::new(fuse_circuit(&flat)))
+            }
         };
         Ok(Plan {
             fingerprint,
-            flat,
-            fused,
+            route,
+            route_reason: route.reason(&profile),
+            body,
             profile,
             lint,
             opt,
             compile_time: start.elapsed(),
         })
-    }
-
-    /// What fusion did to this plan's gate stream (static per plan).
-    pub fn fuse_stats(&self) -> FuseStats {
-        self.fused.stats
     }
 }
 
@@ -457,8 +471,8 @@ mod tests {
         let plain = Plan::compile(&bc).unwrap();
         let off = Plan::compile_with(&bc, OptLevel::Off).unwrap();
         assert_eq!(off.fingerprint, plain.fingerprint);
-        assert_eq!(off.flat, plain.flat);
-        assert_eq!(off.fuse_stats(), plain.fuse_stats());
+        assert_eq!(off.profile, plain.profile);
+        assert_eq!(off.route, plain.route);
         assert!(off.opt.is_none());
     }
 
@@ -467,7 +481,7 @@ mod tests {
         let bc = cancelling_pair();
         let off = Plan::compile_with(&bc, OptLevel::Off).unwrap();
         let opt = Plan::compile_with(&bc, OptLevel::Default).unwrap();
-        assert!(opt.flat.gates.len() < off.flat.gates.len());
+        assert!(opt.profile.num_gates < off.profile.num_gates);
         let report = opt.opt.as_ref().expect("optimized plan carries a report");
         // H·H cancels (−2), and the terminal T is absorbed into the
         // measurement by the Clifford-push pass (−1).
@@ -487,7 +501,7 @@ mod tests {
         assert_eq!(first, PlanSource::Compiled);
         assert_eq!(second, PlanSource::Compiled);
         assert_eq!(cache.len(), 2);
-        assert!(opt_plan.flat.gates.len() < off_plan.flat.gates.len());
+        assert!(opt_plan.profile.num_gates < off_plan.profile.num_gates);
         let (again, third) = at(OptLevel::Default);
         assert_eq!(third, PlanSource::Hit);
         assert!(Arc::ptr_eq(&opt_plan, &again));

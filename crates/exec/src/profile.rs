@@ -1,8 +1,8 @@
 //! Static analysis of flattened circuits for backend selection.
 //!
-//! The engine routes each circuit to the cheapest capable simulator; the
-//! routing decision is made once per compiled plan from a [`CircuitProfile`]
-//! computed by a single linear walk over the flat gate list. The walk tracks
+//! Each plan runs on the cheapest capable simulator; the [`Route`] is picked
+//! once, when the plan compiles, from a [`CircuitProfile`] computed by a
+//! single linear walk over the flat gate list. The walk tracks
 //! each live wire's current type (measurement turns quantum wires classical,
 //! paper §4.2.3), which matters because a *classical* control on a quantum
 //! gate is harmless for the stabilizer simulator while a *negative quantum*
@@ -28,13 +28,73 @@ pub struct CircuitProfile {
     /// `2^peak_qubits` amplitudes, so this bounds which circuits the exact
     /// simulator will accept.
     pub peak_qubits: usize,
-    /// Number of circuit inputs (quantum and classical).
-    pub num_inputs: usize,
     /// Total gate count of the flattened circuit.
     pub num_gates: usize,
     /// Every circuit output is a classical wire, i.e. the circuit measures or
     /// asserts away all its qubits. Sampling jobs require this.
     pub outputs_classical: bool,
+}
+
+/// The widest circuit the state-vector route takes: 2²⁴ amplitudes ≈
+/// 256 MiB, a safe single-host bound.
+pub const DEFAULT_MAX_QUBITS: usize = 24;
+
+/// Which backend runs a plan, picked once when the plan compiles.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum Route {
+    /// Bit-per-wire permutation simulation, linear time.
+    Classical,
+    /// CHP tableau simulation, polynomial in width.
+    Stabilizer,
+    /// Exact state vectors, exponential in width but universal.
+    StateVec,
+}
+
+impl Route {
+    /// The cheapest route for a profile: classical, else stabilizer, else
+    /// the state vector up to [`DEFAULT_MAX_QUBITS`].
+    ///
+    /// # Errors
+    ///
+    /// Why the state vector refuses a circuit the cheaper routes cannot run.
+    pub fn pick(profile: &CircuitProfile) -> Result<Route, String> {
+        if profile.classical_only {
+            Ok(Route::Classical)
+        } else if profile.clifford_only {
+            Ok(Route::Stabilizer)
+        } else if profile.peak_qubits <= DEFAULT_MAX_QUBITS {
+            Ok(Route::StateVec)
+        } else {
+            Err(format!(
+                "non-Clifford circuit of peak width {} qubits exceeds the state-vector cap of {}",
+                profile.peak_qubits, DEFAULT_MAX_QUBITS
+            ))
+        }
+    }
+
+    /// The [`Backend::name`](crate::Backend::name) of the backend that runs
+    /// this route.
+    pub fn name(self) -> &'static str {
+        match self {
+            Route::Classical => "classical",
+            Route::Stabilizer => "stabilizer",
+            Route::StateVec => "statevec",
+        }
+    }
+
+    /// Why a circuit with `profile` took this route: the profile property
+    /// that decided it.
+    pub fn reason(self, profile: &CircuitProfile) -> String {
+        match self {
+            Route::Classical => "classical-only circuit; boolean evaluation suffices".into(),
+            Route::Stabilizer => "Clifford-only circuit; polynomial stabilizer simulation".into(),
+            Route::StateVec => format!(
+                "universal gate set; peak {} qubit{} within state-vector cap",
+                profile.peak_qubits,
+                if profile.peak_qubits == 1 { "" } else { "s" },
+            ),
+        }
+    }
 }
 
 /// Splits the controls of a gate by the *current* type of the control wire.
@@ -161,7 +221,6 @@ pub fn profile(flat: &Circuit) -> CircuitProfile {
         classical_only,
         clifford_only,
         peak_qubits,
-        num_inputs: flat.inputs.len(),
         num_gates: flat.gates.len(),
         outputs_classical: flat.outputs.iter().all(|(_, t)| *t == WireType::Classical),
     }
@@ -175,6 +234,50 @@ mod tests {
 
     fn profile_of(bc: &quipper_circuit::BCircuit) -> CircuitProfile {
         profile(&inline_all(&bc.db, &bc.main).unwrap())
+    }
+
+    #[test]
+    fn route_reasons_name_the_deciding_profile_property() {
+        let universal = CircuitProfile {
+            classical_only: false,
+            clifford_only: false,
+            peak_qubits: 9,
+            num_gates: 210,
+            outputs_classical: true,
+        };
+        let route = Route::pick(&universal).unwrap();
+        assert_eq!(route, Route::StateVec);
+        assert_eq!(
+            route.reason(&universal),
+            "universal gate set; peak 9 qubits within state-vector cap"
+        );
+        // Only the state vector has a width cap.
+        let widest = CircuitProfile {
+            peak_qubits: DEFAULT_MAX_QUBITS,
+            ..universal
+        };
+        assert_eq!(Route::pick(&widest), Ok(Route::StateVec));
+        let too_wide = CircuitProfile {
+            peak_qubits: DEFAULT_MAX_QUBITS + 1,
+            ..universal
+        };
+        let reason = Route::pick(&too_wide).unwrap_err();
+        assert!(reason.ends_with("peak width 25 qubits exceeds the state-vector cap of 24"));
+        let clifford = CircuitProfile {
+            clifford_only: true,
+            ..universal
+        };
+        let route = Route::pick(&clifford).unwrap();
+        assert_eq!(route, Route::Stabilizer);
+        assert!(route.reason(&clifford).contains("Clifford-only"));
+        // A classical circuit is Clifford too, and the cheaper route wins.
+        let classical = CircuitProfile {
+            classical_only: true,
+            ..clifford
+        };
+        let route = Route::pick(&classical).unwrap();
+        assert_eq!(route, Route::Classical);
+        assert!(route.reason(&classical).contains("classical-only"));
     }
 
     #[test]

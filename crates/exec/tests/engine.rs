@@ -138,27 +138,35 @@ fn a_resolved_plan_reruns_without_asking_the_cache_again() {
     assert_eq!((cache.misses(), cache.hits()), (1, 1), "resolve + run");
 }
 
+/// The route is picked when the plan compiles: a circuit no backend runs
+/// fails there, with the reason, and leaves nothing in the cache; a wide
+/// Clifford circuit is no problem for the stabilizer route.
 #[test]
-fn pinned_backend_overrides_auto_selection() {
+fn a_wide_non_clifford_circuit_is_refused_at_compile() {
     let engine = Engine::new();
-    let bc = bell();
-    let job = Job::new(&bc)
-        .inputs(vec![false, false])
-        .shots(5)
-        .on_backend("statevec");
-    assert_eq!(engine.run(&job).unwrap().report.backend, "statevec");
+    let wide = Circ::build(&vec![false; 25], |c, qs: Vec<Qubit>| {
+        c.hadamard(qs[0]);
+        c.gate_t(qs[0]);
+        c.hadamard(qs[0]);
+        c.measure(qs)
+    });
+    match engine.plan(&wide) {
+        Err(ExecError::NoBackend { reason }) => {
+            assert!(reason.contains("state-vector cap of 24"), "{reason}")
+        }
+        other => panic!("expected a refusal at compile, got {other:?}"),
+    }
+    let cache = engine.plan_cache();
+    assert_eq!((cache.len(), cache.misses()), (0, 0));
 
-    // A Clifford circuit with an H gate cannot run on the classical backend.
-    let bad = Job::new(&bc)
-        .inputs(vec![false, false])
-        .on_backend("classical");
-    assert!(matches!(engine.run(&bad), Err(ExecError::NoBackend { .. })));
-
-    let unknown = Job::new(&bc).inputs(vec![false, false]).on_backend("qpu");
-    assert!(matches!(
-        engine.run(&unknown),
-        Err(ExecError::UnknownBackend { .. })
-    ));
+    let ghz = Circ::build(&vec![false; 200], |c, qs: Vec<Qubit>| {
+        c.hadamard(qs[0]);
+        for pair in qs.windows(2) {
+            c.cnot(pair[1], pair[0]);
+        }
+        c.measure(qs)
+    });
+    assert_eq!(engine.plan(&ghz).unwrap().route.name(), "stabilizer");
 }
 
 #[test]

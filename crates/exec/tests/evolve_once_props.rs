@@ -123,8 +123,24 @@ fn unitary(c: &mut Circ, family: Family, k: usize, q: Qubit) {
     }
 }
 
-/// Builds the program over [`CELLS`] circuit inputs. The cells in
-/// `spread_mask` start with the family's first unitary (a Hadamard where
+/// An identity that routes the program to the family's backend whatever
+/// the ops drawn: a zero-angle `Ry` is no Clifford gate, and `H·H` creates
+/// superposition on the way. The classical family needs none: its gates
+/// are all classical.
+fn route_marker(c: &mut Circ, family: Family, q: Qubit) {
+    match family {
+        Family::StateVec => c.rot("Ry(%)", 0.0, q),
+        Family::Stabilizer => {
+            c.hadamard(q);
+            c.hadamard(q);
+        }
+        Family::Classical => {}
+    }
+}
+
+/// Builds the program over [`CELLS`] circuit inputs. It starts with the
+/// family's [`route_marker`]. The cells in `spread_mask` then start with
+/// the family's first unitary (a Hadamard where
 /// the family has one), so that measured bits are random often enough.
 /// With `mid` unset the measuring, resetting and discarding instructions
 /// are dropped, leaving a unitary (plus ancillas) followed by terminal
@@ -140,6 +156,7 @@ fn program(
 ) -> BCircuit {
     let mut c = Circ::new();
     let inputs: Vec<Qubit> = c.input(&vec![false; CELLS]);
+    route_marker(&mut c, family, inputs[0]);
     for (i, &q) in inputs.iter().enumerate() {
         if spread_mask >> i & 1 == 1 {
             unitary(&mut c, family, 0, q);
@@ -253,19 +270,21 @@ enum Verdict {
     FailsLater,
 }
 
-/// One whole-circuit `run_shot` per seed, in shot order: the histogram, or
-/// the first (lowest) failing shot and its error.
+/// One whole-circuit `run_shot` per seed, in shot order, on the family's
+/// backend, which must be the plan's route: the histogram, or the first
+/// (lowest) failing shot and its error.
 fn oracle(
     engine: &Engine,
     bc: &BCircuit,
-    backend: &str,
+    family: Family,
     inputs: &[bool],
     seed: u64,
 ) -> Result<Histogram, (u64, String)> {
     let plan = engine.plan(bc).expect("program compiles");
+    assert_eq!(plan.route.name(), family.backend(), "the marker routes");
     let backend = engine
         .backends()
-        .find(|b| b.name() == backend)
+        .find(|b| b.name() == family.backend())
         .expect("backend registered");
     let mut hist: HashMap<Vec<bool>, u64> = HashMap::new();
     for shot in 0..SHOTS {
@@ -283,14 +302,13 @@ fn oracle(
 /// and requires both to equal the oracle.
 fn check(family: Family, bc: &BCircuit, inputs: Vec<bool>, seed: u64) -> Verdict {
     let engine = &engine();
-    let expected = oracle(engine, bc, family.backend(), &inputs, seed);
-    let job = Job::new(bc)
-        .inputs(inputs)
-        .shots(SHOTS)
-        .seed(seed)
-        .on_backend(family.backend());
+    let expected = oracle(engine, bc, family, &inputs, seed);
+    let job = Job::new(bc).inputs(inputs).shots(SHOTS).seed(seed);
     let parallel = engine.run(&job);
     let sequential = engine.run_sequential(&job);
+    for result in [&parallel, &sequential].into_iter().flatten() {
+        assert_eq!(result.report.backend, family.backend());
+    }
     let verdict = match (&expected, &sequential) {
         (Ok(_), Ok(r)) => Verdict::Ran(r.report.prefix.expect("shots ran").suffix),
         (Err((0, _)), _) => Verdict::FailsFromShot0,

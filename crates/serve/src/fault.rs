@@ -13,9 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use quipper_exec::{
-    Backend, CircuitProfile, EngineConfig, ExecError, Plan, PreparedJob, ShotWorker, Suffix,
-};
+use quipper_exec::{Backend, EngineConfig, ExecError, Plan, PreparedJob, ShotWorker, Suffix};
 use quipper_trace::names;
 
 use crate::unit_draw;
@@ -57,7 +55,7 @@ impl FaultConfig {
 
 /// A [`Backend`] wrapper injecting transient faults and latency spikes in
 /// front of an inner backend. Routing is transparent: the wrapper reports
-/// the inner backend's name, capabilities, and admission decisions.
+/// the inner backend's name, so plans routed to it run through the wrapper.
 pub struct FaultInjector {
     inner: Arc<dyn Backend>,
     config: FaultConfig,
@@ -162,10 +160,6 @@ impl ShotWorker for FaultedWorker<'_> {
 impl Backend for FaultInjector {
     fn name(&self) -> &'static str {
         self.inner.name()
-    }
-
-    fn admit(&self, profile: &CircuitProfile) -> Result<(), String> {
-        self.inner.admit(profile)
     }
 
     fn run_shot(&self, plan: &Plan, inputs: &[bool], seed: u64) -> Result<Vec<bool>, ExecError> {

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use quipper::{Circ, Qubit};
 use quipper_circuit::BCircuit;
-use quipper_exec::{Backend, CircuitProfile, Engine, EngineConfig, ExecError, Plan, PreparedJob};
+use quipper_exec::{Backend, Engine, EngineConfig, ExecError, Plan, PreparedJob};
 use quipper_serve::{
     JobState, QuotaPolicy, Service, ServiceConfig, ServiceStats, SloPolicy, Submission,
 };
@@ -128,10 +128,6 @@ struct PanicsOnce {
 impl Backend for PanicsOnce {
     fn name(&self) -> &'static str {
         self.inner.name()
-    }
-
-    fn admit(&self, profile: &CircuitProfile) -> Result<(), String> {
-        self.inner.admit(profile)
     }
 
     fn run_shot(&self, plan: &Plan, inputs: &[bool], seed: u64) -> Result<Vec<bool>, ExecError> {

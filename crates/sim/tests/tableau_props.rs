@@ -8,6 +8,10 @@
 //! deterministic g-sum, and the destabilizer write-back in the packed
 //! word-parallel phase arithmetic is pinned against the row-at-a-time
 //! reference.
+//!
+//! Random measurements show no sign, so a second family ends in
+//! deterministic ones only: each measures a stabilizer of a random state,
+//! whose outcome is +1 and depends on every sign the gates wrote.
 
 use proptest::prelude::*;
 use quipper::{Circ, Qubit};
@@ -56,6 +60,16 @@ fn op() -> impl Strategy<Value = Op> {
 fn circuit(ops: &[Op]) -> BCircuit {
     let mut c = Circ::new();
     let qs: Vec<Qubit> = (0..QUBITS).map(|_| c.qinit_bit(false)).collect();
+    apply(&mut c, &qs, ops);
+    let ms: Vec<_> = qs.into_iter().map(|q| c.measure_bit(q)).collect();
+    c.finish(&ms)
+}
+
+fn cz(c: &mut Circ, a: Qubit, b: Qubit) {
+    c.with_controls(&b, |c| c.gate_z(a));
+}
+
+fn apply(c: &mut Circ, qs: &[Qubit], ops: &[Op]) {
     for &op in ops {
         match op {
             Op::H(a) => c.hadamard(qs[a]),
@@ -65,15 +79,64 @@ fn circuit(ops: &[Op]) -> BCircuit {
             Op::S(a) => c.gate_s(qs[a]),
             Op::SInv(a) => c.gate_inv(GateName::S, qs[a]),
             Op::Cnot(a, b) if a != b => c.cnot(qs[a], qs[b]),
-            Op::Cz(a, b) if a != b => {
-                let (qa, qb) = (qs[a], qs[b]);
-                c.with_controls(&qb, |c| c.gate_z(qa));
-            }
+            Op::Cz(a, b) if a != b => cz(c, qs[a], qs[b]),
             Op::Swap(a, b) if a != b => c.swap(qs[a], qs[b]),
             _ => {}
         }
     }
-    let ms: Vec<_> = qs.into_iter().map(|q| c.measure_bit(q)).collect();
+}
+
+/// The inverse of [`apply`], with every two-qubit gate spelled through the
+/// other one (CNOT = H·CZ·H on the target, CZ = H·CNOT·H). Undone by the
+/// same gate, a sign term a rule drops would be dropped twice and cancel.
+fn unapply(c: &mut Circ, qs: &[Qubit], ops: &[Op]) {
+    for &op in ops.iter().rev() {
+        match op {
+            Op::S(a) => c.gate_inv(GateName::S, qs[a]),
+            Op::SInv(a) => c.gate_s(qs[a]),
+            Op::Cnot(a, b) if a != b => {
+                c.hadamard(qs[a]);
+                cz(c, qs[a], qs[b]);
+                c.hadamard(qs[a]);
+            }
+            Op::Cz(a, b) if a != b => {
+                c.hadamard(qs[a]);
+                c.cnot(qs[a], qs[b]);
+                c.hadamard(qs[a]);
+            }
+            op => apply(c, qs, &[op]),
+        }
+    }
+}
+
+/// A random Clifford circuit `C` prepares `C|0…0⟩`, whose stabilizers are
+/// `C·Z_i·C†`; an ancilla per qubit then measures one of them: it starts in
+/// |+⟩, controls `Z_i` between `C⁻¹` and `C`, and is read in the X basis.
+/// Every outcome is deterministic, and +1 (bit 0). The data qubits are
+/// discarded, so the outputs are the ancillas alone.
+fn stabilizer_checks(ops: &[Op]) -> BCircuit {
+    let mut c = Circ::new();
+    let qs: Vec<Qubit> = (0..QUBITS).map(|_| c.qinit_bit(false)).collect();
+    apply(&mut c, &qs, ops);
+    let ancillas: Vec<Qubit> = (0..QUBITS).map(|_| c.qinit_bit(false)).collect();
+    for &a in &ancillas {
+        c.hadamard(a);
+    }
+    unapply(&mut c, &qs, ops);
+    for (&a, &q) in ancillas.iter().zip(&qs) {
+        cz(&mut c, q, a);
+    }
+    apply(&mut c, &qs, ops);
+    for q in qs {
+        c.qdiscard(q);
+    }
+    let ms: Vec<_> = ancillas
+        .into_iter()
+        .map(|a| {
+            c.hadamard(a);
+            c.measure_bit(a)
+        })
+        .collect();
     c.finish(&ms)
 }
 
@@ -103,5 +166,19 @@ proptest! {
                 seed
             );
         }
+    }
+
+    /// Every stabilizer of a random state measures +1 on both tableaux.
+    /// A dropped sign term in a two-qubit rule shows here, where the
+    /// random-measurement family above has no sign to see.
+    #[test]
+    fn stabilizers_of_a_random_state_measure_plus_one(
+        ops in proptest::collection::vec(op(), 1..60),
+    ) {
+        let flat = flat_of(&stabilizer_checks(&ops));
+        let packed = run_clifford_flat_tableau::<PackedTableau>(&flat, &[], 0).unwrap();
+        let reference = run_clifford_flat_tableau::<BoolTableau>(&flat, &[], 0).unwrap();
+        prop_assert_eq!(&packed, &reference);
+        prop_assert_eq!(packed, vec![false; QUBITS]);
     }
 }

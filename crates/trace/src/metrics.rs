@@ -38,7 +38,6 @@ pub mod names {
     pub const ROUTE_CLASSICAL: &str = "exec.route.classical";
     pub const ROUTE_STABILIZER: &str = "exec.route.stabilizer";
     pub const ROUTE_STATEVEC: &str = "exec.route.statevec";
-    pub const ROUTE_OTHER: &str = "exec.route.other";
 
     /// Per-shot wall latency histogram (µs).
     pub const SHOT_LATENCY_US: &str = "exec.shot_latency_us";
@@ -173,7 +172,6 @@ pub mod names {
         ROUTE_CLASSICAL,
         ROUTE_STABILIZER,
         ROUTE_STATEVEC,
-        ROUTE_OTHER,
         SHOT_LATENCY_US,
         PEAK_QUBITS,
         SHOTS_RUN,

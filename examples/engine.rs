@@ -70,7 +70,7 @@ fn main() {
     let dag = Dag::build(3, |_, xs| vec![&(&!(&xs[0]) & &xs[1]) & &xs[2]]);
     let grover = grover_circuit(&dag, optimal_iterations(3, 1));
 
-    // Auto-selection: each job lands on the cheapest capable backend.
+    // Routing at compile: each plan runs on the cheapest capable backend.
     let jobs = [
         (
             "parity",

@@ -67,7 +67,7 @@ fn parsed_goldens_pass_the_plan_pipeline() {
         let bc = quipper_qasm::compile(&text).unwrap();
         let plan = quipper_exec::Plan::compile(&bc)
             .unwrap_or_else(|e| panic!("{} does not plan: {e}", path.display()));
-        assert!(!plan.flat.gates.is_empty(), "{}", path.display());
+        assert!(plan.profile.num_gates > 0, "{}", path.display());
     }
 }
 
