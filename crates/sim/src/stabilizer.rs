@@ -10,10 +10,22 @@
 //! updates 64 rows per instruction, and the row-sum broadcast of a random
 //! measurement XORs the pivot row into all affected rows one *word of rows*
 //! at a time. Phase (mod-4) arithmetic runs on two bit-planes instead of
-//! per-row integers. The gate updates and the row-product phase are the
-//! Aaronson–Gottesman rules of [`quipper_circuit::pauli::clifford`], the
-//! ones the lint's Pauli strings run one factor at a time; here each rule
-//! runs on a `u64` word of rows.
+//! per-row integers.
+//!
+//! A deterministic measurement of `q` reads the product, in row order, of
+//! the stabilizer rows whose destabilizers have X on `q`: the selection
+//! mask is column `q`'s destabilizer half. A product of Pauli strings
+//! factorizes over columns, so its phase is a sum taken column by column,
+//! a word of rows at a time: `2·popcount(r ∧ sel)`, plus, per column, the
+//! `±i` of each selected row times the product of the selected rows before
+//! it, an exclusive prefix XOR whose parity carries from word to word. The
+//! outcome is 1 iff the sum is 2 mod 4. The rows commute, so every partial
+//! product has an even phase and the sum equals the row-by-row chain.
+//!
+//! The gate updates and the row-product phase are the Aaronson–Gottesman
+//! rules of [`quipper_circuit::pauli::clifford`], the ones the lint's Pauli
+//! strings run one factor at a time; here each rule runs on a `u64` word of
+//! rows.
 //!
 //! The simulator is generic over the [`Tableau`] trait so that the oracle —
 //! the one-`bool`-per-cell
@@ -83,6 +95,15 @@ fn bit_get(bits: &[u64], i: usize) -> bool {
 fn bit_set(bits: &mut [u64], i: usize, v: bool) {
     let (w, b) = (i / 64, i % 64);
     bits[w] = (bits[w] & !(1u64 << b)) | (u64::from(v) << b);
+}
+
+/// Bit `i` of the result is the XOR of bits `0..=i` of `v`.
+#[inline]
+fn prefix_xor(mut v: u64) -> u64 {
+    for shift in [1, 2, 4, 8, 16, 32] {
+        v ^= v << shift;
+    }
+    v
 }
 
 // ---------------------------------------------------------------------------
@@ -160,21 +181,6 @@ impl PackedTableau {
             rule(&mut xa, &mut za, &mut xb, &mut zb, &mut self.r[w]);
             (self.x[a][w], self.z[a][w]) = (xa, za);
             (self.x[b][w], self.z[b][w]) = (xb, zb);
-        }
-    }
-
-    /// Gathers stabilizer row `s` into row-major (over columns) bitsets.
-    fn gather_stab_row(&self, s: usize, xr: &mut [u64], zr: &mut [u64]) {
-        let bit = self.cap + s;
-        xr.fill(0);
-        zr.fill(0);
-        for k in 0..self.n {
-            if bit_get(&self.x[k], bit) {
-                bit_set(xr, k, true);
-            }
-            if bit_get(&self.z[k], bit) {
-                bit_set(zr, k, true);
-            }
         }
     }
 }
@@ -325,37 +331,31 @@ impl Tableau for PackedTableau {
                 (outcome, false)
             }
             None => {
-                // Deterministic outcome: accumulate the product of the
-                // stabilizer rows selected by the destabilizer X bits into a
-                // row-major scratch row, counting ±1 phase contributions
-                // with popcounts.
-                let cw = self.n.div_ceil(64).max(1);
-                let mut sx = vec![0u64; cw];
-                let mut sz = vec![0u64; cw];
-                let mut xr = vec![0u64; cw];
-                let mut zr = vec![0u64; cw];
-                let mut sr = false;
-                for i in 0..self.n {
-                    if !bit_get(&self.x[q], i) {
-                        continue;
-                    }
-                    self.gather_stab_row(i, &mut xr, &mut zr);
-                    let (mut plus, mut minus) = (0i64, 0i64);
-                    for w in 0..cw {
-                        let (pw, mw) = clifford::product_phase(xr[w], zr[w], sx[w], sz[w]);
-                        plus += i64::from(pw.count_ones());
-                        minus += i64::from(mw.count_ones());
-                    }
-                    let phase =
-                        2 * i64::from(sr) + 2 * i64::from(bit_get(&self.r, self.cap + i)) + plus
-                            - minus;
-                    sr = phase.rem_euclid(4) == 2;
-                    for w in 0..cw {
-                        sx[w] ^= xr[w];
-                        sz[w] ^= zr[w];
+                // Deterministic outcome: the column sums of the module doc.
+                let (lo, used) = (self.cap / 64, self.n.div_ceil(64));
+                let sel = &self.x[q][..used];
+                let signs = sel
+                    .iter()
+                    .zip(&self.r[lo..])
+                    .map(|(s, r)| (s & r).count_ones());
+                let mut phase = 2 * u64::from(signs.sum::<u32>());
+                for (xk, zk) in self.x.iter().zip(&self.z) {
+                    let (mut cx, mut cz) = (0u64, 0u64);
+                    for ((&x, &z), &s) in xk[lo..].iter().zip(&zk[lo..]).zip(sel) {
+                        let (x, z) = (x & s, z & s);
+                        if x | z == 0 {
+                            continue; // no factor here: no phase, same carry
+                        }
+                        let (ix, iz) = (prefix_xor(x), prefix_xor(z));
+                        let (plus, minus) = clifford::product_phase(x, z, ix ^ x ^ cx, iz ^ z ^ cz);
+                        // `−i` adds 3, which is −1 mod 4.
+                        phase += u64::from(plus.count_ones()) + 3 * u64::from(minus.count_ones());
+                        cx ^= (ix >> 63).wrapping_neg();
+                        cz ^= (iz >> 63).wrapping_neg();
                     }
                 }
-                (sr, true)
+                debug_assert!(phase.is_multiple_of(2), "odd row-product phase");
+                (phase % 4 == 2, true)
             }
         }
     }
