@@ -38,7 +38,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -52,7 +51,7 @@ use quipper_trace::{fmt_duration, names, Phase, Tracer};
 use crate::backend::{Backend, ClassicalBackend, PreparedJob, StabilizerBackend, StateVecBackend};
 use crate::cancel::{CancelReason, CancelToken};
 use crate::error::ExecError;
-use crate::plan::{Body, LintGate, Plan, PlanCache, PlanSource};
+use crate::plan::{Body, Plan, PlanCache, PlanSource};
 use crate::profile::Route;
 
 use quipper_lint::LintSummary;
@@ -66,16 +65,6 @@ pub struct EngineConfig {
     /// threshold, window block size. Plans are fused the same way whatever
     /// is set here.
     pub statevec: StateVecConfig,
-    /// Static-analysis gate applied when compiling plans: findings at or
-    /// above the gate's severity make the job fail with [`ExecError::Lint`]
-    /// before anything is cached or executed. Defaults to
-    /// [`LintGate::DenyErrors`].
-    pub lint: LintGate,
-    /// Optimizer level applied when compiling plans (jobs can override it
-    /// per submission via [`Job::opt`]). Defaults to [`OptLevel::Default`]:
-    /// facts-seeded cleanup, cancellation and rotation merging;
-    /// [`OptLevel::Off`] reproduces pre-optimizer plans bit-identically.
-    pub opt: OptLevel,
     /// Tracing sink for spans, cache/routing events and latency metrics,
     /// and for the metrics of a `quipper_serve::Service` started over this
     /// engine. Defaults to the process-wide [`quipper_trace::tracer`]
@@ -94,8 +83,6 @@ impl Default for EngineConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             statevec: StateVecConfig::default(),
-            lint: LintGate::default(),
-            opt: OptLevel::default(),
             trace: quipper_trace::tracer(),
         }
     }
@@ -114,7 +101,7 @@ pub struct Job<'a> {
     shots: u64,
     base_seed: u64,
     cancel: Option<CancelToken>,
-    opt: Option<OptLevel>,
+    opt: OptLevel,
 }
 
 impl<'a> Job<'a> {
@@ -126,7 +113,7 @@ impl<'a> Job<'a> {
             shots: 1,
             base_seed: 0,
             cancel: None,
-            opt: None,
+            opt: OptLevel::Default,
         }
     }
 
@@ -156,11 +143,12 @@ impl<'a> Job<'a> {
         self
     }
 
-    /// Overrides the engine's optimizer level for this job only. Plans are
-    /// cached per `(fingerprint, level)`, so overriding never poisons other
-    /// jobs' cached plans.
+    /// Sets the optimizer level the job's plan is compiled at;
+    /// [`OptLevel::Default`] unless set. Plans are cached per
+    /// `(fingerprint, level)`, so a job at one level never receives a plan
+    /// compiled at another.
     pub fn opt(mut self, level: OptLevel) -> Self {
-        self.opt = Some(level);
+        self.opt = level;
         self
     }
 }
@@ -311,8 +299,6 @@ pub struct Engine {
     backends: Vec<Arc<dyn Backend>>,
     cache: PlanCache,
     workers: usize,
-    lint: LintGate,
-    opt: OptLevel,
     trace: &'static Tracer,
 }
 
@@ -357,8 +343,6 @@ impl Engine {
             backends,
             cache: PlanCache::new(),
             workers: config.workers.max(1),
-            lint: config.lint,
-            opt: config.opt,
             trace: config.trace,
         }
     }
@@ -368,16 +352,18 @@ impl Engine {
         self.backends.iter().map(|b| &**b)
     }
 
-    /// Compiles (or fetches from cache) the plan for a circuit. Useful for
-    /// inspecting its profile and the route picked from it.
+    /// Compiles (or fetches from cache) the plan for a circuit at
+    /// [`OptLevel::Default`], the level of a [`Job`] that sets none. Useful
+    /// for inspecting its profile, its lint report and the route picked
+    /// from them.
     ///
     /// # Errors
     ///
     /// Returns [`ExecError::Circuit`] if validation or flattening fails,
     /// [`ExecError::NoBackend`] if no route admits the circuit, and
-    /// [`ExecError::Lint`] if the circuit fails the engine's lint gate.
+    /// [`ExecError::Lint`] if its lint report has an error-severity finding.
     pub fn plan(&self, circuit: &BCircuit) -> Result<Arc<Plan>, ExecError> {
-        Ok(self.cache.get_or_compile(circuit, self.opt, self.lint)?.0)
+        Ok(self.cache.get_or_compile(circuit, OptLevel::Default)?.0)
     }
 
     /// The engine's plan cache, for hit/miss accounting and eviction.
@@ -426,8 +412,7 @@ impl Engine {
     pub fn resolve(&self, job: &Job) -> Result<(Arc<Plan>, PlanSource), ExecError> {
         let trace = self.trace;
         let _span = trace.span(Phase::Compile, "plan.get_or_compile");
-        let level = job.opt.unwrap_or(self.opt);
-        let (plan, source) = self.cache.get_or_compile(job.circuit, level, self.lint)?;
+        let (plan, source) = self.cache.get_or_compile(job.circuit, job.opt)?;
         if trace.enabled() {
             let (metric, tag) = match source {
                 PlanSource::Compiled => (names::CACHE_MISS, "miss"),
@@ -446,7 +431,8 @@ impl Engine {
     /// The second half of a run: runs the shots of a plan
     /// [`resolve`](Engine::resolve)d for `job` sequentially on the calling
     /// thread, on the backend of the plan's route, and merges them. Compiles
-    /// and looks up nothing, so a caller may retry it on the same plan;
+    /// and looks up nothing, so a caller may retry it on the same plan, or
+    /// run a plan from [`Plan::compile_with`] that no lint gate has judged;
     /// `source` only feeds the report.
     ///
     /// # Errors
@@ -717,41 +703,23 @@ fn run_shots(task: &ShotTask, shots: std::ops::Range<u64>) -> Result<Histogram, 
     Ok(histogram)
 }
 
-/// Fans `shots` out over `workers` scoped threads in contiguous chunks and
-/// merges the per-worker histograms. Seeds depend only on the shot index, and
-/// histogram addition commutes, so the merged result is bit-identical to a
-/// sequential run.
+/// Fans `shots` out over `workers` scoped threads, one contiguous chunk
+/// each, and merges the per-worker histograms. Seeds depend only on the shot
+/// index, and histogram addition commutes, so the merged result is
+/// bit-identical to a sequential run.
 fn run_shots_parallel(task: &ShotTask, shots: u64, workers: usize) -> Result<Histogram, ExecError> {
-    let next_chunk = AtomicUsize::new(0);
-    let chunks: Vec<std::ops::Range<u64>> = (0..workers as u64)
-        .map(|i| (i * shots / workers as u64)..((i + 1) * shots / workers as u64))
-        .collect();
-
     let results: Vec<Result<Histogram, (u64, ExecError)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next_chunk = &next_chunk;
-                let chunks = &chunks;
+        let handles: Vec<_> = (0..workers as u64)
+            .map(|i| (i * shots / workers as u64)..((i + 1) * shots / workers as u64))
+            .map(|range| {
                 scope.spawn(move || {
-                    let mut merged = Histogram::new();
-                    // Chunk-claiming loop: with one chunk per worker this is
-                    // one iteration, but it also tolerates workers > chunks.
-                    loop {
-                        let i = next_chunk.fetch_add(1, Ordering::Relaxed);
-                        let Some(range) = chunks.get(i) else {
-                            return Ok(merged);
-                        };
-                        let _span = task.trace.enabled().then(|| {
-                            task.trace.span(
-                                Phase::Execute,
-                                format!("shots[{}..{}]", range.start, range.end),
-                            )
-                        });
-                        let local = run_shots(task, range.clone())?;
-                        for (bits, n) in local {
-                            *merged.entry(bits).or_insert(0) += n;
-                        }
-                    }
+                    let _span = task.trace.enabled().then(|| {
+                        task.trace.span(
+                            Phase::Execute,
+                            format!("shots[{}..{}]", range.start, range.end),
+                        )
+                    });
+                    run_shots(task, range)
                 })
             })
             .collect();

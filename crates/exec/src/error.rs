@@ -13,8 +13,8 @@ use crate::cancel::CancelReason;
 pub enum ExecError {
     /// The circuit failed validation or flattening.
     Circuit(CircuitError),
-    /// The circuit failed static analysis at the engine's configured lint
-    /// gate severity. The full report is attached; the plan was not cached.
+    /// The circuit's lint report has an error-severity finding. The full
+    /// report is attached; the plan was not cached.
     Lint(LintReport),
     /// A backend rejected a gate or assertion at execution time.
     Sim {

@@ -29,9 +29,12 @@
 //!   [`Engine::run`] is the two in a row; a scheduler that retries
 //!   transient faults (`quipper-serve`) resolves once per job and re-runs
 //!   only the second half.
-//! * [`LintGate`] — the `quipper-lint` static passes run on every plan
-//!   compilation; findings at or above the gate's severity reject the job
-//!   ([`ExecError::Lint`]) before anything is cached or executed.
+//! * **One lint gate** — the `quipper-lint` static passes run on every plan
+//!   compilation, and [`PlanCache::get_or_compile`] refuses a plan with an
+//!   error-severity finding ([`ExecError::Lint`]) before anything is cached
+//!   or executed. A stricter caller checks [`Plan::lint`] itself; an
+//!   ungated one runs a [`Plan::compile_with`] plan through
+//!   [`Engine::run_resolved`].
 //! * [`Backend::prepare`] — a job's shot-invariant prefix (everything before
 //!   the first op that draws from the shot's RNG) runs once; workers finish
 //!   shots from that state through a [`ShotWorker`], bit-identical to one
@@ -77,7 +80,7 @@ pub use engine::{
     Engine, EngineConfig, EngineStats, ExecReport, ExecResult, Job, PrefixReport, ResourceEstimate,
 };
 pub use error::ExecError;
-pub use plan::{Body, LintGate, Plan, PlanCache, PlanSource};
+pub use plan::{Body, Plan, PlanCache, PlanSource};
 pub use profile::{profile, CircuitProfile, Route, DEFAULT_MAX_QUBITS};
 pub use quipper_lint::{LintReport, LintSummary, Severity};
 pub use quipper_opt::{OptLevel, OptReport, OptSummary};

@@ -31,50 +31,6 @@ use quipper_sim::{fuse_circuit, FusedCircuit};
 use crate::error::ExecError;
 use crate::profile::{profile, CircuitProfile, Route};
 
-/// How strictly the engine's static-analysis gate treats lint findings when
-/// compiling a plan.
-///
-/// The lint passes (`quipper-lint`) always run during [`Plan::compile`] and
-/// their report travels with the plan; the gate only decides whether findings
-/// *block* caching and execution. A plan that fails the gate is rejected with
-/// [`ExecError::Lint`] and is **not** inserted into the cache, so a later
-/// submission under a laxer gate recompiles and re-decides.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum LintGate {
-    /// Never block; findings are still reported on the plan.
-    Off,
-    /// Block on error-severity findings (e.g. a provably violated
-    /// assertive termination). The default.
-    #[default]
-    DenyErrors,
-    /// Block on warning-severity findings and above.
-    DenyWarnings,
-}
-
-impl LintGate {
-    /// The severity at or above which this gate blocks, if any.
-    pub fn threshold(self) -> Option<Severity> {
-        match self {
-            LintGate::Off => None,
-            LintGate::DenyErrors => Some(Severity::Error),
-            LintGate::DenyWarnings => Some(Severity::Warning),
-        }
-    }
-
-    /// Checks a report against this gate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Lint`] carrying a clone of the report when any
-    /// finding reaches the gate's threshold.
-    pub fn check(self, report: &LintReport) -> Result<(), ExecError> {
-        match self.threshold() {
-            Some(threshold) if report.fails_at(threshold) => Err(ExecError::Lint(report.clone())),
-            _ => Ok(()),
-        }
-    }
-}
-
 /// The one gate stream a plan keeps: the one its route's backend reads.
 #[derive(Debug)]
 pub enum Body {
@@ -104,8 +60,8 @@ pub struct Plan {
     /// Backend-selection profile of the flat circuit.
     pub profile: CircuitProfile,
     /// Static-analysis findings for the hierarchical circuit. Always
-    /// populated; whether findings block execution is the [`LintGate`]'s
-    /// decision, not the plan's. When an optimizer level is active the
+    /// populated; [`PlanCache::get_or_compile`] refuses a plan with an
+    /// error-severity finding. When an optimizer level is active the
     /// *rewritten* circuit is what gets linted — the gate must judge what
     /// will actually run.
     pub lint: LintReport,
@@ -118,26 +74,18 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Validates, flattens, profiles and routes a hierarchical circuit, and
-    /// fuses it if the route is the state vector.
+    /// Validates, flattens, profiles and routes a hierarchical circuit,
+    /// running the `quipper-opt` pipeline at `level` between validation and
+    /// flattening, and fuses it if the route is the state vector.
+    /// `OptLevel::Off` reproduces the unoptimized pipeline exactly. Lint
+    /// runs on the *optimized* hierarchical circuit, so its report judges
+    /// the circuit that will actually execute; nothing here refuses a
+    /// finding (that is [`PlanCache::get_or_compile`]'s gate).
     ///
     /// # Errors
     ///
     /// Returns [`ExecError::Circuit`] if validation or inlining fails, and
     /// [`ExecError::NoBackend`] if no backend runs the circuit's profile.
-    pub fn compile(bc: &BCircuit) -> Result<Plan, ExecError> {
-        Plan::compile_with(bc, OptLevel::Off)
-    }
-
-    /// As [`Plan::compile`], but running the `quipper-opt` pipeline at
-    /// `level` between validation and flattening. `OptLevel::Off`
-    /// reproduces the unoptimized pipeline exactly. Lint runs on the
-    /// *optimized* hierarchical circuit, so a [`LintGate`] judges the
-    /// circuit that will actually execute.
-    ///
-    /// # Errors
-    ///
-    /// As [`Plan::compile`].
     pub fn compile_with(bc: &BCircuit, level: OptLevel) -> Result<Plan, ExecError> {
         Plan::compile_keyed(bc, level, bc.fingerprint())
     }
@@ -246,22 +194,22 @@ impl PlanCache {
     /// ([`PlanSource::Compiled`]), the others wait and share its `Arc`
     /// ([`PlanSource::Waited`]). Callers with other keys are never held up.
     ///
-    /// `gate` is applied to whatever plan the caller ends up with, a cached
-    /// one included (it may have been admitted under a laxer gate). A
-    /// compile that fails, or whose report fails the compiling caller's
-    /// gate, is **not** cached — the cache only ever holds plans that passed
-    /// the gate they were compiled under — and of its waiters one compiles
-    /// next while the rest go on waiting.
+    /// A fresh compile whose lint report has an error-severity finding (a
+    /// provably violated assertive termination, say) is refused and **not**
+    /// cached, nor is a compile that fails; of its waiters one compiles next
+    /// while the rest go on waiting. So every cached plan has passed this
+    /// gate, and a hit or a wait does not check again. A caller that wants
+    /// a stricter gate checks `plan.lint` itself; one that wants none
+    /// compiles with [`Plan::compile_with`].
     ///
     /// # Errors
     ///
-    /// [`ExecError::Lint`] when the report fails the gate, plus all
-    /// [`Plan::compile`] errors.
+    /// [`ExecError::Lint`] when the report has an error, plus all
+    /// [`Plan::compile_with`] errors.
     pub fn get_or_compile(
         &self,
         bc: &BCircuit,
         level: OptLevel,
-        gate: LintGate,
     ) -> Result<(Arc<Plan>, PlanSource), ExecError> {
         let key = (bc.fingerprint(), level);
         let mut source = PlanSource::Hit;
@@ -286,8 +234,11 @@ impl PlanCache {
                         key,
                         plan: None,
                     };
-                    let plan = Arc::new(Plan::compile_keyed(bc, level, key.0)?);
-                    gate.check(&plan.lint)?;
+                    let plan = Plan::compile_keyed(bc, level, key.0)?;
+                    if plan.lint.fails_at(Severity::Error) {
+                        return Err(ExecError::Lint(plan.lint));
+                    }
+                    let plan = Arc::new(plan);
                     self.misses.fetch_add(1, Ordering::Relaxed);
                     landing.plan = Some(Arc::clone(&plan));
                     return Ok((plan, PlanSource::Compiled));
@@ -296,7 +247,6 @@ impl PlanCache {
         };
         drop(slots);
         self.hits.fetch_add(1, Ordering::Relaxed);
-        gate.check(&plan.lint)?;
         Ok((plan, source))
     }
 
@@ -352,11 +302,9 @@ mod tests {
     use quipper::{Circ, Qubit};
     use std::sync::{mpsc, Barrier};
 
-    /// An ungated lookup at `OptLevel::Off`.
+    /// A lookup at `OptLevel::Off` that must succeed.
     fn get(cache: &PlanCache, bc: &BCircuit) -> (Arc<Plan>, PlanSource) {
-        cache
-            .get_or_compile(bc, OptLevel::Off, LintGate::Off)
-            .unwrap()
+        cache.get_or_compile(bc, OptLevel::Off).unwrap()
     }
 
     fn bell() -> BCircuit {
@@ -403,7 +351,7 @@ mod tests {
     }
 
     /// The assertion is provably wrong on a known basis state: error
-    /// severity, failing even the default `DenyErrors` gate.
+    /// severity, which the cache's gate refuses.
     fn provably_wrong_qterm() -> BCircuit {
         Circ::build(&(), |c, ()| {
             let anc = c.qinit_bit(false);
@@ -416,10 +364,9 @@ mod tests {
     fn gate_refuses_and_does_not_cache_a_flagged_plan() {
         let cache = PlanCache::new();
         let bc = provably_wrong_qterm();
-        let err = cache.get_or_compile(&bc, OptLevel::Off, LintGate::DenyErrors);
-        match err {
+        match cache.get_or_compile(&bc, OptLevel::Off) {
             Err(ExecError::Lint(report)) => {
-                assert!(report.fails_at(quipper_lint::Severity::Error));
+                assert!(report.fails_at(Severity::Error));
                 assert_eq!(report.findings[0].code, "QL001");
             }
             other => panic!("expected lint rejection, got {other:?}"),
@@ -428,30 +375,24 @@ mod tests {
         assert_eq!(cache.misses(), 0);
     }
 
+    /// A warning passes the gate and rides on the cached plan, where a
+    /// caller that wants a stricter gate reads it.
     #[test]
-    fn deny_warnings_blocks_what_deny_errors_admits() {
+    fn warnings_pass_the_gate_and_travel_on_the_plan() {
         let cache = PlanCache::new();
-        let bc = entangled_qterm();
-        // Warning-level finding: passes the default gate…
-        let (plan, _) = cache
-            .get_or_compile(&bc, OptLevel::Off, LintGate::DenyErrors)
-            .unwrap();
-        assert!(plan.lint.fails_at(quipper_lint::Severity::Warning));
-        // …but the stricter gate rejects it even on the cache-hit path.
-        assert!(matches!(
-            cache.get_or_compile(&bc, OptLevel::Off, LintGate::DenyWarnings),
-            Err(ExecError::Lint(_))
-        ));
-        assert_eq!(cache.len(), 1, "hit-path rejection keeps the cached plan");
+        let (plan, source) = get(&cache, &entangled_qterm());
+        assert_eq!(source, PlanSource::Compiled);
+        assert!(plan.lint.fails_at(Severity::Warning));
+        assert!(!plan.lint.fails_at(Severity::Error));
+        assert_eq!(cache.len(), 1);
     }
 
+    /// Outside the cache nothing is gated: the plan compiles and carries
+    /// its error.
     #[test]
-    fn gate_off_compiles_and_caches_anything_lintable() {
-        let cache = PlanCache::new();
-        let (plan, source) = get(&cache, &provably_wrong_qterm());
-        assert_eq!(source, PlanSource::Compiled);
+    fn compile_with_refuses_nothing() {
+        let plan = Plan::compile_with(&provably_wrong_qterm(), OptLevel::Off).unwrap();
         assert_eq!(plan.lint.summary().errors, 1);
-        assert_eq!(cache.len(), 1);
     }
 
     /// A circuit with an obvious cancelling pair, so `Default` provably
@@ -466,21 +407,11 @@ mod tests {
     }
 
     #[test]
-    fn off_level_reproduces_unoptimized_plans_bit_identically() {
-        let bc = cancelling_pair();
-        let plain = Plan::compile(&bc).unwrap();
-        let off = Plan::compile_with(&bc, OptLevel::Off).unwrap();
-        assert_eq!(off.fingerprint, plain.fingerprint);
-        assert_eq!(off.profile, plain.profile);
-        assert_eq!(off.route, plain.route);
-        assert!(off.opt.is_none());
-    }
-
-    #[test]
     fn optimized_plans_shrink_and_carry_the_report() {
         let bc = cancelling_pair();
         let off = Plan::compile_with(&bc, OptLevel::Off).unwrap();
         let opt = Plan::compile_with(&bc, OptLevel::Default).unwrap();
+        assert!(off.opt.is_none());
         assert!(opt.profile.num_gates < off.profile.num_gates);
         let report = opt.opt.as_ref().expect("optimized plan carries a report");
         // H·H cancels (−2), and the terminal T is absorbed into the
@@ -494,7 +425,7 @@ mod tests {
     fn cache_keys_plans_per_opt_level() {
         let cache = PlanCache::new();
         let bc = cancelling_pair();
-        let at = |level| cache.get_or_compile(&bc, level, LintGate::Off).unwrap();
+        let at = |level| cache.get_or_compile(&bc, level).unwrap();
         let (off_plan, first) = at(OptLevel::Off);
         let (opt_plan, second) = at(OptLevel::Default);
         // Same fingerprint, different level: a real compile, not a hit.
@@ -558,9 +489,7 @@ mod tests {
         let cache = Arc::new(PlanCache::new());
         let bc = cancelling_pair();
         let answers = race(&cache, move |cache| {
-            cache
-                .get_or_compile(&bc, OptLevel::Default, LintGate::DenyErrors)
-                .unwrap()
+            cache.get_or_compile(&bc, OptLevel::Default).unwrap()
         });
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 7);
@@ -577,7 +506,7 @@ mod tests {
         let cache = Arc::new(PlanCache::new());
         let bc = provably_wrong_qterm();
         let answers = race(&cache, move |cache| {
-            cache.get_or_compile(&bc, OptLevel::Off, LintGate::DenyErrors)
+            cache.get_or_compile(&bc, OptLevel::Off)
         });
         for answer in answers {
             assert!(matches!(answer, Err(ExecError::Lint(_))), "{answer:?}");
@@ -605,7 +534,7 @@ mod tests {
             let (cache, stuck) = (Arc::clone(&cache), stuck.clone());
             std::thread::spawn(move || get(&cache, &stuck))
         };
-        let plan = Arc::new(Plan::compile(&stuck).unwrap());
+        let plan = Arc::new(Plan::compile_with(&stuck, OptLevel::Off).unwrap());
         drop(Landing {
             cache: &cache,
             key,

@@ -8,8 +8,8 @@ use quipper_circuit::BCircuit;
 use std::time::Duration;
 
 use quipper_exec::{
-    CancelReason, CancelToken, Engine, EngineConfig, ExecError, Job, LintGate, OptLevel,
-    PlanSource, Tracer,
+    CancelReason, CancelToken, Engine, EngineConfig, ExecError, Job, OptLevel, Plan, PlanSource,
+    Severity, Tracer,
 };
 use quipper_trace::names;
 
@@ -252,19 +252,19 @@ fn engine_refuses_to_cache_or_execute_lint_rejected_plans() {
     }
     assert!(engine.plan_cache().is_empty());
 
-    // With the gate off the same circuit compiles, caches, and reaches the
-    // backend — which then fails the assertion at run time instead.
-    let lax = Engine::with_config(EngineConfig {
-        lint: LintGate::Off,
-        ..EngineConfig::default()
-    });
-    let err = lax.run(&Job::new(&bc)).unwrap_err();
+    // Ungated, through a plan compiled outside the cache, the same circuit
+    // reaches the backend, which then fails the assertion at run time.
+    let job = Job::new(&bc).opt(OptLevel::Off);
+    let plan = Plan::compile_with(&bc, OptLevel::Off).unwrap();
+    let err = engine
+        .run_resolved(&job, &plan, PlanSource::Compiled)
+        .unwrap_err();
     assert!(matches!(err, ExecError::Sim { .. }), "{err}");
-    assert_eq!(lax.plan_cache().len(), 1);
+    assert!(engine.plan_cache().is_empty());
 }
 
 #[test]
-fn deny_warnings_engine_blocks_unprovable_assertions() {
+fn warnings_ride_on_the_plan_for_a_stricter_caller_to_refuse() {
     // H·H is the identity, so the assertion holds on every shot — but the
     // abstract domain cannot prove it (H sends a known basis state to a
     // superposition tier), leaving a warning-severity QL002 finding. The
@@ -278,38 +278,24 @@ fn deny_warnings_engine_blocks_unprovable_assertions() {
         c.qterm_bit(false, anc);
         c.measure_bit(q)
     });
+    let engine = Engine::new();
 
-    // With the optimizer off, the circuit is linted as written: both
-    // warnings stand and the strict gate blocks the job.
-    let strict = Engine::with_config(EngineConfig {
-        lint: LintGate::DenyWarnings,
-        opt: quipper_exec::OptLevel::Off,
-        ..EngineConfig::default()
-    });
-    assert!(matches!(
-        strict.run(&Job::new(&bc)),
-        Err(ExecError::Lint(_))
-    ));
-
-    // The default gate admits warnings; the job runs (unoptimized) and its
-    // report carries the lint summary.
-    let engine = Engine::with_config(EngineConfig {
-        opt: quipper_exec::OptLevel::Off,
-        ..EngineConfig::default()
-    });
-    let result = engine.run(&Job::new(&bc).shots(10)).unwrap();
+    // With the optimizer off, the circuit is linted as written: the gate
+    // admits both warnings, the job runs, and its report and its plan carry
+    // them, so a caller that denies warnings refuses it from either.
+    let job = Job::new(&bc).shots(10).opt(OptLevel::Off);
+    let result = engine.run(&job).unwrap();
     let lint = result.report.lint.expect("engine-built reports carry lint");
     assert_eq!((lint.errors, lint.warnings), (0, 2));
     assert!(result.report.to_string().contains("lint: 0E/2W"));
+    let (plan, _) = engine.resolve(&job).unwrap();
+    assert!(plan.lint.fails_at(Severity::Warning));
 
     // The default optimizer deletes the H·H pair, after which the abstract
-    // domain proves the assertion: the lint gate judges the rewritten
-    // circuit, so even DenyWarnings now admits the job.
-    let strict_opt = Engine::with_config(EngineConfig {
-        lint: LintGate::DenyWarnings,
-        ..EngineConfig::default()
-    });
-    let result = strict_opt.run(&Job::new(&bc).shots(10)).unwrap();
+    // domain proves the assertion: lint judges the rewritten circuit, so
+    // even a caller denying warnings admits the job.
+    assert!(!engine.plan(&bc).unwrap().lint.fails_at(Severity::Warning));
+    let result = engine.run(&Job::new(&bc).shots(10)).unwrap();
     let lint = result.report.lint.unwrap();
     assert_eq!((lint.errors, lint.warnings), (0, 0));
     let opt = result
@@ -343,18 +329,18 @@ fn deadline_fires_mid_prefix_on_a_wide_job() {
     let trace = Tracer::leaked(1024);
     trace.set_enabled(true);
     let engine = Engine::with_config(EngineConfig {
-        opt: OptLevel::Off,
         trace,
         ..EngineConfig::default()
     });
-    // Compile ahead, so that the deadline's clock covers only execution.
-    engine.plan(&bc).unwrap();
-
-    let token = CancelToken::with_timeout(Duration::from_millis(40));
     let job = Job::new(&bc)
         .inputs(vec![false; QUBITS])
         .shots(4)
-        .cancel_token(token);
+        .opt(OptLevel::Off);
+    // Compile ahead, so that the deadline's clock covers only execution.
+    engine.resolve(&job).unwrap();
+
+    let token = CancelToken::with_timeout(Duration::from_millis(40));
+    let job = job.cancel_token(token);
     let err = engine.run(&job).unwrap_err();
     assert!(
         matches!(

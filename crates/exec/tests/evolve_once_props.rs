@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 use quipper::{Bit, Circ, Qubit};
 use quipper_circuit::{BCircuit, GateName};
-use quipper_exec::{Engine, EngineConfig, Job, LintGate, OptLevel, Suffix};
+use quipper_exec::{Engine, EngineConfig, ExecError, Job, OptLevel, Plan, PlanSource, Suffix};
 
 const CELLS: usize = 4;
 const SHOTS: u64 = 12;
@@ -242,14 +242,9 @@ fn program(
     c.finish(&outs)
 }
 
-/// The circuits run exactly as written: no optimizer (it would cancel the
-/// ancilla pairs this suite is about), no lint gate (it would reject the
-/// provably failing assertions at compile time).
 fn engine() -> Engine {
     Engine::with_config(EngineConfig {
         workers: 3,
-        opt: OptLevel::Off,
-        lint: LintGate::Off,
         ..EngineConfig::default()
     })
 }
@@ -275,12 +270,11 @@ enum Verdict {
 /// (lowest) failing shot and its error.
 fn oracle(
     engine: &Engine,
-    bc: &BCircuit,
+    plan: &Plan,
     family: Family,
     inputs: &[bool],
     seed: u64,
 ) -> Result<Histogram, (u64, String)> {
-    let plan = engine.plan(bc).expect("program compiles");
     assert_eq!(plan.route.name(), family.backend(), "the marker routes");
     let backend = engine
         .backends()
@@ -288,7 +282,7 @@ fn oracle(
         .expect("backend registered");
     let mut hist: HashMap<Vec<bool>, u64> = HashMap::new();
     for shot in 0..SHOTS {
-        match backend.run_shot(&plan, inputs, seed.wrapping_add(shot)) {
+        match backend.run_shot(plan, inputs, seed.wrapping_add(shot)) {
             Ok(bits) => *hist.entry(bits).or_insert(0) += 1,
             Err(e) => return Err((shot, format!("{e:?}"))),
         }
@@ -298,28 +292,56 @@ fn oracle(
     Ok(hist)
 }
 
-/// Runs the program through the engine, with several workers and with one,
-/// and requires both to equal the oracle.
-fn check(family: Family, bc: &BCircuit, inputs: Vec<bool>, seed: u64) -> Verdict {
+/// Runs the program exactly as written (no optimizer: it would cancel the
+/// ancilla pairs this suite is about) and requires the engine to equal the
+/// oracle: sequentially on the ungated plan, so that the provably failing
+/// assertions reach the backend, and over several workers through the
+/// engine's lint gate. A program the gate refuses must carry QL001 and fail
+/// the oracle from shot 0: QL001 is sound. Returns the verdict and whether
+/// the gate refused the program.
+fn check(family: Family, bc: &BCircuit, inputs: Vec<bool>, seed: u64) -> (Verdict, bool) {
     let engine = &engine();
-    let expected = oracle(engine, bc, family, &inputs, seed);
-    let job = Job::new(bc).inputs(inputs).shots(SHOTS).seed(seed);
-    let parallel = engine.run(&job);
-    let sequential = engine.run_sequential(&job);
-    for result in [&parallel, &sequential].into_iter().flatten() {
-        assert_eq!(result.report.backend, family.backend());
-    }
+    let plan = Plan::compile_with(bc, OptLevel::Off).expect("program compiles");
+    let expected = oracle(engine, &plan, family, &inputs, seed);
+    let job = Job::new(bc)
+        .inputs(inputs)
+        .shots(SHOTS)
+        .seed(seed)
+        .opt(OptLevel::Off);
+    let sequential = engine.run_resolved(&job, &plan, PlanSource::Compiled);
     let verdict = match (&expected, &sequential) {
         (Ok(_), Ok(r)) => Verdict::Ran(r.report.prefix.expect("shots ran").suffix),
         (Err((0, _)), _) => Verdict::FailsFromShot0,
         _ => Verdict::FailsLater,
     };
+    let mut runs = vec![("sequential", sequential)];
+    let refused = match engine.run(&job) {
+        Err(ExecError::Lint(report)) => {
+            assert!(
+                report.findings.iter().any(|d| d.code == "QL001"),
+                "refused without QL001: {report}"
+            );
+            assert_eq!(
+                verdict,
+                Verdict::FailsFromShot0,
+                "QL001 on a program whose shot 0 runs: {report}"
+            );
+            true
+        }
+        parallel => {
+            runs.push(("parallel", parallel));
+            false
+        }
+    };
     let expected: Outcome = expected.map_err(|(_, e)| e);
-    for (schedule, got) in [("parallel", parallel), ("sequential", sequential)] {
+    for (schedule, got) in runs {
+        if let Ok(result) = &got {
+            assert_eq!(result.report.backend, family.backend());
+        }
         let got: Outcome = got.map(|r| r.histogram).map_err(|e| format!("{e:?}"));
         assert_eq!(got, expected, "{schedule} engine run differs from run_shot");
     }
-    verdict
+    (verdict, refused)
 }
 
 fn input_bits(mask: usize) -> Vec<bool> {
@@ -343,10 +365,13 @@ fn statevec_mid_circuit_programs_match_the_oracle() {
         any::<u64>(),
     );
     let (mut sampled, mut branched, mut from_shot_0, mut later) = (0, 0, 0, 0);
+    let mut refused = 0;
     for _ in 0..384 {
         let (ops, (inputs, spread_mask, discard_mask), seed) = case.generate(&mut rng);
         let bc = program(Family::StateVec, &ops, true, spread_mask, discard_mask);
-        match check(Family::StateVec, &bc, input_bits(inputs), seed) {
+        let (verdict, gated) = check(Family::StateVec, &bc, input_bits(inputs), seed);
+        refused += usize::from(gated);
+        match verdict {
             Verdict::Ran(Suffix::Sampled) => sampled += 1,
             Verdict::Ran(Suffix::Branched) => branched += 1,
             Verdict::FailsFromShot0 => from_shot_0 += 1,
@@ -360,6 +385,7 @@ fn statevec_mid_circuit_programs_match_the_oracle() {
         "programs failing every shot: {from_shot_0}"
     );
     assert!(later >= 5, "programs failing only some shots: {later}");
+    assert!(refused >= 1, "programs the lint gate refused: {refused}");
 }
 
 proptest! {
@@ -376,7 +402,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let bc = program(Family::StateVec, &ops, false, spread_mask, discard_mask);
-        let verdict = check(Family::StateVec, &bc, input_bits(inputs), seed);
+        let (verdict, _) = check(Family::StateVec, &bc, input_bits(inputs), seed);
         prop_assert_ne!(verdict, Verdict::Ran(Suffix::Branched));
     }
 
@@ -392,7 +418,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let bc = program(Family::Stabilizer, &ops, mid, spread_mask, discard_mask);
-        let verdict = check(Family::Stabilizer, &bc, input_bits(inputs), seed);
+        let (verdict, _) = check(Family::Stabilizer, &bc, input_bits(inputs), seed);
         prop_assert_ne!(verdict, Verdict::Ran(Suffix::Sampled));
     }
 
@@ -408,7 +434,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let bc = program(Family::Classical, &ops, mid, spread_mask, discard_mask);
-        let verdict = check(Family::Classical, &bc, input_bits(inputs), seed);
+        let (verdict, _) = check(Family::Classical, &bc, input_bits(inputs), seed);
         prop_assert_ne!(verdict, Verdict::Ran(Suffix::Branched));
         prop_assert_ne!(verdict, Verdict::FailsLater);
     }

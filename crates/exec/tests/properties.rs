@@ -5,17 +5,14 @@
 use proptest::prelude::*;
 use quipper::{Circ, Qubit};
 use quipper_circuit::BCircuit;
-use quipper_exec::{Engine, EngineConfig, Job, OptLevel};
+use quipper_exec::{Engine, Job, OptLevel};
 
 /// Routing is asserted on the circuit *as written*, so the optimizer is
 /// pinned off: at the default level a random Clifford sequence whose first
 /// op is H(0) cancels the leading Hadamard, and the survivor can legally
 /// route to the cheaper classical backend.
-fn routing_engine() -> Engine {
-    Engine::with_config(EngineConfig {
-        opt: OptLevel::Off,
-        ..EngineConfig::default()
-    })
+fn as_written(bc: &BCircuit) -> Job<'_> {
+    Job::new(bc).opt(OptLevel::Off)
 }
 
 const QUBITS: usize = 3;
@@ -145,13 +142,13 @@ proptest! {
         ops in proptest::collection::vec(clifford_op(), 0..14)
     ) {
         let bc = clifford_circuit(&ops);
-        let engine = routing_engine();
+        let engine = Engine::new();
 
         // Clifford outcome probabilities are multiples of 2^-k, so modest
         // shot counts resolve the distribution well; the threshold leaves
         // ample sampling slack (the whole test is seeded/deterministic).
         let shots = 1024;
-        let auto = engine.run(&Job::new(&bc).shots(shots).seed(101)).unwrap();
+        let auto = engine.run(&as_written(&bc).shots(shots).seed(101)).unwrap();
         prop_assert_eq!(auto.report.backend, "stabilizer");
         let exact = statevec_histogram(&bc, shots, 2020);
         let tv = total_variation(&auto.histogram, &exact);
@@ -165,9 +162,9 @@ proptest! {
         ops in proptest::collection::vec(classical_op(), 0..20)
     ) {
         let bc = classical_circuit(&ops);
-        let engine = routing_engine();
+        let engine = Engine::new();
 
-        let auto = engine.run(&Job::new(&bc).shots(5).seed(3)).unwrap();
+        let auto = engine.run(&as_written(&bc).shots(5).seed(3)).unwrap();
         prop_assert_eq!(auto.report.backend, "classical");
         prop_assert_eq!(auto.histogram.len(), 1, "basis permutations are deterministic");
         let exact = statevec_histogram(&bc, 1, 0);

@@ -191,7 +191,7 @@ impl Backend for FaultInjector {
 mod tests {
     use super::*;
     use quipper::{Circ, Qubit};
-    use quipper_exec::{ClassicalBackend, Engine, Job};
+    use quipper_exec::{ClassicalBackend, Engine, Job, OptLevel};
 
     fn parity() -> quipper_circuit::BCircuit {
         Circ::build(
@@ -210,7 +210,7 @@ mod tests {
     fn injects_transient_faults_at_roughly_the_configured_rate() {
         let injector =
             FaultInjector::new(Arc::new(ClassicalBackend), FaultConfig::failing(0.25, 99));
-        let plan = Plan::compile(&parity()).unwrap();
+        let plan = Plan::compile_with(&parity(), OptLevel::Off).unwrap();
         let mut faults = 0;
         for shot in 0..400 {
             match injector.run_shot(&plan, &[true, false, false], shot) {
@@ -232,7 +232,7 @@ mod tests {
         let run = || {
             let injector =
                 FaultInjector::new(Arc::new(ClassicalBackend), FaultConfig::failing(0.3, 1234));
-            let plan = Plan::compile(&parity()).unwrap();
+            let plan = Plan::compile_with(&parity(), OptLevel::Off).unwrap();
             (0..64)
                 .map(|shot| {
                     injector

@@ -53,7 +53,7 @@
 //! Everything observable lands in `quipper-trace` metrics: admissions,
 //! rejections, retries, deadline misses, coalesced compiles, the
 //! admission-queue depth high-water mark, and per-tenant latency/queue-wait
-//! histograms with [`SloPolicy`] burn counters — all exportable through the
+//! histograms with SLO burn counters ([`ServiceConfig::slo`]) — all exportable through the
 //! `metrics` protocol op in JSON Lines or Prometheus text form.
 
 pub mod catalog;
@@ -74,7 +74,7 @@ pub use retry::RetryPolicy;
 pub use server::Server;
 pub use service::{
     JobId, JobState, JobStatus, RejectReason, Rejection, Service, ServiceConfig, ServiceStats,
-    SloPolicy, Submission,
+    Submission,
 };
 
 /// SplitMix64: the one-liner generator used for deterministic jitter and

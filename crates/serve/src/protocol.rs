@@ -9,8 +9,8 @@
 //! |           | source, size-capped; rejected with span-anchored `QP###`      |
 //! |           | `diagnostics`), plus `tenant`, `shots`, `seed`, `label`,      |
 //! |           | `priority`, `deadline_ms`, `inputs` (array of 0/1), `opt`     |
-//! |           | (`"off"`/`"default"`, defaults to the engine's configured     |
-//! |           | level) — all optional except circuit/qasm                     |
+//! |           | (`"off"`/`"default"`, defaults to `default`) — all optional   |
+//! |           | except circuit/qasm                                           |
 //! | `status`  | `id`                                                          |
 //! | `result`  | `id` — histogram + report once completed; failed and          |
 //! |           | deadline-missed jobs attach their flight timeline             |
@@ -81,6 +81,15 @@ fn err_with_flight(service: &Service, id: u64, message: &str) -> Handled {
         Some(timeline) => flight_json(w.key("flight"), &timeline),
         None => w,
     })
+}
+
+/// One element of a submission's `inputs`: the number 0 or 1, nothing else.
+fn input_bit(value: &Json) -> Option<bool> {
+    match value.as_num()? {
+        0.0 => Some(false),
+        1.0 => Some(true),
+        _ => None,
+    }
 }
 
 fn get_u64(req: &Json, key: &str) -> Option<u64> {
@@ -337,12 +346,12 @@ fn handle_submit(service: &Service, catalog: &Catalog, req: &Json) -> Handled {
     };
     let inputs = match req.get("inputs") {
         None => vec![false; default_inputs],
-        Some(value) => match value.as_arr() {
+        Some(value) => match value
+            .as_arr()
+            .and_then(|v| v.iter().map(input_bit).collect())
+        {
+            Some(bits) => bits,
             None => return err("\"inputs\" must be an array of 0/1"),
-            Some(items) => items
-                .iter()
-                .map(|v| v.as_num().map(|n| n != 0.0).unwrap_or(false))
-                .collect(),
         },
     };
     let tenant = req

@@ -70,9 +70,8 @@ pub struct Submission {
     /// Deadline measured from admission; the job is abandoned (even
     /// mid-shot-loop) once it passes.
     pub deadline: Option<Duration>,
-    /// Optimizer level for this job; `None` uses the engine's configured
-    /// level.
-    pub opt: Option<OptLevel>,
+    /// Optimizer level for this job; [`OptLevel::Default`] unless set.
+    pub opt: OptLevel,
 }
 
 impl Submission {
@@ -87,7 +86,7 @@ impl Submission {
             seed: 0,
             priority: 0,
             deadline: None,
-            opt: None,
+            opt: OptLevel::Default,
         }
     }
 
@@ -127,9 +126,9 @@ impl Submission {
         self
     }
 
-    /// Overrides the engine's optimizer level for this job.
+    /// Sets the optimizer level for this job.
     pub fn opt(mut self, level: OptLevel) -> Self {
-        self.opt = Some(level);
+        self.opt = level;
         self
     }
 }
@@ -215,43 +214,6 @@ pub struct JobStatus {
     pub attempts: u32,
 }
 
-/// Per-tenant end-to-end latency SLO thresholds. A job "burns" its
-/// tenant's SLO when admission-to-terminal latency exceeds the threshold;
-/// checks and burns land in the `serve.slo.*` labeled counters.
-#[derive(Clone, Debug, Default)]
-pub struct SloPolicy {
-    /// Threshold applied to tenants without an override; `None` disables
-    /// SLO accounting for them.
-    pub default_threshold: Option<Duration>,
-    /// Per-tenant overrides, first match wins.
-    pub tenants: Vec<(String, Duration)>,
-}
-
-impl SloPolicy {
-    /// A policy holding every tenant to `threshold` unless overridden.
-    pub fn with_default(threshold: Duration) -> SloPolicy {
-        SloPolicy {
-            default_threshold: Some(threshold),
-            tenants: Vec::new(),
-        }
-    }
-
-    /// Adds (or tightens) a per-tenant override.
-    pub fn tenant(mut self, name: impl Into<String>, threshold: Duration) -> Self {
-        self.tenants.push((name.into(), threshold));
-        self
-    }
-
-    /// The threshold governing `tenant`, if any.
-    pub fn threshold_for(&self, tenant: &str) -> Option<Duration> {
-        self.tenants
-            .iter()
-            .find(|(name, _)| name == tenant)
-            .map(|&(_, d)| d)
-            .or(self.default_threshold)
-    }
-}
-
 /// Tuning for [`Service::start`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
@@ -264,9 +226,11 @@ pub struct ServiceConfig {
     pub quota: QuotaPolicy,
     /// Transient-fault retry policy.
     pub retry: RetryPolicy,
-    /// Per-tenant latency SLO thresholds; default has no thresholds, so
-    /// nothing is checked or burned.
-    pub slo: SloPolicy,
+    /// End-to-end latency SLO threshold, the same for every tenant: a job
+    /// "burns" its tenant's SLO when admission-to-terminal latency exceeds
+    /// it, and checks and burns land in the `serve.slo.*` counters labeled
+    /// by tenant. `None` (the default) checks nothing.
+    pub slo: Option<Duration>,
     /// How many finished jobs the service remembers: once this many have
     /// finished after it, a job is dropped from the job table, result and
     /// flight timeline together (status, result and flight then answer
@@ -289,7 +253,7 @@ impl Default for ServiceConfig {
             queue_capacity: 256,
             quota: QuotaPolicy::default(),
             retry: RetryPolicy::default(),
-            slo: SloPolicy::default(),
+            slo: None,
             flight_capacity: 4096,
         }
     }
@@ -365,7 +329,7 @@ const POISONED: &str = "a transition of the service's state panicked";
 struct Inner {
     engine: Engine,
     retry: RetryPolicy,
-    slo: SloPolicy,
+    slo: Option<Duration>,
     /// The engine's tracing sink.
     trace: &'static Tracer,
     core: Mutex<Core>,
@@ -426,7 +390,7 @@ impl Inner {
             &[("tenant", tenant), ("state", tag)],
             u64::from(finished.attempts.saturating_sub(1)),
         );
-        if let Some(threshold) = self.slo.threshold_for(tenant) {
+        if let Some(threshold) = self.slo {
             metrics.add_labeled(names::SLO_CHECKED, &[("tenant", tenant)], 1);
             if finished.latency > threshold {
                 metrics.add_labeled(names::SLO_MISS, &[("tenant", tenant)], 1);
@@ -629,14 +593,12 @@ fn state_of(reason: CancelReason) -> JobState {
 /// them.
 fn run(inner: &Inner, ticket: &Ticket) -> JobState {
     let (id, sub) = (ticket.id, &*ticket.submission);
-    let mut job = Job::new(&sub.circuit)
+    let job = Job::new(&sub.circuit)
         .inputs(sub.inputs.clone())
         .shots(sub.shots)
         .seed(sub.seed)
-        .cancel_token(ticket.token.clone());
-    if let Some(level) = sub.opt {
-        job = job.opt(level);
-    }
+        .cancel_token(ticket.token.clone())
+        .opt(sub.opt);
 
     // The engine's plan cache decides who compiles: a cached plan comes
     // straight back, and of concurrent jobs that miss on one circuit and

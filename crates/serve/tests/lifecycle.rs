@@ -18,9 +18,7 @@ use std::time::Duration;
 use quipper::{Circ, Qubit};
 use quipper_circuit::BCircuit;
 use quipper_exec::{Backend, Engine, EngineConfig, ExecError, Plan, PreparedJob};
-use quipper_serve::{
-    JobState, QuotaPolicy, Service, ServiceConfig, ServiceStats, SloPolicy, Submission,
-};
+use quipper_serve::{JobState, QuotaPolicy, Service, ServiceConfig, ServiceStats, Submission};
 use quipper_trace::{names, Tracer};
 
 fn ghz3() -> Arc<BCircuit> {
@@ -69,7 +67,7 @@ fn drain_returns_after_the_metrics_are_written() {
         });
         let config = ServiceConfig {
             workers: 2,
-            slo: SloPolicy::with_default(Duration::from_secs(60)),
+            slo: Some(Duration::from_secs(60)),
             ..one_worker()
         };
         let service = Service::start(engine, config);

@@ -19,9 +19,7 @@ use std::time::{Duration, Instant};
 
 use quipper_exec::{Engine, EngineConfig};
 use quipper_serve::catalog::Catalog;
-use quipper_serve::{
-    FaultConfig, FaultInjector, RetryPolicy, Server, Service, ServiceConfig, SloPolicy,
-};
+use quipper_serve::{FaultConfig, FaultInjector, RetryPolicy, Server, Service, ServiceConfig};
 use quipper_trace::{parse_json, Json, Tracer};
 
 struct Client {
@@ -70,8 +68,7 @@ fn always_faulting_stack() -> (Arc<Service>, Server) {
                 base: Duration::from_millis(10),
                 cap: Duration::from_millis(20),
             },
-            slo: SloPolicy::with_default(Duration::from_millis(1))
-                .tenant("relaxed", Duration::from_secs(3600)),
+            slo: Some(Duration::from_millis(1)),
             flight_capacity: 32,
             ..ServiceConfig::default()
         },

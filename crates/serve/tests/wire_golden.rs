@@ -109,6 +109,11 @@ drain
 < {"ok":true,"id":3,"state":"completed","label":"qasm","attempts":1}
 > {"op":"result","id":3}
 < {"ok":true,"id":3,"label":"qasm","backend":"stabilizer","shots":16,"histogram":[{"bits":[0,0,0],"count":9},{"bits":[1,1,1],"count":7}]}
+> {"op":"submit","circuit":"ghz3","shots":16,"seed":3,"inputs":[0,1,0]}
+< {"ok":true,"id":4}
+drain
+> {"op":"result","id":4}
+< {"ok":true,"id":4,"label":"ghz3","backend":"stabilizer","shots":16,"histogram":[{"bits":[0,1,1],"count":9},{"bits":[1,0,0],"count":7}]}
 
 > {"op":"export","circuit":"teleportation"}
 < {"ok":true,"circuit":"teleportation","qasm":"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\ncreg c0[1];\ncreg c1[1];\ncreg c2[1];\nreset q[0];\nry(0.7) q[0];\nreset q[1];\nreset q[2];\nh q[1];\ncx q[1],q[2];\ncx q[0],q[1];\nh q[0];\nmeasure q[0] -> c0[0];\nmeasure q[1] -> c1[0];\nif(c1==1) x q[2];\nif(c0==1) z q[2];\nry(-0.7) q[2];\nmeasure q[2] -> c2[0];\n"}
@@ -141,6 +146,12 @@ drain
 > {"op":"submit","circuit":"ghz3","qasm":"OPENQASM 2.0;"}
 < {"ok":false,"error":"submit takes \"circuit\" or \"qasm\", not both"}
 > {"op":"submit","circuit":"ghz3","inputs":3}
+< {"ok":false,"error":"\"inputs\" must be an array of 0/1"}
+> {"op":"submit","circuit":"ghz3","inputs":[true,false,false]}
+< {"ok":false,"error":"\"inputs\" must be an array of 0/1"}
+> {"op":"submit","circuit":"ghz3","inputs":["1",0,0]}
+< {"ok":false,"error":"\"inputs\" must be an array of 0/1"}
+> {"op":"submit","circuit":"ghz3","inputs":[0.5,0,0]}
 < {"ok":false,"error":"\"inputs\" must be an array of 0/1"}
 > {"op":"submit","qasm":"OPENQASM 2.0;\ninclude \"nope.inc\";\nqreg q[1];\nfrob q[0];\n"}
 < {"ok":false,"error":"qasm rejected with 2 error(s)","diagnostics":[{"code":"QP113","severity":"error","line":2,"col":1,"message":"unsupported include \"nope.inc\" (only \"qelib1.inc\" / \"stdgates.inc\")"},{"code":"QP103","severity":"error","line":4,"col":1,"message":"unknown gate `frob`"}]}

@@ -37,8 +37,9 @@ OPTIONS:
                        permanent (default 4); raise alongside --fault-prob —
                        a fault can hit any shot, so a whole job attempt
                        fails with probability 1-(1-P)^shots
-  --slo-us MICROS      per-tenant end-to-end latency SLO threshold; burns
-                       land in the serve.slo.* counters (default: none)
+  --slo-us MICROS      end-to-end latency SLO threshold, one for every
+                       tenant; checks and burns land in the per-tenant
+                       serve.slo.* counters (default: none)
   --trace              enable quipper-trace metrics, printed on exit
   --metrics-dump       implies --trace; on exit, dump the full metrics
                        registry as JSON Lines and Prometheus text
@@ -145,6 +146,7 @@ fn main() -> ExitCode {
 
     let mut service_config = ServiceConfig {
         queue_capacity: opts.queue_capacity,
+        slo: opts.slo_us.map(std::time::Duration::from_micros),
         ..ServiceConfig::default()
     };
     if let Some(workers) = opts.workers {
@@ -152,10 +154,6 @@ fn main() -> ExitCode {
     }
     if let Some(attempts) = opts.retry_attempts {
         service_config.retry.max_attempts = attempts.max(1);
-    }
-    if let Some(us) = opts.slo_us {
-        service_config.slo =
-            quipper_serve::SloPolicy::with_default(std::time::Duration::from_micros(us));
     }
     let service = Arc::new(Service::start(engine, service_config));
     let server = match Server::start(&opts.addr, Arc::clone(&service), Arc::new(Catalog::new())) {

@@ -95,7 +95,7 @@ fn corpus_fixtures_match_their_declared_codes() {
 }
 
 /// Accepted fixtures are first-class circuits: they validate as IR and
-/// compile through lint gate + optimizer + plan cache.
+/// compile through the plan cache and its lint gate.
 #[test]
 fn accepted_fixtures_plan_like_catalog_circuits() {
     let cache = quipper_exec::PlanCache::new();
@@ -112,11 +112,7 @@ fn accepted_fixtures_plan_like_catalog_circuits() {
         bc.validate()
             .unwrap_or_else(|e| panic!("{}: invalid IR: {e}", path.display()));
         cache
-            .get_or_compile(
-                &bc,
-                quipper_exec::OptLevel::Off,
-                quipper_exec::LintGate::Off,
-            )
+            .get_or_compile(&bc, quipper_exec::OptLevel::Off)
             .unwrap_or_else(|e| panic!("{}: does not plan: {e}", path.display()));
     }
     assert!(accepted >= 7, "only {accepted} fixtures were accepted");

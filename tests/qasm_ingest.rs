@@ -58,14 +58,14 @@ fn goldens_are_export_parse_fixpoints() {
     }
 }
 
-/// Parsed goldens compile through the full execution pipeline — lint
-/// gate, optimizer, plan cache fingerprinting — exactly like catalog
-/// circuits. Ingested circuits are not second-class.
+/// Parsed goldens compile into plans — validation, lint, flattening,
+/// routing — exactly like catalog circuits. Ingested circuits are not
+/// second-class.
 #[test]
 fn parsed_goldens_pass_the_plan_pipeline() {
     for (path, text) in goldens() {
         let bc = quipper_qasm::compile(&text).unwrap();
-        let plan = quipper_exec::Plan::compile(&bc)
+        let plan = quipper_exec::Plan::compile_with(&bc, quipper_exec::OptLevel::Off)
             .unwrap_or_else(|e| panic!("{} does not plan: {e}", path.display()));
         assert!(plan.profile.num_gates > 0, "{}", path.display());
     }
