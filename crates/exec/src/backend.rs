@@ -8,18 +8,14 @@
 //! * [`ClassicalBackend`] — bit-per-wire permutation simulation, linear time.
 //! * [`StabilizerBackend`] — CHP tableau simulation, polynomial in width.
 //! * [`StateVecBackend`] — exact state vectors, exponential in width but
-//!   universal; the only backend supporting *dynamic lifting* (paper §4.3).
+//!   universal.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use quipper::Lifter;
-use quipper_circuit::Circuit;
 use std::sync::Arc;
 
+use quipper_circuit::Circuit;
 use quipper_sim::{
     evolve, evolve_clifford, run_classical_flat, run_clifford_flat, run_fused, Evolved,
-    EvolvedClifford, FusedCircuit, Shots, SimError, SimLifter, StateVecConfig, Suffix,
+    EvolvedClifford, FusedCircuit, Shots, SimError, StateVecConfig, Suffix,
 };
 
 use crate::error::ExecError;
@@ -85,12 +81,6 @@ pub trait Backend: Send + Sync {
         inputs: &'a [bool],
         should_stop: &dyn Fn() -> bool,
     ) -> Result<Box<dyn PreparedJob + 'a>, ExecError>;
-
-    /// A dynamic-lifting executor seeded with `seed`, if this backend
-    /// supports interleaving circuit generation with execution.
-    fn make_lifter(&self, _seed: u64) -> Option<Rc<RefCell<dyn Lifter>>> {
-        None
-    }
 }
 
 fn sim_err(route: Route) -> impl Fn(SimError) -> ExecError {
@@ -155,10 +145,6 @@ impl Backend for StateVecBackend {
         let evolved =
             evolve(fused, inputs, self.config, should_stop).map_err(sim_err(Route::StateVec))?;
         Ok(Box::new(evolved))
-    }
-
-    fn make_lifter(&self, seed: u64) -> Option<Rc<RefCell<dyn Lifter>>> {
-        Some(Rc::new(RefCell::new(SimLifter::new(seed))))
     }
 }
 

@@ -36,8 +36,10 @@
 //! hits and misses, which [`Engine::stats`] reads. The engine keeps no
 //! counter of its own beside them.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -45,7 +47,7 @@ use quipper::{Circ, QCData, Shape};
 use quipper_circuit::count::{self, GateCount, Peak};
 use quipper_circuit::BCircuit;
 use quipper_opt::{OptLevel, OptSummary};
-use quipper_sim::{FuseStats, SimError, StateVecConfig, Suffix};
+use quipper_sim::{FuseStats, SimError, SimLifter, StateVecConfig, Suffix};
 use quipper_trace::{fmt_duration, names, Phase, Tracer};
 
 use crate::backend::{Backend, ClassicalBackend, PreparedJob, StabilizerBackend, StateVecBackend};
@@ -538,27 +540,17 @@ impl Engine {
 
     /// Builds a circuit interactively under a dynamic-lifting executor
     /// (paper §4.3): measurement outcomes observed by `dynamic_lift` inside
-    /// `f` come from an actual simulation seeded with `seed`, so the returned
-    /// circuit records the path the computation really took.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::NoBackend`] if no registered backend supports
-    /// dynamic lifting.
+    /// `f` come from a state-vector simulation ([`SimLifter`]) seeded with
+    /// `seed`, so the returned circuit records the path the computation
+    /// really took.
     pub fn run_interactive<S: Shape, B: QCData>(
         &self,
         shape: &S,
         seed: u64,
         f: impl FnOnce(&mut Circ, S::Q) -> B,
-    ) -> Result<BCircuit, ExecError> {
-        let lifter = self
-            .backends
-            .iter()
-            .find_map(|b| b.make_lifter(seed))
-            .ok_or_else(|| ExecError::NoBackend {
-                reason: "no registered backend supports dynamic lifting".to_string(),
-            })?;
-        Ok(Circ::build_interactive(shape, lifter, f))
+    ) -> BCircuit {
+        let lifter = Rc::new(RefCell::new(SimLifter::new(seed)));
+        Circ::build_interactive(shape, lifter, f)
     }
 
     /// A snapshot of the plan cache's counters (the same numbers as

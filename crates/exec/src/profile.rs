@@ -2,27 +2,29 @@
 //!
 //! Each plan runs on the cheapest capable simulator; the [`Route`] is picked
 //! once, when the plan compiles, from a [`CircuitProfile`] computed by a
-//! single linear walk over the flat gate list. The walk tracks
-//! each live wire's current type (measurement turns quantum wires classical,
-//! paper §4.2.3), which matters because a *classical* control on a quantum
-//! gate is harmless for the stabilizer simulator while a *negative quantum*
-//! control is not.
+//! single linear walk over the flat gate list. The walk asks the simulators
+//! which gates they run ([`quipper_sim::classical::accepts`],
+//! [`quipper_sim::stabilizer::accepts`]); what it keeps itself is each live
+//! wire's current type (measurement turns quantum wires classical, paper
+//! §4.2.3), which the stabilizer's answer depends on — a *classical* control
+//! only gates the whole gate, a quantum one is part of it — and the count of
+//! live qubits.
 
 use std::collections::HashMap;
 
-use quipper_circuit::{Circuit, Control, Gate, GateName, Wire, WireType};
+use quipper_circuit::{Circuit, Gate, Wire, WireType};
+use quipper_sim::{classical, stabilizer};
 
 /// What a flat circuit needs from a simulator, computed in one pass.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CircuitProfile {
-    /// Every gate is a permutation of computational basis states (X / swap /
-    /// Z-basis phases / classical gates), so the bit-per-wire simulator can
-    /// run it.
+    /// The bit-per-wire simulator runs every gate: each permutes
+    /// computational basis states (X / swap / Z-basis phases / classical
+    /// gates) — [`classical::accepts`].
     pub classical_only: bool,
-    /// Every gate is in the Clifford set accepted by the CHP tableau
-    /// simulator: H, S/S†, V/V†, X, Y, Z, swap, CNOT, CZ — with at most one
-    /// positive quantum control — plus initializations, assertive
-    /// terminations, measurements and discards.
+    /// The CHP tableau simulator runs every gate: H, S/S†, V/V†, X, Y, Z,
+    /// swap, CNOT, CZ, plus the wire and classical gates every simulator
+    /// runs — [`stabilizer::accepts`].
     pub clifford_only: bool,
     /// Peak number of simultaneously live quantum wires. State-vector cost is
     /// `2^peak_qubits` amplitudes, so this bounds which circuits the exact
@@ -97,79 +99,10 @@ impl Route {
     }
 }
 
-/// Splits the controls of a gate by the *current* type of the control wire.
-/// Returns `(quantum_positive, quantum_negative, classical)` counts. Controls
-/// on unknown wires are conservatively counted as quantum-negative (they will
-/// fail simulation anyway).
-fn split_controls(controls: &[Control], types: &HashMap<Wire, WireType>) -> (usize, usize, usize) {
-    let (mut qpos, mut qneg, mut cls) = (0, 0, 0);
-    for c in controls {
-        match types.get(&c.wire) {
-            Some(WireType::Classical) => cls += 1,
-            Some(WireType::Quantum) if c.positive => qpos += 1,
-            _ => qneg += 1,
-        }
-    }
-    (qpos, qneg, cls)
-}
-
-/// Whether the bit-per-wire classical simulator accepts this gate (mirrors
-/// `ClassicalState::apply`).
-fn is_classical(gate: &Gate) -> bool {
-    match gate {
-        Gate::Comment { .. }
-        | Gate::QInit { .. }
-        | Gate::CInit { .. }
-        | Gate::QTerm { .. }
-        | Gate::CTerm { .. }
-        | Gate::QMeas { .. }
-        | Gate::QDiscard { .. }
-        | Gate::CDiscard { .. }
-        | Gate::GPhase { .. } => true,
-        Gate::QGate { name, .. } => matches!(
-            name,
-            GateName::X | GateName::Swap | GateName::Z | GateName::S | GateName::T
-        ),
-        Gate::CGate { name, .. } => matches!(&**name, "xor" | "and" | "or" | "not"),
-        Gate::QRot { .. } | Gate::Subroutine { .. } => false,
-    }
-}
-
-/// Whether the CHP stabilizer simulator accepts this gate (mirrors
-/// `Stabilizer`-based `run_clifford_flat`). Needs the current wire types to
-/// distinguish classical controls (fine: they gate the whole operation) from
-/// quantum ones (only single positive controls of X and Z are Clifford here).
-fn is_clifford(gate: &Gate, types: &HashMap<Wire, WireType>) -> bool {
-    match gate {
-        Gate::Comment { .. }
-        | Gate::QInit { .. }
-        | Gate::CInit { .. }
-        | Gate::QTerm { .. }
-        | Gate::CTerm { .. }
-        | Gate::QMeas { .. }
-        | Gate::QDiscard { .. }
-        | Gate::CDiscard { .. } => true,
-        Gate::QGate { name, controls, .. } => {
-            let (qpos, qneg, _cls) = split_controls(controls, types);
-            if qneg > 0 {
-                return false;
-            }
-            match name {
-                GateName::X | GateName::Z => qpos <= 1,
-                GateName::Y | GateName::H | GateName::S | GateName::V | GateName::Swap => qpos == 0,
-                GateName::T | GateName::W | GateName::Named(_) => false,
-            }
-        }
-        Gate::QRot { .. } | Gate::GPhase { .. } | Gate::CGate { .. } | Gate::Subroutine { .. } => {
-            false
-        }
-    }
-}
-
 /// Profiles a flattened circuit in one linear pass.
 ///
-/// Subroutine calls are not expected in flat circuits; if one appears it is
-/// conservatively classified as neither classical nor Clifford.
+/// Subroutine calls are not expected in flat circuits; no simulator runs
+/// one, so one routes to the state vector, which refuses it.
 pub fn profile(flat: &Circuit) -> CircuitProfile {
     let mut types: HashMap<Wire, WireType> = flat.inputs.iter().copied().collect();
     let mut live_qubits = flat
@@ -182,8 +115,8 @@ pub fn profile(flat: &Circuit) -> CircuitProfile {
     let mut clifford_only = true;
 
     for gate in &flat.gates {
-        classical_only = classical_only && is_classical(gate);
-        clifford_only = clifford_only && is_clifford(gate, &types);
+        classical_only = classical_only && classical::accepts(gate);
+        clifford_only = clifford_only && stabilizer::accepts(gate, |w| types.get(&w).copied());
         // Update wire types and the live-qubit count.
         match gate {
             Gate::QInit { wire, .. }

@@ -4,7 +4,7 @@
 use quipper::classical::Dag;
 use quipper::{Circ, Qubit};
 use quipper_algorithms::grover::{grover_circuit, optimal_iterations};
-use quipper_circuit::BCircuit;
+use quipper_circuit::{BCircuit, Gate, Wire, WireType};
 use std::time::Duration;
 
 use quipper_exec::{
@@ -140,7 +140,8 @@ fn a_resolved_plan_reruns_without_asking_the_cache_again() {
 
 /// The route is picked when the plan compiles: a circuit no backend runs
 /// fails there, with the reason, and leaves nothing in the cache; a wide
-/// Clifford circuit is no problem for the stabilizer route.
+/// Clifford circuit is no problem for the stabilizer route, classical gate
+/// and all.
 #[test]
 fn a_wide_non_clifford_circuit_is_refused_at_compile() {
     let engine = Engine::new();
@@ -159,7 +160,7 @@ fn a_wide_non_clifford_circuit_is_refused_at_compile() {
     let cache = engine.plan_cache();
     assert_eq!((cache.len(), cache.misses()), (0, 0));
 
-    let ghz = Circ::build(&vec![false; 200], |c, qs: Vec<Qubit>| {
+    let mut ghz = Circ::build(&vec![false; 200], |c, qs: Vec<Qubit>| {
         c.hadamard(qs[0]);
         for pair in qs.windows(2) {
             c.cnot(pair[1], pair[0]);
@@ -167,6 +168,23 @@ fn a_wide_non_clifford_circuit_is_refused_at_compile() {
         c.measure(qs)
     });
     assert_eq!(engine.plan(&ghz).unwrap().route.name(), "stabilizer");
+    // No generator emits a `CGate`: xor the first and last outcomes by hand.
+    let parity = Wire(ghz.main.wire_bound);
+    let inputs = vec![ghz.main.outputs[0].0, ghz.main.outputs[199].0];
+    ghz.main.gates.push(Gate::CGate {
+        name: "xor".into(),
+        inverted: false,
+        target: parity,
+        inputs,
+    });
+    ghz.main.outputs.push((parity, WireType::Classical));
+    ghz.main.wire_bound += 1;
+    assert_eq!(engine.plan(&ghz).unwrap().route.name(), "stabilizer");
+    let job = Job::new(&ghz).inputs(vec![false; 200]).shots(32);
+    let result = engine.run(&job).unwrap();
+    let agree = |bits: &[bool]| bits[..200].iter().all(|&b| b == bits[0]) && !bits[200];
+    assert!(result.histogram.iter().all(|(bits, _)| agree(bits)));
+    assert_eq!(result.histogram.len(), 2, "both GHZ outcomes occur");
 }
 
 #[test]
@@ -196,20 +214,18 @@ fn interactive_jobs_route_through_dynamic_lifting() {
     // Measure a deterministic qubit; only the taken branch is generated
     // (paper §4.3.2). The engine supplies the simulated QRAM.
     for bit in [false, true] {
-        let bc = engine
-            .run_interactive(&(), 42, |c, ()| {
-                let q = c.qinit_bit(bit);
-                let m = c.measure_bit(q);
-                let v = c.dynamic_lift(m);
-                assert_eq!(v, bit);
-                let out = c.qinit_bit(false);
-                if v {
-                    c.qnot(out);
-                }
-                c.cdiscard(m);
-                c.measure_bit(out)
-            })
-            .unwrap();
+        let bc = engine.run_interactive(&(), 42, |c, ()| {
+            let q = c.qinit_bit(bit);
+            let m = c.measure_bit(q);
+            let v = c.dynamic_lift(m);
+            assert_eq!(v, bit);
+            let out = c.qinit_bit(false);
+            if v {
+                c.qnot(out);
+            }
+            c.cdiscard(m);
+            c.measure_bit(out)
+        });
         assert_eq!(bc.gate_count().by_name("\"Not\"", 0, 0), u128::from(bit));
     }
 }

@@ -178,13 +178,6 @@ impl Backend for FaultInjector {
             inner: self.inner.prepare(plan, inputs, should_stop)?,
         }))
     }
-
-    fn make_lifter(
-        &self,
-        seed: u64,
-    ) -> Option<std::rc::Rc<std::cell::RefCell<dyn quipper::Lifter>>> {
-        self.inner.make_lifter(seed)
-    }
 }
 
 #[cfg(test)]

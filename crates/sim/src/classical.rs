@@ -4,150 +4,111 @@
 //! simulate certain classes of circuits efficiently; this is especially
 //! useful in testing oracles" (paper §4.4.5). Circuits built from
 //! initializations, terminations, (multi-)controlled not gates, swaps,
-//! measurements and classical gates act as permutations of computational
-//! basis states, so they are simulated with one bit per wire.
+//! Z-basis phases, measurements and classical gates act as permutations of
+//! computational basis states, so each qubit slot holds one bit; classical
+//! wires, classical gates and slot reuse are the wires every simulator
+//! shares.
 //!
 //! Assertive terminations are *checked*: a violated `QTerm` assertion is
 //! reported as an error, which makes this simulator the main tool for
 //! testing that oracles correctly uncompute their scratch space.
 
-use std::collections::HashMap;
-
 use quipper_circuit::flatten::inline_all;
-use quipper_circuit::{BCircuit, Circuit, Control, Gate, GateName, Wire};
+use quipper_circuit::{BCircuit, Circuit, Gate, GateName};
 
 use crate::error::SimError;
+use crate::wires::{self, Simulator, Wires};
 
-/// The bit store of the classical simulator.
-#[derive(Clone, Debug, Default)]
-pub struct ClassicalState {
-    bits: HashMap<Wire, bool>,
+/// The gate set, written once: the target count of each named gate that
+/// permutes basis states — X flips, a swap exchanges, and the Z-basis
+/// phases Z, S and T leave a basis state as it is.
+fn arity(name: &GateName) -> Option<usize> {
+    match name {
+        GateName::X | GateName::Z | GateName::S | GateName::T => Some(1),
+        GateName::Swap => Some(2),
+        _ => None,
+    }
 }
 
-impl ClassicalState {
-    /// Creates an empty state.
-    pub fn new() -> ClassicalState {
-        ClassicalState::default()
+/// Whether the classical simulator runs `gate`: the route profile asks
+/// this, and [`run_classical_flat`] decides by the same table.
+pub fn accepts(gate: &Gate) -> bool {
+    match gate {
+        Gate::QGate { name, targets, .. } => arity(name) == Some(targets.len()),
+        Gate::GPhase { .. } => true,
+        Gate::QRot { .. } => false,
+        _ => wires::accepts(gate),
+    }
+}
+
+/// The classical simulator: one bit per qubit slot, and the circuit's
+/// wires.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ClassicalState {
+    /// The basis value of each slot, live or parked.
+    slots: Vec<bool>,
+    wires: Wires,
+}
+
+impl Simulator for ClassicalState {
+    const NAME: &'static str = "classical";
+
+    fn wires_mut(&mut self) -> &mut Wires {
+        &mut self.wires
     }
 
-    /// Sets an input wire's value.
-    pub fn set(&mut self, wire: Wire, value: bool) {
-        self.bits.insert(wire, value);
+    fn grow(&mut self) -> usize {
+        self.slots.push(false);
+        self.slots.len() - 1
     }
 
-    /// Reads a wire's value.
-    pub fn get(&self, wire: Wire) -> Option<bool> {
-        self.bits.get(&wire).copied()
+    fn flip(&mut self, slot: usize) {
+        self.slots[slot] ^= true;
     }
 
-    fn read(&self, wire: Wire) -> Result<bool, SimError> {
-        self.get(wire).ok_or(SimError::UnknownWire { wire })
+    /// A basis state's value carries over unchanged.
+    fn measure(&mut self, slot: usize) -> bool {
+        self.slots[slot]
     }
 
-    fn controls_fire(&self, controls: &[Control]) -> Result<bool, SimError> {
-        for c in controls {
-            if self.read(c.wire)? != c.positive {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+    fn assert(&mut self, slot: usize, value: bool) -> Result<(), f64> {
+        (self.slots[slot] == value).then_some(()).ok_or(0.0)
     }
 
-    /// Executes one gate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnsupportedGate`] for gates that create
-    /// superpositions (Hadamard, W, rotations, phases), and
-    /// [`SimError::AssertionFailed`] for violated terminations.
-    pub fn apply(&mut self, gate: &Gate) -> Result<(), SimError> {
-        match gate {
-            Gate::Comment { .. } => Ok(()),
-            Gate::QInit { value, wire } | Gate::CInit { value, wire } => {
-                self.bits.insert(*wire, *value);
-                Ok(())
-            }
-            Gate::QTerm { value, wire } | Gate::CTerm { value, wire } => {
-                let v = self.read(*wire)?;
-                self.bits.remove(wire);
-                if v != *value {
-                    return Err(SimError::AssertionFailed {
-                        wire: *wire,
-                        asserted: *value,
-                        probability: 0.0,
-                    });
-                }
-                Ok(())
-            }
-            Gate::QMeas { .. } => Ok(()), // value carries over unchanged
-            Gate::QDiscard { wire } | Gate::CDiscard { wire } => {
-                self.bits.remove(wire);
-                Ok(())
-            }
+    fn unitary(&mut self, gate: &Gate) -> Result<(), SimError> {
+        let unsupported = || SimError::UnsupportedGate {
+            gate: gate.describe(),
+            simulator: Self::NAME,
+        };
+        let (name, targets, controls) = match gate {
             Gate::QGate {
-                name: GateName::X,
-                targets,
-                controls,
-                ..
-            } => {
-                if self.controls_fire(controls)? {
-                    for t in targets {
-                        let v = self.read(*t)?;
-                        self.bits.insert(*t, !v);
-                    }
-                }
-                Ok(())
-            }
-            Gate::QGate {
-                name: GateName::Swap,
-                targets,
-                controls,
-                ..
-            } => {
-                if self.controls_fire(controls)? {
-                    let a = self.read(targets[0])?;
-                    let b = self.read(targets[1])?;
-                    self.bits.insert(targets[0], b);
-                    self.bits.insert(targets[1], a);
-                }
-                Ok(())
-            }
-            // Z-basis phases act trivially on basis states.
-            Gate::QGate {
-                name: GateName::Z | GateName::S | GateName::T,
-                ..
-            }
-            | Gate::GPhase { .. } => Ok(()),
-            Gate::CGate {
                 name,
-                inverted,
-                target,
-                inputs,
-            } => {
-                let mut vals = Vec::with_capacity(inputs.len());
-                for w in inputs {
-                    vals.push(self.read(*w)?);
-                }
-                let v = match &**name {
-                    "xor" => vals.iter().fold(false, |a, &b| a ^ b),
-                    "and" => vals.iter().all(|&b| b),
-                    "or" => vals.iter().any(|&b| b),
-                    "not" => !vals.first().copied().unwrap_or(false),
-                    _ => {
-                        return Err(SimError::UnsupportedGate {
-                            gate: gate.describe(),
-                            simulator: "classical",
-                        })
-                    }
-                };
-                self.bits.insert(*target, v ^ inverted);
-                Ok(())
-            }
-            g => Err(SimError::UnsupportedGate {
-                gate: g.describe(),
-                simulator: "classical",
-            }),
+                targets,
+                controls,
+                ..
+            } if arity(name) == Some(targets.len()) => (Some(name), &targets[..], controls),
+            Gate::GPhase { controls, .. } => (None, &[][..], controls),
+            _ => return Err(unsupported()),
+        };
+        let mut fires = true;
+        let slots = &self.slots;
+        if !self.wires.controls(controls, |slot, positive| {
+            fires &= slots[slot] == positive;
+        })? {
+            return Ok(());
         }
+        // Every target is resolved, so a dead one is an error whether or
+        // not the quantum controls fire.
+        let mut t = [0usize; 2];
+        for (slot, &w) in t.iter_mut().zip(targets) {
+            *slot = self.wires.slot(w)?;
+        }
+        match name {
+            Some(GateName::X) if fires => self.slots[t[0]] ^= true,
+            Some(GateName::Swap) if fires => self.slots.swap(t[0], t[1]),
+            _ => {}
+        }
+        Ok(())
     }
 }
 
@@ -156,8 +117,11 @@ impl ClassicalState {
 ///
 /// # Errors
 ///
-/// Returns an error on arity mismatch, unsupported (non-classical) gates, or
-/// violated termination assertions.
+/// Returns [`SimError::InputArity`] on an input count mismatch,
+/// [`SimError::UnsupportedGate`] for gates that create superpositions
+/// (Hadamard, W, rotations, phases) or have the wrong number of targets,
+/// [`SimError::UnknownWire`] for a gate on a wire with no value, and
+/// [`SimError::AssertionFailed`] for violated terminations.
 pub fn run_classical(bc: &BCircuit, inputs: &[bool]) -> Result<Vec<bool>, SimError> {
     let flat = inline_all(&bc.db, &bc.main)?;
     run_classical_flat(&flat, inputs)
@@ -173,20 +137,8 @@ pub fn run_classical(bc: &BCircuit, inputs: &[bool]) -> Result<Vec<bool>, SimErr
 ///
 /// As for [`run_classical`], minus inlining errors.
 pub fn run_classical_flat(flat: &Circuit, inputs: &[bool]) -> Result<Vec<bool>, SimError> {
-    if inputs.len() != flat.inputs.len() {
-        return Err(SimError::InputArity {
-            expected: flat.inputs.len(),
-            found: inputs.len(),
-        });
-    }
-    let mut st = ClassicalState::new();
-    for (&(w, _), &v) in flat.inputs.iter().zip(inputs) {
-        st.set(w, v);
-    }
-    for gate in &flat.gates {
-        st.apply(gate)?;
-    }
-    flat.outputs.iter().map(|&(w, _)| st.read(w)).collect()
+    let mut st = wires::run(ClassicalState::default(), flat, inputs)?;
+    wires::read_outputs(&mut st, &flat.outputs)
 }
 
 #[cfg(test)]

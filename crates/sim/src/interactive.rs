@@ -44,11 +44,6 @@ impl SimLifter {
         c.set_lifter(lifter.clone());
         lifter
     }
-
-    /// Read access to the underlying simulator state.
-    pub fn state(&self) -> &StateVec {
-        &self.state
-    }
 }
 
 impl Lifter for SimLifter {

@@ -19,6 +19,16 @@
 //!   *dynamic lifting* (paper §4.3), for algorithms that interleave circuit
 //!   generation and execution such as Unique Shortest Vector.
 //!
+//! The three simulators share one model of the circuit's wires (paper
+//! §4.2): a private `wires` module binds the inputs, keeps the slot map
+//! with its parked slots and the classical store, runs the classical gates
+//! (`CInit`, `CTerm`, `CDiscard`, `CGate`), allocation, termination and
+//! measurement, judges classical controls, and reads the outputs. Each
+//! simulator keeps only its quantum store and what it does to it —
+//! amplitudes, a tableau, one bit per slot — and writes its gate set once:
+//! [`classical::accepts`] and [`stabilizer::accepts`] are what its own gate
+//! loop runs, and what the `quipper-exec` route profile asks.
+//!
 //! The state-vector simulator runs the stream [`fuse::fuse_circuit`] makes
 //! once per plan (same-wire single-qubit runs merged into 2×2 products,
 //! unitary runs cut into window segments) through [`kernels`] and the
@@ -39,6 +49,7 @@ pub mod simd;
 pub mod stabilizer;
 pub mod statevec;
 mod window;
+mod wires;
 
 pub use classical::{run_classical, run_classical_flat};
 pub use error::SimError;
@@ -70,6 +81,5 @@ const _: () = {
     assert_send::<StateVec>();
     assert_send::<statevec::RunResult>();
     assert_send::<stabilizer::Stabilizer>();
-    assert_send::<classical::ClassicalState>();
     assert_send_sync::<SimError>();
 };

@@ -4,10 +4,11 @@
 //! * [`run_flat_reference`] over [`scan`] — the state-vector oracle. Every
 //!   unitary gate of the flat circuit, one at a time and unmerged, is a scan
 //!   of all 2^n indices that branches on the target bit and control mask at
-//!   each one; an uncontrolled swap moves amplitudes like any other. It has
-//!   its own gate loop and shares with [`StateVec`] only what is not a
-//!   unitary update: the slot map, the classical store, measurement and
-//!   termination.
+//!   each one; an uncontrolled swap moves amplitudes like any other. Its
+//!   unitaries are its own; with [`StateVec`] it shares only what is not a
+//!   unitary update: the wires every simulator shares (`crate::wires`: input
+//!   binding, slot map, parked slots, classical store, classical gates),
+//!   growth, measurement and termination.
 //! * [`BoolTableau`] — the stabilizer oracle: one `bool` per tableau cell,
 //!   behind the same [`Tableau`](crate::stabilizer::Tableau) trait as the
 //!   packed production tableau.
@@ -17,12 +18,13 @@
 
 mod tableau;
 
-use quipper_circuit::{Circuit, Gate, GateName, Wire, WireType};
+use quipper_circuit::{Circuit, Gate, GateName};
 
 use crate::complex::Complex;
 use crate::error::SimError;
 use crate::fuse::unary_matrix;
 use crate::statevec::{RunResult, StateVec};
+use crate::wires::{self, Simulator, Wires};
 
 pub use tableau::BoolTableau;
 
@@ -38,83 +40,84 @@ pub fn run_flat_reference(
     inputs: &[bool],
     seed: u64,
 ) -> Result<RunResult, SimError> {
-    if inputs.len() != flat.inputs.len() {
-        return Err(SimError::InputArity {
-            expected: flat.inputs.len(),
-            found: inputs.len(),
-        });
-    }
-    let mut sv = StateVec::new(seed);
-    for (&(w, t), &v) in flat.inputs.iter().zip(inputs) {
-        match t {
-            WireType::Quantum => init_qubit(&mut sv, w, v),
-            WireType::Classical => sv.add_input(w, t, v),
-        }
-    }
-    for gate in &flat.gates {
-        apply(&mut sv, gate)?;
-    }
+    let Scan(state) = wires::run(Scan(StateVec::new(seed)), flat, inputs)?;
     Ok(RunResult {
-        state: sv,
+        state,
         outputs: flat.outputs.clone(),
     })
 }
 
-fn init_qubit(sv: &mut StateVec, wire: Wire, value: bool) {
-    let (slot, parked) = sv.alloc_slot();
-    if parked != value {
-        scan::flip(sv.amplitudes_mut(), slot);
-    }
-    sv.bind_slot(wire, slot);
-}
+/// The oracle: a [`StateVec`] whose unitaries, and the flip that sets a
+/// recycled slot, are scans; growth, measurement and termination are the
+/// state vector's own.
+struct Scan(StateVec);
 
-/// One gate of the oracle's loop: allocation and unitaries here, by scan;
-/// everything else is [`StateVec::apply`]'s bookkeeping.
-fn apply(sv: &mut StateVec, gate: &Gate) -> Result<(), SimError> {
-    let (targets, controls) = match gate {
-        Gate::QInit { value, wire } => {
-            init_qubit(sv, *wire, *value);
-            return Ok(());
-        }
-        Gate::QGate {
-            targets, controls, ..
-        }
-        | Gate::QRot {
-            targets, controls, ..
-        } => (&targets[..], controls),
-        Gate::GPhase { controls, .. } => (&[][..], controls),
-        _ => return sv.apply(gate),
-    };
-    let Some((mask, want)) = sv.resolve_controls(controls)? else {
-        return Ok(());
-    };
-    let slots = targets
-        .iter()
-        .map(|&w| sv.slot_of(w))
-        .collect::<Result<Vec<usize>, SimError>>()?;
-    let unsupported = || SimError::UnsupportedGate {
-        gate: gate.describe(),
-        simulator: "state-vector",
-    };
-    let amps = sv.amplitudes_mut();
-    match (gate, &slots[..]) {
-        (Gate::GPhase { angle, .. }, []) => {
-            let phase = Complex::cis(std::f64::consts::PI * angle);
-            scan::apply_phase(amps, phase, mask, want);
-        }
-        (Gate::QGate { name, .. }, &[a, b]) if *name == GateName::Swap => {
-            scan::apply_swap(amps, a, b, mask, want);
-        }
-        (Gate::QGate { name, .. }, &[a, b]) if *name == GateName::W => {
-            scan::apply_w(amps, a, b, mask, want);
-        }
-        (_, &[t]) => {
-            let (_, m, _) = unary_matrix(gate).ok_or_else(unsupported)?;
-            scan::apply_1q(amps, t, &m, mask, want);
-        }
-        _ => return Err(unsupported()),
+impl Simulator for Scan {
+    const NAME: &'static str = StateVec::NAME;
+
+    fn wires_mut(&mut self) -> &mut Wires {
+        self.0.wires_mut()
     }
-    Ok(())
+
+    fn grow(&mut self) -> usize {
+        self.0.grow()
+    }
+
+    fn flip(&mut self, slot: usize) {
+        scan::flip(self.0.amplitudes_mut(), slot);
+    }
+
+    fn measure(&mut self, slot: usize) -> bool {
+        self.0.measure(slot)
+    }
+
+    fn assert(&mut self, slot: usize, value: bool) -> Result<(), f64> {
+        self.0.assert(slot, value)
+    }
+
+    fn unitary(&mut self, gate: &Gate) -> Result<(), SimError> {
+        let unsupported = || SimError::UnsupportedGate {
+            gate: gate.describe(),
+            simulator: Self::NAME,
+        };
+        let sv = &mut self.0;
+        let (targets, controls) = match gate {
+            Gate::QGate {
+                targets, controls, ..
+            }
+            | Gate::QRot {
+                targets, controls, ..
+            } => (&targets[..], controls),
+            Gate::GPhase { controls, .. } => (&[][..], controls),
+            _ => return Err(unsupported()),
+        };
+        let Some((mask, want)) = sv.resolve_controls(controls)? else {
+            return Ok(());
+        };
+        let slots = targets
+            .iter()
+            .map(|&w| sv.wires_mut().slot(w))
+            .collect::<Result<Vec<usize>, SimError>>()?;
+        let amps = sv.amplitudes_mut();
+        match (gate, &slots[..]) {
+            (Gate::GPhase { angle, .. }, []) => {
+                let phase = Complex::cis(std::f64::consts::PI * angle);
+                scan::apply_phase(amps, phase, mask, want);
+            }
+            (Gate::QGate { name, .. }, &[a, b]) if *name == GateName::Swap => {
+                scan::apply_swap(amps, a, b, mask, want);
+            }
+            (Gate::QGate { name, .. }, &[a, b]) if *name == GateName::W => {
+                scan::apply_w(amps, a, b, mask, want);
+            }
+            (_, &[t]) => {
+                let (_, m, _) = unary_matrix(gate).ok_or_else(unsupported)?;
+                scan::apply_1q(amps, t, &m, mask, want);
+            }
+            _ => return Err(unsupported()),
+        }
+        Ok(())
+    }
 }
 
 pub mod scan {

@@ -52,10 +52,6 @@ impl Tableau for BoolTableau {
         }
     }
 
-    fn n(&self) -> usize {
-        self.n
-    }
-
     fn grow(&mut self) -> usize {
         let q = self.n;
         self.n += 1;

@@ -35,8 +35,6 @@
 //! same seed. The oracle writes its rules out per cell and does not share
 //! them, so the comparison checks the shared rules too.
 
-use std::collections::HashMap;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -45,6 +43,7 @@ use quipper_circuit::pauli::clifford;
 use quipper_circuit::{BCircuit, Circuit, Gate, GateName, Wire, WireType};
 
 use crate::error::SimError;
+use crate::wires::{self, Simulator, Wires};
 
 /// The operations a stabilizer-tableau representation must provide.
 ///
@@ -55,8 +54,6 @@ use crate::error::SimError;
 pub trait Tableau {
     /// An empty tableau (no qubits).
     fn empty() -> Self;
-    /// Number of allocated qubit slots.
-    fn n(&self) -> usize;
     /// Appends a qubit in `|0⟩`; returns its slot index.
     fn grow(&mut self) -> usize;
     fn gate_h(&mut self, q: usize);
@@ -195,10 +192,6 @@ impl Tableau for PackedTableau {
             z: Vec::new(),
             r: vec![0; 2],
         }
-    }
-
-    fn n(&self) -> usize {
-        self.n
     }
 
     fn grow(&mut self) -> usize {
@@ -364,15 +357,88 @@ impl Tableau for PackedTableau {
 // ---------------------------------------------------------------------------
 // Clifford simulator over a tableau backend
 
-/// Clifford circuit simulator over a pluggable [`Tableau`] backend: wire
-/// bookkeeping, classical bits, slot reuse, and the gate → generator
-/// translation live here; the tableau does the linear algebra.
+/// A tableau generator; a Clifford gate runs as a few of them.
+#[derive(Clone, Copy)]
+enum Gen {
+    H,
+    S,
+    X,
+    Z,
+    Cnot,
+    Cz,
+    Swap,
+}
+
+/// The gate set, written once: the generators the named gate `name` runs
+/// as, with `targets` targets under `controls` quantum controls (`negative`
+/// if one fires on 0). X and Z run under one positive quantum control
+/// (CNOT, CZ), the others uncontrolled; classical controls only gate the
+/// whole gate, so they do not count.
+fn generators(
+    name: &GateName,
+    inverted: bool,
+    targets: usize,
+    controls: usize,
+    negative: bool,
+) -> Option<&'static [Gen]> {
+    use Gen::*;
+    let gens: &'static [Gen] = match (name, inverted, controls) {
+        _ if negative => return None,
+        (GateName::X, _, 0) => &[X],
+        (GateName::X, _, 1) => &[Cnot],
+        (GateName::Z, _, 0) => &[Z],
+        (GateName::Z, _, 1) => &[Cz],
+        (GateName::Y, _, 0) => &[Z, X],
+        (GateName::H, _, 0) => &[H],
+        (GateName::S, false, 0) => &[S],
+        (GateName::S, true, 0) => &[S, S, S],
+        // V = H·S·H exactly; V† = H·S†·H.
+        (GateName::V, false, 0) => &[H, S, H],
+        (GateName::V, true, 0) => &[H, S, S, S, H],
+        (GateName::Swap, _, 0) => &[Swap],
+        _ => return None,
+    };
+    let arity = if matches!(gens, [Swap]) { 2 } else { 1 };
+    (targets == arity).then_some(gens)
+}
+
+/// Whether the stabilizer simulator runs `gate`, given the type each wire
+/// has when the gate runs (`None` for a wire with no value). The route
+/// profile asks this; [`CliffordSim::apply`] decides by the same table.
+pub fn accepts(gate: &Gate, wire_type: impl Fn(Wire) -> Option<WireType>) -> bool {
+    match gate {
+        Gate::QGate {
+            name,
+            inverted,
+            targets,
+            controls,
+        } => {
+            let (mut quantum, mut negative) = (0, false);
+            for c in controls {
+                match wire_type(c.wire) {
+                    Some(WireType::Classical) => {}
+                    Some(WireType::Quantum) => {
+                        quantum += 1;
+                        negative |= !c.positive;
+                    }
+                    None => return false,
+                }
+            }
+            generators(name, *inverted, targets.len(), quantum, negative).is_some()
+        }
+        Gate::QRot { .. } | Gate::GPhase { .. } => false,
+        _ => wires::accepts(gate),
+    }
+}
+
+/// Clifford circuit simulator over a pluggable [`Tableau`] backend: the
+/// gate → generator translation lives here, the linear algebra in the
+/// tableau, and the wires (slot map, classical store, classical gates) in
+/// the module every simulator shares.
 #[derive(Clone, Debug)]
 pub struct CliffordSim<T> {
     tab: T,
-    slots: HashMap<Wire, usize>,
-    free: Vec<(usize, bool)>,
-    classical: HashMap<Wire, bool>,
+    wires: Wires,
     rng: StdRng,
 }
 
@@ -384,65 +450,14 @@ impl<T: Tableau> CliffordSim<T> {
     pub fn new(seed: u64) -> CliffordSim<T> {
         CliffordSim {
             tab: T::empty(),
-            slots: HashMap::new(),
-            free: Vec::new(),
-            classical: HashMap::new(),
+            wires: Wires::default(),
             rng: StdRng::seed_from_u64(seed),
         }
     }
 
-    /// A simulator holding `flat`'s input wires in the basis state `inputs`.
-    fn with_inputs(flat: &Circuit, inputs: &[bool], seed: u64) -> Result<Self, SimError> {
-        if inputs.len() != flat.inputs.len() {
-            return Err(SimError::InputArity {
-                expected: flat.inputs.len(),
-                found: inputs.len(),
-            });
-        }
-        let mut sim = CliffordSim::new(seed);
-        for (&(w, t), &v) in flat.inputs.iter().zip(inputs) {
-            sim.add_input(w, t, v);
-        }
-        Ok(sim)
-    }
-
     /// The value of a classical wire, if set.
     pub fn classical_value(&self, wire: Wire) -> Option<bool> {
-        self.classical.get(&wire).copied()
-    }
-
-    /// Binds a circuit input wire to a fresh value.
-    pub fn add_input(&mut self, wire: Wire, ty: WireType, value: bool) {
-        match ty {
-            WireType::Quantum => {
-                let slot = self.alloc(value);
-                self.slots.insert(wire, slot);
-            }
-            WireType::Classical => {
-                self.classical.insert(wire, value);
-            }
-        }
-    }
-
-    /// Measures an output wire (used for quantum outputs at circuit end).
-    pub fn measure_wire(&mut self, wire: Wire) -> Result<bool, SimError> {
-        let slot = self.slot_of(wire)?;
-        let (v, _) = self.tab.measure_slot(slot, &mut self.rng);
-        Ok(v)
-    }
-
-    /// The circuit's output bits: classical outputs are read, quantum
-    /// outputs measured.
-    fn read_outputs(&mut self, outputs: &[(Wire, WireType)]) -> Result<Vec<bool>, SimError> {
-        outputs
-            .iter()
-            .map(|&(w, t)| match t {
-                WireType::Classical => self
-                    .classical_value(w)
-                    .ok_or(SimError::UnknownWire { wire: w }),
-                WireType::Quantum => self.measure_wire(w),
-            })
-            .collect()
+        self.wires.bit(wire)
     }
 
     /// Whether executing `gate` now would draw from the RNG: it measures
@@ -451,202 +466,96 @@ impl<T: Tableau> CliffordSim<T> {
     fn draws_randomness(&self, gate: &Gate) -> bool {
         match gate {
             Gate::QMeas { wire } | Gate::QDiscard { wire } | Gate::QTerm { wire, .. } => self
-                .slots
-                .get(wire)
-                .is_some_and(|&slot| self.tab.is_random(slot)),
+                .wires
+                .slot(*wire)
+                .is_ok_and(|slot| self.tab.is_random(slot)),
             _ => false,
         }
-    }
-
-    fn alloc(&mut self, value: bool) -> usize {
-        if let Some((slot, cur)) = self.free.pop() {
-            if cur != value {
-                self.tab.gate_x(slot);
-            }
-            return slot;
-        }
-        let slot = self.tab.grow();
-        if value {
-            self.tab.gate_x(slot);
-        }
-        slot
-    }
-
-    fn slot_of(&self, wire: Wire) -> Result<usize, SimError> {
-        self.slots
-            .get(&wire)
-            .copied()
-            .ok_or(SimError::UnknownWire { wire })
-    }
-
-    fn gate_s_inv(&mut self, q: usize) {
-        self.tab.gate_s(q);
-        self.tab.gate_s(q);
-        self.tab.gate_s(q);
     }
 
     /// Executes one gate.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnsupportedGate`] for non-Clifford gates and
-    /// [`SimError::AssertionFailed`] for violated (or non-deterministic)
-    /// termination assertions.
+    /// Returns [`SimError::UnsupportedGate`] for gates outside the Clifford
+    /// set (see [`accepts`]), [`SimError::UnknownWire`] for a gate on a wire
+    /// with no value, and [`SimError::AssertionFailed`] for violated (or
+    /// non-deterministic) termination assertions.
     pub fn apply(&mut self, gate: &Gate) -> Result<(), SimError> {
-        let unsupported = |g: &Gate| SimError::UnsupportedGate {
-            gate: g.describe(),
-            simulator: "stabilizer",
-        };
-        match gate {
-            Gate::Comment { .. } => Ok(()),
-            Gate::QInit { value, wire } => {
-                let slot = self.alloc(*value);
-                self.slots.insert(*wire, slot);
-                Ok(())
-            }
-            Gate::CInit { value, wire } => {
-                self.classical.insert(*wire, *value);
-                Ok(())
-            }
-            Gate::QTerm { value, wire } => {
-                let slot = self.slot_of(*wire)?;
-                self.slots.remove(wire);
-                let (outcome, deterministic) = self.tab.measure_slot(slot, &mut self.rng);
-                if !deterministic || outcome != *value {
-                    return Err(SimError::AssertionFailed {
-                        wire: *wire,
-                        asserted: *value,
-                        probability: if deterministic { 0.0 } else { 0.5 },
-                    });
-                }
-                self.free.push((slot, outcome));
-                Ok(())
-            }
-            Gate::CTerm { value, wire } => {
-                let v = self
-                    .classical
-                    .remove(wire)
-                    .ok_or(SimError::UnknownWire { wire: *wire })?;
-                if v != *value {
-                    return Err(SimError::AssertionFailed {
-                        wire: *wire,
-                        asserted: *value,
-                        probability: 0.0,
-                    });
-                }
-                Ok(())
-            }
-            Gate::QMeas { wire } => {
-                let slot = self.slot_of(*wire)?;
-                self.slots.remove(wire);
-                let (outcome, _) = self.tab.measure_slot(slot, &mut self.rng);
-                // measure_slot already collapsed the tableau for the random
-                // case; for the deterministic case nothing changed.
-                self.classical.insert(*wire, outcome);
-                self.free.push((slot, outcome));
-                Ok(())
-            }
-            Gate::QDiscard { wire } => {
-                let slot = self.slot_of(*wire)?;
-                self.slots.remove(wire);
-                let (outcome, _) = self.tab.measure_slot(slot, &mut self.rng);
-                self.free.push((slot, outcome));
-                Ok(())
-            }
-            Gate::CDiscard { wire } => self
-                .classical
-                .remove(wire)
-                .map(|_| ())
-                .ok_or(SimError::UnknownWire { wire: *wire }),
-            Gate::QGate {
-                name,
-                inverted,
-                targets,
-                controls,
-            } => {
-                // Classical controls gate the whole operation; quantum
-                // controls are only supported on X (CNOT) and Z (CZ).
-                let mut qctl: Vec<usize> = Vec::new();
-                for c in controls {
-                    if let Some(&slot) = self.slots.get(&c.wire) {
-                        if !c.positive {
-                            return Err(unsupported(gate));
-                        }
-                        qctl.push(slot);
-                    } else if let Some(&v) = self.classical.get(&c.wire) {
-                        if v != c.positive {
-                            return Ok(());
-                        }
-                    } else {
-                        return Err(SimError::UnknownWire { wire: c.wire });
-                    }
-                }
-                match (name, qctl.len()) {
-                    (GateName::X, 0) => {
-                        let t = self.slot_of(targets[0])?;
-                        self.tab.gate_x(t);
-                        Ok(())
-                    }
-                    (GateName::X, 1) => {
-                        let t = self.slot_of(targets[0])?;
-                        self.tab.gate_cnot(qctl[0], t);
-                        Ok(())
-                    }
-                    (GateName::Z, 0) => {
-                        let t = self.slot_of(targets[0])?;
-                        self.tab.gate_z(t);
-                        Ok(())
-                    }
-                    (GateName::Z, 1) => {
-                        let t = self.slot_of(targets[0])?;
-                        self.tab.gate_cz(qctl[0], t);
-                        Ok(())
-                    }
-                    (GateName::Y, 0) => {
-                        let t = self.slot_of(targets[0])?;
-                        self.tab.gate_z(t);
-                        self.tab.gate_x(t);
-                        Ok(())
-                    }
-                    (GateName::H, 0) => {
-                        let t = self.slot_of(targets[0])?;
-                        self.tab.gate_h(t);
-                        Ok(())
-                    }
-                    (GateName::S, 0) => {
-                        let t = self.slot_of(targets[0])?;
-                        if *inverted {
-                            self.gate_s_inv(t);
-                        } else {
-                            self.tab.gate_s(t);
-                        }
-                        Ok(())
-                    }
-                    (GateName::V, 0) => {
-                        // V = H·S·H exactly; V† = H·S†·H.
-                        let t = self.slot_of(targets[0])?;
-                        self.tab.gate_h(t);
-                        if *inverted {
-                            self.gate_s_inv(t);
-                        } else {
-                            self.tab.gate_s(t);
-                        }
-                        self.tab.gate_h(t);
-                        Ok(())
-                    }
-                    (GateName::Swap, 0) => {
-                        let a = self.slot_of(targets[0])?;
-                        let b = self.slot_of(targets[1])?;
-                        if a != b {
-                            self.tab.gate_swap(a, b);
-                        }
-                        Ok(())
-                    }
-                    _ => Err(unsupported(gate)),
-                }
-            }
-            _ => Err(unsupported(gate)),
+        wires::apply(self, gate)
+    }
+}
+
+impl<T: Tableau> Simulator for CliffordSim<T> {
+    const NAME: &'static str = "stabilizer";
+
+    fn wires_mut(&mut self) -> &mut Wires {
+        &mut self.wires
+    }
+
+    fn grow(&mut self) -> usize {
+        self.tab.grow()
+    }
+
+    fn flip(&mut self, slot: usize) {
+        self.tab.gate_x(slot);
+    }
+
+    fn measure(&mut self, slot: usize) -> bool {
+        self.tab.measure_slot(slot, &mut self.rng).0
+    }
+
+    fn assert(&mut self, slot: usize, value: bool) -> Result<(), f64> {
+        match self.tab.measure_slot(slot, &mut self.rng) {
+            (outcome, true) if outcome == value => Ok(()),
+            (_, true) => Err(0.0),
+            (_, false) => Err(0.5),
         }
+    }
+
+    fn unitary(&mut self, gate: &Gate) -> Result<(), SimError> {
+        let unsupported = || SimError::UnsupportedGate {
+            gate: gate.describe(),
+            simulator: Self::NAME,
+        };
+        let Gate::QGate {
+            name,
+            inverted,
+            targets,
+            controls,
+        } = gate
+        else {
+            return Err(unsupported());
+        };
+        let (mut ctl, mut quantum, mut negative) = (0, 0, false);
+        let fires = self.wires.controls(controls, |slot, positive| {
+            ctl = slot;
+            quantum += 1;
+            negative |= !positive;
+        })?;
+        if !fires {
+            return Ok(());
+        }
+        let gens = generators(name, *inverted, targets.len(), quantum, negative)
+            .ok_or_else(unsupported)?;
+        let t = self.wires.slot(targets[0])?;
+        let other = match gens {
+            [Gen::Swap] => self.wires.slot(targets[1])?,
+            _ => ctl,
+        };
+        for gen in gens {
+            match gen {
+                Gen::H => self.tab.gate_h(t),
+                Gen::S => self.tab.gate_s(t),
+                Gen::X => self.tab.gate_x(t),
+                Gen::Z => self.tab.gate_z(t),
+                Gen::Cnot => self.tab.gate_cnot(ctl, t),
+                Gen::Cz => self.tab.gate_cz(ctl, t),
+                Gen::Swap if t != other => self.tab.gate_swap(t, other),
+                Gen::Swap => {}
+            }
+        }
+        Ok(())
     }
 }
 
@@ -692,11 +601,8 @@ pub fn run_clifford_flat_tableau<T: Tableau>(
     inputs: &[bool],
     seed: u64,
 ) -> Result<Vec<bool>, SimError> {
-    let mut st: CliffordSim<T> = CliffordSim::with_inputs(flat, inputs, seed)?;
-    for gate in &flat.gates {
-        st.apply(gate)?;
-    }
-    st.read_outputs(&flat.outputs)
+    let mut st = wires::run(CliffordSim::<T>::new(seed), flat, inputs)?;
+    wires::read_outputs(&mut st, &flat.outputs)
 }
 
 /// A flat Clifford circuit run up to its first random measurement: the
@@ -724,7 +630,8 @@ pub fn evolve_clifford<'a, T: Tableau>(
     should_stop: &dyn Fn() -> bool,
 ) -> Result<EvolvedClifford<'a, T>, SimError> {
     // Nothing is drawn before the split, so the seed is immaterial.
-    let mut sim: CliffordSim<T> = CliffordSim::with_inputs(flat, inputs, 0)?;
+    let mut sim = CliffordSim::<T>::new(0);
+    wires::bind_inputs(&mut sim, &flat.inputs, inputs)?;
     let mut split = flat.gates.len();
     for (i, gate) in flat.gates.iter().enumerate() {
         if should_stop() {
@@ -757,7 +664,7 @@ impl<T: Tableau + Clone> EvolvedClifford<'_, T> {
         for gate in &self.flat.gates[self.split..] {
             st.apply(gate)?;
         }
-        st.read_outputs(&self.flat.outputs)
+        wires::read_outputs(&mut st, &self.flat.outputs)
     }
 }
 

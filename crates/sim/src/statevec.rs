@@ -6,6 +6,10 @@
 //! as `QInit` gates execute and reclaims them on termination or measurement,
 //! so the cost tracks the circuit's *width* (live qubits), not the total
 //! number of wires — scoped ancillas (paper §4.2.1) pay only while in scope.
+//! The slot map, the parked slots, the classical store and every gate that
+//! is not a unitary are the wires all three simulators share
+//! (`crate::wires`); this module is the amplitudes and what unitaries,
+//! measurement and termination do to them.
 //!
 //! There is one execution path. A unitary op — a gate of the circuit or a
 //! fused single-qubit product from [`crate::fuse`] — is *resolved* once, by
@@ -27,8 +31,6 @@
 
 mod evolve;
 
-use std::collections::HashMap;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -41,6 +43,7 @@ use crate::fuse::{fuse_circuit, unary_matrix, FusedCircuit, FusedOp};
 use crate::kernels::{self, KernelCtx, KernelStats, WinGate};
 use crate::simd;
 use crate::window;
+use crate::wires::{self, Simulator, Wires};
 
 pub use evolve::{evolve, Evolved, Shots, Suffix};
 
@@ -80,16 +83,13 @@ impl Default for StateVecConfig {
     }
 }
 
-/// A state-vector simulator with dynamically allocated qubit slots and a
-/// classical-bit store.
+/// A state-vector simulator: the amplitudes over its qubit slots, and the
+/// circuit's wires.
 #[derive(Debug)]
 pub struct StateVec {
+    /// `2^slots` amplitudes: one bit of the index per slot, live or parked.
     amps: Vec<Complex>,
-    n_slots: usize,
-    slots: HashMap<Wire, usize>,
-    /// Freed slots together with the definite value they were left in.
-    free: Vec<(usize, bool)>,
-    classical: HashMap<Wire, bool>,
+    wires: Wires,
     rng: StdRng,
     config: StateVecConfig,
     stats: KernelStats,
@@ -117,19 +117,25 @@ impl StateVec {
     pub fn with_config(seed: u64, config: StateVecConfig) -> StateVec {
         StateVec {
             amps: vec![ONE],
-            n_slots: 0,
-            slots: HashMap::new(),
-            free: Vec::new(),
-            classical: HashMap::new(),
+            wires: Wires::default(),
             rng: StdRng::seed_from_u64(seed),
             config,
             stats: KernelStats::default(),
         }
     }
 
+    /// Makes this simulator a copy of `snapshot` drawing from `seed`,
+    /// reusing its allocations.
+    fn restore(&mut self, snapshot: &StateVec, seed: u64) {
+        self.amps.clone_from(&snapshot.amps);
+        self.wires.clone_from(&snapshot.wires);
+        self.rng = StdRng::seed_from_u64(seed);
+        self.stats = KernelStats::default();
+    }
+
     /// Number of currently live quantum wires.
     pub fn live_qubits(&self) -> usize {
-        self.slots.len()
+        self.wires.qubits().len()
     }
 
     /// Kernel dispatch counters accumulated so far.
@@ -154,10 +160,10 @@ impl StateVec {
     /// simulations of equivalent circuits agree on this vector up to global
     /// phase and rounding, regardless of slot assignment or relabeling.
     pub fn canonical_amplitudes(&self) -> Vec<Complex> {
-        let mut live: Vec<(Wire, usize)> = self.slots.iter().map(|(&w, &s)| (w, s)).collect();
+        let mut live: Vec<(Wire, usize)> = self.wires.qubits().collect();
         live.sort_by_key(|&(w, _)| w);
         let mut base = 0usize;
-        for &(slot, val) in &self.free {
+        for &(slot, val) in self.wires.parked() {
             if val {
                 base |= 1usize << slot;
             }
@@ -177,17 +183,7 @@ impl StateVec {
 
     /// The value of a classical wire, if it has one.
     pub fn classical_value(&self, wire: Wire) -> Option<bool> {
-        self.classical.get(&wire).copied()
-    }
-
-    /// Registers an externally supplied input wire in the given basis state.
-    pub fn add_input(&mut self, wire: Wire, ty: WireType, value: bool) {
-        match ty {
-            WireType::Quantum => self.init_qubit(wire, value),
-            WireType::Classical => {
-                self.classical.insert(wire, value);
-            }
-        }
+        self.wires.bit(wire)
     }
 
     /// The probability that measuring `wire` would yield `value`.
@@ -196,9 +192,9 @@ impl StateVec {
     ///
     /// Panics if `wire` is not a live quantum wire.
     pub fn probability(&self, wire: Wire, value: bool) -> f64 {
-        let slot = *self
-            .slots
-            .get(&wire)
+        let slot = self
+            .wires
+            .slot(wire)
             .expect("probability: wire is not a live qubit");
         self.slot_probability(slot, value)
     }
@@ -208,42 +204,17 @@ impl StateVec {
         let mut p = 0.0;
         'outer: for (i, a) in self.amps.iter().enumerate() {
             for &(w, v) in pattern {
-                if let Some(&slot) = self.slots.get(&w) {
+                if let Ok(slot) = self.wires.slot(w) {
                     if (i & (1 << slot) != 0) != v {
                         continue 'outer;
                     }
-                } else if self.classical.get(&w) != Some(&v) {
+                } else if self.wires.bit(w) != Some(v) {
                     return 0.0;
                 }
             }
             p += a.norm_sqr();
         }
         p
-    }
-
-    /// Measures a live quantum wire, collapsing the state. The wire becomes
-    /// a classical wire holding the outcome.
-    pub fn measure(&mut self, wire: Wire) -> Result<bool, SimError> {
-        let slot = self.take_slot(wire)?;
-        let p1 = self.slot_probability(slot, true);
-        let outcome = self.rng.gen::<f64>() < p1;
-        self.project(slot, outcome);
-        self.free.push((slot, outcome));
-        self.classical.insert(wire, outcome);
-        Ok(outcome)
-    }
-
-    fn take_slot(&mut self, wire: Wire) -> Result<usize, SimError> {
-        self.slots
-            .remove(&wire)
-            .ok_or(SimError::UnknownWire { wire })
-    }
-
-    pub(crate) fn slot_of(&self, wire: Wire) -> Result<usize, SimError> {
-        self.slots
-            .get(&wire)
-            .copied()
-            .ok_or(SimError::UnknownWire { wire })
     }
 
     fn kernel_ctx(&self) -> KernelCtx {
@@ -293,72 +264,27 @@ impl StateVec {
         }
     }
 
-    /// Hands out a slot, recycled or new, and the definite value it holds.
-    /// Slot bookkeeping only: flipping the slot to the value a caller wants
-    /// is the caller's amplitude update.
-    pub(crate) fn alloc_slot(&mut self) -> (usize, bool) {
-        // Live qubits after this allocation: allocated slots minus free ones,
-        // plus the slot being handed out (from the free list or by growing).
-        quipper_trace::record_max(
-            quipper_trace::names::LIVE_QUBITS_PEAK,
-            (self.n_slots - self.free.len() + 1) as u64,
-        );
-        if let Some(parked) = self.free.pop() {
-            return parked;
-        }
-        let slot = self.n_slots;
-        self.n_slots += 1;
-        // Double the amplitude vector in place; the new qubit is |0⟩ (upper
-        // half zero), so growing with ZERO is the whole job.
-        let len = self.amps.len();
-        self.amps.resize(len * 2, ZERO);
-        (slot, false)
-    }
-
-    /// Gives `wire` the slot [`alloc_slot`](Self::alloc_slot) handed out.
-    pub(crate) fn bind_slot(&mut self, wire: Wire, slot: usize) {
-        self.slots.insert(wire, slot);
-    }
-
     /// The amplitude vector, for the oracle's own updates.
     pub(crate) fn amplitudes_mut(&mut self) -> &mut [Complex] {
         &mut self.amps
     }
 
-    fn init_qubit(&mut self, wire: Wire, value: bool) {
-        let (slot, parked) = self.alloc_slot();
-        if parked != value {
-            self.apply_standalone(&WinGate::flip(slot));
-        }
-        self.bind_slot(wire, slot);
-    }
-
-    /// Splits the controls into a quantum bitmask test and a classical
-    /// verdict. Returns `None` if a classical control is unsatisfied (gate
-    /// is a no-op).
+    /// Folds the controls into a quantum bitmask test `(mask, want)`: index
+    /// `i` fires iff `i & mask == want`. `None` if a classical control is
+    /// unsatisfied (the gate is a no-op).
     pub(crate) fn resolve_controls(
         &self,
         controls: &[Control],
     ) -> Result<Option<(usize, usize)>, SimError> {
-        // (mask, want): indices i fire iff i & mask == want.
-        let mut mask = 0usize;
-        let mut want = 0usize;
-        for c in controls {
-            if let Some(&slot) = self.slots.get(&c.wire) {
-                let bit = 1usize << slot;
-                mask |= bit;
-                if c.positive {
-                    want |= bit;
-                }
-            } else if let Some(&v) = self.classical.get(&c.wire) {
-                if v != c.positive {
-                    return Ok(None);
-                }
-            } else {
-                return Err(SimError::UnknownWire { wire: c.wire });
+        let (mut mask, mut want) = (0usize, 0usize);
+        let fires = self.wires.controls(controls, |slot, positive| {
+            let bit = 1usize << slot;
+            mask |= bit;
+            if positive {
+                want |= bit;
             }
-        }
-        Ok(Some((mask, want)))
+        })?;
+        Ok(fires.then_some((mask, want)))
     }
 
     /// Resolves one unitary op of a fused stream to slot space: the single
@@ -376,7 +302,7 @@ impl StateVec {
                 let Some((mask, want)) = self.resolve_controls(controls)? else {
                     return Ok(Resolved::Skip);
                 };
-                let slot = self.slot_of(*wire)?;
+                let slot = self.wires.slot(*wire)?;
                 Ok(Resolved::Gate(WinGate::from_mat2(slot, mat, mask, want)))
             }
         }
@@ -421,7 +347,7 @@ impl StateVec {
                 if mask == 0 {
                     return Ok(Resolved::Relabel(wa, wb));
                 }
-                let (a, b) = (self.slot_of(wa)?, self.slot_of(wb)?);
+                let (a, b) = (self.wires.slot(wa)?, self.wires.slot(wb)?);
                 WinGate::Swap2 { a, b, mask, want }
             }
             (
@@ -430,12 +356,12 @@ impl StateVec {
                 },
                 &[wa, wb],
             ) => {
-                let (a, b) = (self.slot_of(wa)?, self.slot_of(wb)?);
+                let (a, b) = (self.wires.slot(wa)?, self.wires.slot(wb)?);
                 WinGate::W2 { a, b, mask, want }
             }
             _ => {
                 let (wire, m, _) = unary_matrix(gate).ok_or_else(unsupported)?;
-                WinGate::from_mat2(self.slot_of(wire)?, &m, mask, want)
+                WinGate::from_mat2(self.wires.slot(wire)?, &m, mask, want)
             }
         };
         Ok(Resolved::Gate(resolved))
@@ -478,18 +404,14 @@ impl StateVec {
     /// Exchanges the slots of two live wires: an uncontrolled swap executed
     /// as pure bookkeeping, with no amplitude traffic.
     fn relabel_swap(&mut self, wa: Wire, wb: Wire) -> Result<(), SimError> {
-        let sa = self.slot_of(wa)?;
-        let sb = self.slot_of(wb)?;
-        self.slots.insert(wa, sb);
-        self.slots.insert(wb, sa);
+        self.wires.relabel(wa, wb)?;
         self.stats.relabeled += 1;
         Ok(())
     }
 
-    /// Executes a single gate: allocation, measurement, termination and
-    /// classical gates here, unitaries by resolving them and handing the
-    /// result to the standalone executor. Subroutine calls must be inlined
-    /// first (see [`run`]).
+    /// Executes a single gate: the wire gates as every simulator runs them,
+    /// unitaries by resolving them and handing the result to the standalone
+    /// executor. Subroutine calls must be inlined first (see [`run`]).
     ///
     /// # Errors
     ///
@@ -497,101 +419,7 @@ impl StateVec {
     /// the wrong number of targets), unknown wires or violated termination
     /// assertions.
     pub fn apply(&mut self, gate: &Gate) -> Result<(), SimError> {
-        match gate {
-            Gate::Comment { .. } | Gate::QGate { .. } | Gate::QRot { .. } | Gate::GPhase { .. } => {
-                let resolved = self.resolve_gate(gate)?;
-                self.apply_resolved(resolved)
-            }
-            Gate::QInit { value, wire } => {
-                self.init_qubit(*wire, *value);
-                Ok(())
-            }
-            Gate::CInit { value, wire } => {
-                self.classical.insert(*wire, *value);
-                Ok(())
-            }
-            Gate::QTerm { value, wire } => {
-                let slot = self.take_slot(*wire)?;
-                let p = self.slot_probability(slot, *value);
-                if 1.0 - p > EPS {
-                    return Err(SimError::AssertionFailed {
-                        wire: *wire,
-                        asserted: *value,
-                        probability: p,
-                    });
-                }
-                self.project(slot, *value);
-                self.free.push((slot, *value));
-                Ok(())
-            }
-            Gate::CTerm { value, wire } => {
-                let v = self
-                    .classical
-                    .remove(wire)
-                    .ok_or(SimError::UnknownWire { wire: *wire })?;
-                if v != *value {
-                    return Err(SimError::AssertionFailed {
-                        wire: *wire,
-                        asserted: *value,
-                        probability: 0.0,
-                    });
-                }
-                Ok(())
-            }
-            Gate::QMeas { wire } => {
-                self.measure(*wire)?;
-                Ok(())
-            }
-            Gate::QDiscard { wire } => {
-                // Discarding is measuring and forgetting the outcome: on a
-                // pure-state simulator we sample.
-                let slot = self.take_slot(*wire)?;
-                let p1 = self.slot_probability(slot, true);
-                let outcome = self.rng.gen::<f64>() < p1;
-                self.project(slot, outcome);
-                self.free.push((slot, outcome));
-                Ok(())
-            }
-            Gate::CDiscard { wire } => self
-                .classical
-                .remove(wire)
-                .map(|_| ())
-                .ok_or(SimError::UnknownWire { wire: *wire }),
-            Gate::CGate {
-                name,
-                inverted,
-                target,
-                inputs,
-            } => {
-                let mut vals = Vec::with_capacity(inputs.len());
-                for w in inputs {
-                    vals.push(
-                        *self
-                            .classical
-                            .get(w)
-                            .ok_or(SimError::UnknownWire { wire: *w })?,
-                    );
-                }
-                let v = match &**name {
-                    "xor" => vals.iter().fold(false, |a, &b| a ^ b),
-                    "and" => vals.iter().all(|&b| b),
-                    "or" => vals.iter().any(|&b| b),
-                    "not" => !vals.first().copied().unwrap_or(false),
-                    _ => {
-                        return Err(SimError::UnsupportedGate {
-                            gate: gate.describe(),
-                            simulator: "state-vector",
-                        })
-                    }
-                };
-                self.classical.insert(*target, v ^ inverted);
-                Ok(())
-            }
-            Gate::Subroutine { .. } => Err(SimError::UnsupportedGate {
-                gate: "Subroutine (inline boxed subcircuits before simulating)".into(),
-                simulator: "state-vector",
-            }),
-        }
+        wires::apply(self, gate)
     }
 
     /// Executes `fused.ops[ops]` in order: planned window segments through
@@ -692,6 +520,51 @@ impl StateVec {
             &mut self.stats,
         );
         win.clear();
+    }
+}
+
+impl Simulator for StateVec {
+    const NAME: &'static str = "state-vector";
+
+    fn wires_mut(&mut self) -> &mut Wires {
+        &mut self.wires
+    }
+
+    /// Doubles the amplitude vector in place; the new slot is |0⟩ (upper
+    /// half zero), so growing with zeros is the whole job.
+    fn grow(&mut self) -> usize {
+        let len = self.amps.len();
+        let slot = len.trailing_zeros() as usize;
+        // Slots are only added when none is parked, so the slot count is
+        // the peak of live qubits.
+        quipper_trace::record_max(quipper_trace::names::LIVE_QUBITS_PEAK, slot as u64 + 1);
+        self.amps.resize(len * 2, ZERO);
+        slot
+    }
+
+    fn flip(&mut self, slot: usize) {
+        self.apply_standalone(&WinGate::flip(slot));
+    }
+
+    fn measure(&mut self, slot: usize) -> bool {
+        let p1 = self.slot_probability(slot, true);
+        let outcome = self.rng.gen::<f64>() < p1;
+        self.project(slot, outcome);
+        outcome
+    }
+
+    fn assert(&mut self, slot: usize, value: bool) -> Result<(), f64> {
+        let p = self.slot_probability(slot, value);
+        if 1.0 - p > EPS {
+            return Err(p);
+        }
+        self.project(slot, value);
+        Ok(())
+    }
+
+    fn unitary(&mut self, gate: &Gate) -> Result<(), SimError> {
+        let resolved = self.resolve_gate(gate)?;
+        self.apply_resolved(resolved)
     }
 }
 
@@ -815,16 +688,8 @@ pub fn run_fused(
     seed: u64,
     config: StateVecConfig,
 ) -> Result<RunResult, SimError> {
-    if inputs.len() != fused.inputs.len() {
-        return Err(SimError::InputArity {
-            expected: fused.inputs.len(),
-            found: inputs.len(),
-        });
-    }
     let mut sv = StateVec::with_config(seed, config);
-    for (&(w, t), &v) in fused.inputs.iter().zip(inputs) {
-        sv.add_input(w, t, v);
-    }
+    wires::bind_inputs(&mut sv, &fused.inputs, inputs)?;
     sv.run_ops(fused, 0..fused.ops.len(), &|| false)?;
     publish_kernel_metrics(&sv);
     Ok(RunResult {
@@ -1043,7 +908,7 @@ mod tests {
         let flat = inline_all(&bc.db, &bc.main).unwrap();
         let mut sv = StateVec::new(1);
         for &(w, t) in &flat.inputs {
-            sv.add_input(w, t, false);
+            wires::add_input(&mut sv, w, t, false);
         }
         for gate in &flat.gates {
             sv.apply(gate).unwrap();
@@ -1059,7 +924,8 @@ mod tests {
     /// A hand-built gate with the wrong number of targets is an
     /// `UnsupportedGate` error from every unitary arm of the resolver,
     /// gate-at-a-time and inside a window segment alike — never an
-    /// out-of-bounds index.
+    /// out-of-bounds index — and from the stabilizer and the classical
+    /// simulator too.
     #[test]
     fn wrong_target_arity_is_an_error_not_a_panic() {
         use crate::fuse::segment_circuit;
@@ -1095,13 +961,29 @@ mod tests {
         for gate in &bad {
             let mut sv = StateVec::new(1);
             for &(w, t) in &inputs {
-                sv.add_input(w, t, false);
+                wires::add_input(&mut sv, w, t, false);
             }
             let err = sv.apply(gate).unwrap_err();
             assert!(
                 matches!(err, SimError::UnsupportedGate { .. }),
                 "{gate:?}: {err:?}"
             );
+            let alone = Circuit {
+                inputs: inputs.clone(),
+                gates: vec![gate.clone()],
+                outputs: inputs.clone(),
+                wire_bound: 3,
+            };
+            for err in [
+                run_flat(&alone, &[false; 3], 1).unwrap_err(),
+                crate::stabilizer::run_clifford_flat(&alone, &[false; 3], 1).unwrap_err(),
+                crate::classical::run_classical_flat(&alone, &[false; 3]).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(err, SimError::UnsupportedGate { .. }),
+                    "{gate:?} alone: {err:?}"
+                );
+            }
 
             // Next to a well-formed gate a bad Swap or W lands in a window
             // segment (which takes them by name); the others run between

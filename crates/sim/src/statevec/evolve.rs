@@ -3,9 +3,9 @@
 //! Every shot of a job runs the same ops on the same inputs up to the first
 //! op that draws from the shot's RNG. [`evolve`] runs that *prefix* once —
 //! everything before the first `QMeas`/`QDiscard` — and keeps the resulting
-//! state (amplitudes, slot map, free list, classical store; no RNG) as an
-//! [`Evolved`] snapshot that workers share read-only. A shot is then finished
-//! from `&Evolved` and its seed in one of two ways ([`Suffix`]):
+//! state vector — amplitudes and wires — as an [`Evolved`] snapshot that
+//! workers share read-only. A shot is then finished from `&Evolved` and its
+//! seed in one of two ways ([`Suffix`]):
 //!
 //! * **Sampled** — the suffix is nothing but measurements and discards of
 //!   live wires. The shot never copies the state: for each measurement it
@@ -44,7 +44,7 @@ use super::{publish_kernel_metrics, StateVec, StateVecConfig};
 use crate::complex::Complex;
 use crate::error::SimError;
 use crate::fuse::{FusedCircuit, FusedOp};
-use crate::kernels::KernelStats;
+use crate::wires;
 
 /// How a shot is finished from an [`Evolved`] snapshot.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -70,14 +70,10 @@ impl Suffix {
 #[derive(Debug)]
 pub struct Evolved {
     fused: Arc<FusedCircuit>,
-    config: StateVecConfig,
     /// First op of the suffix: `fused.ops[..split]` ran once.
     split: usize,
-    amps: Vec<Complex>,
-    n_slots: usize,
-    slots: HashMap<Wire, usize>,
-    free: Vec<(usize, bool)>,
-    classical: HashMap<Wire, bool>,
+    /// The state after the prefix; its RNG is never drawn from.
+    state: StateVec,
     /// `Some` when the suffix can be sampled.
     sampling: Option<Sampling>,
 }
@@ -120,12 +116,6 @@ pub fn evolve(
     config: StateVecConfig,
     should_stop: &dyn Fn() -> bool,
 ) -> Result<Evolved, SimError> {
-    if inputs.len() != fused.inputs.len() {
-        return Err(SimError::InputArity {
-            expected: fused.inputs.len(),
-            found: inputs.len(),
-        });
-    }
     if fused.outputs.iter().any(|&(_, t)| t != WireType::Classical) {
         return Err(SimError::UnsupportedGate {
             gate: "quantum output when sampling shots (measure it first)".into(),
@@ -148,29 +138,14 @@ pub fn evolve(
             .amps
             .try_reserve_exact(peak.saturating_sub(sv.amps.len()));
     }
-    for (&(w, t), &v) in fused.inputs.iter().zip(inputs) {
-        sv.add_input(w, t, v);
-    }
+    wires::bind_inputs(&mut sv, &fused.inputs, inputs)?;
     sv.run_ops(&fused, 0..split, should_stop)?;
     publish_kernel_metrics(&sv);
 
-    let StateVec {
-        amps,
-        n_slots,
-        slots,
-        free,
-        classical,
-        ..
-    } = sv;
     let mut evolved = Evolved {
         fused,
-        config,
         split,
-        amps,
-        n_slots,
-        slots,
-        free,
-        classical,
+        state: sv,
         sampling: None,
     };
     evolved.sampling = evolved.plan_sampling();
@@ -253,7 +228,7 @@ impl Evolved {
                 FusedOp::Gate(Gate::Comment { .. }) => continue,
                 _ => return None,
             };
-            let slot = *self.slots.get(&wire)?;
+            let slot = self.state.wires.slot(wire).ok()?;
             if measured_slots.contains(&slot) {
                 return None;
             }
@@ -270,12 +245,12 @@ impl Evolved {
             .iter()
             .map(|(w, _)| match measured_wires.get(w) {
                 Some(&i) => Some(Output::Measured(i)),
-                None => self.classical.get(w).map(|&v| Output::Fixed(v)),
+                None => self.state.wires.bit(*w).map(Output::Fixed),
             })
             .collect::<Option<Vec<Output>>>()?;
         let first = bits
             .first()
-            .map_or((0.0, 0.0), |&bit| weigh(&self.amps, bit));
+            .map_or((0.0, 0.0), |&bit| weigh(&self.state.amps, bit));
         Some(Sampling {
             bits,
             first,
@@ -389,7 +364,7 @@ impl Shots<'_> {
                 self.kept = i;
                 let k = 1.0 / (if outcome { p1 } else { p0 }).sqrt();
                 let (before, step) = self.path.split_at_mut(i);
-                let src = before.last().map_or(&self.evolved.amps, |s| &s.amps);
+                let src = before.last().map_or(&self.evolved.state.amps, |s| &s.amps);
                 let step = &mut step[0];
                 step.outcome = outcome;
                 step.next = squeeze(src, bit, outcome, k, &mut step.amps, next_bit);
@@ -411,25 +386,11 @@ impl Shots<'_> {
         let e = self.evolved;
         let sv = self
             .branch
-            .get_or_insert_with(|| StateVec::with_config(seed, e.config));
-        // `clone_from` reuses the previous shot's allocations.
-        sv.amps.clone_from(&e.amps);
-        sv.n_slots = e.n_slots;
-        sv.slots.clone_from(&e.slots);
-        sv.free.clone_from(&e.free);
-        sv.classical.clone_from(&e.classical);
-        sv.rng = StdRng::seed_from_u64(seed);
-        sv.stats = KernelStats::default();
+            .get_or_insert_with(|| StateVec::with_config(seed, e.state.config));
+        sv.restore(&e.state, seed);
         sv.run_ops(&e.fused, e.split..e.fused.ops.len(), &|| false)?;
         publish_kernel_metrics(sv);
-        e.fused
-            .outputs
-            .iter()
-            .map(|&(w, _)| {
-                sv.classical_value(w)
-                    .ok_or(SimError::UnknownWire { wire: w })
-            })
-            .collect()
+        wires::read_outputs(sv, &e.fused.outputs)
     }
 }
 
@@ -551,8 +512,7 @@ mod tests {
         let fused = fused(&bc);
         assert_eq!(peak_live_qubits(&fused), 5);
         let evolved = evolve(fused, &[true; 3], StateVecConfig::default(), &|| false).unwrap();
-        assert_eq!(evolved.n_slots, 5);
-        assert_eq!(evolved.amps.len(), 1 << 5);
+        assert_eq!(evolved.state.amps.len(), 1 << 5);
     }
 
     #[test]
