@@ -56,8 +56,6 @@ use crate::error::ExecError;
 use crate::plan::{Body, Plan, PlanCache, PlanSource};
 use crate::profile::Route;
 
-use quipper_lint::LintSummary;
-
 /// Tuning knobs for [`Engine::with_config`].
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
@@ -195,9 +193,6 @@ pub struct ExecReport {
     /// Why the job ran on `backend`: the routing decision derived from the
     /// plan's [`CircuitProfile`](crate::CircuitProfile) when it compiled.
     pub route_reason: String,
-    /// Static-analysis summary of the executed plan (static per plan).
-    /// `None` only for reports built outside the engine.
-    pub lint: Option<LintSummary>,
     /// What the optimizer did to the executed plan (static per plan).
     /// `None` when the plan was compiled at [`OptLevel::Off`].
     pub opt: Option<OptSummary>,
@@ -231,11 +226,6 @@ impl fmt::Display for ExecReport {
         }
         if let Some(opt) = &self.opt {
             write!(f, " | opt: {opt}")?;
-        }
-        if let Some(lint) = &self.lint {
-            if !lint.is_empty() {
-                write!(f, " | lint: {lint}")?;
-            }
         }
         Ok(())
     }
@@ -356,14 +346,14 @@ impl Engine {
 
     /// Compiles (or fetches from cache) the plan for a circuit at
     /// [`OptLevel::Default`], the level of a [`Job`] that sets none. Useful
-    /// for inspecting its profile, its lint report and the route picked
-    /// from them.
+    /// for inspecting its profile and the route picked from it.
     ///
     /// # Errors
     ///
     /// Returns [`ExecError::Circuit`] if validation or flattening fails,
     /// [`ExecError::NoBackend`] if no route admits the circuit, and
-    /// [`ExecError::Lint`] if its lint report has an error-severity finding.
+    /// [`ExecError::Lint`] if the lint gate finds an error in the optimized
+    /// circuit.
     pub fn plan(&self, circuit: &BCircuit) -> Result<Arc<Plan>, ExecError> {
         Ok(self.cache.get_or_compile(circuit, OptLevel::Default)?.0)
     }
@@ -432,10 +422,10 @@ impl Engine {
 
     /// The second half of a run: runs the shots of a plan
     /// [`resolve`](Engine::resolve)d for `job` sequentially on the calling
-    /// thread, on the backend of the plan's route, and merges them. Compiles
-    /// and looks up nothing, so a caller may retry it on the same plan, or
-    /// run a plan from [`Plan::compile_with`] that no lint gate has judged;
-    /// `source` only feeds the report.
+    /// thread, on the backend of the plan's route, and merges them. Compiles,
+    /// lints and looks up nothing, so a caller may retry it on the same
+    /// plan, or run a plan from [`Plan::compile_with`] that no lint gate has
+    /// judged; `source` only feeds the report.
     ///
     /// # Errors
     ///
@@ -520,7 +510,6 @@ impl Engine {
                     Body::Flat(_) => None,
                 },
                 route_reason: plan.route_reason.clone(),
-                lint: Some(plan.lint.summary()),
                 opt: plan.opt.as_ref().map(|r| r.summary()),
             },
         })
@@ -767,7 +756,6 @@ mod tests {
                 fused_away: 12,
             }),
             route_reason: "universal gate set; peak 9 qubits within state-vector cap".into(),
-            lint: None,
             opt: None,
         }
     }
@@ -830,31 +818,6 @@ mod tests {
             "  1000 shots on stabilizer | plan 0x00000000deadbeef miss | workers 4  | \
              compile    1.50ms | exec  250.00µs | \
              route: Clifford-only circuit; polynomial stabilizer simulation"
-        );
-    }
-
-    #[test]
-    fn exec_report_display_mentions_lint_only_when_findings_exist() {
-        let clean = ExecReport {
-            lint: Some(LintSummary::default()),
-            ..sample_report()
-        };
-        assert!(!clean.to_string().contains("lint:"));
-        let flagged = ExecReport {
-            lint: Some(LintSummary {
-                errors: 0,
-                warnings: 2,
-                notes: 1,
-                proved_terms: 3,
-            }),
-            ..sample_report()
-        };
-        assert_eq!(
-            flagged.to_string(),
-            "  1000 shots on statevec   | plan 0x00000000deadbeef miss | workers 4  | \
-             compile    1.50ms | exec  250.00µs | fused 12/210 | \
-             route: universal gate set; peak 9 qubits within state-vector cap | \
-             prefix: 190 ops once in 120.00µs, sampled shots | lint: 0E/2W/1N (3 proved)"
         );
     }
 

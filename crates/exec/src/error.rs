@@ -13,8 +13,9 @@ use crate::cancel::CancelReason;
 pub enum ExecError {
     /// The circuit failed validation or flattening.
     Circuit(CircuitError),
-    /// The circuit's lint report has an error-severity finding. The full
-    /// report is attached; the plan was not cached.
+    /// The lint gate found an error in the circuit to run. The report holds
+    /// only error-severity findings (`quipper_lint::errors`), so its first
+    /// finding is the first error; the plan was not cached.
     Lint(LintReport),
     /// A backend rejected a gate or assertion at execution time.
     Sim {

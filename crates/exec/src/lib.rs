@@ -29,11 +29,11 @@
 //!   [`Engine::run`] is the two in a row; a scheduler that retries
 //!   transient faults (`quipper-serve`) resolves once per job and re-runs
 //!   only the second half.
-//! * **One lint gate** — the `quipper-lint` static passes run on every plan
-//!   compilation, and [`PlanCache::get_or_compile`] refuses a plan with an
-//!   error-severity finding ([`ExecError::Lint`]) before anything is cached
-//!   or executed. A stricter caller checks [`Plan::lint`] itself; an
-//!   ungated one runs a [`Plan::compile_with`] plan through
+//! * **One lint gate** — every plan compilation runs only the lint passes
+//!   that can find an error (`quipper_lint::errors`), and
+//!   [`PlanCache::get_or_compile`] refuses a plan with one
+//!   ([`ExecError::Lint`]) before anything is cached or executed; no report
+//!   is kept. An ungated caller runs a [`Plan::compile_with`] plan through
 //!   [`Engine::run_resolved`].
 //! * [`Backend::prepare`] — a job's shot-invariant prefix (everything before
 //!   the first op that draws from the shot's RNG) runs once; workers finish
@@ -82,7 +82,7 @@ pub use engine::{
 pub use error::ExecError;
 pub use plan::{Body, Plan, PlanCache, PlanSource};
 pub use profile::{profile, CircuitProfile, Route, DEFAULT_MAX_QUBITS};
-pub use quipper_lint::{LintReport, LintSummary, Severity};
+pub use quipper_lint::LintReport;
 pub use quipper_opt::{OptLevel, OptReport, OptSummary};
 pub use quipper_sim::Suffix;
 pub use quipper_trace::Tracer;

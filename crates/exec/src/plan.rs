@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use quipper_circuit::flatten::inline_all;
 use quipper_circuit::{validate, BCircuit, Circuit};
-use quipper_lint::{LintReport, Severity};
+use quipper_lint::LintReport;
 use quipper_opt::{optimize, OptLevel, OptReport};
 use quipper_sim::{fuse_circuit, FusedCircuit};
 
@@ -59,12 +59,6 @@ pub struct Plan {
     pub body: Body,
     /// Backend-selection profile of the flat circuit.
     pub profile: CircuitProfile,
-    /// Static-analysis findings for the hierarchical circuit. Always
-    /// populated; [`PlanCache::get_or_compile`] refuses a plan with an
-    /// error-severity finding. When an optimizer level is active the
-    /// *rewritten* circuit is what gets linted — the gate must judge what
-    /// will actually run.
-    pub lint: LintReport,
     /// What the optimizer did, when a level other than
     /// [`OptLevel::Off`] was active at compile time.
     pub opt: Option<OptReport>,
@@ -77,23 +71,28 @@ impl Plan {
     /// Validates, flattens, profiles and routes a hierarchical circuit,
     /// running the `quipper-opt` pipeline at `level` between validation and
     /// flattening, and fuses it if the route is the state vector.
-    /// `OptLevel::Off` reproduces the unoptimized pipeline exactly. Lint
-    /// runs on the *optimized* hierarchical circuit, so its report judges
-    /// the circuit that will actually execute; nothing here refuses a
-    /// finding (that is [`PlanCache::get_or_compile`]'s gate).
+    /// `OptLevel::Off` reproduces the unoptimized pipeline exactly. The
+    /// gate's [`quipper_lint::errors`] runs on the *optimized* circuit, the
+    /// one that will execute, but nothing here refuses a finding (that is
+    /// [`PlanCache::get_or_compile`]'s gate).
     ///
     /// # Errors
     ///
     /// Returns [`ExecError::Circuit`] if validation or inlining fails, and
     /// [`ExecError::NoBackend`] if no backend runs the circuit's profile.
     pub fn compile_with(bc: &BCircuit, level: OptLevel) -> Result<Plan, ExecError> {
-        Plan::compile_keyed(bc, level, bc.fingerprint())
+        Ok(Plan::compile_keyed(bc, level, bc.fingerprint())?.0)
     }
 
-    /// [`Plan::compile_with`] for a caller that already hashed `bc`. The
-    /// plan is keyed by the fingerprint of the circuit *as submitted* —
-    /// rewriting must never change which cache slot a submission lands in.
-    fn compile_keyed(bc: &BCircuit, level: OptLevel, fingerprint: u64) -> Result<Plan, ExecError> {
+    /// [`Plan::compile_with`] for a caller that already hashed `bc`, with
+    /// the gate's error findings beside the plan. The plan is keyed by the
+    /// fingerprint of the circuit *as submitted* — rewriting must never
+    /// change which cache slot a submission lands in.
+    fn compile_keyed(
+        bc: &BCircuit,
+        level: OptLevel,
+        fingerprint: u64,
+    ) -> Result<(Plan, LintReport), ExecError> {
         let _span = quipper_trace::span(quipper_trace::Phase::Compile, "plan.compile");
         let start = Instant::now();
         validate::validate(&bc.db, &bc.main)?;
@@ -107,9 +106,9 @@ impl Plan {
                 (optimized, Some(report))
             }
         };
-        // Lint the *hierarchical* circuit (box summaries need the call
+        // Gate the *hierarchical* circuit (box summaries need the call
         // structure), before flattening discards it.
-        let lint = quipper_lint::lint(&bc);
+        let errors = quipper_lint::errors(&bc);
         let flat = inline_all(&bc.db, &bc.main)?;
         let profile = {
             let _span = quipper_trace::span(quipper_trace::Phase::Compile, "profile");
@@ -123,16 +122,16 @@ impl Plan {
                 Body::Fused(Arc::new(fuse_circuit(&flat)))
             }
         };
-        Ok(Plan {
+        let plan = Plan {
             fingerprint,
             route,
             route_reason: route.reason(&profile),
             body,
             profile,
-            lint,
             opt,
             compile_time: start.elapsed(),
-        })
+        };
+        Ok((plan, errors))
     }
 }
 
@@ -194,17 +193,16 @@ impl PlanCache {
     /// ([`PlanSource::Compiled`]), the others wait and share its `Arc`
     /// ([`PlanSource::Waited`]). Callers with other keys are never held up.
     ///
-    /// A fresh compile whose lint report has an error-severity finding (a
-    /// provably violated assertive termination, say) is refused and **not**
-    /// cached, nor is a compile that fails; of its waiters one compiles next
-    /// while the rest go on waiting. So every cached plan has passed this
-    /// gate, and a hit or a wait does not check again. A caller that wants
-    /// a stricter gate checks `plan.lint` itself; one that wants none
-    /// compiles with [`Plan::compile_with`].
+    /// A fresh compile with an error-severity lint finding (a provably
+    /// violated assertive termination, say) is refused and **not** cached,
+    /// nor is a compile that fails; of its waiters one compiles next while
+    /// the rest go on waiting. So every cached plan has passed this gate,
+    /// and a hit or a wait does not check again. A caller that wants no
+    /// gate compiles with [`Plan::compile_with`].
     ///
     /// # Errors
     ///
-    /// [`ExecError::Lint`] when the report has an error, plus all
+    /// [`ExecError::Lint`] with the error findings, plus all
     /// [`Plan::compile_with`] errors.
     pub fn get_or_compile(
         &self,
@@ -234,9 +232,9 @@ impl PlanCache {
                         key,
                         plan: None,
                     };
-                    let plan = Plan::compile_keyed(bc, level, key.0)?;
-                    if plan.lint.fails_at(Severity::Error) {
-                        return Err(ExecError::Lint(plan.lint));
+                    let (plan, errors) = Plan::compile_keyed(bc, level, key.0)?;
+                    if !errors.is_clean() {
+                        return Err(ExecError::Lint(errors));
                     }
                     let plan = Arc::new(plan);
                     self.misses.fetch_add(1, Ordering::Relaxed);
@@ -300,6 +298,7 @@ impl Drop for Landing<'_> {
 mod tests {
     use super::*;
     use quipper::{Circ, Qubit};
+    use quipper_lint::Severity;
     use std::sync::{mpsc, Barrier};
 
     /// A lookup at `OptLevel::Off` that must succeed.
@@ -375,24 +374,21 @@ mod tests {
         assert_eq!(cache.misses(), 0);
     }
 
-    /// A warning passes the gate and rides on the cached plan, where a
-    /// caller that wants a stricter gate reads it.
+    /// A warning passes the gate: the plan is compiled and cached.
     #[test]
-    fn warnings_pass_the_gate_and_travel_on_the_plan() {
+    fn warnings_pass_the_gate() {
         let cache = PlanCache::new();
-        let (plan, source) = get(&cache, &entangled_qterm());
-        assert_eq!(source, PlanSource::Compiled);
-        assert!(plan.lint.fails_at(Severity::Warning));
-        assert!(!plan.lint.fails_at(Severity::Error));
+        assert_eq!(get(&cache, &entangled_qterm()).1, PlanSource::Compiled);
         assert_eq!(cache.len(), 1);
     }
 
-    /// Outside the cache nothing is gated: the plan compiles and carries
-    /// its error.
+    /// Outside the cache nothing is gated: the plan compiles despite its
+    /// error.
     #[test]
     fn compile_with_refuses_nothing() {
-        let plan = Plan::compile_with(&provably_wrong_qterm(), OptLevel::Off).unwrap();
-        assert_eq!(plan.lint.summary().errors, 1);
+        let bc = provably_wrong_qterm();
+        assert_eq!(quipper_lint::errors(&bc).findings.len(), 1);
+        assert!(Plan::compile_with(&bc, OptLevel::Off).is_ok());
     }
 
     /// A circuit with an obvious cancelling pair, so `Default` provably

@@ -9,8 +9,9 @@ use std::time::Duration;
 
 use quipper_exec::{
     CancelReason, CancelToken, Engine, EngineConfig, ExecError, Job, OptLevel, Plan, PlanSource,
-    Severity, Tracer,
+    Tracer,
 };
+use quipper_lint::Severity;
 use quipper_trace::names;
 
 fn engine_with_workers(workers: usize) -> Engine {
@@ -279,46 +280,71 @@ fn engine_refuses_to_cache_or_execute_lint_rejected_plans() {
     assert!(engine.plan_cache().is_empty());
 }
 
+/// The gate's report holds only errors, so a refusal quotes an error even
+/// when a note comes first in the circuit.
 #[test]
-fn warnings_ride_on_the_plan_for_a_stricter_caller_to_refuse() {
-    // H·H is the identity, so the assertion holds on every shot — but the
-    // abstract domain cannot prove it (H sends a known basis state to a
-    // superposition tier), leaving a warning-severity QL002 finding. The
-    // adjacent H·H pair itself is a second warning (QL030, redundancy).
+fn a_refusal_names_its_error() {
+    let bc = Circ::build(&(), |c, ()| {
+        let on = c.qinit_bit(true);
+        let t = c.qinit_bit(false);
+        c.cnot(t, on); // the control is always satisfied: QL031, a note
+        c.qnot(on);
+        c.qterm_bit(false, on);
+        c.qterm_bit(false, t); // t is provably |1⟩: QL001
+    });
+    let lint = quipper_lint::lint(&bc);
+    let found: Vec<_> = lint
+        .findings
+        .iter()
+        .map(|d| (d.code, d.gate_index))
+        .collect();
+    assert_eq!(found, [("QL031", Some(2)), ("QL001", Some(5))], "{lint}");
+
+    let err = Engine::new()
+        .run(&Job::new(&bc).opt(OptLevel::Off))
+        .unwrap_err();
+    let ExecError::Lint(report) = &err else {
+        panic!("expected lint rejection, got {err:?}");
+    };
+    assert_eq!(
+        report.count(Severity::Error),
+        report.findings.len(),
+        "{report}"
+    );
+    assert!(err.to_string().contains("first: error[QL001]"), "{err}");
+}
+
+/// The gate judges the circuit the optimizer leaves: a false assertion the
+/// lint cannot refute as written is refuted once the optimizer simplifies
+/// the circuit.
+#[test]
+fn the_gate_judges_the_optimized_circuit() {
+    // H·H is the identity, so the wire is |0⟩ and the assertion |1⟩ fails
+    // on every shot; but the abstract domain cannot follow H·H back to a
+    // basis state, so as written the lint only warns (QL002).
     let bc = Circ::build(&(), |c, ()| {
         let q = c.qinit_bit(false);
         c.hadamard(q);
         c.hadamard(q);
-        let anc = c.qinit_bit(false);
-        c.cnot(anc, q);
-        c.qterm_bit(false, anc);
-        c.measure_bit(q)
+        c.qterm_bit(true, q);
     });
+    let lint = quipper_lint::lint(&bc);
+    assert!(lint.findings.iter().any(|d| d.code == "QL002"), "{lint}");
+    assert!(!lint.fails_at(Severity::Error), "{lint}");
     let engine = Engine::new();
 
-    // With the optimizer off, the circuit is linted as written: the gate
-    // admits both warnings, the job runs, and its report and its plan carry
-    // them, so a caller that denies warnings refuses it from either.
-    let job = Job::new(&bc).shots(10).opt(OptLevel::Off);
-    let result = engine.run(&job).unwrap();
-    let lint = result.report.lint.expect("engine-built reports carry lint");
-    assert_eq!((lint.errors, lint.warnings), (0, 2));
-    assert!(result.report.to_string().contains("lint: 0E/2W"));
-    let (plan, _) = engine.resolve(&job).unwrap();
-    assert!(plan.lint.fails_at(Severity::Warning));
+    // As written the gate admits it, and the backend fails the assertion.
+    let err = engine
+        .run(&Job::new(&bc).shots(10).opt(OptLevel::Off))
+        .unwrap_err();
+    assert!(matches!(err, ExecError::Sim { .. }), "{err}");
 
-    // The default optimizer deletes the H·H pair, after which the abstract
-    // domain proves the assertion: lint judges the rewritten circuit, so
-    // even a caller denying warnings admits the job.
-    assert!(!engine.plan(&bc).unwrap().lint.fails_at(Severity::Warning));
-    let result = engine.run(&Job::new(&bc).shots(10)).unwrap();
-    let lint = result.report.lint.unwrap();
-    assert_eq!((lint.errors, lint.warnings), (0, 0));
-    let opt = result
-        .report
-        .opt
-        .expect("default level reports the optimizer");
-    assert!(opt.gates_before > opt.gates_after);
+    // The default optimizer deletes H·H, and the gate refuses what is left.
+    match engine.run(&Job::new(&bc).shots(10)) {
+        Err(ExecError::Lint(report)) => assert_eq!(report.findings[0].code, "QL001"),
+        other => panic!("expected lint rejection, got {other:?}"),
+    }
+    assert_eq!(engine.plan_cache().len(), 1, "only the admitted plan");
 }
 
 /// A deadline that fires while the shot-invariant prefix of a wide job is

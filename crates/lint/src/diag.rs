@@ -165,7 +165,7 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Compact counters suitable for embedding in execution reports.
+/// Compact counters for a one-line verdict.
 #[derive(Copy, Clone, PartialEq, Eq, Default, Debug)]
 pub struct LintSummary {
     /// Error-severity findings.
@@ -176,13 +176,6 @@ pub struct LintSummary {
     pub notes: usize,
     /// Termination assertions statically proved.
     pub proved_terms: usize,
-}
-
-impl LintSummary {
-    /// Whether there are no findings at all.
-    pub fn is_empty(&self) -> bool {
-        self.errors + self.warnings + self.notes == 0
-    }
 }
 
 impl fmt::Display for LintSummary {

@@ -30,13 +30,13 @@
 //!
 //! # Entry points
 //!
-//! Two products, no options. Each pass is needed by both or by the report
-//! alone. [`facts`] runs the passes whose findings are also facts — the
-//! analyzer, the adjacent pairs and the conjugated pairs — and returns the
-//! redundancy findings as structured [`Facts`] for rewriters, doing only
-//! the work those need. [`lint`] runs them too, adds the control-context
-//! pass and the Pauli-flow notes (QL040, QL042, QL043), and returns the
-//! report of every pass.
+//! Three products, no options, each doing only the work its reader needs.
+//! [`lint`] runs every pass and returns every finding, for people and the
+//! CLI. [`facts`] runs the analyzer, the adjacent pairs and the conjugated
+//! pairs, and returns the redundancy findings as structured [`Facts`] for
+//! rewriters. [`errors`] runs the analyzer (QL001) and the control-context
+//! pass (QL020, QL021) and returns only their error-severity findings, for
+//! a gate that refuses circuits.
 //!
 //! Runtime circuit errors carry aligned `QL1xx` codes (see
 //! [`CircuitError::code`](quipper_circuit::CircuitError::code)), so static
@@ -88,10 +88,27 @@ pub fn lint(bc: &BCircuit) -> LintReport {
     fact_passes(bc, &mut report, &mut Facts::default());
     context::control_pass(bc, &mut report.findings);
     pauli::notes(bc, &mut report.findings);
+    sort_findings(&mut report);
+    report
+}
+
+/// The error-severity findings of [`lint`], in its order, from only the
+/// passes that can produce one. This is the entry point a gate uses.
+pub fn errors(bc: &BCircuit) -> LintReport {
+    let _span = quipper_trace::span(quipper_trace::Phase::Compile, "lint");
+    let mut report = LintReport::default();
+    analyze::run(bc, &mut report, &mut Facts::default());
+    context::control_pass(bc, &mut report.findings);
+    report.findings.retain(|d| d.severity == Severity::Error);
+    sort_findings(&mut report);
+    report
+}
+
+/// Sorts findings stably by (scope, gate index, code): reports are deterministic.
+fn sort_findings(report: &mut LintReport) {
     report
         .findings
         .sort_by(|a, b| (&a.scope, a.gate_index, a.code).cmp(&(&b.scope, b.gate_index, b.code)));
-    report
 }
 
 /// The redundancy findings (QL030–QL032, QL041) as structured [`Facts`]
@@ -139,6 +156,16 @@ mod tests {
         report.findings.iter().map(|d| d.code).collect()
     }
 
+    /// `lint`'s error-severity findings, in its order: what [`errors`]
+    /// must return.
+    fn errors_of(report: &LintReport) -> Vec<Diagnostic> {
+        let errors = report
+            .findings
+            .iter()
+            .filter(|d| d.severity == Severity::Error);
+        errors.cloned().collect()
+    }
+
     #[test]
     fn entangled_ancilla_termination_is_flagged() {
         // qterm on a wire that may be entangled with the input: the
@@ -168,6 +195,7 @@ mod tests {
         assert_eq!(report.max_severity(), Some(Severity::Error), "{report}");
         assert!(codes(&report).contains(&"QL001"));
         assert!(report.fails_at(Severity::Error));
+        assert_eq!(errors(&bc).findings, errors_of(&report));
     }
 
     #[test]
@@ -241,6 +269,7 @@ mod tests {
         let report = lint(&bc);
         assert!(codes(&report).contains(&"QL020"), "{report}");
         assert!(report.fails_at(Severity::Error));
+        assert_eq!(errors(&bc).findings, errors_of(&report));
     }
 
     #[test]

@@ -11,16 +11,28 @@
 //!    produces the identical lint report as `c`.
 //! 3. **QL040 agrees with the stabilizer simulator**: a measurement the lint
 //!    proves deterministic with outcome `b` returns `b` under every seed.
+//!
+//! Each also checks that the gate entry answers what the linter answers:
+//! `errors` returns `lint`'s error-severity findings, in the same order.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use quipper::{Bit, Circ, Qubit};
 use quipper_circuit::reverse::reverse_circuit;
 use quipper_circuit::{BCircuit, GateName};
-use quipper_lint::lint;
+use quipper_lint::{errors, lint, Diagnostic, LintReport, Severity};
 use quipper_sim::run_clifford;
 
 const QUBITS: usize = 4;
+
+/// `lint`'s error-severity findings, in its order: what `errors` must return.
+fn errors_of(report: &LintReport) -> Vec<Diagnostic> {
+    let errors = report
+        .findings
+        .iter()
+        .filter(|d| d.severity == Severity::Error);
+    errors.cloned().collect()
+}
 
 /// One self-inverse instruction, so a sequence is uncomputed by replaying it
 /// in reverse order.
@@ -118,6 +130,7 @@ proptest! {
                 "sound assertion reported as provably violated: {} (ops {:?})", d, ops
             );
         }
+        prop_assert_eq!(errors(&bc).findings, errors_of(&report));
     }
 
     /// A purely classical compute-uncompute circuit is fully provable: every
@@ -144,6 +157,7 @@ proptest! {
             "unexpected findings: {report}"
         );
         prop_assert_eq!(report.proved_terms, QUBITS);
+        prop_assert_eq!(errors(&bc).findings, errors_of(&report));
     }
 
     /// Reversing twice yields a circuit the analyzer cannot tell apart from
@@ -158,7 +172,9 @@ proptest! {
             db: bc.db.clone(),
             main: reverse_circuit(&reverse_circuit(&bc.main).unwrap()).unwrap(),
         };
-        prop_assert_eq!(lint(&bc), lint(&twice));
+        let report = lint(&bc);
+        prop_assert_eq!(&report, &lint(&twice));
+        prop_assert_eq!(errors(&bc).findings, errors_of(&report));
     }
 }
 
@@ -282,6 +298,7 @@ fn ql040_outcomes_match_the_stabilizer_simulator() {
             .collect();
         let bc = measured_program(&inits, &body, &steps);
         let report = lint(&bc);
+        assert_eq!(errors(&bc).findings, errors_of(&report));
         let claims: Vec<(usize, bool)> = report
             .findings
             .iter()

@@ -122,8 +122,8 @@ pub mod names {
 
     /// Pauli-flow lint: stabilizer generators seeded from initializations.
     /// Like the other `lint.pauli.*` counters, bumped once per
-    /// `quipper_lint::lint` call and never by `quipper_lint::facts`, so a
-    /// plan compile counts its circuit once, not once per optimizer round.
+    /// `quipper_lint::lint` call and never by `quipper_lint::facts` or
+    /// `quipper_lint::errors`, so a plan compile counts none.
     pub const LINT_PAULI_GENERATORS: &str = "lint.pauli.generators";
     /// Pauli-flow lint: measurements proved deterministic (QL040), per
     /// `lint` call.

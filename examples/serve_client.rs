@@ -182,8 +182,8 @@ fn main() {
     );
 
     // Ingestion, the other direction: submit raw OpenQASM text the server
-    // has never seen. It passes the same lint gate, optimizer, and plan
-    // cache as catalog jobs.
+    // has never seen. It passes the same optimizer, lint gate (which refuses
+    // only error findings) and plan cache as catalog jobs.
     let bell = "OPENQASM 2.0;\\ninclude \\\"qelib1.inc\\\";\\nqreg q[2];\\ncreg c[2];\\nreset q;\\nh q[0];\\ncx q[0],q[1];\\nmeasure q -> c;\\n";
     let resp = client.call_ok(&format!(
         r#"{{"op":"submit","qasm":"{bell}","tenant":"carol","shots":24,"seed":11,"label":"inline-bell","opt":"default"}}"#
