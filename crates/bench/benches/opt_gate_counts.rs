@@ -24,7 +24,7 @@ use quipper::{Circ, Qubit};
 use quipper_algorithms::bwt::{bwt_circuit, Flavor, WeldedTree};
 use quipper_algorithms::cl::mod_const_dag;
 use quipper_circuit::BCircuit;
-use quipper_opt::{optimize, OptLevel, OptReport};
+use quipper_opt::{optimize, OptLevel};
 use quipper_serve::catalog::Catalog;
 use quipper_trace::JsonWriter;
 
@@ -81,7 +81,7 @@ struct OptMeasurement {
 
 fn measure(name: &str, bc: &BCircuit) -> OptMeasurement {
     let start = Instant::now();
-    let (optimized, report): (BCircuit, OptReport) = optimize(bc, OptLevel::Default);
+    let (optimized, report) = optimize(bc, OptLevel::Default);
     let compile = start.elapsed();
     optimized.validate().expect("optimized circuit validates");
     OptMeasurement {

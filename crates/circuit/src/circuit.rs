@@ -91,6 +91,12 @@ impl CircuitDb {
             .ok_or(CircuitError::UnknownSubroutine { id: id.index() })
     }
 
+    /// The body of definition `id`, to rewrite in place. Its name and shape,
+    /// the key it is found by, stay as they are.
+    pub fn body_mut(&mut self, id: BoxId) -> Option<&mut Circuit> {
+        self.subs.get_mut(id.index()).map(|def| &mut def.circuit)
+    }
+
     /// Iterates over all `(id, definition)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (BoxId, &SubDef)> {
         self.subs
@@ -163,6 +169,12 @@ impl Circuit {
     /// Recomputes `wire_bound` from the actual wires used. Useful after
     /// hand-editing a circuit.
     pub fn recompute_wire_bound(&mut self) {
+        self.wire_bound = self.tight_wire_bound();
+    }
+
+    /// The bound [`Circuit::recompute_wire_bound`] sets: one past the
+    /// largest wire id used anywhere in the circuit.
+    pub fn tight_wire_bound(&self) -> u32 {
         let mut bound = 0;
         for (w, _) in self.inputs.iter().chain(self.outputs.iter()) {
             bound = bound.max(w.0 + 1);
@@ -170,7 +182,7 @@ impl Circuit {
         for g in &self.gates {
             g.for_each_wire(&mut |w| bound = bound.max(w.0 + 1));
         }
-        self.wire_bound = bound;
+        bound
     }
 }
 

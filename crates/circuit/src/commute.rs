@@ -48,14 +48,7 @@ pub fn wire_actions(gate: &Gate) -> HashMap<Wire, WireAction> {
             controls,
             ..
         } => {
-            let action = match name {
-                GateName::Z | GateName::S | GateName::T => WireAction::ZDiagonal,
-                GateName::X | GateName::V => WireAction::XDiagonal,
-                GateName::Y => WireAction::YDiagonal,
-                GateName::H | GateName::W | GateName::Swap | GateName::Named(_) => {
-                    WireAction::Opaque
-                }
-            };
+            let action = qgate_action(name);
             for &t in targets {
                 actions.insert(t, action);
             }
@@ -67,13 +60,7 @@ pub fn wire_actions(gate: &Gate) -> HashMap<Wire, WireAction> {
             controls,
             ..
         } => {
-            let action = if targets.len() == 1 && Z_ROTS.contains(&name.as_ref()) {
-                WireAction::ZDiagonal
-            } else if targets.len() == 1 && name.as_ref() == "Ry(%)" {
-                WireAction::YDiagonal
-            } else {
-                WireAction::Opaque
-            };
+            let action = qrot_action(name, targets);
             for &t in targets {
                 actions.insert(t, action);
             }
@@ -88,6 +75,28 @@ pub fn wire_actions(gate: &Gate) -> HashMap<Wire, WireAction> {
     actions
 }
 
+/// How a named gate acts on each of its targets.
+fn qgate_action(name: &GateName) -> WireAction {
+    match name {
+        GateName::Z | GateName::S | GateName::T => WireAction::ZDiagonal,
+        GateName::X | GateName::V => WireAction::XDiagonal,
+        GateName::Y => WireAction::YDiagonal,
+        GateName::H | GateName::W | GateName::Swap | GateName::Named(_) => WireAction::Opaque,
+    }
+}
+
+/// How a rotation acts on each of its targets: only single-target rotations
+/// of a known family are diagonal.
+fn qrot_action(name: &str, targets: &[Wire]) -> WireAction {
+    if targets.len() == 1 && Z_ROTS.contains(&name) {
+        WireAction::ZDiagonal
+    } else if targets.len() == 1 && name == "Ry(%)" {
+        WireAction::YDiagonal
+    } else {
+        WireAction::Opaque
+    }
+}
+
 /// A control wire is read in the computational basis — Z-diagonal — unless a
 /// target action already claimed the wire (a self-controlled gate would be
 /// malformed anyway; stay conservative).
@@ -97,6 +106,51 @@ fn mark_controls(actions: &mut HashMap<Wire, WireAction>, controls: &[Control]) 
     }
 }
 
+/// Whether `pred` holds for every wire `gate` touches, given the action
+/// [`wire_actions`] records for that wire; stops at the first `false`. A
+/// wire the gate names twice is visited twice, with the same action both
+/// times, so the answer is the map's without building it.
+pub fn all_actions(gate: &Gate, mut pred: impl FnMut(Wire, WireAction) -> bool) -> bool {
+    match gate {
+        Gate::QGate {
+            name,
+            targets,
+            controls,
+            ..
+        } => all_classified(targets, qgate_action(name), controls, &mut pred),
+        Gate::QRot {
+            name,
+            targets,
+            controls,
+            ..
+        } => all_classified(targets, qrot_action(name, targets), controls, &mut pred),
+        Gate::GPhase { controls, .. } => {
+            all_classified(&[], WireAction::ZDiagonal, controls, &mut pred)
+        }
+        _ => {
+            let mut all = true;
+            gate.for_each_wire(&mut |w| all = all && pred(w, WireAction::Opaque));
+            all
+        }
+    }
+}
+
+/// [`all_actions`] for a unitary: `action` on every target, Z-diagonal on
+/// every control that is not also a target (a control on a target keeps the
+/// target's action, as `mark_controls` leaves a claimed wire alone).
+fn all_classified(
+    targets: &[Wire],
+    action: WireAction,
+    controls: &[Control],
+    pred: &mut impl FnMut(Wire, WireAction) -> bool,
+) -> bool {
+    targets.iter().all(|&t| pred(t, action))
+        && controls
+            .iter()
+            .filter(|c| !targets.contains(&c.wire))
+            .all(|c| pred(c.wire, WireAction::ZDiagonal))
+}
+
 /// Whether `a` and `b` provably commute: on every shared wire both act
 /// diagonally in the same basis. Sound, not complete.
 pub fn commutes(a: &Gate, b: &Gate) -> bool {
@@ -104,26 +158,24 @@ pub fn commutes(a: &Gate, b: &Gate) -> bool {
 }
 
 /// [`commutes`] against a precomputed action map, so a look-back scan
-/// classifies the moving gate once.
+/// classifies the moving gate once. `b` is classified in place.
 pub fn commutes_with(a: &HashMap<Wire, WireAction>, b: &Gate) -> bool {
-    let b_actions = wire_actions(b);
-    b_actions.iter().all(|(w, &bact)| match a.get(w) {
+    all_actions(b, |w, bact| match a.get(&w) {
         None => true,
         Some(&aact) => aact == bact && aact != WireAction::Opaque,
     })
 }
 
 /// Whether two control lists denote the same set of signed controls,
-/// ignoring order.
+/// ignoring order: the same length, and each control as often in `b` as
+/// in `a`. Counting allocates nothing; it is quadratic in the number of
+/// controls, which callers reach only after names and targets match.
 pub fn same_control_set(a: &[Control], b: &[Control]) -> bool {
     if a.len() != b.len() {
         return false;
     }
-    let mut ca = a.to_vec();
-    let mut cb = b.to_vec();
-    ca.sort_unstable();
-    cb.sort_unstable();
-    ca == cb
+    let count = |list: &[Control], c: &Control| list.iter().filter(|&x| x == c).count();
+    a.iter().all(|c| count(a, c) == count(b, c))
 }
 
 #[cfg(test)]

@@ -10,6 +10,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::circuit::BoxId;
+use crate::commute::same_control_set;
 use crate::error::CircuitError;
 use crate::wire::{Control, Wire};
 
@@ -428,30 +429,74 @@ impl Gate {
     /// without an inverse undo nothing. Which gates may cancel at all
     /// (unitaries, calls, not init/term pairs) is the caller's filter.
     pub fn undoes(&self, prev: &Gate) -> bool {
-        prev.inverse()
-            .is_ok_and(|inv| inv.canonical() == self.canonical())
+        // The kinds the look-back scans compare are decided in place, with
+        // no clone: the inverse of each is the same kind, with the inversion
+        // flag toggled (QGate, QRot) or the angle negated (GPhase).
+        match (prev, self) {
+            (
+                Gate::QGate {
+                    name: n0,
+                    inverted: i0,
+                    targets: t0,
+                    controls: c0,
+                },
+                Gate::QGate {
+                    name: n1,
+                    inverted: i1,
+                    targets: t1,
+                    controls: c1,
+                },
+            ) => {
+                n0 == n1
+                    && (n0.is_self_inverse() || i0 != i1)
+                    && t0 == t1
+                    && same_control_set(c0, c1)
+            }
+            (
+                Gate::QRot {
+                    name: n0,
+                    inverted: i0,
+                    angle: a0,
+                    targets: t0,
+                    controls: c0,
+                },
+                Gate::QRot {
+                    name: n1,
+                    inverted: i1,
+                    angle: a1,
+                    targets: t1,
+                    controls: c1,
+                },
+            ) => n0 == n1 && i0 != i1 && a0 == a1 && t0 == t1 && same_control_set(c0, c1),
+            (
+                Gate::GPhase {
+                    angle: a0,
+                    controls: c0,
+                },
+                Gate::GPhase {
+                    angle: a1,
+                    controls: c1,
+                },
+            ) => -a0 == *a1 && same_control_set(c0, c1),
+            // No other kind's inverse is one of these three.
+            (Gate::QGate { .. } | Gate::QRot { .. } | Gate::GPhase { .. }, _)
+            | (_, Gate::QGate { .. } | Gate::QRot { .. } | Gate::GPhase { .. }) => false,
+            // A call's inverse calls the same definition.
+            (Gate::Subroutine { id: id0, .. }, Gate::Subroutine { id: id1, .. }) if id0 != id1 => {
+                false
+            }
+            _ => prev
+                .inverse()
+                .is_ok_and(|inv| inv.canonical() == self.canonical()),
+        }
     }
 
-    /// The form [`Gate::undoes`] compares: controls sorted, and the
-    /// inversion flag cleared on self-inverse named gates.
+    /// The form [`Gate::undoes`] compares for the kinds it does not decide
+    /// in place: a call's controls sorted.
     fn canonical(&self) -> Gate {
         let mut g = self.clone();
-        match &mut g {
-            Gate::QGate {
-                name,
-                inverted,
-                controls,
-                ..
-            } => {
-                if name.is_self_inverse() {
-                    *inverted = false;
-                }
-                controls.sort_unstable();
-            }
-            Gate::QRot { controls, .. }
-            | Gate::GPhase { controls, .. }
-            | Gate::Subroutine { controls, .. } => controls.sort_unstable(),
-            _ => {}
+        if let Gate::Subroutine { controls, .. } = &mut g {
+            controls.sort_unstable();
         }
         g
     }

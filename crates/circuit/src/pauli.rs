@@ -32,7 +32,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::circuit::Circuit;
-use crate::commute::{wire_actions, WireAction};
+use crate::commute::{all_actions, WireAction};
 use crate::gate::{Gate, GateName};
 use crate::wire::Wire;
 
@@ -249,12 +249,9 @@ impl PauliString {
     /// Tier 3: a gate diagonal in the computational basis on every wire it
     /// touches fixes any string that is Z/I on those wires.
     fn fixed_by_diagonal(&self, gate: &Gate) -> bool {
-        let actions = wire_actions(gate);
-        let diagonal = actions.values().all(|&a| a == WireAction::ZDiagonal);
-        let z_only = actions
-            .keys()
-            .all(|w| matches!(self.get(*w), Pauli::I | Pauli::Z));
-        diagonal && z_only
+        all_actions(gate, |w, a| {
+            a == WireAction::ZDiagonal && matches!(self.get(w), Pauli::I | Pauli::Z)
+        })
     }
 }
 
@@ -371,6 +368,28 @@ pub fn gates_for_units(units: u8, wire: Wire) -> Vec<Gate> {
     }
 }
 
+/// Whether [`phase_groups`] records `gate` as a phase term: an uncontrolled
+/// single-target Z/S/T, or an uncontrolled single-target rotation in
+/// [`MERGEABLE_ROTS`]. It is the guard under which `phase_groups` records
+/// a gate, so a scope with fewer than two has no group to merge.
+pub fn is_phase_term(gate: &Gate) -> bool {
+    match gate {
+        Gate::QGate {
+            name: GateName::Z | GateName::S | GateName::T,
+            targets,
+            controls,
+            ..
+        } => controls.is_empty() && targets.len() == 1,
+        Gate::QRot {
+            name,
+            targets,
+            controls,
+            ..
+        } => controls.is_empty() && targets.len() == 1 && MERGEABLE_ROTS.contains(&name.as_ref()),
+        _ => false,
+    }
+}
+
 /// Scans `circuit` for phase-polynomial regions and returns every bucket of
 /// same-parity phase gates found (including single-member buckets, so the
 /// lint can flag lone identity rotations).
@@ -462,7 +481,7 @@ pub fn phase_groups(circuit: &Circuit) -> Vec<PhaseGroup> {
                     parities.insert(a, pb);
                     parities.insert(b, pa);
                 }
-                (GateName::Z | GateName::S | GateName::T, 0) if targets.len() == 1 => {
+                _ if is_phase_term(gate) => {
                     let units = named_units(name, *inverted).expect("Z/S/T have units");
                     record(
                         &mut parities,
@@ -485,11 +504,8 @@ pub fn phase_groups(circuit: &Circuit) -> Vec<PhaseGroup> {
                 inverted,
                 angle,
                 targets,
-                controls,
-            } if controls.is_empty()
-                && targets.len() == 1
-                && MERGEABLE_ROTS.contains(&name.as_ref()) =>
-            {
+                ..
+            } if is_phase_term(gate) => {
                 let signed = if *inverted { -*angle } else { *angle };
                 record(
                     &mut parities,
@@ -530,9 +546,12 @@ fn is_spectator(gate: &Gate) -> bool {
     ) {
         return false;
     }
-    let actions = wire_actions(gate);
-    (!actions.is_empty() || matches!(gate, Gate::GPhase { .. }))
-        && actions.values().all(|&a| a == WireAction::ZDiagonal)
+    let mut touches = false;
+    let diagonal = all_actions(gate, |_, a| {
+        touches = true;
+        a == WireAction::ZDiagonal
+    });
+    diagonal && (touches || matches!(gate, Gate::GPhase { .. }))
 }
 
 #[cfg(test)]

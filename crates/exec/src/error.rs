@@ -64,7 +64,8 @@ impl fmt::Display for ExecError {
         match self {
             ExecError::Circuit(e) => write!(f, "circuit error: {e}"),
             ExecError::Lint(report) => {
-                write!(f, "circuit rejected by lint gate: {}", report.summary())?;
+                let n = report.findings.len();
+                write!(f, "circuit rejected by lint gate: {n} error(s)")?;
                 if let Some(first) = report.findings.first() {
                     write!(f, "; first: {first}")?;
                 }

@@ -17,6 +17,7 @@
 //! concurrent misses on one key so that one caller compiles and the rest
 //! share its plan.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -97,12 +98,15 @@ impl Plan {
         let start = Instant::now();
         validate::validate(&bc.db, &bc.main)?;
         let (bc, opt) = match level {
-            OptLevel::Off => (bc.clone(), None),
+            OptLevel::Off => (Cow::Borrowed(bc), None),
             level => {
                 let (optimized, report) = optimize(bc, level);
-                // The rewritten hierarchy must still be well-formed; a pass
-                // bug should surface here, not as a backend panic.
-                validate::validate(&optimized.db, &optimized.main)?;
+                // A rewritten hierarchy must still be well-formed; a pass bug
+                // should surface here, not as a backend panic. A borrowed
+                // result is the input, validated above.
+                if let Cow::Owned(rewritten) = &optimized {
+                    validate::validate(&rewritten.db, &rewritten.main)?;
+                }
                 (optimized, Some(report))
             }
         };

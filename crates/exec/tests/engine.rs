@@ -311,7 +311,11 @@ fn a_refusal_names_its_error() {
         report.findings.len(),
         "{report}"
     );
-    assert!(err.to_string().contains("first: error[QL001]"), "{err}");
+    assert!(
+        err.to_string()
+            .starts_with("circuit rejected by lint gate: 1 error(s); first: error[QL001]"),
+        "{err}"
+    );
 }
 
 /// The gate judges the circuit the optimizer leaves: a false assertion the

@@ -378,9 +378,8 @@ impl<'a> Analyzer<'a> {
                         .iter()
                         .map(|w| state.remove(w).unwrap_or(AbsVal::Top))
                         .collect();
-                    let fired = iterate(&summary.outputs, &args, *repetitions, outputs.len());
-                    let off = iterate(&summary.blocked_outputs, &args, *repetitions, outputs.len());
-                    let (vals, entangles) = mux_call(&status, fired, off);
+                    let (vals, entangles) =
+                        call_outputs(&status, &summary, &args, *repetitions, outputs.len());
                     if entangles {
                         if let CtrlStatus::Quantum { wires } = &status {
                             for w in wires {
@@ -823,8 +822,8 @@ fn eval_cgate(
 fn compose(sym: &AbsVal, args: &[AbsVal], any_quantum: bool) -> AbsVal {
     match sym {
         AbsVal::Bool(e) => {
-            let substituted = e.subst(&|v| match args.get(v as usize) {
-                Some(AbsVal::Bool(a)) => Some(a.clone()),
+            let substituted = e.subst(|v| match args.get(v as usize) {
+                Some(AbsVal::Bool(a)) => Some(a),
                 _ => None,
             });
             match substituted {
@@ -898,26 +897,35 @@ fn iterate(sym: &Option<Vec<AbsVal>>, args: &[AbsVal], reps: u64, out_len: usize
     vals
 }
 
-/// Combines the fired and blocked outcomes of a call according to its
-/// control status. Returns the output values and whether the call entangles
-/// its quantum controls with its outputs.
-fn mux_call(status: &CtrlStatus, fired: Vec<AbsVal>, off: Vec<AbsVal>) -> (Vec<AbsVal>, bool) {
+/// The output values of a call according to its control status, and
+/// whether the call entangles its quantum controls with its outputs. A call
+/// whose controls fire composes only the fired summary, a blocked one only
+/// the blocked summary; otherwise both are composed and combined.
+fn call_outputs(
+    status: &CtrlStatus,
+    summary: &BoxSummary,
+    args: &[AbsVal],
+    reps: u64,
+    out_len: usize,
+) -> (Vec<AbsVal>, bool) {
+    let fired = || iterate(&summary.outputs, args, reps, out_len);
+    let off = || iterate(&summary.blocked_outputs, args, reps, out_len);
     match status {
-        CtrlStatus::Fired => (fired, false),
-        CtrlStatus::Blocked { .. } => (off, false),
+        CtrlStatus::Fired => (fired(), false),
+        CtrlStatus::Blocked { .. } => (off(), false),
         CtrlStatus::Classical { fire } => {
-            let vals = fired
+            let vals = fired()
                 .into_iter()
-                .zip(off)
+                .zip(off())
                 .map(|(f, o)| mux_classical(fire.as_ref(), f, o))
                 .collect();
             (vals, false)
         }
         CtrlStatus::Quantum { .. } => {
             let mut entangles = false;
-            let vals: Vec<AbsVal> = fired
+            let vals: Vec<AbsVal> = fired()
                 .into_iter()
-                .zip(off)
+                .zip(off())
                 .map(|(f, o)| {
                     if bools_equal(&f, &o) {
                         f

@@ -110,6 +110,14 @@ impl BExpr {
 
     /// Logical and; `None` if the result exceeds [`MAX_MONOMIALS`].
     pub fn and(&self, other: &BExpr) -> Option<BExpr> {
+        // A constant operand decides the product: `0 ∧ e = 0`, `1 ∧ e = e`
+        // (already within the cap, and already in normal form).
+        match (self.as_const(), other.as_const()) {
+            (Some(false), _) | (_, Some(false)) => return Some(BExpr::constant(false)),
+            (Some(true), _) => return Some(other.clone()),
+            (_, Some(true)) => return Some(self.clone()),
+            (None, None) => {}
+        }
         // Distribute: every pair of terms (treating the constant true as the
         // empty monomial) multiplies to the union of their variable sets;
         // equal products cancel pairwise (x ⊕ x = 0).
@@ -140,12 +148,30 @@ impl BExpr {
 
     /// Substitutes every variable via `lookup`; `None` if a variable has no
     /// substitution or the result blows past the cap.
-    pub fn subst(&self, lookup: &dyn Fn(Var) -> Option<BExpr>) -> Option<BExpr> {
+    pub fn subst<'e>(&self, lookup: impl Fn(Var) -> Option<&'e BExpr>) -> Option<BExpr> {
+        // Every substituted value a constant: evaluate, with no ANF
+        // arithmetic. The first symbolic one hands over to the general path.
+        let mut value = self.constant;
+        for m in &self.monomials {
+            let mut product = true;
+            for &v in m {
+                match lookup(v)?.as_const() {
+                    Some(b) => product &= b,
+                    None => return self.subst_symbolic(lookup),
+                }
+            }
+            value ^= product;
+        }
+        Some(BExpr::constant(value))
+    }
+
+    /// [`BExpr::subst`] by ANF arithmetic, for any substituted values.
+    fn subst_symbolic<'e>(&self, lookup: impl Fn(Var) -> Option<&'e BExpr>) -> Option<BExpr> {
         let mut acc = BExpr::constant(self.constant);
         for m in &self.monomials {
             let mut term = BExpr::constant(true);
             for &v in m {
-                term = term.and(&lookup(v)?)?;
+                term = term.and(lookup(v)?)?;
             }
             acc = acc.xor(&term)?;
         }
@@ -293,16 +319,17 @@ mod tests {
         // e = v0 ∧ v1, with v0 := a ⊕ b, v1 := 1 gives a ⊕ b.
         let e = BExpr::var(0).and(&BExpr::var(1)).unwrap();
         let ab = BExpr::var(10).xor(&BExpr::var(11)).unwrap();
+        let one = BExpr::constant(true);
         let got = e
-            .subst(&|v| match v {
-                0 => Some(ab.clone()),
-                1 => Some(BExpr::constant(true)),
+            .subst(|v| match v {
+                0 => Some(&ab),
+                1 => Some(&one),
                 _ => None,
             })
             .unwrap();
         assert_eq!(got, ab);
         // Missing substitution is None.
-        assert!(e.subst(&|_| None).is_none());
+        assert!(e.subst(|_| None).is_none());
     }
 
     #[test]
@@ -322,6 +349,126 @@ mod tests {
             }
         }
         assert!(overflowed);
+    }
+
+    /// Variables the random expressions range over: truth tables are `u64`.
+    const VARS: u32 = 6;
+
+    /// The normal form of `constant ⊕ ⨁ masks`, each mask a monomial over
+    /// variables `0..VARS` (equal monomials cancel in pairs).
+    fn anf(constant: bool, masks: &[u8]) -> BExpr {
+        let mut monomials: Vec<Vec<Var>> = Vec::new();
+        for &mask in masks.iter().filter(|&&m| m != 0) {
+            let m: Vec<Var> = (0..VARS).filter(|v| mask >> v & 1 == 1).collect();
+            match monomials.iter().position(|x| *x == m) {
+                Some(at) => drop(monomials.remove(at)),
+                None => monomials.push(m),
+            }
+        }
+        monomials.sort();
+        BExpr {
+            constant,
+            monomials,
+        }
+    }
+
+    /// The expression's value when variable `v` is bit `v` of `x`.
+    fn eval(e: &BExpr, x: u64) -> bool {
+        let monomial = |m: &Vec<Var>| m.iter().all(|&v| x >> v & 1 == 1);
+        (e.monomials.iter().filter(|m| monomial(m)).count() % 2 == 1) ^ e.constant
+    }
+
+    /// The normal form of the function whose value at `x` is bit `x` of
+    /// `table`, by the Möbius transform: the brute-force oracle.
+    fn from_truth_table(table: u64) -> BExpr {
+        let mut coeffs = table;
+        for v in 0..VARS {
+            for x in 0..64u64 {
+                if x >> v & 1 == 1 {
+                    coeffs ^= (coeffs >> (x ^ 1 << v) & 1) << x;
+                }
+            }
+        }
+        let masks: Vec<u8> = (1..64u8).filter(|&m| coeffs >> m & 1 == 1).collect();
+        anf(coeffs & 1 == 1, &masks)
+    }
+
+    fn truth_table(f: impl Fn(u64) -> bool) -> u64 {
+        (0..64u64).filter(|&x| f(x)).fold(0, |t, x| t | 1 << x)
+    }
+
+    /// A random expression: a constant one time in three (`kind`), else up
+    /// to eight monomials.
+    fn random_expr(kind: u8, constant: bool, masks: &[u8]) -> BExpr {
+        if kind.is_multiple_of(3) {
+            BExpr::constant(constant)
+        } else {
+            anf(constant, masks)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// `and`, constant operands included, is the product of the truth
+        /// tables, in normal form.
+        #[test]
+        fn and_agrees_with_truth_tables(
+            a in (0u8..3, proptest::arbitrary::any::<bool>(),
+                  proptest::collection::vec(1u8..64, 0..8)),
+            b in (0u8..3, proptest::arbitrary::any::<bool>(),
+                  proptest::collection::vec(1u8..64, 0..8)),
+        ) {
+            let (ea, eb) = (random_expr(a.0, a.1, &a.2), random_expr(b.0, b.1, &b.2));
+            if let Some(product) = ea.and(&eb) {
+                let table = truth_table(|x| eval(&ea, x) && eval(&eb, x));
+                proptest::prop_assert_eq!(product, from_truth_table(table));
+            }
+        }
+
+        /// `subst` is composition: its value at `x` is the expression's value
+        /// at the substituted values' values at `x`. Substitutes are missing,
+        /// constant or symbolic; `all_const` makes every one a constant, the
+        /// path that evaluates without ANF arithmetic.
+        #[test]
+        fn subst_agrees_with_truth_tables(
+            e in (proptest::arbitrary::any::<bool>(), proptest::collection::vec(1u8..64, 0..8)),
+            kinds in proptest::collection::vec(0u8..10, 6),
+            subs in proptest::collection::vec(
+                (proptest::arbitrary::any::<bool>(), proptest::collection::vec(1u8..64, 0..4)),
+                6,
+            ),
+            all_const in proptest::arbitrary::any::<bool>(),
+        ) {
+            let e = anf(e.0, &e.1);
+            // kind 0: no substitute; 1–4: a constant; 5–9: symbolic.
+            let values: Vec<Option<BExpr>> = kinds
+                .iter()
+                .zip(&subs)
+                .map(|(&kind, (constant, masks))| match kind {
+                    0 if !all_const => None,
+                    _ if all_const || kind <= 4 => Some(BExpr::constant(*constant)),
+                    _ => Some(anf(*constant, masks)),
+                })
+                .collect();
+            let got = e.subst(|v| values[v as usize].as_ref());
+            let missing = e.vars().iter().any(|&v| values[v as usize].is_none());
+            if missing {
+                proptest::prop_assert!(got.is_none(), "{got:?}");
+            } else if let Some(got) = got {
+                let table = truth_table(|x| {
+                    let y = (0..VARS).fold(0u64, |y, v| match &values[v as usize] {
+                        Some(s) if eval(s, x) => y | 1 << v,
+                        _ => y,
+                    });
+                    eval(&e, y)
+                });
+                proptest::prop_assert_eq!(got, from_truth_table(table));
+            } else {
+                // Only the monomial cap may refuse, and never a constant result.
+                proptest::prop_assert!(!all_const);
+            }
+        }
     }
 
     #[test]

@@ -28,6 +28,26 @@
 //! 6. A second facts round and a second cancellation, over what the
 //!    rewrites above exposed.
 //!
+//! The pipeline does no work it can prove is a no-op, and every saving is
+//! exact: the circuit and every [`PassStats`] entry are what running every
+//! pass in full would give. A pass that rewrites nothing hands back its
+//! input (a `debug_assert` checks it), so
+//!
+//! * a repeated pass is skipped when it is *settled*: the trailing cancel
+//!   when nothing rewrote since the first one (cancel sweeps to a fixpoint,
+//!   so it is idempotent), the second facts round only when the first round
+//!   and everything since rewrote nothing (facts is not idempotent: a
+//!   deleted H·H can expose a constant);
+//! * a scope is left alone by a pass it cannot trigger, found by one scan:
+//!   merging needs a rotation or a global phase, phase-polynomial
+//!   re-synthesis two phase terms;
+//! * a scope no pass rewrites is neither rebuilt nor cloned, and a pass
+//!   that rewrote nothing is not recounted. [`optimize`] borrows its input
+//!   until the first rewrite, so a circuit no pass touches costs no copy.
+//!
+//! A skipped pass keeps its report entry, with no rewrites and equal
+//! counts.
+//!
 //! Decomposition into a gate base is not a pass here. As in the paper
 //! (`decompose_generic`, §4.4.3) it is a whole-circuit transformer the user
 //! applies: `quipper::decompose::decompose(GateBase::Binary, ..)`.
@@ -43,10 +63,11 @@
 
 mod passes;
 
+use std::borrow::Cow;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use quipper_circuit::{BCircuit, GateCount};
+use quipper_circuit::{BCircuit, BoxId, Circuit, GateCount};
 use quipper_lint::FactScope;
 use quipper_trace::{names, span, Phase};
 
@@ -206,7 +227,7 @@ impl fmt::Display for OptSummary {
 }
 
 /// The passes the pipeline schedules.
-#[derive(Copy, Clone)]
+#[derive(Copy, Clone, PartialEq)]
 enum Pass {
     FactsCleanup,
     Cancel,
@@ -243,9 +264,17 @@ impl Pass {
         }
     }
 
-    /// Rewrites every scope of `bc`, adding the rewrites applied to
-    /// `rewrites`.
-    fn apply(self, bc: &BCircuit, rewrites: &mut u64) -> BCircuit {
+    /// Whether running the pass on its own output rewrites nothing. Cancel
+    /// sweeps until a sweep deletes nothing, and a sweep is a function of
+    /// its input, so a second run's first sweep is that last, empty one.
+    /// Facts is not: deleting H·H can expose a constant to the analyzer.
+    fn idempotent(self) -> bool {
+        matches!(self, Pass::Cancel)
+    }
+
+    /// Rewrites every scope of `bc` in place, adding the rewrites applied
+    /// to `rewrites`. Returns whether any scope changed.
+    fn apply(self, bc: &mut Cow<'_, BCircuit>, rewrites: &mut u64) -> bool {
         match self {
             Pass::FactsCleanup => passes::facts_cleanup(bc, rewrites),
             Pass::Cancel => passes::map_scopes(bc, |_, c| passes::cancel_pass(&c.gates, rewrites)),
@@ -254,16 +283,16 @@ impl Pass {
             }),
             Pass::PhasePoly => {
                 let (mut merged, mut removed) = (0u64, 0u64);
-                let out = passes::map_scopes(bc, |_, c| {
+                let changed = passes::map_scopes(bc, |_, c| {
                     passes::phasepoly_pass(c, rewrites, &mut merged, &mut removed)
                 });
                 quipper_trace::count(names::OPT_PHASEPOLY_MERGED, merged);
                 quipper_trace::count(names::OPT_PHASEPOLY_REMOVED, removed);
-                out
+                changed
             }
             Pass::CliffordPush => {
                 let mut absorbed = 0u64;
-                let out = passes::map_scopes(bc, |scope, c| {
+                let changed = passes::map_scopes(bc, |scope, c| {
                     passes::clifford_push_pass(
                         &c.gates,
                         scope == FactScope::Main,
@@ -272,19 +301,37 @@ impl Pass {
                     )
                 });
                 quipper_trace::count(names::OPT_CLIFFORD_ABSORBED, absorbed);
-                out
+                changed
             }
         }
     }
 }
 
+/// Whether the pass at `PIPELINE[at]` is *settled*: it ran before, and its
+/// input is that run's input (or, for an idempotent pass, that run's
+/// output) because no pass in between rewrote anything. A pass that
+/// rewrites nothing returns its input unchanged (asserted in [`optimize`])
+/// and passes are deterministic, so a settled pass would rewrite nothing.
+fn settled(at: usize, done: &[PassStats]) -> bool {
+    let pass = PIPELINE[at];
+    PIPELINE[..at]
+        .iter()
+        .rposition(|&p| p == pass)
+        .is_some_and(|prev| {
+            let since = if pass.idempotent() { prev + 1 } else { prev };
+            done[since..at].iter().all(|p| p.rewrites == 0)
+        })
+}
+
 /// Optimizes a circuit at the given level.
 ///
-/// `Off` returns a clone of the input untouched (and an empty pass list).
-/// The optimized circuit is structurally valid whenever the input is, and
-/// semantically equivalent up to global phase; the report carries
-/// aggregated gate counts by class before and after, and per-pass deltas.
-pub fn optimize(bc: &BCircuit, level: OptLevel) -> (BCircuit, OptReport) {
+/// `Off` hands back the input untouched (and an empty pass list), as does
+/// `Default` when no pass rewrites anything: the result borrows `bc` until
+/// the first rewrite. The optimized circuit is structurally valid whenever
+/// the input is, and semantically equivalent up to global phase; the report
+/// carries aggregated gate counts by class before and after, and per-pass
+/// deltas.
+pub fn optimize(bc: &BCircuit, level: OptLevel) -> (Cow<'_, BCircuit>, OptReport) {
     let start = Instant::now();
     let _span = span(Phase::Compile, "opt");
     let pipeline: &[Pass] = match level {
@@ -292,23 +339,38 @@ pub fn optimize(bc: &BCircuit, level: OptLevel) -> (BCircuit, OptReport) {
         OptLevel::Default => &PIPELINE,
     };
     let before = bc.gate_count();
-    let mut out = bc.clone();
-    // One hierarchical count per pass boundary: what leaves a pass is what
-    // enters the next.
+    let mut out = Cow::Borrowed(bc);
+    // What leaves a pass is what enters the next, and only a pass that
+    // rewrote something changes the count.
     let mut after = before.clone();
-    let mut passes = Vec::with_capacity(pipeline.len());
-    for pass in pipeline {
+    let mut passes: Vec<PassStats> = Vec::with_capacity(pipeline.len());
+    for (at, pass) in pipeline.iter().enumerate() {
         let _span = span(Phase::Compile, pass.name());
         let mut rewrites = 0u64;
-        out = pass.apply(&out, &mut rewrites);
-        let count = out.gate_count();
+        if !settled(at, &passes) {
+            let changed = pass.apply(&mut out, &mut rewrites);
+            debug_assert_eq!(
+                changed,
+                rewrites > 0,
+                "{}: a pass changes its input exactly when it counts a rewrite",
+                pass.name()
+            );
+        }
+        let gates_before = after.total();
+        if rewrites > 0 {
+            after = out.gate_count();
+        }
         passes.push(PassStats {
             name: pass.name(),
-            gates_before: after.total(),
-            gates_after: count.total(),
+            gates_before,
+            gates_after: after.total(),
             rewrites,
         });
-        after = count;
+    }
+    if !pipeline.is_empty() {
+        // A rewritten scope leaves with its wire bound recomputed; the
+        // pipeline's result has every bound recomputed, rewritten or not.
+        tighten_wire_bounds(&mut out);
     }
     // Whole-pipeline guard: no run may hand back more gates than it was
     // given. The passes individually never grow, so this only fires on
@@ -323,7 +385,7 @@ pub fn optimize(bc: &BCircuit, level: OptLevel) -> (BCircuit, OptReport) {
             rewrites: 1,
         });
         quipper_trace::count(names::OPT_REVERTED, 1);
-        out = bc.clone();
+        out = Cow::Borrowed(bc);
         after = before.clone();
     }
     let report = OptReport {
@@ -347,6 +409,22 @@ pub fn optimize(bc: &BCircuit, level: OptLevel) -> (BCircuit, OptReport) {
     );
     quipper_trace::count(names::OPT_REWRITES, report.rewrites());
     (out, report)
+}
+
+/// Recomputes the wire bound of every scope, taking ownership only if some
+/// bound is not already what recomputing gives.
+fn tighten_wire_bounds(bc: &mut Cow<'_, BCircuit>) {
+    let loose = |c: &Circuit| c.wire_bound != c.tight_wire_bound();
+    if !loose(&bc.main) && !bc.db.iter().any(|(_, def)| loose(&def.circuit)) {
+        return;
+    }
+    let bc = bc.to_mut();
+    bc.main.recompute_wire_bound();
+    for index in 0..bc.db.len() {
+        if let Some(body) = bc.db.body_mut(BoxId(index as u32)) {
+            body.recompute_wire_bound();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -389,7 +467,8 @@ mod tests {
             1,
         );
         let (out, report) = optimize(&bc, OptLevel::Off);
-        assert_eq!(out, bc);
+        assert!(matches!(out, Cow::Borrowed(_)));
+        assert_eq!(*out, bc);
         assert!(report.passes.is_empty());
         assert_eq!(report.removed(), 0);
     }
@@ -760,6 +839,196 @@ mod tests {
         let passes: Vec<&str> = report.passes.iter().map(|p| p.name).collect();
         assert!(passes.contains(&"opt.phasepoly"));
         assert!(passes.contains(&"opt.clifford_push"));
+    }
+
+    /// The pipeline with no repeat pass skipped and every boundary
+    /// recounted: what `optimize` must equal, circuit and report. Its merge
+    /// and phasepoly passes still skip untriggered scopes; that skip is
+    /// exact because each trigger is the test its pass rewrites by (the
+    /// phase terms are `phase_groups`' own `is_phase_term`).
+    fn unskipped(bc: &BCircuit) -> (BCircuit, Vec<PassStats>) {
+        let mut out = Cow::Borrowed(bc);
+        let mut passes = Vec::new();
+        let mut count = bc.gate_count().total();
+        for pass in PIPELINE {
+            let mut rewrites = 0;
+            pass.apply(&mut out, &mut rewrites);
+            let after = out.gate_count().total();
+            passes.push(PassStats {
+                name: pass.name(),
+                gates_before: count,
+                gates_after: after,
+                rewrites,
+            });
+            count = after;
+        }
+        tighten_wire_bounds(&mut out);
+        (out.into_owned(), passes)
+    }
+
+    /// Optimizes `bc`, checks the result against [`unskipped`], and returns
+    /// the report.
+    fn optimize_as_unskipped(bc: &BCircuit) -> OptReport {
+        let (out, report) = optimize(bc, OptLevel::Default);
+        let (want, passes) = unskipped(bc);
+        assert_eq!(*out, want);
+        assert_eq!(report.passes, passes);
+        assert_eq!(report.after, want.gate_count());
+        report
+    }
+
+    fn stats(rewrites: &[u64]) -> Vec<PassStats> {
+        let stat = |(at, &rewrites): (usize, &u64)| PassStats {
+            name: PIPELINE[at].name(),
+            gates_before: 0,
+            gates_after: 0,
+            rewrites,
+        };
+        rewrites.iter().enumerate().map(stat).collect()
+    }
+
+    #[test]
+    fn only_repeats_with_nothing_rewritten_in_between_are_settled() {
+        // First runs never are.
+        for at in 0..5 {
+            assert!(!settled(at, &stats(&[0; 7])));
+        }
+        // The second facts round: settled only if the first round and all
+        // since rewrote nothing.
+        assert!(settled(5, &stats(&[0, 0, 0, 0, 0])));
+        assert!(!settled(5, &stats(&[1, 0, 0, 0, 0])));
+        assert!(!settled(5, &stats(&[0, 0, 0, 1, 0])));
+        // The trailing cancel: the first cancel may have rewritten (it ran
+        // to a fixpoint), nothing after it may.
+        assert!(settled(6, &stats(&[1, 3, 0, 0, 0, 0])));
+        assert!(!settled(6, &stats(&[0, 0, 0, 0, 0, 1])));
+        assert!(!settled(6, &stats(&[0, 0, 1, 0, 0, 0])));
+    }
+
+    #[test]
+    fn the_second_facts_round_runs_when_a_deletion_exposes_a_constant() {
+        // H·H on a fresh |0⟩ ancilla hides that its control never fires:
+        // the walk sees a superposed wire until the first round deletes the
+        // pair, and only then proves the CNOT blocked.
+        let a = Wire(1);
+        let bc = main_only(
+            vec![
+                Gate::QInit {
+                    value: false,
+                    wire: a,
+                },
+                Gate::unary(GateName::H, a),
+                Gate::unary(GateName::H, a),
+                Gate::cnot(Wire(0), a),
+                Gate::QTerm {
+                    value: false,
+                    wire: a,
+                },
+            ],
+            1,
+        );
+        let report = optimize_as_unskipped(&bc);
+        let rewrites: Vec<u64> = report.passes.iter().map(|p| p.rewrites).collect();
+        assert_eq!(rewrites, [2, 0, 0, 0, 0, 1, 0]);
+        assert_eq!(report.gates_after(), 2);
+    }
+
+    #[test]
+    fn the_trailing_cancel_runs_when_a_merge_exposes_a_pair() {
+        // The Ry pair blocks the CNOTs (Y-diagonal against a control) until
+        // merging deletes it; the T between them hides the pair from the
+        // facts round, so only the trailing cancel can take it.
+        let ry = |angle: f64| Gate::QRot {
+            name: "Ry(%)".into(),
+            inverted: false,
+            angle,
+            targets: vec![Wire(0)],
+            controls: vec![],
+        };
+        let bc = main_only(
+            vec![
+                Gate::cnot(Wire(1), Wire(0)),
+                ry(0.3),
+                ry(-0.3),
+                Gate::unary(GateName::T, Wire(0)),
+                Gate::cnot(Wire(1), Wire(0)),
+            ],
+            2,
+        );
+        let report = optimize_as_unskipped(&bc);
+        let rewrites: Vec<u64> = report.passes.iter().map(|p| p.rewrites).collect();
+        assert_eq!(rewrites, [0, 0, 1, 0, 0, 0, 1]);
+        assert_eq!(report.gates_after(), 1);
+    }
+
+    #[test]
+    fn a_circuit_no_pass_rewrites_comes_back_borrowed_with_a_full_report() {
+        // No rotation or phase (merge untriggered), one phase term
+        // (phasepoly untriggered), nothing to cancel or absorb.
+        let bc = main_only(
+            vec![
+                Gate::unary(GateName::H, Wire(0)),
+                Gate::cnot(Wire(1), Wire(0)),
+                Gate::unary(GateName::T, Wire(1)),
+                Gate::unary(GateName::H, Wire(1)),
+            ],
+            2,
+        );
+        let report = optimize_as_unskipped(&bc);
+        assert_eq!(report.passes.len(), PIPELINE.len());
+        for pass in &report.passes {
+            assert_eq!(
+                (pass.gates_before, pass.gates_after, pass.rewrites),
+                (4, 4, 0)
+            );
+        }
+        let (out, _) = optimize(&bc, OptLevel::Default);
+        assert!(matches!(out, Cow::Borrowed(_)));
+    }
+
+    #[test]
+    fn untriggered_scopes_stay_while_a_triggered_box_is_rewritten() {
+        // Main has no rotation and a single T; the box has two T's on one
+        // parity (phasepoly) and a rotation pair (merge).
+        let mut db = CircuitDb::new();
+        let mut body = Circuit::with_inputs(vec![q(0), q(1)]);
+        body.gates = vec![
+            Gate::unary(GateName::T, Wire(0)),
+            Gate::cnot(Wire(1), Wire(0)),
+            Gate::unary(GateName::T, Wire(0)),
+            rz(0.25, 1),
+            rz(0.5, 1),
+        ];
+        body.outputs = body.inputs.clone();
+        let id = db.insert(SubDef {
+            name: "b".into(),
+            shape: "".into(),
+            circuit: body,
+        });
+        let mut main = Circuit::with_inputs(vec![q(0), q(1)]);
+        main.gates = vec![
+            Gate::unary(GateName::T, Wire(0)),
+            Gate::Subroutine {
+                id,
+                inverted: false,
+                inputs: vec![Wire(0), Wire(1)],
+                outputs: vec![Wire(0), Wire(1)],
+                controls: vec![],
+                repetitions: 2,
+            },
+            Gate::unary(GateName::H, Wire(1)),
+        ];
+        main.outputs = main.inputs.clone();
+        main.recompute_wire_bound();
+        let bc = BCircuit { db, main };
+        let report = optimize_as_unskipped(&bc);
+        let (out, _) = optimize(&bc, OptLevel::Default);
+        assert_eq!(out.main, bc.main, "main is untriggered and unchanged");
+        assert_eq!(out.db.get(id).unwrap().circuit.gates.len(), 3);
+        assert!(report
+            .passes
+            .iter()
+            .any(|p| p.name == "opt.merge" && p.rewrites == 1));
     }
 
     #[test]

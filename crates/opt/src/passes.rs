@@ -1,11 +1,11 @@
 //! The rewrite passes behind [`optimize`](crate::optimize).
 //!
 //! Every pass is scope-local: it rewrites `main` and each box body
-//! independently, never adding, removing or renaming boxes. Because
-//! [`CircuitDb`] assigns ids in insertion order and keys boxes on
-//! `(name, shape)`, rebuilding the database by reinserting the rewritten
-//! bodies in id order reproduces the original ids exactly, so subroutine
-//! calls need no retargeting.
+//! independently and in place ([`map_scopes`]), never adding, removing or
+//! renaming boxes, so box ids and the subroutine calls naming them stay as
+//! they are. A pass hands back new gates only for a scope it rewrote, and
+//! counts one rewrite or more for it; a scope it cannot rewrite is found by
+//! a scan, before any copy.
 //!
 //! Soundness note: rewrites inside a box body apply to the body *as
 //! written*. Inverted call sites execute the reversed body, and controlled
@@ -15,10 +15,13 @@
 //! an *uncontrolled* global phase is only droppable where no caller can
 //! ever control it, i.e. in `main` ([`merge_pass`] takes a flag).
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
-use quipper_circuit::commute::{commutes_with, same_control_set, wire_actions, WireAction};
-use quipper_circuit::{BCircuit, Circuit, CircuitDb, Gate, SubDef, Wire};
+use quipper_circuit::commute::{
+    all_actions, commutes_with, same_control_set, wire_actions, WireAction,
+};
+use quipper_circuit::{BCircuit, BoxId, Circuit, Gate, Wire};
 use quipper_lint::{FactScope, Redundancy};
 
 /// How far a look-back scan walks past commuting gates before giving up.
@@ -30,36 +33,32 @@ const LOOKBACK: usize = 32;
 /// multiple; this only absorbs the last few ulps of float error.
 const EPS: f64 = 1e-12;
 
-/// Applies `rewrite` to every scope — each box body, then `main` — and
-/// reassembles a hierarchy with identical box ids.
+/// Applies `rewrite` to every scope — each box body, then `main` — in
+/// place. A scope `rewrite` returns `None` for is left as it is, neither
+/// rebuilt nor cloned; the first scope it rewrites makes `bc` owned. Box
+/// ids never change. Returns whether any scope was rewritten.
 pub(crate) fn map_scopes(
-    bc: &BCircuit,
-    mut rewrite: impl FnMut(FactScope, &Circuit) -> Vec<Gate>,
-) -> BCircuit {
-    let mut db = CircuitDb::new();
-    for (id, def) in bc.db.iter() {
-        let mut circuit = Circuit {
-            inputs: def.circuit.inputs.clone(),
-            gates: rewrite(FactScope::Box(id), &def.circuit),
-            outputs: def.circuit.outputs.clone(),
-            wire_bound: def.circuit.wire_bound,
-        };
-        circuit.recompute_wire_bound();
-        let new_id = db.insert(SubDef {
-            name: def.name.clone(),
-            shape: def.shape.clone(),
-            circuit,
-        });
-        debug_assert_eq!(new_id, id, "box ids must survive a scope-local rewrite");
+    bc: &mut Cow<'_, BCircuit>,
+    mut rewrite: impl FnMut(FactScope, &Circuit) -> Option<Vec<Gate>>,
+) -> bool {
+    let mut changed = false;
+    for index in 0..bc.db.len() {
+        let id = BoxId(index as u32);
+        let body = &bc.db.get(id).expect("ids below len").circuit;
+        if let Some(gates) = rewrite(FactScope::Box(id), body) {
+            let body = bc.to_mut().db.body_mut(id).expect("ids below len");
+            body.gates = gates;
+            body.recompute_wire_bound();
+            changed = true;
+        }
     }
-    let mut main = Circuit {
-        inputs: bc.main.inputs.clone(),
-        gates: rewrite(FactScope::Main, &bc.main),
-        outputs: bc.main.outputs.clone(),
-        wire_bound: bc.main.wire_bound,
-    };
-    main.recompute_wire_bound();
-    BCircuit { db, main }
+    if let Some(gates) = rewrite(FactScope::Main, &bc.main) {
+        let main = &mut bc.to_mut().main;
+        main.gates = gates;
+        main.recompute_wire_bound();
+        changed = true;
+    }
+    changed
 }
 
 // ---------------------------------------------------------------------
@@ -102,13 +101,14 @@ fn drop_controls(gate: &Gate, drops: &[(Wire, bool)], rewrites: &mut u64) -> Gat
 /// Consumes the linter's redundancy facts (QL030 cancelling pairs, QL031
 /// constant controls, QL032 statically blocked gates) and applies them in a
 /// single sweep per scope, so every fact index stays valid while it is
-/// acted on.
-pub(crate) fn facts_cleanup(bc: &BCircuit, rewrites: &mut u64) -> BCircuit {
+/// acted on. A scope without facts is not visited.
+pub(crate) fn facts_cleanup(bc: &mut Cow<'_, BCircuit>, rewrites: &mut u64) -> bool {
     let facts = quipper_lint::facts(bc);
     if facts.is_empty() {
-        return bc.clone();
+        return false;
     }
     map_scopes(bc, |scope, circuit| {
+        facts.for_scope(scope).next()?;
         let mut delete: HashSet<usize> = HashSet::new();
         let mut drops: HashMap<usize, Vec<(Wire, bool)>> = HashMap::new();
         // Blocked gates first: a never-firing gate is deleted regardless of
@@ -151,6 +151,7 @@ pub(crate) fn facts_cleanup(bc: &BCircuit, rewrites: &mut u64) -> BCircuit {
                 }
             }
         }
+        let start = *rewrites;
         let mut gates = Vec::with_capacity(circuit.gates.len());
         for (idx, gate) in circuit.gates.iter().enumerate() {
             if delete.contains(&idx) {
@@ -162,7 +163,7 @@ pub(crate) fn facts_cleanup(bc: &BCircuit, rewrites: &mut u64) -> BCircuit {
                 None => gates.push(gate.clone()),
             }
         }
-        gates
+        (*rewrites > start).then_some(gates)
     })
 }
 
@@ -180,33 +181,36 @@ fn cancels(prev: &Gate, g: &Gate) -> bool {
 /// the pair past provably-commuting neighbours, sweeping to a fixpoint.
 /// Strictly more powerful than the linter's QL030 (which requires the pair
 /// to be wire-adjacent): `T(q1)` between `H(q0) H(q0)` hides nothing, and
-/// a CNOT chain sharing only controls commutes out of the way.
-pub(crate) fn cancel_pass(gates: &[Gate], rewrites: &mut u64) -> Vec<Gate> {
-    let mut current = gates.to_vec();
+/// a CNOT chain sharing only controls commutes out of the way. The sweeps
+/// only delete, so they run over gate indices; `None` when nothing cancels.
+pub(crate) fn cancel_pass(gates: &[Gate], rewrites: &mut u64) -> Option<Vec<Gate>> {
+    let mut current: Vec<usize> = (0..gates.len()).collect();
     loop {
         let before = current.len();
-        current = cancel_sweep(current, rewrites);
+        current = cancel_sweep(gates, current, rewrites);
         if current.len() == before {
-            return current;
+            break;
         }
     }
+    (current.len() < gates.len()).then(|| current.iter().map(|&i| gates[i].clone()).collect())
 }
 
-fn cancel_sweep(gates: Vec<Gate>, rewrites: &mut u64) -> Vec<Gate> {
-    let mut out: Vec<Gate> = Vec::with_capacity(gates.len());
-    'next: for g in gates {
-        if deletable(&g) {
-            let actions = wire_actions(&g);
+fn cancel_sweep(gates: &[Gate], order: Vec<usize>, rewrites: &mut u64) -> Vec<usize> {
+    let mut out: Vec<usize> = Vec::with_capacity(order.len());
+    'next: for i in order {
+        let g = &gates[i];
+        if deletable(g) {
+            let actions = wire_actions(g);
             let mut idx = out.len();
             let mut steps = 0usize;
             while idx > 0 && steps < LOOKBACK {
                 idx -= 1;
                 steps += 1;
-                let prev = &out[idx];
+                let prev = &gates[out[idx]];
                 if matches!(prev, Gate::Comment { .. }) {
                     continue;
                 }
-                if cancels(prev, &g) {
+                if cancels(prev, g) {
                     out.remove(idx);
                     *rewrites += 1;
                     continue 'next;
@@ -216,7 +220,7 @@ fn cancel_sweep(gates: Vec<Gate>, rewrites: &mut u64) -> Vec<Gate> {
                 }
             }
         }
-        out.push(g);
+        out.push(i);
     }
     out
 }
@@ -324,13 +328,24 @@ fn merge_phase(prev: &Gate, g: &Gate) -> Option<Option<Gate>> {
 /// gates), drops rotations whose angle reduces to the identity, and — in
 /// `main` only, where no caller can ever attach controls — discards
 /// uncontrolled global phases outright.
-pub(crate) fn merge_pass(gates: &[Gate], in_main: bool, rewrites: &mut u64) -> Vec<Gate> {
+///
+/// Only a rotation or a global phase can merge or drop, so a scope with
+/// neither is untriggered: `None` after one scan, as for any scope the pass
+/// leaves alone.
+pub(crate) fn merge_pass(gates: &[Gate], in_main: bool, rewrites: &mut u64) -> Option<Vec<Gate>> {
+    if !gates
+        .iter()
+        .any(|g| matches!(g, Gate::QRot { .. } | Gate::GPhase { .. }))
+    {
+        return None;
+    }
+    let start = *rewrites;
     let mut current = gates.to_vec();
     loop {
         let before = current.len();
         current = merge_sweep(current, in_main, rewrites);
         if current.len() == before {
-            return current;
+            return (*rewrites > start).then_some(current);
         }
     }
 }
@@ -426,13 +441,13 @@ enum AbsorbKind {
 /// as written — except that an *uncontrolled* global phase (which touches
 /// no wires) is only droppable in `main`, exactly as in [`merge_pass`].
 ///
-/// Never grows the circuit.
+/// Never grows the circuit; `None` when nothing is absorbed.
 pub(crate) fn clifford_push_pass(
     gates: &[Gate],
     in_main: bool,
     rewrites: &mut u64,
     absorbed: &mut u64,
-) -> Vec<Gate> {
+) -> Option<Vec<Gate>> {
     let mut absorbing: HashMap<Wire, AbsorbKind> = HashMap::new();
     let mut keep = vec![true; gates.len()];
     for (idx, gate) in gates.iter().enumerate().rev() {
@@ -453,13 +468,16 @@ pub(crate) fn clifford_push_pass(
                 absorbing.remove(wire);
             }
             Gate::QGate { .. } | Gate::QRot { .. } | Gate::GPhase { .. } => {
-                let actions = wire_actions(gate);
-                let absorbable = actions.iter().all(|(w, action)| match absorbing.get(w) {
-                    Some(AbsorbKind::Discard) => true,
-                    Some(AbsorbKind::Meas) => *action == WireAction::ZDiagonal,
-                    None => false,
-                }) && (in_main || !actions.is_empty());
-                if absorbable && deletable(gate) {
+                let mut touches = false;
+                let absorbed_on_every_wire = all_actions(gate, |w, action| {
+                    touches = true;
+                    match absorbing.get(&w) {
+                        Some(AbsorbKind::Discard) => true,
+                        Some(AbsorbKind::Meas) => action == WireAction::ZDiagonal,
+                        None => false,
+                    }
+                });
+                if absorbed_on_every_wire && (in_main || touches) && deletable(gate) {
                     keep[idx] = false;
                     *rewrites += 1;
                     *absorbed += 1;
@@ -468,15 +486,16 @@ pub(crate) fn clifford_push_pass(
                     // commute through it to reach the boundary, which the
                     // deletion rule guarantees only for mutually Z-diagonal
                     // actions.
-                    for (w, action) in &actions {
-                        if *action == WireAction::ZDiagonal {
-                            if let Some(k) = absorbing.get_mut(w) {
+                    all_actions(gate, |w, action| {
+                        if action == WireAction::ZDiagonal {
+                            if let Some(k) = absorbing.get_mut(&w) {
                                 *k = AbsorbKind::Meas;
                             }
                         } else {
-                            absorbing.remove(w);
+                            absorbing.remove(&w);
                         }
-                    }
+                        true
+                    });
                 }
             }
             _ => {
@@ -488,12 +507,10 @@ pub(crate) fn clifford_push_pass(
             }
         }
     }
-    gates
-        .iter()
-        .zip(&keep)
-        .filter(|&(_, &k)| k)
-        .map(|(g, _)| g.clone())
-        .collect()
+    keep.contains(&false).then(|| {
+        let kept = gates.iter().zip(&keep).filter(|&(_, &k)| k);
+        kept.map(|(g, _)| g.clone()).collect()
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -512,14 +529,20 @@ pub(crate) fn clifford_push_pass(
 /// diagonal phase determined solely by the parity function the wire carries
 /// at that moment, which is the same for every member of a group, so the
 /// product telescopes into the merged gate placed at the first site.
+///
+/// A group has two or more phase terms
+/// ([`is_phase_term`](quipper_circuit::pauli::is_phase_term)), so a scope
+/// with fewer is untriggered: `None` after one scan, as for any scope the
+/// pass leaves alone.
 pub(crate) fn phasepoly_pass(
     circuit: &Circuit,
     rewrites: &mut u64,
     merged: &mut u64,
     removed: &mut u64,
-) -> Vec<Gate> {
-    use quipper_circuit::pauli::{gates_for_units, PhaseFamily};
+) -> Option<Vec<Gate>> {
+    use quipper_circuit::pauli::{gates_for_units, is_phase_term, PhaseFamily};
 
+    circuit.gates.iter().filter(|g| is_phase_term(g)).nth(1)?;
     let groups = quipper_circuit::pauli::phase_groups(circuit);
     let mut delete: HashSet<usize> = HashSet::new();
     // Replacement gates to splice in *before* the gate at each index.
@@ -555,7 +578,7 @@ pub(crate) fn phasepoly_pass(
         splice.insert(g.members[0], replacement);
     }
     if delete.is_empty() {
-        return circuit.gates.clone();
+        return None;
     }
     let mut out = Vec::with_capacity(circuit.gates.len());
     for (idx, gate) in circuit.gates.iter().enumerate() {
@@ -566,5 +589,5 @@ pub(crate) fn phasepoly_pass(
             out.push(gate.clone());
         }
     }
-    out
+    Some(out)
 }
