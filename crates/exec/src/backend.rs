@@ -3,7 +3,9 @@
 //! Quipper separates circuit *description* from the run functions that
 //! consume circuits (paper §4.4.5). A [`Backend`] packages one run function
 //! behind a uniform interface; the engine runs each compiled plan on the
-//! backend its [`Route`](crate::Route) names:
+//! built-in backend its [`Route`](crate::Route) names, and hands the three
+//! out ([`Engine::backends`](crate::Engine::backends)) for running a plan
+//! one whole shot at a time:
 //!
 //! * [`ClassicalBackend`] — bit-per-wire permutation simulation, linear time.
 //! * [`StabilizerBackend`] — CHP tableau simulation, polynomial in width.
@@ -53,8 +55,8 @@ pub trait ShotWorker {
 /// backend instance is shared (`Send + Sync`) across the engine's worker
 /// threads.
 pub trait Backend: Send + Sync {
-    /// Stable short name, used in reports; the engine runs a plan on the
-    /// backend whose name is its route's ([`Route::name`](crate::Route::name)).
+    /// Stable short name, used in reports: the name of the route it runs
+    /// ([`Route::name`](crate::Route::name)).
     fn name(&self) -> &'static str;
 
     /// Executes one shot of a compiled plan on basis-state `inputs`,

@@ -7,8 +7,7 @@
 //! on the [`Backend`] the plan was routed to when it compiled, and returns
 //! an [`ExecResult`] whose [`ExecReport`] records what happened.
 //! [`Engine::run`] is the two in a row, shots fanned out over the worker
-//! pool; a caller that retries (the service) resolves once and re-runs
-//! only the second half.
+//! pool; the service calls the halves itself, one after the other.
 //!
 //! # Evolve once, sample many
 //!
@@ -285,13 +284,17 @@ impl fmt::Display for EngineStats {
     }
 }
 
-/// The execution engine: registered backends, the plan cache, and the
-/// worker pool width. Shared freely across threads.
+/// What a test engine runs at the top of every shot, given the shot's seed.
+type ShotHook = dyn Fn(u64) + Send + Sync;
+
+/// The execution engine: the plan cache, the worker pool width, and the
+/// state-vector backend's host settings. Shared freely across threads.
 pub struct Engine {
-    backends: Vec<Arc<dyn Backend>>,
+    statevec: StateVecBackend,
     cache: PlanCache,
     workers: usize,
     trace: &'static Tracer,
+    shot_hook: Option<Box<ShotHook>>,
 }
 
 impl Default for Engine {
@@ -301,47 +304,56 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// An engine with the default configuration: all built-in backends, one
-    /// worker per hardware thread.
+    /// An engine with the default configuration: one worker per hardware
+    /// thread.
     pub fn new() -> Engine {
         Engine::with_config(EngineConfig::default())
     }
 
-    /// An engine with an explicit configuration and the built-in backends.
+    /// An engine with an explicit configuration.
     pub fn with_config(config: EngineConfig) -> Engine {
-        let backends = Engine::default_backends(&config);
-        Engine::with_backends(config, backends)
-    }
-
-    /// The built-in backends, one per [`Route`](crate::Route): the starting
-    /// point for [`Engine::with_backends`] when wrapping them (fault
-    /// injection, instrumentation).
-    pub fn default_backends(config: &EngineConfig) -> Vec<Arc<dyn Backend>> {
-        vec![
-            Arc::new(ClassicalBackend),
-            Arc::new(StabilizerBackend),
-            Arc::new(StateVecBackend {
-                config: config.statevec,
-            }),
-        ]
-    }
-
-    /// An engine over an explicit backend list: each job runs on the one
-    /// whose name is its plan's route. This is how wrappers like a fault
-    /// injector are installed: wrap the [`Engine::default_backends`] and hand
-    /// them back here.
-    pub fn with_backends(config: EngineConfig, backends: Vec<Arc<dyn Backend>>) -> Engine {
         Engine {
-            backends,
+            statevec: StateVecBackend {
+                config: config.statevec,
+            },
             cache: PlanCache::new(),
             workers: config.workers.max(1),
             trace: config.trace,
+            shot_hook: None,
         }
     }
 
-    /// The registered backends.
+    /// A test seam: an engine that calls `hook` with the shot's seed at the
+    /// top of every shot it runs. A hook that sleeps makes a slow job (for
+    /// deadlines, cancels and backpressure); one that panics stands for a
+    /// simulator bug (for the service's panic boundary). An engine built any
+    /// other way has no hook, and pays one branch per shot for the seam.
+    #[doc(hidden)]
+    pub fn with_shot_hook(
+        config: EngineConfig,
+        hook: impl Fn(u64) + Send + Sync + 'static,
+    ) -> Engine {
+        Engine {
+            shot_hook: Some(Box::new(hook)),
+            ..Engine::with_config(config)
+        }
+    }
+
+    /// The built-in backends, one per [`Route`], for running a plan's shots
+    /// one at a time ([`Backend::run_shot`], the engine's oracle).
     pub fn backends(&self) -> impl Iterator<Item = &dyn Backend> {
-        self.backends.iter().map(|b| &**b)
+        [Route::Classical, Route::Stabilizer, Route::StateVec]
+            .into_iter()
+            .map(|route| self.backend(route))
+    }
+
+    /// The backend of a route.
+    fn backend(&self, route: Route) -> &dyn Backend {
+        match route {
+            Route::Classical => &ClassicalBackend,
+            Route::Stabilizer => &StabilizerBackend,
+            Route::StateVec => &self.statevec,
+        }
     }
 
     /// Compiles (or fetches from cache) the plan for a circuit at
@@ -423,14 +435,15 @@ impl Engine {
     /// The second half of a run: runs the shots of a plan
     /// [`resolve`](Engine::resolve)d for `job` sequentially on the calling
     /// thread, on the backend of the plan's route, and merges them. Compiles,
-    /// lints and looks up nothing, so a caller may retry it on the same
-    /// plan, or run a plan from [`Plan::compile_with`] that no lint gate has
-    /// judged; `source` only feeds the report.
+    /// lints and looks up nothing, so a caller may run a plan from
+    /// [`Plan::compile_with`] that no lint gate has judged; `source` only
+    /// feeds the report.
     ///
     /// # Errors
     ///
-    /// [`ExecError::NoBackend`] if no registered backend is named for the
-    /// plan's route, and per-shot simulation errors, as for [`Engine::run`].
+    /// [`ExecError::QuantumOutputs`] for a plan with a quantum output,
+    /// [`ExecError::Cancelled`] once the job's token fires, and per-shot
+    /// simulation errors, as for [`Engine::run`].
     pub fn run_resolved(
         &self,
         job: &Job,
@@ -450,11 +463,7 @@ impl Engine {
         let trace = self.trace;
         let _job_span = trace.span(Phase::Execute, "engine.job");
 
-        let name = plan.route.name();
-        let Some(backend) = self.backends().find(|b| b.name() == name) else {
-            let reason = format!("no registered backend is named `{name}`");
-            return Err(ExecError::NoBackend { reason });
-        };
+        let backend = self.backend(plan.route);
         if trace.enabled() {
             trace.metrics().add(route_metric(plan.route), 1);
             trace
@@ -463,7 +472,7 @@ impl Engine {
             trace.instant(
                 Phase::Execute,
                 "route",
-                Some(format!("{name}: {}", plan.route_reason)),
+                Some(format!("{}: {}", plan.route.name(), plan.route_reason)),
             );
         }
         if !plan.profile.outputs_classical {
@@ -483,7 +492,8 @@ impl Engine {
         let (histogram, prefix) = if job.shots == 0 {
             (Histogram::new(), None)
         } else {
-            let (histogram, prefix) = execute(trace, backend, plan, job, workers)?;
+            let hook = self.shot_hook.as_deref();
+            let (histogram, prefix) = execute(trace, backend, hook, plan, job, workers)?;
             (histogram, Some(prefix))
         };
         let execute = start.elapsed();
@@ -578,6 +588,7 @@ fn cancelled(trace: &Tracer, reason: CancelReason) -> ExecError {
 fn execute(
     trace: &Tracer,
     backend: &dyn Backend,
+    hook: Option<&ShotHook>,
     plan: &Plan,
     job: &Job,
     workers: usize,
@@ -619,6 +630,7 @@ fn execute(
         base_seed: job.base_seed,
         cancel: job.cancel.as_ref(),
         trace,
+        hook,
     };
     let _span = trace.span(Phase::Execute, "shots");
     let histogram = if workers == 1 {
@@ -635,6 +647,7 @@ struct ShotTask<'a> {
     base_seed: u64,
     cancel: Option<&'a CancelToken>,
     trace: &'a Tracer,
+    hook: Option<&'a ShotHook>,
 }
 
 /// How many *sampled* shots run between cancellation polls. A sampled shot
@@ -668,7 +681,11 @@ fn run_shots(task: &ShotTask, shots: std::ops::Range<u64>) -> Result<Histogram, 
             }
         }
         let shot_start = timed.then(Instant::now);
-        match worker.run_shot(task.base_seed.wrapping_add(shot)) {
+        let seed = task.base_seed.wrapping_add(shot);
+        if let Some(hook) = task.hook {
+            hook(seed);
+        }
+        match worker.run_shot(seed) {
             Ok(bits) => *histogram.entry(bits).or_insert(0) += 1,
             Err(e) => return Err((shot, e)),
         }

@@ -24,7 +24,8 @@ pub enum ExecError {
         /// The underlying simulator error.
         source: SimError,
     },
-    /// No route admits the circuit (at compile), or no backend runs the route.
+    /// No route admits the circuit (at compile), or a
+    /// [`Backend`](crate::Backend) was handed a plan routed to another one.
     NoBackend {
         /// Why each candidate was rejected.
         reason: String,
@@ -38,25 +39,6 @@ pub enum ExecError {
         /// Why the token fired.
         reason: CancelReason,
     },
-    /// A backend reported a transient fault (device hiccup, injected
-    /// failure): the shot did not run, but an identical retry may succeed.
-    /// Schedulers are expected to retry these; all other errors are
-    /// permanent for the submitted circuit.
-    Transient {
-        /// Which backend faulted.
-        backend: &'static str,
-        /// Human-readable fault description.
-        detail: String,
-    },
-}
-
-impl ExecError {
-    /// Whether a retry of the identical job may succeed. Only
-    /// [`ExecError::Transient`] qualifies; every other error is a property
-    /// of the circuit, the configuration, or an explicit cancellation.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, ExecError::Transient { .. })
-    }
 }
 
 impl fmt::Display for ExecError {
@@ -82,9 +64,6 @@ impl fmt::Display for ExecError {
                 "sampling requires classical outputs only; measure quantum outputs in the circuit"
             ),
             ExecError::Cancelled { reason } => write!(f, "job {reason} during execution"),
-            ExecError::Transient { backend, detail } => {
-                write!(f, "transient fault on backend `{backend}`: {detail}")
-            }
         }
     }
 }

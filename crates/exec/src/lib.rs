@@ -15,7 +15,7 @@
 //!   runs it (classical, else the CHP tableau, else the state vector up to
 //!   [`DEFAULT_MAX_QUBITS`]; else [`ExecError::NoBackend`]), and the plan
 //!   keeps only the gate stream that backend reads ([`Body`]). A job runs
-//!   on the registered backend its plan's route names.
+//!   on the built-in backend its plan's route names.
 //! * [`Plan`] / [`PlanCache`] — validation and flattening happen once per
 //!   structurally-distinct circuit, keyed by the stable circuit
 //!   [`fingerprint`](quipper_circuit::fingerprint); repeat submissions skip
@@ -26,9 +26,8 @@
 //!   share its plan — telling each caller which it was ([`PlanSource`]).
 //! * **One job path** — [`Engine::resolve`] (the job's plan, through the
 //!   cache) then [`Engine::run_resolved`] (prefix, shots, merge).
-//!   [`Engine::run`] is the two in a row; a scheduler that retries
-//!   transient faults (`quipper-serve`) resolves once per job and re-runs
-//!   only the second half.
+//!   [`Engine::run`] is the two in a row; a scheduler (`quipper-serve`)
+//!   calls each half once per job.
 //! * **One lint gate** — every plan compilation runs only the lint passes
 //!   that can find an error (`quipper_lint::errors`), and
 //!   [`PlanCache::get_or_compile`] refuses a plan with one

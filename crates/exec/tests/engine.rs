@@ -121,8 +121,8 @@ fn repeat_jobs_hit_the_plan_cache() {
     assert_eq!(second.report.backend, "stabilizer");
 }
 
-/// The two halves of a run: a plan resolved once re-runs (as a retrying
-/// caller would) without another fingerprint, lookup or compile.
+/// The two halves of a run: a plan resolved once runs again without
+/// another fingerprint, lookup or compile.
 #[test]
 fn a_resolved_plan_reruns_without_asking_the_cache_again() {
     let engine = Engine::new();

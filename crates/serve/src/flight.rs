@@ -2,8 +2,7 @@
 //!
 //! Every admitted job carries a timeline of [`FlightEvent`]s, one per
 //! lifecycle phase (admit → queue → compile → shots → terminal, plus
-//! `coalesce` after a wait and one stamp per retry), each an offset from the
-//! job's admission. The events live in the job's record in
+//! `coalesce` after a wait), each an offset from the job's admission. The events live in the job's record in
 //! [`Core`](crate::state::Core) and nowhere else:
 //! [`Service::flight`](crate::Service::flight) and
 //! [`Service::flights`](crate::Service::flights) read a [`FlightTimeline`]
@@ -30,10 +29,8 @@ pub mod phases {
     /// The plan came from a concurrent identical job's compile; stamped
     /// when the wait for it ended.
     pub const COALESCE: &str = "coalesce";
-    /// Executing shots (one stamp per attempt).
+    /// Executing shots.
     pub const SHOTS: &str = "shots";
-    /// Backing off before a retry attempt.
-    pub const RETRY: &str = "retry";
 }
 
 /// One stamped event in a job's timeline.
@@ -43,7 +40,7 @@ pub struct FlightEvent {
     pub phase: &'static str,
     /// Offset from the job's admission.
     pub at: Duration,
-    /// Optional human-readable annotation (attempt number, error text).
+    /// Optional human-readable annotation (a failed job's error text).
     pub detail: Option<String>,
 }
 
@@ -90,14 +87,14 @@ mod tests {
             event(phases::ADMIT, 0, None),
             event(phases::QUEUE, 3, None),
             event(phases::COMPILE, 40, None),
-            event(phases::SHOTS, 45, Some("attempt 1")),
-            event("completed", 900, None),
+            event(phases::SHOTS, 45, None),
+            event("failed", 900, Some("panicked: a simulator bug")),
         ];
         let tl = FlightTimeline {
             id: 1,
             tenant: "t".into(),
             label: String::new(),
-            state: "completed".into(),
+            state: "failed".into(),
             events,
         };
         let spans = tl.spans();
@@ -107,7 +104,7 @@ mod tests {
             assert_eq!(pair[0].1 + pair[0].2, pair[1].1);
         }
         assert_eq!(spans[2].2, Duration::from_micros(5));
-        assert_eq!(spans[3].3, Some("attempt 1"));
+        assert_eq!(spans[4].3, Some("panicked: a simulator bug"));
         assert_eq!(spans.last().unwrap().2, Duration::ZERO);
     }
 }

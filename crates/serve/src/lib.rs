@@ -15,9 +15,11 @@
 //!   sheds at the door instead of timing out inside.
 //! * **One state, one lock** — the service's state is one plain struct,
 //!   `Core` (`state.rs`), behind one `Mutex`.
-//! * **Panic boundary** — a panic inside the engine (a backend bug) becomes
-//!   that job's `failed: panicked: …`; the worker and every other job go
-//!   on.
+//! * **Panic boundary** — a job's shots are a pure function of its plan,
+//!   inputs and seed, so a job that failed would fail the same way again:
+//!   nothing is retried. A panic inside the engine (a simulator bug)
+//!   becomes that job's `failed: panicked: …`; the worker and every other
+//!   job go on.
 //! * **Deadlines and cancellation** — every job carries a
 //!   [`CancelToken`](quipper_exec::CancelToken) that the exec shot loop
 //!   polls between shot chunks, so a client cancel or a missed deadline
@@ -31,14 +33,6 @@
 //!   and optimizer level one compiles while the others wait and share its
 //!   plan (counted as `serve.coalesced`). A job whose plan is cached waits
 //!   for nobody.
-//! * **Retry** — transient backend faults
-//!   ([`ExecError::Transient`](quipper_exec::ExecError)) are retried with
-//!   exponential backoff and deterministic jitter. A retry re-runs the
-//!   shots on the plan already resolved; because per-shot seeds depend
-//!   only on the submission, a retried job is bit-identical to a
-//!   fault-free run.
-//! * [`FaultInjector`] — a backend wrapper with seeded failure probability
-//!   and latency spikes, proving graceful degradation under injected faults.
 //! * **Flight recorder** — every job stamps an always-on lifecycle timeline
 //!   (admit → queue → compile → shots → terminal): `compile` when a worker
 //!   picks the job up and asks for its plan, then `coalesce` if the plan
@@ -51,52 +45,30 @@
 //!   `std::net::TcpListener`, served by the `quipper-served` binary.
 //!
 //! Everything observable lands in `quipper-trace` metrics: admissions,
-//! rejections, retries, deadline misses, coalesced compiles, the
+//! rejections, deadline misses, coalesced compiles, the
 //! admission-queue depth high-water mark, and per-tenant latency/queue-wait
 //! histograms with SLO burn counters ([`ServiceConfig::slo`]) — all exportable through the
 //! `metrics` protocol op in JSON Lines or Prometheus text form.
 
 pub mod catalog;
-pub mod fault;
 pub mod flight;
 pub mod protocol;
 mod queue;
 pub mod quota;
-pub mod retry;
 pub mod server;
 pub mod service;
 mod state;
 
-pub use fault::{FaultConfig, FaultInjector};
 pub use flight::{FlightEvent, FlightTimeline};
 pub use quota::QuotaPolicy;
-pub use retry::RetryPolicy;
 pub use server::Server;
 pub use service::{
     JobId, JobState, JobStatus, RejectReason, Rejection, Service, ServiceConfig, ServiceStats,
     Submission,
 };
 
-/// SplitMix64: the one-liner generator used for deterministic jitter and
-/// fault draws. Good enough statistical quality for scheduling decisions,
-/// and — unlike a shared PRNG stream — a pure function of its input, so
-/// every draw is reproducible from (seed, counter) regardless of thread
-/// interleaving.
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// A uniform draw in `[0, 1)` from one SplitMix64 output (53-bit mantissa).
-pub(crate) fn unit_draw(x: u64) -> f64 {
-    (splitmix64(x) >> 11) as f64 / (1u64 << 53) as f64
-}
-
 // The service and its handles cross threads by design.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Service>();
-    assert_send_sync::<FaultInjector>();
 };

@@ -156,7 +156,6 @@ pub fn handle_line(service: &Service, catalog: &Catalog, line: &str) -> Handled 
                 w.key("failed").int(s.failed);
                 w.key("cancelled").int(s.cancelled);
                 w.key("deadline_misses").int(s.deadline_misses);
-                w.key("retries").int(s.retries);
                 w.key("coalesced").int(s.coalesced_compiles);
                 w.key("engine_cache_hits").int(s.engine_cache_hits);
                 w.key("engine_cache_misses").int(s.engine_cache_misses);
@@ -222,8 +221,7 @@ pub fn handle_line(service: &Service, catalog: &Catalog, line: &str) -> Handled 
                 Some(status) => ok(|w| {
                     w.key("id").int(status.id);
                     w.key("state").string(status.state.tag());
-                    w.key("label").string(&status.label);
-                    w.key("attempts").int(status.attempts)
+                    w.key("label").string(&status.label)
                 }),
             },
         },

@@ -1,17 +1,18 @@
-//! The service: admission control, the worker pool, job states, retries.
+//! The service: admission control, the worker pool, job states.
 //!
 //! One [`Service`] owns one [`Engine`] and multiplexes it between tenants.
 //! Submissions are charged against per-tenant token buckets and admitted
 //! into a bounded priority queue; a fixed pool of worker threads drains the
 //! queue, running each job's shots sequentially (service parallelism is
-//! *across* jobs). Every job carries a [`CancelToken`] polled by the exec
-//! shot loop, so deadline misses and client cancels stop real work.
+//! *across* jobs). Every job carries a
+//! [`CancelToken`](quipper_exec::CancelToken) polled by the exec shot loop,
+//! so deadline misses and client cancels stop real work.
 //!
 //! # Job lifecycle
 //!
 //! ```text
 //! submit ── quota? ── queue? ──> Queued ──> Running ──> Completed
-//!              │         │          │           ├─────> Failed      (permanent / retries exhausted)
+//!              │         │          │           ├─────> Failed      (compile error, shot error, panic)
 //!           Rejected  Rejected      │           ├─────> Cancelled   (client cancel)
 //!           (+retry-after hints)    │           └─────> DeadlineExceeded
 //!                                   └── cancel/deadline before start ─┘
@@ -35,14 +36,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use quipper_circuit::BCircuit;
-use quipper_exec::{
-    CancelReason, CancelToken, Engine, ExecError, ExecResult, Job, OptLevel, PlanSource,
-};
+use quipper_exec::{CancelReason, Engine, ExecError, ExecResult, Job, OptLevel, PlanSource};
 use quipper_trace::{names, Tracer};
 
 use crate::flight::{phases, FlightTimeline};
 use crate::quota::QuotaPolicy;
-use crate::retry::RetryPolicy;
 use crate::state::{Core, Finished, Snapshot, Ticket};
 
 /// Service-wide job identifier, unique for the life of the service.
@@ -171,12 +169,12 @@ impl fmt::Display for Rejection {
 pub enum JobState {
     /// Admitted, waiting for a worker.
     Queued,
-    /// A worker is executing shots (or sleeping out a retry backoff).
+    /// A worker is compiling the job's plan or executing its shots.
     Running,
     /// All shots ran; the result is attached.
     Completed(Arc<ExecResult>),
-    /// Permanent failure (compile/lint/routing error, or retries
-    /// exhausted); the error rendering is attached.
+    /// Failure (compile, lint or routing error, a shot's error, or a
+    /// panic); the error rendering is attached.
     Failed(String),
     /// The client cancelled before completion.
     Cancelled,
@@ -210,8 +208,6 @@ pub struct JobStatus {
     pub tenant: String,
     pub label: String,
     pub state: JobState,
-    /// Execution attempts so far (retries increment this past 1).
-    pub attempts: u32,
 }
 
 /// Tuning for [`Service::start`].
@@ -224,8 +220,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Per-tenant token-bucket policy.
     pub quota: QuotaPolicy,
-    /// Transient-fault retry policy.
-    pub retry: RetryPolicy,
     /// End-to-end latency SLO threshold, the same for every tenant: a job
     /// "burns" its tenant's SLO when admission-to-terminal latency exceeds
     /// it, and checks and burns land in the `serve.slo.*` counters labeled
@@ -252,7 +246,6 @@ impl Default for ServiceConfig {
                 .min(8),
             queue_capacity: 256,
             quota: QuotaPolicy::default(),
-            retry: RetryPolicy::default(),
             slo: None,
             flight_capacity: 4096,
         }
@@ -272,7 +265,6 @@ pub struct ServiceStats {
     pub failed: u64,
     pub cancelled: u64,
     pub deadline_misses: u64,
-    pub retries: u64,
     pub coalesced_compiles: u64,
     /// Engine plan-cache hits.
     pub engine_cache_hits: u64,
@@ -308,8 +300,8 @@ impl fmt::Display for ServiceStats {
         )?;
         writeln!(
             f,
-            "{:<12}{} retries, {} coalesced compiles",
-            "engine", self.retries, self.coalesced_compiles,
+            "{:<12}{} coalesced compiles",
+            "engine", self.coalesced_compiles,
         )?;
         write!(
             f,
@@ -328,14 +320,13 @@ const POISONED: &str = "a transition of the service's state panicked";
 
 struct Inner {
     engine: Engine,
-    retry: RetryPolicy,
     slo: Option<Duration>,
     /// The engine's tracing sink.
     trace: &'static Tracer,
     core: Mutex<Core>,
     /// Signalled after every transition a waiter can act on: a job queued
-    /// (idle workers), settled or cancelled ([`Service::drain`], a retry
-    /// backoff), the service closed (all of them).
+    /// (idle workers), settled ([`Service::drain`]), the service closed
+    /// (all of them).
     changed: Condvar,
 }
 
@@ -385,11 +376,6 @@ impl Inner {
             &[("tenant", tenant)],
             finished.queue_wait.as_micros() as u64,
         );
-        metrics.observe_labeled(
-            names::SERVE_JOB_RETRIES,
-            &[("tenant", tenant), ("state", tag)],
-            u64::from(finished.attempts.saturating_sub(1)),
-        );
         if let Some(threshold) = self.slo {
             metrics.add_labeled(names::SLO_CHECKED, &[("tenant", tenant)], 1);
             if finished.latency > threshold {
@@ -407,13 +393,12 @@ pub struct Service {
 
 impl Service {
     /// Starts a service over `engine` with `config`'s worker pool, queue
-    /// bound, quotas and retry policy.
+    /// bound, quotas, SLO and memory of finished jobs.
     pub fn start(engine: Engine, config: ServiceConfig) -> Service {
         let core = Core::new(config.queue_capacity, config.quota, config.flight_capacity);
         let inner = Arc::new(Inner {
             trace: engine.tracer(),
             engine,
-            retry: config.retry,
             slo: config.slo,
             core: Mutex::new(core),
             changed: Condvar::new(),
@@ -487,7 +472,6 @@ impl Service {
     /// `None` for unknown ids. Cancelling a terminal job is a no-op.
     pub fn cancel(&self, id: JobId) -> Option<JobStatus> {
         let (status, cancelled) = self.inner.core().cancel(id, Instant::now())?;
-        // Settling wakes a running job's retry backoff too.
         self.inner.settle(cancelled);
         Some(status)
     }
@@ -581,16 +565,7 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
-fn state_of(reason: CancelReason) -> JobState {
-    match reason {
-        CancelReason::Cancelled => JobState::Cancelled,
-        CancelReason::DeadlineExceeded => JobState::DeadlineExceeded,
-    }
-}
-
-/// Resolves and runs one picked-up job, retrying transient faults, and
-/// returns its terminal state. A retry re-runs the shots and nothing before
-/// them.
+/// Resolves and runs one picked-up job and returns its terminal state.
 fn run(inner: &Inner, ticket: &Ticket) -> JobState {
     let (id, sub) = (ticket.id, &*ticket.submission);
     let job = Job::new(&sub.circuit)
@@ -608,38 +583,29 @@ fn run(inner: &Inner, ticket: &Ticket) -> JobState {
         Ok(Err(e)) => return JobState::Failed(e.to_string()),
         Err(panicked) => return panicked,
     };
-    if source == PlanSource::Waited {
-        inner
-            .core()
-            .stamp(id, phases::COALESCE, None, Instant::now());
-        if inner.trace.enabled() {
-            inner.trace.metrics().add(names::SERVE_COALESCED, 1);
+    let waited = source == PlanSource::Waited;
+    if waited && inner.trace.enabled() {
+        inner.trace.metrics().add(names::SERVE_COALESCED, 1);
+    }
+    {
+        let mut core = inner.core();
+        let now = Instant::now();
+        if waited {
+            core.stamp(id, phases::COALESCE, now);
         }
+        core.stamp(id, phases::SHOTS, now);
     }
 
-    loop {
-        let attempt = inner.core().begin_attempt(id, Instant::now());
-        // Shots run sequentially on this worker: the service parallelizes
-        // across jobs, and per-shot seeds make the outcome schedule-free.
-        match contained(|| inner.engine.run_resolved(&job, &plan, source)) {
-            Ok(Ok(result)) => return JobState::Completed(Arc::new(result)),
-            Ok(Err(ExecError::Cancelled { reason })) => return state_of(reason),
-            Ok(Err(e)) if e.is_transient() && inner.retry.should_retry(attempt) => {
-                let detail = Some(e.to_string());
-                inner
-                    .core()
-                    .stamp(id, phases::RETRY, detail, Instant::now());
-                if inner.trace.enabled() {
-                    inner.trace.metrics().add(names::SERVE_RETRY, 1);
-                }
-                let pause = inner.retry.backoff(attempt, sub.seed ^ id.rotate_left(17));
-                if let Err(reason) = backoff(inner, &ticket.token, pause) {
-                    return state_of(reason);
-                }
-            }
-            Ok(Err(e)) => return JobState::Failed(e.to_string()),
-            Err(panicked) => return panicked,
-        }
+    // Shots run sequentially on this worker: the service parallelizes
+    // across jobs, and per-shot seeds make the outcome schedule-free.
+    match contained(|| inner.engine.run_resolved(&job, &plan, source)) {
+        Ok(Ok(result)) => JobState::Completed(Arc::new(result)),
+        Ok(Err(ExecError::Cancelled { reason })) => match reason {
+            CancelReason::Cancelled => JobState::Cancelled,
+            CancelReason::DeadlineExceeded => JobState::DeadlineExceeded,
+        },
+        Ok(Err(e)) => JobState::Failed(e.to_string()),
+        Err(panicked) => panicked,
     }
 }
 
@@ -654,28 +620,10 @@ fn contained<T>(call: impl FnOnce() -> T) -> Result<T, JobState> {
     })
 }
 
-/// Sleeps out a retry backoff on the service's condvar, until the earlier
-/// of its end and the token's deadline. A cancel or a shutdown fires the
-/// token under the lock and wakes the wait.
-fn backoff(inner: &Inner, token: &CancelToken, pause: Duration) -> Result<(), CancelReason> {
-    let end = Instant::now() + pause;
-    let wake = token.deadline().map_or(end, |deadline| deadline.min(end));
-    let mut core = inner.core();
-    loop {
-        token.check()?;
-        if Instant::now() >= end {
-            return Ok(());
-        }
-        let timeout = wake.saturating_duration_since(Instant::now());
-        core = inner.changed.wait_timeout(core, timeout).expect(POISONED).0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
-    use crate::fault::{FaultConfig, FaultInjector};
     use crate::protocol::handle_line;
     use quipper_exec::EngineConfig;
 
@@ -752,16 +700,9 @@ mod tests {
     fn a_queued_or_running_job_is_never_evicted() {
         const CAPACITY: usize = 2;
         // Every shot sleeps 1 ms, so the first job holds the only worker.
-        let engine_config = EngineConfig::default();
-        let slow = FaultConfig {
-            spike_prob: 1.0,
-            ..FaultConfig::default()
-        };
-        let backends = FaultInjector::wrap_default_backends(&engine_config, slow);
-        let service = Service::start(
-            Engine::with_backends(engine_config, backends),
-            remembering(CAPACITY),
-        );
+        let slow = |_| std::thread::sleep(Duration::from_millis(1));
+        let engine = Engine::with_shot_hook(EngineConfig::default(), slow);
+        let service = Service::start(engine, remembering(CAPACITY));
         let ghz3 = Catalog::new().get("ghz3").unwrap();
         let submit = |shots| {
             let job = Submission::new("t", Arc::clone(&ghz3)).inputs(vec![false; 3]);

@@ -32,8 +32,6 @@ struct JobRecord {
     submission: Arc<Submission>,
     token: CancelToken,
     state: JobState,
-    /// Execution attempts so far.
-    attempts: u32,
     admitted: Instant,
     /// The flight timeline, the only copy of it, as offsets from `admitted`.
     /// Shared with the reads in flight, so a read copies a pointer under
@@ -97,7 +95,6 @@ pub(crate) struct Finished {
     /// Admission to pick-up; the whole latency of a job that never left the
     /// queue.
     pub queue_wait: Duration,
-    pub attempts: u32,
 }
 
 /// An admitted submission.
@@ -183,7 +180,6 @@ impl Core {
             submission: Arc::new(submission),
             token: deadline.map_or_else(CancelToken::new, CancelToken::with_deadline),
             state: JobState::Queued,
-            attempts: 0,
             admitted: now,
             events: Arc::default(),
         };
@@ -224,26 +220,13 @@ impl Core {
         }))
     }
 
-    /// Stamps `phase` on a running job's timeline; a `retry` or `coalesce`
-    /// stamp is also counted in the stats.
-    pub fn stamp(&mut self, id: JobId, phase: &'static str, detail: Option<String>, now: Instant) {
-        match phase {
-            phases::RETRY => self.stats.retries += 1,
-            phases::COALESCE => self.stats.coalesced_compiles += 1,
-            _ => {}
+    /// Stamps `phase` on a running job's timeline; a `coalesce` stamp is
+    /// also counted in the stats.
+    pub fn stamp(&mut self, id: JobId, phase: &'static str, now: Instant) {
+        if phase == phases::COALESCE {
+            self.stats.coalesced_compiles += 1;
         }
-        self.record(id).stamp(phase, detail, now);
-    }
-
-    /// Starts a running job's next attempt: counts it, stamps `shots`, and
-    /// returns its 1-based number.
-    pub fn begin_attempt(&mut self, id: JobId, now: Instant) -> u32 {
-        let record = self.record(id);
-        record.attempts += 1;
-        let attempt = record.attempts;
-        let detail = format!("attempt {attempt}");
-        record.stamp(phases::SHOTS, Some(detail), now);
-        attempt
+        self.record(id).stamp(phase, None, now);
     }
 
     /// Moves a live job to its terminal `state` — the one writer of
@@ -275,7 +258,6 @@ impl Core {
             state,
             latency,
             queue_wait: picked_up.map_or(latency, |e| e.at),
-            attempts: record.attempts,
         };
         if self.finished.len() == self.flight_capacity {
             if let Some(oldest) = self.finished.pop_front() {
@@ -349,7 +331,6 @@ impl Core {
             tenant: record.submission.tenant.clone(),
             label: record.submission.label.clone(),
             state: record.state.clone(),
-            attempts: record.attempts,
         })
     }
 
@@ -381,8 +362,8 @@ impl Core {
 mod tests {
     //! The seeded-schedule test. Each schedule drives one `Core` through a
     //! random interleaving of what the service's threads do — submissions
-    //! from three tenants with tight buckets, pick-ups, attempts that end
-    //! every way an attempt can, retries, cancels of any id (live,
+    //! from three tenants with tight buckets, pick-ups, coalesce and shots
+    //! stamps, runs that end every way a run can, cancels of any id (live,
     //! finished, evicted or never handed out), and a close — with a
     //! synthetic clock, and checks after every step that the core agrees
     //! with what the test saw happen.
@@ -393,8 +374,6 @@ mod tests {
     use quipper::{Circ, Qubit};
     use quipper_circuit::BCircuit;
     use quipper_exec::{Engine, ExecResult, Job};
-
-    use crate::splitmix64;
 
     impl Core {
         /// Records in the job table, live and finished.
@@ -417,6 +396,14 @@ mod tests {
         cost_per_kshot: 100.0,
     };
 
+    /// SplitMix64: each draw a pure function of the schedule's counter.
+    fn splitmix64(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
     struct Draws(u64);
 
     impl Draws {
@@ -434,7 +421,7 @@ mod tests {
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum Seen {
         Queued,
-        Running { attempts: u32, in_attempt: bool },
+        Running { shots: bool },
         Terminal(&'static str),
     }
 
@@ -444,7 +431,6 @@ mod tests {
         queue_full: u64,
         quota_exhausted: u64,
         expired_in_queue: u64,
-        retries: u64,
         evicted_cancels: u64,
         closed_submits: u64,
     }
@@ -544,10 +530,7 @@ mod tests {
                     let (id, deadline) = next.unwrap();
                     assert_eq!(ticket.id, id);
                     assert!(deadline.is_none_or(|at| at > self.now));
-                    let running = Seen::Running {
-                        attempts: 0,
-                        in_attempt: false,
-                    };
+                    let running = Seen::Running { shots: false };
                     assert_eq!(self.seen.insert(id, running), Some(Seen::Queued));
                     self.tickets.insert(id, ticket);
                 }
@@ -567,53 +550,29 @@ mod tests {
             let Some(id) = self.draws.pick(&running) else {
                 return;
             };
-            let Seen::Running {
-                attempts,
-                in_attempt,
-            } = self.seen[&id]
-            else {
+            let Seen::Running { shots } = self.seen[&id] else {
                 unreachable!()
             };
             let now = self.now;
-            let end = match (in_attempt, self.draws.below(8)) {
+            let end = match (shots, self.draws.below(8)) {
                 // Its plan came from another job's compile.
-                (false, 0) if attempts == 0 => {
-                    self.core.stamp(id, phases::COALESCE, None, now);
+                (false, 0) => {
+                    self.core.stamp(id, phases::COALESCE, now);
                     self.stats.coalesced_compiles += 1;
                     return;
                 }
-                // A cancel or the deadline cut a retry backoff short.
-                (false, 1) if attempts > 0 => JobState::Cancelled,
-                (false, 2) if attempts > 0 => JobState::DeadlineExceeded,
                 (false, _) => {
-                    assert_eq!(self.core.begin_attempt(id, now), attempts + 1);
-                    let attempt = Seen::Running {
-                        attempts: attempts + 1,
-                        in_attempt: true,
-                    };
-                    self.seen.insert(id, attempt);
+                    self.core.stamp(id, phases::SHOTS, now);
+                    self.seen.insert(id, Seen::Running { shots: true });
                     return;
                 }
-                (true, 0 | 1) => JobState::Completed(Arc::clone(self.result)),
-                (true, 2 | 3) => {
-                    let detail = Some("transient fault".to_string());
-                    self.core.stamp(id, phases::RETRY, detail, now);
-                    self.stats.retries += 1;
-                    self.reached.retries += 1;
-                    let between = Seen::Running {
-                        attempts,
-                        in_attempt: false,
-                    };
-                    self.seen.insert(id, between);
-                    return;
-                }
-                (true, 4) => JobState::Failed("retries exhausted".into()),
-                (true, 5) => JobState::Failed("permanent fault".into()),
+                (true, 0..=3) => JobState::Completed(Arc::clone(self.result)),
+                (true, 4) => JobState::Failed("panicked: a simulator bug".into()),
+                (true, 5) => JobState::Failed("shot error".into()),
                 (true, 6) => JobState::Cancelled,
                 (true, _) => JobState::DeadlineExceeded,
             };
             let finished = self.core.finish(id, end, now);
-            assert_eq!(finished.attempts, attempts);
             self.terminal(id, &finished);
         }
 
@@ -699,9 +658,10 @@ mod tests {
             for (&id, record) in &core.jobs {
                 match self.seen[&id] {
                     Seen::Queued => assert!(matches!(record.state, JobState::Queued)),
-                    Seen::Running { attempts, .. } => {
+                    Seen::Running { shots } => {
                         assert!(matches!(record.state, JobState::Running));
-                        assert_eq!(record.attempts, attempts);
+                        let stamped = record.events.iter().any(|e| e.phase == phases::SHOTS);
+                        assert_eq!(stamped, shots, "job {id}: {:?}", record.events);
                     }
                     Seen::Terminal(tag) => assert_eq!(record.state.tag(), tag),
                 }
@@ -709,8 +669,8 @@ mod tests {
             }
         }
 
-        /// Monotone, `admit` first, `queue` before `compile`, one `shots`
-        /// stamp per attempt, and the terminal stamp last and only there.
+        /// Monotone, `admit` first, `queue` before `compile`, at most one
+        /// `shots` stamp, and the terminal stamp last and only there.
         fn check_timeline(&self, id: JobId, record: &JobRecord) {
             let events = &record.events;
             assert_eq!(events[0].phase, phases::ADMIT);
@@ -727,7 +687,7 @@ mod tests {
                 );
             }
             let shots = events.iter().filter(|event| event.phase == phases::SHOTS);
-            assert_eq!(shots.count(), record.attempts as usize);
+            assert!(shots.count() <= 1, "job {id}: {events:?}");
             let tag = record.state.tag();
             let terminal = events.iter().filter(|event| event.phase == tag).count();
             match record.state.is_terminal() {
@@ -791,7 +751,6 @@ mod tests {
             queue_full,
             quota_exhausted,
             expired_in_queue,
-            retries,
             evicted_cancels,
             closed_submits,
         } = reached;
@@ -799,7 +758,6 @@ mod tests {
             queue_full,
             quota_exhausted,
             expired_in_queue,
-            retries,
             evicted_cancels,
             closed_submits,
         ];

@@ -1,24 +1,23 @@
-//! What `drain` promises, and two ways one job used to cost the whole
+//! What `drain` promises, and a way one job used to cost the whole
 //! service:
 //!
 //! * `drain` returns only once every finished job's metrics are written;
 //! * a submission after `shutdown` stayed queued forever, so `drain` never
-//!   returned — it is now admitted already cancelled;
-//! * a backend that panicked left its job running and killed the worker, so
-//!   the next job never started and `shutdown` panicked — the panic is now
-//!   that one job's failure.
+//!   returned — it is now admitted already cancelled.
+//!
+//! (A panicking shot costs one job, not the service: the workspace's
+//! `tests/failure_boundary.rs` checks that over a real socket.)
 //!
 //! Each scenario runs on its own thread and is given 10 s: a hang fails the
 //! test instead of stalling the suite.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use quipper::{Circ, Qubit};
 use quipper_circuit::BCircuit;
-use quipper_exec::{Backend, Engine, EngineConfig, ExecError, Plan, PreparedJob};
-use quipper_serve::{JobState, QuotaPolicy, Service, ServiceConfig, ServiceStats, Submission};
+use quipper_exec::{Engine, EngineConfig};
+use quipper_serve::{QuotaPolicy, Service, ServiceConfig, ServiceStats, Submission};
 use quipper_trace::{names, Tracer};
 
 fn ghz3() -> Arc<BCircuit> {
@@ -114,67 +113,4 @@ fn a_submission_after_shutdown_is_cancelled_and_drain_returns() {
         ..ServiceStats::default()
     };
     assert_eq!(stats, counted);
-}
-
-/// The engine's default backends, each of which panics in `prepare` while
-/// `armed` is set (the first prepare disarms it).
-struct PanicsOnce {
-    inner: Arc<dyn Backend>,
-    armed: Arc<AtomicBool>,
-}
-
-impl Backend for PanicsOnce {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn run_shot(&self, plan: &Plan, inputs: &[bool], seed: u64) -> Result<Vec<bool>, ExecError> {
-        self.inner.run_shot(plan, inputs, seed)
-    }
-
-    fn prepare<'a>(
-        &'a self,
-        plan: &'a Plan,
-        inputs: &'a [bool],
-        should_stop: &dyn Fn() -> bool,
-    ) -> Result<Box<dyn PreparedJob + 'a>, ExecError> {
-        if self.armed.swap(false, Ordering::Relaxed) {
-            panic!("a backend bug");
-        }
-        self.inner.prepare(plan, inputs, should_stop)
-    }
-}
-
-#[test]
-fn a_panicking_backend_costs_one_job_not_the_service() {
-    let (first, second, flight, stats) = within_10_s(|| {
-        let config = EngineConfig::default();
-        let armed = Arc::new(AtomicBool::new(true));
-        let backends = Engine::default_backends(&config)
-            .into_iter()
-            .map(|inner| {
-                let armed = Arc::clone(&armed);
-                Arc::new(PanicsOnce { inner, armed }) as Arc<dyn Backend>
-            })
-            .collect();
-        let service = Service::start(Engine::with_backends(config, backends), one_worker());
-        let job = Submission::new("t", ghz3()).inputs(vec![false; 3]).shots(8);
-        let first = service.submit(job.clone()).unwrap();
-        let second = service.submit(job).unwrap();
-        service.drain();
-        let state = |id| service.status(id).unwrap().state;
-        let outcome = (state(first), state(second), service.flight(first).unwrap());
-        service.shutdown();
-        (outcome.0, outcome.1, outcome.2, service.stats())
-    });
-    match first {
-        JobState::Failed(detail) => assert_eq!(detail, "panicked: a backend bug"),
-        other => panic!("the panicking job ended {}", other.tag()),
-    }
-    // The same worker ran the next job, on the same backends.
-    assert!(matches!(second, JobState::Completed(_)), "{}", second.tag());
-    assert_eq!(flight.state, "failed");
-    let phases: Vec<&str> = flight.events.iter().map(|e| e.phase).collect();
-    assert_eq!(phases, ["admit", "queue", "compile", "shots", "failed"]);
-    assert_eq!((stats.failed, stats.completed), (1, 1));
 }

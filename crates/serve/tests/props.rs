@@ -1,21 +1,17 @@
 //! Property tests of the service's determinism guarantees.
 //!
-//! The headline property: fault-injected retry is *invisible* in results.
-//! Because shot seeds derive from (job seed, shot index) and the fault
-//! injector draws from its own seed stream, a job that survives transient
-//! faults via retries produces output bit-identical to the same job run
-//! fault-free on a plain engine.
+//! The headline property: the service adds nothing to a job's result.
+//! Because shot seeds derive from (job seed, shot index) alone, a job run
+//! through the service's queue and worker pool produces output
+//! bit-identical to the same job run sequentially on a plain engine.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use proptest::prelude::*;
 use quipper::{Circ, Qubit};
 use quipper_circuit::BCircuit;
-use quipper_exec::{Engine, EngineConfig, Job};
-use quipper_serve::{
-    FaultConfig, FaultInjector, QuotaPolicy, RetryPolicy, Service, ServiceConfig, Submission,
-};
+use quipper_exec::{Engine, Job};
+use quipper_serve::{QuotaPolicy, Service, ServiceConfig, Submission};
 
 /// GHZ chain: routes to the stabilizer backend.
 fn ghz(n: usize) -> BCircuit {
@@ -51,50 +47,32 @@ proptest! {
     // Each case spins up a real worker pool; keep the count modest.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Retried jobs are bit-identical to a fault-free run: same circuit,
-    /// same inputs, same seed, wildly different fault histories — exactly
-    /// the same histogram.
+    /// A service result is bit-identical to a plain sequential run: same
+    /// circuit, same inputs, same seed — exactly the same histogram.
     #[test]
-    fn retried_jobs_match_the_fault_free_run(
+    fn service_results_match_a_plain_sequential_run(
         kind in any::<bool>(),
         n in 2usize..=4,
         shots in 1u64..20,
         seed in any::<u64>(),
-        // The vendored proptest has no f64 range strategy; draw percent.
-        fail_pct in 5u32..30,
-        fault_seed in any::<u64>(),
     ) {
         let circuit = Arc::new(build(kind, n));
         let inputs = vec![false; n];
 
-        // Reference: a plain engine, no faults, no service.
+        // Reference: a plain engine, no service.
         let reference = Engine::new()
             .run_sequential(
                 &Job::new(&circuit).inputs(inputs.clone()).shots(shots).seed(seed),
             )
-            .expect("fault-free reference run succeeds");
+            .expect("reference run succeeds");
 
-        // Candidate: the full service path with injected faults. A fault can
-        // hit any shot, so a whole attempt fails with probability
-        // 1-(1-p)^shots ≤ 1-0.7^20 ≈ 0.9992; with 512 attempts the chance of
-        // losing the job is ~1e-70 — effectively impossible, and the test
-        // fails loudly (state != completed) if it ever happens.
-        let engine_config = EngineConfig::default();
-        let backends = FaultInjector::wrap_default_backends(
-            &engine_config,
-            FaultConfig::failing(f64::from(fail_pct) / 100.0, fault_seed),
-        );
+        // Candidate: the full service path.
         let service = Service::start(
-            Engine::with_backends(engine_config, backends),
+            Engine::new(),
             ServiceConfig {
                 workers: 1,
                 queue_capacity: 4,
                 quota: QuotaPolicy::unlimited(),
-                retry: RetryPolicy {
-                    max_attempts: 512,
-                    base: Duration::from_micros(100),
-                    cap: Duration::from_millis(1),
-                },
                 ..ServiceConfig::default()
             },
         );
@@ -135,7 +113,6 @@ proptest! {
                 workers: 2,
                 queue_capacity: 8,
                 quota: QuotaPolicy::unlimited(),
-                retry: RetryPolicy::default(),
                 ..ServiceConfig::default()
             },
         );

@@ -1,7 +1,8 @@
 //! Integration tests of the service's headline guarantees:
 //!
-//! * a fault-injected, mixed-tenant, 100-job load loses nothing — every
-//!   admitted job reaches an allowed terminal state, none `Failed`;
+//! * a mixed-tenant, 100-job load whose shots panic on a seeded subset of
+//!   jobs loses nothing — every admitted job reaches a terminal state, and
+//!   exactly the chosen jobs end `Failed`;
 //! * deadlines and client cancels stop shot execution *mid-job*, visible
 //!   in the exec trace metrics;
 //! * a full queue and an empty quota reject synchronously with honest
@@ -17,10 +18,7 @@ use quipper::{Circ, Qubit};
 use quipper_circuit::BCircuit;
 use quipper_exec::{Engine, EngineConfig};
 use quipper_serve::flight::phases;
-use quipper_serve::{
-    FaultConfig, FaultInjector, JobState, QuotaPolicy, RejectReason, RetryPolicy, Service,
-    ServiceConfig, Submission,
-};
+use quipper_serve::{JobState, QuotaPolicy, RejectReason, Service, ServiceConfig, Submission};
 use quipper_trace::{names, Tracer};
 
 fn ghz(n: usize) -> BCircuit {
@@ -51,39 +49,54 @@ fn leaked_enabled_tracer() -> &'static Tracer {
 }
 
 /// A service over an engine with a dedicated tracer (the service's metrics
-/// land there too) and seeded fault injection on every backend.
-fn faulted_service(trace: &'static Tracer, fault: FaultConfig, config: ServiceConfig) -> Service {
+/// land there too) that runs `hook` at the top of every shot.
+fn hooked_service(
+    trace: &'static Tracer,
+    hook: impl Fn(u64) + Send + Sync + 'static,
+    config: ServiceConfig,
+) -> Service {
     let engine_config = EngineConfig {
         trace,
         ..EngineConfig::default()
     };
-    let backends = FaultInjector::wrap_default_backends(&engine_config, fault);
-    Service::start(Engine::with_backends(engine_config, backends), config)
+    Service::start(Engine::with_shot_hook(engine_config, hook), config)
+}
+
+/// A shot that takes 2 ms.
+fn slow_shot(_seed: u64) {
+    std::thread::sleep(Duration::from_millis(2));
+}
+
+/// Job `i` of the load runs shot seeds `i * SEEDS_PER_JOB` onwards, so a
+/// shot's seed names its job.
+const SEEDS_PER_JOB: u64 = 1_000;
+
+/// Whether job `i` of the load is one whose shots panic: a seeded eighth of
+/// the jobs no client cancels.
+fn doomed(i: u64) -> bool {
+    !i.is_multiple_of(9) && (i ^ 0xFA17).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 61 == 0
 }
 
 /// The acceptance load: 100 jobs, four tenants, mixed circuits and shot
-/// counts, 10% per-shot transient fault probability, a sprinkle of client
-/// cancels. Zero lost jobs: everything admitted terminates as Completed or
-/// Cancelled (deadlines here are generous), and nothing ends Failed.
+/// counts, a sprinkle of client cancels, and a simulator bug that panics
+/// every shot of a seeded subset of the jobs. Zero lost jobs: everything
+/// admitted terminates; the chosen jobs, and only they, end Failed with
+/// the panic's message, and the rest end Completed or Cancelled
+/// (deadlines here are generous).
 #[test]
 fn hundred_job_faulted_mixed_tenant_load_loses_nothing() {
     let trace = leaked_enabled_tracer();
-    let service = faulted_service(
+    let service = hooked_service(
         trace,
-        FaultConfig::failing(0.10, 0xFA17),
+        |seed| {
+            if doomed(seed / SEEDS_PER_JOB) {
+                panic!("a simulator bug");
+            }
+        },
         ServiceConfig {
             workers: 4,
             queue_capacity: 256,
             quota: QuotaPolicy::unlimited(),
-            // A fault can hit any shot, so a whole attempt fails with
-            // probability 1-0.9^shots; a deep attempt budget with short
-            // backoffs makes job loss astronomically unlikely while keeping
-            // the test fast.
-            retry: RetryPolicy {
-                max_attempts: 64,
-                base: Duration::from_millis(1),
-                cap: Duration::from_millis(4),
-            },
             ..ServiceConfig::default()
         },
     );
@@ -103,7 +116,7 @@ fn hundred_job_faulted_mixed_tenant_load_loses_nothing() {
             .label(format!("{name}-{i}"))
             .inputs(vec![false; *arity])
             .shots(shots)
-            .seed(i)
+            .seed(i * SEEDS_PER_JOB)
             .priority((i % 3) as u8);
         if i % 10 == 0 {
             // Generous deadlines: these jobs should still complete.
@@ -119,11 +132,16 @@ fn hundred_job_faulted_mixed_tenant_load_loses_nothing() {
 
     service.drain();
 
-    let mut completed = 0u64;
-    let mut cancelled = 0u64;
-    for (id, shots, label) in &submitted {
+    let (mut completed, mut cancelled, mut failed) = (0u64, 0u64, 0u64);
+    for (i, (id, shots, label)) in submitted.iter().enumerate() {
         let status = service.status(*id).expect("admitted job is known");
         assert_eq!(&status.label, label);
+        assert_eq!(
+            matches!(status.state, JobState::Failed(_)),
+            doomed(i as u64),
+            "job {id} ended {}",
+            status.state.tag()
+        );
         match &status.state {
             JobState::Completed(result) => {
                 completed += 1;
@@ -131,26 +149,32 @@ fn hundred_job_faulted_mixed_tenant_load_loses_nothing() {
                 assert_eq!(total, *shots, "job {id} lost shots");
             }
             JobState::Cancelled => cancelled += 1,
+            JobState::Failed(detail) => {
+                failed += 1;
+                assert_eq!(detail, "panicked: a simulator bug");
+            }
             other => panic!("job {id} lost: ended {other:?}"),
         }
     }
-    assert_eq!(completed + cancelled, 100, "every admitted job terminates");
-    assert!(completed >= 85, "cancels only affect targeted jobs");
+    assert_eq!(
+        completed + cancelled + failed,
+        100,
+        "every admitted job terminates"
+    );
+    assert!(cancelled <= 12, "cancels only affect targeted jobs");
+    assert!(failed > 0, "the seeded subset is not empty");
 
     let stats = service.stats();
     assert_eq!(stats.submitted, 100);
     assert_eq!(stats.admitted, 100);
-    assert_eq!(stats.failed, 0, "zero lost jobs under 10% faults");
     assert_eq!(stats.terminal(), 100);
     assert_eq!(stats.completed, completed);
     assert_eq!(stats.cancelled, cancelled);
-    // ~800 shots at 10% fault probability: retries certainly happened, and
-    // the metrics saw them.
-    assert!(stats.retries > 0);
+    assert_eq!(stats.failed, failed);
     let metrics = trace.metrics();
     assert_eq!(metrics.counter(names::SERVE_ADMIT), 100);
-    assert_eq!(metrics.counter(names::SERVE_RETRY), stats.retries);
     assert_eq!(metrics.counter(names::SERVE_COMPLETED), completed);
+    assert_eq!(metrics.counter(names::SERVE_FAILED), failed);
     assert!(metrics.max(names::SERVE_QUEUE_DEPTH) > 0);
 
     service.shutdown();
@@ -162,21 +186,15 @@ fn hundred_job_faulted_mixed_tenant_load_loses_nothing() {
 #[test]
 fn deadline_stops_shot_execution_mid_job() {
     let trace = leaked_enabled_tracer();
-    let service = faulted_service(
+    // Every shot takes 2 ms, so the job cannot finish 50_000 shots inside
+    // its deadline.
+    let service = hooked_service(
         trace,
-        // No failures; every shot pays a 2ms latency spike, so the job
-        // cannot finish 50_000 shots inside its deadline.
-        FaultConfig {
-            fail_prob: 0.0,
-            spike_prob: 1.0,
-            spike: Duration::from_millis(2),
-            seed: 1,
-        },
+        slow_shot,
         ServiceConfig {
             workers: 1,
             queue_capacity: 8,
             quota: QuotaPolicy::unlimited(),
-            retry: RetryPolicy::default(),
             ..ServiceConfig::default()
         },
     );
@@ -217,19 +235,13 @@ fn deadline_stops_shot_execution_mid_job() {
 #[test]
 fn cancel_stops_a_running_job_mid_execution() {
     let trace = leaked_enabled_tracer();
-    let service = faulted_service(
+    let service = hooked_service(
         trace,
-        FaultConfig {
-            fail_prob: 0.0,
-            spike_prob: 1.0,
-            spike: Duration::from_millis(2),
-            seed: 2,
-        },
+        slow_shot,
         ServiceConfig {
             workers: 1,
             queue_capacity: 8,
             quota: QuotaPolicy::unlimited(),
-            retry: RetryPolicy::default(),
             ..ServiceConfig::default()
         },
     );
@@ -266,19 +278,13 @@ fn cancel_stops_a_running_job_mid_execution() {
 #[test]
 fn full_queue_rejects_with_retry_hint() {
     let trace = leaked_enabled_tracer();
-    let service = faulted_service(
+    let service = hooked_service(
         trace,
-        FaultConfig {
-            fail_prob: 0.0,
-            spike_prob: 1.0,
-            spike: Duration::from_millis(2),
-            seed: 3,
-        },
+        slow_shot,
         ServiceConfig {
             workers: 1,
             queue_capacity: 1,
             quota: QuotaPolicy::unlimited(),
-            retry: RetryPolicy::default(),
             ..ServiceConfig::default()
         },
     );
@@ -320,9 +326,12 @@ fn full_queue_rejects_with_retry_hint() {
 #[test]
 fn quota_rejections_are_per_tenant_with_hints() {
     let trace = leaked_enabled_tracer();
-    let service = faulted_service(
+    let engine = Engine::with_config(EngineConfig {
         trace,
-        FaultConfig::default(),
+        ..EngineConfig::default()
+    });
+    let service = Service::start(
+        engine,
         ServiceConfig {
             workers: 2,
             queue_capacity: 64,
@@ -332,7 +341,6 @@ fn quota_rejections_are_per_tenant_with_hints() {
                 cost_per_job: 1.0,
                 cost_per_kshot: 0.0,
             },
-            retry: RetryPolicy::default(),
             ..ServiceConfig::default()
         },
     );
@@ -372,7 +380,6 @@ fn service_and_a_job_to_copy() -> (&'static Tracer, Service, Submission) {
             workers: 4,
             queue_capacity: 64,
             quota: QuotaPolicy::unlimited(),
-            retry: RetryPolicy::default(),
             ..ServiceConfig::default()
         },
     );

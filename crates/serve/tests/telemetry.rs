@@ -1,8 +1,8 @@
 //! Loopback smoke for the telemetry plane (PR 8 acceptance):
 //!
-//! * a fault-injected job that misses its deadline produces a flight dump
-//!   naming every lifecycle phase (admit → queue → compile → shots → retry
-//!   → deadline_exceeded) with monotone offsets and span durations;
+//! * a job whose shots are too slow for its deadline produces a flight dump
+//!   naming every lifecycle phase (admit → queue → compile → shots →
+//!   deadline_exceeded) with monotone offsets and span durations;
 //! * the `metrics` op round-trips through the in-repo JSON parser in both
 //!   exposition formats, and carries the per-tenant SLO burn counters and
 //!   latency histograms;
@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use quipper_exec::{Engine, EngineConfig};
 use quipper_serve::catalog::Catalog;
-use quipper_serve::{FaultConfig, FaultInjector, RetryPolicy, Server, Service, ServiceConfig};
+use quipper_serve::{Server, Service, ServiceConfig};
 use quipper_trace::{parse_json, Json, Tracer};
 
 struct Client {
@@ -47,27 +47,25 @@ impl Client {
     }
 }
 
-/// A served stack where every shot faults transiently: jobs can never
-/// complete, so a deadlined submission deterministically exhausts its
-/// deadline inside the retry loop.
-fn always_faulting_stack() -> (Arc<Service>, Server) {
+/// How long every shot of the served stack takes.
+const SHOT: Duration = Duration::from_millis(10);
+
+/// The deadline of the doomed job: 8 shots' worth, of the 1 000 it asks for.
+const DEADLINE_MS: u64 = 80;
+
+/// A served stack where every shot takes [`SHOT`], so a job of many shots
+/// deterministically misses a short deadline in the middle of its shots.
+fn slow_stack() -> (Arc<Service>, Server) {
     let trace: &'static Tracer = Tracer::leaked(1 << 16);
     trace.set_enabled(true);
     let engine_config = EngineConfig {
         trace,
         ..EngineConfig::default()
     };
-    let backends =
-        FaultInjector::wrap_default_backends(&engine_config, FaultConfig::failing(1.0, 0xD15A));
     let service = Arc::new(Service::start(
-        Engine::with_backends(engine_config, backends),
+        Engine::with_shot_hook(engine_config, |_| std::thread::sleep(SHOT)),
         ServiceConfig {
             workers: 1,
-            retry: RetryPolicy {
-                max_attempts: 10_000,
-                base: Duration::from_millis(10),
-                cap: Duration::from_millis(20),
-            },
             slo: Some(Duration::from_millis(1)),
             flight_capacity: 32,
             ..ServiceConfig::default()
@@ -110,9 +108,7 @@ fn assert_full_lifecycle(flight: &Json, terminal: &str) {
         .iter()
         .map(|e| e.get("phase").and_then(Json::as_str).expect("event phase"))
         .collect();
-    for phase in ["admit", "queue", "compile", "shots", "retry", terminal] {
-        assert!(phases.contains(&phase), "missing {phase} in {phases:?}");
-    }
+    assert_eq!(phases, ["admit", "queue", "compile", "shots", terminal]);
     let mut last_at = -1.0;
     for event in events {
         let at = event.get("at_us").and_then(Json::as_num).expect("at_us");
@@ -121,18 +117,19 @@ fn assert_full_lifecycle(flight: &Json, terminal: &str) {
         assert!(dur >= 0.0);
         last_at = at;
     }
-    // The retry backoff (≥10ms) must be visible as elapsed span time.
-    assert!(last_at >= 10_000.0, "timeline too short: {events:?}");
+    // The shots ran until the deadline passed.
+    let deadline_us = (DEADLINE_MS * 1_000) as f64;
+    assert!(last_at >= deadline_us, "timeline too short: {events:?}");
 }
 
 #[test]
 fn deadline_missed_job_dumps_flight_and_metrics_expose_slo_burn() {
-    let (_service, server) = always_faulting_stack();
+    let (_service, server) = slow_stack();
     let mut client = Client::connect(server.local_addr());
 
-    let submit = client.rpc(
-        r#"{"op":"submit","circuit":"ghz3","tenant":"alice","shots":2,"seed":3,"label":"doomed","deadline_ms":80}"#,
-    );
+    let submit = client.rpc(&format!(
+        r#"{{"op":"submit","circuit":"ghz3","tenant":"alice","shots":1000,"seed":3,"label":"doomed","deadline_ms":{DEADLINE_MS}}}"#
+    ));
     assert_eq!(submit.get("ok"), Some(&Json::Bool(true)), "{submit:?}");
     let id = submit.get("id").and_then(Json::as_num).unwrap() as u64;
 
@@ -213,10 +210,6 @@ fn deadline_missed_job_dumps_flight_and_metrics_expose_slo_burn() {
             .unwrap()
             >= 1.0,
         "an 80ms+ job must burn a 1ms SLO"
-    );
-    assert!(
-        find("serve.job_retries", Some(("tenant", "alice"))).is_some(),
-        "retry histogram missing"
     );
 
     // Prometheus exposition: typed families, sanitized names, labeled

@@ -13,7 +13,7 @@ use std::time::Duration;
 use quipper_exec::{Engine, EngineConfig};
 use quipper_serve::catalog::Catalog;
 use quipper_serve::protocol::handle_line;
-use quipper_serve::{FaultConfig, FaultInjector, QuotaPolicy, RetryPolicy, Service, ServiceConfig};
+use quipper_serve::{QuotaPolicy, Service, ServiceConfig};
 use quipper_trace::{names, Tracer};
 
 fn quiet_config() -> ServiceConfig {
@@ -24,10 +24,10 @@ fn quiet_config() -> ServiceConfig {
     }
 }
 
-fn faulted(fault: FaultConfig, config: ServiceConfig) -> Service {
-    let engine_config = EngineConfig::default();
-    let backends = FaultInjector::wrap_default_backends(&engine_config, fault);
-    Service::start(Engine::with_backends(engine_config, backends), config)
+/// A service whose engine runs `hook` at the top of every shot.
+fn hooked(hook: impl Fn(u64) + Send + Sync + 'static, config: ServiceConfig) -> Service {
+    let engine = Engine::with_shot_hook(EngineConfig::default(), hook);
+    Service::start(engine, config)
 }
 
 /// Replaces every number outside a string literal with `0`.
@@ -94,19 +94,19 @@ const SESSION: &str = r##"
 < {"ok":true,"id":1}
 drain
 > {"op":"status","id":1}
-< {"ok":true,"id":1,"state":"completed","label":"a\"b\\c\nd\te\u0001é😀","attempts":1}
+< {"ok":true,"id":1,"state":"completed","label":"a\"b\\c\nd\te\u0001é😀"}
 > {"op":"result","id":1}
 < {"ok":true,"id":1,"label":"a\"b\\c\nd\te\u0001é😀","backend":"stabilizer","shots":16,"histogram":[{"bits":[0,0,0],"count":8},{"bits":[1,1,1],"count":8}]}
 > {"op":"submit","circuit":"ghz3","shots":4,"seed":1}
 < {"ok":true,"id":2}
 drain
 > {"op":"status","id":2}
-< {"ok":true,"id":2,"state":"completed","label":"ghz3","attempts":1}
+< {"ok":true,"id":2,"state":"completed","label":"ghz3"}
 > {"op":"submit","qasm":"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\ncreg c[3];\nreset q;\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\nmeasure q -> c;\n","tenant":"t","shots":16,"seed":3}
 < {"ok":true,"id":3}
 drain
 > {"op":"status","id":3}
-< {"ok":true,"id":3,"state":"completed","label":"qasm","attempts":1}
+< {"ok":true,"id":3,"state":"completed","label":"qasm"}
 > {"op":"result","id":3}
 < {"ok":true,"id":3,"label":"qasm","backend":"stabilizer","shots":16,"histogram":[{"bits":[0,0,0],"count":9},{"bits":[1,1,1],"count":7}]}
 > {"op":"submit","circuit":"ghz3","shots":16,"seed":3,"inputs":[0,1,0]}
@@ -177,7 +177,7 @@ drain
 < {"ok":false,"error":"unknown metrics format \"xml\" (json/prometheus)"}
 
 > {"op":"stats"}
-~ {"ok":true,"submitted":0,"admitted":0,"rejected":0,"completed":0,"failed":0,"cancelled":0,"deadline_misses":0,"retries":0,"coalesced":0,"engine_cache_hits":0,"engine_cache_misses":0,"engine_cached_plans":0}
+~ {"ok":true,"submitted":0,"admitted":0,"rejected":0,"completed":0,"failed":0,"cancelled":0,"deadline_misses":0,"coalesced":0,"engine_cache_hits":0,"engine_cache_misses":0,"engine_cached_plans":0}
 > {"op":"metrics"}
 < {"ok":true,"format":"json","text":"{\"kind\":\"counter\",\"name\":\"serve.admit\",\"value\":3}\n"}
 > {"op":"metrics","format":"prometheus"}
@@ -208,17 +208,13 @@ fn scripted_session_matches_golden_bytes() {
 /// idle worker can race that stamp.
 #[test]
 fn backpressure_and_queued_jobs_match_golden_bytes() {
-    // One worker held by a spiked job (2 ms a shot), a queue of one.
-    let spikes = FaultConfig {
-        spike_prob: 1.0,
-        spike: Duration::from_millis(2),
-        ..FaultConfig::default()
-    };
+    // One worker held by a slow job (2 ms a shot), a queue of one.
+    let slow = |_| std::thread::sleep(Duration::from_millis(2));
     let config = ServiceConfig {
         queue_capacity: 1,
         ..quiet_config()
     };
-    let service = faulted(spikes, config);
+    let service = hooked(slow, config);
     let submit = r#"{"op":"submit","circuit":"ghz3","tenant":"t","shots":50000}"#;
     let catalog = Catalog::new();
     handle_line(&service, &catalog, submit);
@@ -272,33 +268,28 @@ fn backpressure_and_queued_jobs_match_golden_bytes() {
 
 #[test]
 fn failed_and_late_results_carry_their_flight_inline() {
-    // Every shot faults; job 1 keeps the worker in a 20 ms backoff while
-    // jobs 2 and 3 are admitted.
-    let retry = RetryPolicy {
-        max_attempts: 2,
-        base: Duration::from_millis(20),
-        cap: Duration::from_millis(20),
-    };
-    let config = ServiceConfig {
-        retry,
-        ..quiet_config()
+    // Every shot of seed 0 takes 20 ms, so job 1 keeps the worker while
+    // jobs 2 and 3 are admitted; every shot of seed 5 panics.
+    let hook = |seed| match seed {
+        5 => panic!("a simulator bug"),
+        _ => std::thread::sleep(Duration::from_millis(20)),
     };
     play(
-        &faulted(FaultConfig::failing(1.0, 0xD15A), config),
+        &hooked(hook, quiet_config()),
         r#"
 > {"op":"submit","circuit":"ghz3","tenant":"t"}
 < {"ok":true,"id":1}
-> {"op":"submit","circuit":"ghz3","tenant":"t","label":"doomed"}
+> {"op":"submit","circuit":"ghz3","tenant":"t","label":"doomed","seed":5}
 < {"ok":true,"id":2}
 > {"op":"submit","circuit":"ghz3","tenant":"t","label":"late","deadline_ms":0}
 < {"ok":true,"id":3}
 drain
 > {"op":"result","id":2}
-~ {"ok":false,"error":"job 2 failed: transient fault on backend `stabilizer`: injected fault #4","flight":{"id":0,"tenant":"t","label":"doomed","state":"failed","events":[{"phase":"admit","at_us":0,"dur_us":0},{"phase":"queue","at_us":0,"dur_us":0},{"phase":"compile","at_us":0,"dur_us":0},{"phase":"shots","at_us":0,"dur_us":0,"detail":"attempt 1"},{"phase":"retry","at_us":0,"dur_us":0,"detail":"transient fault on backend `stabilizer`: injected fault #3"},{"phase":"shots","at_us":0,"dur_us":0,"detail":"attempt 2"},{"phase":"failed","at_us":0,"dur_us":0,"detail":"transient fault on backend `stabilizer`: injected fault #4"}]}}
+~ {"ok":false,"error":"job 2 failed: panicked: a simulator bug","flight":{"id":0,"tenant":"t","label":"doomed","state":"failed","events":[{"phase":"admit","at_us":0,"dur_us":0},{"phase":"queue","at_us":0,"dur_us":0},{"phase":"compile","at_us":0,"dur_us":0},{"phase":"shots","at_us":0,"dur_us":0},{"phase":"failed","at_us":0,"dur_us":0,"detail":"panicked: a simulator bug"}]}}
 > {"op":"cancel","id":2}
 < {"ok":true,"id":2,"state":"failed"}
 > {"op":"status","id":3}
-< {"ok":true,"id":3,"state":"deadline_exceeded","label":"late","attempts":0}
+< {"ok":true,"id":3,"state":"deadline_exceeded","label":"late"}
 > {"op":"result","id":3}
 ~ {"ok":false,"error":"job 3 missed its deadline","flight":{"id":0,"tenant":"t","label":"late","state":"deadline_exceeded","events":[{"phase":"admit","at_us":0,"dur_us":0},{"phase":"queue","at_us":0,"dur_us":0},{"phase":"deadline_exceeded","at_us":0,"dur_us":0}]}}
 "#,

@@ -67,8 +67,6 @@ pub mod names {
     pub const SERVE_REJECT_FULL: &str = "serve.reject.queue_full";
     /// Submissions rejected with a retry-after hint: tenant out of quota.
     pub const SERVE_REJECT_QUOTA: &str = "serve.reject.quota";
-    /// Retries scheduled after transient backend faults.
-    pub const SERVE_RETRY: &str = "serve.retry";
     /// Jobs that missed their deadline (queued or mid-execution).
     pub const SERVE_DEADLINE_MISS: &str = "serve.deadline_miss";
     /// Jobs cancelled by the client.
@@ -78,10 +76,9 @@ pub mod names {
     pub const SERVE_COALESCED: &str = "serve.coalesced";
     /// Jobs completed successfully by the service.
     pub const SERVE_COMPLETED: &str = "serve.completed";
-    /// Jobs that exhausted retries and finished in a failed state.
+    /// Jobs that finished in a failed state (a compile error, a shot's
+    /// error, or a panic).
     pub const SERVE_FAILED: &str = "serve.failed";
-    /// Transient faults injected by the fault-injection harness.
-    pub const SERVE_FAULTS_INJECTED: &str = "serve.faults_injected";
     /// Max-gauge: admission-queue depth high-water mark.
     pub const SERVE_QUEUE_DEPTH: &str = "serve.queue_depth";
 
@@ -90,9 +87,6 @@ pub mod names {
     pub const SERVE_JOB_LATENCY_US: &str = "serve.job_latency_us";
     /// Time spent waiting in the admission queue, µs. Labeled by tenant.
     pub const SERVE_QUEUE_WAIT_US: &str = "serve.queue_wait_us";
-    /// Retry attempts consumed per job. Labeled by tenant and terminal
-    /// state.
-    pub const SERVE_JOB_RETRIES: &str = "serve.job_retries";
     /// Jobs checked against a configured latency SLO. Labeled by tenant.
     pub const SLO_CHECKED: &str = "serve.slo.checked";
     /// Jobs whose end-to-end latency exceeded the tenant's SLO threshold
@@ -183,17 +177,14 @@ pub mod names {
         SERVE_ADMIT,
         SERVE_REJECT_FULL,
         SERVE_REJECT_QUOTA,
-        SERVE_RETRY,
         SERVE_DEADLINE_MISS,
         SERVE_CANCELLED,
         SERVE_COALESCED,
         SERVE_COMPLETED,
         SERVE_FAILED,
-        SERVE_FAULTS_INJECTED,
         SERVE_QUEUE_DEPTH,
         SERVE_JOB_LATENCY_US,
         SERVE_QUEUE_WAIT_US,
-        SERVE_JOB_RETRIES,
         SLO_CHECKED,
         SLO_MISS,
         OPT_GATES_IN,

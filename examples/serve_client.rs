@@ -91,9 +91,6 @@ fn main() {
         // Cycle the per-job optimizer level so the batch exercises both
         // levels (and both plan-cache keys) the server offers.
         let opt = ["off", "default"][i % 2];
-        // Modest shot counts: a fault-injecting server fails a whole job
-        // attempt with probability 1-(1-P)^shots, so shots trade off against
-        // the server's --retry-attempts budget.
         let resp = client.call_ok(&format!(
             r#"{{"op":"submit","circuit":"{circuit}","tenant":"{tenant}","shots":24,"seed":{i},"label":"batch-{i}","opt":"{opt}"}}"#
         ));
@@ -253,11 +250,10 @@ fn main() {
 
     let stats = client.call_ok(r#"{"op":"stats"}"#);
     println!(
-        "server stats: {} admitted, {} completed, {} cancelled, {} retries",
+        "server stats: {} admitted, {} completed, {} cancelled",
         field_u64(&stats, "admitted"),
         field_u64(&stats, "completed"),
         field_u64(&stats, "cancelled"),
-        field_u64(&stats, "retries"),
     );
     println!(
         "plan cache: {} hits / {} misses / {} cached plans",

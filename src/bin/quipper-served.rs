@@ -9,17 +9,13 @@
 //! # elsewhere:
 //! printf '{"op":"submit","circuit":"ghz5","shots":100}\n' | nc 127.0.0.1 7878
 //! ```
-//!
-//! `--fault-prob` wraps every backend in the seeded `FaultInjector`, which
-//! is how CI demonstrates retry-under-faults end to end against the real
-//! socket path.
 
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use quipper_exec::{Engine, EngineConfig};
+use quipper_exec::Engine;
 use quipper_serve::catalog::Catalog;
-use quipper_serve::{FaultConfig, FaultInjector, Server, Service, ServiceConfig};
+use quipper_serve::{Server, Service, ServiceConfig};
 
 const USAGE: &str = "\
 quipper-served: multi-tenant quantum circuit execution over NDJSON/TCP
@@ -30,13 +26,6 @@ OPTIONS:
   --addr ADDR          bind address (default 127.0.0.1:0; port 0 = ephemeral)
   --workers N          service worker threads (default: cores, capped at 8)
   --queue-capacity N   admission queue bound (default 256)
-  --fault-prob P       wrap backends in a fault injector failing each shot
-                       with probability P (default 0: no injection)
-  --fault-seed SEED    seed for the injected fault sequence (default 0)
-  --retry-attempts N   attempts per job before a transient fault is
-                       permanent (default 4); raise alongside --fault-prob —
-                       a fault can hit any shot, so a whole job attempt
-                       fails with probability 1-(1-P)^shots
   --slo-us MICROS      end-to-end latency SLO threshold, one for every
                        tenant; checks and burns land in the per-tenant
                        serve.slo.* counters (default: none)
@@ -49,9 +38,6 @@ struct Options {
     addr: String,
     workers: Option<usize>,
     queue_capacity: usize,
-    fault_prob: f64,
-    fault_seed: u64,
-    retry_attempts: Option<u32>,
     slo_us: Option<u64>,
     trace: bool,
     metrics_dump: bool,
@@ -62,9 +48,6 @@ fn parse_args() -> Result<Options, String> {
         addr: "127.0.0.1:0".to_string(),
         workers: None,
         queue_capacity: 256,
-        fault_prob: 0.0,
-        fault_seed: 0,
-        retry_attempts: None,
         slo_us: None,
         trace: false,
         metrics_dump: false,
@@ -85,23 +68,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.queue_capacity = value("--queue-capacity")?
                     .parse()
                     .map_err(|e| format!("--queue-capacity: {e}"))?
-            }
-            "--fault-prob" => {
-                opts.fault_prob = value("--fault-prob")?
-                    .parse()
-                    .map_err(|e| format!("--fault-prob: {e}"))?
-            }
-            "--fault-seed" => {
-                opts.fault_seed = value("--fault-seed")?
-                    .parse()
-                    .map_err(|e| format!("--fault-seed: {e}"))?
-            }
-            "--retry-attempts" => {
-                opts.retry_attempts = Some(
-                    value("--retry-attempts")?
-                        .parse()
-                        .map_err(|e| format!("--retry-attempts: {e}"))?,
-                )
             }
             "--slo-us" => {
                 opts.slo_us = Some(
@@ -135,14 +101,7 @@ fn main() -> ExitCode {
         quipper_trace::tracer().set_enabled(true);
     }
 
-    let engine_config = EngineConfig::default();
-    let engine = if opts.fault_prob > 0.0 {
-        let fault = FaultConfig::failing(opts.fault_prob, opts.fault_seed);
-        let backends = FaultInjector::wrap_default_backends(&engine_config, fault);
-        Engine::with_backends(engine_config, backends)
-    } else {
-        Engine::with_config(engine_config)
-    };
+    let engine = Engine::new();
 
     let mut service_config = ServiceConfig {
         queue_capacity: opts.queue_capacity,
@@ -151,9 +110,6 @@ fn main() -> ExitCode {
     };
     if let Some(workers) = opts.workers {
         service_config.workers = workers;
-    }
-    if let Some(attempts) = opts.retry_attempts {
-        service_config.retry.max_attempts = attempts.max(1);
     }
     let service = Arc::new(Service::start(engine, service_config));
     let server = match Server::start(&opts.addr, Arc::clone(&service), Arc::new(Catalog::new())) {
