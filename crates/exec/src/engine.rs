@@ -1,22 +1,21 @@
-//! The execution engine: jobs, backend routing, shot scheduling, reports.
+//! The execution engine: jobs, shot scheduling on the plan's route, reports.
 //!
 //! [`Engine`] fronts every run function behind one subsystem. A [`Job`]
 //! couples a circuit with inputs, a shot count and a base seed. Running one
 //! is two halves: [`Engine::resolve`] turns the job's circuit into a plan
 //! through the [`PlanCache`], and [`Engine::run_resolved`] runs the shots
-//! on the [`Backend`] the plan was routed to when it compiled, and returns
-//! an [`ExecResult`] whose [`ExecReport`] records what happened.
+//! on the simulator the plan's [`Route`] names, and returns an
+//! [`ExecResult`] whose [`ExecReport`] records what happened.
 //! [`Engine::run`] is the two in a row, shots fanned out over the worker
 //! pool; the service calls the halves itself, one after the other.
 //!
 //! # Evolve once, sample many
 //!
 //! Every shot of a job runs the same ops on the same inputs until the first
-//! op that draws from the shot's RNG. The engine therefore asks the backend
-//! to run that shot-invariant prefix once ([`Backend::prepare`]) and each
-//! worker finishes its shots from the prepared state
-//! ([`ShotWorker`](crate::ShotWorker)). [`Backend::run_shot`], one whole
-//! circuit per shot, is the oracle this is tested against.
+//! op that draws from the shot's RNG. The engine therefore runs that
+//! shot-invariant prefix once and each worker finishes its shots from the
+//! prepared state. [`Backend::run_shot`], one whole circuit per shot, is the
+//! oracle this is tested against.
 //!
 //! # Determinism
 //!
@@ -49,7 +48,7 @@ use quipper_opt::{OptLevel, OptSummary};
 use quipper_sim::{FuseStats, SimError, SimLifter, StateVecConfig, Suffix};
 use quipper_trace::{fmt_duration, names, Phase, Tracer};
 
-use crate::backend::{Backend, ClassicalBackend, PreparedJob, StabilizerBackend, StateVecBackend};
+use crate::backend::{prepare, Backend, Prepared};
 use crate::cancel::{CancelReason, CancelToken};
 use crate::error::ExecError;
 use crate::plan::{Body, Plan, PlanCache, PlanSource};
@@ -96,7 +95,7 @@ impl Default for EngineConfig {
 #[derive(Clone, Debug)]
 pub struct Job<'a> {
     circuit: &'a BCircuit,
-    inputs: Vec<bool>,
+    inputs: &'a [bool],
     shots: u64,
     base_seed: u64,
     cancel: Option<CancelToken>,
@@ -108,7 +107,7 @@ impl<'a> Job<'a> {
     pub fn new(circuit: &'a BCircuit) -> Job<'a> {
         Job {
             circuit,
-            inputs: Vec::new(),
+            inputs: &[],
             shots: 1,
             base_seed: 0,
             cancel: None,
@@ -117,7 +116,7 @@ impl<'a> Job<'a> {
     }
 
     /// Sets the basis-state values of the circuit's input wires.
-    pub fn inputs(mut self, inputs: Vec<bool>) -> Self {
+    pub fn inputs(mut self, inputs: &'a [bool]) -> Self {
         self.inputs = inputs;
         self
     }
@@ -152,8 +151,7 @@ impl<'a> Job<'a> {
     }
 }
 
-/// The part of a job that ran once, ahead of its shots (see
-/// [`Backend::prepare`]).
+/// The part of a job that ran once, ahead of its shots.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PrefixReport {
     /// Ops of the plan that ran once instead of once per shot.
@@ -288,9 +286,9 @@ impl fmt::Display for EngineStats {
 type ShotHook = dyn Fn(u64) + Send + Sync;
 
 /// The execution engine: the plan cache, the worker pool width, and the
-/// state-vector backend's host settings. Shared freely across threads.
+/// state-vector simulator's host settings. Shared freely across threads.
 pub struct Engine {
-    statevec: StateVecBackend,
+    statevec: StateVecConfig,
     cache: PlanCache,
     workers: usize,
     trace: &'static Tracer,
@@ -313,9 +311,7 @@ impl Engine {
     /// An engine with an explicit configuration.
     pub fn with_config(config: EngineConfig) -> Engine {
         Engine {
-            statevec: StateVecBackend {
-                config: config.statevec,
-            },
+            statevec: config.statevec,
             cache: PlanCache::new(),
             workers: config.workers.max(1),
             trace: config.trace,
@@ -339,21 +335,13 @@ impl Engine {
         }
     }
 
-    /// The built-in backends, one per [`Route`], for running a plan's shots
-    /// one at a time ([`Backend::run_shot`], the engine's oracle).
-    pub fn backends(&self) -> impl Iterator<Item = &dyn Backend> {
+    /// The three simulators, one per [`Route`] in route order, for running
+    /// a plan's shots one at a time ([`Backend::run_shot`], the oracle).
+    pub fn backends(&self) -> impl Iterator<Item = Backend> {
+        let config = self.statevec;
         [Route::Classical, Route::Stabilizer, Route::StateVec]
             .into_iter()
-            .map(|route| self.backend(route))
-    }
-
-    /// The backend of a route.
-    fn backend(&self, route: Route) -> &dyn Backend {
-        match route {
-            Route::Classical => &ClassicalBackend,
-            Route::Stabilizer => &StabilizerBackend,
-            Route::StateVec => &self.statevec,
-        }
+            .map(move |route| Backend { route, config })
     }
 
     /// Compiles (or fetches from cache) the plan for a circuit at
@@ -381,7 +369,7 @@ impl Engine {
     }
 
     /// Runs a job: [`resolve`](Engine::resolve) its plan, then execute all
-    /// shots over the worker pool on the plan's backend, merge.
+    /// shots over the worker pool on the plan's route, merge.
     ///
     /// # Errors
     ///
@@ -434,7 +422,7 @@ impl Engine {
 
     /// The second half of a run: runs the shots of a plan
     /// [`resolve`](Engine::resolve)d for `job` sequentially on the calling
-    /// thread, on the backend of the plan's route, and merges them. Compiles,
+    /// thread, on the simulator of the plan's route, and merges them. Compiles,
     /// lints and looks up nothing, so a caller may run a plan from
     /// [`Plan::compile_with`] that no lint gate has judged; `source` only
     /// feeds the report.
@@ -463,7 +451,6 @@ impl Engine {
         let trace = self.trace;
         let _job_span = trace.span(Phase::Execute, "engine.job");
 
-        let backend = self.backend(plan.route);
         if trace.enabled() {
             trace.metrics().add(route_metric(plan.route), 1);
             trace
@@ -492,8 +479,7 @@ impl Engine {
         let (histogram, prefix) = if job.shots == 0 {
             (Histogram::new(), None)
         } else {
-            let hook = self.shot_hook.as_deref();
-            let (histogram, prefix) = execute(trace, backend, hook, plan, job, workers)?;
+            let (histogram, prefix) = execute(self, plan, job, workers)?;
             (histogram, Some(prefix))
         };
         let execute = start.elapsed();
@@ -504,7 +490,7 @@ impl Engine {
         Ok(ExecResult {
             histogram,
             report: ExecReport {
-                backend: backend.name(),
+                backend: plan.route.name(),
                 shots: job.shots,
                 workers,
                 cache_hit: source != PlanSource::Compiled,
@@ -582,22 +568,21 @@ fn cancelled(trace: &Tracer, reason: CancelReason) -> ExecError {
     ExecError::Cancelled { reason }
 }
 
-/// Runs a job's shots: the shot-invariant prefix once
-/// ([`Backend::prepare`]), then every shot from the prepared state, fanned
-/// out over `workers`.
+/// Runs a job's shots on `engine`: the shot-invariant prefix once
+/// ([`prepare`]), then every shot from the prepared state, fanned out over
+/// `workers`.
 fn execute(
-    trace: &Tracer,
-    backend: &dyn Backend,
-    hook: Option<&ShotHook>,
+    engine: &Engine,
     plan: &Plan,
     job: &Job,
     workers: usize,
 ) -> Result<(Histogram, PrefixReport), ExecError> {
+    let trace = engine.trace;
     let fired = || job.cancel.as_ref().and_then(|t| t.check().err());
     let start = Instant::now();
     let prepared = {
         let _span = trace.span(Phase::Execute, "prefix");
-        backend.prepare(plan, &job.inputs, &|| fired().is_some())
+        prepare(plan, job.inputs, engine.statevec, &|| fired().is_some())
     };
     let prepared = prepared.map_err(|e| match (&e, fired()) {
         (
@@ -626,11 +611,11 @@ fn execute(
     }
 
     let task = ShotTask {
-        prepared: &*prepared,
+        prepared: &prepared,
         base_seed: job.base_seed,
         cancel: job.cancel.as_ref(),
         trace,
-        hook,
+        hook: engine.shot_hook.as_deref(),
     };
     let _span = trace.span(Phase::Execute, "shots");
     let histogram = if workers == 1 {
@@ -643,7 +628,7 @@ fn execute(
 
 /// Everything a shot worker needs, shared read-only across workers.
 struct ShotTask<'a> {
-    prepared: &'a dyn PreparedJob,
+    prepared: &'a Prepared<'a>,
     base_seed: u64,
     cancel: Option<&'a CancelToken>,
     trace: &'a Tracer,

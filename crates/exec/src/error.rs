@@ -25,7 +25,8 @@ pub enum ExecError {
         source: SimError,
     },
     /// No route admits the circuit (at compile), or a
-    /// [`Backend`](crate::Backend) was handed a plan routed to another one.
+    /// [`Backend`](crate::Backend) was handed a plan routed to another
+    /// simulator.
     NoBackend {
         /// Why each candidate was rejected.
         reason: String,

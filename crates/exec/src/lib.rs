@@ -6,16 +6,19 @@
 //! (paper §4.4.5). The lower crates each expose one run function; this crate
 //! puts them all behind a single subsystem:
 //!
-//! * [`Backend`] — one run function; adapters wrap the state-vector,
-//!   classical and stabilizer simulators. [`Engine::estimate`] is the run
-//!   function that simulates nothing: gate counts, peak width and depth of
-//!   the hierarchical circuit.
+//! * **Three simulators** — classical, stabilizer and state vector, one per
+//!   [`Route`]; a job runs on the one its plan's route names, through one
+//!   `match`: its shot-invariant prefix (everything before the first op that
+//!   draws from the shot's RNG) once, then each shot from that state,
+//!   bit-identical to one [`Backend::run_shot`] (the oracle, from
+//!   [`Engine::backends`]) per seed. [`Engine::estimate`] is the run function
+//!   that simulates nothing: gate counts, peak width and depth of the
+//!   hierarchical circuit.
 //! * **Routing at compile** — each circuit is profiled once
 //!   ([`CircuitProfile`]); its plan's [`Route`] is the cheapest backend that
 //!   runs it (classical, else the CHP tableau, else the state vector up to
 //!   [`DEFAULT_MAX_QUBITS`]; else [`ExecError::NoBackend`]), and the plan
-//!   keeps only the gate stream that backend reads ([`Body`]). A job runs
-//!   on the built-in backend its plan's route names.
+//!   keeps only the gate stream that backend reads ([`Body`]).
 //! * [`Plan`] / [`PlanCache`] — validation and flattening happen once per
 //!   structurally-distinct circuit, keyed by the stable circuit
 //!   [`fingerprint`](quipper_circuit::fingerprint); repeat submissions skip
@@ -34,10 +37,6 @@
 //!   ([`ExecError::Lint`]) before anything is cached or executed; no report
 //!   is kept. An ungated caller runs a [`Plan::compile_with`] plan through
 //!   [`Engine::run_resolved`].
-//! * [`Backend::prepare`] — a job's shot-invariant prefix (everything before
-//!   the first op that draws from the shot's RNG) runs once; workers finish
-//!   shots from that state through a [`ShotWorker`], bit-identical to one
-//!   [`Backend::run_shot`] per seed.
 //! * [`Job`] — multi-shot scheduling over a worker thread pool, with
 //!   deterministic per-shot seed derivation (`base_seed + shot_index`) so
 //!   parallel results are bit-identical to sequential ones. Scheduling
@@ -57,7 +56,7 @@
 //!     (c.measure(a), c.measure(b))
 //! });
 //! let engine = Engine::new();
-//! let job = Job::new(&bell).inputs(vec![false, false]).shots(100).seed(7);
+//! let job = Job::new(&bell).inputs(&[false, false]).shots(100).seed(7);
 //! let result = engine.run(&job).unwrap();
 //! assert_eq!(result.report.backend, "stabilizer"); // Clifford-only circuit
 //! // Bell measurement outcomes are perfectly correlated.
@@ -71,9 +70,7 @@ pub mod error;
 pub mod plan;
 pub mod profile;
 
-pub use backend::{
-    Backend, ClassicalBackend, PreparedJob, ShotWorker, StabilizerBackend, StateVecBackend,
-};
+pub use backend::Backend;
 pub use cancel::{CancelReason, CancelToken};
 pub use engine::{
     Engine, EngineConfig, EngineStats, ExecReport, ExecResult, Job, PrefixReport, ResourceEstimate,

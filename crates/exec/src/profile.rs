@@ -74,8 +74,8 @@ impl Route {
         }
     }
 
-    /// The [`Backend::name`](crate::Backend::name) of the backend that runs
-    /// this route.
+    /// The name of the simulator that runs this route, as reports and
+    /// [`Backend::name`](crate::Backend::name) give it.
     pub fn name(self) -> &'static str {
         match self {
             Route::Classical => "classical",

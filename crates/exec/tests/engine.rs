@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use quipper_exec::{
     CancelReason, CancelToken, Engine, EngineConfig, ExecError, Job, OptLevel, Plan, PlanSource,
-    Tracer,
+    Route, Tracer,
 };
 use quipper_lint::Severity;
 use quipper_trace::names;
@@ -55,12 +55,38 @@ fn t_gate() -> BCircuit {
 fn auto_selection_routes_to_cheapest_backend() {
     let engine = Engine::new();
     let routed = |bc: &BCircuit, inputs: usize| {
-        let job = Job::new(bc).inputs(vec![false; inputs]);
+        let inputs = vec![false; inputs];
+        let job = Job::new(bc).inputs(&inputs);
         engine.run(&job).unwrap().report.backend
     };
     assert_eq!(routed(&parity3(), 4), "classical");
     assert_eq!(routed(&bell(), 2), "stabilizer");
     assert_eq!(routed(&t_gate(), 1), "statevec");
+}
+
+/// The oracle's simulators are the three routes, in route order, and one
+/// refuses a plan of another route without running it: given no inputs for
+/// a circuit that takes some, a run fails in the simulator.
+#[test]
+fn the_oracles_are_the_routes_and_refuse_other_routes() {
+    let names: Vec<_> = Engine::new().backends().map(|b| b.name()).collect();
+    assert_eq!(names, ["classical", "stabilizer", "statevec"]);
+    assert_eq!(
+        names,
+        [Route::Classical, Route::Stabilizer, Route::StateVec].map(Route::name)
+    );
+    for bc in [parity3(), bell(), t_gate()] {
+        let plan = Plan::compile_with(&bc, OptLevel::Default).unwrap();
+        let routed = format!("plan is routed to `{}`", plan.route.name());
+        for backend in Engine::new().backends() {
+            let own = backend.name() == plan.route.name();
+            match backend.run_shot(&plan, &[], 0) {
+                Err(ExecError::Sim { backend: ran, .. }) if own => assert_eq!(ran, backend.name()),
+                Err(ExecError::NoBackend { reason }) if !own => assert_eq!(reason, routed),
+                other => panic!("{} on a {routed} plan: {other:?}", backend.name()),
+            }
+        }
+    }
 }
 
 /// The headline determinism guarantee: an N-shot Grover job with a fixed
@@ -97,7 +123,7 @@ fn grover_parallel_histogram_is_bit_identical_to_sequential() {
 fn parallel_schedule_matches_sequential_on_stabilizer_too() {
     let bc = bell();
     let engine = engine_with_workers(3);
-    let job = Job::new(&bc).inputs(vec![false, false]).shots(37).seed(11);
+    let job = Job::new(&bc).inputs(&[false, false]).shots(37).seed(11);
     let par = engine.run(&job).unwrap();
     let seq = engine.run_sequential(&job).unwrap();
     assert_eq!(par.histogram, seq.histogram);
@@ -108,7 +134,7 @@ fn parallel_schedule_matches_sequential_on_stabilizer_too() {
 fn repeat_jobs_hit_the_plan_cache() {
     let engine = Engine::new();
     let bc = bell();
-    let job = Job::new(&bc).inputs(vec![false, false]).shots(4);
+    let job = Job::new(&bc).inputs(&[false, false]).shots(4);
     let first = engine.run(&job).unwrap();
     let second = engine.run(&job).unwrap();
     assert!(!first.report.cache_hit);
@@ -127,7 +153,7 @@ fn repeat_jobs_hit_the_plan_cache() {
 fn a_resolved_plan_reruns_without_asking_the_cache_again() {
     let engine = Engine::new();
     let bc = bell();
-    let job = Job::new(&bc).inputs(vec![false, false]).shots(16).seed(3);
+    let job = Job::new(&bc).inputs(&[false, false]).shots(16).seed(3);
     let (plan, source) = engine.resolve(&job).unwrap();
     assert_eq!(source, PlanSource::Compiled);
     let first = engine.run_resolved(&job, &plan, source).unwrap();
@@ -181,7 +207,7 @@ fn a_wide_non_clifford_circuit_is_refused_at_compile() {
     ghz.main.outputs.push((parity, WireType::Classical));
     ghz.main.wire_bound += 1;
     assert_eq!(engine.plan(&ghz).unwrap().route.name(), "stabilizer");
-    let job = Job::new(&ghz).inputs(vec![false; 200]).shots(32);
+    let job = Job::new(&ghz).inputs(&[false; 200]).shots(32);
     let result = engine.run(&job).unwrap();
     let agree = |bits: &[bool]| bits[..200].iter().all(|&b| b == bits[0]) && !bits[200];
     assert!(result.histogram.iter().all(|(bits, _)| agree(bits)));
@@ -195,7 +221,7 @@ fn quantum_outputs_are_rejected_for_sampling() {
         c.hadamard(q);
         q // unmeasured quantum output
     });
-    let err = engine.run(&Job::new(&bc).inputs(vec![false])).unwrap_err();
+    let err = engine.run(&Job::new(&bc).inputs(&[false])).unwrap_err();
     assert!(matches!(err, ExecError::QuantumOutputs));
 }
 
@@ -242,7 +268,7 @@ fn shot_errors_report_the_lowest_failing_shot() {
         c.measure(q)
     });
     let engine = engine_with_workers(4);
-    let job = Job::new(&bc).inputs(vec![true]).shots(20);
+    let job = Job::new(&bc).inputs(&[true]).shots(20);
     let par = engine.run(&job).unwrap_err();
     let seq = engine.run_sequential(&job).unwrap_err();
     assert_eq!(par.to_string(), seq.to_string());
@@ -379,7 +405,7 @@ fn deadline_fires_mid_prefix_on_a_wide_job() {
         ..EngineConfig::default()
     });
     let job = Job::new(&bc)
-        .inputs(vec![false; QUBITS])
+        .inputs(&[false; QUBITS])
         .shots(4)
         .opt(OptLevel::Off);
     // Compile ahead, so that the deadline's clock covers only execution.

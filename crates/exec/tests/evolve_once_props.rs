@@ -1,8 +1,8 @@
 //! Evolve once, sample many ≡ one whole-circuit run per shot.
 //!
-//! The engine runs a job's shot-invariant prefix once
-//! ([`Backend::prepare`](quipper_exec::Backend::prepare)) and finishes every
-//! shot from that state. The oracle is the path it replaced:
+//! The engine runs a job's shot-invariant prefix once, on the simulator of
+//! the plan's route, and finishes every shot from that state. The oracle is
+//! the path it replaced:
 //! [`Backend::run_shot`](quipper_exec::Backend::run_shot) for each seed in
 //! turn. On random programs — terminal and mid-circuit measurement,
 //! measured bits controlling later gates, reset after measure, discards,
@@ -304,7 +304,7 @@ fn check(family: Family, bc: &BCircuit, inputs: Vec<bool>, seed: u64) -> (Verdic
     let plan = Plan::compile_with(bc, OptLevel::Off).expect("program compiles");
     let expected = oracle(engine, &plan, family, &inputs, seed);
     let job = Job::new(bc)
-        .inputs(inputs)
+        .inputs(&inputs)
         .shots(SHOTS)
         .seed(seed)
         .opt(OptLevel::Off);

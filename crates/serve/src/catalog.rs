@@ -109,7 +109,8 @@ fn ghz5() -> BCircuit {
     ghz(5)
 }
 
-/// Four-bit parity into a target, via `classical_to_reversible`.
+/// Four-bit parity into a target, via `classical_to_reversible`, then
+/// every wire measured.
 fn parity4() -> BCircuit {
     let parity = Dag::build(4, |b, xs| {
         vec![xs.iter().fold(b.constant(false), |acc, x| acc ^ x.clone())]
@@ -118,7 +119,8 @@ fn parity4() -> BCircuit {
         &(vec![false; 4], false),
         |c, (xs, t): (Vec<Qubit>, Qubit)| {
             synth::classical_to_reversible(c, &parity, &xs, &[t]);
-            (xs, t)
+            let xs: Vec<_> = xs.into_iter().map(|x| c.measure(x)).collect();
+            (xs, c.measure(t))
         },
     )
 }

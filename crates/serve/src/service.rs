@@ -569,7 +569,7 @@ fn worker_loop(inner: &Inner) {
 fn run(inner: &Inner, ticket: &Ticket) -> JobState {
     let (id, sub) = (ticket.id, &*ticket.submission);
     let job = Job::new(&sub.circuit)
-        .inputs(sub.inputs.clone())
+        .inputs(&sub.inputs)
         .shots(sub.shots)
         .seed(sub.seed)
         .cancel_token(ticket.token.clone())

@@ -723,7 +723,7 @@ mod tests {
         let circuit = Arc::new(Circ::build(&vec![false; 2], |c, qs: Vec<Qubit>| {
             qs.into_iter().map(|q| c.measure(q)).collect::<Vec<_>>()
         }));
-        let job = Job::new(&circuit).inputs(vec![false; 2]);
+        let job = Job::new(&circuit).inputs(&[false; 2]);
         let result = Arc::new(Engine::new().run(&job).unwrap());
         let mut reached = Reached::default();
         let epoch = Instant::now();

@@ -62,7 +62,7 @@ proptest! {
         // Reference: a plain engine, no service.
         let reference = Engine::new()
             .run_sequential(
-                &Job::new(&circuit).inputs(inputs.clone()).shots(shots).seed(seed),
+                &Job::new(&circuit).inputs(&inputs).shots(shots).seed(seed),
             )
             .expect("reference run succeeds");
 

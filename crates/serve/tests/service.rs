@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 use quipper::{Circ, Qubit};
 use quipper_circuit::BCircuit;
 use quipper_exec::{Engine, EngineConfig};
+use quipper_serve::catalog::Catalog;
 use quipper_serve::flight::phases;
 use quipper_serve::{JobState, QuotaPolicy, RejectReason, Service, ServiceConfig, Submission};
 use quipper_trace::{names, Tracer};
@@ -490,6 +491,27 @@ fn flight_stamps_queue_before_compile_under_an_idle_worker() {
                 "job {id}: a span runs backwards"
             );
         }
+    }
+    service.shutdown();
+}
+
+/// Every circuit `list` names runs: submitted with its default all-false
+/// inputs, each one ends with a histogram.
+#[test]
+fn every_listed_circuit_runs() {
+    let catalog = Catalog::new();
+    let service = Service::start(Engine::new(), ServiceConfig::default());
+    for name in catalog.names() {
+        let inputs = vec![false; catalog.input_arity(name).unwrap()];
+        let id = service
+            .submit(Submission::new("t", catalog.get(name).unwrap()).inputs(inputs))
+            .unwrap();
+        service.drain();
+        let state = service.status(id).unwrap().state;
+        assert!(
+            service.result(id).is_some_and(|r| !r.histogram.is_empty()),
+            "{name}: {state:?}"
+        );
     }
     service.shutdown();
 }

@@ -75,13 +75,10 @@ fn main() {
         (
             "parity",
             Job::new(&parity)
-                .inputs(vec![true, true, false, true, false])
+                .inputs(&[true, true, false, true, false])
                 .shots(200),
         ),
-        (
-            "GHZ",
-            Job::new(&ghz).inputs(vec![false; 3]).shots(200).seed(7),
-        ),
+        ("GHZ", Job::new(&ghz).inputs(&[false; 3]).shots(200).seed(7)),
         ("Grover", Job::new(&grover).shots(200).seed(42)),
     ];
     for (name, job) in &jobs {
@@ -103,7 +100,7 @@ fn main() {
     // the worker pool (scheduling *across* jobs is `quipper_serve::Service`).
     let batch: Vec<_> = (0..4)
         .map(|seed| {
-            let job = Job::new(&ghz).inputs(vec![false; 3]).shots(50).seed(seed);
+            let job = Job::new(&ghz).inputs(&[false; 3]).shots(50).seed(seed);
             engine.run(&job).unwrap()
         })
         .collect();

@@ -82,7 +82,7 @@ fn main() {
     });
     let engine = quipper_exec::Engine::new();
     let job = quipper_exec::Job::new(&bell)
-        .inputs(vec![false, false])
+        .inputs(&[false, false])
         .shots(10)
         .seed(0);
     let result = engine.run(&job).unwrap();

@@ -2,7 +2,9 @@
 //! allocations per flat gate of `Plan::compile_with(.., OptLevel::Default)`
 //! on two fixed OpenQASM programs shaped like the `compile_cold` traffic —
 //! a ripple adder whose `maj`/`uma` gate definitions become boxes, and a
-//! GHZ state checked by rounds of parity syndromes.
+//! GHZ state checked by rounds of parity syndromes. Beside it, the run
+//! path's: heap allocations of one `Engine::run_resolved` of a compiled
+//! plan on each route.
 //!
 //! A counting global allocator counts only on the thread that sets its
 //! flag, and the one `#[test]` runs its cases one after another, so no
@@ -14,7 +16,7 @@ use std::cell::Cell;
 use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use quipper_exec::Plan;
+use quipper_exec::{Engine, Job, Plan, PlanSource};
 use quipper_opt::OptLevel;
 
 struct Counting;
@@ -123,16 +125,37 @@ fn ghz_syndrome(width: usize, rounds: usize) -> String {
     q
 }
 
+/// A program no cheaper route than the state vector runs.
+const T_PROGRAM: &str =
+    "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\ncreg m[3];\nreset q;\n\
+    h q[0];\nt q[0];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\nmeasure q -> m;\n";
+
+/// `f`'s result and the heap allocations it made on this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    ALLOCATIONS.store(0, Ordering::Relaxed);
+    COUNTING.with(|on| on.set(true));
+    let result = f();
+    COUNTING.with(|on| on.set(false));
+    (result, ALLOCATIONS.load(Ordering::Relaxed))
+}
+
 /// Heap allocations per flat gate of one default-level plan compile.
 fn allocations_per_flat_gate(source: &str) -> f64 {
     let bc = quipper_qasm::compile(source).expect("the program compiles");
-    ALLOCATIONS.store(0, Ordering::Relaxed);
-    COUNTING.with(|on| on.set(true));
-    let plan = Plan::compile_with(&bc, OptLevel::Default);
-    COUNTING.with(|on| on.set(false));
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed);
+    let (plan, allocations) = counted(|| Plan::compile_with(&bc, OptLevel::Default));
     let plan = plan.expect("the plan compiles");
     allocations as f64 / plan.profile.num_gates as f64
+}
+
+/// The route of `source`'s default-level plan, and the heap allocations of
+/// one sequential, untraced `Engine::run_resolved` of it: 16 shots, seed 7.
+fn run_allocations(source: &str) -> (&'static str, u64) {
+    let bc = quipper_qasm::compile(source).expect("the program compiles");
+    let plan = Plan::compile_with(&bc, OptLevel::Default).expect("the plan compiles");
+    let (engine, job) = (Engine::new(), Job::new(&bc).shots(16).seed(7));
+    let (result, allocations) = counted(|| engine.run_resolved(&job, &plan, PlanSource::Compiled));
+    result.expect("the plan runs");
+    (plan.route.name(), allocations)
 }
 
 #[test]
@@ -152,8 +175,22 @@ fn plan_compile_allocations_per_flat_gate_stay_within_budget() {
             breaches.push(format!("{name}: {per_gate:.2} > {budget}"));
         }
     }
+    // (program, route, budget): one run's allocations on this run path,
+    // exactly, so that one more box per job or per worker fails.
+    let runs = [
+        (ripple_adder(16, 2), "classical", 42),
+        (ghz_syndrome(16, 2), "stabilizer", 856),
+    ];
+    for (source, route, budget) in runs.into_iter().chain([(T_PROGRAM.into(), "statevec", 31)]) {
+        let (ran_on, allocations) = run_allocations(&source);
+        println!("{route} run: {allocations} allocations (budget {budget})");
+        assert_eq!(ran_on, route, "the program takes its route");
+        if allocations > budget {
+            breaches.push(format!("{route} run: {allocations} > {budget}"));
+        }
+    }
     assert!(
         breaches.is_empty(),
-        "the compile path allocates more per gate than its budget: {breaches:?}"
+        "the compile or run path allocates more than its budget: {breaches:?}"
     );
 }
