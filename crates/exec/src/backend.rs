@@ -1,12 +1,14 @@
 //! The engine's three simulators, one per [`Route`]: the paper's
 //! `run_classical_generic`, `run_clifford_generic` and `run_generic`
 //! (§4.4.5). A job runs its plan's shot-invariant prefix once ([`prepare`])
-//! and each worker finishes shots from the [`Prepared`] state through a
+//! and finishes its shots from the [`Prepared`] state through one
 //! [`Worker`]. A [`Backend`] runs a plan one whole shot at a time: the
 //! oracle that path is tested against, seed for seed.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
+use quipper_sim::stabilizer::Stabilizer;
 use quipper_sim::{
     evolve, evolve_clifford, run_classical_flat, run_clifford_flat, run_fused, Evolved,
     EvolvedClifford, Shots, SimError, StateVecConfig, Suffix,
@@ -74,7 +76,7 @@ impl Backend {
 }
 
 /// A job whose shot-invariant prefix has run: the state every shot starts
-/// from, shared read-only by the engine's workers.
+/// from, which its [`Worker`] reads.
 pub(crate) enum Prepared<'a> {
     /// Nothing classical is random: the whole circuit ran, once.
     Classical {
@@ -134,35 +136,43 @@ impl Prepared<'_> {
         }
     }
 
-    /// A shot runner for one worker thread, owning that worker's scratch
-    /// memory for the length of the job.
+    /// The job's shot runner, owning its scratch memory for the length of
+    /// the job.
     pub(crate) fn worker(&self) -> Worker<'_> {
         match self {
             Prepared::Classical { outputs, .. } => Worker::Classical(outputs),
-            Prepared::Stabilizer(evolved) => Worker::Stabilizer(evolved),
+            Prepared::Stabilizer(evolved) => Worker::Stabilizer(evolved, Stabilizer::new(0)),
             Prepared::StateVec(evolved) => Worker::StateVec(evolved.shots()),
         }
     }
 }
 
-/// One worker's shot runner. It lives on the worker's stack for the length
-/// of the job; boxing the state vector's large variant would cost every job
-/// an allocation per worker.
+/// A job's shot runner. It lives on the stack for the length of the job;
+/// boxing the large variants would cost every job an allocation.
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum Worker<'a> {
     Classical(&'a [bool]),
-    Stabilizer(&'a EvolvedClifford<'a>),
+    /// The evolved state, and the scratch simulator each shot restores it
+    /// into.
+    Stabilizer(&'a EvolvedClifford<'a>, Stabilizer),
     StateVec(Shots<'a>),
 }
 
 impl Worker<'_> {
     /// Finishes one shot under `seed`: the same bits, or the same error, as
-    /// [`Backend::run_shot`] under that seed.
-    pub(crate) fn run_shot(&mut self, seed: u64) -> Result<Vec<bool>, ExecError> {
+    /// [`Backend::run_shot`] under that seed. A classical shot's bits are
+    /// the prefix's own, borrowed.
+    pub(crate) fn run_shot(&mut self, seed: u64) -> Result<Cow<'_, [bool]>, ExecError> {
         match self {
-            Worker::Classical(outputs) => Ok(outputs.to_vec()),
-            Worker::Stabilizer(evolved) => evolved.shot(seed).map_err(sim_err(Route::Stabilizer)),
-            Worker::StateVec(shots) => shots.shot(seed).map_err(sim_err(Route::StateVec)),
+            Worker::Classical(outputs) => Ok(Cow::Borrowed(*outputs)),
+            Worker::Stabilizer(evolved, scratch) => evolved
+                .shot(scratch, seed)
+                .map(Cow::Owned)
+                .map_err(sim_err(Route::Stabilizer)),
+            Worker::StateVec(shots) => shots
+                .shot(seed)
+                .map(Cow::Owned)
+                .map_err(sim_err(Route::StateVec)),
         }
     }
 }

@@ -6,25 +6,25 @@
 //! through the [`PlanCache`], and [`Engine::run_resolved`] runs the shots
 //! on the simulator the plan's [`Route`] names, and returns an
 //! [`ExecResult`] whose [`ExecReport`] records what happened.
-//! [`Engine::run`] is the two in a row, shots fanned out over the worker
-//! pool; the service calls the halves itself, one after the other.
+//! [`Engine::run`] is the two in a row; the service calls the halves
+//! itself, one after the other.
 //!
 //! # Evolve once, sample many
 //!
 //! Every shot of a job runs the same ops on the same inputs until the first
 //! op that draws from the shot's RNG. The engine therefore runs that
-//! shot-invariant prefix once and each worker finishes its shots from the
-//! prepared state. [`Backend::run_shot`], one whole circuit per shot, is the
+//! shot-invariant prefix once and finishes every shot from the prepared
+//! state. [`Backend::run_shot`], one whole circuit per shot, is the
 //! oracle this is tested against.
 //!
 //! # Determinism
 //!
-//! Shot `i` always runs with seed `base_seed + i`, regardless of which worker
-//! executes it, and per-shot outcomes are merged into a histogram by
-//! commutative addition before a canonical sort (count descending, then
-//! pattern ascending). Parallel results are therefore bit-identical to
-//! sequential ones for the same base seed, and — the prefix drawing no
-//! randomness — to one [`Backend::run_shot`] per seed.
+//! A job's shots run one after another on the calling thread. Shot `i`
+//! runs with seed `base_seed + i`, and the histogram is sorted canonically
+//! (count descending, then pattern ascending), so a job's result is a
+//! function of its plan, inputs, shot count and base seed alone, and — the
+//! prefix drawing no randomness — equal to one [`Backend::run_shot`] per
+//! seed.
 //!
 //! # What is counted where
 //!
@@ -34,6 +34,7 @@
 //! hits and misses, which [`Engine::stats`] reads. The engine keeps no
 //! counter of its own beside them.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
@@ -57,8 +58,6 @@ use crate::profile::Route;
 /// Tuning knobs for [`Engine::with_config`].
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Worker threads for multi-shot fan-out; `1` runs everything inline.
-    pub workers: usize,
     /// Host settings of the state-vector kernels: threads and threading
     /// threshold, window block size. Plans are fused the same way whatever
     /// is set here.
@@ -77,9 +76,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
             statevec: StateVecConfig::default(),
             trace: quipper_trace::tracer(),
         }
@@ -169,8 +165,6 @@ pub struct ExecReport {
     pub backend: &'static str,
     /// Number of shots run.
     pub shots: u64,
-    /// Worker threads actually used.
-    pub workers: usize,
     /// Whether the plan came from the cache (or from another job's
     /// concurrent compile) instead of being compiled by this job.
     pub cache_hit: bool,
@@ -199,12 +193,11 @@ impl fmt::Display for ExecReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{:>6} shots on {:<10} | plan {:#018x} {} | workers {:<2} | compile {:>9} | exec {:>9} | ",
+            "{:>6} shots on {:<10} | plan {:#018x} {} | compile {:>9} | exec {:>9} | ",
             self.shots,
             self.backend,
             self.fingerprint,
             if self.cache_hit { "hit " } else { "miss" },
-            self.workers,
             fmt_duration(self.compile),
             fmt_duration(self.execute),
         )?;
@@ -285,12 +278,11 @@ impl fmt::Display for EngineStats {
 /// What a test engine runs at the top of every shot, given the shot's seed.
 type ShotHook = dyn Fn(u64) + Send + Sync;
 
-/// The execution engine: the plan cache, the worker pool width, and the
-/// state-vector simulator's host settings. Shared freely across threads.
+/// The execution engine: the plan cache and the state-vector simulator's
+/// host settings. Shared freely across threads.
 pub struct Engine {
     statevec: StateVecConfig,
     cache: PlanCache,
-    workers: usize,
     trace: &'static Tracer,
     shot_hook: Option<Box<ShotHook>>,
 }
@@ -302,8 +294,7 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// An engine with the default configuration: one worker per hardware
-    /// thread.
+    /// An engine with the default configuration.
     pub fn new() -> Engine {
         Engine::with_config(EngineConfig::default())
     }
@@ -313,7 +304,6 @@ impl Engine {
         Engine {
             statevec: config.statevec,
             cache: PlanCache::new(),
-            workers: config.workers.max(1),
             trace: config.trace,
             shot_hook: None,
         }
@@ -368,28 +358,29 @@ impl Engine {
         self.trace
     }
 
-    /// Runs a job: [`resolve`](Engine::resolve) its plan, then execute all
-    /// shots over the worker pool on the plan's route, merge.
+    /// Runs a job: [`resolve`](Engine::resolve) its plan, then
+    /// [`run_resolved`](Engine::run_resolved) it.
     ///
     /// # Errors
     ///
     /// Compilation (routing included), lint-gate and per-shot simulation
-    /// errors. On a shot error
-    /// the whole job fails with the error of the *lowest-indexed* failing
-    /// shot, so parallel and sequential schedules report identically.
+    /// errors. On a shot error the whole job fails with the error of the
+    /// first failing shot.
     pub fn run(&self, job: &Job) -> Result<ExecResult, ExecError> {
         let (plan, source) = self.resolve(job)?;
-        self.run_plan(job, &plan, source, self.workers)
+        self.run_resolved(job, &plan, source)
     }
 
-    /// As [`Engine::run`], but forcing a sequential (single-worker) schedule.
+    /// [`Engine::run`] under its old name, kept only because the benchmark
+    /// package calls it; the benchmark change that drops its
+    /// `exec.workers_speedup` layer removes it.
     ///
     /// # Errors
     ///
     /// As for [`Engine::run`].
+    #[doc(hidden)]
     pub fn run_sequential(&self, job: &Job) -> Result<ExecResult, ExecError> {
-        let (plan, source) = self.resolve(job)?;
-        self.run_resolved(job, &plan, source)
+        self.run(job)
     }
 
     /// The first half of a run: the job's plan, from the cache or compiled
@@ -421,8 +412,8 @@ impl Engine {
     }
 
     /// The second half of a run: runs the shots of a plan
-    /// [`resolve`](Engine::resolve)d for `job` sequentially on the calling
-    /// thread, on the simulator of the plan's route, and merges them. Compiles,
+    /// [`resolve`](Engine::resolve)d for `job` one after another on the
+    /// calling thread, on the simulator of the plan's route. Compiles,
     /// lints and looks up nothing, so a caller may run a plan from
     /// [`Plan::compile_with`] that no lint gate has judged; `source` only
     /// feeds the report.
@@ -437,16 +428,6 @@ impl Engine {
         job: &Job,
         plan: &Plan,
         source: PlanSource,
-    ) -> Result<ExecResult, ExecError> {
-        self.run_plan(job, plan, source, 1)
-    }
-
-    fn run_plan(
-        &self,
-        job: &Job,
-        plan: &Plan,
-        source: PlanSource,
-        workers: usize,
     ) -> Result<ExecResult, ExecError> {
         let trace = self.trace;
         let _job_span = trace.span(Phase::Execute, "engine.job");
@@ -472,14 +453,13 @@ impl Engine {
             return Err(cancelled(trace, reason));
         }
 
-        let workers = workers.clamp(1, job.shots.max(1) as usize);
         let start = Instant::now();
         // A job of zero shots runs nothing, not even the prefix (whose
         // errors are shot errors).
         let (histogram, prefix) = if job.shots == 0 {
             (Histogram::new(), None)
         } else {
-            let (histogram, prefix) = execute(self, plan, job, workers)?;
+            let (histogram, prefix) = execute(self, plan, job)?;
             (histogram, Some(prefix))
         };
         let execute = start.elapsed();
@@ -492,7 +472,6 @@ impl Engine {
             report: ExecReport {
                 backend: plan.route.name(),
                 shots: job.shots,
-                workers,
                 cache_hit: source != PlanSource::Compiled,
                 fingerprint: plan.fingerprint,
                 compile: match source {
@@ -569,13 +548,11 @@ fn cancelled(trace: &Tracer, reason: CancelReason) -> ExecError {
 }
 
 /// Runs a job's shots on `engine`: the shot-invariant prefix once
-/// ([`prepare`]), then every shot from the prepared state, fanned out over
-/// `workers`.
+/// ([`prepare`]), then every shot from the prepared state.
 fn execute(
     engine: &Engine,
     plan: &Plan,
     job: &Job,
-    workers: usize,
 ) -> Result<(Histogram, PrefixReport), ExecError> {
     let trace = engine.trace;
     let fired = || job.cancel.as_ref().and_then(|t| t.check().err());
@@ -610,29 +587,9 @@ fn execute(
         m.add(finished, 1);
     }
 
-    let task = ShotTask {
-        prepared: &prepared,
-        base_seed: job.base_seed,
-        cancel: job.cancel.as_ref(),
-        trace,
-        hook: engine.shot_hook.as_deref(),
-    };
     let _span = trace.span(Phase::Execute, "shots");
-    let histogram = if workers == 1 {
-        run_shots(&task, 0..job.shots).map_err(|(_, e)| e)?
-    } else {
-        run_shots_parallel(&task, job.shots, workers)?
-    };
+    let histogram = run_shots(engine, job, &prepared)?;
     Ok((histogram, prefix))
-}
-
-/// Everything a shot worker needs, shared read-only across workers.
-struct ShotTask<'a> {
-    prepared: &'a Prepared<'a>,
-    base_seed: u64,
-    cancel: Option<&'a CancelToken>,
-    trace: &'a Tracer,
-    hook: Option<&'a ShotHook>,
 }
 
 /// How many *sampled* shots run between cancellation polls. A sampled shot
@@ -641,97 +598,52 @@ struct ShotTask<'a> {
 /// the state and re-runs ops, so those poll before every shot.
 const CANCEL_POLL_CHUNK: u64 = 8;
 
-/// Runs a contiguous range of shots on one worker, accumulating a local
-/// histogram. On error, reports the failing shot's index so callers can
-/// pick the lowest-indexed error deterministically. The job's cancellation
-/// token is polled before every branched shot and every
+/// Runs the job's shots in order from the prepared state, counting each
+/// outcome in the histogram; the first shot that fails fails the job. The
+/// job's cancellation token is polled before every branched shot and every
 /// [`CANCEL_POLL_CHUNK`] sampled ones, so a fired token abandons
 /// in-progress work rather than only unstarted jobs.
-fn run_shots(task: &ShotTask, shots: std::ops::Range<u64>) -> Result<Histogram, (u64, ExecError)> {
+fn run_shots(engine: &Engine, job: &Job, prepared: &Prepared) -> Result<Histogram, ExecError> {
+    let trace = engine.trace;
     // Per-shot timing costs two clock reads; only pay them while tracing.
-    let timed = task.trace.enabled();
-    let first = shots.start;
-    let poll_every = match task.prepared.suffix() {
+    let timed = trace.enabled();
+    let poll_every = match prepared.suffix() {
         Suffix::Sampled => CANCEL_POLL_CHUNK,
         Suffix::Branched => 1,
     };
-    let mut worker = task.prepared.worker();
+    let mut worker = prepared.worker();
     let mut histogram = Histogram::new();
-    for shot in shots {
-        if let Some(token) = task.cancel {
-            if (shot - first).is_multiple_of(poll_every) {
+    for shot in 0..job.shots {
+        if let Some(token) = &job.cancel {
+            if shot.is_multiple_of(poll_every) {
                 if let Err(reason) = token.check() {
-                    return Err((shot, cancelled(task.trace, reason)));
+                    return Err(cancelled(trace, reason));
                 }
             }
         }
         let shot_start = timed.then(Instant::now);
-        let seed = task.base_seed.wrapping_add(shot);
-        if let Some(hook) = task.hook {
+        let seed = job.base_seed.wrapping_add(shot);
+        if let Some(hook) = &engine.shot_hook {
             hook(seed);
         }
-        match worker.run_shot(seed) {
-            Ok(bits) => *histogram.entry(bits).or_insert(0) += 1,
-            Err(e) => return Err((shot, e)),
+        let bits = worker.run_shot(seed)?;
+        // A pattern already counted costs no copy of its bits.
+        match histogram.get_mut(&*bits) {
+            Some(n) => *n += 1,
+            None => {
+                histogram.insert(Cow::into_owned(bits), 1);
+            }
         }
         if timed {
-            task.trace.metrics().add(names::SHOTS_RUN, 1);
+            trace.metrics().add(names::SHOTS_RUN, 1);
         }
         if let Some(start) = shot_start {
-            task.trace
+            trace
                 .metrics()
                 .observe(names::SHOT_LATENCY_US, start.elapsed().as_micros() as u64);
         }
     }
     Ok(histogram)
-}
-
-/// Fans `shots` out over `workers` scoped threads, one contiguous chunk
-/// each, and merges the per-worker histograms. Seeds depend only on the shot
-/// index, and histogram addition commutes, so the merged result is
-/// bit-identical to a sequential run.
-fn run_shots_parallel(task: &ShotTask, shots: u64, workers: usize) -> Result<Histogram, ExecError> {
-    let results: Vec<Result<Histogram, (u64, ExecError)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers as u64)
-            .map(|i| (i * shots / workers as u64)..((i + 1) * shots / workers as u64))
-            .map(|range| {
-                scope.spawn(move || {
-                    let _span = task.trace.enabled().then(|| {
-                        task.trace.span(
-                            Phase::Execute,
-                            format!("shots[{}..{}]", range.start, range.end),
-                        )
-                    });
-                    run_shots(task, range)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shot worker panicked"))
-            .collect()
-    });
-
-    let mut merged = Histogram::new();
-    let mut first_error: Option<(u64, ExecError)> = None;
-    for result in results {
-        match result {
-            Ok(local) => {
-                for (bits, n) in local {
-                    *merged.entry(bits).or_insert(0) += n;
-                }
-            }
-            Err((shot, e)) => {
-                if first_error.as_ref().is_none_or(|(s, _)| shot < *s) {
-                    first_error = Some((shot, e));
-                }
-            }
-        }
-    }
-    match first_error {
-        Some((_, e)) => Err(e),
-        None => Ok(merged),
-    }
 }
 
 #[cfg(test)]
@@ -742,7 +654,6 @@ mod tests {
         ExecReport {
             backend: "statevec",
             shots: 1000,
-            workers: 4,
             cache_hit: false,
             fingerprint: 0xdead_beef,
             compile: Duration::from_micros(1_500),
@@ -768,7 +679,7 @@ mod tests {
     fn exec_report_display_golden() {
         assert_eq!(
             sample_report().to_string(),
-            "  1000 shots on statevec   | plan 0x00000000deadbeef miss | workers 4  | \
+            "  1000 shots on statevec   | plan 0x00000000deadbeef miss | \
              compile    1.50ms | exec  250.00µs | fused 12/210 | \
              route: universal gate set; peak 9 qubits within state-vector cap | \
              prefix: 190 ops once in 120.00µs, sampled shots"
@@ -797,7 +708,7 @@ mod tests {
         };
         assert_eq!(
             report.to_string(),
-            "  1000 shots on statevec   | plan 0x00000000deadbeef hit  | workers 4  | \
+            "  1000 shots on statevec   | plan 0x00000000deadbeef hit  | \
              compile     480ns | exec     2.50s | fused 12/210 | \
              route: universal gate set; peak 9 qubits within state-vector cap | \
              prefix: 12 ops once in 40.00ms, branched shots"
@@ -817,7 +728,7 @@ mod tests {
         };
         assert_eq!(
             report.to_string(),
-            "  1000 shots on stabilizer | plan 0x00000000deadbeef miss | workers 4  | \
+            "  1000 shots on stabilizer | plan 0x00000000deadbeef miss | \
              compile    1.50ms | exec  250.00µs | \
              route: Clifford-only circuit; polynomial stabilizer simulation"
         );
@@ -849,7 +760,7 @@ mod tests {
         };
         assert_eq!(
             report.to_string(),
-            "  1000 shots on statevec   | plan 0x00000000deadbeef miss | workers 4  | \
+            "  1000 shots on statevec   | plan 0x00000000deadbeef miss | \
              compile    1.50ms | exec  250.00µs | fused 12/210 | \
              route: universal gate set; peak 9 qubits within state-vector cap | \
              prefix: 190 ops once in 120.00µs, sampled shots | opt: default 220->198"

@@ -28,7 +28,7 @@
 //!   `(fingerprint, level)` — one caller compiles, the others wait and
 //!   share its plan — telling each caller which it was ([`PlanSource`]).
 //! * **One job path** — [`Engine::resolve`] (the job's plan, through the
-//!   cache) then [`Engine::run_resolved`] (prefix, shots, merge).
+//!   cache) then [`Engine::run_resolved`] (prefix, then shots).
 //!   [`Engine::run`] is the two in a row; a scheduler (`quipper-serve`)
 //!   calls each half once per job.
 //! * **One lint gate** — every plan compilation runs only the lint passes
@@ -37,10 +37,10 @@
 //!   ([`ExecError::Lint`]) before anything is cached or executed; no report
 //!   is kept. An ungated caller runs a [`Plan::compile_with`] plan through
 //!   [`Engine::run_resolved`].
-//! * [`Job`] — multi-shot scheduling over a worker thread pool, with
-//!   deterministic per-shot seed derivation (`base_seed + shot_index`) so
-//!   parallel results are bit-identical to sequential ones. Scheduling
-//!   *across* jobs is `quipper_serve::Service`.
+//! * [`Job`] — a circuit, its inputs, a shot count and a base seed. Its
+//!   shots run one after another on the calling thread, shot `i` with seed
+//!   `base_seed + i`, so a result is a function of the job alone.
+//!   Scheduling *across* jobs is `quipper_serve::Service`.
 //! * [`ExecReport`] — per-job observability: shots, wall time, cache hit,
 //!   the plan's backend and why. Cumulative numbers are the metrics
 //!   registry's; the engine's [`EngineStats`] is only its plan cache's
@@ -83,7 +83,7 @@ pub use quipper_opt::{OptLevel, OptReport, OptSummary};
 pub use quipper_sim::Suffix;
 pub use quipper_trace::Tracer;
 
-// The engine is shared across scoped worker threads; keep that a compile-time
+// A service's worker threads share one engine; keep that a compile-time
 // guarantee rather than an emergent property of field types.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}

@@ -1,5 +1,5 @@
 //! Integration tests of the execution engine: backend auto-selection,
-//! deterministic parallel scheduling, plan caching and dynamic lifting.
+//! deterministic shots, plan caching and dynamic lifting.
 
 use quipper::classical::Dag;
 use quipper::{Circ, Qubit};
@@ -13,13 +13,6 @@ use quipper_exec::{
 };
 use quipper_lint::Severity;
 use quipper_trace::names;
-
-fn engine_with_workers(workers: usize) -> Engine {
-    Engine::with_config(EngineConfig {
-        workers,
-        ..EngineConfig::default()
-    })
-}
 
 fn bell() -> BCircuit {
     Circ::build(&(false, false), |c, (a, b): (Qubit, Qubit)| {
@@ -89,45 +82,23 @@ fn the_oracles_are_the_routes_and_refuse_other_routes() {
     }
 }
 
-/// The headline determinism guarantee: an N-shot Grover job with a fixed
-/// base seed produces the *identical* histogram whether the shots run
-/// sequentially or fanned out over a multi-worker pool.
+/// An N-shot Grover job runs on the state vector and amplifies the marked
+/// index.
 #[test]
-fn grover_parallel_histogram_is_bit_identical_to_sequential() {
+fn grover_amplifies_the_marked_index_on_the_statevec_route() {
     // Search for index 5 among 2^3: predicate x == 5.
     let dag = Dag::build(3, |_, xs| vec![&(&xs[0] & &!(&xs[1])) & &xs[2]]);
     let bc = grover_circuit(&dag, optimal_iterations(3, 1));
     let shots = 48;
 
-    let parallel_engine = engine_with_workers(4);
-    let sequential_engine = engine_with_workers(1);
     let job = Job::new(&bc).shots(shots).seed(0xDEAD_BEEF);
-    let par = parallel_engine.run(&job).unwrap();
-    let seq = sequential_engine.run(&job).unwrap();
-
-    assert_eq!(
-        par.histogram, seq.histogram,
-        "schedules must not change results"
-    );
-    assert_eq!(par.report.workers, 4);
-    assert_eq!(seq.report.workers, 1);
+    let result = Engine::new().run(&job).unwrap();
     // Grover uses GPhase + Toffoli-style oracles: only statevec can run it.
-    assert_eq!(par.report.backend, "statevec");
+    assert_eq!(result.report.backend, "statevec");
     // With the optimal iteration count, |101⟩ = index 5 dominates.
-    let (top, _) = par.histogram.first().unwrap();
+    let (top, _) = result.histogram.first().unwrap();
     assert_eq!(top, &[true, false, true], "amplified state wins");
-    assert!(par.count_of(top) > shots / 2);
-}
-
-#[test]
-fn parallel_schedule_matches_sequential_on_stabilizer_too() {
-    let bc = bell();
-    let engine = engine_with_workers(3);
-    let job = Job::new(&bc).inputs(&[false, false]).shots(37).seed(11);
-    let par = engine.run(&job).unwrap();
-    let seq = engine.run_sequential(&job).unwrap();
-    assert_eq!(par.histogram, seq.histogram);
-    assert_eq!(par.histogram.iter().map(|&(_, n)| n).sum::<u64>(), 37);
+    assert!(result.count_of(top) > shots / 2);
 }
 
 #[test]
@@ -257,22 +228,34 @@ fn interactive_jobs_route_through_dynamic_lifting() {
     }
 }
 
+/// A job whose assertion fails on some shots fails with the error the
+/// oracle raises at the job's first failing seed. The ancilla copies a
+/// random outcome, so the assertion fails only on the shots that measure 1,
+/// and shot 0 is not one of them.
 #[test]
-fn shot_errors_report_the_lowest_failing_shot() {
-    // A circuit whose assertion fails on every shot: sequential and parallel
-    // schedules must surface the same (first) error.
-    let bc = Circ::build(&false, |c, q: Qubit| {
+fn a_failing_job_reports_the_oracle_error_of_its_first_failing_shot() {
+    let bc = Circ::build(&(), |c, ()| {
+        let q = c.qinit_bit(false);
+        c.hadamard(q);
         let anc = c.qinit_bit(false);
         c.cnot(anc, q);
-        c.qterm_bit(false, anc); // fails when q = 1
-        c.measure(q)
+        let m = c.measure_bit(q);
+        c.qterm_bit(false, anc); // fails when m = 1
+        m
     });
-    let engine = engine_with_workers(4);
-    let job = Job::new(&bc).inputs(&[true]).shots(20);
-    let par = engine.run(&job).unwrap_err();
-    let seq = engine.run_sequential(&job).unwrap_err();
-    assert_eq!(par.to_string(), seq.to_string());
-    assert!(matches!(par, ExecError::Sim { .. }));
+    let engine = Engine::new();
+    let (seed, shots) = (3, 20);
+    let err = engine
+        .run(&Job::new(&bc).shots(shots).seed(seed))
+        .unwrap_err();
+    assert!(matches!(err, ExecError::Sim { .. }), "{err}");
+
+    let plan = engine.plan(&bc).unwrap();
+    let oracle = engine.backends().find(|b| b.name() == plan.route.name());
+    let shot = |seed| oracle.unwrap().run_shot(&plan, &[], seed);
+    assert!(shot(seed).is_ok(), "shot 0 passes");
+    let first = (seed..seed + shots).find_map(|seed| shot(seed).err());
+    assert_eq!(format!("{err:?}"), format!("{:?}", first.unwrap()));
 }
 
 #[test]

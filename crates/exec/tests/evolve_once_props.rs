@@ -9,14 +9,14 @@
 //! ancillas asserted before and after the split, assertions that fail for
 //! every shot or only for some — the two must agree exactly: the same
 //! histogram, or the `ExecError` of the lowest failing shot, on every
-//! backend, with one worker and with several.
+//! backend.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 use quipper::{Bit, Circ, Qubit};
 use quipper_circuit::{BCircuit, GateName};
-use quipper_exec::{Engine, EngineConfig, ExecError, Job, OptLevel, Plan, PlanSource, Suffix};
+use quipper_exec::{Engine, ExecError, Job, OptLevel, Plan, PlanSource, Suffix};
 
 const CELLS: usize = 4;
 const SHOTS: u64 = 12;
@@ -242,13 +242,6 @@ fn program(
     c.finish(&outs)
 }
 
-fn engine() -> Engine {
-    Engine::with_config(EngineConfig {
-        workers: 3,
-        ..EngineConfig::default()
-    })
-}
-
 /// A job's result as far as equality goes: the histogram, or the failing
 /// shot's error (`ExecError` has no `PartialEq`; its `Debug` form carries
 /// every field, the asserted probability to the last bit).
@@ -294,13 +287,12 @@ fn oracle(
 
 /// Runs the program exactly as written (no optimizer: it would cancel the
 /// ancilla pairs this suite is about) and requires the engine to equal the
-/// oracle: sequentially on the ungated plan, so that the provably failing
-/// assertions reach the backend, and over several workers through the
-/// engine's lint gate. A program the gate refuses must carry QL001 and fail
-/// the oracle from shot 0: QL001 is sound. Returns the verdict and whether
-/// the gate refused the program.
+/// oracle: on the ungated plan, so that the provably failing assertions
+/// reach the backend, and through the engine's lint gate. A program the
+/// gate refuses must carry QL001 and fail the oracle from shot 0: QL001 is
+/// sound. Returns the verdict and whether the gate refused the program.
 fn check(family: Family, bc: &BCircuit, inputs: Vec<bool>, seed: u64) -> (Verdict, bool) {
-    let engine = &engine();
+    let engine = &Engine::new();
     let plan = Plan::compile_with(bc, OptLevel::Off).expect("program compiles");
     let expected = oracle(engine, &plan, family, &inputs, seed);
     let job = Job::new(bc)
@@ -308,13 +300,13 @@ fn check(family: Family, bc: &BCircuit, inputs: Vec<bool>, seed: u64) -> (Verdic
         .shots(SHOTS)
         .seed(seed)
         .opt(OptLevel::Off);
-    let sequential = engine.run_resolved(&job, &plan, PlanSource::Compiled);
-    let verdict = match (&expected, &sequential) {
+    let ungated = engine.run_resolved(&job, &plan, PlanSource::Compiled);
+    let verdict = match (&expected, &ungated) {
         (Ok(_), Ok(r)) => Verdict::Ran(r.report.prefix.expect("shots ran").suffix),
         (Err((0, _)), _) => Verdict::FailsFromShot0,
         _ => Verdict::FailsLater,
     };
-    let mut runs = vec![("sequential", sequential)];
+    let mut runs = vec![("ungated", ungated)];
     let refused = match engine.run(&job) {
         Err(ExecError::Lint(report)) => {
             assert!(
@@ -328,8 +320,8 @@ fn check(family: Family, bc: &BCircuit, inputs: Vec<bool>, seed: u64) -> (Verdic
             );
             true
         }
-        parallel => {
-            runs.push(("parallel", parallel));
+        gated => {
+            runs.push(("gated", gated));
             false
         }
     };

@@ -61,11 +61,10 @@ fn universal_circuit(ops: &[UniversalOp]) -> BCircuit {
 }
 
 /// Engine tuned to force the threaded kernel path even for tiny states and
-/// on a single-core host: explicit worker/thread counts, zero parallel
+/// on a single-core host: an explicit thread count, zero parallel
 /// threshold.
 fn threaded_engine() -> Engine {
     Engine::with_config(EngineConfig {
-        workers: 4,
         statevec: StateVecConfig {
             threads: 4,
             parallel_threshold: 0,

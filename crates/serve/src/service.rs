@@ -596,8 +596,8 @@ fn run(inner: &Inner, ticket: &Ticket) -> JobState {
         core.stamp(id, phases::SHOTS, now);
     }
 
-    // Shots run sequentially on this worker: the service parallelizes
-    // across jobs, and per-shot seeds make the outcome schedule-free.
+    // Shots run in order on this worker: the service parallelizes across
+    // jobs.
     match contained(|| inner.engine.run_resolved(&job, &plan, source)) {
         Ok(Ok(result)) => JobState::Completed(Arc::new(result)),
         Ok(Err(ExecError::Cancelled { reason })) => match reason {

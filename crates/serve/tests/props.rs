@@ -61,7 +61,7 @@ proptest! {
 
         // Reference: a plain engine, no service.
         let reference = Engine::new()
-            .run_sequential(
+            .run(
                 &Job::new(&circuit).inputs(&inputs).shots(shots).seed(seed),
             )
             .expect("reference run succeeds");

@@ -62,22 +62,22 @@ pub use statevec::{
     StateVecConfig, Suffix,
 };
 
-// Send/Sync audit: the `quipper-exec` engine shares flattened circuits
-// across worker threads and moves per-shot simulator states and results
-// between them. If a non-thread-safe handle (`Rc`, `RefCell`, raw pointer)
+// Send/Sync audit: the `quipper-serve` workers share compiled plans
+// (flattened and fused circuits) across threads and move results between
+// them. If a non-thread-safe handle (`Rc`, `RefCell`, raw pointer)
 // ever creeps into these types, fail the build here — at the declaration of
 // the contract — rather than deep inside the engine's generic bounds.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     const fn assert_send<T: Send>() {}
-    // Shared read-only across workers:
+    // Shared read-only across threads:
     assert_send_sync::<quipper_circuit::Circuit>();
     assert_send_sync::<quipper_circuit::Gate>();
     assert_send_sync::<quipper_circuit::BCircuit>();
     assert_send_sync::<FusedCircuit>();
     assert_send_sync::<Evolved>();
     assert_send_sync::<EvolvedClifford<'static>>();
-    // Moved between workers as per-shot state and results:
+    // Moved between threads:
     assert_send::<StateVec>();
     assert_send::<statevec::RunResult>();
     assert_send::<stabilizer::Stabilizer>();

@@ -114,7 +114,7 @@ fn prefix_xor(mut v: u64) -> u64 {
 /// each half. `r` is the sign row-bitset in the same layout. Keeping the
 /// stabilizer half word-aligned at `cap` lets capacity growth relocate it
 /// with whole-word copies.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct PackedTableau {
     n: usize,
     /// Row capacity per half (destabilizer / stabilizer); multiple of 64.
@@ -124,6 +124,25 @@ pub struct PackedTableau {
     x: Vec<Vec<u64>>,
     z: Vec<Vec<u64>>,
     r: Vec<u64>,
+}
+
+impl Clone for PackedTableau {
+    fn clone(&self) -> PackedTableau {
+        let mut tab = PackedTableau::empty();
+        tab.clone_from(self);
+        tab
+    }
+
+    /// Field by field, so restoring a snapshot every shot reuses the
+    /// columns.
+    fn clone_from(&mut self, source: &PackedTableau) {
+        self.n = source.n;
+        self.cap = source.cap;
+        self.words = source.words;
+        self.x.clone_from(&source.x);
+        self.z.clone_from(&source.z);
+        self.r.clone_from(&source.r);
+    }
 }
 
 impl PackedTableau {
@@ -607,7 +626,8 @@ pub fn run_clifford_flat_tableau<T: Tableau>(
 
 /// A flat Clifford circuit run up to its first random measurement: the
 /// shot-invariant prefix, since [`Tableau::measure_slot`] draws from the RNG
-/// only when the outcome is random. Shots clone the tableau and continue.
+/// only when the outcome is random. A shot restores a scratch simulator to
+/// that state and continues.
 #[derive(Clone, Debug)]
 pub struct EvolvedClifford<'a, T = PackedTableau> {
     flat: &'a Circuit,
@@ -652,19 +672,23 @@ impl<T: Tableau + Clone> EvolvedClifford<'_, T> {
         self.split
     }
 
-    /// Finishes one shot under `seed`: the same bits, and the same error, as
-    /// [`run_clifford_flat_tableau`] under that seed.
+    /// Finishes one shot under `seed` in `scratch`, which it first restores
+    /// to the evolved state, reusing the scratch's allocations: the same
+    /// bits, and the same error, as [`run_clifford_flat_tableau`] under that
+    /// seed. Any simulator serves as the scratch, an empty
+    /// [`CliffordSim::new`] included.
     ///
     /// # Errors
     ///
     /// Whatever the suffix raises.
-    pub fn shot(&self, seed: u64) -> Result<Vec<bool>, SimError> {
-        let mut st = self.sim.clone();
-        st.rng = StdRng::seed_from_u64(seed);
+    pub fn shot(&self, scratch: &mut CliffordSim<T>, seed: u64) -> Result<Vec<bool>, SimError> {
+        scratch.tab.clone_from(&self.sim.tab);
+        scratch.wires.clone_from(&self.sim.wires);
+        scratch.rng = StdRng::seed_from_u64(seed);
         for gate in &self.flat.gates[self.split..] {
-            st.apply(gate)?;
+            scratch.apply(gate)?;
         }
-        wires::read_outputs(&mut st, &self.flat.outputs)
+        wires::read_outputs(scratch, &self.flat.outputs)
     }
 }
 

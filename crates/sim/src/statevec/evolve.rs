@@ -4,20 +4,20 @@
 //! op that draws from the shot's RNG. [`evolve`] runs that *prefix* once —
 //! everything before the first `QMeas`/`QDiscard` — and keeps the resulting
 //! state vector — amplitudes and wires — as an [`Evolved`] snapshot that
-//! workers share read-only. A shot is then finished from `&Evolved` and its
+//! its shot runner ([`Shots`]) reads. A shot is then finished from it and its
 //! seed in one of two ways ([`Suffix`]):
 //!
 //! * **Sampled** — the suffix is nothing but measurements and discards of
 //!   live wires. The shot never copies the state: for each measurement it
 //!   draws against the slot's probability and squeezes the kept half, scaled
 //!   by `1/sqrt(norm)`, into a scratch buffer half the size, accumulating
-//!   the next measurement's probabilities in the same pass. A worker keeps
+//!   the next measurement's probabilities in the same pass. A runner keeps
 //!   the squeezed states of its last shot, one per measurement, and a shot
 //!   whose first outcomes repeat that shot's starts from where they part:
 //!   the squeezed state is a function of the outcomes before it alone.
 //! * **Branched** — anything else (mid-circuit measurement feeding classical
 //!   controls, reset after measure, assertions after a measurement). The
-//!   shot copies the snapshot into a per-worker simulator and continues
+//!   shot copies the snapshot into the runner's simulator and continues
 //!   through the ordinary executor from the split op.
 //!
 //! # Why shots stay bit-identical to [`run_fused`](super::run_fused)
@@ -65,8 +65,8 @@ impl Suffix {
     }
 }
 
-/// The state of a fused circuit after its shot-invariant prefix, shared
-/// read-only by every worker of a job. Built by [`evolve`].
+/// The state of a fused circuit after its shot-invariant prefix, which a
+/// job's shot runner reads. Built by [`evolve`].
 #[derive(Debug)]
 pub struct Evolved {
     fused: Arc<FusedCircuit>,
@@ -199,7 +199,7 @@ impl Evolved {
         }
     }
 
-    /// A shot runner for one worker. It owns the worker's scratch memory
+    /// A shot runner for a job's shots. It owns the job's scratch memory
     /// (a half, a quarter, an eighth… of the state when sampling, so less
     /// than one state in all; one state copy when branching), allocated on
     /// first use and reused after.
@@ -302,7 +302,7 @@ fn squeeze(
     (p0, p1)
 }
 
-/// One measurement of a worker's last sampled shot.
+/// One measurement of a runner's last sampled shot.
 #[derive(Debug, Default)]
 struct Step {
     outcome: bool,
@@ -312,7 +312,7 @@ struct Step {
     next: (f64, f64),
 }
 
-/// One worker's shot runner over a shared [`Evolved`] snapshot.
+/// A job's shot runner over an [`Evolved`] snapshot.
 #[derive(Debug)]
 pub struct Shots<'a> {
     evolved: &'a Evolved,

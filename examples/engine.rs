@@ -96,8 +96,8 @@ fn main() {
     println!("  repeat: {}", again.report);
     assert!(again.report.cache_hit);
 
-    // A batch is a loop over `run`: each job fans its own shots out over
-    // the worker pool (scheduling *across* jobs is `quipper_serve::Service`).
+    // A batch is a loop over `run`: each job runs its shots in order on
+    // this thread (scheduling *across* jobs is `quipper_serve::Service`).
     let batch: Vec<_> = (0..4)
         .map(|seed| {
             let job = Job::new(&ghz).inputs(&[false; 3]).shots(50).seed(seed);

@@ -148,7 +148,7 @@ fn allocations_per_flat_gate(source: &str) -> f64 {
 }
 
 /// The route of `source`'s default-level plan, and the heap allocations of
-/// one sequential, untraced `Engine::run_resolved` of it: 16 shots, seed 7.
+/// one untraced `Engine::run_resolved` of it: 16 shots, seed 7.
 fn run_allocations(source: &str) -> (&'static str, u64) {
     let bc = quipper_qasm::compile(source).expect("the program compiles");
     let plan = Plan::compile_with(&bc, OptLevel::Default).expect("the plan compiles");
@@ -176,10 +176,10 @@ fn plan_compile_allocations_per_flat_gate_stay_within_budget() {
         }
     }
     // (program, route, budget): one run's allocations on this run path,
-    // exactly, so that one more box per job or per worker fails.
+    // exactly, so that one more box or copy per job or per shot fails.
     let runs = [
-        (ripple_adder(16, 2), "classical", 42),
-        (ghz_syndrome(16, 2), "stabilizer", 856),
+        (ripple_adder(16, 2), "classical", 27),
+        (ghz_syndrome(16, 2), "stabilizer", 211),
     ];
     for (source, route, budget) in runs.into_iter().chain([(T_PROGRAM.into(), "statevec", 31)]) {
         let (ran_on, allocations) = run_allocations(&source);
