@@ -547,9 +547,9 @@ impl<'a> Lowerer<'a> {
         depth: usize,
     ) -> Result<(), ()> {
         let spec = self.resolve_spec(&call.name, call.name_span)?;
-        let user = self.user_gates.get(&call.name).cloned();
-        let want_params = spec.params(user.as_ref());
-        let arity = spec.qubits(user.as_ref());
+        let user = self.user_gates.get(&call.name);
+        let want_params = spec.params(user);
+        let arity = spec.qubits(user);
         if call.params.len() != want_params {
             self.diags.error(
                 Code::QP104,
