@@ -12,9 +12,18 @@
 //!
 //! Exact-set matching keeps the `QP###` codes honest as a stable API:
 //! a change that shifts which code fires — or adds cascade noise — fails
-//! here, not in a client's error handler. Accepted fixtures additionally
+//! here, not in a client's error handler. Beyond the code sets, every
+//! fixture's rendered diagnostics (line:col, severity, code and message,
+//! in order) must equal `tests/qasm_corpus/diagnostics.golden`, so a moved
+//! span or a reworded message fails too. Accepted fixtures additionally
 //! go through IR validation and the full `Plan` pipeline, proving the
 //! corpus exercises circuits the execution stack genuinely accepts.
+//!
+//! To re-bless the diagnostics golden after an *intentional* change:
+//!
+//! ```text
+//! QASM_BLESS=1 cargo test --test qasm_corpus
+//! ```
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -51,14 +60,20 @@ fn parse_expectation(path: &Path, text: &str) -> Expectation {
     Expectation { accept, codes }
 }
 
-#[test]
-fn corpus_fixtures_match_their_declared_codes() {
+/// The corpus fixtures, in file-name order.
+fn fixtures() -> Vec<PathBuf> {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(corpus_dir())
         .unwrap()
         .map(|e| e.unwrap().path())
         .filter(|p| p.extension().is_some_and(|e| e == "qasm"))
         .collect();
     paths.sort();
+    paths
+}
+
+#[test]
+fn corpus_fixtures_match_their_declared_codes() {
+    let paths = fixtures();
     assert!(
         paths.len() >= 20,
         "corpus shrank to {} fixtures",
@@ -92,6 +107,37 @@ fn corpus_fixtures_match_their_declared_codes() {
         }
     }
     assert!(failures.is_empty(), "\n{}", failures.join("\n"));
+}
+
+/// Every diagnostic of every fixture, rendered, equals the committed golden.
+#[test]
+fn corpus_diagnostics_match_the_golden() {
+    let mut rendered = String::new();
+    for path in fixtures() {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (bc, diags) = quipper_qasm::compile_full(&text);
+        let name = path.file_name().unwrap().to_string_lossy();
+        let verdict = if bc.is_some() { "accepted" } else { "rejected" };
+        rendered.push_str(&format!("== {name}: {verdict}\n"));
+        for d in diags.iter() {
+            rendered.push_str(&format!("{d}\n"));
+        }
+    }
+    let path = corpus_dir().join("diagnostics.golden");
+    if std::env::var_os("QASM_BLESS").is_some() {
+        std::fs::write(&path, &rendered).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {} ({e}); run with QASM_BLESS=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        rendered, expected,
+        "corpus diagnostics drifted from their golden; if intentional, re-bless with QASM_BLESS=1"
+    );
 }
 
 /// Accepted fixtures are first-class circuits: they validate as IR and
