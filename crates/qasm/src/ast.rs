@@ -1,122 +1,44 @@
-//! Abstract syntax for the accepted OpenQASM subset.
+//! The parsed forms the parser hands to the lowerer: a gate call and the
+//! condition of an `if`. There is no statement tree; every other
+//! statement is lowered from its tokens as it is parsed.
 //!
-//! Everything carries a [`Span`] so semantic diagnostics point at source,
-//! not at the lowered IR. The parser guarantees structural sanity only;
-//! name resolution, arity checks and angle folding happen in
-//! [`crate::lower`].
+//! Names borrow the source, and everything carries a [`Span`] so semantic
+//! diagnostics point at source, not at the lowered IR. The parser
+//! guarantees structural sanity only; name resolution, arity checks and
+//! angle folding happen in [`crate::lower`].
 
 use crate::diag::Span;
 
-/// A whole source file.
-#[derive(Clone, Debug, Default)]
-pub struct Program {
-    /// Declared `OPENQASM` version, if a header was present and readable.
-    pub version: Option<(u32, u32)>,
-    /// Top-level statements in source order.
-    pub stmts: Vec<Stmt>,
-}
-
-/// A statement with its source position.
+/// A gate application, including `U`, `CX` and `gphase`. A `gate`
+/// definition keeps its body as these and lowers it at first use.
 #[derive(Clone, Debug)]
-pub struct Stmt {
-    /// What it is.
-    pub kind: StmtKind,
-    /// Where it starts.
-    pub span: Span,
-}
-
-/// Statement forms.
-#[derive(Clone, Debug)]
-pub enum StmtKind {
-    /// `include "qelib1.inc";`
-    Include {
-        /// The literal path.
-        path: String,
-    },
-    /// `qreg q[3];` or QASM-3 `qubit[3] q;` / `qubit q;`
-    QReg {
-        /// Register name.
-        name: String,
-        /// Number of qubits.
-        size: u64,
-    },
-    /// `creg c[3];` or QASM-3 `bit[3] c;` / `bit c;`
-    CReg {
-        /// Register name.
-        name: String,
-        /// Number of bits.
-        size: u64,
-    },
-    /// `gate name(params) qubits { body }`
-    GateDef {
-        /// Gate name.
-        name: String,
-        /// Angle parameter names.
-        params: Vec<String>,
-        /// Formal qubit names.
-        qubits: Vec<String>,
-        /// Body: gate calls and barriers only (the parser rejects the rest).
-        body: Vec<Stmt>,
-    },
-    /// `opaque name(params) qubits;` — declared but not lowerable.
-    Opaque {
-        /// Gate name.
-        name: String,
-        /// Number of angle parameters.
-        params: usize,
-        /// Number of qubit arguments.
-        qubits: usize,
-    },
-    /// `barrier args;` — accepted, validated, and dropped (no IR form).
-    Barrier {
-        /// Arguments (registers or single qubits).
-        args: Vec<Arg>,
-    },
-    /// `reset q[0];` or `reset q;`
-    Reset {
-        /// Target (register form broadcasts).
-        arg: Arg,
-    },
-    /// `measure q[0] -> c[0];` (or QASM-3 `c[0] = measure q[0];`)
-    Measure {
-        /// Source qubit(s).
-        src: Arg,
-        /// Destination bit(s).
-        dst: Arg,
-    },
-    /// A gate application, including `U`, `CX` and `gphase`.
-    Gate(GateCall),
-    /// `if (c == 1) stmt`
-    If {
-        /// Condition register name.
-        creg: String,
-        /// Span of the register name (for resolution diagnostics).
-        creg_span: Span,
-        /// Comparison value.
-        value: u64,
-        /// The conditioned statement.
-        body: Box<Stmt>,
-    },
-}
-
-/// A gate application.
-#[derive(Clone, Debug)]
-pub struct GateCall {
+pub struct GateCall<'a> {
     /// Gate name.
-    pub name: String,
+    pub name: &'a str,
     /// Span of the name.
     pub name_span: Span,
     /// Angle parameter expressions.
-    pub params: Vec<Expr>,
+    pub params: Vec<Expr<'a>>,
     /// Qubit arguments.
-    pub args: Vec<Arg>,
+    pub args: Vec<Arg<'a>>,
+}
+
+/// The condition of `if (creg == value)`.
+#[derive(Clone, Copy, Debug)]
+pub struct Condition<'a> {
+    /// Condition register name.
+    pub creg: &'a str,
+    /// Span of the register name (for resolution diagnostics).
+    pub creg_span: Span,
+    /// Comparison value.
+    pub value: u64,
 }
 
 /// A register reference, optionally indexed: `q`, `q[2]`.
-#[derive(Clone, Debug)]
-pub struct Arg {
+#[derive(Clone, Copy, Debug)]
+pub struct Arg<'a> {
     /// Register name (or gate-body formal).
-    pub name: String,
+    pub name: &'a str,
     /// `Some(i)` for `name[i]`, `None` for the whole register.
     pub index: Option<u64>,
     /// Source position.
@@ -125,28 +47,28 @@ pub struct Arg {
 
 /// An angle expression (folded at lowering time).
 #[derive(Clone, Debug)]
-pub struct Expr {
+pub struct Expr<'a> {
     /// Node.
-    pub kind: ExprKind,
+    pub kind: ExprKind<'a>,
     /// Source position.
     pub span: Span,
 }
 
 /// Expression nodes.
 #[derive(Clone, Debug)]
-pub enum ExprKind {
+pub enum ExprKind<'a> {
     /// Numeric literal.
     Num(f64),
     /// The constant `pi`.
     Pi,
     /// A gate parameter reference (only valid inside gate bodies).
-    Ident(String),
+    Ident(&'a str),
     /// Unary negation.
-    Neg(Box<Expr>),
+    Neg(Box<Expr<'a>>),
     /// Binary operation.
-    Bin(BinOp, Box<Expr>, Box<Expr>),
+    Bin(BinOp, Box<Expr<'a>>, Box<Expr<'a>>),
     /// Built-in function call: `sin`, `cos`, `tan`, `exp`, `ln`, `sqrt`.
-    Call(&'static str, Box<Expr>),
+    Call(&'static str, Box<Expr<'a>>),
 }
 
 /// Binary operators, standard precedence (`^` binds tightest, right-assoc).

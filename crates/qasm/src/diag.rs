@@ -254,17 +254,6 @@ impl Diagnostics {
     pub fn count(&self, severity: Severity) -> usize {
         self.diags.iter().filter(|d| d.severity == severity).count()
     }
-
-    /// Merges another collection (appended after ours).
-    pub fn extend(&mut self, other: Diagnostics) {
-        for d in other.diags {
-            if self.diags.len() >= MAX_DIAGS {
-                self.truncated = true;
-                break;
-            }
-            self.diags.push(d);
-        }
-    }
 }
 
 impl fmt::Display for Diagnostics {

@@ -1,23 +1,24 @@
 //! Hand-rolled OpenQASM lexer.
 //!
-//! Produces a flat token stream with 1-based line/column spans. Lexical
-//! errors (stray characters, unterminated comments or strings, malformed
+//! Produces a flat token stream with 1-based line/column spans. Names and
+//! string literals are slices of the source, never copies. Lexical errors
+//! (stray characters, unterminated comments or strings, malformed
 //! numbers) are recorded as diagnostics and the offending bytes skipped,
 //! so the parser always sees a well-formed stream ending in [`Tok::Eof`].
 
 use crate::diag::{Code, Diagnostics, Span};
 
 /// Token payload.
-#[derive(Clone, PartialEq, Debug)]
-pub enum Tok {
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum Tok<'a> {
     /// Identifier or keyword (`qreg`, `gate`, `pi`, gate names, …).
-    Ident(String),
+    Ident(&'a str),
     /// Unsigned integer literal.
     Int(u64),
     /// Real literal (also used for integers too large for `u64`).
     Real(f64),
     /// String literal, quotes stripped (`include` paths).
-    Str(String),
+    Str(&'a str),
     /// `(`
     LParen,
     /// `)`
@@ -54,7 +55,7 @@ pub enum Tok {
     Eof,
 }
 
-impl Tok {
+impl Tok<'_> {
     /// Short human name for "expected X, found Y" messages.
     pub fn describe(&self) -> String {
         match self {
@@ -84,10 +85,10 @@ impl Tok {
 }
 
 /// A token with its source position.
-#[derive(Clone, PartialEq, Debug)]
-pub struct Token {
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct Token<'a> {
     /// Payload.
-    pub tok: Tok,
+    pub tok: Tok<'a>,
     /// Position of the token's first byte.
     pub span: Span,
 }
@@ -162,7 +163,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn lex_number(&mut self, diags: &mut Diagnostics) -> Tok {
+    fn lex_number(&mut self, diags: &mut Diagnostics) -> Tok<'a> {
         let start = self.span();
         let begin = self.pos;
         let mut is_real = false;
@@ -247,7 +248,7 @@ impl<'a> Lexer<'a> {
 
 /// Lexes the whole source. The returned stream always ends with
 /// [`Tok::Eof`]; lexical problems are recorded in `diags`.
-pub fn lex(source: &str, diags: &mut Diagnostics) -> Vec<Token> {
+pub fn lex<'a>(source: &'a str, diags: &mut Diagnostics) -> Vec<Token<'a>> {
     let mut lx = Lexer {
         src: source.as_bytes(),
         pos: 0,
@@ -274,8 +275,8 @@ pub fn lex(source: &str, diags: &mut Diagnostics) -> Vec<Token> {
                 ) {
                     lx.bump();
                 }
-                let text = std::str::from_utf8(&lx.src[begin..lx.pos]).unwrap_or_default();
-                Tok::Ident(text.to_string())
+                // Names are ASCII, so the slice ends on a character boundary.
+                Tok::Ident(&source[begin..lx.pos])
             }
             b'0'..=b'9' => lx.lex_number(diags),
             b'.' if matches!(lx.peek2(), Some(b'0'..=b'9')) => lx.lex_number(diags),
@@ -294,11 +295,12 @@ pub fn lex(source: &str, diags: &mut Diagnostics) -> Vec<Token> {
                     }
                     lx.bump();
                 }
+                // Both ends sit next to an ASCII quote: character boundaries.
                 match end {
-                    Some(e) => Tok::Str(String::from_utf8_lossy(&lx.src[begin..e]).into_owned()),
+                    Some(e) => Tok::Str(&source[begin..e]),
                     None => {
                         diags.error(Code::QP002, span, "unterminated string literal");
-                        Tok::Str(String::new())
+                        Tok::Str("")
                     }
                 }
             }
@@ -396,7 +398,7 @@ pub fn lex(source: &str, diags: &mut Diagnostics) -> Vec<Token> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> (Vec<Tok>, Diagnostics) {
+    fn toks(src: &str) -> (Vec<Tok<'_>>, Diagnostics) {
         let mut diags = Diagnostics::new();
         let stream = lex(src, &mut diags);
         (stream.into_iter().map(|t| t.tok).collect(), diags)
@@ -409,8 +411,8 @@ mod tests {
         assert_eq!(
             ts,
             vec![
-                Tok::Ident("qreg".into()),
-                Tok::Ident("q".into()),
+                Tok::Ident("qreg"),
+                Tok::Ident("q"),
                 Tok::LBracket,
                 Tok::Int(3),
                 Tok::RBracket,
@@ -431,7 +433,7 @@ mod tests {
     #[test]
     fn comments_are_skipped_and_unterminated_flagged() {
         let (ts, ds) = toks("// line\n/* block */ h q; /* open");
-        assert!(ts.contains(&Tok::Ident("h".into())));
+        assert!(ts.contains(&Tok::Ident("h")));
         assert!(ds.has_errors());
         assert_eq!(ds.iter().next().unwrap().code, Code::QP002);
     }
@@ -442,7 +444,7 @@ mod tests {
         assert_eq!(ds.count(crate::diag::Severity::Error), 1);
         assert_eq!(ds.iter().next().unwrap().code, Code::QP001);
         // The surrounding tokens survive.
-        assert!(ts.contains(&Tok::Ident("q".into())));
+        assert!(ts.contains(&Tok::Ident("q")));
     }
 
     #[test]
@@ -456,10 +458,7 @@ mod tests {
         let mut diags = Diagnostics::new();
         let stream = lex("h q;\n  x q;", &mut diags);
         assert_eq!(stream[0].span, Span { line: 1, col: 1 });
-        let x = stream
-            .iter()
-            .find(|t| t.tok == Tok::Ident("x".into()))
-            .unwrap();
+        let x = stream.iter().find(|t| t.tok == Tok::Ident("x")).unwrap();
         assert_eq!(x.span, Span { line: 2, col: 3 });
     }
 }

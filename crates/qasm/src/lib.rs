@@ -19,14 +19,15 @@
 //! `parse(export(c))` is statevector-equivalent to `c` up to global
 //! phase.
 
-pub mod ast;
+mod ast;
 pub mod diag;
-pub mod lex;
-pub mod lower;
-pub mod parse;
+mod lex;
+mod lower;
+mod parse;
 
 pub use diag::{Code, Diag, Diagnostics, Severity, Span};
-pub use lower::{MAX_BITS, MAX_QUBITS};
+pub use lower::{MAX_BITS, MAX_GATE_DEPTH, MAX_QUBITS};
+pub use parse::MAX_DEPTH;
 
 use quipper_circuit::BCircuit;
 use quipper_trace::names;
@@ -55,11 +56,17 @@ pub fn compile_full(source: &str) -> (Option<BCircuit>, Diagnostics) {
         None
     } else {
         let toks = lex::lex(source, &mut diags);
-        let prog = parse::parse(&toks, &mut diags);
-        if diags.has_errors() {
-            None
-        } else {
-            lower::lower(&prog, &mut diags)
+        let bc = parse::parse(&toks, &mut diags).finish(&mut diags);
+        match bc.as_ref().map(BCircuit::validate) {
+            Some(Err(e)) => {
+                diags.error(
+                    Code::QP190,
+                    Span::default(),
+                    format!("internal: lowered circuit failed validation: {e}"),
+                );
+                None
+            }
+            _ => bc,
         }
     };
     let m = quipper_trace::tracer().metrics();

@@ -1,4 +1,8 @@
-//! Semantic analysis and lowering of the AST into the hierarchical IR.
+//! Semantic analysis and lowering into the hierarchical IR, one statement
+//! at a time: the parser calls the [`Lowerer`] as it finishes each
+//! statement, so no syntax tree is built. Lowering keeps its diagnostics
+//! apart and appends them after the parse's, and only when the parse
+//! recorded no error ([`Lowerer::finish`]).
 //!
 //! Conventions (chosen to make `export ∘ parse` a byte fixpoint on the
 //! exporter's own output — see DESIGN.md "QASM ingestion"):
@@ -20,14 +24,15 @@
 //! * All angle expressions are constant-folded to `f64` (QASM has no
 //!   runtime parameters in this subset); non-finite results are `QP110`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 
 use quipper_circuit::qelib::{self, QelibDef, QelibKind};
 use quipper_circuit::{
     BCircuit, BoxId, Circuit, CircuitDb, Control, Gate, GateName, SubDef, Wire, WireType,
 };
 
-use crate::ast::{Arg, BinOp, Expr, ExprKind, GateCall, Program, Stmt, StmtKind};
+use crate::ast::{Arg, BinOp, Condition, Expr, ExprKind, GateCall};
 use crate::diag::{Code, Diagnostics, Span};
 
 /// Total qubits a program may declare (across all registers).
@@ -54,15 +59,14 @@ enum Reg {
     C { start: usize, size: usize },
 }
 
-#[derive(Clone)]
-struct UserGate {
-    params: Vec<String>,
-    qubits: Vec<String>,
-    body: Vec<Stmt>,
+struct UserGate<'a> {
+    params: Vec<&'a str>,
+    qubits: Vec<&'a str>,
+    body: Vec<GateCall<'a>>,
 }
 
 /// What a gate name resolves to.
-enum Spec {
+enum Spec<'a> {
     /// A shared-table mnemonic (requires `include "qelib1.inc"`).
     Qelib(&'static QelibDef),
     /// The OpenQASM builtin `U(θ,φ,λ)`.
@@ -72,36 +76,48 @@ enum Spec {
     /// The QASM-3 builtin `gphase(γ)`.
     GPhase,
     /// A user-defined gate.
-    User,
+    User(Rc<UserGate<'a>>),
 }
 
-impl Spec {
-    fn params(&self, user: Option<&UserGate>) -> usize {
+impl Spec<'_> {
+    fn params(&self) -> usize {
         match self {
             Spec::Qelib(def) => def.params,
             Spec::U => 3,
             Spec::Cx => 0,
             Spec::GPhase => 1,
-            Spec::User => user.map_or(0, |u| u.params.len()),
+            Spec::User(def) => def.params.len(),
         }
     }
 
-    fn qubits(&self, user: Option<&UserGate>) -> usize {
+    fn qubits(&self) -> usize {
         match self {
             Spec::Qelib(def) => def.controls + def.targets,
             Spec::U => 1,
             Spec::Cx => 2,
             Spec::GPhase => 0,
-            Spec::User => user.map_or(0, |u| u.qubits.len()),
+            Spec::User(def) => def.qubits.len(),
         }
     }
 }
 
-/// Scope for gate applications inside a `gate` body: formals map directly
-/// to wires and parameters to folded values.
-struct BodyEnv {
-    params: HashMap<String, f64>,
-    wires: HashMap<String, Wire>,
+/// Scope for gate applications inside a `gate` body: formal `i` of the
+/// qubits is wire `i`, and the parameters are folded values.
+struct BodyEnv<'g, 'a> {
+    def: &'g UserGate<'a>,
+    params: &'g [f64],
+}
+
+impl BodyEnv<'_, '_> {
+    fn param(&self, name: &str) -> Option<f64> {
+        let i = self.def.params.iter().position(|p| *p == name)?;
+        Some(self.params[i])
+    }
+
+    fn wire(&self, name: &str) -> Option<Wire> {
+        let i = self.def.qubits.iter().position(|q| *q == name)?;
+        Some(Wire(i as u32))
+    }
 }
 
 /// A broadcast selector over the flat slot (or bit) space.
@@ -127,65 +143,27 @@ impl Sel {
     }
 }
 
-struct Lowerer<'a> {
-    diags: &'a mut Diagnostics,
+/// The lowering state of one program, fed one statement at a time.
+#[derive(Default)]
+pub struct Lowerer<'a> {
+    /// Lowering's own diagnostics, in statement order.
+    diags: Diagnostics,
     db: CircuitDb,
     gates: Vec<Gate>,
     next_wire: u32,
     slots: Vec<SlotState>,
     cbits: Vec<Option<Wire>>,
-    regs: HashMap<String, Reg>,
+    regs: HashMap<&'a str, Reg>,
     /// (slot, wire) pairs discovered to be circuit inputs.
     inputs: Vec<(usize, Wire)>,
-    user_gates: HashMap<String, UserGate>,
-    opaques: HashMap<String, ()>,
+    user_gates: HashMap<&'a str, Rc<UserGate<'a>>>,
+    opaques: HashSet<&'a str>,
     /// Whether `qelib1.inc` (or `stdgates.inc`) was included.
     qelib: bool,
     /// Memoized boxes per (gate name, folded parameter shape).
-    boxes: HashMap<(String, String), BoxId>,
+    boxes: HashMap<(&'a str, String), BoxId>,
     /// Names currently being lowered (recursion guard).
-    lower_stack: Vec<String>,
-}
-
-/// Lowers a parsed program. Returns `None` when error diagnostics were
-/// recorded (warnings alone do not block).
-pub fn lower(prog: &Program, diags: &mut Diagnostics) -> Option<BCircuit> {
-    let mut lw = Lowerer {
-        diags,
-        db: CircuitDb::new(),
-        gates: Vec::new(),
-        next_wire: 0,
-        slots: Vec::new(),
-        cbits: Vec::new(),
-        regs: HashMap::new(),
-        inputs: Vec::new(),
-        user_gates: HashMap::new(),
-        opaques: HashMap::new(),
-        qelib: false,
-        boxes: HashMap::new(),
-        lower_stack: Vec::new(),
-    };
-    for stmt in &prog.stmts {
-        let _ = lw.stmt(stmt, &[], 0);
-        if lw.diags.is_truncated() {
-            break;
-        }
-    }
-    if lw.diags.has_errors() {
-        return None;
-    }
-    let bc = lw.finish();
-    match bc.validate() {
-        Ok(_) => Some(bc),
-        Err(e) => {
-            diags.error(
-                Code::QP190,
-                Span::default(),
-                format!("internal: lowered circuit failed validation: {e}"),
-            );
-            None
-        }
-    }
+    lower_stack: Vec<&'a str>,
 }
 
 impl<'a> Lowerer<'a> {
@@ -216,212 +194,208 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn stmt(&mut self, stmt: &Stmt, conds: &[Control], depth: usize) -> Result<(), ()> {
-        if !conds.is_empty() && !matches!(stmt.kind, StmtKind::Gate(_) | StmtKind::If { .. }) {
-            self.diags.error(
-                Code::QP112,
-                stmt.span,
-                "only gate applications can be classically conditioned",
-            );
-            return Err(());
+    /// `include "path";`: only the standard gate library can be included.
+    pub fn include(&mut self, path: &str, span: Span) -> Result<(), ()> {
+        if path == "qelib1.inc" || path == "stdgates.inc" {
+            self.qelib = true;
+            return Ok(());
         }
-        match &stmt.kind {
-            StmtKind::Include { path } => {
-                if path == "qelib1.inc" || path == "stdgates.inc" {
-                    self.qelib = true;
-                } else {
-                    self.diags.error(
-                        Code::QP113,
-                        stmt.span,
-                        format!(
-                            "unsupported include {path:?} (only \"qelib1.inc\" / \"stdgates.inc\")"
-                        ),
-                    );
-                    return Err(());
-                }
-                Ok(())
-            }
-            StmtKind::QReg { name, size } => self.declare(name, *size, true, stmt.span),
-            StmtKind::CReg { name, size } => self.declare(name, *size, false, stmt.span),
-            StmtKind::GateDef {
-                name,
-                params,
-                qubits,
-                body,
-            } => {
-                if self.name_taken(name) {
-                    self.diags.error(
-                        Code::QP105,
-                        stmt.span,
-                        format!("duplicate declaration of `{name}`"),
-                    );
-                    return Err(());
-                }
-                let mut formals: Vec<&String> = params.iter().chain(qubits.iter()).collect();
-                formals.sort_unstable();
-                if formals.windows(2).any(|w| w[0] == w[1]) {
-                    self.diags.error(
-                        Code::QP105,
-                        stmt.span,
-                        format!("duplicate formal name in gate `{name}`"),
-                    );
-                    return Err(());
-                }
-                self.user_gates.insert(
-                    name.clone(),
-                    UserGate {
-                        params: params.clone(),
-                        qubits: qubits.clone(),
-                        body: body.clone(),
-                    },
-                );
-                Ok(())
-            }
-            StmtKind::Opaque { name, .. } => {
-                if self.name_taken(name) {
-                    self.diags.error(
-                        Code::QP105,
-                        stmt.span,
-                        format!("duplicate declaration of `{name}`"),
-                    );
-                    return Err(());
-                }
-                self.opaques.insert(name.clone(), ());
-                Ok(())
-            }
-            StmtKind::Barrier { args } => {
-                // Validated, then dropped: barriers order statements, and
-                // the gate list is already ordered.
-                for arg in args {
-                    self.resolve_sel(arg, true)
-                        .or_else(|_| self.resolve_sel(arg, false))?;
-                }
-                Ok(())
-            }
-            StmtKind::Reset { arg } => {
-                let sel = self.resolve_sel(arg, true)?;
-                for k in 0..sel.len() {
-                    let slot = sel.at(k);
-                    if let SlotState::Live(old) = self.slots[slot] {
-                        self.gates.push(Gate::QDiscard { wire: old });
-                    }
-                    let w = self.fresh();
-                    self.gates.push(Gate::QInit {
-                        value: false,
-                        wire: w,
-                    });
-                    self.slots[slot] = SlotState::Live(w);
-                }
-                Ok(())
-            }
-            StmtKind::Measure { src, dst } => {
-                let qsel = self.resolve_sel(src, true)?;
-                let csel = self.resolve_sel(dst, false)?;
-                if qsel.len() != csel.len() {
-                    self.diags.error(
-                        Code::QP107,
-                        stmt.span,
-                        format!(
-                            "measure size mismatch: {} qubit(s) into {} bit(s)",
-                            qsel.len(),
-                            csel.len()
-                        ),
-                    );
-                    return Err(());
-                }
-                for k in 0..qsel.len() {
-                    let slot = qsel.at(k);
-                    let bit = csel.at(k);
-                    let w = self.touch(slot, src.span)?;
-                    self.gates.push(Gate::QMeas { wire: w });
-                    self.slots[slot] = SlotState::Measured;
-                    if let Some(old) = self.cbits[bit] {
-                        // Overwritten result: the old classical wire's
-                        // scope ends here.
-                        self.gates.push(Gate::CDiscard { wire: old });
-                    }
-                    self.cbits[bit] = Some(w);
-                }
-                Ok(())
-            }
-            StmtKind::Gate(call) => self.apply_gate(call, conds, None, 0),
-            StmtKind::If {
-                creg,
-                creg_span,
-                value,
-                body,
-            } => {
-                if depth > MAX_GATE_DEPTH {
-                    self.diags
-                        .error(Code::QP006, stmt.span, "if statements nested too deeply");
-                    return Err(());
-                }
-                // Structural: only gate applications can be conditioned
-                // (the IR has no conditioned measure/reset/declaration),
-                // even when the condition would fold away.
-                if !matches!(body.kind, StmtKind::Gate(_) | StmtKind::If { .. }) {
-                    self.diags.error(
-                        Code::QP112,
-                        body.span,
-                        "only gate applications can be classically conditioned",
-                    );
-                    return Err(());
-                }
-                let Some(&Reg::C { start, size }) = self.regs.get(creg) else {
-                    self.diags.error(
-                        Code::QP101,
-                        *creg_span,
-                        format!("unknown classical register `{creg}`"),
-                    );
-                    return Err(());
-                };
-                if size < 64 && *value >= (1u64 << size) {
-                    self.diags.warning(
-                        Code::QP111,
-                        stmt.span,
-                        format!(
-                            "condition value {value} can never match a {size}-bit register; statement dropped"
-                        ),
-                    );
-                    return Ok(());
-                }
-                let mut merged = conds.to_vec();
-                for j in 0..size {
-                    let want = (*value >> j) & 1 == 1;
-                    match self.cbits[start + j] {
-                        Some(w) => {
-                            if let Some(prev) = merged.iter().find(|c| c.wire == w) {
-                                if prev.positive != want {
-                                    // Contradictory conditions: can never
-                                    // fire; drop the statement.
-                                    return Ok(());
-                                }
-                            } else {
-                                merged.push(Control {
-                                    wire: w,
-                                    positive: want,
-                                });
-                            }
-                        }
-                        // An unwritten creg bit is the constant 0.
-                        None if want => return Ok(()),
-                        None => {}
-                    }
-                }
-                self.stmt(body, &merged, depth + 1)
-            }
-        }
+        self.diags.error(
+            Code::QP113,
+            span,
+            format!("unsupported include {path:?} (only \"qelib1.inc\" / \"stdgates.inc\")"),
+        );
+        Err(())
     }
 
-    fn declare(&mut self, name: &str, size: u64, quantum: bool, span: Span) -> Result<(), ()> {
-        if self.name_taken(name) {
+    /// `gate name(params) qubits { body }`: the body lowers at first use.
+    pub fn define_gate(
+        &mut self,
+        name: &'a str,
+        params: Vec<&'a str>,
+        qubits: Vec<&'a str>,
+        body: Vec<GateCall<'a>>,
+        span: Span,
+    ) -> Result<(), ()> {
+        self.claim(name, span)?;
+        let mut formals: Vec<&str> = params.iter().chain(qubits.iter()).copied().collect();
+        formals.sort_unstable();
+        if formals.windows(2).any(|w| w[0] == w[1]) {
             self.diags.error(
                 Code::QP105,
                 span,
-                format!("duplicate declaration of `{name}`"),
+                format!("duplicate formal name in gate `{name}`"),
             );
             return Err(());
         }
+        let def = UserGate {
+            params,
+            qubits,
+            body,
+        };
+        self.user_gates.insert(name, Rc::new(def));
+        Ok(())
+    }
+
+    /// `opaque name(params) qubits;`: declared, never lowerable.
+    pub fn opaque(&mut self, name: &'a str, span: Span) -> Result<(), ()> {
+        self.claim(name, span)?;
+        self.opaques.insert(name);
+        Ok(())
+    }
+
+    /// `barrier args;`: validated, then dropped. Barriers order
+    /// statements, and the gate list is already ordered.
+    pub fn barrier(&mut self, args: &[Arg]) -> Result<(), ()> {
+        for arg in args {
+            self.resolve_sel(arg, true)
+                .or_else(|_| self.resolve_sel(arg, false))?;
+        }
+        Ok(())
+    }
+
+    /// `reset arg;`
+    pub fn reset(&mut self, arg: &Arg) -> Result<(), ()> {
+        let sel = self.resolve_sel(arg, true)?;
+        for k in 0..sel.len() {
+            let slot = sel.at(k);
+            if let SlotState::Live(old) = self.slots[slot] {
+                self.gates.push(Gate::QDiscard { wire: old });
+            }
+            let w = self.fresh();
+            self.gates.push(Gate::QInit {
+                value: false,
+                wire: w,
+            });
+            self.slots[slot] = SlotState::Live(w);
+        }
+        Ok(())
+    }
+
+    /// `measure src -> dst;` (or `dst = measure src;`).
+    pub fn measure(&mut self, src: &Arg, dst: &Arg, span: Span) -> Result<(), ()> {
+        let qsel = self.resolve_sel(src, true)?;
+        let csel = self.resolve_sel(dst, false)?;
+        if qsel.len() != csel.len() {
+            self.diags.error(
+                Code::QP107,
+                span,
+                format!(
+                    "measure size mismatch: {} qubit(s) into {} bit(s)",
+                    qsel.len(),
+                    csel.len()
+                ),
+            );
+            return Err(());
+        }
+        for k in 0..qsel.len() {
+            let slot = qsel.at(k);
+            let bit = csel.at(k);
+            let w = self.touch(slot, src.span)?;
+            self.gates.push(Gate::QMeas { wire: w });
+            self.slots[slot] = SlotState::Measured;
+            if let Some(old) = self.cbits[bit] {
+                // Overwritten result: the old classical wire's
+                // scope ends here.
+                self.gates.push(Gate::CDiscard { wire: old });
+            }
+            self.cbits[bit] = Some(w);
+        }
+        Ok(())
+    }
+
+    /// The classical controls of the statement under `if (cond)` at `span`,
+    /// `depth` ifs deep, inside the enclosing `conds`. `None` when the
+    /// statement is dropped (its condition can never hold) or in error.
+    /// `misplaced` is the span of a conditioned statement that is neither
+    /// a gate call nor an `if`.
+    pub fn condition(
+        &mut self,
+        conds: &[Control],
+        cond: Condition,
+        span: Span,
+        depth: usize,
+        misplaced: Option<Span>,
+    ) -> Option<Vec<Control>> {
+        if depth > MAX_GATE_DEPTH {
+            self.diags
+                .error(Code::QP006, span, "if statements nested too deeply");
+            return None;
+        }
+        // Structural: only gate applications can be conditioned (the IR
+        // has no conditioned measure/reset/declaration), even when the
+        // condition would fold away.
+        if let Some(body) = misplaced {
+            self.diags.error(
+                Code::QP112,
+                body,
+                "only gate applications can be classically conditioned",
+            );
+            return None;
+        }
+        let Condition {
+            creg,
+            creg_span,
+            value,
+        } = cond;
+        let Some(&Reg::C { start, size }) = self.regs.get(creg) else {
+            self.diags.error(
+                Code::QP101,
+                creg_span,
+                format!("unknown classical register `{creg}`"),
+            );
+            return None;
+        };
+        if size < 64 && value >= (1u64 << size) {
+            self.diags.warning(
+                Code::QP111,
+                span,
+                format!(
+                    "condition value {value} can never match a {size}-bit register; statement dropped"
+                ),
+            );
+            return None;
+        }
+        let mut merged = conds.to_vec();
+        for j in 0..size {
+            let want = (value >> j) & 1 == 1;
+            match self.cbits[start + j] {
+                Some(w) => {
+                    if let Some(prev) = merged.iter().find(|c| c.wire == w) {
+                        if prev.positive != want {
+                            // Contradictory conditions: can never fire;
+                            // drop the statement.
+                            return None;
+                        }
+                    } else {
+                        merged.push(Control {
+                            wire: w,
+                            positive: want,
+                        });
+                    }
+                }
+                // An unwritten creg bit is the constant 0.
+                None if want => return None,
+                None => {}
+            }
+        }
+        Some(merged)
+    }
+
+    /// Whether lowering has stopped recording diagnostics at the cap.
+    pub fn is_truncated(&self) -> bool {
+        self.diags.is_truncated()
+    }
+
+    /// `qreg`/`creg` (or `qubit`/`bit`) `name[size];`.
+    pub fn declare(
+        &mut self,
+        name: &'a str,
+        size: u64,
+        quantum: bool,
+        span: Span,
+    ) -> Result<(), ()> {
+        self.claim(name, span)?;
         let (used, cap, what) = if quantum {
             (self.slots.len() as u64, MAX_QUBITS, "qubits")
         } else {
@@ -439,26 +413,36 @@ impl<'a> Lowerer<'a> {
         if quantum {
             let start = self.slots.len();
             self.slots.resize(start + size, SlotState::Fresh);
-            self.regs.insert(name.to_string(), Reg::Q { start, size });
+            self.regs.insert(name, Reg::Q { start, size });
         } else {
             let start = self.cbits.len();
             self.cbits.resize(start + size, None);
-            self.regs.insert(name.to_string(), Reg::C { start, size });
+            self.regs.insert(name, Reg::C { start, size });
         }
         Ok(())
     }
 
-    fn name_taken(&self, name: &str) -> bool {
-        self.regs.contains_key(name)
+    /// Records `QP105` if `name` already names a register or a gate.
+    fn claim(&mut self, name: &str, span: Span) -> Result<(), ()> {
+        let taken = self.regs.contains_key(name)
             || self.user_gates.contains_key(name)
-            || self.opaques.contains_key(name)
+            || self.opaques.contains(name)
             || matches!(name, "U" | "CX" | "gphase")
-            || qelib::find(name).is_some()
+            || qelib::find(name).is_some();
+        if taken {
+            self.diags.error(
+                Code::QP105,
+                span,
+                format!("duplicate declaration of `{name}`"),
+            );
+            return Err(());
+        }
+        Ok(())
     }
 
     /// Resolves a register reference to a slot/bit selector.
     fn resolve_sel(&mut self, arg: &Arg, quantum: bool) -> Result<Sel, ()> {
-        let reg = match self.regs.get(&arg.name) {
+        let reg = match self.regs.get(arg.name) {
             Some(r) => *r,
             None => {
                 self.diags.error(
@@ -502,9 +486,9 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn resolve_spec(&mut self, name: &str, span: Span) -> Result<Spec, ()> {
-        if self.user_gates.contains_key(name) {
-            return Ok(Spec::User);
+    fn resolve_spec(&mut self, name: &str, span: Span) -> Result<Spec<'a>, ()> {
+        if let Some(def) = self.user_gates.get(name) {
+            return Ok(Spec::User(Rc::clone(def)));
         }
         match name {
             "U" => return Ok(Spec::U),
@@ -523,7 +507,7 @@ impl<'a> Lowerer<'a> {
             );
             return Err(());
         }
-        if self.opaques.contains_key(name) {
+        if self.opaques.contains(name) {
             self.diags.error(
                 Code::QP109,
                 span,
@@ -536,20 +520,24 @@ impl<'a> Lowerer<'a> {
         Err(())
     }
 
-    /// Applies one gate call: in the main scope (`env` is `None`) arguments
-    /// are register references with broadcasting; inside a gate body they
-    /// are formals bound to wires.
+    /// A gate call in the main scope, under the classical controls `conds`.
+    pub fn call(&mut self, call: &GateCall<'a>, conds: &[Control]) -> Result<(), ()> {
+        self.apply_gate(call, conds, None, 0)
+    }
+
+    /// Applies one gate call under the classical controls `conds`: in the
+    /// main scope (`env` is `None`) arguments are register references with
+    /// broadcasting; inside a gate body they are formals bound to wires.
     fn apply_gate(
         &mut self,
-        call: &GateCall,
+        call: &GateCall<'a>,
         conds: &[Control],
         env: Option<&BodyEnv>,
         depth: usize,
     ) -> Result<(), ()> {
-        let spec = self.resolve_spec(&call.name, call.name_span)?;
-        let user = self.user_gates.get(&call.name);
-        let want_params = spec.params(user);
-        let arity = spec.qubits(user);
+        let spec = self.resolve_spec(call.name, call.name_span)?;
+        let want_params = spec.params();
+        let arity = spec.qubits();
         if call.params.len() != want_params {
             self.diags.error(
                 Code::QP104,
@@ -591,8 +579,8 @@ impl<'a> Lowerer<'a> {
                     );
                     return Err(());
                 }
-                match env.wires.get(&arg.name) {
-                    Some(&w) => wires.push(w),
+                match env.wire(arg.name) {
+                    Some(w) => wires.push(w),
                     None => {
                         self.diags.error(
                             Code::QP101,
@@ -660,8 +648,8 @@ impl<'a> Lowerer<'a> {
     /// argument order (controls first for the controlled mnemonics).
     fn emit_spec(
         &mut self,
-        spec: &Spec,
-        call: &GateCall,
+        spec: &Spec<'a>,
+        call: &GateCall<'a>,
         wires: &[Wire],
         params: &[f64],
         conds: &[Control],
@@ -758,8 +746,8 @@ impl<'a> Lowerer<'a> {
                 }
                 Ok(())
             }
-            Spec::User => {
-                let id = self.user_box(&call.name, params, call.name_span, depth)?;
+            Spec::User(def) => {
+                let id = self.user_box(call.name, def, params, call.name_span, depth)?;
                 self.gates.push(Gate::Subroutine {
                     id,
                     inverted: false,
@@ -811,7 +799,8 @@ impl<'a> Lowerer<'a> {
     /// lowering the body on first use.
     fn user_box(
         &mut self,
-        name: &str,
+        name: &'a str,
+        def: &UserGate<'a>,
         params: &[f64],
         span: Span,
         depth: usize,
@@ -821,11 +810,11 @@ impl<'a> Lowerer<'a> {
             .map(|p| qelib::format_angle(*p))
             .collect::<Vec<_>>()
             .join(",");
-        let key = (name.to_string(), shape.clone());
+        let key = (name, shape);
         if let Some(&id) = self.boxes.get(&key) {
             return Ok(id);
         }
-        if depth >= MAX_GATE_DEPTH || self.lower_stack.iter().any(|n| n == name) {
+        if depth >= MAX_GATE_DEPTH || self.lower_stack.contains(&name) {
             self.diags.error(
                 Code::QP006,
                 span,
@@ -833,37 +822,13 @@ impl<'a> Lowerer<'a> {
             );
             return Err(());
         }
-        let def = self
-            .user_gates
-            .get(name)
-            .cloned()
-            .expect("resolved as user gate");
-        let env = BodyEnv {
-            params: def
-                .params
-                .iter()
-                .cloned()
-                .zip(params.iter().copied())
-                .collect(),
-            wires: def
-                .qubits
-                .iter()
-                .cloned()
-                .enumerate()
-                .map(|(i, q)| (q, Wire(i as u32)))
-                .collect(),
-        };
-        self.lower_stack.push(name.to_string());
+        let env = BodyEnv { def, params };
+        self.lower_stack.push(name);
         let saved_gates = std::mem::take(&mut self.gates);
         let saved_next = std::mem::replace(&mut self.next_wire, def.qubits.len() as u32);
         let mut ok = true;
-        for stmt in &def.body {
-            let r = match &stmt.kind {
-                StmtKind::Gate(call) => self.apply_gate(call, &[], Some(&env), depth + 1),
-                // The parser only lets gate calls and barriers through.
-                _ => Ok(()),
-            };
-            ok &= r.is_ok();
+        for call in &def.body {
+            ok &= self.apply_gate(call, &[], Some(&env), depth + 1).is_ok();
         }
         let body_gates = std::mem::replace(&mut self.gates, saved_gates);
         self.next_wire = saved_next;
@@ -880,7 +845,7 @@ impl<'a> Lowerer<'a> {
         circuit.recompute_wire_bound();
         let id = self.db.insert(SubDef {
             name: name.to_string(),
-            shape,
+            shape: key.1.clone(),
             circuit,
         });
         self.boxes.insert(key, id);
@@ -906,8 +871,8 @@ impl<'a> Lowerer<'a> {
         Ok(match &e.kind {
             ExprKind::Num(x) => *x,
             ExprKind::Pi => std::f64::consts::PI,
-            ExprKind::Ident(name) => match env.and_then(|env| env.params.get(name)) {
-                Some(&v) => v,
+            ExprKind::Ident(name) => match env.and_then(|env| env.param(name)) {
+                Some(v) => v,
                 None => {
                     self.diags.error(
                         Code::QP101,
@@ -943,9 +908,20 @@ impl<'a> Lowerer<'a> {
         })
     }
 
-    /// Assembles the final circuit: inputs in slot order, outputs every
-    /// live wire (quantum slots + written creg bits) in wire order.
-    fn finish(mut self) -> BCircuit {
+    /// Appends lowering's diagnostics to the parse's `diags`, unless the
+    /// parse recorded an error, and assembles the circuit when no error was
+    /// recorded: inputs in slot order, outputs every live wire (quantum
+    /// slots + written creg bits) in wire order.
+    pub fn finish(mut self, diags: &mut Diagnostics) -> Option<BCircuit> {
+        if diags.has_errors() {
+            return None;
+        }
+        for d in self.diags.iter() {
+            diags.push(d.code, d.severity, d.span, d.message.as_str());
+        }
+        if diags.has_errors() {
+            return None;
+        }
         self.inputs.sort_by_key(|&(slot, _)| slot);
         let inputs: Vec<(Wire, WireType)> = self
             .inputs
@@ -966,7 +942,7 @@ impl<'a> Lowerer<'a> {
         main.gates = self.gates;
         main.outputs = outputs;
         main.wire_bound = self.next_wire;
-        BCircuit::new(self.db, main)
+        Some(BCircuit::new(self.db, main))
     }
 }
 
@@ -982,11 +958,7 @@ mod tests {
     use crate::diag::Severity;
 
     fn lower_src(src: &str) -> (Option<BCircuit>, Diagnostics) {
-        let mut diags = Diagnostics::new();
-        let toks = crate::lex::lex(src, &mut diags);
-        let prog = crate::parse::parse(&toks, &mut diags);
-        let bc = lower(&prog, &mut diags);
-        (bc, diags)
+        crate::compile_full(src)
     }
 
     fn codes(ds: &Diagnostics) -> Vec<&'static str> {

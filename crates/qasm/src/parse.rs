@@ -1,14 +1,24 @@
-//! Recursive-descent parser with statement-level error recovery.
+//! Recursive-descent parser with statement-level error recovery, which
+//! lowers each statement as soon as it has parsed it.
+//!
+//! The keyword match in [`Parser::stmt`] is the one dispatch over
+//! statement kinds: each arm parses its statement and hands the pieces to
+//! the [`Lowerer`]. No syntax tree is built; a gate call is the one parsed
+//! form ([`GateCall`]), because a `gate` body keeps its calls until first
+//! use and a conditioned call is parsed before it is lowered.
 //!
 //! Internal parse functions return `Result<T, ()>` where `Err(())` means
 //! *a diagnostic has already been recorded*; the statement loop recovers
 //! by skipping to the next `;` (or `}` / end of input) and continues, so
 //! one malformed statement yields one focused diagnostic instead of a
-//! cascade.
+//! cascade. Lowering's own results never steer the parse.
 
-use crate::ast::{Arg, BinOp, Expr, ExprKind, GateCall, Program, Stmt, StmtKind};
+use quipper_circuit::Control;
+
+use crate::ast::{Arg, BinOp, Condition, Expr, ExprKind, GateCall};
 use crate::diag::{Code, Diagnostics, Span};
 use crate::lex::{Tok, Token};
+use crate::lower::Lowerer;
 
 /// Maximum expression/`if` nesting depth. Deeper programs are rejected
 /// with `QP006` instead of risking parser stack exhaustion.
@@ -24,24 +34,24 @@ const KEYWORDS: &[&str] = &[
     "measure", "if",
 ];
 
-struct Parser<'a> {
-    toks: &'a [Token],
+struct Parser<'t, 'a> {
+    toks: &'t [Token<'a>],
     pos: usize,
-    diags: &'a mut Diagnostics,
+    diags: &'t mut Diagnostics,
+    lw: Lowerer<'a>,
 }
 
-/// Parses a token stream into a [`Program`]. Problems are recorded in
-/// `diags`; the returned program contains every statement that parsed.
-pub fn parse(toks: &[Token], diags: &mut Diagnostics) -> Program {
+/// Parses a token stream and lowers every statement that parses. Syntax
+/// problems are recorded in `diags`; the returned lowerer holds the
+/// circuit so far and its own diagnostics, for [`Lowerer::finish`].
+pub fn parse<'a>(toks: &[Token<'a>], diags: &mut Diagnostics) -> Lowerer<'a> {
     let mut p = Parser {
         toks,
         pos: 0,
         diags,
+        lw: Lowerer::default(),
     };
-    let mut prog = Program {
-        version: p.header(),
-        ..Default::default()
-    };
+    p.header();
     while !p.at_eof() {
         if p.at(&Tok::RBrace) {
             // A stray closing brace at top level.
@@ -51,22 +61,26 @@ pub fn parse(toks: &[Token], diags: &mut Diagnostics) -> Program {
                 .error(Code::QP003, span, "unmatched `}`".to_string());
             continue;
         }
-        match p.stmt(0) {
-            Ok(Some(stmt)) => prog.stmts.push(stmt),
-            Ok(None) => {}
-            Err(()) => p.recover(),
+        // Lowering stops once its own diagnostics reach the cap.
+        let lower = (!p.lw.is_truncated()).then_some(&[][..]);
+        if p.stmt(0, lower).is_err() {
+            p.recover();
         }
         if p.diags.is_truncated() {
             break;
         }
     }
-    prog
+    p.lw
 }
 
-impl<'a> Parser<'a> {
-    fn cur(&self) -> &Token {
+impl<'a> Parser<'_, 'a> {
+    fn cur(&self) -> Token<'a> {
         // The lexer guarantees a trailing Eof token.
-        &self.toks[self.pos.min(self.toks.len() - 1)]
+        self.toks[self.pos.min(self.toks.len() - 1)]
+    }
+
+    fn next(&self) -> Token<'a> {
+        self.toks[(self.pos + 1).min(self.toks.len() - 1)]
     }
 
     fn span(&self) -> Span {
@@ -82,11 +96,11 @@ impl<'a> Parser<'a> {
     }
 
     fn at_ident(&self, s: &str) -> bool {
-        matches!(&self.cur().tok, Tok::Ident(id) if id == s)
+        self.cur().tok == Tok::Ident(s)
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.cur().clone();
+    fn bump(&mut self) -> Token<'a> {
+        let t = self.cur();
         if self.pos < self.toks.len() - 1 {
             self.pos += 1;
         }
@@ -107,10 +121,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<(String, Span), ()> {
-        match &self.cur().tok {
+    fn expect_ident(&mut self, what: &str) -> Result<(&'a str, Span), ()> {
+        match self.cur().tok {
             Tok::Ident(name) => {
-                let name = name.clone();
                 let span = self.bump().span;
                 Ok((name, span))
             }
@@ -127,9 +140,8 @@ impl<'a> Parser<'a> {
     }
 
     fn expect_int(&mut self, what: &str) -> Result<(u64, Span), ()> {
-        match &self.cur().tok {
+        match self.cur().tok {
             Tok::Int(n) => {
-                let n = *n;
                 let span = self.bump().span;
                 Ok((n, span))
             }
@@ -148,7 +160,7 @@ impl<'a> Parser<'a> {
     /// Skips to just past the next `;`, or stops before `}` / end of input.
     fn recover(&mut self) {
         loop {
-            match &self.cur().tok {
+            match self.cur().tok {
                 Tok::Eof | Tok::RBrace => return,
                 Tok::Semi => {
                     self.bump();
@@ -161,21 +173,19 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn header(&mut self) -> Option<(u32, u32)> {
+    fn header(&mut self) {
         if !self.at_ident("OPENQASM") {
             self.diags.warning(
                 Code::QP004,
                 self.span(),
                 "missing `OPENQASM` version header",
             );
-            return None;
+            return;
         }
-        let kw_span = self.bump().span;
-        let version = match &self.cur().tok {
-            Tok::Real(x) if *x == 2.0 => Some((2, 0)),
-            Tok::Real(x) if *x == 3.0 => Some((3, 0)),
-            Tok::Int(2) => Some((2, 0)),
-            Tok::Int(3) => Some((3, 0)),
+        self.bump();
+        match self.cur().tok {
+            Tok::Real(x) if x == 2.0 || x == 3.0 => {}
+            Tok::Int(2 | 3) => {}
             other => {
                 let found = other.describe();
                 self.diags.error(
@@ -183,9 +193,8 @@ impl<'a> Parser<'a> {
                     self.span(),
                     format!("unsupported OPENQASM version {found} (2.0 and 3 are accepted)"),
                 );
-                None
             }
-        };
+        }
         // Consume the version token (even an unsupported one) so the bad
         // number does not cascade into a `;`-expected syntax error.
         if !matches!(self.cur().tok, Tok::Semi | Tok::Eof) {
@@ -194,20 +203,18 @@ impl<'a> Parser<'a> {
         if self.expect(&Tok::Semi, "`;` after version header").is_err() {
             self.recover();
         }
-        let _ = kw_span;
-        version
     }
 
-    /// Parses one top-level statement. `Ok(None)` means the statement was
-    /// consumed but produces no AST node.
-    fn stmt(&mut self, depth: usize) -> Result<Option<Stmt>, ()> {
+    /// Parses one statement and lowers it under the classical controls
+    /// `conds`; with `None` it is parsed only.
+    fn stmt(&mut self, depth: usize, conds: Option<&[Control]>) -> Result<(), ()> {
         let span = self.span();
         if depth > MAX_DEPTH {
             self.diags
                 .error(Code::QP006, span, "statements nested too deeply");
             return Err(());
         }
-        let Tok::Ident(kw) = &self.cur().tok else {
+        let Tok::Ident(kw) = self.cur().tok else {
             let found = self.cur().tok.describe();
             self.diags.error(
                 Code::QP003,
@@ -216,8 +223,8 @@ impl<'a> Parser<'a> {
             );
             return Err(());
         };
-        let kw = kw.clone();
-        match kw.as_str() {
+        let lower = conds.is_some();
+        match kw {
             "OPENQASM" => {
                 self.bump();
                 self.diags
@@ -226,9 +233,8 @@ impl<'a> Parser<'a> {
             }
             "include" => {
                 self.bump();
-                let path = match &self.cur().tok {
+                let path = match self.cur().tok {
                     Tok::Str(s) => {
-                        let s = s.clone();
                         self.bump();
                         s
                     }
@@ -243,10 +249,10 @@ impl<'a> Parser<'a> {
                     }
                 };
                 self.expect(&Tok::Semi, "`;` after include")?;
-                Ok(Some(Stmt {
-                    kind: StmtKind::Include { path },
-                    span,
-                }))
+                if lower {
+                    let _ = self.lw.include(path, span);
+                }
+                Ok(())
             }
             "qreg" | "creg" => {
                 self.bump();
@@ -255,12 +261,10 @@ impl<'a> Parser<'a> {
                 let (size, _) = self.expect_int("register size")?;
                 self.expect(&Tok::RBracket, "`]`")?;
                 self.expect(&Tok::Semi, "`;` after register declaration")?;
-                let kind = if kw == "qreg" {
-                    StmtKind::QReg { name, size }
-                } else {
-                    StmtKind::CReg { name, size }
-                };
-                Ok(Some(Stmt { kind, span }))
+                if lower {
+                    let _ = self.lw.declare(name, size, kw == "qreg", span);
+                }
+                Ok(())
             }
             "qubit" | "bit" => {
                 // QASM-3 spellings: `qubit[3] q;`, `bit c;`.
@@ -275,53 +279,44 @@ impl<'a> Parser<'a> {
                 };
                 let (name, _) = self.expect_ident("register name")?;
                 self.expect(&Tok::Semi, "`;` after register declaration")?;
-                let kind = if kw == "qubit" {
-                    StmtKind::QReg { name, size }
-                } else {
-                    StmtKind::CReg { name, size }
-                };
-                Ok(Some(Stmt { kind, span }))
+                if lower {
+                    let _ = self.lw.declare(name, size, kw == "qubit", span);
+                }
+                Ok(())
             }
-            "gate" => self.gate_def(span).map(Some),
+            "gate" => self.gate_def(span, lower),
             "opaque" => {
                 self.bump();
                 let (name, _) = self.expect_ident("gate name")?;
-                let params = if self.at(&Tok::LParen) {
+                if self.at(&Tok::LParen) {
                     self.bump();
-                    let list = self.ident_list(true)?;
+                    self.ident_list(true)?;
                     self.expect(&Tok::RParen, "`)`")?;
-                    list.len()
-                } else {
-                    0
-                };
-                let qubits = self.ident_list(false)?.len();
+                }
+                self.ident_list(false)?;
                 self.expect(&Tok::Semi, "`;` after opaque declaration")?;
-                Ok(Some(Stmt {
-                    kind: StmtKind::Opaque {
-                        name,
-                        params,
-                        qubits,
-                    },
-                    span,
-                }))
+                if lower {
+                    let _ = self.lw.opaque(name, span);
+                }
+                Ok(())
             }
             "barrier" => {
                 self.bump();
                 let args = self.arg_list()?;
                 self.expect(&Tok::Semi, "`;` after barrier")?;
-                Ok(Some(Stmt {
-                    kind: StmtKind::Barrier { args },
-                    span,
-                }))
+                if lower {
+                    let _ = self.lw.barrier(&args);
+                }
+                Ok(())
             }
             "reset" => {
                 self.bump();
                 let arg = self.arg()?;
                 self.expect(&Tok::Semi, "`;` after reset")?;
-                Ok(Some(Stmt {
-                    kind: StmtKind::Reset { arg },
-                    span,
-                }))
+                if lower {
+                    let _ = self.lw.reset(&arg);
+                }
+                Ok(())
             }
             "measure" => {
                 self.bump();
@@ -329,10 +324,10 @@ impl<'a> Parser<'a> {
                 self.expect(&Tok::Arrow, "`->` after measure source")?;
                 let dst = self.arg()?;
                 self.expect(&Tok::Semi, "`;` after measure")?;
-                Ok(Some(Stmt {
-                    kind: StmtKind::Measure { src, dst },
-                    span,
-                }))
+                if lower {
+                    let _ = self.lw.measure(&src, &dst, span);
+                }
+                Ok(())
             }
             "if" => {
                 self.bump();
@@ -341,34 +336,41 @@ impl<'a> Parser<'a> {
                 self.expect(&Tok::EqEq, "`==`")?;
                 let (value, _) = self.expect_int("comparison value")?;
                 self.expect(&Tok::RParen, "`)` after if condition")?;
-                let body = match self.stmt(depth + 1)? {
-                    Some(stmt) => stmt,
-                    None => {
-                        self.diags.error(
-                            Code::QP003,
-                            span,
-                            "if requires a conditioned statement".to_string(),
-                        );
-                        return Err(());
-                    }
+                let cond = Condition {
+                    creg,
+                    creg_span,
+                    value,
                 };
-                Ok(Some(Stmt {
-                    kind: StmtKind::If {
-                        creg,
-                        creg_span,
-                        value,
-                        body: Box::new(body),
-                    },
-                    span,
-                }))
+                // Its first tokens tell what the conditioned statement is.
+                let misplaced = (!self.at_conditionable()).then(|| self.span());
+                let merged =
+                    conds.and_then(|conds| self.lw.condition(conds, cond, span, depth, misplaced));
+                self.stmt(depth + 1, merged.as_deref())
             }
-            _ => self.ident_stmt(span).map(Some),
+            _ => {
+                if let (Some(call), Some(conds)) = (self.ident_stmt(span, lower)?, conds) {
+                    let _ = self.lw.call(&call, conds);
+                }
+                Ok(())
+            }
         }
     }
 
-    /// A statement starting with a non-keyword identifier: a gate call, or
-    /// the QASM-3 `c[0] = measure q[0];` form.
-    fn ident_stmt(&mut self, span: Span) -> Result<Stmt, ()> {
+    /// Whether the statement at the cursor is a gate call or an `if`: the
+    /// only statements a condition applies to.
+    fn at_conditionable(&self) -> bool {
+        match self.cur().tok {
+            Tok::Ident("if") => true,
+            Tok::Ident(kw) if KEYWORDS.contains(&kw) => false,
+            Tok::Ident(_) => !matches!(self.next().tok, Tok::LBracket | Tok::Assign),
+            _ => false,
+        }
+    }
+
+    /// A statement starting with a non-keyword identifier: a gate call,
+    /// returned for the caller to lower or keep, or the QASM-3
+    /// `c[0] = measure q[0];` form, lowered here when `lower` is set.
+    fn ident_stmt(&mut self, span: Span, lower: bool) -> Result<Option<GateCall<'a>>, ()> {
         let (name, name_span) = self.expect_ident("gate name")?;
         if self.at(&Tok::LBracket) || self.at(&Tok::Assign) {
             // `dst[i] = measure src;` — measure-assign.
@@ -398,10 +400,10 @@ impl<'a> Parser<'a> {
             self.bump();
             let src = self.arg()?;
             self.expect(&Tok::Semi, "`;` after measure")?;
-            return Ok(Stmt {
-                kind: StmtKind::Measure { src, dst },
-                span,
-            });
+            if lower {
+                let _ = self.lw.measure(&src, &dst, span);
+            }
+            return Ok(None);
         }
         let params = if self.at(&Tok::LParen) {
             self.bump();
@@ -421,18 +423,17 @@ impl<'a> Parser<'a> {
             self.arg_list()?
         };
         self.expect(&Tok::Semi, "`;` after gate application")?;
-        Ok(Stmt {
-            kind: StmtKind::Gate(GateCall {
-                name,
-                name_span,
-                params,
-                args,
-            }),
-            span,
-        })
+        Ok(Some(GateCall {
+            name,
+            name_span,
+            params,
+            args,
+        }))
     }
 
-    fn gate_def(&mut self, span: Span) -> Result<Stmt, ()> {
+    /// `gate name(params) qubits { body }`: the body's calls are kept for
+    /// the lowerer; its barriers (and any measure-assign) are dropped.
+    fn gate_def(&mut self, span: Span, lower: bool) -> Result<(), ()> {
         self.bump();
         let (name, _) = self.expect_ident("gate name")?;
         let params = if self.at(&Tok::LParen) {
@@ -460,10 +461,10 @@ impl<'a> Parser<'a> {
                 return Err(());
             }
             let stmt_span = self.span();
-            let allowed = match &self.cur().tok {
+            let allowed = match self.cur().tok {
                 // Gate bodies may contain only gate applications and
                 // barriers (OpenQASM 2.0 §"gate" production).
-                Tok::Ident(id) => !KEYWORDS.contains(&id.as_str()) || id == "barrier",
+                Tok::Ident(id) => !KEYWORDS.contains(&id) || id == "barrier",
                 _ => false,
             };
             if !allowed {
@@ -477,38 +478,28 @@ impl<'a> Parser<'a> {
             }
             let parsed = if self.at_ident("barrier") {
                 self.bump();
-                let args = self.arg_list().and_then(|args| {
-                    self.expect(&Tok::Semi, "`;` after barrier")?;
-                    Ok(args)
-                });
-                args.map(|args| Stmt {
-                    kind: StmtKind::Barrier { args },
-                    span: stmt_span,
-                })
+                self.arg_list()
+                    .and_then(|_| self.expect(&Tok::Semi, "`;` after barrier"))
+                    .map(|_| None)
             } else {
-                self.ident_stmt(stmt_span)
+                self.ident_stmt(stmt_span, false)
             };
             match parsed {
-                Ok(stmt) => body.push(stmt),
+                Ok(call) => body.extend(call),
                 Err(()) => self.recover(),
             }
             if self.diags.is_truncated() {
                 return Err(());
             }
         }
-        Ok(Stmt {
-            kind: StmtKind::GateDef {
-                name,
-                params,
-                qubits,
-                body,
-            },
-            span,
-        })
+        if lower {
+            let _ = self.lw.define_gate(name, params, qubits, body, span);
+        }
+        Ok(())
     }
 
     /// `ident (, ident)*` — with `allow_empty` the list may be absent.
-    fn ident_list(&mut self, allow_empty: bool) -> Result<Vec<String>, ()> {
+    fn ident_list(&mut self, allow_empty: bool) -> Result<Vec<&'a str>, ()> {
         let mut out = Vec::new();
         if allow_empty && !matches!(self.cur().tok, Tok::Ident(_)) {
             return Ok(out);
@@ -524,7 +515,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn arg(&mut self) -> Result<Arg, ()> {
+    fn arg(&mut self) -> Result<Arg<'a>, ()> {
         let (name, span) = self.expect_ident("register")?;
         let index = if self.at(&Tok::LBracket) {
             self.bump();
@@ -537,7 +528,7 @@ impl<'a> Parser<'a> {
         Ok(Arg { name, index, span })
     }
 
-    fn arg_list(&mut self) -> Result<Vec<Arg>, ()> {
+    fn arg_list(&mut self) -> Result<Vec<Arg<'a>>, ()> {
         let mut out = vec![self.arg()?];
         while self.at(&Tok::Comma) {
             self.bump();
@@ -546,7 +537,7 @@ impl<'a> Parser<'a> {
         Ok(out)
     }
 
-    fn expr_list(&mut self) -> Result<Vec<Expr>, ()> {
+    fn expr_list(&mut self) -> Result<Vec<Expr<'a>>, ()> {
         let mut out = vec![self.expr(0)?];
         while self.at(&Tok::Comma) {
             self.bump();
@@ -556,7 +547,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Additive precedence level.
-    fn expr(&mut self, depth: usize) -> Result<Expr, ()> {
+    fn expr(&mut self, depth: usize) -> Result<Expr<'a>, ()> {
         if depth > MAX_DEPTH {
             self.diags
                 .error(Code::QP006, self.span(), "expression nested too deeply");
@@ -578,7 +569,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn term(&mut self, depth: usize) -> Result<Expr, ()> {
+    fn term(&mut self, depth: usize) -> Result<Expr<'a>, ()> {
         let mut lhs = self.factor(depth + 1)?;
         loop {
             let op = match self.cur().tok {
@@ -596,7 +587,7 @@ impl<'a> Parser<'a> {
     }
 
     /// `^` is right-associative and binds tighter than `*`.
-    fn factor(&mut self, depth: usize) -> Result<Expr, ()> {
+    fn factor(&mut self, depth: usize) -> Result<Expr<'a>, ()> {
         let base = self.atom(depth + 1)?;
         if self.at(&Tok::Caret) {
             let span = self.bump().span;
@@ -609,16 +600,16 @@ impl<'a> Parser<'a> {
         Ok(base)
     }
 
-    fn atom(&mut self, depth: usize) -> Result<Expr, ()> {
+    fn atom(&mut self, depth: usize) -> Result<Expr<'a>, ()> {
         if depth > MAX_DEPTH {
             self.diags
                 .error(Code::QP006, self.span(), "expression nested too deeply");
             return Err(());
         }
         let span = self.span();
-        match &self.cur().tok {
+        match self.cur().tok {
             Tok::Int(n) => {
-                let v = *n as f64;
+                let v = n as f64;
                 self.bump();
                 Ok(Expr {
                     kind: ExprKind::Num(v),
@@ -626,10 +617,9 @@ impl<'a> Parser<'a> {
                 })
             }
             Tok::Real(x) => {
-                let v = *x;
                 self.bump();
                 Ok(Expr {
-                    kind: ExprKind::Num(v),
+                    kind: ExprKind::Num(x),
                     span,
                 })
             }
@@ -651,7 +641,6 @@ impl<'a> Parser<'a> {
                 })
             }
             Tok::Ident(id) => {
-                let id = id.clone();
                 self.bump();
                 if id == "pi" {
                     return Ok(Expr {
@@ -697,40 +686,44 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diag::Severity;
     use crate::lex::lex;
+    use quipper_circuit::Gate;
 
-    fn parse_src(src: &str) -> (Program, Diagnostics) {
+    /// The lowerer after the parse, and the parse's own diagnostics.
+    fn parse_src(src: &str) -> (Lowerer<'_>, Diagnostics) {
         let mut diags = Diagnostics::new();
         let toks = lex(src, &mut diags);
-        let prog = parse(&toks, &mut diags);
-        (prog, diags)
+        let lw = parse(&toks, &mut diags);
+        (lw, diags)
     }
 
     #[test]
     fn parses_the_standard_prelude() {
-        let (prog, ds) = parse_src(
+        let (lw, mut ds) = parse_src(
             "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\nh q[0];\ncx q[0],q[1];\n",
         );
         assert!(ds.is_empty(), "{ds}");
-        assert_eq!(prog.version, Some((2, 0)));
-        assert_eq!(prog.stmts.len(), 5);
+        // All five statements reached the lowerer: two qubits, both
+        // touched by the `h` and the `cx`.
+        let bc = lw.finish(&mut ds).expect("lowers");
+        assert!(ds.is_empty(), "{ds}");
+        assert_eq!(bc.main.inputs.len(), 2);
+        assert_eq!(bc.main.gates.len(), 2);
     }
 
     #[test]
     fn parses_qasm3_spellings() {
-        let (prog, ds) = parse_src(
+        let (lw, mut ds) = parse_src(
             "OPENQASM 3;\nqubit[2] q;\nbit[2] c;\nU(pi/2,0,pi) q[0];\ngphase(pi/4);\nc[0] = measure q[0];\n",
         );
+        // Version 3 is accepted, and every statement lowers: `q[0]` is
+        // the one touched qubit, and the last gate is the measure-assign.
         assert!(ds.is_empty(), "{ds}");
-        assert_eq!(prog.version, Some((3, 0)));
-        assert!(matches!(
-            prog.stmts[0].kind,
-            StmtKind::QReg { ref name, size: 2 } if name == "q"
-        ));
-        assert!(matches!(
-            prog.stmts.last().unwrap().kind,
-            StmtKind::Measure { .. }
-        ));
+        let bc = lw.finish(&mut ds).expect("lowers");
+        assert!(ds.is_empty(), "{ds}");
+        assert_eq!(bc.main.inputs.len(), 1);
+        assert!(matches!(bc.main.gates.last(), Some(Gate::QMeas { .. })));
     }
 
     #[test]
@@ -748,11 +741,15 @@ mod tests {
 
     #[test]
     fn recovery_is_per_statement() {
-        let (prog, ds) = parse_src("OPENQASM 2.0;\nqreg q[;\nh q[0];\n");
+        let (lw, ds) = parse_src("OPENQASM 2.0;\nqreg q[;\nh q[0];\n");
         // The broken declaration yields one diagnostic; the following
-        // statement still parses.
-        assert!(ds.has_errors());
-        assert_eq!(prog.stmts.len(), 1);
+        // statement still parses, and reaches the lowerer (which knows no
+        // `h` without the include).
+        assert_eq!(ds.count(Severity::Error), 1, "{ds}");
+        let mut lowered = Diagnostics::new();
+        assert!(lw.finish(&mut lowered).is_none());
+        let found: Vec<(Code, u32)> = lowered.iter().map(|d| (d.code, d.span.line)).collect();
+        assert_eq!(found, [(Code::QP103, 3)]);
     }
 
     #[test]
@@ -778,17 +775,14 @@ mod tests {
 
     #[test]
     fn if_wraps_a_statement() {
-        let (prog, ds) = parse_src(
+        let (lw, mut ds) = parse_src(
             "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1];\ncreg c[1];\nif(c==1) x q[0];\n",
         );
         assert!(ds.is_empty(), "{ds}");
-        let StmtKind::If {
-            value, ref body, ..
-        } = prog.stmts.last().unwrap().kind
-        else {
-            panic!("expected if");
-        };
-        assert_eq!(value, 1);
-        assert!(matches!(body.kind, StmtKind::Gate(_)));
+        // The `if` took the `x` as its statement, under `c == 1`, which an
+        // unwritten bit never is: the `x` is dropped, not applied.
+        let bc = lw.finish(&mut ds).expect("lowers");
+        assert!(ds.is_empty(), "{ds}");
+        assert!(bc.main.gates.is_empty());
     }
 }
