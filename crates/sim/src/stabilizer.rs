@@ -124,6 +124,10 @@ pub struct PackedTableau {
     x: Vec<Vec<u64>>,
     z: Vec<Vec<u64>>,
     r: Vec<u64>,
+    /// A random measurement's three row-bitsets: the rows it updates and
+    /// the two bit-planes of their phase counters. Scratch, not state:
+    /// kept only so that later measurements reuse the buffers.
+    scratch: [Vec<u64>; 3],
 }
 
 impl Clone for PackedTableau {
@@ -210,6 +214,7 @@ impl Tableau for PackedTableau {
             x: Vec::new(),
             z: Vec::new(),
             r: vec![0; 2],
+            scratch: Default::default(),
         }
     }
 
@@ -271,11 +276,14 @@ impl Tableau for PackedTableau {
                 // bit, s1 = high bit of the per-row phase counter).
                 let outcome = rng.gen::<bool>();
                 let p = self.cap + s;
-                let mut m = self.x[q].clone();
-                bit_set(&mut m, p, false);
+                let [m, s0, s1] = &mut self.scratch;
+                m.clone_from(&self.x[q]);
+                bit_set(m, p, false);
                 let rp = bit_get(&self.r, p);
-                let mut s0 = vec![0u64; self.words];
-                let mut s1 = vec![0u64; self.words];
+                s0.clear();
+                s0.resize(self.words, 0);
+                s1.clear();
+                s1.resize(self.words, 0);
                 for w in 0..self.words {
                     // Counter starts at 2·r[h] + 2·r[p].
                     s1[w] = (self.r[w] ^ if rp { !0 } else { 0 }) & m[w];
@@ -316,12 +324,12 @@ impl Tableau for PackedTableau {
                 // of rows per XOR.
                 for k in 0..self.n {
                     if bit_get(&self.x[k], p) {
-                        for (xw, &mw) in self.x[k].iter_mut().zip(&m) {
+                        for (xw, &mw) in self.x[k].iter_mut().zip(m.iter()) {
                             *xw ^= mw;
                         }
                     }
                     if bit_get(&self.z[k], p) {
-                        for (zw, &mw) in self.z[k].iter_mut().zip(&m) {
+                        for (zw, &mw) in self.z[k].iter_mut().zip(m.iter()) {
                             *zw ^= mw;
                         }
                     }

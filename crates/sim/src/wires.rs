@@ -51,11 +51,15 @@ impl Clone for Wires {
         wires
     }
 
-    /// Field by field, so restoring a snapshot every shot reuses the maps.
+    /// Field by field, so restoring a snapshot every shot reuses the maps:
+    /// `clear` + `extend` keeps a map's buckets, where `HashMap::clone_from`
+    /// reallocates whenever the two bucket counts differ.
     fn clone_from(&mut self, source: &Wires) {
-        self.slots.clone_from(&source.slots);
+        self.slots.clear();
+        self.slots.extend(&source.slots);
         self.parked.clone_from(&source.parked);
-        self.bits.clone_from(&source.bits);
+        self.bits.clear();
+        self.bits.extend(&source.bits);
     }
 }
 
@@ -199,17 +203,20 @@ pub(crate) fn read_outputs<S: Simulator>(
     sim: &mut S,
     outputs: &[(Wire, WireType)],
 ) -> Result<Vec<bool>, SimError> {
-    let mut read = |wire, ty| match ty {
-        WireType::Classical => sim
-            .wires_mut()
-            .bit(wire)
-            .ok_or(SimError::UnknownWire { wire }),
-        WireType::Quantum => {
-            let slot = sim.wires_mut().slot(wire)?;
-            Ok(sim.measure(slot))
-        }
-    };
-    outputs.iter().map(|&(wire, ty)| read(wire, ty)).collect()
+    let mut bits = Vec::with_capacity(outputs.len());
+    for &(wire, ty) in outputs {
+        bits.push(match ty {
+            WireType::Classical => sim
+                .wires_mut()
+                .bit(wire)
+                .ok_or(SimError::UnknownWire { wire })?,
+            WireType::Quantum => {
+                let slot = sim.wires_mut().slot(wire)?;
+                sim.measure(slot)
+            }
+        });
+    }
+    Ok(bits)
 }
 
 /// Executes one gate: the wire gates here, unitaries by

@@ -2,7 +2,8 @@
 //! allocations per flat gate of `Plan::compile_with(.., OptLevel::Default)`
 //! on two fixed OpenQASM programs shaped like the `compile_cold` traffic —
 //! a ripple adder whose `maj`/`uma` gate definitions become boxes, and a
-//! GHZ state checked by rounds of parity syndromes. Beside it, the run
+//! GHZ state checked by rounds of parity syndromes — and of the OpenQASM
+//! front end (`quipper_qasm::compile`) that reads them. Beside it, the run
 //! path's: heap allocations of one `Engine::run_resolved` of a compiled
 //! plan on each route.
 //!
@@ -147,6 +148,15 @@ fn allocations_per_flat_gate(source: &str) -> f64 {
     allocations as f64 / plan.profile.num_gates as f64
 }
 
+/// Heap allocations per flat gate of `quipper_qasm::compile` itself: the
+/// front end's lex, parse and lowering, flat gates counted as above.
+fn front_end_allocations_per_flat_gate(source: &str) -> f64 {
+    let (bc, allocations) = counted(|| quipper_qasm::compile(source));
+    let bc = bc.expect("the program compiles");
+    let plan = Plan::compile_with(&bc, OptLevel::Default).expect("the plan compiles");
+    allocations as f64 / plan.profile.num_gates as f64
+}
+
 /// The route of `source`'s default-level plan, and the heap allocations of
 /// one untraced `Engine::run_resolved` of it: 16 shots, seed 7.
 fn run_allocations(source: &str) -> (&'static str, u64) {
@@ -175,11 +185,23 @@ fn plan_compile_allocations_per_flat_gate_stay_within_budget() {
             breaches.push(format!("{name}: {per_gate:.2} > {budget}"));
         }
     }
+    // (program, budget): the front end's own counts, 4.30 and 5.89,
+    // rounded up to a tenth. With a statement tree between parse and
+    // lowering, owned token names and a user gate cloned on every call it
+    // made 14.57 and 14.19.
+    let front_end = [(&cases[0], 4.3), (&cases[1], 5.9)];
+    for ((name, source, _), budget) in front_end {
+        let per_gate = front_end_allocations_per_flat_gate(source);
+        println!("{name}: {per_gate:.2} front-end allocations per flat gate (budget {budget})");
+        if per_gate > budget {
+            breaches.push(format!("{name} front end: {per_gate:.2} > {budget}"));
+        }
+    }
     // (program, route, budget): one run's allocations on this run path,
     // exactly, so that one more box or copy per job or per shot fails.
     let runs = [
-        (ripple_adder(16, 2), "classical", 27),
-        (ghz_syndrome(16, 2), "stabilizer", 211),
+        (ripple_adder(16, 2), "classical", 24),
+        (ghz_syndrome(16, 2), "stabilizer", 118),
     ];
     for (source, route, budget) in runs.into_iter().chain([(T_PROGRAM.into(), "statevec", 31)]) {
         let (ran_on, allocations) = run_allocations(&source);
