@@ -14,6 +14,12 @@
 //! that show up in the wild: `qubit[n] q;` / `bit[n] c;` declarations,
 //! `c[0] = measure q[0];` assignment form, and `gphase(γ)`.
 //!
+//! [`compile_full`] is one walk from text to circuit: the lexer's tokens
+//! are slices of the source, the parser lowers each statement as soon as
+//! it has parsed it (there is no statement tree), and the result is
+//! validated. Lowering's diagnostics follow the parse's, and only when
+//! the parse recorded no error.
+//!
 //! Round-trip guarantees (tested against the exporter's goldens):
 //! `export(parse(export(c))) == export(c)` byte-for-byte, and
 //! `parse(export(c))` is statevector-equivalent to `c` up to global

@@ -62,8 +62,8 @@ pub fn parse<'a>(toks: &[Token<'a>], diags: &mut Diagnostics) -> Lowerer<'a> {
             continue;
         }
         // Lowering stops once its own diagnostics reach the cap.
-        let lower = (!p.lw.is_truncated()).then_some(&[][..]);
-        if p.stmt(0, lower).is_err() {
+        let conds: Option<&[Control]> = if p.lw.is_truncated() { None } else { Some(&[]) };
+        if p.stmt(0, conds).is_err() {
             p.recover();
         }
         if p.diags.is_truncated() {

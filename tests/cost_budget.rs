@@ -186,9 +186,7 @@ fn plan_compile_allocations_per_flat_gate_stay_within_budget() {
         }
     }
     // (program, budget): the front end's own counts, 4.30 and 5.89,
-    // rounded up to a tenth. With a statement tree between parse and
-    // lowering, owned token names and a user gate cloned on every call it
-    // made 14.57 and 14.19.
+    // rounded up to a tenth.
     let front_end = [(&cases[0], 4.3), (&cases[1], 5.9)];
     for ((name, source, _), budget) in front_end {
         let per_gate = front_end_allocations_per_flat_gate(source);
